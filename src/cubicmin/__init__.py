@@ -7,7 +7,6 @@ closed-form moves, and wraps both tricks in an adaptive outer optimizer
 for general smooth objectives.
 """
 
-from ._kernels import BACKEND as _BACKEND
 from .exceptions import (
     BoundExceeded,
     CertificateFailure,
@@ -80,8 +79,8 @@ __version__ = "0.1.0"
 
 
 def kernel_backend():
-    """Which eigensolver kernel is active: "compiled" or "python"."""
-    return _BACKEND
+    """Which eigensolver kernel is active; always "lapack" (NumPy's LAPACK)."""
+    return "lapack"
 
 
 __all__ = [

@@ -1,16 +1,14 @@
 """Dense symmetric linear algebra: eigendecomposition and shifted solves.
 
-Everything in this module is deterministic for a fixed input: the Jacobi
-sweep order is fixed, eigenvalue ties are broken by index after a stable
-sort, and eigenvector signs are normalized.  All returned arrays are
-marked read-only so values can be shared freely across threads.
+Everything in this module is deterministic for a fixed input: the
+eigensolver is LAPACK's symmetric driver (through ``np.linalg.eigh``),
+which returns eigenvalues ascending in a fixed order, and eigenvector
+signs are normalized.  All returned arrays are marked read-only so values
+can be shared freely across threads.
 """
-
-import math
 
 import numpy as np
 
-from cubicmin._kernels import cyclic_jacobi
 from cubicmin.exceptions import (
     ConvergenceError,
     ExcitedSingularMode,
@@ -22,8 +20,6 @@ from cubicmin.exceptions import (
 SINGULAR_MODE_TOL = 1e-12
 
 _SYMMETRY_RTOL = 1e-12
-_JACOBI_MAX_SWEEPS = 100
-_JACOBI_OFF_RTOL = 1e-12
 
 
 def _freeze(a):
@@ -89,7 +85,7 @@ class EigenDecomposition:
 
 
 def sym_eigen(A):
-    """Eigendecompose a SymmetricMatrix with cyclic Jacobi rotations.
+    """Eigendecompose a SymmetricMatrix with LAPACK (``np.linalg.eigh``).
 
     Parameters
     ----------
@@ -98,35 +94,20 @@ def sym_eigen(A):
     Returns
     -------
     EigenDecomposition
-        Eigenvalues ascending; ties broken by index order; each
+        Eigenvalues ascending, ties in LAPACK's order; each
         eigenvector's largest-magnitude entry made positive.
 
     Raises
     ------
     ConvergenceError
-        If the off-diagonal norm has not dropped to
-        ``1e-12 * ||A||_F`` within 100 sweeps.
+        If LAPACK reports that the eigenvalue iteration did not converge.
     """
-    n = A.n
-    B = np.array(A.entries, dtype=float, order="C")
-    V = np.eye(n, dtype=float, order="C")
-    fro = float(np.linalg.norm(B, "fro"))
-    target = _JACOBI_OFF_RTOL * fro
-    sweeps = cyclic_jacobi(B, V, _JACOBI_MAX_SWEEPS, target)
-    off = math.sqrt(2.0 * float(np.sum(np.triu(B, 1) ** 2)))
-    if off > target:
-        raise ConvergenceError(
-            f"Jacobi sweep limit reached after {sweeps} sweeps: "
-            f"off-diagonal norm {off:.3e} > target {target:.3e}"
-        )
-    values = np.diag(B).copy()
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = V[:, order].copy()
-    for j in range(n):
-        i = int(np.argmax(np.abs(vectors[:, j])))
-        if vectors[i, j] < 0.0:
-            vectors[:, j] = -vectors[:, j]
+    try:
+        values, vectors = np.linalg.eigh(A.entries)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(A.n)]
+    vectors[:, lead < 0.0] *= -1.0
     return EigenDecomposition(values, vectors)
 
 

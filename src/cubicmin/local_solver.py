@@ -1,7 +1,7 @@
 """Armijo-descent local minimization of the cubic model.
 
 Finds a point with ``||grad m(s)|| <= eps`` from an arbitrary start:
-backtracked steepest descent, switching to a regularized Newton step
+backtracked steepest descent, switching to a Newton step
 once the residual is small and the Hessian is positive definite.  The
 model is coercive (sigma > 0), so descent sequences stay bounded; a run
 that exhausts its iteration budget reports rather than raises.
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from cubicmin import linalg, model as model_mod
+from cubicmin import model as model_mod
 
 
 @dataclass(frozen=True)
@@ -57,15 +57,20 @@ class LocalSolveReport:
 
 
 def _newton_step(m, s, g):
-    """Regularized Newton direction from the spectral factorization."""
-    H = model_mod.hess(m, s)
-    eigh = linalg.sym_eigen(H)
-    w_min = float(eigh.values[0])
-    if w_min <= 0.0:
+    """Newton direction from one Cholesky factorization of the Hessian.
+
+    Returns None when the Hessian at s is not numerically positive
+    definite, i.e. LAPACK's factorization meets a non-positive pivot.  The
+    Hessian is factored unshifted: adding ``delta*I`` would let a singular
+    positive semidefinite Hessian factor and return a step of order
+    ``||g||/delta``.
+    """
+    H = model_mod.hess(m, s).entries
+    try:
+        L = np.linalg.cholesky(H)
+    except np.linalg.LinAlgError:
         return None
-    eta = max(0.0, 1e-10 - w_min) + 1e-12
-    coeff = (eigh.vectors.T @ -g) / (eigh.values + eta)
-    return eigh.vectors @ coeff
+    return np.linalg.solve(L.T, np.linalg.solve(L, -g))
 
 
 def local_minimize(m, s0, opts=None):

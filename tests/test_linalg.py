@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from cubicmin.exceptions import ExcitedSingularMode, InconsistentSystem
+from cubicmin import kernel_backend
+from cubicmin.exceptions import (
+    ConvergenceError,
+    ExcitedSingularMode,
+    InconsistentSystem,
+)
 from cubicmin.linalg import (
     EigenDecomposition,
     SymmetricMatrix,
@@ -15,6 +20,38 @@ from cubicmin.linalg import (
 
 def _eig_of(entries):
     return sym_eigen(SymmetricMatrix(entries))
+
+
+def _rotated(mu, seed):
+    """V diag(mu) V^T for a random orthogonal V."""
+    v, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(len(mu), len(mu))))
+    q = (v * np.asarray(mu, dtype=float)) @ v.T
+    return (q + q.T) / 2.0
+
+
+def _check_invariants(a):
+    """Ascending order, reconstruction, trace, Frobenius, orthonormality."""
+    A = SymmetricMatrix(a)
+    n = A.n
+    eig = sym_eigen(A)
+    assert np.all(np.diff(eig.values) >= 0)
+    recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
+    assert np.max(np.abs(recon - A.entries)) <= 1e-8 * (1.0 + A.max_abs)
+    assert abs(np.sum(eig.values) - np.trace(A.entries)) <= 1e-9 * (
+        1.0 + abs(np.trace(A.entries))
+    )
+    fro2 = np.linalg.norm(A.entries, "fro") ** 2
+    assert abs(np.sum(eig.values**2) - fro2) <= 1e-8 * (1.0 + fro2)
+    gram = eig.vectors.T @ eig.vectors
+    assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
+    ref = np.linalg.eigvalsh(A.entries)
+    assert np.max(np.abs(eig.values - ref)) <= 1e-8 * (1.0 + A.max_abs)
+    for j in range(n):
+        col = eig.vectors[:, j]
+        assert col[np.argmax(np.abs(col))] > 0
+    assert not eig.values.flags.writeable
+    assert not eig.vectors.flags.writeable
+    return eig
 
 
 class TestSymmetricMatrix:
@@ -79,26 +116,42 @@ class TestSymEigen:
         assert np.array_equal(e1.values, e2.values)
         assert np.array_equal(e1.vectors, e2.vectors)
 
+    def test_deterministic_n128(self):
+        rng = np.random.default_rng(128)
+        a = rng.uniform(-5.0, 5.0, size=(128, 128))
+        a = (a + a.T) / 2.0
+        e1 = _eig_of(a)
+        e2 = _eig_of(a)
+        assert np.array_equal(e1.values, e2.values)
+        assert np.array_equal(e1.vectors, e2.vectors)
+
     @pytest.mark.parametrize("seed", range(200))
     def test_invariants_random(self, seed):
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, 17))
         a = rng.uniform(-5.0, 5.0, size=(n, n))
-        a = (a + a.T) / 2.0
-        A = SymmetricMatrix(a)
-        eig = sym_eigen(A)
-        assert np.all(np.diff(eig.values) >= 0)
-        recon = eig.vectors @ np.diag(eig.values) @ eig.vectors.T
-        assert np.max(np.abs(recon - A.entries)) <= 1e-8 * (1.0 + A.max_abs)
-        assert abs(np.sum(eig.values) - np.trace(A.entries)) <= 1e-9 * (
-            1.0 + abs(np.trace(A.entries))
-        )
-        fro2 = np.linalg.norm(A.entries, "fro") ** 2
-        assert abs(np.sum(eig.values**2) - fro2) <= 1e-8 * (1.0 + fro2)
-        gram = eig.vectors.T @ eig.vectors
-        assert np.max(np.abs(gram - np.eye(n))) <= 1e-10
-        ref = np.linalg.eigvalsh(A.entries)
-        assert np.max(np.abs(eig.values - ref)) <= 1e-8 * (1.0 + A.max_abs)
+        _check_invariants((a + a.T) / 2.0)
+
+    @pytest.mark.parametrize(
+        "a, values",
+        [
+            (np.diag([2.0, 2.0, -1.0]), [-1.0, 2.0, 2.0]),
+            (_rotated([1.0, 1.0, 3.0], seed=11), [1.0, 1.0, 3.0]),
+            (_rotated([3.0, -2.0, -2.0, -2.0, 5.0], seed=12), [-2.0] * 3 + [3.0, 5.0]),
+        ],
+        ids=["diag_2_2_-1", "rotated_1_1_3", "rotated_triple"],
+    )
+    def test_invariants_repeated_eigenvalues(self, a, values):
+        eig = _check_invariants(a)
+        assert np.max(np.abs(eig.values - values)) <= 1e-11
+
+    def test_lapack_failure_is_convergence_error(self, monkeypatch):
+        def failing_eigh(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            _eig_of(np.eye(2))
 
 
 class TestSolveShifted:
@@ -179,3 +232,7 @@ class TestPseudoSolveShifted:
 def test_eigendecomposition_repr_mentions_n():
     eig = EigenDecomposition(np.array([1.0]), np.eye(1))
     assert "n=1" in repr(eig)
+
+
+def test_kernel_backend_is_lapack():
+    assert kernel_backend() == "lapack"

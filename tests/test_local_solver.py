@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from cubicmin import CubicModel, grad
-from cubicmin.local_solver import LocalSolveOptions, LocalSolveReport, local_minimize
+from cubicmin.local_solver import (
+    LocalSolveOptions,
+    LocalSolveReport,
+    _newton_step,
+    local_minimize,
+)
 from cubicmin.stationary import enumerate_stationary
 
 from .helpers import random_controlled_model, random_model
@@ -51,6 +56,49 @@ class TestExamples:
         roots = sorted({round(p.lam, 9) for p in enumerate_stationary(WORKED)})
         assert min(abs(lam - r) for r in roots) <= 1e-6
         assert rep.residual <= 1e-8 * (1.0 + WORKED.norm_c)
+
+
+class TestNewtonStep:
+    # At s = 0 the model Hessian is Q itself, so Q is the H under test.
+    @staticmethod
+    def _step(q, g):
+        q = np.asarray(q, dtype=float)
+        m = CubicModel(np.zeros(q.shape[0]), q, 1.0)
+        return _newton_step(m, np.zeros(q.shape[0]), np.asarray(g, dtype=float))
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            np.diag([2.0, 2.0, -1.0]),
+            [[1.0, 3.0], [3.0, 1.0]],
+            [[-1.0, 0.0], [0.0, -2.0]],
+        ],
+    )
+    def test_indefinite_returns_none(self, q):
+        assert self._step(q, np.ones(len(q))) is None
+
+    @pytest.mark.parametrize(
+        "q",
+        [
+            np.diag([1.0, 0.0]),
+            [[1.0, 1.0], [1.0, 1.0]],
+            [[1.0, 2.0], [2.0, 4.0]],
+            np.zeros((3, 3)),
+        ],
+    )
+    def test_singular_returns_none(self, q):
+        assert self._step(q, np.ones(len(q))) is None
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_spd_matches_dense_solve(self, seed):
+        rng = np.random.default_rng(9000 + seed)
+        n = int(rng.integers(2, 17))
+        b = rng.normal(size=(n, n))
+        q = b @ b.T + np.eye(n)
+        g = rng.uniform(-5.0, 5.0, size=n)
+        d = self._step(q, g)
+        ref = np.linalg.solve(q + 1e-12 * np.eye(n), -g)
+        assert np.max(np.abs(d - ref)) <= 1e-10 * (1.0 + np.linalg.norm(g))
 
 
 class TestReportContract:
