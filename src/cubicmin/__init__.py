@@ -13,8 +13,6 @@ from .exceptions import (
     ConvergenceError,
     CubicminError,
     EmptyInput,
-    ExcitedSingularMode,
-    InconsistentSystem,
     NonNegativeCurvature,
     NormMismatch,
     NotStationary,
@@ -96,10 +94,8 @@ __all__ = [
     "EigenDecomposition",
     "EmptyInput",
     "EscapeOutcome",
-    "ExcitedSingularMode",
     "GlobalCertificate",
     "GlobalSolution",
-    "InconsistentSystem",
     "LambdaRoot",
     "LocalSolveOptions",
     "LocalSolveReport",

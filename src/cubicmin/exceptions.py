@@ -13,22 +13,6 @@ class ConvergenceError(CubicminError):
     """An iterative kernel failed to converge within its iteration cap."""
 
 
-class ExcitedSingularMode(CubicminError):
-    """A shifted solve touched a (near-)singular mode with nonzero load.
-
-    Signals the hard case to callers: the right-hand side has a component
-    along an eigenvector whose shifted eigenvalue is numerically zero.
-    """
-
-    def __init__(self, index, message=None):
-        self.index = index
-        super().__init__(message or f"singular mode {index} carries a nonzero load")
-
-
-class InconsistentSystem(CubicminError):
-    """A pseudo-solve was requested for an inconsistent singular system."""
-
-
 class PoleEvaluation(CubicminError):
     """The secular function was evaluated at or too close to a pole."""
 

@@ -1,4 +1,4 @@
-"""Dense symmetric linear algebra: eigendecomposition and shifted solves.
+"""Dense symmetric linear algebra: validated matrices and eigendecomposition.
 
 Everything in this module is deterministic for a fixed input: the
 eigensolver is LAPACK's symmetric driver (through ``np.linalg.eigh``),
@@ -9,15 +9,7 @@ can be shared freely across threads.
 
 import numpy as np
 
-from cubicmin.exceptions import (
-    ConvergenceError,
-    ExcitedSingularMode,
-    InconsistentSystem,
-)
-
-# Single source of truth for "pole" detection: |mu_i + lambda| at or below
-# this is treated as a singular mode, here and in the secular-equation code.
-SINGULAR_MODE_TOL = 1e-12
+from cubicmin.exceptions import ConvergenceError
 
 _SYMMETRY_RTOL = 1e-12
 
@@ -110,62 +102,3 @@ def sym_eigen(A):
     vectors[:, lead < 0.0] *= -1.0
     return EigenDecomposition(values, vectors)
 
-
-def solve_shifted(eig, lam, b):
-    """Solve ``(Q + lam*I) x = b`` through an eigendecomposition of Q.
-
-    Modes with ``|mu_i + lam| <= SINGULAR_MODE_TOL`` are admissible only
-    when the right-hand side does not load them (``|v_i^T b| <= 1e-12``);
-    such unloaded singular modes contribute zero to the solution.
-
-    Raises
-    ------
-    ExcitedSingularMode
-        If a singular mode carries ``|v_i^T b| > 1e-12``; this is how
-        callers detect the hard case.
-    """
-    b = np.asarray(b, dtype=float)
-    denom = eig.values + lam
-    proj = eig.vectors.T @ b
-    singular = np.abs(denom) <= SINGULAR_MODE_TOL
-    excited = singular & (np.abs(proj) > 1e-12)
-    if np.any(excited):
-        raise ExcitedSingularMode(int(np.argmax(excited)))
-    coeff = np.zeros_like(proj)
-    ok = ~singular
-    coeff[ok] = proj[ok] / denom[ok]
-    return eig.vectors @ coeff
-
-
-def pseudo_solve_shifted(eig, lam, b):
-    """Minimum-norm solve of ``(Q + lam*I) x = b`` at a singular shift.
-
-    Returns
-    -------
-    (x, null_basis) : (ndarray, list of ndarray)
-        ``x`` is the minimum-norm solution restricted to non-null modes;
-        ``null_basis`` lists the orthonormal eigenvectors of the
-        (near-)null space of ``Q + lam*I`` in ascending eigenvalue order.
-
-    Raises
-    ------
-    InconsistentSystem
-        If a null mode carries ``|v_i^T b| > 1e-10 * ||b||``.
-    """
-    b = np.asarray(b, dtype=float)
-    denom = eig.values + lam
-    proj = eig.vectors.T @ b
-    singular = np.abs(denom) <= SINGULAR_MODE_TOL
-    load_tol = 1e-10 * float(np.linalg.norm(b))
-    bad = singular & (np.abs(proj) > load_tol)
-    if np.any(bad):
-        i = int(np.argmax(bad))
-        raise InconsistentSystem(
-            f"null mode {i} carries load {abs(proj[i]):.3e} > {load_tol:.3e}"
-        )
-    coeff = np.zeros_like(proj)
-    ok = ~singular
-    coeff[ok] = proj[ok] / denom[ok]
-    x = eig.vectors @ coeff
-    null_basis = [eig.vectors[:, i].copy() for i in np.flatnonzero(singular)]
-    return x, null_basis

@@ -1,13 +1,20 @@
 """Secular-equation analysis of the cubic model.
 
 Stationary points s with multiplier lam = sigma*||s|| correspond to
-roots lam > 0 of the secular equation g(lam) = 1/sigma^2, where
-``g(lam) = (1/lam^2) * sum_i beta_i^2 / (mu_i + lam)^2`` and
-``beta = -V^T c``.  g is strictly convex on every subinterval cut by its
-positive poles, so each bounded subinterval holds at most two roots and
-the unbounded rightmost one exactly one (when c is not zero); the number
-of distinct multipliers is at most 2(k+1) with k the number of distinct
-negative eigenvalues of Q.
+roots lam > 0 of the secular equation ||s(lam)|| = lam/sigma, where
+``s(lam)`` has eigenbasis coefficients ``beta_i / (mu_i + lam)`` and
+``beta = -V^T c``; equivalently g(lam) = 1/sigma^2 with
+``g(lam) = (1/lam^2) * sum_i beta_i^2 / (mu_i + lam)^2``.
+
+Every root is found by one monotone Newton iteration on
+``phi(lam) = 1/||s(lam)|| - sigma/lam``, run from each end of every
+subinterval cut by the positive poles and written in the offset from
+the end it starts at, so that roots next to a pole keep their digits.
+phi is concave on each subinterval, so each bounded subinterval holds at
+most two roots and the unbounded rightmost one exactly one (when c is
+not zero); the number of distinct multipliers is at most 2(k+1) with k
+the number of distinct negative eigenvalues of Q.  The global minimizer
+carries the largest root when that root exceeds ``max(0, -mu_1)``.
 """
 
 import math
@@ -21,15 +28,17 @@ from cubicmin.exceptions import (
     NormMismatch,
     PoleEvaluation,
 )
-from cubicmin.linalg import SINGULAR_MODE_TOL
-from cubicmin.model import CubicModel, GlobalCertificate, StationaryPoint
+from cubicmin.model import GlobalCertificate, StationaryPoint
 
+# |mu_i + lam| at or below this makes mode i singular at lam.
+SINGULAR_MODE_TOL = 1e-12
 _POLE_OFFSET_REL = 1e-9
-_ZERO_EDGE_OFFSET = 1e-11
-_GOLDEN_TOL = 1e-12
-_BISECT_G_RTOL = 1e-10
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+# Coupled poles closer than this to the pole below them are merged into it.
+_POLE_MERGE = 1e-10
 _EPS = float(np.finfo(float).eps)
+# Newton stops when its step falls below this share of the offset |t|.
+_NEWTON_STEP_RTOL = 64.0 * _EPS
+_NEWTON_MAX_STEPS = 100
 
 
 class SecularProblem:
@@ -37,27 +46,32 @@ class SecularProblem:
 
     Attributes
     ----------
+    model : CubicModel the data came from.
     eig : EigenDecomposition of Q.
     beta : ndarray
         ``-V^T c``, the eigenbasis loads of the linear term.
     sigma : float
+    coupled : ndarray of bool
+        ``|beta_i| > pole_tol``: the modes the secular equation solves.
     poles : ndarray
         Sorted values ``-mu_i`` restricted to coupled indices
-        (``|beta_i| > pole_tol``), deduplicated within 1e-10.  Where the
+        (``|beta_i| > pole_tol``), each kept only when more than 1e-10
+        above the last kept one, which stands for those merged.  Where the
         coupling vanishes g extends continuously across ``-mu_i``, so
         such points are not treated as poles.
     """
 
-    def __init__(self, eig, beta, sigma, pole_tol, model=None):
+    def __init__(self, eig, beta, sigma, pole_tol, model):
         self.eig = eig
         self.beta = np.asarray(beta, dtype=float)
         self.sigma = float(sigma)
         self.pole_tol = float(pole_tol)
-        self._model = model
-        raw = sorted(-eig.values[np.abs(self.beta) > self.pole_tol])
+        self.model = model
+        self.coupled = np.abs(self.beta) > self.pole_tol
+        raw = sorted(-eig.values[self.coupled])
         poles = []
         for p in raw:
-            if not poles or p - poles[-1] > 1e-10:
+            if not poles or p - poles[-1] > _POLE_MERGE:
                 poles.append(p)
         self.poles = np.array(poles, dtype=float)
 
@@ -67,16 +81,6 @@ class SecularProblem:
         beta = -(eig.vectors.T @ m.c)
         pole_tol = 1e-10 * (1.0 + m.norm_c)
         return cls(eig, beta, m.sigma, pole_tol, model=m)
-
-    @property
-    def model(self):
-        """The source CubicModel, reconstructed from spectra if needed."""
-        if self._model is None:
-            V = self.eig.vectors
-            c = -(V @ self.beta)
-            Q = V @ np.diag(self.eig.values) @ V.T
-            self._model = CubicModel(c, (Q + Q.T) / 2.0, self.sigma)
-        return self._model
 
     def __repr__(self):
         return f"SecularProblem(n={self.eig.n}, sigma={self.sigma}, poles={self.poles!r})"
@@ -90,12 +94,22 @@ class LambdaRoot:
     poles, and "boundary" for degenerate multipliers sitting exactly on
     an uncoupled eigenvalue shift (hard-case stationary families).  The
     secular identity g(lam) = 1/sigma^2 holds for regular roots only.
+
+    ``lam = pole + offset``; the point is built from the shifts
+    ``(mu_i + pole) + offset``, which keep the digits of an offset far
+    smaller than the pole.  By default the pole is 0 and the offset lam.
     """
 
     lam: float
     lo: float
     hi: float
     note: str = "regular"
+    pole: float = 0.0
+    offset: float = None
+
+    def __post_init__(self):
+        if self.offset is None:
+            object.__setattr__(self, "offset", self.lam - self.pole)
 
 
 @dataclass(frozen=True)
@@ -145,142 +159,115 @@ def subintervals(sp):
     return out
 
 
-def _left_offset(lo):
-    if lo == 0.0:
-        return _ZERO_EDGE_OFFSET
-    return _POLE_OFFSET_REL * (1.0 + lo)
+def _newton_root(sp, end, far):
+    """The root of phi in (end, far) nearest ``end``, as a LambdaRoot, or None.
 
-
-def _golden_min(sp, a, b):
-    """Locate the minimum of the strictly convex g on [a, b]."""
-    tol = max(_GOLDEN_TOL, 8.0 * _EPS * max(abs(a), abs(b), 1.0))
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
-    f1 = g_eval(sp, x1)
-    f2 = g_eval(sp, x2)
-    for _ in range(400):
-        if b - a <= tol:
-            break
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
-            f1 = g_eval(sp, x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
-            f2 = g_eval(sp, x2)
-    xm = 0.5 * (a + b)
-    return xm, g_eval(sp, xm)
-
-
-def _bisect(sp, xa, xb, target):
-    """Bisect for g = target on [xa, xb]; g - target changes sign there."""
-    ga = g_eval(sp, xa)
-    for _ in range(300):
-        mid = 0.5 * (xa + xb)
-        gm = g_eval(sp, mid)
-        if abs(gm - target) <= _BISECT_G_RTOL * target or (xb - xa) <= 16.0 * _EPS * max(
-            1.0, abs(mid)
-        ):
-            return mid
-        if (gm > target) == (ga > target):
-            xa, ga = mid, gm
-        else:
-            xb = mid
-    return 0.5 * (xa + xb)
-
-
-def _roots_in_bounded(sp, lo, hi, target):
-    """Both roots of g = target inside the bounded subinterval (lo, hi).
-
-    g diverges at both ends and is strictly convex, so the roots (0, 1,
-    or 2 of them) straddle the interior minimum found by golden section.
+    ``end`` and ``far`` are the ends of a subinterval of ``subintervals``
+    (``far`` may be infinite).  Runs Newton on ``phi = 1/||s|| - sigma/lam``
+    in the offset ``t = lam - pole`` from the pole at ``end`` (or from 0),
+    through the shifts ``(mu_i + pole) + t``, which equal ``t`` exactly
+    for the modes of the pole.  ``s`` holds the coupled modes, the ones
+    whose poles cut the subintervals.
     """
-    a = lo + _left_offset(lo)
-    b = hi - _POLE_OFFSET_REL * (1.0 + hi)
-    if a >= b:
-        return []
-    lam_min, g_min = _golden_min(sp, a, b)
-    if g_min >= target:
-        if abs(g_min - target) <= _BISECT_G_RTOL * target:
-            return [LambdaRoot(lam=lam_min, lo=lo, hi=hi)]
-        return []
-    out = []
-    if g_eval(sp, a) > target:
-        out.append(LambdaRoot(lam=_bisect(sp, a, lam_min, target), lo=lo, hi=hi))
-    if g_eval(sp, b) > target:
-        out.append(LambdaRoot(lam=_bisect(sp, lam_min, b, target), lo=lo, hi=hi))
-    return out
-
-
-def _root_rightmost(sp, cut, target):
-    """The single root in (cut, inf), where g decreases from +inf to 0."""
-    lo = cut + _left_offset(cut)
-    g_lo = g_eval(sp, lo)
-    if g_lo <= target:
-        # The root is squeezed against the pole; pull the offset in.
-        base = _left_offset(cut)
-        for k in range(1, 7):
-            cand = cut + base / 10.0**k
-            if cand <= cut or cand - cut <= 4.0 * SINGULAR_MODE_TOL:
-                break
-            g_cand = g_eval(sp, cand)
-            if g_cand > target:
-                lo, g_lo = cand, g_cand
-                break
-        else:
-            return []
-        if g_lo <= target:
-            return []
-    hi = max(2.0 * lo, lo + 1.0)
-    for _ in range(200):
-        if g_eval(sp, hi) < target:
+    side = 1.0 if far > end else -1.0
+    beta = sp.beta[sp.coupled]
+    poles = -sp.eig.values[sp.coupled]
+    pole = end
+    if side > 0.0:
+        # A cut is the lowest of the poles merged into it; start above all.
+        merged = (poles <= end + _POLE_MERGE) & (poles < far)
+        pole = float(np.max(poles, initial=end, where=merged))
+    shift = pole - poles
+    width = side * (far - pole)
+    # Closed-form start with phi < 0: for the mode j nearest the end, of
+    # coupling w = |beta_j|, 1/||s|| <= |shift_j + t|/w, and lam <= pole +
+    # |t|.  So phi < 0 once (|shift_j| + |t|)(pole + |t|) < sigma*w, where
+    # one of shift_j (0 at a pole) and pole (0 at the left end of the
+    # axis) vanishes: |t| below the root of t^2 + P t - sigma w,
+    # P = |shift_j| + pole.  Start halfway to it, or to mid-subinterval.
+    j = int(np.argmin(np.abs(shift)))
+    w = abs(float(beta[j]))
+    P = abs(float(shift[j])) + pole
+    t_max = 2.0 * sp.sigma * w / (P + math.sqrt(P * P + 4.0 * sp.sigma * w))
+    t = side * 0.5 * min(t_max, width)
+    # phi is concave on the subinterval: 1/||s|| is the power mean M_-2 of
+    # the affine |mu_i + lam|, and -sigma/lam is concave.  So phi lies
+    # below each tangent: Newton from phi < 0 never overshoots, walks
+    # monotonically away from the end toward the nearest root, and proves
+    # the subinterval rootless once phi' turns back toward the end or the
+    # tangent's zero leaves the subinterval.
+    for _ in range(_NEWTON_MAX_STEPS):
+        d = shift + t
+        a = beta / d
+        inv_norm = 1.0 / float(np.linalg.norm(a))
+        lam = pole + t
+        phi = inv_norm - sp.sigma / lam
+        if phi >= 0.0:
             break
-        hi *= 2.0
+        dphi = inv_norm**3 * float(np.sum(a * a / d)) + sp.sigma / lam**2
+        if side * dphi <= 0.0:
+            return None
+        step = -phi / dphi
+        if side * (t + step) >= width:
+            return None
+        t += step
+        if abs(step) <= _NEWTON_STEP_RTOL * abs(t):
+            break
     else:
-        return []
-    return [LambdaRoot(lam=_bisect(sp, lo, hi, target), lo=cut, hi=math.inf)]
+        return None
+    return LambdaRoot(lam=pole + t, lo=min(end, far), hi=max(end, far), pole=pole, offset=t)
 
 
 def enumerate_lambda(sp):
     """All roots lam > 0 of g(lam) = 1/sigma^2, ascending.
 
+    Each subinterval is searched from its left end; when a root is found
+    there and the subinterval is bounded, also from its right end.
+
     Returns an empty list when c = 0 (no couplings): then only s = 0 can
     be stationary, and only because the gradient at the origin is c.
     """
-    if not np.any(np.abs(sp.beta) > sp.pole_tol):
+    if not np.any(sp.coupled):
         return []
-    target = 1.0 / sp.sigma**2
     roots = []
-    intervals = subintervals(sp)
-    for lo, hi in intervals[:-1]:
-        roots.extend(_roots_in_bounded(sp, lo, hi, target))
-    roots.extend(_root_rightmost(sp, intervals[-1][0], target))
-    roots.sort(key=lambda r: r.lam)
+    for lo, hi in subintervals(sp):
+        left = _newton_root(sp, lo, hi)
+        if left is None:
+            continue
+        roots.append(left)
+        if hi < math.inf:
+            right = _newton_root(sp, hi, lo)
+            if right is not None and right.lam > left.lam:
+                roots.append(right)
     return roots
 
 
-def _mode_coefficients(sp, lam):
-    """Eigenbasis coefficients a with (mu_i + lam) a_i = beta_i.
+def _mode_coefficients(sp, pole, offset=0.0):
+    """Eigenbasis coefficients a with ((mu_i + pole) + offset) a_i = beta_i.
 
-    Singular modes must be unloaded (boundary roots); they get a_i = 0.
+    The multiplier is ``pole + offset``.  Like the secular root finder,
+    only coupled modes (``|beta_i| > pole_tol``) are solved; the rest get
+    a_i = 0, which leaves a residual of at most their loads.  Also
+    returns the null modes: uncoupled modes with a vanishing shift.
     """
-    denom = sp.eig.values + lam
-    singular = np.abs(denom) <= SINGULAR_MODE_TOL
-    if np.any(singular & (np.abs(sp.beta) > sp.pole_tol)):
-        i = int(np.argmax(singular & (np.abs(sp.beta) > sp.pole_tol)))
-        raise PoleEvaluation(f"multiplier {lam!r} sits on the coupled pole {-sp.eig.values[i]!r}")
+    coupled = sp.coupled
+    denom = (sp.eig.values + pole) + offset
+    on_pole = coupled & (denom == 0.0)
+    if np.any(on_pole):
+        i = int(np.argmax(on_pole))
+        raise PoleEvaluation(
+            f"multiplier {pole + offset!r} sits on the coupled pole {-sp.eig.values[i]!r}"
+        )
     coeff = np.zeros_like(sp.beta)
-    ok = ~singular
-    coeff[ok] = sp.beta[ok] / denom[ok]
-    return coeff, singular
+    coeff[coupled] = sp.beta[coupled] / denom[coupled]
+    return coeff, ~coupled & (np.abs(denom) <= SINGULAR_MODE_TOL)
 
 
 def stationary_from_lambda(sp, root):
     """Stationary point(s) carrying the multiplier of one root.
 
     Regular roots produce the single point ``s = V a`` with
-    ``a_i = beta_i / (mu_i + lam)``.  Boundary roots (uncoupled
+    ``a_i = beta_i / ((mu_i + pole) + offset)``.  Boundary roots (uncoupled
     eigenvalue shifts) produce the two representatives
     ``V a +/- tau v_i`` with tau chosen so ``||s|| = lam / sigma``; the
     full continuum they stand for shares one objective value.
@@ -292,7 +279,7 @@ def stationary_from_lambda(sp, root):
     """
     m = sp.model
     lam = root.lam
-    coeff, singular = _mode_coefficients(sp, lam)
+    coeff, singular = _mode_coefficients(sp, root.pole, root.offset)
     base = sp.eig.vectors @ coeff
     if root.note != "boundary":
         return [StationaryPoint.from_vector(m, base)]
@@ -312,10 +299,6 @@ def stationary_from_lambda(sp, root):
     ]
 
 
-def _c_is_zero(m):
-    return m.norm_c <= 1e-12 * (1.0 + m.Q.max_abs)
-
-
 def _boundary_roots(m, sp):
     """Degenerate multipliers lam = -mu_i: uncoupled and norm-feasible."""
     out = []
@@ -329,7 +312,7 @@ def _boundary_roots(m, sp):
             continue
         seen.append(lam)
         cluster = np.abs(vals + lam) <= SINGULAR_MODE_TOL
-        if np.any(cluster & (np.abs(sp.beta) > sp.pole_tol)):
+        if np.any(cluster & sp.coupled):
             continue
         coeff, _ = _mode_coefficients(sp, lam)
         if float(np.linalg.norm(coeff)) > lam / sp.sigma + 1e-8 * (1.0 + lam / sp.sigma):
@@ -342,14 +325,15 @@ def _boundary_roots(m, sp):
 def enumerate_stationary(m):
     """Every stationary point of the model, ascending in multiplier.
 
-    The union of: the origin when c = 0; one point per regular secular
-    root; two representatives per degenerate boundary multiplier.  The
-    number of distinct multipliers is bounded by ``count_bound(m)``.
+    The union of: the origin when c = 0 (no mode coupled); one point per
+    regular secular root; two representatives per degenerate boundary
+    multiplier.  The number of distinct multipliers is bounded by
+    ``count_bound(m)``.
     """
     points = []
-    if _c_is_zero(m):
-        points.append(StationaryPoint.from_vector(m, np.zeros(m.n)))
     sp = SecularProblem.from_model(m)
+    if not np.any(sp.coupled):
+        points.append(StationaryPoint.from_vector(m, np.zeros(m.n)))
     for root in enumerate_lambda(sp):
         points.extend(stationary_from_lambda(sp, root))
     for root in _boundary_roots(m, sp):
@@ -377,46 +361,34 @@ def count_bound(m):
     return 2 * (k + 1)
 
 
-def _gap_function(m, beta):
-    """Return gap(lam) = ||s(lam)|| - lam/sigma with s(lam) solving the shift.
-
-    Unloaded singular modes contribute zero, mirroring the solver.
-    """
-    vals = m.eig.values
-
-    def gap(lam):
-        denom = vals + lam
-        ok = np.abs(denom) > SINGULAR_MODE_TOL
-        norm_s = float(np.linalg.norm(beta[ok] / denom[ok]))
-        return norm_s - lam / m.sigma
-
-    return gap
-
-
 def global_minimize(m):
     """Certified global minimization of the cubic model.
 
     Finds the multiplier ``lam* >= max(0, -mu_1)`` with
-    ``||s(lam*)|| = lam*/sigma``: by bisection on the monotone gap
-    ``||(Q+lam I)^{-1} c|| - lam/sigma`` when a root exists beyond
-    ``-mu_1``, otherwise through the hard case ``lam* = -mu_1`` with a
-    free component along the bottom eigenvector.  The two-part
-    certificate (stationarity plus positive semidefiniteness of
-    ``Q + lam* I``) is verified before returning.
+    ``||s(lam*)|| = lam*/sigma``.  When the largest secular root of
+    ``enumerate_lambda`` exceeds ``max(0, -mu_1)`` it is lam*, and s* is
+    built from its pole and offset; otherwise the model is in the hard
+    case ``lam* = max(0, -mu_1)`` with a free component along the bottom
+    eigenvector.  The two-part certificate (stationarity plus positive
+    semidefiniteness of ``Q + lam* I``) is verified before returning.
 
     Raises
     ------
     CertificateFailure
-        If the computed point fails its own certificate; indicates a
-        tolerance bug and must not occur in practice.
+        If the computed point fails its own certificate.  The message
+        states the double-precision floor ``eps*(||c|| + max|Q|*||s*||)``
+        of the residual; a floor above the gate means double precision
+        cannot meet it, a floor below it points at the solver.
     """
     trace = []
     eig = m.eig
     mu1 = float(eig.values[0])
     sigma = m.sigma
-    beta = -(eig.vectors.T @ m.c)
 
-    if _c_is_zero(m):
+    sp = SecularProblem.from_model(m)
+    if not np.any(sp.coupled):
+        # No mode is coupled: c = 0 up to pole_tol, and the minimizer for
+        # c = 0 leaves the residual ||c||.
         if mu1 >= 0.0:
             trace.append("c = 0 and Q is positive semidefinite: s* = 0")
             s_star = np.zeros(m.n)
@@ -428,62 +400,21 @@ def global_minimize(m):
             trace.append(f"c = 0 pure eigenstep: lam* = {-mu1!r}, tau = {tau!r}")
         return _finish_global(m, s_star, hard, trace)
 
-    gap = _gap_function(m, beta)
     base = max(0.0, -mu1)
-    offset = max(1e-8, 1e-8 * abs(mu1))
-    lo = base + offset
-    g_lo = gap(lo)
-    if g_lo <= 0.0:
-        for k in range(1, 7):
-            cand = base + offset / 10.0**k
-            if cand - base <= 4.0 * SINGULAR_MODE_TOL:
-                break
-            if gap(cand) > 0.0:
-                lo, g_lo = cand, gap(cand)
-                break
-
-    if g_lo > 0.0:
-        cap = 10.0 * math.sqrt(sigma * m.norm_c) + 10.0 * m.Q.max_abs + lo
-        hi = max(2.0 * lo, lo + 1.0)
-        for _ in range(300):
-            if gap(hi) < 0.0:
-                break
-            if hi > 4.0 * cap:
-                raise CertificateFailure(
-                    f"gap bracketing passed the bound {cap!r} without a sign change"
-                )
-            hi *= 2.0
-        trace.append(f"regular root bracketed in [{lo!r}, {hi!r}]")
-        resid_target = 1e-9 * (1.0 + m.norm_c)
-        lam = 0.5 * (lo + hi)
-        for _ in range(300):
-            lam = 0.5 * (lo + hi)
-            g_mid = gap(lam)
-            norm_s = g_mid + lam / sigma
-            if sigma * abs(g_mid) * max(1.0, norm_s) <= resid_target:
-                break
-            if (hi - lo) <= 8.0 * _EPS * max(1.0, lam):
-                break
-            if g_mid > 0.0:
-                lo = lam
-            else:
-                hi = lam
-        denom = eig.values + lam
-        ok = np.abs(denom) > SINGULAR_MODE_TOL
-        coeff = np.zeros_like(beta)
-        coeff[ok] = beta[ok] / denom[ok]
-        s_star = eig.vectors @ coeff
-        trace.append(f"bisection converged at lam = {lam!r}")
-        return _finish_global(m, s_star, False, trace)
+    roots = enumerate_lambda(sp)
+    if roots and roots[-1].offset > base - roots[-1].pole:
+        root = roots[-1]
+        trace.append(
+            f"largest secular root lam = {root.lam!r} "
+            f"(pole {root.pole!r} + offset {root.offset!r})"
+        )
+        coeff, _ = _mode_coefficients(sp, root.pole, root.offset)
+        return _finish_global(m, eig.vectors @ coeff, False, trace)
 
     # Hard case: no root beyond -mu_1; the minimizer sits at lam* = -mu_1.
     lam_star = base
     trace.append(f"hard case: lam* = max(0, -mu_1) = {lam_star!r}")
-    denom = eig.values + lam_star
-    singular = np.abs(denom) <= SINGULAR_MODE_TOL
-    coeff = np.zeros_like(beta)
-    ok = ~singular
-    coeff[ok] = beta[ok] / denom[ok]
+    coeff, singular = _mode_coefficients(sp, lam_star)
     base_vec = eig.vectors @ coeff
     radius = lam_star / sigma
     tau_sq = radius**2 - float(np.sum(coeff**2))
@@ -503,8 +434,10 @@ def global_minimize(m):
 def _finish_global(m, s_star, hard, trace):
     cert = model_mod.is_global(m, s_star)
     if not cert.is_global:
+        floor = _EPS * (m.norm_c + m.Q.max_abs * float(np.linalg.norm(s_star)))
         raise CertificateFailure(
-            f"certificate failed: residual = {cert.residual!r} (tol {cert.tol_grad!r}), "
+            f"certificate failed: residual = {cert.residual!r} (tol {cert.tol_grad!r}, "
+            f"double-precision floor {floor!r}), "
             f"psd margin = {cert.psd_margin!r} (tol {cert.tol_psd!r})"
         )
     s_star = np.array(s_star)

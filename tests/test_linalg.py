@@ -3,23 +3,27 @@
 import numpy as np
 import pytest
 
-from cubicmin import kernel_backend
-from cubicmin.exceptions import (
-    ConvergenceError,
-    ExcitedSingularMode,
-    InconsistentSystem,
-)
-from cubicmin.linalg import (
-    EigenDecomposition,
-    SymmetricMatrix,
-    pseudo_solve_shifted,
-    solve_shifted,
-    sym_eigen,
-)
+from cubicmin import CubicModel, kernel_backend
+from cubicmin.exceptions import ConvergenceError, PoleEvaluation
+from cubicmin.linalg import EigenDecomposition, SymmetricMatrix, sym_eigen
+from cubicmin.stationary import SecularProblem, _mode_coefficients
 
 
 def _eig_of(entries):
     return sym_eigen(SymmetricMatrix(entries))
+
+
+def _solve_shifted(entries, lam, b):
+    """Solve ``(Q + lam*I) x = b`` with the secular code's eigenbasis solve.
+
+    ``_mode_coefficients`` solves ``(Q + lam*I) s = -c`` mode by mode, so
+    the model gets ``c = -b``.  Returns ``x`` and the eigenvectors of the
+    singular modes, which contribute nothing to ``x``.
+    """
+    sp = SecularProblem.from_model(CubicModel(-np.asarray(b, dtype=float), entries, 1.0))
+    coeff, singular = _mode_coefficients(sp, lam)
+    null = [sp.eig.vectors[:, i] for i in np.flatnonzero(singular)]
+    return sp.eig.vectors @ coeff, null
 
 
 def _rotated(mu, seed):
@@ -156,27 +160,23 @@ class TestSymEigen:
 
 class TestSolveShifted:
     def test_identity_like(self):
-        eig = _eig_of(np.diag([1.0, 2.0]))
-        x = solve_shifted(eig, 0.0, np.array([1.0, 2.0]))
+        x, _ = _solve_shifted(np.diag([1.0, 2.0]), 0.0, [1.0, 2.0])
         assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
     def test_zero_rhs(self):
-        eig = _eig_of(np.diag([1.0, 2.0]))
-        assert np.array_equal(solve_shifted(eig, 0.5, np.zeros(2)), np.zeros(2))
+        x, _ = _solve_shifted(np.diag([1.0, 2.0]), 0.5, np.zeros(2))
+        assert np.array_equal(x, np.zeros(2))
 
     def test_indefinite_shift(self):
-        eig = _eig_of(np.diag([-3.0, 1.0]))
-        x = solve_shifted(eig, 4.0, np.array([1.0, 5.0]))
+        x, _ = _solve_shifted(np.diag([-3.0, 1.0]), 4.0, [1.0, 5.0])
         assert np.allclose(x, [1.0, 1.0], atol=1e-12)
 
     def test_excited_singular_mode(self):
-        eig = _eig_of(np.diag([-3.0, 1.0]))
-        with pytest.raises(ExcitedSingularMode):
-            solve_shifted(eig, 3.0, np.array([1.0, 0.0]))
+        with pytest.raises(PoleEvaluation):
+            _solve_shifted(np.diag([-3.0, 1.0]), 3.0, [1.0, 0.0])
 
     def test_unloaded_singular_mode_passes(self):
-        eig = _eig_of(np.diag([-3.0, 1.0]))
-        x = solve_shifted(eig, 3.0, np.array([0.0, 4.0]))
+        x, _ = _solve_shifted(np.diag([-3.0, 1.0]), 3.0, [0.0, 4.0])
         assert np.allclose(x, [0.0, 1.0], atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(100))
@@ -185,46 +185,40 @@ class TestSolveShifted:
         n = int(rng.integers(1, 9))
         a = rng.uniform(-5.0, 5.0, size=(n, n))
         a = (a + a.T) / 2.0
-        A = SymmetricMatrix(a)
-        eig = sym_eigen(A)
+        values = np.linalg.eigvalsh(a)
         b = rng.uniform(-5.0, 5.0, size=n)
         # keep the shift at least 0.1 away from every pole -mu_i
         for _ in range(100):
             lam = float(rng.uniform(-10.0, 10.0))
-            if np.min(np.abs(eig.values + lam)) >= 0.1:
+            if np.min(np.abs(values + lam)) >= 0.1:
                 break
-        x = solve_shifted(eig, lam, b)
-        res = np.linalg.norm((A.entries + lam * np.eye(n)) @ x - b)
+        x, _ = _solve_shifted(a, lam, b)
+        res = np.linalg.norm((a + lam * np.eye(n)) @ x - b)
         assert res <= 1e-8 * (1.0 + np.linalg.norm(b))
 
 
 class TestPseudoSolveShifted:
     def test_consistent_singular_system(self):
-        eig = _eig_of(np.diag([-3.0, 1.0]))
-        x, null = pseudo_solve_shifted(eig, 3.0, np.array([0.0, 4.0]))
+        x, null = _solve_shifted(np.diag([-3.0, 1.0]), 3.0, [0.0, 4.0])
         assert np.allclose(x, [0.0, 1.0], atol=1e-12)
         assert len(null) == 1
         assert np.allclose(np.abs(null[0]), [1.0, 0.0], atol=1e-12)
 
     def test_zero_rhs_keeps_null_space(self):
-        eig = _eig_of(np.diag([-3.0, 1.0]))
-        x, null = pseudo_solve_shifted(eig, 3.0, np.zeros(2))
+        x, null = _solve_shifted(np.diag([-3.0, 1.0]), 3.0, np.zeros(2))
         assert np.array_equal(x, np.zeros(2))
         assert len(null) == 1
 
     def test_negative_load(self):
-        eig = _eig_of(np.diag([-3.0, 1.0]))
-        x, null = pseudo_solve_shifted(eig, 3.0, np.array([0.0, -2.0]))
+        x, null = _solve_shifted(np.diag([-3.0, 1.0]), 3.0, [0.0, -2.0])
         assert np.allclose(x, [0.0, -0.5], atol=1e-12)
 
     def test_inconsistent_system(self):
-        eig = _eig_of(np.diag([-3.0, 1.0]))
-        with pytest.raises(InconsistentSystem):
-            pseudo_solve_shifted(eig, 3.0, np.array([1.0, 0.0]))
+        with pytest.raises(PoleEvaluation):
+            _solve_shifted(np.diag([-3.0, 1.0]), 3.0, [1.0, 0.0])
 
     def test_no_singular_modes_means_plain_solve(self):
-        eig = _eig_of(np.diag([2.0, 5.0]))
-        x, null = pseudo_solve_shifted(eig, 1.0, np.array([3.0, 6.0]))
+        x, null = _solve_shifted(np.diag([2.0, 5.0]), 1.0, [3.0, 6.0])
         assert np.allclose(x, [1.0, 1.0], atol=1e-12)
         assert null == []
 

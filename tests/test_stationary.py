@@ -1,12 +1,13 @@
 """Secular equation, stationary-point enumeration, and global minimization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cubicmin import CubicModel, eval_model, is_global
-from cubicmin.exceptions import NormMismatch, PoleEvaluation
+from cubicmin.exceptions import CertificateFailure, NormMismatch, PoleEvaluation
 from cubicmin.stationary import (
     LambdaRoot,
     SecularProblem,
@@ -19,7 +20,7 @@ from cubicmin.stationary import (
     subintervals,
 )
 
-from .helpers import min_second_difference, np_eval, random_model
+from .helpers import min_second_difference, np_eval, np_psd_margin, np_residual, random_model
 
 WORKED = CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
 
@@ -109,6 +110,7 @@ class TestEnumerateLambda:
         assert len(lams) <= 2 * k_pos + 1
         for r in roots:
             assert r.lo <= r.lam <= r.hi
+            assert r.lo <= r.pole <= r.hi and r.lam == r.pole + r.offset
             assert abs(g_eval(sp, r.lam) - target) <= 1e-8 * target
 
 
@@ -243,6 +245,81 @@ class TestGlobalMinimize:
             if pts:
                 best = min(p.objective for p in pts)
                 assert sol.objective <= best + 1e-7 * (1.0 + abs(best))
+
+
+# Near-hard, badly scaled and tiny-sigma models: (c, diag(Q), sigma).
+HARD_TO_CERTIFY = [
+    ((1e-9, 1.0), (-1.0, 2.0), 1.0),
+    ((1e-10, 1.0), (-1.0, 2.0), 1.0),
+    ((1.0, 1.0), (-1e3, 2e3), 1.0),
+    ((1.0, 1.0), (-1e6, 2e6), 1.0),
+    ((1.0, 1.0), (-1.0, 2.0), 1e-4),
+    ((1.0, 1.0), (-1.0, 2.0), 1e-8),
+]
+
+
+class TestHardToCertify:
+    @pytest.mark.parametrize(
+        "c, q, sigma",
+        HARD_TO_CERTIFY,
+        ids=["near_hard_1e-9", "near_hard_1e-10", "Q_1e3", "Q_1e6", "sigma_1e-4", "sigma_1e-8"],
+    )
+    def test_global_minimize_certifies(self, c, q, sigma):
+        m = CubicModel(c, np.diag(q), sigma)
+        sol = global_minimize(m)
+        assert sol.certificate.is_global
+        assert np_residual(m, sol.s_star) <= m.default_tol_grad()
+        assert np_psd_margin(m, sol.s_star) >= -m.default_tol_psd()
+
+    @pytest.mark.parametrize("sigma", [1e-3, 1e-2, 1e-1])
+    def test_merged_poles(self, sigma):
+        # The poles 3 and 3 + 5e-11 merge into one cut at 3; the largest
+        # root lies above both, within 4e-11 of the upper one.
+        m = CubicModel([1e-9, 1e-9, 1.0], np.diag([-3.0 - 5e-11, -3.0, 1.0]), sigma)
+        sol = global_minimize(m)
+        assert sol.certificate.is_global
+        assert not sol.hard_case
+        assert np_residual(m, sol.s_star) <= m.default_tol_grad()
+
+    @pytest.mark.parametrize("sigma", [1e-2, 1.0])
+    def test_uncoupled_mode_at_a_pole(self, sigma):
+        # The load 1.5e-10 is below the coupling tolerance 2e-10 and its
+        # eigenvalue sits 1e-14 from the coupled pole at 3; solving that
+        # mode at the root would put O(1) into s.
+        m = CubicModel([1.5e-10, 5e-10, 1.0], np.diag([-3.0 - 1e-14, -3.0, 2.0]), sigma)
+        sol = global_minimize(m)
+        assert np_residual(m, sol.s_star) <= m.default_tol_grad()
+        for p in enumerate_stationary(m):
+            assert p.residual <= m.default_tol_grad()
+
+    def test_near_pole_points_are_precise(self):
+        # Two of the three multipliers sit within 1.1e-9 of the pole at 1.
+        m = CubicModel([1e-9, 1.0], np.diag([-1.0, 2.0]), 1.0)
+        pts = enumerate_stationary(m)
+        assert len(pts) == 3
+        for p in pts:
+            assert p.residual <= 1e-8 * (1.0 + m.norm_c)
+
+    def test_failure_states_double_precision_floor(self):
+        # ||s*|| ~ 1e8 against max|Q| ~ 1e4: rounding alone puts the
+        # residual far above the 1e-8*(1+||c||) gate.
+        rng = np.random.default_rng(0)
+        a = rng.uniform(-1e4, 1e4, size=(40, 40))
+        m = CubicModel(rng.uniform(-5.0, 5.0, size=40), (a + a.T) / 2.0, 1e-3)
+        with pytest.raises(CertificateFailure) as info:
+            global_minimize(m)
+        msg = str(info.value)
+        residual, tol, floor = (
+            float(re.search(pattern, msg).group(1))
+            for pattern in (r"residual = (\S+) ", r"\(tol (\S+),", r"floor (\S+)\)")
+        )
+        assert tol == m.default_tol_grad()
+        assert residual > tol
+        # psd margin ~ 0: lam* sits just above -mu_1, so ||s*|| ~ -mu_1/sigma
+        norm_s = -float(np.linalg.eigvalsh(m.Q.entries)[0]) / m.sigma
+        expected = np.finfo(float).eps * (m.norm_c + m.Q.max_abs * norm_s)
+        assert floor == pytest.approx(expected, rel=1e-3)
+        assert floor > tol
 
 
 class TestEqualMultiplierObjectives:
