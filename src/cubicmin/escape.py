@@ -182,7 +182,13 @@ def escape_exact(m, s_bar, direction=None):
     norm_d = float(np.linalg.norm(d))
     if abs(s_d) > TOL_ORTH * norm_s * norm_d:
         s_hat = s - 2.0 * (s_d / norm_d**2) * d
-        return _outcome(m, s, CASE_B_II, s_hat, d=d, m_sbar=m_sbar)
+        out = _outcome(m, s, CASE_B_II, s_hat, d=d, m_sbar=m_sbar)
+        if out.decrease > 0.0:
+            return out
+        # s_d just above TOL_ORTH: the reflection moves s by rounding
+        # alone.  B_III needs only stationarity, since
+        # z^T (Q + lam I) z = -c.s - 2 alpha c.d + alpha^2 d^T (Q + lam I) d,
+        # so it also applies when s_d is not exactly 0.
     alpha_bar = alpha_threshold_biii(m, s, d)
     alpha = 2.0 * max(alpha_bar, norm_s)
     z = s + alpha * d

@@ -1,10 +1,16 @@
 """Armijo-descent local minimization of the cubic model.
 
-Finds a point with ``||grad m(s)|| <= eps`` from an arbitrary start:
-backtracked steepest descent, switching to a Newton step
-once the residual is small and the Hessian is positive definite.  The
-model is coercive (sigma > 0), so descent sequences stay bounded; a run
-that exhausts its iteration budget reports rather than raises.
+Finds a point with ``||grad m(s)|| <= eps`` from an arbitrary start by
+backtracked line search.  Once the residual is below
+``newton_threshold`` each iteration tries the Newton step; where the
+Hessian H is not positive definite it tries instead the shifted Newton
+step ``-(H + delta*I)^{-1} g`` with ``delta = -2*shift`` and
+``shift = mu_1 + sigma*||s||``.  Since H is at least ``shift*I``, the
+shifted matrix is at least ``|shift|*I`` and factors whenever ``shift``
+is negative.  The steepest-descent step is the fallback.  Every step
+passes the same Armijo test, so the solve stays a local descent method.
+The model is coercive (sigma > 0), so descent sequences stay bounded; a
+run that exhausts its iteration budget reports rather than raises.
 """
 
 from dataclasses import dataclass, field
@@ -46,6 +52,10 @@ class LocalSolveReport:
     descent phase.  A final Newton polish may move the point within the
     objective's float resolution after the last trace entry, so the
     trace's last value matches ``m(s)`` only to roundoff.
+
+    ``step_counts`` counts the accepted descent steps by kind
+    (``"newton"``, ``"shifted"``, ``"gradient"``); the Newton polish is
+    not counted.
     """
 
     s: np.ndarray
@@ -54,23 +64,42 @@ class LocalSolveReport:
     objective_trace: list
     converged: bool
     iterates: list = field(default_factory=list)
+    step_counts: dict = field(default_factory=dict)
 
 
-def _newton_step(m, s, g):
-    """Newton direction from one Cholesky factorization of the Hessian.
+def _newton_step(m, s, g, delta=0.0):
+    """Newton direction from one Cholesky factorization of ``H + delta*I``.
 
-    Returns None when the Hessian at s is not numerically positive
-    definite, i.e. LAPACK's factorization meets a non-positive pivot.  The
-    Hessian is factored unshifted: adding ``delta*I`` would let a singular
-    positive semidefinite Hessian factor and return a step of order
-    ``||g||/delta``.
+    Returns None when that matrix is not numerically positive definite,
+    i.e. LAPACK's factorization meets a non-positive pivot.  The plain
+    Newton step factors H unshifted (``delta = 0``): a small positive
+    delta would let a singular positive semidefinite Hessian factor and
+    return a step of order ``||g||/delta``.
     """
     H = model_mod.hess(m, s).entries
+    if delta:
+        H = H + delta * np.eye(m.n)
     try:
         L = np.linalg.cholesky(H)
     except np.linalg.LinAlgError:
         return None
     return np.linalg.solve(L.T, np.linalg.solve(L, -g))
+
+
+def _shifted_newton_step(m, s, g):
+    """Newton direction on the Hessian shifted past its negative curvature.
+
+    With ``shift = mu_1 + sigma*||s||`` (mu_1 the smallest eigenvalue of
+    Q), ``H = Q + sigma*||s||*I + sigma*s*s^T/||s||`` is at least
+    ``shift*I``, so ``H - 2*shift*I`` is at least ``|shift|*I``.  Returns
+    None when ``shift >= 0`` (H is then positive semidefinite, and a
+    failed plain Newton step is left to steepest descent) or when the
+    shifted factorization still fails through rounding.
+    """
+    shift = float(m.eig.values[0]) + m.sigma * float(np.linalg.norm(s))
+    if shift >= 0.0:
+        return None
+    return _newton_step(m, s, g, delta=-2.0 * shift)
 
 
 def local_minimize(m, s0, opts=None):
@@ -103,6 +132,7 @@ def local_minimize(m, s0, opts=None):
 
     iterations = 0
     flat_steps = 0
+    step_counts = {"newton": 0, "shifted": 0, "gradient": 0}
     for iterations in range(1, opts.max_iters + 1):
         g = model_mod.grad(m, s)
         residual = float(np.linalg.norm(g))
@@ -110,6 +140,7 @@ def local_minimize(m, s0, opts=None):
             return LocalSolveReport(
                 s=s, residual=residual, iterations=iterations - 1,
                 objective_trace=trace, converged=True, iterates=iterates,
+                step_counts=step_counts,
             )
 
         candidates = []
@@ -117,6 +148,10 @@ def local_minimize(m, s0, opts=None):
             d_newton = _newton_step(m, s, g)
             if d_newton is not None:
                 candidates.append(("newton", d_newton, 1.0))
+            else:
+                d_shifted = _shifted_newton_step(m, s, g)
+                if d_shifted is not None:
+                    candidates.append(("shifted", d_shifted, 1.0))
         candidates.append(("gradient", -g, t_carry))
 
         moved = False
@@ -132,6 +167,7 @@ def local_minimize(m, s0, opts=None):
                     s = s + t * direction
                     f = f_new
                     moved = True
+                    step_counts[kind] += 1
                     if kind == "gradient":
                         t_carry = 2.0 * t
                     break
@@ -169,4 +205,5 @@ def local_minimize(m, s0, opts=None):
     return LocalSolveReport(
         s=s, residual=residual, iterations=iterations,
         objective_trace=trace, converged=residual <= eps, iterates=iterates,
+        step_counts=step_counts,
     )

@@ -113,6 +113,18 @@ class TestEscapeExactCases:
         assert out.s_hat == pytest.approx([0.6, -0.8], abs=1e-12)
         assert out.decrease == pytest.approx(12.0 / 25.0, abs=1e-12)
 
+    @pytest.mark.parametrize("sigma", [0.1, 1.0])
+    def test_nearly_orthogonal_direction_still_decreases(self, sigma):
+        # |s.d| sits just above TOL_ORTH at the non-global stationary point,
+        # so the B_II reflection moves s only by rounding; the escape must
+        # fall through to B_III and return a real decrease.
+        m = CubicModel([1e-9, 1.0], np.diag([-1.0, 2.0]), sigma)
+        moves = [escape_exact(m, p) for p in enumerate_stationary(m)]
+        moves = [out for out in moves if out.case_tag != "NONE_GLOBAL"]
+        assert moves
+        for out in moves:
+            assert out.decrease > 0.0
+
     def test_none_global_at_minimizer(self):
         sol = global_minimize(WORKED)
         p = StationaryPoint.from_vector(WORKED, sol.s_star)

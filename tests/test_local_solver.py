@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from cubicmin import CubicModel, grad
+from cubicmin import ArcOptions, CubicModel, arc_plus_minimize, get_problem, grad
+from cubicmin import driver
 from cubicmin.local_solver import (
     LocalSolveOptions,
     LocalSolveReport,
     _newton_step,
+    _shifted_newton_step,
     local_minimize,
 )
+from cubicmin.model import hess, is_global
 from cubicmin.stationary import enumerate_stationary
 
 from .helpers import random_controlled_model, random_model
@@ -101,6 +104,85 @@ class TestNewtonStep:
         assert np.max(np.abs(d - ref)) <= 1e-10 * (1.0 + np.linalg.norm(g))
 
 
+class TestShiftedNewtonStep:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_factors_and_descends_below_zero_shift(self, seed):
+        rng = np.random.default_rng(9100 + seed)
+        n = int(rng.integers(2, 17))
+        mu = rng.uniform(-5.0, 5.0, size=n)
+        mu[0] = -rng.uniform(0.1, 5.0)
+        v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        q = (v * mu) @ v.T
+        m = CubicModel(rng.uniform(-5.0, 5.0, size=n), (q + q.T) / 2.0, 0.5)
+        # ||s|| below -mu_1/sigma makes shift = mu_1 + sigma*||s|| negative
+        u = rng.normal(size=n)
+        s = rng.uniform(0.0, 0.95) * (-mu.min() / m.sigma) * u / np.linalg.norm(u)
+        shift = mu.min() + m.sigma * np.linalg.norm(s)
+        assert shift < 0.0
+        g = grad(m, s)
+        d = _shifted_newton_step(m, s, g)
+        assert d is not None
+        assert g @ d < 0.0
+        ref = np.linalg.solve(hess(m, s).entries - 2.0 * shift * np.eye(n), -g)
+        assert np.max(np.abs(d - ref)) <= 1e-10 * (1.0 + np.linalg.norm(ref))
+
+    @pytest.mark.parametrize(
+        "q, sigma, s",
+        [
+            # mu_1 + sigma*||s|| = -1 + 1*1 = 0 exactly: H is singular
+            (np.diag([-1.0, 2.0]), 1.0, [1.0, 0.0]),
+            (np.diag([-1.0, 2.0]), 0.5, [0.0, 2.0]),
+            (np.diag([-1.0, 2.0]), 1.0, [3.0, 4.0]),
+            (np.diag([1.0, 2.0]), 1.0, [0.0, 0.0]),
+        ],
+    )
+    def test_none_when_shift_nonnegative(self, q, sigma, s):
+        m = CubicModel([0.3, -0.2], q, sigma)
+        s = np.asarray(s, dtype=float)
+        assert _shifted_newton_step(m, s, grad(m, s)) is None
+
+
+class TestStaysLocal:
+    # Q = diag(-1, 2), c = (0.1, 0.05), sigma = 1 has a local non-global
+    # minimizer near (0.8871, -0.0173) and the global one near
+    # (-1.0915, -0.0162); the shifted step must not jump between basins.
+    M = CubicModel([0.1, 0.05], np.diag([-1.0, 2.0]), 1.0)
+    OPTS = LocalSolveOptions(newton_threshold=float("inf"))
+
+    @pytest.mark.parametrize("s0", [[1.0, 0.0], [0.3, 0.5]])
+    def test_converges_to_local_non_global(self, s0):
+        rep = local_minimize(self.M, np.array(s0), self.OPTS)
+        assert rep.converged
+        assert rep.s == pytest.approx([0.8871, -0.0173], abs=1e-4)
+        assert is_global(self.M, rep.s).psd_margin < -0.1
+
+    def test_converges_to_global(self):
+        rep = local_minimize(self.M, np.array([0.05, -1.0]), self.OPTS)
+        assert rep.converged
+        assert rep.s == pytest.approx([-1.0915, -0.0162], abs=1e-4)
+        assert is_global(self.M, rep.s).is_global
+
+
+class TestArcCrawl:
+    @pytest.mark.parametrize(
+        "name, outer", [("rosenbrock10", 38), ("rosen_coupled6", 35)]
+    )
+    def test_arc_local_solves_stay_short(self, monkeypatch, name, outer):
+        reports = []
+
+        def recording(m, s0, opts=None):
+            rep = local_minimize(m, s0, opts)
+            reports.append(rep)
+            return rep
+
+        monkeypatch.setattr(driver, "local_minimize", recording)
+        res = arc_plus_minimize(get_problem(name), None, "ARC", ArcOptions(seed=0))
+        assert res.converged
+        assert res.iterations == outer
+        assert sum(r.iterations for r in reports) <= 300
+        assert sum(r.step_counts["shifted"] for r in reports) > 0
+
+
 class TestReportContract:
     def test_report_fields(self):
         rep = local_minimize(WORKED, np.zeros(2))
@@ -108,6 +190,19 @@ class TestReportContract:
         assert rep.iterations >= 0
         assert rep.objective_trace[0] == 0.0
         assert rep.iterates == []
+        assert set(rep.step_counts) == {"newton", "shifted", "gradient"}
+        bare = LocalSolveReport(
+            s=rep.s, residual=0.0, iterations=0, objective_trace=[], converged=True
+        )
+        assert bare.step_counts == {}
+
+    def test_step_counts_sum_to_iterations(self):
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            m = random_model(rng, nmax=6)
+            rep = local_minimize(m, rng.uniform(-3.0, 3.0, size=m.n))
+            if rep.converged:
+                assert sum(rep.step_counts.values()) == rep.iterations
 
     def test_track_iterates(self):
         rep = local_minimize(
