@@ -176,7 +176,7 @@ def _parse_vector(text, n, what):
 
 
 def _json_vector(v):
-    return [float(x) for x in np.asarray(v).reshape(-1)]
+    return np.asarray(v, dtype=float).reshape(-1).tolist()
 
 
 def _result_record(m, name, method, sol, trace, wall_ms):

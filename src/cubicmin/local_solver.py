@@ -76,7 +76,7 @@ def _newton_step(m, s, g, delta=0.0):
     delta would let a singular positive semidefinite Hessian factor and
     return a step of order ``||g||/delta``.
     """
-    H = model_mod.hess(m, s).entries
+    H = model_mod._hess_entries(m, s)
     if delta:
         H = H + delta * np.eye(m.n)
     try:

@@ -137,21 +137,33 @@ def grad(model, s):
     return model.c + model.Q.entries @ s + model.sigma * norm_s * s
 
 
+def _hess_entries(model, s):
+    """The entries of ``hess m(s)`` as a plain array, for internal callers.
+
+    ``s`` must already have the model's dimension.  The result is exactly
+    symmetric: Q is stored symmetric, ``s_i s_j == s_j s_i`` in floating
+    point, and entries (i, j) and (j, i) add the same terms in the same
+    order.  At ``s = 0`` it is ``Q.entries`` itself.
+    """
+    norm_s = float(np.linalg.norm(s))
+    if norm_s == 0.0:
+        return model.Q.entries
+    return (
+        model.Q.entries
+        + model.sigma * norm_s * np.eye(model.n)
+        + (model.sigma / norm_s) * np.outer(s, s)
+    )
+
+
 def hess(model, s):
     """Evaluate ``hess m(s) = Q + sigma ||s|| I + sigma s s^T / ||s||``.
 
     At ``s = 0`` the rank-one and shift terms vanish in the limit, so the
     Hessian is Q itself.
     """
-    s = model._check_dim(s)
-    norm_s = float(np.linalg.norm(s))
-    if norm_s == 0.0:
+    h = _hess_entries(model, model._check_dim(s))
+    if h is model.Q.entries:
         return model.Q
-    h = (
-        model.Q.entries
-        + model.sigma * norm_s * np.eye(model.n)
-        + (model.sigma / norm_s) * np.outer(s, s)
-    )
     return SymmetricMatrix(h)
 
 

@@ -5,6 +5,11 @@ A problem file is a JSON object with keys ``n`` (dimension), ``c``
 relative), ``sigma`` (positive), and an optional ``name``.  Numbers use
 '.' decimal notation; serialization writes shortest round-trip floats,
 so parse(serialize(p)) is the identity.
+
+A schema error names the first offending entry of ``c`` or ``Q`` in
+file order (row-major for ``Q``), and for asymmetry the first pair
+``Q[i][j]`` with ``i < j``.  Integer literals beyond float range are
+schema errors, like non-finite numbers.
 """
 
 import json
@@ -17,12 +22,18 @@ from .model import CubicModel
 __all__ = ["load_problem", "parse_problem", "save_problem", "problem_to_dict"]
 
 _SYM_RTOL = 1e-9
+_PLAIN_NUMBER_TYPES = {int, float}
 
 
 def _require_number(value, field):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(field, f"expected a number, got {type(value).__name__}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise SchemaError(
+            field, "expected a finite number, got an integer beyond float range"
+        ) from None
     if not np.isfinite(value):
         raise SchemaError(field, f"expected a finite number, got {value!r}")
     return value
@@ -33,6 +44,18 @@ def _require_vector(value, field, n):
         raise SchemaError(field, f"expected an array, got {type(value).__name__}")
     if len(value) != n:
         raise SchemaError(field, f"expected length {n}, got {len(value)}")
+    # Fast path for the common row of plain ints and floats.  NumPy converts
+    # each such entry exactly as float() does.  Any other row, or one that
+    # fails a check, goes through _require_number entry by entry, which
+    # accepts it or names its first offending entry.
+    if set(map(type, value)) <= _PLAIN_NUMBER_TYPES:
+        try:
+            out = np.array(value, dtype=float)
+        except OverflowError:
+            pass
+        else:
+            if np.isfinite(out).all():
+                return out
     return np.array([_require_number(v, f"{field}[{i}]") for i, v in enumerate(value)])
 
 
@@ -70,16 +93,18 @@ def parse_problem(data):
     q = np.empty((n, n))
     for i, row in enumerate(q_rows):
         q[i] = _require_vector(row, f"Q[{i}]", n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            gap = abs(q[i, j] - q[j, i])
-            if gap > _SYM_RTOL * (1.0 + max(abs(q[i, j]), abs(q[j, i]))):
-                raise SchemaError(
-                    f"Q[{i}][{j}]",
-                    f"entry {float(q[i, j])!r} differs from Q[{j}][{i}] = "
-                    f"{float(q[j, i])!r} beyond the 1e-9 relative symmetry "
-                    "tolerance",
-                )
+    gap = np.abs(q - q.T)
+    bound = _SYM_RTOL * (1.0 + np.maximum(np.abs(q), np.abs(q.T)))
+    asymmetric = np.argwhere(np.triu(gap > bound, 1))
+    if asymmetric.size:
+        # argwhere lists hits in row-major order: the first is the first pair.
+        i, j = asymmetric[0]
+        raise SchemaError(
+            f"Q[{i}][{j}]",
+            f"entry {float(q[i, j])!r} differs from Q[{j}][{i}] = "
+            f"{float(q[j, i])!r} beyond the 1e-9 relative symmetry "
+            "tolerance",
+        )
 
     sigma = _require_number(data["sigma"], "sigma")
     if not sigma > 0.0:
@@ -117,8 +142,8 @@ def problem_to_dict(m, name=None):
     """Encode a CubicModel as a schema-valid plain object."""
     out = {
         "n": m.n,
-        "c": [float(v) for v in m.c],
-        "Q": [[float(v) for v in row] for row in m.Q.entries],
+        "c": m.c.tolist(),
+        "Q": m.Q.entries.tolist(),
         "sigma": float(m.sigma),
     }
     if name is not None:

@@ -5,6 +5,7 @@ import pytest
 
 from cubicmin import ArcOptions, CubicModel, arc_plus_minimize, get_problem, grad
 from cubicmin import driver
+from cubicmin import model as model_mod
 from cubicmin.local_solver import (
     LocalSolveOptions,
     LocalSolveReport,
@@ -102,6 +103,18 @@ class TestNewtonStep:
         d = self._step(q, g)
         ref = np.linalg.solve(q + 1e-12 * np.eye(n), -g)
         assert np.max(np.abs(d - ref)) <= 1e-10 * (1.0 + np.linalg.norm(g))
+
+    def test_local_solve_builds_no_validated_hessian(self, monkeypatch):
+        m = random_controlled_model(np.random.default_rng(17), nmax=8)
+        m.eig  # the cached eigendecomposition is built before the patch
+
+        def refuse(entries):
+            raise AssertionError("local solve validated a Hessian")
+
+        monkeypatch.setattr(model_mod, "SymmetricMatrix", refuse)
+        report = local_minimize(m, np.ones(m.n))
+        assert report.converged
+        assert report.step_counts["newton"] + report.step_counts["shifted"] > 0
 
 
 class TestShiftedNewtonStep:

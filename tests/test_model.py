@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cubicmin import CubicModel, SymmetricMatrix, eval_model, grad, hess, is_global
-from cubicmin.model import GlobalCertificate, StationaryPoint
+from cubicmin.model import GlobalCertificate, StationaryPoint, _hess_entries
 
 from .helpers import np_eval, np_grad, random_model
 
@@ -88,7 +88,8 @@ class TestGrad:
 class TestHess:
     def test_at_origin_is_q(self):
         h = hess(WORKED, np.zeros(2))
-        assert np.array_equal(h.entries, WORKED.Q.entries)
+        assert h is WORKED.Q
+        assert _hess_entries(WORKED, np.zeros(2)) is WORKED.Q.entries
 
     def test_scalar(self):
         m = CubicModel([0.0], [[0.0]], 1.0)
@@ -103,6 +104,15 @@ class TestHess:
         m = random_model(np.random.default_rng(8), n=3)
         h = hess(m, np.array([0.3, -0.2, 0.9]))
         assert isinstance(h, SymmetricMatrix)
+
+    def test_entries_helper_is_exactly_symmetric_and_equals_hess(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            m = random_model(rng, nmax=12)
+            s = rng.uniform(-3.0, 3.0, size=m.n)
+            h = _hess_entries(m, s)
+            assert np.array_equal(h, h.T)
+            assert h.tobytes() == hess(m, s).entries.tobytes()
 
 
 class TestFiniteDifferences:
