@@ -16,7 +16,7 @@ from . import escape as escape_mod
 from . import model as model_mod
 from .exceptions import BoundExceeded, ConvergenceError, EmptyInput, ThresholdNotMet, ToleranceFloor
 from .local_solver import LocalSolveOptions, local_minimize
-from .model import CubicModel, GlobalCertificate
+from .model import CubicModel
 from .stationary import GlobalSolution, count_bound
 
 __all__ = [
@@ -187,21 +187,11 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
             continue
         steps.append((s_bar, out.case_tag, model_mod.eval_model(m, s_bar)))
         if out.case_tag == escape_mod.CASE_NONE_GLOBAL:
-            lam = m.sigma * float(np.linalg.norm(s_bar))
-            residual = float(np.linalg.norm(model_mod.grad(m, s_bar)))
-            psd_margin = float(m.eig.values[0]) + lam
-            cert = GlobalCertificate(
-                psd_margin=psd_margin,
-                residual=residual,
-                is_global=residual <= eps and psd_margin >= -ec,
-                tol_grad=eps,
-                tol_psd=ec,
-            )
             sol = GlobalSolution(
                 s_star=s_bar,
-                lambda_star=lam,
+                lambda_star=m.sigma * float(np.linalg.norm(s_bar)),
                 objective=model_mod.eval_model(m, s_bar),
-                certificate=cert,
+                certificate=model_mod.is_global(m, s_bar, tol_grad=eps, tol_psd=ec),
                 hard_case=False,
                 trace=[t[1] for t in steps],
             )

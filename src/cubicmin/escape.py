@@ -4,9 +4,10 @@ A stationary point s_bar of the cubic model that is not the global
 minimizer admits an explicit point s_hat with m(s_hat) < m(s_bar):
 flip the sign when c^T s_bar > 0, step along a negative-curvature
 direction from the origin, or reflect across a hyperplane built from
-the negative-curvature direction.  The approximate variants accept the
-same moves under explicit tolerance thresholds tied to the gradient
-residual, and verify the decrease by direct evaluation.
+the negative-curvature direction.  ``escape_approx`` gates each move by
+tolerance thresholds tied to the gradient residual; ``escape_exact`` is
+a residual gate in front of the same tests at the model's default
+tolerances.  Every move is verified by direct evaluation.
 """
 
 import math
@@ -117,9 +118,7 @@ def alpha_threshold_biii(m, s_bar, d):
     return (c_d - math.sqrt(disc)) / q_dd
 
 
-def _outcome(m, s_bar, case, s_hat, d=None, alpha=None, z=None, m_sbar=None):
-    if m_sbar is None:
-        m_sbar = model_mod.eval_model(m, s_bar)
+def _outcome(m, m_sbar, case, s_hat, d=None, alpha=None, z=None):
     s_hat = np.array(s_hat, dtype=float)
     s_hat.setflags(write=False)
     return EscapeOutcome(
@@ -133,12 +132,12 @@ def _outcome(m, s_bar, case, s_hat, d=None, alpha=None, z=None, m_sbar=None):
 
 
 def escape_exact(m, s_bar, direction=None):
-    """Escape move from an exactly stationary, non-global point.
+    """escape_approx at the default tolerances, from a stationary point.
 
     Parameters
     ----------
     s_bar : StationaryPoint
-        Must carry residual at most ``1e-8 * (1 + ||c||)``.
+        Must carry residual at most ``m.default_tol_grad()``.
     direction : array_like, optional
         Override for the negative-curvature direction (testing hook);
         by default the extreme eigenvector is used.
@@ -148,62 +147,32 @@ def escape_exact(m, s_bar, direction=None):
     EscapeOutcome
         NONE_GLOBAL when the semidefiniteness certificate holds at
         s_bar (then s_bar is the global minimizer); otherwise a case
-        A / B_I / B_II / B_III move with a strict objective decrease.
+        A / B_I / B_II / B_III move, never one without decrease.
 
     Raises
     ------
     NotStationary
         If the residual precondition fails; use escape_approx instead.
+    ThresholdNotMet
+        As escape_approx (not seen on enumerated points).
     """
-    tol_stat = 1e-8 * (1.0 + m.norm_c)
-    if s_bar.residual > tol_stat:
+    tol_grad = m.default_tol_grad()
+    if s_bar.residual > tol_grad:
         raise NotStationary(
-            f"residual {s_bar.residual!r} exceeds {tol_stat!r}; use escape_approx"
+            f"residual {s_bar.residual!r} exceeds {tol_grad!r}; use escape_approx"
         )
-    s = np.asarray(s_bar.s, dtype=float)
-    m_sbar = s_bar.objective
-    c_s = float(m.c @ s)
-    if c_s > 0.0:
-        return _outcome(m, s, CASE_A, -s, m_sbar=m_sbar)
-    if direction is None:
-        d, curv = negative_curvature_direction(m, s)
-    else:
-        d = m._check_dim(direction)
-        lam = m.sigma * float(np.linalg.norm(s))
-        curv = float(d @ (m.Q.entries @ d) + lam * (d @ d)) / float(d @ d)
-    if curv >= -m.default_tol_psd():
-        return EscapeOutcome(case_tag=CASE_NONE_GLOBAL)
-    norm_s = float(np.linalg.norm(s))
-    if norm_s <= _zero_tol(m):
-        norm_d = float(np.linalg.norm(d))
-        alpha = -0.75 * float(d @ (m.Q.entries @ d)) / (m.sigma * norm_d**3)
-        return _outcome(m, s, CASE_B_I, alpha * d, d=d, alpha=alpha, m_sbar=m_sbar)
-    s_d = float(s @ d)
-    norm_d = float(np.linalg.norm(d))
-    if abs(s_d) > TOL_ORTH * norm_s * norm_d:
-        s_hat = s - 2.0 * (s_d / norm_d**2) * d
-        out = _outcome(m, s, CASE_B_II, s_hat, d=d, m_sbar=m_sbar)
-        if out.decrease > 0.0:
-            return out
-        # s_d just above TOL_ORTH: the reflection moves s by rounding
-        # alone.  B_III needs only stationarity, since
-        # z^T (Q + lam I) z = -c.s - 2 alpha c.d + alpha^2 d^T (Q + lam I) d,
-        # so it also applies when s_d is not exactly 0.
-    alpha_bar = alpha_threshold_biii(m, s, d)
-    alpha = 2.0 * max(alpha_bar, norm_s)
-    z = s + alpha * d
-    s_hat = s - 2.0 * (float(s @ z) / float(z @ z)) * z
-    return _outcome(m, s, CASE_B_III, s_hat, d=d, alpha=alpha, z=z, m_sbar=m_sbar)
+    tol = ApproxTolerances(tol_grad, m.default_tol_psd())
+    return _escape(m, np.asarray(s_bar.s, dtype=float), s_bar.objective, tol, direction)
 
 
 def escape_approx(m, s_bar, tol, direction=None):
     """Escape move from an approximately stationary point.
 
-    The caller certifies ``||grad m(s_bar)|| <= tol.eps_grad``.  Case
-    selection follows escape_exact, with each reflection case gated by
-    an explicit threshold on ``tol.eps_curv`` so the theoretical
-    decrease survives the gradient residual; every returned move is
-    verified by direct evaluation.
+    The caller certifies ``||grad m(s_bar)|| <= tol.eps_grad``.  Each
+    reflection is gated by a threshold on ``tol.eps_curv`` so the
+    theoretical decrease survives the gradient residual; every move is
+    verified by direct evaluation, and a B_II reflection that does not
+    decrease falls through to B_III.
 
     Raises
     ------
@@ -213,10 +182,17 @@ def escape_approx(m, s_bar, tol, direction=None):
         tighten the local-solve tolerance and retry.
     """
     s = m._check_dim(s_bar)
-    m_sbar = model_mod.eval_model(m, s)
+    return _escape(m, s, model_mod.eval_model(m, s), tol, direction)
+
+
+def _escape(m, s, m_sbar, tol, direction):
+    # The case analysis of both escapes; m_sbar is m(s).
     c_s = float(m.c @ s)
     if c_s > 0.0:
-        return _outcome(m, s, CASE_A, -s, m_sbar=m_sbar)
+        out = _outcome(m, m_sbar, CASE_A, -s)
+        if out.decrease > 0.0:
+            return out
+        raise ThresholdNotMet("sign flip failed to decrease the objective")
     if direction is None:
         d, curv = negative_curvature_direction(m, s)
     else:
@@ -233,9 +209,9 @@ def escape_approx(m, s_bar, tol, direction=None):
         if float(m.c @ d) > 0.0:
             d = -d
         alpha = -0.75 * float(d @ (m.Q.entries @ d)) / (m.sigma * norm_d**3)
-        s_hat = alpha * d
-        if model_mod.eval_model(m, s_hat) < m_sbar:
-            return _outcome(m, s, CASE_B_I, s_hat, d=d, alpha=alpha, m_sbar=m_sbar)
+        out = _outcome(m, m_sbar, CASE_B_I, alpha * d, d=d, alpha=alpha)
+        if out.decrease > 0.0:
+            return out
         raise ThresholdNotMet("origin step failed to decrease the objective")
 
     lam = m.sigma * norm_s
@@ -255,9 +231,13 @@ def escape_approx(m, s_bar, tol, direction=None):
                 "and the strengthened test is nonnegative"
             )
         s_hat = s - 2.0 * (s_d / norm_d**2) * d
-        if model_mod.eval_model(m, s_hat) < m_sbar:
-            return _outcome(m, s, CASE_B_II, s_hat, d=d, m_sbar=m_sbar)
-        raise ThresholdNotMet("reflection failed to decrease the objective")
+        out = _outcome(m, m_sbar, CASE_B_II, s_hat, d=d)
+        if out.decrease > 0.0:
+            return out
+        # s_d just above TOL_ORTH: the reflection moves s by rounding
+        # alone.  B_III needs only stationarity, since
+        # z^T (Q + lam I) z = -c.s - 2 alpha c.d + alpha^2 d^T (Q + lam I) d,
+        # so it also applies when s_d is not exactly 0.
 
     if not tol.eps_curv > abs(float(grad @ s)) / norm_s**2:
         raise ThresholdNotMet(
@@ -272,10 +252,9 @@ def escape_approx(m, s_bar, tol, direction=None):
         z_q_z = float(z @ (m.Q.entries @ z) + lam * (z @ z))
         if z_q_z < -tol.eps_curv * float(z @ z):
             s_hat = s - 2.0 * (float(s @ z) / float(z @ z)) * z
-            if model_mod.eval_model(m, s_hat) < m_sbar:
-                return _outcome(
-                    m, s, CASE_B_III, s_hat, d=d, alpha=alpha, z=z, m_sbar=m_sbar
-                )
+            out = _outcome(m, m_sbar, CASE_B_III, s_hat, d=d, alpha=alpha, z=z)
+            if out.decrease > 0.0:
+                return out
         alpha *= 2.0
     raise ThresholdNotMet(
         f"no verified decrease within {_MAX_DOUBLINGS} step doublings"

@@ -8,8 +8,8 @@ so parse(serialize(p)) is the identity.
 
 A schema error names the first offending entry of ``c`` or ``Q`` in
 file order (row-major for ``Q``), and for asymmetry the first pair
-``Q[i][j]`` with ``i < j``.  Integer literals beyond float range are
-schema errors, like non-finite numbers.
+``Q[i][j]`` with ``i < j``.  Integer literals beyond float range or
+Python's digit limit are schema errors, like non-finite numbers.
 """
 
 import json
@@ -135,6 +135,8 @@ def load_problem(path):
         raise SchemaError(
             "$", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
+    except ValueError as exc:  # an integer literal beyond the digit limit
+        raise SchemaError("$", f"unreadable number: {exc}") from None
     return parse_problem(data)
 
 

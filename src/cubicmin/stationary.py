@@ -268,9 +268,9 @@ def stationary_from_lambda(sp, root):
 
     Regular roots produce the single point ``s = V a`` with
     ``a_i = beta_i / ((mu_i + pole) + offset)``.  Boundary roots (uncoupled
-    eigenvalue shifts) produce the two representatives
-    ``V a +/- tau v_i`` with tau chosen so ``||s|| = lam / sigma``; the
-    full continuum they stand for shares one objective value.
+    eigenvalue shifts) produce the two representatives ``V a +/- tau v``
+    of ``_boundary_parts``; the full continuum they stand for shares one
+    objective value.
 
     Raises
     ------
@@ -278,11 +278,22 @@ def stationary_from_lambda(sp, root):
         If a boundary root has ``||V a|| > lam/sigma`` beyond tolerance.
     """
     m = sp.model
-    lam = root.lam
-    coeff, singular = _mode_coefficients(sp, root.pole, root.offset)
-    base = sp.eig.vectors @ coeff
     if root.note != "boundary":
-        return [StationaryPoint.from_vector(m, base)]
+        coeff, _ = _mode_coefficients(sp, root.pole, root.offset)
+        return [StationaryPoint.from_vector(m, sp.eig.vectors @ coeff)]
+    base, free = _boundary_parts(sp, root.lam)
+    return [StationaryPoint.from_vector(m, base + t) for t in (free, -free)]
+
+
+def _boundary_parts(sp, lam):
+    """``(V a, tau v)`` at a multiplier lam on an uncoupled eigenvalue shift.
+
+    v is the first null mode; tau >= 0 sets ``||V a +/- tau v|| = lam/sigma``.
+    Raises NormMismatch if ``||V a||`` exceeds that beyond tolerance, or
+    if no mode is null at lam.
+    """
+    coeff, singular = _mode_coefficients(sp, lam)
+    base = sp.eig.vectors @ coeff
     radius = lam / sp.sigma
     norm_base = float(np.linalg.norm(base))
     if norm_base > radius + 1e-8 * (1.0 + radius):
@@ -292,11 +303,7 @@ def stationary_from_lambda(sp, root):
     if not np.any(singular):
         raise NormMismatch(f"boundary multiplier {lam!r} has no null mode")
     tau = math.sqrt(max(0.0, radius**2 - norm_base**2))
-    v = sp.eig.vectors[:, int(np.argmax(singular))]
-    return [
-        StationaryPoint.from_vector(m, base + tau * v),
-        StationaryPoint.from_vector(m, base - tau * v),
-    ]
+    return base, tau * sp.eig.vectors[:, int(np.argmax(singular))]
 
 
 def _boundary_roots(m, sp):
@@ -368,12 +375,15 @@ def global_minimize(m):
     ``||s(lam*)|| = lam*/sigma``.  When the largest secular root of
     ``enumerate_lambda`` exceeds ``max(0, -mu_1)`` it is lam*, and s* is
     built from its pole and offset; otherwise the model is in the hard
-    case ``lam* = max(0, -mu_1)`` with a free component along the bottom
-    eigenvector.  The two-part certificate (stationarity plus positive
-    semidefiniteness of ``Q + lam* I``) is verified before returning.
+    case ``lam* = max(0, -mu_1)``, and s* is the boundary point of
+    ``_boundary_parts`` there (s* = 0 when also lam* = 0 and c = 0).  The
+    two-part certificate (stationarity plus positive semidefiniteness of
+    ``Q + lam* I``) is verified before returning.
 
     Raises
     ------
+    NormMismatch
+        If the hard case is infeasible.
     CertificateFailure
         If the computed point fails its own certificate.  The message
         states the double-precision floor ``eps*(||c|| + max|Q|*||s*||)``
@@ -381,54 +391,25 @@ def global_minimize(m):
         cannot meet it, a floor below it points at the solver.
     """
     trace = []
-    eig = m.eig
-    mu1 = float(eig.values[0])
-    sigma = m.sigma
-
     sp = SecularProblem.from_model(m)
-    if not np.any(sp.coupled):
-        # No mode is coupled: c = 0 up to pole_tol, and the minimizer for
-        # c = 0 leaves the residual ||c||.
-        if mu1 >= 0.0:
-            trace.append("c = 0 and Q is positive semidefinite: s* = 0")
-            s_star = np.zeros(m.n)
-            hard = False
-        else:
-            tau = -mu1 / sigma
-            s_star = tau * eig.vectors[:, 0]
-            hard = True
-            trace.append(f"c = 0 pure eigenstep: lam* = {-mu1!r}, tau = {tau!r}")
-        return _finish_global(m, s_star, hard, trace)
-
-    base = max(0.0, -mu1)
+    lam_star = max(0.0, -float(m.eig.values[0]))
     roots = enumerate_lambda(sp)
-    if roots and roots[-1].offset > base - roots[-1].pole:
+    if roots and roots[-1].offset > lam_star - roots[-1].pole:
         root = roots[-1]
         trace.append(
             f"largest secular root lam = {root.lam!r} "
             f"(pole {root.pole!r} + offset {root.offset!r})"
         )
         coeff, _ = _mode_coefficients(sp, root.pole, root.offset)
-        return _finish_global(m, eig.vectors @ coeff, False, trace)
-
-    # Hard case: no root beyond -mu_1; the minimizer sits at lam* = -mu_1.
-    lam_star = base
+        return _finish_global(m, sp.eig.vectors @ coeff, False, trace)
+    if lam_star == 0.0 and not np.any(sp.coupled):
+        # c = 0 up to pole_tol; s* = 0 leaves the residual ||c||.
+        trace.append("c = 0 and Q is positive semidefinite: s* = 0")
+        return _finish_global(m, np.zeros(m.n), False, trace)
+    # Hard case: no root beyond max(0, -mu_1); the minimizer sits there.
+    base, free = _boundary_parts(sp, lam_star)
     trace.append(f"hard case: lam* = max(0, -mu_1) = {lam_star!r}")
-    coeff, singular = _mode_coefficients(sp, lam_star)
-    base_vec = eig.vectors @ coeff
-    radius = lam_star / sigma
-    tau_sq = radius**2 - float(np.sum(coeff**2))
-    if tau_sq < -1e-8 * (1.0 + radius**2):
-        raise CertificateFailure(
-            f"hard-case norm equation infeasible: tau^2 = {tau_sq!r}"
-        )
-    if not np.any(singular):
-        raise CertificateFailure("hard case detected but no null mode at lam* = -mu_1")
-    tau = math.sqrt(max(0.0, tau_sq))
-    v = eig.vectors[:, int(np.argmax(singular))]
-    s_star = base_vec + tau * v
-    trace.append(f"hard-case free component tau = {tau!r}")
-    return _finish_global(m, s_star, True, trace)
+    return _finish_global(m, base + free, True, trace)
 
 
 def _finish_global(m, s_star, hard, trace):

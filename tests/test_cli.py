@@ -111,6 +111,16 @@ class TestSolve:
         assert out.stderr.startswith("cubicmin: error: c[0]: expected a finite number")
         assert "Traceback" not in out.stderr
 
+    def test_integer_beyond_digit_limit_exit_1(self, tmp_path):
+        path = tmp_path / "digits.json"
+        path.write_text(
+            '{"n": 1, "c": [1' + "0" * 5000 + '], "Q": [[1.0]], "sigma": 1.0}\n'
+        )
+        out = run_cli("solve", str(path))
+        assert out.returncode == 1
+        assert out.stderr.startswith("cubicmin: error: $: ")
+        assert "Traceback" not in out.stderr
+
     def test_missing_file_exit_1(self, problem_dir):
         out = run_cli("solve", str(problem_dir / "nope.json"))
         assert out.returncode == 1

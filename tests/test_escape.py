@@ -118,12 +118,21 @@ class TestEscapeExactCases:
         # |s.d| sits just above TOL_ORTH at the non-global stationary point,
         # so the B_II reflection moves s only by rounding; the escape must
         # fall through to B_III and return a real decrease.
+        # escape_approx at the default tolerances takes the same path.
         m = CubicModel([1e-9, 1.0], np.diag([-1.0, 2.0]), sigma)
-        moves = [escape_exact(m, p) for p in enumerate_stationary(m)]
-        moves = [out for out in moves if out.case_tag != "NONE_GLOBAL"]
+        tol = ApproxTolerances(m.default_tol_grad(), m.default_tol_psd())
+        moves = 0
+        for p in enumerate_stationary(m):
+            exact = escape_exact(m, p)
+            if exact.case_tag == "NONE_GLOBAL":
+                continue
+            moves += 1
+            approx = escape_approx(m, p.s, tol)
+            assert exact.case_tag == approx.case_tag == "B_III"
+            assert exact.decrease > 0.0
+            assert approx.s_hat.tobytes() == exact.s_hat.tobytes()
+            assert approx.decrease == exact.decrease
         assert moves
-        for out in moves:
-            assert out.decrease > 0.0
 
     def test_none_global_at_minimizer(self):
         sol = global_minimize(WORKED)
@@ -207,8 +216,9 @@ class TestEscapeInvariants:
             exact = escape_exact(m, p)
             approx = escape_approx(m, p.s, tol)
             assert approx.case_tag == exact.case_tag
+            assert approx.decrease == exact.decrease
             if exact.s_hat is not None:
-                assert np.max(np.abs(approx.s_hat - exact.s_hat)) <= 1e-12
+                assert approx.s_hat.tobytes() == exact.s_hat.tobytes()
 
     @pytest.mark.parametrize("seed", range(25))
     def test_finite_descent_chain(self, seed):

@@ -114,6 +114,19 @@ class TestLoad:
         with pytest.raises(OSError):
             load_problem(tmp_path / "absent.json")
 
+    def test_integer_beyond_digit_limit_is_schema_error(self, tmp_path):
+        # json.loads raises a plain ValueError past Python's 4,300-digit
+        # integer string conversion limit.
+        path = tmp_path / "digits.json"
+        path.write_text(
+            '{"n": 2, "c": [1' + "0" * 5000 + ', 0.0], "Q": [[1.0, 0.0], [0.0, 1.0]],'
+            ' "sigma": 1.0}\n'
+        )
+        with pytest.raises(SchemaError) as info:
+            load_problem(path)
+        assert info.value.field == "$"
+        assert str(info.value).startswith("$: ")
+
 
 def _reference_parse(data):
     """The entry-by-entry validation of c, Q and sigma, kept as the oracle.
