@@ -51,7 +51,7 @@ from .escape import (
     escape_exact,
     negative_curvature_direction,
 )
-from .local_solver import LocalSolveOptions, LocalSolveReport, local_minimize
+from .local_solver import LocalSolveReport, local_minimize
 from .driver import (
     ARC,
     ARC_PLUS,
@@ -97,7 +97,6 @@ __all__ = [
     "GlobalCertificate",
     "GlobalSolution",
     "LambdaRoot",
-    "LocalSolveOptions",
     "LocalSolveReport",
     "NonNegativeCurvature",
     "NormMismatch",

@@ -172,7 +172,10 @@ def _parse_vector(text, n, what):
         raise SchemaError(what, f"could not parse {text!r} as numbers") from None
     if len(values) != n:
         raise SchemaError(what, f"expected {n} coordinates, got {len(values)}")
-    return np.array(values)
+    point = np.array(values)
+    if not np.all(np.isfinite(point)):
+        raise SchemaError(what, "coordinates must be finite")
+    return point
 
 
 def _json_vector(v):
@@ -485,7 +488,8 @@ def _cmd_profile(args):
         for row in reader:
             key = f"{row['name']}#{row['seed']}"
             converged = row["converged"].strip().lower() == "true"
-            iters = int(row["iterations"]) if converged else None
+            # a cell converged at its start point has 0 iterations; charge it one
+            iters = max(int(row["iterations"]), 1) if converged else None
             reports.append((key, row["variant"], iters))
     table = performance_profile(reports)
     variants = sorted(table.curves)

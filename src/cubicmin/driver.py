@@ -15,7 +15,7 @@ import numpy as np
 from . import escape as escape_mod
 from . import model as model_mod
 from .exceptions import BoundExceeded, ConvergenceError, EmptyInput, ThresholdNotMet, ToleranceFloor
-from .local_solver import LocalSolveOptions, local_minimize
+from .local_solver import local_minimize
 from .model import CubicModel
 from .stationary import GlobalSolution, count_bound
 
@@ -38,12 +38,10 @@ ARC_PLUS = "ARC_PLUS"
 _MAX_TIGHTENINGS = 6
 _EPS_FLOOR = 1e-15
 
-
-def _inner_opts(eps):
-    # Subproblem gradients span many scales, so the driver attempts the
-    # regularized Newton step whenever the model Hessian is positive
-    # definite instead of waiting for a fixed residual threshold.
-    return LocalSolveOptions(eps_grad=eps, newton_threshold=float("inf"))
+_SIGMA0 = 1.0
+_ETA1 = 0.1
+_ETA2 = 0.9
+_SIGMA_MIN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -87,19 +85,16 @@ class OuterReport:
 class ArcOptions:
     """Outer-loop controls.
 
-    The acceptance and sigma-update constants are standard adaptive
-    cubic-regularization defaults: accept when rho >= eta1, halve sigma
-    when rho >= eta2, double it on rejection.  ``cauchy_start`` seeds
+    The acceptance and sigma-update constants are fixed at standard
+    adaptive cubic-regularization values: start at sigma0 = 1, accept
+    when rho >= eta1 = 0.1, halve sigma (down to sigma_min = 1e-8) when
+    rho >= eta2 = 0.9, double it on rejection.  ``cauchy_start`` seeds
     each subproblem from the Cauchy point instead of a random sphere
     point.  ``seed`` drives all subproblem starting points.
     """
 
     tol_grad_inf: float = 1e-5
     max_iters: int = 100000
-    sigma0: float = 1.0
-    eta1: float = 0.1
-    eta2: float = 0.9
-    sigma_min: float = 1e-8
     cauchy_start: bool = False
     seed: int = 0
 
@@ -108,10 +103,6 @@ class ArcOptions:
             raise ValueError("tol_grad_inf must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if not 0.0 < self.eta1 <= self.eta2 < 1.0:
-            raise ValueError("need 0 < eta1 <= eta2 < 1")
-        if not self.sigma0 > 0.0:
-            raise ValueError("sigma0 must be positive")
 
 
 def _adaptive_eps_curv(eps_grad, s_bar):
@@ -164,7 +155,7 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
     escapes = 0
     tightenings = 0
     while True:
-        rep = local_minimize(m, s, _inner_opts(eps))
+        rep = local_minimize(m, s, eps)
         if not rep.converged:
             raise ConvergenceError(
                 f"local solve stalled at residual {rep.residual:.3e} "
@@ -269,7 +260,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         raise ValueError(f"x0 has length {x.shape[0]}, expected {f.n}")
     rng = np.random.default_rng(opts.seed)
 
-    sigma = opts.sigma0
+    sigma = _SIGMA0
     fx = f.f(x)
     sigma_history = []
     f_history = [fx]
@@ -288,36 +279,37 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         m = CubicModel(g, f.hess(x), sigma)
         gnorm = float(np.linalg.norm(g))
         eps_inner = max(min(0.01, 0.1 * gnorm) * gnorm, 1e-12)
-        s0 = cauchy_step(m) if opts.cauchy_start else _sphere_start(rng, f.n, sigma)
+        s_c = cauchy_step(m)
+        s0 = s_c if opts.cauchy_start else _sphere_start(rng, f.n, sigma)
 
         margin = None
         if variant == ARC:
-            rep = local_minimize(m, s0, _inner_opts(eps_inner))
+            rep = local_minimize(m, s0, eps_inner)
             s = rep.s
         else:
             sol, _ = solve_via_escapes(m, s0, eps_grad=eps_inner)
             s = sol.s_star
             margin = sol.certificate.psd_margin
-        s_c = cauchy_step(m)
-        if model_mod.eval_model(m, s_c) < model_mod.eval_model(m, s):
-            s = s_c
+        mval = model_mod.eval_model(m, s)
+        m_c = model_mod.eval_model(m, s_c)
+        if m_c < mval:
+            s, mval = s_c, m_c
             margin = None
 
-        mval = model_mod.eval_model(m, s)
         if not mval < 0.0:
             sigma = 2.0 * sigma
             continue
         f_new = f.f(x + s)
         rho = (fx - f_new) / (-mval)
-        if rho >= opts.eta1:
+        if rho >= _ETA1:
             x = x + s
             fx = f_new
             f_history.append(fx)
             margins.append(margin)
             g = f.grad(x)
             ginf = float(np.max(np.abs(g)))
-            if rho >= opts.eta2:
-                sigma = max(sigma / 2.0, opts.sigma_min)
+            if rho >= _ETA2:
+                sigma = max(sigma / 2.0, _SIGMA_MIN)
         else:
             sigma = 2.0 * sigma
 
@@ -377,8 +369,6 @@ def performance_profile(reports):
         best = min(row.values())
         for v in variants:
             if np.isinf(row[v]):
-                ratios[v].append(np.inf)
-            elif np.isinf(best):
                 ratios[v].append(np.inf)
             else:
                 ratios[v].append(row[v] / best)

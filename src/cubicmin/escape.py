@@ -157,7 +157,7 @@ def escape_exact(m, s_bar, direction=None):
         As escape_approx (not seen on enumerated points).
     """
     tol_grad = m.default_tol_grad()
-    if s_bar.residual > tol_grad:
+    if not s_bar.residual <= tol_grad:
         raise NotStationary(
             f"residual {s_bar.residual!r} exceeds {tol_grad!r}; use escape_approx"
         )

@@ -1,8 +1,7 @@
 """Armijo-descent local minimization of the cubic model.
 
 Finds a point with ``||grad m(s)|| <= eps`` from an arbitrary start by
-backtracked line search.  Once the residual is below
-``newton_threshold`` each iteration tries the Newton step; where the
+backtracked line search.  Each iteration tries the Newton step; where the
 Hessian H is not positive definite it tries instead the shifted Newton
 step ``-(H + delta*I)^{-1} g`` with ``delta = -2*shift`` and
 ``shift = mu_1 + sigma*||s||``.  Since H is at least ``shift*I``, the
@@ -19,29 +18,9 @@ import numpy as np
 
 from cubicmin import model as model_mod
 
-
-@dataclass(frozen=True)
-class LocalSolveOptions:
-    """Knobs for local_minimize.
-
-    ``eps_grad = None`` resolves to the model-relative default
-    ``1e-8 * (1 + ||c||)`` at solve time.
-    """
-
-    eps_grad: float = None
-    max_iters: int = 5000
-    armijo_c: float = 1e-4
-    backtrack: float = 0.5
-    newton_threshold: float = 1e-2
-    track_iterates: bool = False
-
-    def __post_init__(self):
-        if self.eps_grad is not None and not self.eps_grad > 0.0:
-            raise ValueError("eps_grad must be positive")
-        if not 0.0 < self.backtrack < 1.0:
-            raise ValueError("backtrack factor must be in (0, 1)")
-        if not 0.0 < self.armijo_c < 1.0:
-            raise ValueError("armijo_c must be in (0, 1)")
+_MAX_ITERS = 5000
+_ARMIJO_C = 1e-4
+_BACKTRACK = 0.5
 
 
 @dataclass(frozen=True)
@@ -63,7 +42,6 @@ class LocalSolveReport:
     iterations: int
     objective_trace: list
     converged: bool
-    iterates: list = field(default_factory=list)
     step_counts: dict = field(default_factory=dict)
 
 
@@ -102,14 +80,19 @@ def _shifted_newton_step(m, s, g):
     return _newton_step(m, s, g, delta=-2.0 * shift)
 
 
-def local_minimize(m, s0, opts=None):
+def local_minimize(m, s0, eps_grad=None):
     """Descend the cubic model to an approximately stationary point.
+
+    Every iterate tries the Newton step, then the shifted Newton step,
+    then the gradient step; there is no residual threshold for Newton.
 
     Parameters
     ----------
     m : CubicModel
     s0 : array_like, shape (n,)
-    opts : LocalSolveOptions, optional
+    eps_grad : float, optional
+        Positive gradient-residual target; defaults to the model's
+        ``1e-8 * (1 + ||c||)``.
 
     Returns
     -------
@@ -118,13 +101,12 @@ def local_minimize(m, s0, opts=None):
         ``eps_grad``; otherwise the best iterate found is reported with
         ``converged = False``.  Deterministic for fixed inputs.
     """
-    if opts is None:
-        opts = LocalSolveOptions()
-    eps = opts.eps_grad if opts.eps_grad is not None else m.default_tol_grad()
+    if eps_grad is not None and not eps_grad > 0.0:
+        raise ValueError("eps_grad must be positive")
+    eps = eps_grad if eps_grad is not None else m.default_tol_grad()
     s = np.array(m._check_dim(s0), dtype=float)
     f = model_mod.eval_model(m, s)
     trace = [f]
-    iterates = [s.copy()] if opts.track_iterates else []
     step0 = 1.0 / (1.0 + m.Q.max_abs + m.sigma * float(np.linalg.norm(s)))
     # Accepted gradient steps seed the next trial length, so the line
     # search does not re-pay the full backtrack on every iteration.
@@ -133,25 +115,24 @@ def local_minimize(m, s0, opts=None):
     iterations = 0
     flat_steps = 0
     step_counts = {"newton": 0, "shifted": 0, "gradient": 0}
-    for iterations in range(1, opts.max_iters + 1):
+    for iterations in range(1, _MAX_ITERS + 1):
         g = model_mod.grad(m, s)
         residual = float(np.linalg.norm(g))
         if residual <= eps:
             return LocalSolveReport(
                 s=s, residual=residual, iterations=iterations - 1,
-                objective_trace=trace, converged=True, iterates=iterates,
+                objective_trace=trace, converged=True,
                 step_counts=step_counts,
             )
 
         candidates = []
-        if residual < opts.newton_threshold:
-            d_newton = _newton_step(m, s, g)
-            if d_newton is not None:
-                candidates.append(("newton", d_newton, 1.0))
-            else:
-                d_shifted = _shifted_newton_step(m, s, g)
-                if d_shifted is not None:
-                    candidates.append(("shifted", d_shifted, 1.0))
+        d_newton = _newton_step(m, s, g)
+        if d_newton is not None:
+            candidates.append(("newton", d_newton, 1.0))
+        else:
+            d_shifted = _shifted_newton_step(m, s, g)
+            if d_shifted is not None:
+                candidates.append(("shifted", d_shifted, 1.0))
         candidates.append(("gradient", -g, t_carry))
 
         moved = False
@@ -162,7 +143,7 @@ def local_minimize(m, s0, opts=None):
             t = t0
             for _ in range(60):
                 f_new = model_mod.eval_model(m, s + t * direction)
-                if f_new <= f + opts.armijo_c * t * slope:
+                if f_new <= f + _ARMIJO_C * t * slope:
                     flat_steps = flat_steps + 1 if f_new == f else 0
                     s = s + t * direction
                     f = f_new
@@ -171,7 +152,7 @@ def local_minimize(m, s0, opts=None):
                     if kind == "gradient":
                         t_carry = 2.0 * t
                     break
-                t *= opts.backtrack
+                t *= _BACKTRACK
             if moved:
                 break
         if not moved or flat_steps >= 3:
@@ -180,8 +161,6 @@ def local_minimize(m, s0, opts=None):
             # stalled at the objective's float resolution.
             break
         trace.append(f)
-        if opts.track_iterates:
-            iterates.append(s.copy())
 
     g = model_mod.grad(m, s)
     residual = float(np.linalg.norm(g))
@@ -204,6 +183,6 @@ def local_minimize(m, s0, opts=None):
             break
     return LocalSolveReport(
         s=s, residual=residual, iterations=iterations,
-        objective_trace=trace, converged=residual <= eps, iterates=iterates,
+        objective_trace=trace, converged=residual <= eps,
         step_counts=step_counts,
     )

@@ -356,6 +356,27 @@ class TestBenchAndProfile:
         assert out.returncode == 1
         assert "missing_problem" in out.stderr
 
+    def test_profile_accepts_cell_converged_at_start(self, tmp_path):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "zero_c.json").write_text(
+            '{"n": 2, "c": [0, 0], "Q": [[1, 0], [0, 2]], "sigma": 1}\n'
+        )
+        (suite / "worked.json").write_text(
+            '{"n": 2, "c": [-2, 0], "Q": [[1, 0], [0, -3]], "sigma": 1}\n'
+        )
+        bench = tmp_path / "bench.csv"
+        out = run_cli(
+            "bench", str(suite), "--seeds", "1", "--jobs", "1", "--out", str(bench)
+        )
+        assert out.returncode == 0
+        with open(bench, newline="") as f:
+            zero = [r for r in csv.DictReader(f) if r["name"] == "zero_c.json"]
+        assert zero and all(r["iterations"] == "0" for r in zero)
+        out = run_cli("profile", str(bench))
+        assert out.returncode == 0
+        assert out.stdout.splitlines()[1] == "1,1,1"
+
     def test_profile_empty_csv_exit_1(self, tmp_path):
         src = tmp_path / "empty.csv"
         src.write_text(BENCH_HEADER + "\n")
@@ -364,6 +385,17 @@ class TestBenchAndProfile:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize(
+        "command, flag", [("escape", "--point"), ("minimize", "--x0")]
+    )
+    @pytest.mark.parametrize("value", ["inf,0", "nan,0"])
+    def test_nonfinite_vector_exit_1(self, problem_dir, command, flag, value):
+        out = run_cli(command, str(problem_dir / "worked.json"), flag, value)
+        assert out.returncode == 1
+        assert out.stderr.startswith(f"cubicmin: error: {flag}: ")
+        assert "Warning" not in out.stderr
+        assert not out.stdout
+
     def test_version_flag(self):
         out = run_cli("--version")
         assert out.returncode == 0

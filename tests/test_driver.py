@@ -138,11 +138,9 @@ class TestArcOuter:
 
     def test_option_validation(self):
         with pytest.raises(ValueError):
-            ArcOptions(eta1=0.95, eta2=0.9)
-        with pytest.raises(ValueError):
-            ArcOptions(sigma0=0.0)
-        with pytest.raises(ValueError):
             ArcOptions(tol_grad_inf=-1.0)
+        with pytest.raises(ValueError):
+            ArcOptions(max_iters=0)
 
     def test_iteration_cap_reported(self):
         rep = arc_plus_minimize(

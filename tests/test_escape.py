@@ -147,6 +147,14 @@ class TestEscapeExactCases:
         with pytest.raises(NotStationary):
             escape_exact(WORKED, p)
 
+    def test_rejects_nan_residual(self):
+        p = StationaryPoint(
+            s=WORKED_PT.s, lam=WORKED_PT.lam, objective=WORKED_PT.objective,
+            residual=float("nan"),
+        )
+        with pytest.raises(NotStationary):
+            escape_exact(WORKED, p)
+
 
 class TestEscapeApprox:
     def test_coincides_with_exact_on_stationary_input(self):

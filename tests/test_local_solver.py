@@ -7,7 +7,6 @@ from cubicmin import ArcOptions, CubicModel, arc_plus_minimize, get_problem, gra
 from cubicmin import driver
 from cubicmin import model as model_mod
 from cubicmin.local_solver import (
-    LocalSolveOptions,
     LocalSolveReport,
     _newton_step,
     _shifted_newton_step,
@@ -22,21 +21,9 @@ WORKED = CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
 
 
 class TestOptions:
-    def test_defaults(self):
-        opts = LocalSolveOptions()
-        assert opts.eps_grad is None
-        assert opts.max_iters == 5000
-        assert opts.armijo_c == 1e-4
-        assert opts.backtrack == 0.5
-        assert opts.newton_threshold == 1e-2
-
     def test_validation(self):
         with pytest.raises(ValueError):
-            local_minimize(WORKED, np.zeros(2), LocalSolveOptions(eps_grad=0.0))
-        with pytest.raises(ValueError):
-            local_minimize(WORKED, np.zeros(2), LocalSolveOptions(backtrack=1.0))
-        with pytest.raises(ValueError):
-            local_minimize(WORKED, np.zeros(2), LocalSolveOptions(armijo_c=2.0))
+            local_minimize(WORKED, np.zeros(2), eps_grad=0.0)
 
 
 class TestExamples:
@@ -45,6 +32,8 @@ class TestExamples:
         rep = local_minimize(m, np.array([3.0, -4.0]))
         assert rep.converged
         assert np.linalg.norm(rep.s) <= 1e-6
+        # Newton is tried at every iterate, so no gradient step is needed
+        assert rep.step_counts == {"newton": rep.iterations, "shifted": 0, "gradient": 0}
 
     def test_one_dimensional(self):
         m = CubicModel([1.0], [[0.0]], 1.0)
@@ -160,17 +149,16 @@ class TestStaysLocal:
     # minimizer near (0.8871, -0.0173) and the global one near
     # (-1.0915, -0.0162); the shifted step must not jump between basins.
     M = CubicModel([0.1, 0.05], np.diag([-1.0, 2.0]), 1.0)
-    OPTS = LocalSolveOptions(newton_threshold=float("inf"))
 
     @pytest.mark.parametrize("s0", [[1.0, 0.0], [0.3, 0.5]])
     def test_converges_to_local_non_global(self, s0):
-        rep = local_minimize(self.M, np.array(s0), self.OPTS)
+        rep = local_minimize(self.M, np.array(s0))
         assert rep.converged
         assert rep.s == pytest.approx([0.8871, -0.0173], abs=1e-4)
         assert is_global(self.M, rep.s).psd_margin < -0.1
 
     def test_converges_to_global(self):
-        rep = local_minimize(self.M, np.array([0.05, -1.0]), self.OPTS)
+        rep = local_minimize(self.M, np.array([0.05, -1.0]))
         assert rep.converged
         assert rep.s == pytest.approx([-1.0915, -0.0162], abs=1e-4)
         assert is_global(self.M, rep.s).is_global
@@ -183,8 +171,8 @@ class TestArcCrawl:
     def test_arc_local_solves_stay_short(self, monkeypatch, name, outer):
         reports = []
 
-        def recording(m, s0, opts=None):
-            rep = local_minimize(m, s0, opts)
+        def recording(m, s0, eps_grad=None):
+            rep = local_minimize(m, s0, eps_grad)
             reports.append(rep)
             return rep
 
@@ -202,7 +190,6 @@ class TestReportContract:
         assert isinstance(rep, LocalSolveReport)
         assert rep.iterations >= 0
         assert rep.objective_trace[0] == 0.0
-        assert rep.iterates == []
         assert set(rep.step_counts) == {"newton", "shifted", "gradient"}
         bare = LocalSolveReport(
             s=rep.s, residual=0.0, iterations=0, objective_trace=[], converged=True
@@ -216,15 +203,6 @@ class TestReportContract:
             rep = local_minimize(m, rng.uniform(-3.0, 3.0, size=m.n))
             if rep.converged:
                 assert sum(rep.step_counts.values()) == rep.iterations
-
-    def test_track_iterates(self):
-        rep = local_minimize(
-            WORKED, np.array([0.9, 0.05]), LocalSolveOptions(track_iterates=True)
-        )
-        assert len(rep.iterates) >= 1
-        assert np.array_equal(rep.iterates[0], [0.9, 0.05])
-        # the final polish may nudge s a little past the last tracked iterate
-        assert np.linalg.norm(rep.iterates[-1] - rep.s) <= 1e-6
 
     def test_deterministic(self):
         rng = np.random.default_rng(9)
@@ -240,7 +218,7 @@ class TestReportContract:
         # bottoms out near machine precision and an impossible tolerance
         # must come back as converged=False rather than an exception
         m = CubicModel([1.3], [[0.0]], 1.0)
-        rep = local_minimize(m, np.array([-0.5]), LocalSolveOptions(eps_grad=1e-300))
+        rep = local_minimize(m, np.array([-0.5]), eps_grad=1e-300)
         assert not rep.converged
         assert 0.0 < rep.residual <= 1e-10
 
@@ -277,11 +255,20 @@ class TestConsistencyWithEnumeration:
 
 class TestCoercivityGuard:
     @pytest.mark.parametrize("seed", range(60))
-    def test_iterates_stay_in_radius(self, seed):
+    def test_iterates_stay_in_radius(self, monkeypatch, seed):
         rng = np.random.default_rng(6000 + seed)
         m = random_controlled_model(rng, nmax=6)
         radius = 2.0 * (m.Q.max_abs / m.sigma + np.sqrt(m.norm_c / m.sigma) + 1.0)
         s0 = rng.uniform(-1.0, 1.0, size=m.n) * radius / 2.0
-        rep = local_minimize(m, s0, LocalSolveOptions(track_iterates=True))
-        for s in rep.iterates[10:]:
+        # the solve evaluates the gradient at s0 and at every iterate after it
+        iterates = []
+
+        def recording(model, s):
+            iterates.append(np.array(s))
+            return grad(model, s)
+
+        monkeypatch.setattr(model_mod, "grad", recording)
+        local_minimize(m, s0)
+        assert np.array_equal(iterates[0], s0)
+        for s in iterates[10:]:
             assert np.linalg.norm(s) <= radius
