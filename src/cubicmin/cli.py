@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__
 from . import escape as escape_mod
+from . import linalg
 from . import model as model_mod
 from .driver import (
     ARC,
@@ -255,7 +256,7 @@ def _cmd_stationary(args):
         rows.append(
             {
                 "lambda": float(p.lam),
-                "norm": float(np.linalg.norm(p.s)),
+                "norm": linalg.norm(p.s),
                 "objective": float(p.objective),
                 "is_global": bool(cert.is_global),
                 "s": _json_vector(p.s),

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import escape as escape_mod
+from . import linalg
 from . import model as model_mod
 from .exceptions import BoundExceeded, ConvergenceError, EmptyInput, ThresholdNotMet, ToleranceFloor
 from .local_solver import local_minimize
@@ -108,7 +109,7 @@ class ArcOptions:
 def _adaptive_eps_curv(eps_grad, s_bar):
     # Curvature threshold paired with the gradient residual; capped so
     # accepted certificates keep psd_margin >= -1e-6.
-    return min(10.0 * eps_grad / max(float(np.linalg.norm(s_bar)), 1e-8), 1e-6)
+    return min(10.0 * eps_grad / max(linalg.norm(s_bar), 1e-8), 1e-6)
 
 
 def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
@@ -180,7 +181,7 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
         if out.case_tag == escape_mod.CASE_NONE_GLOBAL:
             sol = GlobalSolution(
                 s_star=s_bar,
-                lambda_star=m.sigma * float(np.linalg.norm(s_bar)),
+                lambda_star=m.sigma * linalg.norm(s_bar),
                 objective=model_mod.eval_model(m, s_bar),
                 certificate=model_mod.is_global(m, s_bar, tol_grad=eps, tol_psd=ec),
                 hard_case=False,
@@ -204,7 +205,7 @@ def cauchy_step(m, g=None):
     if g is None:
         g = m.c
     g = np.asarray(g, dtype=float)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = linalg.norm(g)
     if gnorm == 0.0:
         return np.zeros(m.n)
     b = float(g @ (m.Q.entries @ g))
@@ -218,10 +219,10 @@ def cauchy_step(m, g=None):
 
 def _sphere_start(rng, n, sigma):
     v = rng.normal(size=n)
-    nv = float(np.linalg.norm(v))
+    nv = linalg.norm(v)
     if nv == 0.0:
         v = np.ones(n)
-        nv = float(np.linalg.norm(v))
+        nv = linalg.norm(v)
     return (min(1.0, 1.0 / sigma) / nv) * v
 
 
@@ -277,7 +278,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         iterations += 1
         sigma_history.append(sigma)
         m = CubicModel(g, f.hess(x), sigma)
-        gnorm = float(np.linalg.norm(g))
+        gnorm = linalg.norm(g)
         eps_inner = max(min(0.01, 0.1 * gnorm) * gnorm, 1e-12)
         s_c = cauchy_step(m)
         s0 = s_c if opts.cauchy_start else _sphere_start(rng, f.n, sigma)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from cubicmin import linalg
 from cubicmin import model as model_mod
 from cubicmin.exceptions import (
     NonNegativeCurvature,
@@ -88,7 +89,7 @@ def negative_curvature_direction(m, s_bar):
     """
     s_bar = m._check_dim(s_bar)
     d = m.eig.vectors[:, 0].copy()
-    curv = float(m.eig.values[0] + m.sigma * np.linalg.norm(s_bar))
+    curv = float(m.eig.values[0] + m.sigma * linalg.norm(s_bar))
     return d, curv
 
 
@@ -106,7 +107,7 @@ def alpha_threshold_biii(m, s_bar, d):
     """
     s_bar = m._check_dim(s_bar)
     d = m._check_dim(d)
-    lam = m.sigma * float(np.linalg.norm(s_bar))
+    lam = m.sigma * linalg.norm(s_bar)
     q_dd = float(d @ (m.Q.entries @ d) + lam * (d @ d))
     if q_dd >= 0.0:
         raise NonNegativeCurvature(f"d^T (Q + lam I) d = {q_dd!r} is not negative")
@@ -197,13 +198,13 @@ def _escape(m, s, m_sbar, tol, direction):
         d, curv = negative_curvature_direction(m, s)
     else:
         d = m._check_dim(direction)
-        lam = m.sigma * float(np.linalg.norm(s))
+        lam = m.sigma * linalg.norm(s)
         curv = float(d @ (m.Q.entries @ d) + lam * (d @ d)) / float(d @ d)
     if curv >= -tol.eps_curv:
         return EscapeOutcome(case_tag=CASE_NONE_GLOBAL)
     grad = model_mod.grad(m, s)
-    norm_s = float(np.linalg.norm(s))
-    norm_d = float(np.linalg.norm(d))
+    norm_s = linalg.norm(s)
+    norm_d = linalg.norm(d)
 
     if norm_s <= _zero_tol(m):
         if float(m.c @ d) > 0.0:

@@ -1,4 +1,5 @@
-"""Dense symmetric linear algebra: validated matrices and eigendecomposition.
+"""Dense linear algebra: validated symmetric matrices, their eigendecomposition
+and the Euclidean norm of vectors.
 
 Everything in this module is deterministic for a fixed input: the
 eigensolver is LAPACK's symmetric driver (through ``np.linalg.eigh``),
@@ -7,11 +8,27 @@ signs are normalized.  All returned arrays are marked read-only so values
 can be shared freely across threads.
 """
 
+import functools
+import math
+
 import numpy as np
 
 from cubicmin.exceptions import ConvergenceError
 
 _SYMMETRY_RTOL = 1e-12
+
+
+def norm(x):
+    """Euclidean norm of a float array as a Python float.
+
+    Bitwise equal to ``float(np.linalg.norm(x))``: it is NumPy's own
+    path for ``ord=None``, without the dispatch that dominates on short
+    vectors.  The ravel matters: a strided view dotted with itself takes
+    a different summation order.  Like NumPy, it returns inf, with
+    NumPy's overflow warning, when the sum of squares overflows.
+    """
+    v = x.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 def _freeze(a):
@@ -47,7 +64,7 @@ class SymmetricMatrix:
         self.entries = _freeze((a + a.T) / 2.0)
         self.n = a.shape[0]
 
-    @property
+    @functools.cached_property
     def max_abs(self):
         """Largest entry magnitude, used for relative tolerances."""
         return float(np.max(np.abs(self.entries)))

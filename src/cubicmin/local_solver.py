@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from cubicmin import linalg
 from cubicmin import model as model_mod
 
 _MAX_ITERS = 5000
@@ -74,7 +75,7 @@ def _shifted_newton_step(m, s, g):
     failed plain Newton step is left to steepest descent) or when the
     shifted factorization still fails through rounding.
     """
-    shift = float(m.eig.values[0]) + m.sigma * float(np.linalg.norm(s))
+    shift = float(m.eig.values[0]) + m.sigma * linalg.norm(s)
     if shift >= 0.0:
         return None
     return _newton_step(m, s, g, delta=-2.0 * shift)
@@ -107,7 +108,7 @@ def local_minimize(m, s0, eps_grad=None):
     s = np.array(m._check_dim(s0), dtype=float)
     f = model_mod.eval_model(m, s)
     trace = [f]
-    step0 = 1.0 / (1.0 + m.Q.max_abs + m.sigma * float(np.linalg.norm(s)))
+    step0 = 1.0 / (1.0 + m.Q.max_abs + m.sigma * linalg.norm(s))
     # Accepted gradient steps seed the next trial length, so the line
     # search does not re-pay the full backtrack on every iteration.
     t_carry = step0
@@ -117,7 +118,7 @@ def local_minimize(m, s0, eps_grad=None):
     step_counts = {"newton": 0, "shifted": 0, "gradient": 0}
     for iterations in range(1, _MAX_ITERS + 1):
         g = model_mod.grad(m, s)
-        residual = float(np.linalg.norm(g))
+        residual = linalg.norm(g)
         if residual <= eps:
             return LocalSolveReport(
                 s=s, residual=residual, iterations=iterations - 1,
@@ -163,7 +164,7 @@ def local_minimize(m, s0, eps_grad=None):
         trace.append(f)
 
     g = model_mod.grad(m, s)
-    residual = float(np.linalg.norm(g))
+    residual = linalg.norm(g)
     # Newton polish.  Near a strict minimiser the remaining decrease sits
     # below float resolution, so objective-based tests cannot certify the
     # last few steps.  Full Newton steps accepted on gradient-norm
@@ -176,7 +177,7 @@ def local_minimize(m, s0, eps_grad=None):
             break
         s_try = s + d
         g_try = model_mod.grad(m, s_try)
-        r_try = float(np.linalg.norm(g_try))
+        r_try = linalg.norm(g_try)
         if r_try < 0.5 * residual:
             s, g, residual = s_try, g_try, r_try
         else:

@@ -6,6 +6,7 @@ The model is ``m(s) = c^T s + 1/2 s^T Q s + (sigma/3) ||s||^3`` with
 addition, ``Q + lam*I`` is positive semidefinite.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,8 +27,8 @@ class CubicModel:
     sigma : float
         Regularization weight, strictly positive.
 
-    The eigendecomposition of Q is computed lazily and cached; instances
-    are immutable and safe to share across threads.
+    The eigendecomposition of Q and ``norm_c`` are computed lazily and
+    cached; instances are immutable and safe to share across threads.
     """
 
     def __init__(self, c, Q, sigma):
@@ -55,9 +56,17 @@ class CubicModel:
             self._eig = linalg.sym_eigen(self.Q)
         return self._eig
 
-    @property
+    @functools.cached_property
     def norm_c(self):
-        return float(np.linalg.norm(self.c))
+        """``||c||``, finite for every finite c.
+
+        When ``max|c|`` exceeds 1e150 the squares could overflow, so the
+        norm is taken of ``c / max|c|`` and scaled back.
+        """
+        c_max = float(np.max(np.abs(self.c)))
+        if c_max > 1e150:
+            return c_max * linalg.norm(self.c / c_max)
+        return linalg.norm(self.c)
 
     def default_tol_grad(self):
         """Default stationarity tolerance, relative to the model scale."""
@@ -97,9 +106,9 @@ class StationaryPoint:
         s.setflags(write=False)
         return cls(
             s=s,
-            lam=model.sigma * float(np.linalg.norm(s)),
+            lam=model.sigma * linalg.norm(s),
             objective=eval_model(model, s),
-            residual=float(np.linalg.norm(grad(model, s))),
+            residual=linalg.norm(grad(model, s)),
         )
 
 
@@ -122,7 +131,7 @@ class GlobalCertificate:
 def eval_model(model, s):
     """Evaluate ``m(s) = c^T s + 1/2 s^T Q s + (sigma/3) ||s||^3``."""
     s = model._check_dim(s)
-    norm_s = float(np.linalg.norm(s))
+    norm_s = linalg.norm(s)
     return float(
         model.c @ s
         + 0.5 * s @ (model.Q.entries @ s)
@@ -133,7 +142,7 @@ def eval_model(model, s):
 def grad(model, s):
     """Evaluate ``grad m(s) = c + Q s + sigma ||s|| s``."""
     s = model._check_dim(s)
-    norm_s = float(np.linalg.norm(s))
+    norm_s = linalg.norm(s)
     return model.c + model.Q.entries @ s + model.sigma * norm_s * s
 
 
@@ -145,7 +154,7 @@ def _hess_entries(model, s):
     point, and entries (i, j) and (j, i) add the same terms in the same
     order.  At ``s = 0`` it is ``Q.entries`` itself.
     """
-    norm_s = float(np.linalg.norm(s))
+    norm_s = linalg.norm(s)
     if norm_s == 0.0:
         return model.Q.entries
     return (
@@ -189,8 +198,8 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
     if not (tol_grad > 0.0 and tol_psd > 0.0):
         raise ValueError("tolerances must be positive")
     s = model._check_dim(s)
-    residual = float(np.linalg.norm(grad(model, s)))
-    psd_margin = float(model.eig.values[0] + model.sigma * np.linalg.norm(s))
+    residual = linalg.norm(grad(model, s))
+    psd_margin = float(model.eig.values[0] + model.sigma * linalg.norm(s))
     return GlobalCertificate(
         psd_margin=psd_margin,
         residual=residual,

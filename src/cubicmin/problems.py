@@ -7,6 +7,7 @@ central finite difference once at construction time.
 
 import numpy as np
 
+from . import linalg
 from .linalg import SymmetricMatrix
 from .model import CubicModel
 from . import model as model_mod
@@ -79,8 +80,8 @@ class ObjectiveFunction:
             xp[i] += h
             xm[i] -= h
             fd[i] = (self.f(xp) - self.f(xm)) / (2.0 * h)
-        scale = 1.0 + float(np.linalg.norm(g))
-        err = float(np.linalg.norm(fd - g)) / scale
+        scale = 1.0 + linalg.norm(g)
+        err = linalg.norm(fd - g) / scale
         if err > _FD_REL_TOL:
             raise ValueError(
                 f"gradient of {self.name!r} disagrees with finite differences "

@@ -15,6 +15,9 @@ most two roots and the unbounded rightmost one exactly one (when c is
 not zero); the number of distinct multipliers is at most 2(k+1) with k
 the number of distinct negative eigenvalues of Q.  The global minimizer
 carries the largest root when that root exceeds ``max(0, -mu_1)``.
+``enumerate_stationary`` searches every subinterval; ``global_minimize``
+searches only the unbounded one, which holds the largest root whenever
+c is not zero.
 """
 
 import math
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from cubicmin import linalg
 from cubicmin import model as model_mod
 from cubicmin.exceptions import (
     CertificateFailure,
@@ -53,6 +57,9 @@ class SecularProblem:
     sigma : float
     coupled : ndarray of bool
         ``|beta_i| > pole_tol``: the modes the secular equation solves.
+    coupled_beta, coupled_poles : ndarray
+        ``beta`` and ``-mu`` at the coupled modes, in eigenvalue order:
+        the terms of ``||s(lam)||`` that the root finder evaluates.
     poles : ndarray
         Sorted values ``-mu_i`` restricted to coupled indices
         (``|beta_i| > pole_tol``), each kept only when more than 1e-10
@@ -68,7 +75,9 @@ class SecularProblem:
         self.pole_tol = float(pole_tol)
         self.model = model
         self.coupled = np.abs(self.beta) > self.pole_tol
-        raw = sorted(-eig.values[self.coupled])
+        self.coupled_beta = self.beta[self.coupled]
+        self.coupled_poles = -eig.values[self.coupled]
+        raw = sorted(self.coupled_poles)
         poles = []
         for p in raw:
             if not poles or p - poles[-1] > _POLE_MERGE:
@@ -170,8 +179,8 @@ def _newton_root(sp, end, far):
     whose poles cut the subintervals.
     """
     side = 1.0 if far > end else -1.0
-    beta = sp.beta[sp.coupled]
-    poles = -sp.eig.values[sp.coupled]
+    beta = sp.coupled_beta
+    poles = sp.coupled_poles
     pole = end
     if side > 0.0:
         # A cut is the lowest of the poles merged into it; start above all.
@@ -199,12 +208,12 @@ def _newton_root(sp, end, far):
     for _ in range(_NEWTON_MAX_STEPS):
         d = shift + t
         a = beta / d
-        inv_norm = 1.0 / float(np.linalg.norm(a))
+        inv_norm = 1.0 / linalg.norm(a)
         lam = pole + t
         phi = inv_norm - sp.sigma / lam
         if phi >= 0.0:
             break
-        dphi = inv_norm**3 * float(np.sum(a * a / d)) + sp.sigma / lam**2
+        dphi = inv_norm**3 * float((a * a / d).sum()) + sp.sigma / lam**2
         if side * dphi <= 0.0:
             return None
         step = -phi / dphi
@@ -295,7 +304,7 @@ def _boundary_parts(sp, lam):
     coeff, singular = _mode_coefficients(sp, lam)
     base = sp.eig.vectors @ coeff
     radius = lam / sp.sigma
-    norm_base = float(np.linalg.norm(base))
+    norm_base = linalg.norm(base)
     if norm_base > radius + 1e-8 * (1.0 + radius):
         raise NormMismatch(
             f"boundary multiplier {lam!r}: ||V a|| = {norm_base!r} exceeds lam/sigma = {radius!r}"
@@ -322,7 +331,7 @@ def _boundary_roots(m, sp):
         if np.any(cluster & sp.coupled):
             continue
         coeff, _ = _mode_coefficients(sp, lam)
-        if float(np.linalg.norm(coeff)) > lam / sp.sigma + 1e-8 * (1.0 + lam / sp.sigma):
+        if linalg.norm(coeff) > lam / sp.sigma + 1e-8 * (1.0 + lam / sp.sigma):
             continue
         spread = _POLE_OFFSET_REL * (1.0 + lam)
         out.append(LambdaRoot(lam=lam, lo=lam - spread, hi=lam + spread, note="boundary"))
@@ -372,10 +381,13 @@ def global_minimize(m):
     """Certified global minimization of the cubic model.
 
     Finds the multiplier ``lam* >= max(0, -mu_1)`` with
-    ``||s(lam*)|| = lam*/sigma``.  When the largest secular root of
-    ``enumerate_lambda`` exceeds ``max(0, -mu_1)`` it is lam*, and s* is
-    built from its pole and offset; otherwise the model is in the hard
-    case ``lam* = max(0, -mu_1)``, and s* is the boundary point of
+    ``||s(lam*)|| = lam*/sigma``.  When c is not zero the largest
+    secular root is the only one in the unbounded subinterval above the
+    largest pole, and every pole is at most ``max(0, -mu_1)``, so one
+    Newton search there finds the only root that can be lam*.  When that
+    root exceeds ``max(0, -mu_1)`` it is lam*, and s* is built from its
+    pole and offset; otherwise the model is in the hard case
+    ``lam* = max(0, -mu_1)``, and s* is the boundary point of
     ``_boundary_parts`` there (s* = 0 when also lam* = 0 and c = 0).  The
     two-part certificate (stationarity plus positive semidefiniteness of
     ``Q + lam* I``) is verified before returning.
@@ -393,9 +405,10 @@ def global_minimize(m):
     trace = []
     sp = SecularProblem.from_model(m)
     lam_star = max(0.0, -float(m.eig.values[0]))
-    roots = enumerate_lambda(sp)
-    if roots and roots[-1].offset > lam_star - roots[-1].pole:
-        root = roots[-1]
+    root = None
+    if np.any(sp.coupled):
+        root = _newton_root(sp, subintervals(sp)[-1][0], math.inf)
+    if root is not None and root.offset > lam_star - root.pole:
         trace.append(
             f"largest secular root lam = {root.lam!r} "
             f"(pole {root.pole!r} + offset {root.offset!r})"
@@ -415,7 +428,7 @@ def global_minimize(m):
 def _finish_global(m, s_star, hard, trace):
     cert = model_mod.is_global(m, s_star)
     if not cert.is_global:
-        floor = _EPS * (m.norm_c + m.Q.max_abs * float(np.linalg.norm(s_star)))
+        floor = _EPS * (m.norm_c + m.Q.max_abs * linalg.norm(s_star))
         raise CertificateFailure(
             f"certificate failed: residual = {cert.residual!r} (tol {cert.tol_grad!r}, "
             f"double-precision floor {floor!r}), "
@@ -425,7 +438,7 @@ def _finish_global(m, s_star, hard, trace):
     s_star.setflags(write=False)
     return GlobalSolution(
         s_star=s_star,
-        lambda_star=m.sigma * float(np.linalg.norm(s_star)),
+        lambda_star=m.sigma * linalg.norm(s_star),
         objective=model_mod.eval_model(m, s_star),
         certificate=cert,
         hard_case=hard,

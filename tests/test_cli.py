@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -85,6 +86,23 @@ class TestSolve:
         assert "objective" in out.stdout
         assert "certificate" in out.stdout
         assert "\x1b" not in out.stdout
+
+    def test_overflowing_load_certifies_minimizer(self, tmp_path):
+        # ||c||^2 overflows; any warning in the child is an error.
+        path = tmp_path / "big.json"
+        path.write_text(
+            '{"n": 2, "c": [1e200, 0.0], "Q": [[1.0, 0.0], [0.0, 2.0]], "sigma": 1.0}\n'
+        )
+        out = run_cli(
+            "solve", str(path), "--method", "secular", "--format", "structured",
+            env={**os.environ, "PYTHONWARNINGS": "error"},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+        rec = json.loads(out.stdout)
+        assert math.isfinite(rec["residual"])
+        assert rec["is_global"] is True
+        assert rec["solution"] == pytest.approx([-1e100, 0.0], rel=1e-12)
 
     def test_out_flag_writes_file(self, problem_dir, tmp_path):
         dest = tmp_path / "result.json"

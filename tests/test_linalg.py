@@ -5,7 +5,7 @@ import pytest
 
 from cubicmin import CubicModel, kernel_backend
 from cubicmin.exceptions import ConvergenceError, PoleEvaluation
-from cubicmin.linalg import EigenDecomposition, SymmetricMatrix, sym_eigen
+from cubicmin.linalg import EigenDecomposition, SymmetricMatrix, norm, sym_eigen
 from cubicmin.stationary import SecularProblem, _mode_coefficients
 
 
@@ -221,6 +221,27 @@ class TestPseudoSolveShifted:
         x, null = _solve_shifted(np.diag([2.0, 5.0]), 1.0, [3.0, 6.0])
         assert np.allclose(x, [1.0, 1.0], atol=1e-12)
         assert null == []
+
+
+class TestNorm:
+    """``linalg.norm`` is bitwise ``float(np.linalg.norm(x))``."""
+
+    @pytest.mark.parametrize("scale", [1e-5, 1e-2, 1.0, 1e2, 1e5])
+    def test_bitwise_equal_to_numpy(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 10)
+        for n in range(1, 201):
+            x = scale * rng.normal(size=n)
+            # A column of a C-ordered matrix is a strided view.
+            column = (scale * rng.normal(size=(n, 3)))[:, 1]
+            for v in (x, column):
+                got = norm(v)
+                assert type(got) is float
+                assert got.hex() == float(np.linalg.norm(v)).hex(), (n, v.strides)
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 200])
+    def test_zero_vector(self, n):
+        for v in (np.zeros(n), np.zeros((n, 2))[:, 0]):
+            assert norm(v).hex() == float(np.linalg.norm(v)).hex() == "0x0.0p+0"
 
 
 def test_eigendecomposition_repr_mentions_n():

@@ -1,9 +1,11 @@
 """Cubic model evaluation, derivatives, and the global certificate."""
 
+import math
+
 import numpy as np
 import pytest
 
-from cubicmin import CubicModel, SymmetricMatrix, eval_model, grad, hess, is_global
+from cubicmin import CubicModel, SymmetricMatrix, eval_model, global_minimize, grad, hess, is_global
 from cubicmin.model import GlobalCertificate, StationaryPoint, _hess_entries
 
 from .helpers import np_eval, np_grad, random_model
@@ -191,3 +193,28 @@ class TestIsGlobal:
         assert cert.is_global
         with pytest.raises(ValueError):
             is_global(WORKED, np.zeros(2), tol_grad=-1.0)
+
+
+class TestOverflowingLoad:
+    """A finite c whose squared norm overflows: c = (1e200, 0)."""
+
+    BIG = CubicModel([1e200, 0.0], np.diag([1.0, 2.0]), 1.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e200, 1e300])
+    def test_norm_c_finite(self, scale):
+        m = CubicModel([3.0 * scale, -4.0 * scale], np.eye(2), 1.0)
+        assert m.norm_c == pytest.approx(5.0 * scale, rel=1e-15)
+
+    def test_origin_is_not_global(self):
+        # The residual at 0 is ||c||, whose squares overflow to inf.
+        with np.errstate(over="ignore"):
+            cert = is_global(self.BIG, np.zeros(2))
+        assert cert.tol_grad == 1e-8 * (1.0 + 1e200)
+        assert not cert.is_global
+
+    def test_global_minimizer_certified(self):
+        sol = global_minimize(self.BIG)
+        assert sol.s_star == pytest.approx([-1e100, 0.0], rel=1e-12)
+        assert math.isfinite(sol.certificate.residual)
+        assert sol.certificate.is_global
+        assert not sol.hard_case

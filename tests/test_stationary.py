@@ -6,11 +6,14 @@ import re
 import numpy as np
 import pytest
 
-from cubicmin import CubicModel, eval_model, is_global
-from cubicmin.exceptions import CertificateFailure, NormMismatch, PoleEvaluation
+from cubicmin import CubicModel, eval_model, is_global, stationary
+from cubicmin.exceptions import CertificateFailure, CubicminError, NormMismatch, PoleEvaluation
 from cubicmin.stationary import (
     LambdaRoot,
     SecularProblem,
+    _boundary_parts,
+    _finish_global,
+    _mode_coefficients,
     count_bound,
     enumerate_lambda,
     enumerate_stationary,
@@ -245,6 +248,85 @@ class TestGlobalMinimize:
             if pts:
                 best = min(p.objective for p in pts)
                 assert sol.objective <= best + 1e-7 * (1.0 + abs(best))
+
+
+def _reference_global(m):
+    """global_minimize read off the largest root of the full enumeration."""
+    sp = SecularProblem.from_model(m)
+    lam_star = max(0.0, -float(m.eig.values[0]))
+    roots = enumerate_lambda(sp)
+    if roots and roots[-1].offset > lam_star - roots[-1].pole:
+        coeff, _ = _mode_coefficients(sp, roots[-1].pole, roots[-1].offset)
+        return _finish_global(m, sp.eig.vectors @ coeff, False, [])
+    if lam_star == 0.0 and not np.any(sp.coupled):
+        return _finish_global(m, np.zeros(m.n), False, [])
+    base, free = _boundary_parts(sp, lam_star)
+    return _finish_global(m, base + free, True, [])
+
+
+def _outcome(solve, m):
+    try:
+        sol = solve(m)
+    except CubicminError as exc:
+        return type(exc).__name__
+    return sol.lambda_star, sol.s_star.tobytes(), sol.hard_case
+
+
+def _class_model(rng, cls, n):
+    """generic, hard (beta_1 = 0), near_hard (beta_1 = 1e-9) or zero_c."""
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    mu = np.sort(rng.uniform(-5.0, 5.0, size=n))
+    beta = rng.normal(size=n)
+    sigma = float(10.0 ** rng.uniform(-1.0, 1.0))
+    if cls in ("hard", "near_hard"):
+        mu[0] = min(mu[0], -0.1)
+        beta[0] = 0.0 if cls == "hard" else 1e-9
+        # Small enough sigma that the hard case binds.
+        free = float(np.linalg.norm(beta[1:] / (mu[1:] - mu[0]))) if n > 1 else 0.0
+        sigma = 0.5 * -mu[0] / max(free, 1e-12)
+    elif cls == "zero_c":
+        beta[:] = 0.0
+    q = (v * mu) @ v.T
+    return CubicModel(v @ beta, (q + q.T) / 2.0, sigma)
+
+
+class TestSingleRootSearch:
+    """global_minimize searches only the subinterval above the last pole."""
+
+    def test_one_newton_search(self, monkeypatch):
+        calls = []
+        real = stationary._newton_root
+
+        def counting(sp, end, far):
+            calls.append((end, far))
+            return real(sp, end, far)
+
+        monkeypatch.setattr(stationary, "_newton_root", counting)
+        m = CubicModel([1.0, 1.0, 1.0], np.diag([-3.0, -1.0, 2.0]), 1.0)
+        global_minimize(m)
+        assert calls == [(3.0, math.inf)]
+        calls.clear()
+        enumerate_lambda(_sp(m))
+        assert len(calls) > 1
+        for q in ([[-1.0, 0.0], [0.0, 2.0]], np.eye(2)):
+            calls.clear()
+            global_minimize(CubicModel([0.0, 0.0], q, 1.0))
+            assert calls == []
+
+    def test_matches_largest_enumerated_root(self):
+        rng = np.random.default_rng(909)
+        seen = set()
+        bounded = 0
+        for i in range(520):
+            cls = ("generic", "hard", "near_hard", "zero_c")[i % 4]
+            m = _class_model(rng, cls, 1 + (i // 4) % 8)
+            want = _outcome(_reference_global, m)
+            assert _outcome(global_minimize, m) == want, (i, cls)
+            seen.add(want if isinstance(want, str) else ("hard_case", want[2]))
+            bounded += len(enumerate_lambda(_sp(m))) > 1
+        # Both branches ran, and roots below the last pole were skipped.
+        assert {("hard_case", True), ("hard_case", False)} <= seen
+        assert bounded > 50
 
 
 # Near-hard, badly scaled and tiny-sigma models: (c, diag(Q), sigma).
