@@ -33,7 +33,7 @@ from .driver import (
 from .exceptions import CubicminError, EmptyInput, SchemaError
 from .model import CubicModel, StationaryPoint
 from .problem_io import load_problem
-from .problems import DEFAULT_SUITE, cubic_objective, get_problem
+from .problems import DEFAULT_SUITE, available_problems, cubic_objective, get_problem
 from .stationary import count_bound, enumerate_stationary, global_minimize
 
 __all__ = ["main"]
@@ -418,8 +418,6 @@ def _suite_members(suite):
     names = [s.strip() for s in suite.split(",") if s.strip()]
     if not names:
         raise EmptyInput("empty suite specification")
-    from .problems import available_problems
-
     registered = set(available_problems())
     for name in names:
         if name not in registered and not os.path.exists(name):
@@ -550,10 +548,7 @@ def main(argv=None):
     args = parser.parse_args(_fuse_negative_vectors(list(argv)))
     try:
         return _COMMANDS[args.command](args)
-    except SchemaError as exc:
-        print(f"cubicmin: error: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, EmptyInput) as exc:
+    except (SchemaError, OSError, EmptyInput) as exc:
         print(f"cubicmin: error: {exc}", file=sys.stderr)
         return 1
     except CubicminError as exc:

@@ -10,7 +10,8 @@ class CubicminError(Exception):
 
 
 class ConvergenceError(CubicminError):
-    """An iterative kernel failed to converge within its iteration cap."""
+    """An iterative kernel failed to converge: it hit its iteration cap or
+    left double range."""
 
 
 class PoleEvaluation(CubicminError):

@@ -1,11 +1,16 @@
 """Dense linear algebra: validated symmetric matrices, their eigendecomposition
 and the Euclidean norm of vectors.
 
-Everything in this module is deterministic for a fixed input: the
-eigensolver is LAPACK's symmetric driver (through ``np.linalg.eigh``),
-which returns eigenvalues ascending in a fixed order, and eigenvector
-signs are normalized.  All returned arrays are marked read-only so values
-can be shared freely across threads.
+The eigensolver is the package's only LAPACK routine: LAPACK's symmetric
+driver through ``np.linalg.eigh``.  Every other solve works in the
+eigenbasis it returns; the local solver's Newton and shifted Newton
+steps are rank-one (Sherman-Morrison) solves on it, with no
+factorization per step.
+
+Everything in this module is deterministic for a fixed input: ``eigh``
+returns eigenvalues ascending in a fixed order, and eigenvector signs
+are normalized.  All returned arrays are marked read-only so values can
+be shared freely across threads.
 """
 
 import functools
@@ -31,6 +36,20 @@ def norm(x):
     return math.sqrt(v.dot(v))
 
 
+def safe_norm(x):
+    """Euclidean norm of a float vector, finite for every finite x.
+
+    When ``max|x|`` exceeds 1e150 the squares could overflow, so the norm
+    is taken of ``x / max|x|`` and scaled back; otherwise it is ``norm(x)``
+    bitwise.  For loads and residuals, not for hot loops.
+    """
+    # On short vectors a Python max is several times faster than NumPy's.
+    x_max = max(map(abs, x.tolist()))
+    if x_max > 1e150:
+        return x_max * norm(x / x_max)
+    return norm(x)
+
+
 def _freeze(a):
     a.setflags(write=False)
     return a
@@ -43,7 +62,8 @@ class SymmetricMatrix:
     ----------
     entries : array_like
         Square matrix with ``|a_ij - a_ji| <= 1e-12 * (1 + |a_ij|)``.
-        Stored symmetrized as ``(A + A^T) / 2`` and marked read-only.
+        Stored symmetrized as ``A/2 + A^T/2``, which cannot overflow, and
+        marked read-only.
     """
 
     def __init__(self, entries):
@@ -54,14 +74,16 @@ class SymmetricMatrix:
             raise ValueError("matrix dimension must be at least 1")
         if not np.all(np.isfinite(a)):
             raise ValueError("matrix entries must be finite")
-        gap = np.abs(a - a.T) - _SYMMETRY_RTOL * (1.0 + np.abs(a))
+        # Halves throughout: a - a.T could overflow, half - half.T cannot.
+        half = 0.5 * a
+        gap = np.abs(half - half.T) - (0.5 * _SYMMETRY_RTOL) * (1.0 + np.abs(a))
         if np.any(gap > 0):
             i, j = np.unravel_index(np.argmax(gap), a.shape)
             raise ValueError(
-                f"entry ({i},{j}) = {a[i, j]!r} differs from ({j},{i}) = "
-                f"{a[j, i]!r} beyond the symmetry tolerance"
+                f"entry ({i},{j}) = {float(a[i, j])!r} differs from ({j},{i}) = "
+                f"{float(a[j, i])!r} beyond the symmetry tolerance"
             )
-        self.entries = _freeze((a + a.T) / 2.0)
+        self.entries = _freeze(half + half.T)
         self.n = a.shape[0]
 
     @functools.cached_property

@@ -5,8 +5,11 @@ backtracked line search.  Each iteration tries the Newton step; where the
 Hessian H is not positive definite it tries instead the shifted Newton
 step ``-(H + delta*I)^{-1} g`` with ``delta = -2*shift`` and
 ``shift = mu_1 + sigma*||s||``.  Since H is at least ``shift*I``, the
-shifted matrix is at least ``|shift|*I`` and factors whenever ``shift``
-is negative.  The steepest-descent step is the fallback.  Every step
+shifted matrix is at least ``|shift|*I``, positive definite whenever
+``shift`` is negative.  Both Newton steps are rank-one solves in Q's
+eigenbasis, ``H = V (diag(mu + sigma*||s||) + (sigma/||s||) u u^T) V^T``
+with ``u = V^T s``, on the model's cached eigendecomposition: nothing is
+factored per step.  The steepest-descent step is the fallback.  Every step
 passes the same Armijo test, so the solve stays a local descent method.
 The model is coercive (sigma > 0), so descent sequences stay bounded; a
 run that exhausts its iteration budget reports rather than raises.
@@ -22,6 +25,8 @@ from cubicmin import model as model_mod
 _MAX_ITERS = 5000
 _ARMIJO_C = 1e-4
 _BACKTRACK = 0.5
+# Relative distance from 0 at which a Newton matrix counts as singular.
+_PD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -46,39 +51,41 @@ class LocalSolveReport:
     step_counts: dict = field(default_factory=dict)
 
 
-def _newton_step(m, s, g, delta=0.0):
-    """Newton direction from one Cholesky factorization of ``H + delta*I``.
+def _newton_step(m, s, g, shifted=False):
+    """Newton direction ``-(H + delta*I)^{-1} g`` in Q's eigenbasis, or None.
 
-    Returns None when that matrix is not numerically positive definite,
-    i.e. LAPACK's factorization meets a non-positive pivot.  The plain
-    Newton step factors H unshifted (``delta = 0``): a small positive
-    delta would let a singular positive semidefinite Hessian factor and
-    return a step of order ``||g||/delta``.
+    ``H + delta*I = V (diag(D) + rho*u*u^T) V^T`` with ``D = mu +
+    sigma*||s|| + delta``, ``u = V^T s`` and ``rho = sigma/||s||`` (0 at
+    s = 0): a diagonal solve plus a Sherman-Morrison correction.  The plain
+    step (``delta = 0``) returns None unless the matrix is positive
+    definite, which by interlacing means every D_i is positive, or only
+    D_1 is negative and ``1 + rho*u^T D^{-1} u`` is negative; a D_i or
+    that denominator within a relative tolerance of 0 also gives None, so
+    a singular positive semidefinite H yields no step.  The shifted step
+    has ``delta = -2*shift``, ``shift = D_1 = mu_1 + sigma*||s||``; it is
+    None when ``shift >= 0`` and otherwise every D_i is at least
+    ``|shift|``.
     """
-    H = model_mod._hess_entries(m, s)
-    if delta:
-        H = H + delta * np.eye(m.n)
-    try:
-        L = np.linalg.cholesky(H)
-    except np.linalg.LinAlgError:
+    norm_s = linalg.norm(s)
+    d = m.eig.values + m.sigma * norm_s
+    if shifted:
+        if d[0] >= 0.0:
+            return None
+        d = d - 2.0 * d[0]
+    elif np.count_nonzero(d < 0.0) > 1:
         return None
-    return np.linalg.solve(L.T, np.linalg.solve(L, -g))
-
-
-def _shifted_newton_step(m, s, g):
-    """Newton direction on the Hessian shifted past its negative curvature.
-
-    With ``shift = mu_1 + sigma*||s||`` (mu_1 the smallest eigenvalue of
-    Q), ``H = Q + sigma*||s||*I + sigma*s*s^T/||s||`` is at least
-    ``shift*I``, so ``H - 2*shift*I`` is at least ``|shift|*I``.  Returns
-    None when ``shift >= 0`` (H is then positive semidefinite, and a
-    failed plain Newton step is left to steepest descent) or when the
-    shifted factorization still fails through rounding.
-    """
-    shift = float(m.eig.values[0]) + m.sigma * linalg.norm(s)
-    if shift >= 0.0:
+    elif np.abs(d).min() <= _PD_RTOL * (np.abs(d).max() + m.sigma * norm_s):
         return None
-    return _newton_step(m, s, g, delta=-2.0 * shift)
+    V = m.eig.vectors
+    u = V.T @ s
+    du = u / d
+    dh = (V.T @ g) / d
+    rho = m.sigma / norm_s if norm_s else 0.0
+    terms = rho * u * du
+    denom = 1.0 + float(terms.sum())
+    if d[0] < 0.0 and not denom < -_PD_RTOL * (1.0 + float(np.abs(terms).sum())):
+        return None
+    return -(V @ (dh - (rho * float(u @ dh) / denom) * du))
 
 
 def local_minimize(m, s0, eps_grad=None):
@@ -131,7 +138,7 @@ def local_minimize(m, s0, eps_grad=None):
         if d_newton is not None:
             candidates.append(("newton", d_newton, 1.0))
         else:
-            d_shifted = _shifted_newton_step(m, s, g)
+            d_shifted = _newton_step(m, s, g, shifted=True)
             if d_shifted is not None:
                 candidates.append(("shifted", d_shifted, 1.0))
         candidates.append(("gradient", -g, t_carry))

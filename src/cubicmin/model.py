@@ -58,15 +58,8 @@ class CubicModel:
 
     @functools.cached_property
     def norm_c(self):
-        """``||c||``, finite for every finite c.
-
-        When ``max|c|`` exceeds 1e150 the squares could overflow, so the
-        norm is taken of ``c / max|c|`` and scaled back.
-        """
-        c_max = float(np.max(np.abs(self.c)))
-        if c_max > 1e150:
-            return c_max * linalg.norm(self.c / c_max)
-        return linalg.norm(self.c)
+        """``||c||``, finite for every finite c (``linalg.safe_norm``)."""
+        return linalg.safe_norm(self.c)
 
     def default_tol_grad(self):
         """Default stationarity tolerance, relative to the model scale."""
@@ -108,7 +101,7 @@ class StationaryPoint:
             s=s,
             lam=model.sigma * linalg.norm(s),
             objective=eval_model(model, s),
-            residual=linalg.norm(grad(model, s)),
+            residual=linalg.safe_norm(grad(model, s)),
         )
 
 
@@ -146,34 +139,21 @@ def grad(model, s):
     return model.c + model.Q.entries @ s + model.sigma * norm_s * s
 
 
-def _hess_entries(model, s):
-    """The entries of ``hess m(s)`` as a plain array, for internal callers.
-
-    ``s`` must already have the model's dimension.  The result is exactly
-    symmetric: Q is stored symmetric, ``s_i s_j == s_j s_i`` in floating
-    point, and entries (i, j) and (j, i) add the same terms in the same
-    order.  At ``s = 0`` it is ``Q.entries`` itself.
-    """
-    norm_s = linalg.norm(s)
-    if norm_s == 0.0:
-        return model.Q.entries
-    return (
-        model.Q.entries
-        + model.sigma * norm_s * np.eye(model.n)
-        + (model.sigma / norm_s) * np.outer(s, s)
-    )
-
-
 def hess(model, s):
     """Evaluate ``hess m(s) = Q + sigma ||s|| I + sigma s s^T / ||s||``.
 
     At ``s = 0`` the rank-one and shift terms vanish in the limit, so the
     Hessian is Q itself.
     """
-    h = _hess_entries(model, model._check_dim(s))
-    if h is model.Q.entries:
+    s = model._check_dim(s)
+    norm_s = linalg.norm(s)
+    if norm_s == 0.0:
         return model.Q
-    return SymmetricMatrix(h)
+    return SymmetricMatrix(
+        model.Q.entries
+        + model.sigma * norm_s * np.eye(model.n)
+        + (model.sigma / norm_s) * np.outer(s, s)
+    )
 
 
 def is_global(model, s, tol_grad=None, tol_psd=None):
@@ -198,7 +178,7 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
     if not (tol_grad > 0.0 and tol_psd > 0.0):
         raise ValueError("tolerances must be positive")
     s = model._check_dim(s)
-    residual = linalg.norm(grad(model, s))
+    residual = linalg.safe_norm(grad(model, s))
     psd_margin = float(model.eig.values[0] + model.sigma * linalg.norm(s))
     return GlobalCertificate(
         psd_margin=psd_margin,

@@ -93,8 +93,10 @@ def parse_problem(data):
     q = np.empty((n, n))
     for i, row in enumerate(q_rows):
         q[i] = _require_vector(row, f"Q[{i}]", n)
-    gap = np.abs(q - q.T)
-    bound = _SYM_RTOL * (1.0 + np.maximum(np.abs(q), np.abs(q.T)))
+    # Halves throughout: q - q.T could overflow, half - half.T cannot.
+    half = 0.5 * q
+    gap = np.abs(half - half.T)
+    bound = (0.5 * _SYM_RTOL) * (1.0 + np.maximum(np.abs(q), np.abs(q.T)))
     asymmetric = np.argwhere(np.triu(gap > bound, 1))
     if asymmetric.size:
         # argwhere lists hits in row-major order: the first is the first pair.
@@ -114,7 +116,7 @@ def parse_problem(data):
     if name is not None and not isinstance(name, str):
         raise SchemaError("name", f"expected a string, got {type(name).__name__}")
 
-    return CubicModel(c, (q + q.T) / 2.0, sigma), name
+    return CubicModel(c, half + half.T, sigma), name
 
 
 def load_problem(path):

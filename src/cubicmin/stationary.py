@@ -29,6 +29,7 @@ from cubicmin import linalg
 from cubicmin import model as model_mod
 from cubicmin.exceptions import (
     CertificateFailure,
+    ConvergenceError,
     NormMismatch,
     PoleEvaluation,
 )
@@ -205,25 +206,34 @@ def _newton_root(sp, end, far):
     # monotonically away from the end toward the nearest root, and proves
     # the subinterval rootless once phi' turns back toward the end or the
     # tangent's zero leaves the subinterval.
-    for _ in range(_NEWTON_MAX_STEPS):
-        d = shift + t
-        a = beta / d
-        inv_norm = 1.0 / linalg.norm(a)
-        lam = pole + t
-        phi = inv_norm - sp.sigma / lam
-        if phi >= 0.0:
-            break
-        dphi = inv_norm**3 * float((a * a / d).sum()) + sp.sigma / lam**2
-        if side * dphi <= 0.0:
+    # The Python float arithmetic raises where the iteration leaves double
+    # range: 1/||s||**3 overflows once ||s|| is below about 2e-103, and
+    # ||s|| or lam**2 underflows to 0 further down (Q = [[1e200]], c = [1]
+    # has s* = -1e-200).  The catch costs nothing per step.
+    try:
+        for _ in range(_NEWTON_MAX_STEPS):
+            d = shift + t
+            a = beta / d
+            inv_norm = 1.0 / linalg.norm(a)
+            lam = pole + t
+            phi = inv_norm - sp.sigma / lam
+            if phi >= 0.0:
+                break
+            dphi = inv_norm**3 * float((a * a / d).sum()) + sp.sigma / lam**2
+            if side * dphi <= 0.0:
+                return None
+            step = -phi / dphi
+            if side * (t + step) >= width:
+                return None
+            t += step
+            if abs(step) <= _NEWTON_STEP_RTOL * abs(t):
+                break
+        else:
             return None
-        step = -phi / dphi
-        if side * (t + step) >= width:
-            return None
-        t += step
-        if abs(step) <= _NEWTON_STEP_RTOL * abs(t):
-            break
-    else:
-        return None
+    except (ZeroDivisionError, OverflowError):
+        raise ConvergenceError(
+            f"secular Newton iteration left double range near lam = {pole + t!r}"
+        ) from None
     return LambdaRoot(lam=pole + t, lo=min(end, far), hi=max(end, far), pole=pole, offset=t)
 
 

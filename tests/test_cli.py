@@ -104,6 +104,33 @@ class TestSolve:
         assert rec["is_global"] is True
         assert rec["solution"] == pytest.approx([-1e100, 0.0], rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "q, c",
+        [
+            ("[[1e200]]", "[1.0]"),
+            ("[[1e308]]", "[1.0]"),
+            ("[[1e200, 0.0], [0.0, 3e200]]", "[1.0, 2.0]"),
+        ],
+    )
+    def test_extreme_scale_exits_cleanly(self, tmp_path, q, c):
+        # Minimizers near 1e-200: certified (0) or a solver error (2), with
+        # no traceback; any warning in the child is an error.
+        path = tmp_path / "extreme.json"
+        n = len(json.loads(c))
+        path.write_text(f'{{"n": {n}, "c": {c}, "Q": {q}, "sigma": 1.0}}\n')
+        out = run_cli(
+            "solve", str(path), "--format", "structured",
+            env={**os.environ, "PYTHONWARNINGS": "error"},
+        )
+        assert out.returncode in (0, 2), out.stderr
+        if out.returncode == 0:
+            assert out.stderr == ""
+            assert json.loads(out.stdout)["is_global"] is True
+        else:
+            assert out.stdout == ""
+            assert out.stderr.startswith("cubicmin: solver error: ConvergenceError: ")
+            assert out.stderr.count("\n") == 1
+
     def test_out_flag_writes_file(self, problem_dir, tmp_path):
         dest = tmp_path / "result.json"
         out = run_cli(

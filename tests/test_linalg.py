@@ -5,7 +5,7 @@ import pytest
 
 from cubicmin import CubicModel, kernel_backend
 from cubicmin.exceptions import ConvergenceError, PoleEvaluation
-from cubicmin.linalg import EigenDecomposition, SymmetricMatrix, norm, sym_eigen
+from cubicmin.linalg import EigenDecomposition, SymmetricMatrix, norm, safe_norm, sym_eigen
 from cubicmin.stationary import SecularProblem, _mode_coefficients
 
 
@@ -82,6 +82,29 @@ class TestSymmetricMatrix:
 
     def test_max_abs(self):
         assert SymmetricMatrix([[1.0, -7.0], [-7.0, 3.0]]).max_abs == 7.0
+
+    @pytest.mark.parametrize("scale", [1e-100, 1e-5, 1.0, 1e5, 1e100, 1e300])
+    def test_symmetrization_bitwise_equal_to_mean(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 400)
+        for n in range(1, 13):
+            a = scale * rng.normal(size=(n, n))
+            a = a + a.T
+            a = a * (1.0 + 1e-14 * rng.uniform(-1.0, 1.0, size=(n, n)))
+            got = SymmetricMatrix(a).entries
+            mean = (a + a.T) / 2.0
+            assert [x.hex() for x in got.ravel()] == [x.hex() for x in mean.ravel()]
+            assert np.array_equal(got, got.T)
+
+    @pytest.mark.parametrize("big", [1e200, 1e308, np.finfo(float).max])
+    def test_entries_near_float_limit(self, big):
+        a = SymmetricMatrix([[big, -big], [-big, big]])
+        assert np.array_equal(a.entries, [[big, -big], [-big, big]])
+        assert a.max_abs == big
+
+    def test_asymmetric_pair_near_float_limit(self):
+        # a - a.T overflows here; any warning is an error in this suite.
+        with pytest.raises(ValueError, match=r"entry \(0,1\) = 1e\+308 differs"):
+            SymmetricMatrix([[0.0, 1e308], [-1e308, 0.0]])
 
 
 class TestSymEigen:
@@ -242,6 +265,24 @@ class TestNorm:
     def test_zero_vector(self, n):
         for v in (np.zeros(n), np.zeros((n, 2))[:, 0]):
             assert norm(v).hex() == float(np.linalg.norm(v)).hex() == "0x0.0p+0"
+
+
+class TestSafeNorm:
+    @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5, 1e150])
+    def test_bitwise_equal_to_norm_in_range(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)) + 20)
+        for n in range(1, 50):
+            x = scale * rng.normal(size=n)
+            x = x * (scale / np.max(np.abs(x)))
+            assert safe_norm(x).hex() == norm(x).hex()
+
+    @pytest.mark.parametrize("scale", [1e151, 1e200, 1e300, np.finfo(float).max])
+    def test_finite_where_squares_overflow(self, scale):
+        x = np.array([0.6, -0.8, 0.0]) * scale
+        assert safe_norm(x) == pytest.approx(scale, rel=1e-15)
+
+    def test_zero_vector(self):
+        assert safe_norm(np.zeros(3)) == 0.0
 
 
 def test_eigendecomposition_repr_mentions_n():

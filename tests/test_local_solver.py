@@ -6,12 +6,7 @@ import pytest
 from cubicmin import ArcOptions, CubicModel, arc_plus_minimize, get_problem, grad
 from cubicmin import driver
 from cubicmin import model as model_mod
-from cubicmin.local_solver import (
-    LocalSolveReport,
-    _newton_step,
-    _shifted_newton_step,
-    local_minimize,
-)
+from cubicmin.local_solver import LocalSolveReport, _newton_step, local_minimize
 from cubicmin.model import hess, is_global
 from cubicmin.stationary import enumerate_stationary
 
@@ -93,6 +88,29 @@ class TestNewtonStep:
         ref = np.linalg.solve(q + 1e-12 * np.eye(n), -g)
         assert np.max(np.abs(d - ref)) <= 1e-10 * (1.0 + np.linalg.norm(g))
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_dense_solve_away_from_origin(self, seed):
+        rng = np.random.default_rng(9200 + seed)
+        m = random_controlled_model(rng, nmax=12)
+        s = rng.normal(size=m.n) * rng.uniform(0.1, 3.0)
+        g = grad(m, s)
+        H = hess(m, s).entries
+        lo = np.linalg.eigvalsh(H)[0]
+        d = _newton_step(m, s, g)
+        if lo > 1e-6 * np.max(np.abs(H)):
+            assert d is not None
+            ref = np.linalg.solve(H, -g)
+            assert np.max(np.abs(d - ref)) <= 1e-9 * (1.0 + np.linalg.norm(ref))
+        elif lo < 0.0:
+            assert d is None
+        shift = m.eig.values[0] + m.sigma * np.linalg.norm(s)
+        d = _newton_step(m, s, g, shifted=True)
+        if shift >= 0.0:
+            assert d is None
+        else:
+            ref = np.linalg.solve(H - 2.0 * shift * np.eye(m.n), -g)
+            assert np.max(np.abs(d - ref)) <= 1e-9 * (1.0 + np.linalg.norm(ref))
+
     def test_local_solve_builds_no_validated_hessian(self, monkeypatch):
         m = random_controlled_model(np.random.default_rng(17), nmax=8)
         m.eig  # the cached eigendecomposition is built before the patch
@@ -104,6 +122,64 @@ class TestNewtonStep:
         report = local_minimize(m, np.ones(m.n))
         assert report.converged
         assert report.step_counts["newton"] + report.step_counts["shifted"] > 0
+
+
+class TestPositiveDefiniteBoundary:
+    """The closed-form test against eigvalsh of the dense Newton matrix.
+
+    With ``Q = R diag(-3, 1) R^T`` for a rotation R, ``sigma = 1`` and
+    ``s = r R e_1``, H has eigenvalues ``-3 + 2r`` and ``1 + r``; in the
+    eigenbasis ``D = (r - 3, r + 1)`` and the Sherman-Morrison denominator
+    is ``(2r - 3)/(r - 3)``.  So for ``1.5 < r < 3`` only D_1 is negative,
+    with the denominator below 0 (H positive definite); for ``r < 1.5``
+    above 0 (H indefinite); at ``r = 1.5`` near 0 (H singular).
+    """
+
+    R = np.array([[0.6, -0.8], [0.8, 0.6]])
+    M = CubicModel([0.5, -0.25], R @ np.diag([-3.0, 1.0]) @ R.T, 1.0)
+
+    def _case(self, r):
+        s = r * self.R[:, 0]
+        g = grad(self.M, s)
+        lo = np.linalg.eigvalsh(hess(self.M, s).entries)[0]
+        return s, g, lo, _newton_step(self.M, s, g)
+
+    @pytest.mark.parametrize("r", [1.6, 2.0, 2.9])
+    def test_one_negative_d_denominator_below_zero(self, r):
+        s, g, lo, d = self._case(r)
+        assert self.M.eig.values[0] + r < 0.0
+        assert lo > 0.0
+        ref = np.linalg.solve(hess(self.M, s).entries, -g)
+        assert np.max(np.abs(d - ref)) <= 1e-12 * (1.0 + np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 1.4])
+    def test_one_negative_d_denominator_above_zero(self, r):
+        _, _, lo, d = self._case(r)
+        assert lo < 0.0
+        assert d is None
+
+    @pytest.mark.parametrize("rel", [0.0, 1e-15, -1e-15, 1e-14])
+    def test_one_negative_d_denominator_near_zero(self, rel):
+        _, _, lo, d = self._case(1.5 * (1.0 + rel))
+        assert abs(lo) <= 1e-12
+        assert d is None
+
+    @pytest.mark.parametrize("rel", [0.0, 1e-15, -1e-15, 1e-14])
+    def test_d_near_zero(self, rel):
+        # D_1 = r - 3 vanishes at r = 3, where H = diag(3, 4) in the
+        # rotated basis is well conditioned, but the diagonal solve is not.
+        _, _, lo, d = self._case(3.0 * (1.0 + rel))
+        assert lo > 2.0
+        assert d is None
+
+    def test_singular_semidefinite_hessian_away_from_origin(self):
+        # Q = diag(-1, 2), sigma = 1, s = (0, 1): H = diag(0, 4).
+        m = CubicModel([0.3, -0.2], np.diag([-1.0, 2.0]), 1.0)
+        s = np.array([0.0, 1.0])
+        H = hess(m, s).entries
+        assert np.array_equal(H, np.diag([0.0, 4.0]))
+        assert np.linalg.eigvalsh(H)[0] == 0.0
+        assert _newton_step(m, s, grad(m, s)) is None
 
 
 class TestShiftedNewtonStep:
@@ -122,7 +198,7 @@ class TestShiftedNewtonStep:
         shift = mu.min() + m.sigma * np.linalg.norm(s)
         assert shift < 0.0
         g = grad(m, s)
-        d = _shifted_newton_step(m, s, g)
+        d = _newton_step(m, s, g, shifted=True)
         assert d is not None
         assert g @ d < 0.0
         ref = np.linalg.solve(hess(m, s).entries - 2.0 * shift * np.eye(n), -g)
@@ -141,7 +217,23 @@ class TestShiftedNewtonStep:
     def test_none_when_shift_nonnegative(self, q, sigma, s):
         m = CubicModel([0.3, -0.2], q, sigma)
         s = np.asarray(s, dtype=float)
-        assert _shifted_newton_step(m, s, grad(m, s)) is None
+        assert _newton_step(m, s, grad(m, s), shifted=True) is None
+
+
+class TestNoFactorization:
+    def test_local_solve_needs_no_cholesky_or_solve(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("local solve called a dense factorization")
+
+        monkeypatch.setattr(np.linalg, "cholesky", refuse)
+        monkeypatch.setattr(np.linalg, "solve", refuse)
+        for seed in range(5):
+            m = random_controlled_model(np.random.default_rng(300 + seed), nmax=8)
+            rep = local_minimize(m, np.ones(m.n))
+            assert rep.converged
+        rep = local_minimize(WORKED, np.array([0.9, 0.05]))
+        assert rep.converged
+        assert rep.step_counts["newton"] + rep.step_counts["shifted"] > 0
 
 
 class TestStaysLocal:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cubicmin import CubicModel, SymmetricMatrix, eval_model, global_minimize, grad, hess, is_global
-from cubicmin.model import GlobalCertificate, StationaryPoint, _hess_entries
+from cubicmin.model import GlobalCertificate, StationaryPoint
 
 from .helpers import np_eval, np_grad, random_model
 
@@ -91,7 +91,6 @@ class TestHess:
     def test_at_origin_is_q(self):
         h = hess(WORKED, np.zeros(2))
         assert h is WORKED.Q
-        assert _hess_entries(WORKED, np.zeros(2)) is WORKED.Q.entries
 
     def test_scalar(self):
         m = CubicModel([0.0], [[0.0]], 1.0)
@@ -107,14 +106,16 @@ class TestHess:
         h = hess(m, np.array([0.3, -0.2, 0.9]))
         assert isinstance(h, SymmetricMatrix)
 
-    def test_entries_helper_is_exactly_symmetric_and_equals_hess(self):
+    def test_exactly_symmetric_and_matches_formula(self):
         rng = np.random.default_rng(21)
         for _ in range(20):
             m = random_model(rng, nmax=12)
             s = rng.uniform(-3.0, 3.0, size=m.n)
-            h = _hess_entries(m, s)
+            h = hess(m, s).entries
+            ns = np.linalg.norm(s)
+            ref = m.Q.entries + m.sigma * ns * np.eye(m.n) + (m.sigma / ns) * np.outer(s, s)
             assert np.array_equal(h, h.T)
-            assert h.tobytes() == hess(m, s).entries.tobytes()
+            assert np.max(np.abs(h - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 class TestFiniteDifferences:
@@ -206,9 +207,9 @@ class TestOverflowingLoad:
         assert m.norm_c == pytest.approx(5.0 * scale, rel=1e-15)
 
     def test_origin_is_not_global(self):
-        # The residual at 0 is ||c||, whose squares overflow to inf.
-        with np.errstate(over="ignore"):
-            cert = is_global(self.BIG, np.zeros(2))
+        # The residual at 0 is ||c||, whose squares overflow.
+        cert = is_global(self.BIG, np.zeros(2))
+        assert cert.residual == 1e200
         assert cert.tol_grad == 1e-8 * (1.0 + 1e200)
         assert not cert.is_global
 

@@ -43,6 +43,27 @@ class TestParse:
         m, _ = parse_problem(_variant(Q=[[1.0, 0.5], [0.5 + 1e-11, -3.0]]))
         assert m.Q.entries[0, 1] == m.Q.entries[1, 0]
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_symmetrization_bitwise_equal_to_mean(self, seed):
+        rng = np.random.default_rng(700 + seed)
+        n = 6
+        q = rng.normal(size=(n, n)) * 10.0 ** rng.integers(-50, 50)
+        q = q + q.T
+        q = q * (1.0 + 1e-11 * rng.uniform(-1.0, 1.0, size=(n, n)))
+        m, _ = parse_problem(_variant(n=n, c=[1.0] * n, Q=q.tolist()))
+        mean = (q + q.T) / 2.0
+        assert [x.hex() for x in m.Q.entries.ravel()] == [x.hex() for x in mean.ravel()]
+
+    @pytest.mark.parametrize("big", [1e200, 1e308])
+    def test_entries_near_float_limit(self, big):
+        m, _ = parse_problem({"n": 1, "c": [1.0], "Q": [[big]], "sigma": 1.0})
+        assert m.Q.entries[0, 0] == big
+
+    def test_asymmetric_pair_near_float_limit_names_entry(self):
+        with pytest.raises(SchemaError) as exc:
+            parse_problem(_variant(Q=[[0.0, 1e308], [-1e308, 0.0]]))
+        assert exc.value.field == "Q[0][1]"
+
     @pytest.mark.parametrize(
         "data, field",
         [

@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 
 from cubicmin import CubicModel, eval_model, is_global, stationary
-from cubicmin.exceptions import CertificateFailure, CubicminError, NormMismatch, PoleEvaluation
+from cubicmin.exceptions import (
+    CertificateFailure,
+    ConvergenceError,
+    CubicminError,
+    NormMismatch,
+    PoleEvaluation,
+)
+from cubicmin.problem_io import parse_problem
 from cubicmin.stationary import (
     LambdaRoot,
     SecularProblem,
@@ -425,6 +432,42 @@ class TestSecularConvexity:
         worst = min_second_difference(_sp(m))
         if worst is not None:
             assert worst > 0.0
+
+
+EXTREME_SCALES = [
+    {"n": 1, "c": [1.0], "Q": [[1e200]], "sigma": 1.0},
+    {"n": 1, "c": [1.0], "Q": [[1e308]], "sigma": 1.0},
+    {"n": 2, "c": [1.0, 2.0], "Q": [[1e200, 0.0], [0.0, 3e200]], "sigma": 1.0},
+]
+
+
+class TestExtremeScales:
+    """Minimizers near 1e-200, where 1/||s||**3 leaves double range.
+
+    Each solve either certifies its point or raises ConvergenceError;
+    no bare arithmetic error and no NumPy warning (an error in this
+    suite) escapes.
+    """
+
+    @pytest.mark.parametrize("data", EXTREME_SCALES)
+    def test_global_minimize(self, data):
+        m, _ = parse_problem(data)
+        try:
+            sol = global_minimize(m)
+        except ConvergenceError as exc:
+            assert "left double range" in str(exc)
+        else:
+            assert sol.certificate.is_global
+
+    @pytest.mark.parametrize("data", EXTREME_SCALES)
+    def test_enumerate_stationary(self, data):
+        m, _ = parse_problem(data)
+        try:
+            points = enumerate_stationary(m)
+        except ConvergenceError as exc:
+            assert "left double range" in str(exc)
+        else:
+            assert all(p.residual <= m.default_tol_grad() for p in points)
 
 
 def test_grid_beats_nothing_on_worked_instance():
