@@ -375,34 +375,32 @@ def _cmd_minimize(args):
 
 def _bench_cell(spec_text, variant, seed):
     t0 = time.perf_counter()
+    # The failure row; a run that finishes overrides its result fields.
+    row = {
+        "name": os.path.basename(spec_text),
+        "n": 0,
+        "variant": variant,
+        "seed": seed,
+        "converged": False,
+        "iterations": 0,
+        "f_final": math.nan,
+        "grad_inf_norm": math.nan,
+    }
     try:
         f = _load_objective(spec_text)
         report = arc_plus_minimize(f, f.x0, variant, ArcOptions(seed=seed))
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        return {
-            "name": f.name,
-            "n": f.n,
-            "variant": variant,
-            "seed": seed,
-            "converged": report.converged,
-            "iterations": report.iterations,
-            "f_final": report.f_final,
-            "grad_inf_norm": report.grad_inf_norm,
-            "wall_ms": wall_ms,
-        }
+        row.update(
+            name=f.name,
+            n=f.n,
+            converged=report.converged,
+            iterations=report.iterations,
+            f_final=report.f_final,
+            grad_inf_norm=report.grad_inf_norm,
+        )
     except Exception:
-        wall_ms = (time.perf_counter() - t0) * 1000.0
-        return {
-            "name": os.path.basename(spec_text),
-            "n": 0,
-            "variant": variant,
-            "seed": seed,
-            "converged": False,
-            "iterations": 0,
-            "f_final": math.nan,
-            "grad_inf_norm": math.nan,
-            "wall_ms": wall_ms,
-        }
+        pass
+    row["wall_ms"] = (time.perf_counter() - t0) * 1000.0
+    return row
 
 
 def _suite_members(suite):

@@ -18,7 +18,7 @@ from . import model as model_mod
 from .exceptions import BoundExceeded, ConvergenceError, EmptyInput, ThresholdNotMet, ToleranceFloor
 from .local_solver import local_minimize
 from .model import CubicModel
-from .stationary import GlobalSolution, count_bound
+from .stationary import GlobalSolution, _global_solution, count_bound
 
 __all__ = [
     "ARC",
@@ -132,7 +132,7 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
     -------
     (GlobalSolution, SubproblemTrace)
         The solution's certificate is evaluated at the tolerances the
-        final point actually met.
+        final point actually met; its ``hard_case`` is always False.
 
     Raises
     ------
@@ -179,14 +179,8 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
             continue
         steps.append((s_bar, out.case_tag, model_mod.eval_model(m, s_bar)))
         if out.case_tag == escape_mod.CASE_NONE_GLOBAL:
-            sol = GlobalSolution(
-                s_star=s_bar,
-                lambda_star=m.sigma * linalg.norm(s_bar),
-                objective=model_mod.eval_model(m, s_bar),
-                certificate=model_mod.is_global(m, s_bar, tol_grad=eps, tol_psd=ec),
-                hard_case=False,
-                trace=[t[1] for t in steps],
-            )
+            cert = model_mod.is_global(m, s_bar, tol_grad=eps, tol_psd=ec)
+            sol = _global_solution(m, s_bar, cert, False, [t[1] for t in steps])
             return sol, SubproblemTrace(steps=steps, solution=sol, escape_count=escapes)
         escapes += 1
         if escapes > cap:

@@ -125,7 +125,7 @@ def local_minimize(m, s0, eps_grad=None):
     step_counts = {"newton": 0, "shifted": 0, "gradient": 0}
     for iterations in range(1, _MAX_ITERS + 1):
         g = model_mod.grad(m, s)
-        residual = linalg.norm(g)
+        residual = linalg.safe_norm(g)
         if residual <= eps:
             return LocalSolveReport(
                 s=s, residual=residual, iterations=iterations - 1,
@@ -171,7 +171,7 @@ def local_minimize(m, s0, eps_grad=None):
         trace.append(f)
 
     g = model_mod.grad(m, s)
-    residual = linalg.norm(g)
+    residual = linalg.safe_norm(g)
     # Newton polish.  Near a strict minimiser the remaining decrease sits
     # below float resolution, so objective-based tests cannot certify the
     # last few steps.  Full Newton steps accepted on gradient-norm

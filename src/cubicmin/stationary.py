@@ -37,7 +37,6 @@ from cubicmin.model import GlobalCertificate, StationaryPoint
 
 # |mu_i + lam| at or below this makes mode i singular at lam.
 SINGULAR_MODE_TOL = 1e-12
-_POLE_OFFSET_REL = 1e-9
 # Coupled poles closer than this to the pole below them are merged into it.
 _POLE_MERGE = 1e-10
 _EPS = float(np.finfo(float).eps)
@@ -98,33 +97,31 @@ class SecularProblem:
 
 @dataclass(frozen=True)
 class LambdaRoot:
-    """One stationary multiplier with its host subinterval.
+    """One root of the secular equation g(lam) = 1/sigma^2 in (lo, hi).
 
-    ``note`` is "regular" for solutions of g(lam) = 1/sigma^2 away from
-    poles, and "boundary" for degenerate multipliers sitting exactly on
-    an uncoupled eigenvalue shift (hard-case stationary families).  The
-    secular identity g(lam) = 1/sigma^2 holds for regular roots only.
-
-    ``lam = pole + offset``; the point is built from the shifts
+    ``lam = pole + offset``, with ``pole`` the end of the subinterval
+    the search started from; the point is built from the shifts
     ``(mu_i + pole) + offset``, which keep the digits of an offset far
-    smaller than the pole.  By default the pole is 0 and the offset lam.
+    smaller than the pole.
     """
 
     lam: float
     lo: float
     hi: float
-    note: str = "regular"
-    pole: float = 0.0
-    offset: float = None
-
-    def __post_init__(self):
-        if self.offset is None:
-            object.__setattr__(self, "offset", self.lam - self.pole)
+    pole: float
+    offset: float
 
 
 @dataclass(frozen=True)
 class GlobalSolution:
-    """Certified global minimizer of a cubic model."""
+    """Certified global minimizer of a cubic model.
+
+    ``s_star`` is a read-only copy, ``lambda_star = sigma*||s_star||``
+    and ``objective = m(s_star)``.  ``global_minimize`` and
+    ``solve_via_escapes`` agree on the minimizer, but only
+    ``global_minimize`` detects the hard case: ``hard_case`` is always
+    False from ``solve_via_escapes``.
+    """
 
     s_star: np.ndarray
     lambda_star: float
@@ -283,25 +280,14 @@ def _mode_coefficients(sp, pole, offset=0.0):
 
 
 def stationary_from_lambda(sp, root):
-    """Stationary point(s) carrying the multiplier of one root.
+    """The stationary point ``s = V a`` carrying the multiplier of one root.
 
-    Regular roots produce the single point ``s = V a`` with
-    ``a_i = beta_i / ((mu_i + pole) + offset)``.  Boundary roots (uncoupled
-    eigenvalue shifts) produce the two representatives ``V a +/- tau v``
-    of ``_boundary_parts``; the full continuum they stand for shares one
-    objective value.
-
-    Raises
-    ------
-    NormMismatch
-        If a boundary root has ``||V a|| > lam/sigma`` beyond tolerance.
+    ``a_i = beta_i / ((mu_i + pole) + offset)`` on the coupled modes and
+    0 on the rest, with ``pole`` and ``offset`` those of the LambdaRoot.
+    Returns the vector s.
     """
-    m = sp.model
-    if root.note != "boundary":
-        coeff, _ = _mode_coefficients(sp, root.pole, root.offset)
-        return [StationaryPoint.from_vector(m, sp.eig.vectors @ coeff)]
-    base, free = _boundary_parts(sp, root.lam)
-    return [StationaryPoint.from_vector(m, base + t) for t in (free, -free)]
+    coeff, _ = _mode_coefficients(sp, root.pole, root.offset)
+    return sp.eig.vectors @ coeff
 
 
 def _boundary_parts(sp, lam):
@@ -325,26 +311,31 @@ def _boundary_parts(sp, lam):
     return base, tau * sp.eig.vectors[:, int(np.argmax(singular))]
 
 
-def _boundary_roots(m, sp):
-    """Degenerate multipliers lam = -mu_i: uncoupled and norm-feasible."""
+def _boundary_points(sp):
+    """The points of the degenerate multipliers lam = -mu_i > 0.
+
+    One multiplier per distinct negative eigenvalue whose modes are all
+    uncoupled, giving the two representatives ``V a +/- tau v`` of
+    ``_boundary_parts``; the continuum they stand for shares one
+    objective value.  A multiplier with ``||V a|| > lam/sigma`` has no
+    point and is skipped.
+    """
     out = []
     vals = sp.eig.values
     seen = []
-    for i in range(m.n):
-        if vals[i] >= 0.0:
-            continue
-        lam = -float(vals[i])
+    for mu in vals[vals < 0.0]:
+        lam = -float(mu)
         if any(abs(lam - s) <= SINGULAR_MODE_TOL for s in seen):
             continue
         seen.append(lam)
         cluster = np.abs(vals + lam) <= SINGULAR_MODE_TOL
         if np.any(cluster & sp.coupled):
             continue
-        coeff, _ = _mode_coefficients(sp, lam)
-        if linalg.norm(coeff) > lam / sp.sigma + 1e-8 * (1.0 + lam / sp.sigma):
+        try:
+            base, free = _boundary_parts(sp, lam)
+        except NormMismatch:
             continue
-        spread = _POLE_OFFSET_REL * (1.0 + lam)
-        out.append(LambdaRoot(lam=lam, lo=lam - spread, hi=lam + spread, note="boundary"))
+        out += [StationaryPoint.from_vector(sp.model, base + t) for t in (free, -free)]
     return out
 
 
@@ -352,18 +343,16 @@ def enumerate_stationary(m):
     """Every stationary point of the model, ascending in multiplier.
 
     The union of: the origin when c = 0 (no mode coupled); one point per
-    regular secular root; two representatives per degenerate boundary
-    multiplier.  The number of distinct multipliers is bounded by
-    ``count_bound(m)``.
+    secular root; two representatives per feasible boundary multiplier.
+    The number of distinct multipliers is bounded by ``count_bound(m)``.
     """
     points = []
     sp = SecularProblem.from_model(m)
     if not np.any(sp.coupled):
         points.append(StationaryPoint.from_vector(m, np.zeros(m.n)))
     for root in enumerate_lambda(sp):
-        points.extend(stationary_from_lambda(sp, root))
-    for root in _boundary_roots(m, sp):
-        points.extend(stationary_from_lambda(sp, root))
+        points.append(StationaryPoint.from_vector(m, stationary_from_lambda(sp, root)))
+    points += _boundary_points(sp)
     points.sort(key=lambda p: p.lam)
     return points
 
@@ -395,8 +384,8 @@ def global_minimize(m):
     secular root is the only one in the unbounded subinterval above the
     largest pole, and every pole is at most ``max(0, -mu_1)``, so one
     Newton search there finds the only root that can be lam*.  When that
-    root exceeds ``max(0, -mu_1)`` it is lam*, and s* is built from its
-    pole and offset; otherwise the model is in the hard case
+    root exceeds ``max(0, -mu_1)`` it is lam*, and s* is its point
+    ``stationary_from_lambda``; otherwise the model is in the hard case
     ``lam* = max(0, -mu_1)``, and s* is the boundary point of
     ``_boundary_parts`` there (s* = 0 when also lam* = 0 and c = 0).  The
     two-part certificate (stationarity plus positive semidefiniteness of
@@ -423,8 +412,7 @@ def global_minimize(m):
             f"largest secular root lam = {root.lam!r} "
             f"(pole {root.pole!r} + offset {root.offset!r})"
         )
-        coeff, _ = _mode_coefficients(sp, root.pole, root.offset)
-        return _finish_global(m, sp.eig.vectors @ coeff, False, trace)
+        return _finish_global(m, stationary_from_lambda(sp, root), False, trace)
     if lam_star == 0.0 and not np.any(sp.coupled):
         # c = 0 up to pole_tol; s* = 0 leaves the residual ||c||.
         trace.append("c = 0 and Q is positive semidefinite: s* = 0")
@@ -444,11 +432,20 @@ def _finish_global(m, s_star, hard, trace):
             f"double-precision floor {floor!r}), "
             f"psd margin = {cert.psd_margin!r} (tol {cert.tol_psd!r})"
         )
+    return _global_solution(m, s_star, cert, hard, trace)
+
+
+def _global_solution(m, s_star, cert, hard, trace):
+    """The GlobalSolution at s_star, certified by ``cert``.
+
+    Stores a read-only copy of s_star with ``lambda_star =
+    sigma*||s_star||`` (``linalg.safe_norm``) and ``objective = m(s_star)``.
+    """
     s_star = np.array(s_star)
     s_star.setflags(write=False)
     return GlobalSolution(
         s_star=s_star,
-        lambda_star=m.sigma * linalg.norm(s_star),
+        lambda_star=m.sigma * linalg.safe_norm(s_star),
         objective=model_mod.eval_model(m, s_star),
         certificate=cert,
         hard_case=hard,

@@ -131,6 +131,22 @@ class TestSolve:
             assert out.stderr.startswith("cubicmin: solver error: ConvergenceError: ")
             assert out.stderr.count("\n") == 1
 
+    def test_escapes_minimizer_near_1e_200(self, tmp_path):
+        # The gradient at the N(0, 1) start is about 1e200 and lambda* is
+        # 1e-200; neither may warn or print lambda 0.
+        path = tmp_path / "tiny_minimizer.json"
+        path.write_text('{"n": 1, "c": [1.0], "Q": [[1e200]], "sigma": 1.0}\n')
+        out = run_cli(
+            "solve", str(path), "--method", "escapes", "--format", "structured",
+            env={**os.environ, "PYTHONWARNINGS": "error"},
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stderr == ""
+        rec = json.loads(out.stdout)
+        assert rec["is_global"] is True
+        assert rec["lambda"] == pytest.approx(1e-200, rel=1e-12)
+        assert rec["solution"] == pytest.approx([-1e-200], rel=1e-12)
+
     def test_out_flag_writes_file(self, problem_dir, tmp_path):
         dest = tmp_path / "result.json"
         out = run_cli(

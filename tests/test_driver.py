@@ -73,6 +73,34 @@ class TestSolveViaEscapes:
         assert abs(sol.objective - direct.objective) <= 1e-6
 
 
+class TestSolutionArrays:
+    """Both global solvers return s_star as a read-only copy."""
+
+    def test_read_only_and_not_the_trace_point(self):
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            m = random_model(rng, nmax=5)
+            sol, trace = solve_via_escapes(m, rng.normal(size=m.n))
+            s_bar = trace.steps[-1][0]
+            assert sol.s_star is not s_bar
+            assert not np.shares_memory(sol.s_star, s_bar)
+            assert np.array_equal(sol.s_star, s_bar)
+            for s_star in (sol.s_star, global_minimize(m).s_star):
+                assert not s_star.flags.writeable
+                with pytest.raises(ValueError):
+                    s_star[0] = 1.0
+
+    def test_minimizer_near_1e_200(self):
+        # At the start the gradient is about 1e200, so its squared norm
+        # overflows; lambda* = 1e-200 squares to an underflow.  Any NumPy
+        # warning is an error in this suite.
+        m = CubicModel([1.0], [[1e200]], 1.0)
+        sol, _ = solve_via_escapes(m, np.array([0.5]))
+        assert sol.certificate.is_global
+        assert sol.s_star[0] == pytest.approx(-1e-200, rel=1e-15)
+        assert sol.lambda_star == pytest.approx(1e-200, rel=1e-15)
+
+
 class TestArcOuter:
     @pytest.mark.parametrize("variant", ["ARC", "ARC_PLUS"])
     def test_convex_quadratic(self, variant):

@@ -281,6 +281,20 @@ class TestSafeNorm:
         x = np.array([0.6, -0.8, 0.0]) * scale
         assert safe_norm(x) == pytest.approx(scale, rel=1e-15)
 
+    @pytest.mark.parametrize("scale", [1.01e-150, 1e-120, 1e-50])
+    def test_bitwise_equal_to_norm_down_to_1e_150(self, scale):
+        rng = np.random.default_rng(int(-np.log10(scale)) + 40)
+        for n in range(1, 50):
+            x = rng.normal(size=n)
+            x = x * (scale / np.max(np.abs(x)))
+            assert safe_norm(x).hex() == norm(x).hex()
+
+    @pytest.mark.parametrize("scale", [9.9e-151, 1e-200, 1e-300])
+    def test_accurate_where_squares_underflow(self, scale):
+        x = np.array([0.6, -0.8, 0.0]) * scale
+        assert safe_norm(x) == pytest.approx(scale, rel=1e-15)
+        assert safe_norm(np.array([-scale])) == scale
+
     def test_zero_vector(self):
         assert safe_norm(np.zeros(3)) == 0.0
 

@@ -14,9 +14,9 @@ from cubicmin.exceptions import (
     NormMismatch,
     PoleEvaluation,
 )
+from cubicmin.model import StationaryPoint
 from cubicmin.problem_io import parse_problem
 from cubicmin.stationary import (
-    LambdaRoot,
     SecularProblem,
     _boundary_parts,
     _finish_global,
@@ -128,22 +128,22 @@ class TestStationaryFromLambda:
     def test_one_dimensional(self):
         m = CubicModel([1.0], [[0.0]], 1.0)
         (root,) = enumerate_lambda(_sp(m))
-        (pt,) = stationary_from_lambda(_sp(m), root)
+        pt = StationaryPoint.from_vector(m, stationary_from_lambda(_sp(m), root))
         assert pt.s == pytest.approx([-1.0], abs=1e-9)
         assert pt.objective == pytest.approx(-2.0 / 3.0, abs=1e-9)
 
     def test_worked_regular_root(self):
         sp = _sp(WORKED)
         (root,) = enumerate_lambda(sp)
-        (pt,) = stationary_from_lambda(sp, root)
+        pt = StationaryPoint.from_vector(WORKED, stationary_from_lambda(sp, root))
         assert pt.s == pytest.approx([1.0, 0.0], abs=1e-8)
         assert pt.objective == pytest.approx(-7.0 / 6.0, abs=1e-9)
         assert pt.residual <= 1e-7 * (1.0 + WORKED.norm_c)
 
+    # Boundary multipliers have no secular root: their points come from
+    # _boundary_parts, through enumerate_stationary.
     def test_worked_degenerate_multiplier(self):
-        sp = _sp(WORKED)
-        root = LambdaRoot(lam=3.0, lo=3.0 - 1e-9, hi=3.0 + 1e-9, note="boundary")
-        pts = stationary_from_lambda(sp, root)
+        pts = [p for p in enumerate_stationary(WORKED) if abs(p.lam - 3.0) <= 1e-9]
         assert len(pts) == 2
         tau = math.sqrt(35.0) / 2.0
         got = sorted(float(p.s[1]) for p in pts)
@@ -154,15 +154,16 @@ class TestStationaryFromLambda:
             assert np.linalg.norm(p.s) == pytest.approx(3.0, abs=1e-12)
 
     def test_norm_mismatch_on_inconsistent_root(self):
+        # ||V a|| = 20/(1 + 3) = 5 at lam = 3 exceeds lam/sigma = 3.
         m = CubicModel([-20.0, 0.0], np.diag([1.0, -3.0]), 1.0)
-        root = LambdaRoot(lam=3.0, lo=3.0, hi=3.0, note="boundary")
         with pytest.raises(NormMismatch):
-            stationary_from_lambda(_sp(m), root)
+            _boundary_parts(_sp(m), 3.0)
+        # Enumeration skips the multiplier instead of raising.
+        assert all(abs(p.lam - 3.0) > 1e-6 for p in enumerate_stationary(m))
 
     def test_norm_mismatch_without_null_mode(self):
-        root = LambdaRoot(lam=2.0, lo=2.0, hi=2.0, note="boundary")
         with pytest.raises(NormMismatch):
-            stationary_from_lambda(_sp(WORKED), root)
+            _boundary_parts(_sp(WORKED), 2.0)
 
 
 class TestEnumerateStationary:
