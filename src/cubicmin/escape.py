@@ -2,7 +2,8 @@
 
 A stationary point s_bar of the cubic model that is not the global
 minimizer admits an explicit point s_hat with m(s_hat) < m(s_bar):
-flip the sign when c^T s_bar > 0, step along a negative-curvature
+flip the sign when c^T s_bar > 0 (a flip that does not decrease defers
+to the curvature certificate), step along a negative-curvature
 direction from the origin, or reflect across a hyperplane built from
 the negative-curvature direction.  ``escape_approx`` gates each move by
 tolerance thresholds tied to the gradient residual; ``escape_exact`` is
@@ -188,12 +189,11 @@ def escape_approx(m, s_bar, tol, direction=None):
 
 def _escape(m, s, m_sbar, tol, direction):
     # The case analysis of both escapes; m_sbar is m(s).
-    c_s = float(m.c @ s)
-    if c_s > 0.0:
-        out = _outcome(m, m_sbar, CASE_A, -s)
-        if out.decrease > 0.0:
-            return out
-        raise ThresholdNotMet("sign flip failed to decrease the objective")
+    flip = None
+    if float(m.c @ s) > 0.0:
+        flip = _outcome(m, m_sbar, CASE_A, -s)
+        if flip.decrease > 0.0:
+            return flip
     if direction is None:
         d, curv = negative_curvature_direction(m, s)
     else:
@@ -201,7 +201,10 @@ def _escape(m, s, m_sbar, tol, direction):
         lam = m.sigma * linalg.norm(s)
         curv = float(d @ (m.Q.entries @ d) + lam * (d @ d)) / float(d @ d)
     if curv >= -tol.eps_curv:
+        # Also where c.s > 0 by rounding alone, so the flip cannot decrease.
         return EscapeOutcome(case_tag=CASE_NONE_GLOBAL)
+    if flip is not None:
+        raise ThresholdNotMet("sign flip failed to decrease the objective")
     grad = model_mod.grad(m, s)
     norm_s = linalg.norm(s)
     norm_d = linalg.norm(d)

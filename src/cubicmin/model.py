@@ -27,8 +27,12 @@ class CubicModel:
     sigma : float
         Regularization weight, strictly positive.
 
-    The eigendecomposition of Q and ``norm_c`` are computed lazily and
-    cached; instances are immutable and safe to share across threads.
+    The eigendecomposition of Q, ``norm_c`` and the secular data of
+    ``stationary.SecularProblem.from_model`` (with its largest root) are
+    computed lazily and cached.  Instances are immutable and safe to
+    share across threads: each cached value is a deterministic function
+    of (c, Q, sigma), so two threads that fill a cache at once store
+    equal values.
     """
 
     def __init__(self, c, Q, sigma):
@@ -48,6 +52,7 @@ class CubicModel:
         self.sigma = sigma
         self.n = Q.n
         self._eig = None
+        self._secular = None
 
     @property
     def eig(self):
@@ -97,11 +102,13 @@ class StationaryPoint:
     def from_vector(cls, model, s):
         s = np.array(model._check_dim(s))
         s.setflags(write=False)
+        norm_s = linalg.norm(s)
+        qs = model.Q.entries @ s
         return cls(
             s=s,
-            lam=model.sigma * linalg.norm(s),
-            objective=eval_model(model, s),
-            residual=linalg.safe_norm(grad(model, s)),
+            lam=model.sigma * norm_s,
+            objective=_objective(model, s, norm_s, qs),
+            residual=linalg.safe_norm(_gradient(model, s, norm_s, qs)),
         )
 
 
@@ -121,22 +128,25 @@ class GlobalCertificate:
     tol_psd: float
 
 
+def _objective(model, s, norm_s, qs):
+    # m(s) from ||s|| and Q s, so one point's evaluations share them.
+    return float(model.c @ s + 0.5 * s @ qs + (model.sigma / 3.0) * norm_s**3)
+
+
+def _gradient(model, s, norm_s, qs):
+    return model.c + qs + model.sigma * norm_s * s
+
+
 def eval_model(model, s):
     """Evaluate ``m(s) = c^T s + 1/2 s^T Q s + (sigma/3) ||s||^3``."""
     s = model._check_dim(s)
-    norm_s = linalg.norm(s)
-    return float(
-        model.c @ s
-        + 0.5 * s @ (model.Q.entries @ s)
-        + (model.sigma / 3.0) * norm_s**3
-    )
+    return _objective(model, s, linalg.norm(s), model.Q.entries @ s)
 
 
 def grad(model, s):
     """Evaluate ``grad m(s) = c + Q s + sigma ||s|| s``."""
     s = model._check_dim(s)
-    norm_s = linalg.norm(s)
-    return model.c + model.Q.entries @ s + model.sigma * norm_s * s
+    return _gradient(model, s, linalg.norm(s), model.Q.entries @ s)
 
 
 def hess(model, s):
@@ -178,8 +188,16 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
     if not (tol_grad > 0.0 and tol_psd > 0.0):
         raise ValueError("tolerances must be positive")
     s = model._check_dim(s)
-    residual = linalg.safe_norm(grad(model, s))
-    psd_margin = float(model.eig.values[0] + model.sigma * linalg.norm(s))
+    norm_s = linalg.norm(s)
+    return _certificate(
+        model, norm_s, _gradient(model, s, norm_s, model.Q.entries @ s), tol_grad, tol_psd
+    )
+
+
+def _certificate(model, norm_s, g, tol_grad, tol_psd):
+    # The GlobalCertificate of a point with norm norm_s and gradient g.
+    residual = linalg.safe_norm(g)
+    psd_margin = float(model.eig.values[0] + model.sigma * norm_s)
     return GlobalCertificate(
         psd_margin=psd_margin,
         residual=residual,

@@ -18,8 +18,14 @@ carries the largest root when that root exceeds ``max(0, -mu_1)``.
 ``enumerate_stationary`` searches every subinterval; ``global_minimize``
 searches only the unbounded one, which holds the largest root whenever
 c is not zero.
+
+The secular data of a model (``beta``, the coupling mask and the poles)
+and the root in the unbounded subinterval are computed once per model
+and cached on it, so both entry points share one search for the
+largest root.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -48,9 +54,10 @@ _NEWTON_MAX_STEPS = 100
 class SecularProblem:
     """Spectral data of the secular equation for one cubic model.
 
+    Every array is read-only.
+
     Attributes
     ----------
-    model : CubicModel the data came from.
     eig : EigenDecomposition of Q.
     beta : ndarray
         ``-V^T c``, the eigenbasis loads of the linear term.
@@ -68,28 +75,39 @@ class SecularProblem:
         such points are not treated as poles.
     """
 
-    def __init__(self, eig, beta, sigma, pole_tol, model):
+    def __init__(self, eig, beta, sigma, pole_tol):
         self.eig = eig
-        self.beta = np.asarray(beta, dtype=float)
+        self.beta = linalg._freeze(np.array(beta, dtype=float))
         self.sigma = float(sigma)
         self.pole_tol = float(pole_tol)
-        self.model = model
-        self.coupled = np.abs(self.beta) > self.pole_tol
-        self.coupled_beta = self.beta[self.coupled]
-        self.coupled_poles = -eig.values[self.coupled]
+        self.coupled = linalg._freeze(np.abs(self.beta) > self.pole_tol)
+        self.coupled_beta = linalg._freeze(self.beta[self.coupled])
+        self.coupled_poles = linalg._freeze(-eig.values[self.coupled])
         raw = sorted(self.coupled_poles)
         poles = []
         for p in raw:
             if not poles or p - poles[-1] > _POLE_MERGE:
                 poles.append(p)
-        self.poles = np.array(poles, dtype=float)
+        self.poles = linalg._freeze(np.array(poles, dtype=float))
 
     @classmethod
     def from_model(cls, m):
-        eig = m.eig
-        beta = -(eig.vectors.T @ m.c)
-        pole_tol = 1e-10 * (1.0 + m.norm_c)
-        return cls(eig, beta, m.sigma, pole_tol, model=m)
+        """The secular data of CubicModel ``m``, built on first use and cached on it.
+
+        The instance holds no reference to ``m``, so the cache makes no
+        reference cycle.
+        """
+        sp = m._secular
+        if sp is None:
+            eig = m.eig
+            pole_tol = 1e-10 * (1.0 + m.norm_c)
+            sp = m._secular = cls(eig, -(eig.vectors.T @ m.c), m.sigma, pole_tol)
+        return sp
+
+    @functools.cached_property
+    def _top_root(self):
+        # The root in the unbounded subinterval, or None; searched once.
+        return _newton_root(self, subintervals(self)[-1][0], math.inf)
 
     def __repr__(self):
         return f"SecularProblem(n={self.eig.n}, sigma={self.sigma}, poles={self.poles!r})"
@@ -183,7 +201,7 @@ def _newton_root(sp, end, far):
     if side > 0.0:
         # A cut is the lowest of the poles merged into it; start above all.
         merged = (poles <= end + _POLE_MERGE) & (poles < far)
-        pole = float(np.max(poles, initial=end, where=merged))
+        pole = float(poles.max(initial=end, where=merged))
     shift = pole - poles
     width = side * (far - pole)
     # Closed-form start with phi < 0: for the mode j nearest the end, of
@@ -192,11 +210,15 @@ def _newton_root(sp, end, far):
     # one of shift_j (0 at a pole) and pole (0 at the left end of the
     # axis) vanishes: |t| below the root of t^2 + P t - sigma w,
     # P = |shift_j| + pole.  Start halfway to it, or to mid-subinterval.
-    j = int(np.argmin(np.abs(shift)))
+    j = int(abs(shift).argmin())
     w = abs(float(beta[j]))
     P = abs(float(shift[j])) + pole
     t_max = 2.0 * sp.sigma * w / (P + math.sqrt(P * P + 4.0 * sp.sigma * w))
     t = side * 0.5 * min(t_max, width)
+    if t == 0.0:
+        # t_max underflowed (P * P overflows once P exceeds about 1e154):
+        # lam would sit on the pole, where s(lam) is undefined.
+        raise ConvergenceError(f"secular Newton start left double range at lam = {pole!r}")
     # phi is concave on the subinterval: 1/||s|| is the power mean M_-2 of
     # the affine |mu_i + lam|, and -sigma/lam is concave.  So phi lies
     # below each tangent: Newton from phi < 0 never overshoots, walks
@@ -238,16 +260,18 @@ def enumerate_lambda(sp):
     """All roots lam > 0 of g(lam) = 1/sigma^2, ascending.
 
     Each subinterval is searched from its left end; when a root is found
-    there and the subinterval is bounded, also from its right end.
+    there and the subinterval is bounded, also from its right end.  The
+    unbounded subinterval's search is the one ``global_minimize`` makes,
+    cached on ``sp``.
 
     Returns an empty list when c = 0 (no couplings): then only s = 0 can
     be stationary, and only because the gradient at the origin is c.
     """
-    if not np.any(sp.coupled):
+    if not sp.coupled.any():
         return []
     roots = []
     for lo, hi in subintervals(sp):
-        left = _newton_root(sp, lo, hi)
+        left = sp._top_root if hi == math.inf else _newton_root(sp, lo, hi)
         if left is None:
             continue
         roots.append(left)
@@ -269,7 +293,7 @@ def _mode_coefficients(sp, pole, offset=0.0):
     coupled = sp.coupled
     denom = (sp.eig.values + pole) + offset
     on_pole = coupled & (denom == 0.0)
-    if np.any(on_pole):
+    if on_pole.any():
         i = int(np.argmax(on_pole))
         raise PoleEvaluation(
             f"multiplier {pole + offset!r} sits on the coupled pole {-sp.eig.values[i]!r}"
@@ -305,14 +329,14 @@ def _boundary_parts(sp, lam):
         raise NormMismatch(
             f"boundary multiplier {lam!r}: ||V a|| = {norm_base!r} exceeds lam/sigma = {radius!r}"
         )
-    if not np.any(singular):
+    if not singular.any():
         raise NormMismatch(f"boundary multiplier {lam!r} has no null mode")
     tau = math.sqrt(max(0.0, radius**2 - norm_base**2))
     return base, tau * sp.eig.vectors[:, int(np.argmax(singular))]
 
 
 def _boundary_points(sp):
-    """The points of the degenerate multipliers lam = -mu_i > 0.
+    """The vectors of the degenerate multipliers lam = -mu_i > 0.
 
     One multiplier per distinct negative eigenvalue whose modes are all
     uncoupled, giving the two representatives ``V a +/- tau v`` of
@@ -320,22 +344,26 @@ def _boundary_points(sp):
     objective value.  A multiplier with ``||V a|| > lam/sigma`` has no
     point and is skipped.
     """
-    out = []
     vals = sp.eig.values
+    negative = vals < 0.0
+    # A coupled mode lies in its own multiplier's cluster, so only the
+    # uncoupled negative eigenvalues can carry a boundary point.
+    if not (negative & ~sp.coupled).any():
+        return []
+    out = []
     seen = []
-    for mu in vals[vals < 0.0]:
-        lam = -float(mu)
+    for mu, coupled in zip(vals[negative].tolist(), sp.coupled[negative].tolist()):
+        lam = -mu
         if any(abs(lam - s) <= SINGULAR_MODE_TOL for s in seen):
             continue
         seen.append(lam)
-        cluster = np.abs(vals + lam) <= SINGULAR_MODE_TOL
-        if np.any(cluster & sp.coupled):
+        if coupled or (sp.coupled & (abs(vals + lam) <= SINGULAR_MODE_TOL)).any():
             continue
         try:
             base, free = _boundary_parts(sp, lam)
         except NormMismatch:
             continue
-        out += [StationaryPoint.from_vector(sp.model, base + t) for t in (free, -free)]
+        out += [base + free, base - free]
     return out
 
 
@@ -346,13 +374,11 @@ def enumerate_stationary(m):
     secular root; two representatives per feasible boundary multiplier.
     The number of distinct multipliers is bounded by ``count_bound(m)``.
     """
-    points = []
     sp = SecularProblem.from_model(m)
-    if not np.any(sp.coupled):
-        points.append(StationaryPoint.from_vector(m, np.zeros(m.n)))
-    for root in enumerate_lambda(sp):
-        points.append(StationaryPoint.from_vector(m, stationary_from_lambda(sp, root)))
-    points += _boundary_points(sp)
+    vectors = [] if sp.coupled.any() else [np.zeros(m.n)]
+    vectors += [stationary_from_lambda(sp, root) for root in enumerate_lambda(sp)]
+    vectors += _boundary_points(sp)
+    points = [StationaryPoint.from_vector(m, s) for s in vectors]
     points.sort(key=lambda p: p.lam)
     return points
 
@@ -383,8 +409,9 @@ def global_minimize(m):
     ``||s(lam*)|| = lam*/sigma``.  When c is not zero the largest
     secular root is the only one in the unbounded subinterval above the
     largest pole, and every pole is at most ``max(0, -mu_1)``, so one
-    Newton search there finds the only root that can be lam*.  When that
-    root exceeds ``max(0, -mu_1)`` it is lam*, and s* is its point
+    Newton search there (cached, and shared with ``enumerate_lambda``)
+    finds the only root that can be lam*.  When that root exceeds
+    ``max(0, -mu_1)`` it is lam*, and s* is its point
     ``stationary_from_lambda``; otherwise the model is in the hard case
     ``lam* = max(0, -mu_1)``, and s* is the boundary point of
     ``_boundary_parts`` there (s* = 0 when also lam* = 0 and c = 0).  The
@@ -404,16 +431,15 @@ def global_minimize(m):
     trace = []
     sp = SecularProblem.from_model(m)
     lam_star = max(0.0, -float(m.eig.values[0]))
-    root = None
-    if np.any(sp.coupled):
-        root = _newton_root(sp, subintervals(sp)[-1][0], math.inf)
+    coupled = sp.coupled.any()
+    root = sp._top_root if coupled else None
     if root is not None and root.offset > lam_star - root.pole:
         trace.append(
             f"largest secular root lam = {root.lam!r} "
             f"(pole {root.pole!r} + offset {root.offset!r})"
         )
         return _finish_global(m, stationary_from_lambda(sp, root), False, trace)
-    if lam_star == 0.0 and not np.any(sp.coupled):
+    if lam_star == 0.0 and not coupled:
         # c = 0 up to pole_tol; s* = 0 leaves the residual ||c||.
         trace.append("c = 0 and Q is positive semidefinite: s* = 0")
         return _finish_global(m, np.zeros(m.n), False, trace)
@@ -424,29 +450,35 @@ def global_minimize(m):
 
 
 def _finish_global(m, s_star, hard, trace):
-    cert = model_mod.is_global(m, s_star)
+    norm_s = linalg.norm(s_star)
+    qs = m.Q.entries @ s_star
+    cert = model_mod._certificate(
+        m, norm_s, model_mod._gradient(m, s_star, norm_s, qs),
+        m.default_tol_grad(), m.default_tol_psd(),
+    )
     if not cert.is_global:
-        floor = _EPS * (m.norm_c + m.Q.max_abs * linalg.norm(s_star))
+        floor = _EPS * (m.norm_c + m.Q.max_abs * norm_s)
         raise CertificateFailure(
             f"certificate failed: residual = {cert.residual!r} (tol {cert.tol_grad!r}, "
             f"double-precision floor {floor!r}), "
             f"psd margin = {cert.psd_margin!r} (tol {cert.tol_psd!r})"
         )
-    return _global_solution(m, s_star, cert, hard, trace)
+    objective = model_mod._objective(m, s_star, norm_s, qs)
+    return _global_solution(m, s_star, objective, cert, hard, trace)
 
 
-def _global_solution(m, s_star, cert, hard, trace):
-    """The GlobalSolution at s_star, certified by ``cert``.
+def _global_solution(m, s_star, objective, cert, hard, trace):
+    """The GlobalSolution at s_star with ``objective = m(s_star)``, certified by ``cert``.
 
     Stores a read-only copy of s_star with ``lambda_star =
-    sigma*||s_star||`` (``linalg.safe_norm``) and ``objective = m(s_star)``.
+    sigma*||s_star||`` (``linalg.safe_norm``).
     """
     s_star = np.array(s_star)
     s_star.setflags(write=False)
     return GlobalSolution(
         s_star=s_star,
         lambda_star=m.sigma * linalg.safe_norm(s_star),
-        objective=model_mod.eval_model(m, s_star),
+        objective=objective,
         certificate=cert,
         hard_case=hard,
         trace=trace,

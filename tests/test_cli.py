@@ -110,26 +110,31 @@ class TestSolve:
             ("[[1e200]]", "[1.0]"),
             ("[[1e308]]", "[1.0]"),
             ("[[1e200, 0.0], [0.0, 3e200]]", "[1.0, 2.0]"),
+            ("[[-1e200]]", "[1.0]"),
         ],
     )
     def test_extreme_scale_exits_cleanly(self, tmp_path, q, c):
-        # Minimizers near 1e-200: certified (0) or a solver error (2), with
-        # no traceback; any warning in the child is an error.
+        # Multipliers near 1e-200 or 1e200: solve certifies and stationary
+        # lists its points (0), or a solver error (2), with no traceback;
+        # any warning in the child is an error.
         path = tmp_path / "extreme.json"
         n = len(json.loads(c))
         path.write_text(f'{{"n": {n}, "c": {c}, "Q": {q}, "sigma": 1.0}}\n')
-        out = run_cli(
-            "solve", str(path), "--format", "structured",
-            env={**os.environ, "PYTHONWARNINGS": "error"},
-        )
-        assert out.returncode in (0, 2), out.stderr
-        if out.returncode == 0:
-            assert out.stderr == ""
-            assert json.loads(out.stdout)["is_global"] is True
-        else:
-            assert out.stdout == ""
-            assert out.stderr.startswith("cubicmin: solver error: ConvergenceError: ")
-            assert out.stderr.count("\n") == 1
+        for command in ("solve", "stationary"):
+            out = run_cli(
+                command, str(path), "--format", "structured",
+                env={**os.environ, "PYTHONWARNINGS": "error"},
+            )
+            assert out.returncode in (0, 2), out.stderr
+            if out.returncode == 0:
+                assert out.stderr == ""
+                rec = json.loads(out.stdout)
+                if command == "solve":
+                    assert rec["is_global"] is True
+            else:
+                assert out.stdout == ""
+                assert out.stderr.startswith("cubicmin: solver error: ConvergenceError: ")
+                assert out.stderr.count("\n") == 1
 
     def test_escapes_minimizer_near_1e_200(self, tmp_path):
         # The gradient at the N(0, 1) start is about 1e200 and lambda* is

@@ -72,6 +72,16 @@ class TestSolveViaEscapes:
         direct = global_minimize(m)
         assert abs(sol.objective - direct.objective) <= 1e-6
 
+    def test_rounding_sign_of_c_s_defers_to_certificate(self):
+        # With c = 1e-200 the local solve ends near s = 1e-15, where c.s > 0
+        # comes from rounding alone and the sign flip cannot decrease m.
+        m = CubicModel([1e-200], [[1.0]], 1.0)
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            sol, trace = solve_via_escapes(m, rng.normal(size=1))
+            assert sol.certificate.is_global
+            assert trace.escape_count == 0
+
 
 class TestSolutionArrays:
     """Both global solvers return s_star as a read-only copy."""

@@ -1,7 +1,11 @@
 """Secular equation, stationary-point enumeration, and global minimization."""
 
+import gc
 import math
 import re
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -337,6 +341,141 @@ class TestSingleRootSearch:
         assert bounded > 50
 
 
+def _fresh(m):
+    return CubicModel(m.c, m.Q.entries, m.sigma)
+
+
+def _global_record(m):
+    try:
+        sol = global_minimize(m)
+    except CubicminError as exc:
+        return type(exc).__name__
+    cert = sol.certificate
+    return (sol.s_star.tobytes(), sol.lambda_star, sol.objective, sol.hard_case, sol.trace,
+            cert.psd_margin, cert.residual, cert.is_global, cert.tol_grad, cert.tol_psd)
+
+
+def _points_record(m):
+    try:
+        points = enumerate_stationary(m)
+    except CubicminError as exc:
+        return type(exc).__name__
+    return [(p.s.tobytes(), p.lam, p.objective, p.residual) for p in points]
+
+
+class TestSharedSecularData:
+    """One SecularProblem and one search above the last pole per model."""
+
+    def test_one_unbounded_search_for_both_entry_points(self, monkeypatch):
+        fars = []
+        real = stationary._newton_root
+
+        def counting(sp, end, far):
+            fars.append(far)
+            return real(sp, end, far)
+
+        monkeypatch.setattr(stationary, "_newton_root", counting)
+        m = CubicModel([1.0, 1.0, 1.0], np.diag([-3.0, -1.0, 2.0]), 1.0)
+        global_minimize(m)
+        enumerate_stationary(m)
+        global_minimize(m)
+        assert fars.count(math.inf) == 1
+        assert len(fars) > 1
+        assert SecularProblem.from_model(m) is SecularProblem.from_model(m)
+
+    def test_bitwise_equal_in_either_order_and_fresh(self):
+        rng = np.random.default_rng(4242)
+        tops = 0
+        for i in range(160):
+            cls = ("generic", "hard", "near_hard", "zero_c")[i % 4]
+            m = _class_model(rng, cls, 1 + (i // 4) % 6)
+            first = _fresh(m)
+            sol = _global_record(first)
+            points = _points_record(first)
+            second = _fresh(m)
+            assert _points_record(second) == points, (i, cls)
+            assert _global_record(second) == sol, (i, cls)
+            assert _global_record(_fresh(m)) == sol, (i, cls)
+            assert _points_record(_fresh(m)) == points, (i, cls)
+            if isinstance(sol, tuple) and not sol[3] and isinstance(points, list):
+                # Outside the hard case the last point is the minimizer.
+                assert points[-1][0] == sol[0], (i, cls)
+                tops += 1
+        assert tops > 60
+
+    def test_cached_arrays_are_read_only(self):
+        sp = _sp(CubicModel([1.0, 0.0, 1.0], np.diag([-3.0, -1.0, 2.0]), 1.0))
+        for arr in (sp.beta, sp.coupled, sp.coupled_beta, sp.coupled_poles, sp.poles):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = arr[0]
+
+    def test_model_freed_by_reference_counting(self):
+        m = CubicModel([1.0, 1.0], np.diag([-3.0, 2.0]), 1.0)
+        global_minimize(m)
+        enumerate_stationary(m)
+        ref = weakref.ref(m)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del m
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    def test_threads_share_one_fresh_model(self):
+        rng = np.random.default_rng(77)
+        models = [_class_model(rng, ("generic", "hard")[i % 2], 3 + i % 4) for i in range(24)]
+        want = [(_global_record(_fresh(m)), _points_record(_fresh(m))) for m in models]
+        got = [[None] * 4 for _ in models]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k, m in enumerate(models):
+                shared = _fresh(m)
+                barrier = threading.Barrier(4, timeout=10.0)
+
+                def work(j, shared=shared, barrier=barrier, k=k):
+                    barrier.wait()
+                    if j % 2:
+                        got[k][j] = (_global_record(shared), _points_record(shared))
+                    else:
+                        points = _points_record(shared)
+                        got[k][j] = (_global_record(shared), points)
+
+                threads = [threading.Thread(target=work, args=(j,)) for j in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10.0)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        for k, results in enumerate(got):
+            assert results == [want[k]] * 4, k
+
+
+class TestBoundaryMixedCoupling:
+    """A multiplier -mu_i carries boundary points only when no mode of its
+    cluster (eigenvalues within SINGULAR_MODE_TOL) is coupled."""
+
+    @pytest.mark.parametrize("gap", [0.0, 0.5 * stationary.SINGULAR_MODE_TOL])
+    @pytest.mark.parametrize(
+        "c, count",
+        [((1.0, 0.0, 0.0), 0), ((0.0, 1.0, 0.0), 0), ((0.0, 0.0, 1.0), 2)],
+    )
+    def test_points_at_lambda_2(self, gap, c, count):
+        m = CubicModel(c, np.diag([-2.0, -2.0 + gap, 1.0]), 1.0)
+        points = enumerate_stationary(m)
+        at_2 = [p for p in points if abs(p.lam - 2.0) <= 1e-9]
+        assert len(at_2) == count
+        for p in at_2:
+            assert p.residual <= m.default_tol_grad()
+        if count:
+            assert at_2[0].objective == pytest.approx(at_2[1].objective, rel=1e-12)
+
+
 # Near-hard, badly scaled and tiny-sigma models: (c, diag(Q), sigma).
 HARD_TO_CERTIFY = [
     ((1e-9, 1.0), (-1.0, 2.0), 1.0),
@@ -439,6 +578,8 @@ EXTREME_SCALES = [
     {"n": 1, "c": [1.0], "Q": [[1e200]], "sigma": 1.0},
     {"n": 1, "c": [1.0], "Q": [[1e308]], "sigma": 1.0},
     {"n": 2, "c": [1.0, 2.0], "Q": [[1e200, 0.0], [0.0, 3e200]], "sigma": 1.0},
+    # The Newton start underflows to the pole at lam = 1e200.
+    {"n": 1, "c": [1.0], "Q": [[-1e200]], "sigma": 1.0},
 ]
 
 
