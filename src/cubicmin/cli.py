@@ -61,6 +61,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def _seed(text):
+    # argparse type of --seed; argparse names the flag in its error line.
+    try:
+        value = int(text)
+        if value >= 0:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+
+
 def _build_parser():
     parser = _Parser(
         prog="cubicmin",
@@ -69,7 +80,9 @@ def _build_parser():
     )
     parser.add_argument("--version", action="version", version=f"cubicmin {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="seed for any randomness")
+    common.add_argument(
+        "--seed", type=_seed, default=0, help="non-negative seed for any randomness"
+    )
     common.add_argument("--jobs", type=int, default=None, help="worker processes")
     common.add_argument("--out", default=None, help="write output to this path")
     common.add_argument(
@@ -147,7 +160,7 @@ def _build_parser():
     p.add_argument(
         "--seeds",
         default="0,1,2,3,4",
-        help="comma-separated seed list, or a count meaning seeds 0..k-1",
+        help="comma-separated non-negative seed list, or a count meaning seeds 0..k-1",
     )
 
     p = sub.add_parser(
@@ -433,6 +446,8 @@ def _parse_seeds(text):
         values = [int(p) for p in parts]
     except ValueError:
         raise SchemaError("--seeds", f"could not parse {text!r}") from None
+    if min(values) < 0:
+        raise SchemaError("--seeds", f"seeds must be non-negative, got {text!r}")
     if len(values) == 1 and "," not in text:
         return list(range(values[0])) if values[0] > 0 else [values[0]]
     return values

@@ -91,7 +91,7 @@ class ArcOptions:
     when rho >= eta1 = 0.1, halve sigma (down to sigma_min = 1e-8) when
     rho >= eta2 = 0.9, double it on rejection.  ``cauchy_start`` seeds
     each subproblem from the Cauchy point instead of a random sphere
-    point.  ``seed`` drives all subproblem starting points.
+    point.  ``seed`` (non-negative) drives all subproblem starting points.
     """
 
     tol_grad_inf: float = 1e-5
@@ -104,6 +104,8 @@ class ArcOptions:
             raise ValueError("tol_grad_inf must be positive")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
 
 
 def _adaptive_eps_curv(eps_grad, s_bar):

@@ -4,11 +4,13 @@ A stationary point s_bar of the cubic model that is not the global
 minimizer admits an explicit point s_hat with m(s_hat) < m(s_bar):
 flip the sign when c^T s_bar > 0 (a flip that does not decrease defers
 to the curvature certificate), step along a negative-curvature
-direction from the origin, or reflect across a hyperplane built from
-the negative-curvature direction.  ``escape_approx`` gates each move by
-tolerance thresholds tied to the gradient residual; ``escape_exact`` is
-a residual gate in front of the same tests at the model's default
-tolerances.  Every move is verified by direct evaluation.
+direction from the origin, or reflect s_bar: across the
+negative-curvature direction d (B_II) or across z = s_bar + alpha*d
+(B_III).  ``escape_approx`` gates each move by tolerance thresholds
+tied to the gradient residual; ``escape_exact`` is a residual gate in
+front of the same tests at the model's default tolerances.  Every move
+is verified by direct evaluation; where the gates of both reflections
+hold, the larger verified decrease is returned.
 """
 
 import math
@@ -29,11 +31,6 @@ CASE_B_I = "B_I"
 CASE_B_II = "B_II"
 CASE_B_III = "B_III"
 CASE_NONE_GLOBAL = "NONE_GLOBAL"
-
-# Orthogonality split: |s_bar^T d| at or below this (relative to ||s_bar||,
-# for unit d) routes to the reflection-with-offset case, where a vanishing
-# reflection step cannot occur.
-TOL_ORTH = 1e-10
 
 _MAX_DOUBLINGS = 60
 
@@ -149,7 +146,8 @@ def escape_exact(m, s_bar, direction=None):
     EscapeOutcome
         NONE_GLOBAL when the semidefiniteness certificate holds at
         s_bar (then s_bar is the global minimizer); otherwise a case
-        A / B_I / B_II / B_III move, never one without decrease.
+        A / B_I / B_II / B_III move, never one without decrease; of
+        B_II and B_III, the larger verified decrease.
 
     Raises
     ------
@@ -172,16 +170,17 @@ def escape_approx(m, s_bar, tol, direction=None):
 
     The caller certifies ``||grad m(s_bar)|| <= tol.eps_grad``.  Each
     reflection is gated by a threshold on ``tol.eps_curv`` so the
-    theoretical decrease survives the gradient residual; every move is
-    verified by direct evaluation, and a B_II reflection that does not
-    decrease falls through to B_III.
+    theoretical decrease survives the gradient residual.  Every move is
+    verified by direct evaluation; B_II and B_III are both built when
+    their gates hold, and the larger verified decrease is returned
+    (B_II on a tie).
 
     Raises
     ------
     ThresholdNotMet
-        Negative curvature is present but no case threshold holds (or a
-        verified decrease could not be produced); the caller should
-        tighten the local-solve tolerance and retry.
+        Negative curvature is present but no move whose threshold holds
+        verifies a decrease; the caller should tighten the local-solve
+        tolerance and retry.
     """
     s = m._check_dim(s_bar)
     return _escape(m, s, model_mod.eval_model(m, s), tol, direction)
@@ -218,10 +217,13 @@ def _escape(m, s, m_sbar, tol, direction):
             return out
         raise ThresholdNotMet("origin step failed to decrease the objective")
 
+    # B_II and B_III each keep their move only if it verifies a decrease;
+    # the larger decrease wins, B_II on a tie.
+    moves = []
     lam = m.sigma * norm_s
     s_d = float(s @ d)
-    if abs(s_d) > TOL_ORTH * norm_s * norm_d:
-        grad_d = float(grad @ d)
+    grad_d = float(grad @ d)
+    if s_d != 0.0:
         accepted = tol.eps_curv >= abs(grad_d / s_d)
         if not accepted:
             # Strengthened acceptance: the reflection's predicted change
@@ -229,37 +231,32 @@ def _escape(m, s, m_sbar, tol, direction):
             step = 2.0 * s_d / norm_d**2
             q_dd = float(d @ (m.Q.entries @ d) + lam * (d @ d))
             accepted = 0.5 * step**2 * q_dd - step * grad_d < 0.0
-        if not accepted:
-            raise ThresholdNotMet(
-                "reflection threshold failed: eps_curv < |grad^T d / s_bar^T d| "
-                "and the strengthened test is nonnegative"
-            )
-        s_hat = s - 2.0 * (s_d / norm_d**2) * d
-        out = _outcome(m, m_sbar, CASE_B_II, s_hat, d=d)
-        if out.decrease > 0.0:
-            return out
-        # s_d just above TOL_ORTH: the reflection moves s by rounding
-        # alone.  B_III needs only stationarity, since
-        # z^T (Q + lam I) z = -c.s - 2 alpha c.d + alpha^2 d^T (Q + lam I) d,
-        # so it also applies when s_d is not exactly 0.
-
-    if not tol.eps_curv > abs(float(grad @ s)) / norm_s**2:
-        raise ThresholdNotMet(
-            "orthogonal-direction threshold failed: eps_curv <= |grad^T s_bar| / ||s_bar||^2"
-        )
-    if float(grad @ d) < 0.0:
-        d = -d
-    alpha_bar = alpha_threshold_biii(m, s, d)
-    alpha = 2.0 * max(alpha_bar, norm_s)
-    for _ in range(_MAX_DOUBLINGS + 1):
-        z = s + alpha * d
-        z_q_z = float(z @ (m.Q.entries @ z) + lam * (z @ z))
-        if z_q_z < -tol.eps_curv * float(z @ z):
-            s_hat = s - 2.0 * (float(s @ z) / float(z @ z)) * z
-            out = _outcome(m, m_sbar, CASE_B_III, s_hat, d=d, alpha=alpha, z=z)
+        if accepted:
+            s_hat = s - 2.0 * (s_d / norm_d**2) * d
+            out = _outcome(m, m_sbar, CASE_B_II, s_hat, d=d)
             if out.decrease > 0.0:
-                return out
-        alpha *= 2.0
-    raise ThresholdNotMet(
-        f"no verified decrease within {_MAX_DOUBLINGS} step doublings"
-    )
+                moves.append(out)
+
+    # B_III needs only stationarity, not s_d = 0, since
+    # z^T (Q + lam I) z = -c.s - 2 alpha c.d + alpha^2 d^T (Q + lam I) d.
+    if tol.eps_curv > abs(float(grad @ s)) / norm_s**2:
+        if grad_d < 0.0:
+            d = -d
+        alpha = 2.0 * max(alpha_threshold_biii(m, s, d), norm_s)
+        for _ in range(_MAX_DOUBLINGS + 1):
+            z = s + alpha * d
+            z_q_z = float(z @ (m.Q.entries @ z) + lam * (z @ z))
+            if z_q_z < -tol.eps_curv * float(z @ z):
+                s_hat = s - 2.0 * (float(s @ z) / float(z @ z)) * z
+                out = _outcome(m, m_sbar, CASE_B_III, s_hat, d=d, alpha=alpha, z=z)
+                if out.decrease > 0.0:
+                    moves.append(out)
+                    break
+            alpha *= 2.0
+    if not moves:
+        raise ThresholdNotMet(
+            "neither B_II nor B_III verified a decrease (gates: eps_curv >= "
+            "|grad^T d / s_bar^T d| or a negative strengthened test; "
+            "eps_curv > |grad^T s_bar| / ||s_bar||^2)"
+        )
+    return max(moves, key=lambda out: out.decrease)

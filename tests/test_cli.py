@@ -328,6 +328,13 @@ class TestMinimize:
         assert out.returncode == 1
         assert "not_a_problem" in out.stderr
 
+    @pytest.mark.parametrize("args", [("--seed", "-1"), ("--seed=-1",)])
+    def test_negative_seed_exit_1(self, args):
+        out = run_cli("minimize", "sphere2", *args)
+        assert out.returncode == 1
+        assert "argument --seed: expected a non-negative integer" in out.stderr
+        assert not out.stdout
+
 
 @pytest.fixture(scope="module")
 def bench_csv(tmp_path_factory):
@@ -416,6 +423,14 @@ class TestBenchAndProfile:
         empty.mkdir()
         out = run_cli("bench", str(empty))
         assert out.returncode == 1
+
+    @pytest.mark.parametrize("args", [("--seeds=-3",), ("--seeds", "0,-1")])
+    def test_bench_negative_seeds_exit_1(self, args, tmp_path):
+        dest = tmp_path / "neg.csv"
+        out = run_cli("bench", "sphere2", *args, "--out", str(dest))
+        assert out.returncode == 1
+        assert out.stderr.startswith("cubicmin: error: --seeds: ")
+        assert not dest.exists()
 
     def test_bench_unknown_name_exit_1(self):
         out = run_cli("bench", "sphere2,missing_problem")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cubicmin import CubicModel
+from cubicmin import driver
 from cubicmin.driver import (
     ArcOptions,
     arc_plus_minimize,
@@ -12,7 +13,7 @@ from cubicmin.driver import (
     performance_profile,
     solve_via_escapes,
 )
-from cubicmin.exceptions import EmptyInput
+from cubicmin.exceptions import BoundExceeded, EmptyInput, ThresholdNotMet, ToleranceFloor
 from cubicmin.model import eval_model, grad, is_global
 from cubicmin.problems import get_problem
 from cubicmin.stationary import global_minimize
@@ -81,6 +82,60 @@ class TestSolveViaEscapes:
             sol, trace = solve_via_escapes(m, rng.normal(size=1))
             assert sol.certificate.is_global
             assert trace.escape_count == 0
+
+
+class TestSolveViaEscapesRecovery:
+    """The driver's answers to escape failures, forced by a stand-in escape."""
+
+    def _patch(self, monkeypatch, respond):
+        # respond(call_index, real_escape, m, s_bar, tol) returns an
+        # EscapeOutcome or raises; the list records each call's eps_grad.
+        real = driver.escape_mod.escape_approx
+        tols = []
+
+        def fake(m, s_bar, tol, direction=None):
+            tols.append(tol.eps_grad)
+            return respond(len(tols) - 1, real, m, s_bar, tol)
+
+        monkeypatch.setattr(driver.escape_mod, "escape_approx", fake)
+        return tols
+
+    def test_one_threshold_failure_tightens_and_retries(self, monkeypatch):
+        def respond(i, real, m, s_bar, tol):
+            if i == 0:
+                raise ThresholdNotMet("forced")
+            return real(m, s_bar, tol)
+
+        tols = self._patch(monkeypatch, respond)
+        sol, trace = solve_via_escapes(WORKED, np.array([0.9, 0.02]))
+        assert sol.certificate.is_global
+        assert sol.objective == pytest.approx(-5.0, abs=1e-6)
+        assert tols[0] == WORKED.default_tol_grad()
+        assert tols[1] == tols[0] / 10.0
+        assert len(trace.steps) == len(tols) - 1
+
+    def test_repeated_threshold_failure_hits_floor(self, monkeypatch):
+        def respond(i, real, m, s_bar, tol):
+            raise ThresholdNotMet("forced")
+
+        tols = self._patch(monkeypatch, respond)
+        with pytest.raises(ToleranceFloor):
+            solve_via_escapes(WORKED, np.array([0.9, 0.02]))
+        expected = [WORKED.default_tol_grad()]
+        for _ in range(6):
+            expected.append(expected[-1] / 10.0)
+        assert tols == expected
+
+    def test_endless_escapes_exceed_bound(self, monkeypatch):
+        def respond(i, real, m, s_bar, tol):
+            return driver.escape_mod.EscapeOutcome(
+                case_tag="B_II", s_hat=np.array(s_bar), decrease=1.0
+            )
+
+        tols = self._patch(monkeypatch, respond)
+        with pytest.raises(BoundExceeded):
+            solve_via_escapes(WORKED, np.array([0.9, 0.02]))
+        assert len(tols) == count_bound(WORKED) + 3
 
 
 class TestSolutionArrays:
@@ -179,6 +234,8 @@ class TestArcOuter:
             ArcOptions(tol_grad_inf=-1.0)
         with pytest.raises(ValueError):
             ArcOptions(max_iters=0)
+        with pytest.raises(ValueError):
+            ArcOptions(seed=-1)
 
     def test_iteration_cap_reported(self):
         rep = arc_plus_minimize(

@@ -25,6 +25,25 @@ WORKED = CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
 WORKED_PT = StationaryPoint.from_vector(WORKED, np.array([1.0, 0.0]))
 
 
+def _assert_real_biii_escapes(m):
+    # Every non-global enumerated point escapes by B_III with a decrease
+    # above rounding level, and escape_approx at the default tolerances
+    # returns the same bytes.
+    tol = ApproxTolerances(m.default_tol_grad(), m.default_tol_psd())
+    moves = 0
+    for p in enumerate_stationary(m):
+        exact = escape_exact(m, p)
+        if exact.case_tag == "NONE_GLOBAL":
+            continue
+        moves += 1
+        approx = escape_approx(m, p.s, tol)
+        assert exact.case_tag == approx.case_tag == "B_III"
+        assert exact.decrease > 1e-12
+        assert approx.s_hat.tobytes() == exact.s_hat.tobytes()
+        assert approx.decrease == exact.decrease
+    assert moves
+
+
 class TestNegativeCurvatureDirection:
     def test_psd_reports_positive_curvature(self):
         m = CubicModel([0.0, 0.0], np.eye(2), 1.0)
@@ -115,24 +134,18 @@ class TestEscapeExactCases:
 
     @pytest.mark.parametrize("sigma", [0.1, 1.0])
     def test_nearly_orthogonal_direction_still_decreases(self, sigma):
-        # |s.d| sits just above TOL_ORTH at the non-global stationary point,
-        # so the B_II reflection moves s only by rounding; the escape must
-        # fall through to B_III and return a real decrease.
-        # escape_approx at the default tolerances takes the same path.
-        m = CubicModel([1e-9, 1.0], np.diag([-1.0, 2.0]), sigma)
-        tol = ApproxTolerances(m.default_tol_grad(), m.default_tol_psd())
-        moves = 0
-        for p in enumerate_stationary(m):
-            exact = escape_exact(m, p)
-            if exact.case_tag == "NONE_GLOBAL":
-                continue
-            moves += 1
-            approx = escape_approx(m, p.s, tol)
-            assert exact.case_tag == approx.case_tag == "B_III"
-            assert exact.decrease > 0.0
-            assert approx.s_hat.tobytes() == exact.s_hat.tobytes()
-            assert approx.decrease == exact.decrease
-        assert moves
+        # |s.d| is about 1e-10 at the non-global stationary point, so the
+        # B_II reflection moves s only by rounding; B_III must win.
+        _assert_real_biii_escapes(CubicModel([1e-9, 1.0], np.diag([-1.0, 2.0]), sigma))
+
+    @pytest.mark.parametrize("k", range(1, 40))
+    def test_rounding_level_reflection_loses_to_biii(self, k):
+        # Near-hard, built as models_small builds them: beta_1 = 1e-9 and
+        # sigma = 0.5*2/|1/(1 - (-2))| = 3.  On some rotations B_II moves s
+        # by rounding alone (decrease about 6e-17); B_III must win there.
+        theta = 0.1 * k
+        V = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        _assert_real_biii_escapes(CubicModel(V @ [1e-9, 1.0], V @ np.diag([-2.0, 1.0]) @ V.T, 3.0))
 
     def test_none_global_at_minimizer(self):
         sol = global_minimize(WORKED)
@@ -187,9 +200,12 @@ class TestEscapeApprox:
         assert out.decrease == 0.0
 
     def test_threshold_not_met(self):
+        # Neither reflection gate holds: |grad.d / s.d| = 12 and
+        # |grad.s| / ||s||^2 = 1.15e-3 both exceed eps_curv, and the
+        # strengthened B_II test gives +0.002.
         m = CubicModel([-2.0, -0.1], np.diag([1.0, -3.0]), 1.0)
         with pytest.raises(ThresholdNotMet):
-            escape_approx(m, np.array([1.0, 0.01]), ApproxTolerances(1.0, 0.5))
+            escape_approx(m, np.array([1.0, 0.01]), ApproxTolerances(1.0, 1e-3))
 
     def test_tolerances_must_be_nonnegative(self):
         with pytest.raises(ValueError):

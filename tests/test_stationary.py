@@ -212,6 +212,10 @@ class TestCountBound:
     def test_two_distinct_negative(self):
         m = CubicModel([0.0, 0.0, 0.0], np.diag([-2.0, -1.0, 5.0]), 1.0)
         assert count_bound(m) == 6
+        # c = 0 couples no mode, yet there are three distinct multipliers,
+        # more than 2(0 + 1): uncoupled negative eigenvalues must count.
+        lams = sorted({p.lam for p in enumerate_stationary(m)})
+        assert lams == pytest.approx([0.0, 1.0, 2.0], abs=1e-12)
 
     def test_multiplicity_collapses(self):
         m = CubicModel([0.0, 0.0, 0.0], -np.eye(3), 1.0)
