@@ -49,7 +49,6 @@ from .escape import (
     alpha_threshold_biii,
     escape_approx,
     escape_exact,
-    negative_curvature_direction,
 )
 from .local_solver import LocalSolveReport, local_minimize
 from .driver import (
@@ -132,7 +131,6 @@ __all__ = [
     "kernel_backend",
     "load_problem",
     "local_minimize",
-    "negative_curvature_direction",
     "parse_problem",
     "performance_profile",
     "problem_to_dict",

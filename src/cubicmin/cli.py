@@ -61,15 +61,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _seed(text):
-    # argparse type of --seed; argparse names the flag in its error line.
-    try:
-        value = int(text)
-        if value >= 0:
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+def _int_at_least(low, what):
+    # argparse type for integers >= low; argparse names the flag in its
+    # error line.
+    def parse(text):
+        try:
+            value = int(text)
+            if value >= low:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a {what} integer, got {text!r}")
+
+    return parse
 
 
 def _build_parser():
@@ -81,9 +85,17 @@ def _build_parser():
     parser.add_argument("--version", action="version", version=f"cubicmin {__version__}")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
-        "--seed", type=_seed, default=0, help="non-negative seed for any randomness"
+        "--seed",
+        type=_int_at_least(0, "non-negative"),
+        default=0,
+        help="non-negative seed for any randomness",
     )
-    common.add_argument("--jobs", type=int, default=None, help="worker processes")
+    common.add_argument(
+        "--jobs",
+        type=_int_at_least(1, "positive"),
+        default=None,
+        help="worker processes (default: every CPU)",
+    )
     common.add_argument("--out", default=None, help="write output to this path")
     common.add_argument(
         "--format",
@@ -101,8 +113,12 @@ def _build_parser():
         default="secular",
         help="secular enumeration or local-solve-plus-escape loop",
     )
-    p.add_argument("--eps", type=float, default=None, help="gradient tolerance")
-    p.add_argument("--eps2", type=float, default=None, help="curvature tolerance")
+    p.add_argument(
+        "--eps", type=float, default=None, help="gradient tolerance (--method escapes only)"
+    )
+    p.add_argument(
+        "--eps2", type=float, default=None, help="curvature tolerance (--method escapes only)"
+    )
 
     p = sub.add_parser(
         "stationary", parents=[common], help="enumerate all stationary points"
@@ -119,9 +135,14 @@ def _build_parser():
         help="comma-separated coordinates of the stationary point",
     )
     p.add_argument(
-        "--eps", type=float, default=None, help="use the approximate tests with this eps"
+        "--eps",
+        type=float,
+        default=None,
+        help="use the approximate tests; the point's residual must be at most eps",
     )
-    p.add_argument("--eps2", type=float, default=None, help="curvature tolerance")
+    p.add_argument(
+        "--eps2", type=float, default=None, help="curvature tolerance (needs --eps)"
+    )
 
     p = sub.add_parser(
         "minimize", parents=[common], help="run the outer optimizer on an objective"
@@ -237,6 +258,10 @@ def _format_record_text(rec):
 
 
 def _cmd_solve(args):
+    if args.method != "escapes":
+        for flag, value in (("--eps", args.eps), ("--eps2", args.eps2)):
+            if value is not None:
+                raise SchemaError(flag, "applies only to --method escapes")
     m, name = load_problem(args.problem)
     t0 = time.perf_counter()
     if args.method == "secular":
@@ -263,9 +288,10 @@ def _cmd_stationary(args):
     for p in points:
         if not any(abs(p.lam - q) <= 1e-9 * (1.0 + abs(q)) for q in distinct):
             distinct.append(p.lam)
+    tol_grad, tol_psd = m.default_tol_grad(), m.default_tol_psd()
     rows = []
     for p in points:
-        cert = model_mod.is_global(m, p.s)
+        cert = model_mod._certificate(m, p.lam, p.residual, tol_grad, tol_psd)
         rows.append(
             {
                 "lambda": float(p.lam),
@@ -300,6 +326,8 @@ def _cmd_stationary(args):
 
 
 def _cmd_escape(args):
+    if args.eps is None and args.eps2 is not None:
+        raise SchemaError("--eps2", "applies only with --eps (the approximate tests)")
     m, name = load_problem(args.problem)
     point = _parse_vector(args.point, m.n, "--point")
     t0 = time.perf_counter()
@@ -468,7 +496,7 @@ def _cmd_bench(args):
     seeds = _parse_seeds(args.seeds)
 
     cells = [(m, v, s) for m in members for v in variants for s in seeds]
-    jobs = args.jobs if args.jobs else os.cpu_count() or 1
+    jobs = args.jobs or os.cpu_count() or 1
     if jobs > 1 and len(cells) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_bench_cell, *zip(*cells)))
@@ -570,7 +598,3 @@ def main(argv=None):
     except ValueError as exc:
         print(f"cubicmin: error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

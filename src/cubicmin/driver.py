@@ -182,8 +182,9 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
         objective = model_mod.eval_model(m, s_bar)
         steps.append((s_bar, out.case_tag, objective))
         if out.case_tag == escape_mod.CASE_NONE_GLOBAL:
-            cert = model_mod.is_global(m, s_bar, tol_grad=eps, tol_psd=ec)
-            sol = _global_solution(m, s_bar, objective, cert, False, [t[1] for t in steps])
+            sol = _global_solution(
+                m, s_bar, objective, out.certificate, False, [t[1] for t in steps]
+            )
             return sol, SubproblemTrace(steps=steps, solution=sol, escape_count=escapes)
         escapes += 1
         if escapes > cap:

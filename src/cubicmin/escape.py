@@ -3,14 +3,17 @@
 A stationary point s_bar of the cubic model that is not the global
 minimizer admits an explicit point s_hat with m(s_hat) < m(s_bar):
 flip the sign when c^T s_bar > 0 (a flip that does not decrease defers
-to the curvature certificate), step along a negative-curvature
+to the global certificate), step along a negative-curvature
 direction from the origin, or reflect s_bar: across the
 negative-curvature direction d (B_II) or across z = s_bar + alpha*d
-(B_III).  ``escape_approx`` gates each move by tolerance thresholds
-tied to the gradient residual; ``escape_exact`` is a residual gate in
-front of the same tests at the model's default tolerances.  Every move
-is verified by direct evaluation; where the gates of both reflections
-hold, the larger verified decrease is returned.
+(B_III).  Both escapes judge the point by its global certificate
+(``model._certificate`` at ``eps_grad`` and ``eps_curv``): a residual
+above ``eps_grad`` raises NotStationary, and a point that passes gets
+NONE_GLOBAL.  ``escape_exact`` uses the model's default tolerances,
+``escape_approx`` the caller's, which also set each reflection's
+threshold.  Every move is verified by direct evaluation; where the
+gates of both reflections hold, the larger verified decrease is
+returned.
 """
 
 import math
@@ -40,15 +43,18 @@ class ApproxTolerances:
     """Tolerances certifying an approximate stationary point.
 
     ``eps_grad`` bounds the gradient residual at s_bar; ``eps_curv`` is
-    the curvature margin required of the escape direction.
+    the curvature margin required of the escape direction.  Both must be
+    ``>= 0`` (NaN is rejected).
     """
 
     eps_grad: float
     eps_curv: float
 
     def __post_init__(self):
-        if self.eps_grad < 0.0 or self.eps_curv < 0.0:
-            raise ValueError("tolerances must be nonnegative")
+        for name in ("eps_grad", "eps_curv"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,9 +62,10 @@ class EscapeOutcome:
     """Result of one escape attempt.
 
     ``case_tag`` names which construction fired; NONE_GLOBAL means the
-    point passed the global-optimality certificate and no escape exists.
-    ``decrease`` is ``m(s_bar) - m(s_hat)``, positive for every actual
-    move.  Reflection cases preserve the norm of s_bar.
+    point passed the global-optimality certificate and no escape exists,
+    and then ``certificate`` holds that GlobalCertificate (None on
+    moves).  ``decrease`` is ``m(s_bar) - m(s_hat)``, positive for every
+    actual move.  Reflection cases preserve the norm of s_bar.
     """
 
     case_tag: str
@@ -67,28 +74,13 @@ class EscapeOutcome:
     alpha_used: float = None
     z_used: np.ndarray = None
     decrease: float = 0.0
+    certificate: model_mod.GlobalCertificate = None
 
 
 def _zero_tol(m):
     # lam = sigma*||s_bar|| below this is negligible against any curvature
     # that survives the NONE_GLOBAL gate.
     return 1e-10 * max(1.0, abs(float(m.eig.values[0])) / m.sigma)
-
-
-def negative_curvature_direction(m, s_bar):
-    """Extreme eigenvector of ``Q + sigma*||s_bar||*I`` and its curvature.
-
-    Returns
-    -------
-    (d, curv) : (ndarray, float)
-        ``d`` is the unit eigenvector for the smallest eigenvalue (the
-        shift does not change eigenvectors of Q), and
-        ``curv = mu_1 + sigma*||s_bar||`` is its Rayleigh quotient.
-    """
-    s_bar = m._check_dim(s_bar)
-    d = m.eig.vectors[:, 0].copy()
-    curv = float(m.eig.values[0] + m.sigma * linalg.norm(s_bar))
-    return d, curv
 
 
 def alpha_threshold_biii(m, s_bar, d):
@@ -136,39 +128,37 @@ def escape_exact(m, s_bar, direction=None):
     Parameters
     ----------
     s_bar : StationaryPoint
-        Must carry residual at most ``m.default_tol_grad()``.
+        Judged by its own residual at ``m.default_tol_grad()``.
     direction : array_like, optional
         Override for the negative-curvature direction (testing hook);
-        by default the extreme eigenvector is used.
+        by default the extreme eigenvector is used.  NONE_GLOBAL still
+        follows the certificate, not the override's curvature.
 
     Returns
     -------
     EscapeOutcome
-        NONE_GLOBAL when the semidefiniteness certificate holds at
-        s_bar (then s_bar is the global minimizer); otherwise a case
-        A / B_I / B_II / B_III move, never one without decrease; of
-        B_II and B_III, the larger verified decrease.
+        NONE_GLOBAL when the global certificate holds at s_bar (then
+        s_bar is the global minimizer); otherwise a case A / B_I / B_II
+        / B_III move, never one without decrease; of B_II and B_III, the
+        larger verified decrease.
 
     Raises
     ------
     NotStationary
-        If the residual precondition fails; use escape_approx instead.
+        If the residual exceeds ``m.default_tol_grad()``; use
+        escape_approx with a looser ``eps_grad`` instead.
     ThresholdNotMet
         As escape_approx (not seen on enumerated points).
     """
-    tol_grad = m.default_tol_grad()
-    if not s_bar.residual <= tol_grad:
-        raise NotStationary(
-            f"residual {s_bar.residual!r} exceeds {tol_grad!r}; use escape_approx"
-        )
-    tol = ApproxTolerances(tol_grad, m.default_tol_psd())
-    return _escape(m, np.asarray(s_bar.s, dtype=float), s_bar.objective, tol, direction)
+    tol = ApproxTolerances(m.default_tol_grad(), m.default_tol_psd())
+    return _escape(m, s_bar, tol, direction)
 
 
 def escape_approx(m, s_bar, tol, direction=None):
     """Escape move from an approximately stationary point.
 
-    The caller certifies ``||grad m(s_bar)|| <= tol.eps_grad``.  Each
+    ``s_bar`` is a vector; it is evaluated once, and its certificate at
+    ``(tol.eps_grad, tol.eps_curv)`` decides NONE_GLOBAL.  Each
     reflection is gated by a threshold on ``tol.eps_curv`` so the
     theoretical decrease survives the gradient residual.  Every move is
     verified by direct evaluation; B_II and B_III are both built when
@@ -177,35 +167,36 @@ def escape_approx(m, s_bar, tol, direction=None):
 
     Raises
     ------
+    NotStationary
+        If ``||grad m(s_bar)|| > tol.eps_grad``.
     ThresholdNotMet
         Negative curvature is present but no move whose threshold holds
         verifies a decrease; the caller should tighten the local-solve
         tolerance and retry.
     """
-    s = m._check_dim(s_bar)
-    return _escape(m, s, model_mod.eval_model(m, s), tol, direction)
+    return _escape(m, model_mod.StationaryPoint.from_vector(m, s_bar), tol, direction)
 
 
-def _escape(m, s, m_sbar, tol, direction):
-    # The case analysis of both escapes; m_sbar is m(s).
+def _escape(m, point, tol, direction):
+    # The case analysis of both escapes, from the evaluated point.
+    cert = model_mod._certificate(
+        m, point.lam, point.residual, tol.eps_grad, tol.eps_curv, gate=True
+    )
+    s = np.asarray(point.s, dtype=float)
+    m_sbar = point.objective
     flip = None
     if float(m.c @ s) > 0.0:
         flip = _outcome(m, m_sbar, CASE_A, -s)
         if flip.decrease > 0.0:
             return flip
-    if direction is None:
-        d, curv = negative_curvature_direction(m, s)
-    else:
-        d = m._check_dim(direction)
-        lam = m.sigma * linalg.norm(s)
-        curv = float(d @ (m.Q.entries @ d) + lam * (d @ d)) / float(d @ d)
-    if curv >= -tol.eps_curv:
+    if cert.is_global:
         # Also where c.s > 0 by rounding alone, so the flip cannot decrease.
-        return EscapeOutcome(case_tag=CASE_NONE_GLOBAL)
+        return EscapeOutcome(case_tag=CASE_NONE_GLOBAL, certificate=cert)
     if flip is not None:
         raise ThresholdNotMet("sign flip failed to decrease the objective")
-    grad = model_mod.grad(m, s)
+    d = m.eig.vectors[:, 0].copy() if direction is None else m._check_dim(direction)
     norm_s = linalg.norm(s)
+    grad = model_mod._gradient(m, s, norm_s, m.Q.entries @ s)
     norm_d = linalg.norm(d)
 
     if norm_s <= _zero_tol(m):
@@ -220,7 +211,7 @@ def _escape(m, s, m_sbar, tol, direction):
     # B_II and B_III each keep their move only if it verifies a decrease;
     # the larger decrease wins, B_II on a tie.
     moves = []
-    lam = m.sigma * norm_s
+    lam = point.lam
     s_d = float(s @ d)
     grad_d = float(grad @ d)
     if s_d != 0.0:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from cubicmin import linalg
+from cubicmin.exceptions import NotStationary
 from cubicmin.linalg import SymmetricMatrix
 
 
@@ -189,19 +190,23 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
         raise ValueError("tolerances must be positive")
     s = model._check_dim(s)
     norm_s = linalg.norm(s)
-    return _certificate(
-        model, norm_s, _gradient(model, s, norm_s, model.Q.entries @ s), tol_grad, tol_psd
-    )
+    g = _gradient(model, s, norm_s, model.Q.entries @ s)
+    return _certificate(model, model.sigma * norm_s, linalg.safe_norm(g), tol_grad, tol_psd)
 
 
-def _certificate(model, norm_s, g, tol_grad, tol_psd):
-    # The GlobalCertificate of a point with norm norm_s and gradient g.
-    residual = linalg.safe_norm(g)
-    psd_margin = float(model.eig.values[0] + model.sigma * norm_s)
+def _certificate(model, lam, residual, tol_grad, tol_psd, gate=False):
+    # The one judge of a point with multiplier lam = sigma*||s|| and
+    # gradient residual `residual`: nothing else compares either with a
+    # tolerance.  With gate=True a residual above tol_grad (or NaN)
+    # raises NotStationary instead of giving is_global = False.
+    stationary = residual <= tol_grad
+    if gate and not stationary:
+        raise NotStationary(f"residual {residual!r} exceeds {tol_grad!r}")
+    psd_margin = float(model.eig.values[0] + lam)
     return GlobalCertificate(
         psd_margin=psd_margin,
         residual=residual,
-        is_global=(residual <= tol_grad) and (psd_margin >= -tol_psd),
+        is_global=stationary and (psd_margin >= -tol_psd),
         tol_grad=tol_grad,
         tol_psd=tol_psd,
     )

@@ -452,9 +452,9 @@ def global_minimize(m):
 def _finish_global(m, s_star, hard, trace):
     norm_s = linalg.norm(s_star)
     qs = m.Q.entries @ s_star
+    residual = linalg.safe_norm(model_mod._gradient(m, s_star, norm_s, qs))
     cert = model_mod._certificate(
-        m, norm_s, model_mod._gradient(m, s_star, norm_s, qs),
-        m.default_tol_grad(), m.default_tol_psd(),
+        m, m.sigma * norm_s, residual, m.default_tol_grad(), m.default_tol_psd()
     )
     if not cert.is_global:
         floor = _EPS * (m.norm_c + m.Q.max_abs * norm_s)

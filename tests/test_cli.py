@@ -192,6 +192,13 @@ class TestSolve:
         assert out.returncode == 1
         assert out.stderr.strip()
 
+    @pytest.mark.parametrize("flag", ["--eps", "--eps2"])
+    def test_tolerance_flag_needs_escapes_exit_1(self, problem_dir, flag):
+        out = run_cli("solve", str(problem_dir / "worked.json"), flag, "0.1")
+        assert out.returncode == 1
+        assert out.stderr == f"cubicmin: error: {flag}: applies only to --method escapes\n"
+        assert not out.stdout
+
 
 class TestStationary:
     def test_worked_table(self, problem_dir):
@@ -245,6 +252,31 @@ class TestEscape:
         rec = json.loads(out.stdout)
         assert rec["case"] == "B_III"
         assert rec["decrease"] > 0.0
+
+    def test_approximate_escape_enforces_eps(self, problem_dir):
+        # The residual at (1.001, 0) is about 3e-3, above --eps.
+        out = run_cli(
+            "escape", str(problem_dir / "worked.json"), "--point", "1.001,0",
+            "--eps", "1e-6", "--eps2", "0.1",
+        )
+        assert out.returncode == 2
+        assert "NotStationary" in out.stderr
+        assert not out.stdout
+
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (("--eps", "nan"), "eps_grad "),
+            (("--eps", "1", "--eps2", "nan"), "eps_curv "),
+            (("--eps2", "5"), "--eps2: "),
+        ],
+    )
+    def test_bad_tolerance_flags_exit_1(self, problem_dir, flags, field):
+        out = run_cli("escape", str(problem_dir / "worked.json"), "--point", "1,0", *flags)
+        assert out.returncode == 1
+        assert out.stderr.startswith(f"cubicmin: error: {field}")
+        assert "Traceback" not in out.stderr
+        assert not out.stdout
 
     def test_nonstationary_point_exit_2(self, problem_dir):
         out = run_cli(
@@ -457,6 +489,21 @@ class TestBenchAndProfile:
         out = run_cli("profile", str(bench))
         assert out.returncode == 0
         assert out.stdout.splitlines()[1] == "1,1,1"
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_nonpositive_jobs_rejected_while_parsing(self, value, monkeypatch, capsys):
+        # In-process, with any worker pool refused, so no worker can start.
+        from cubicmin import cli
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", no_pool)
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["bench", "sphere2", "--jobs", value, "--seeds", "1"])
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert f"argument --jobs: expected a positive integer, got '{value}'" in err
 
     def test_profile_empty_csv_exit_1(self, tmp_path):
         src = tmp_path / "empty.csv"

@@ -73,6 +73,20 @@ class TestSolveViaEscapes:
         direct = global_minimize(m)
         assert abs(sol.objective - direct.objective) <= 1e-6
 
+    def test_certificate_comes_from_the_escape(self, monkeypatch):
+        # The final point was judged by its escape; it is not judged again.
+        calls = []
+        real = driver.model_mod.is_global
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(driver.model_mod, "is_global", counting)
+        sol, _ = solve_via_escapes(WORKED, np.array([0.9, 0.02]))
+        assert sol.certificate.is_global
+        assert calls == []
+
     def test_rounding_sign_of_c_s_defers_to_certificate(self):
         # With c = 1e-200 the local solve ends near s = 1e-15, where c.s > 0
         # comes from rounding alone and the sign flip cannot decrease m.

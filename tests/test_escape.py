@@ -14,7 +14,6 @@ from cubicmin.escape import (
     alpha_threshold_biii,
     escape_approx,
     escape_exact,
-    negative_curvature_direction,
 )
 from cubicmin.model import StationaryPoint
 from cubicmin.stationary import count_bound, enumerate_stationary, global_minimize
@@ -42,35 +41,6 @@ def _assert_real_biii_escapes(m):
         assert approx.s_hat.tobytes() == exact.s_hat.tobytes()
         assert approx.decrease == exact.decrease
     assert moves
-
-
-class TestNegativeCurvatureDirection:
-    def test_psd_reports_positive_curvature(self):
-        m = CubicModel([0.0, 0.0], np.eye(2), 1.0)
-        d, curv = negative_curvature_direction(m, np.zeros(2))
-        assert curv == pytest.approx(1.0, abs=1e-12)
-        assert np.linalg.norm(d) == pytest.approx(1.0, abs=1e-12)
-
-    def test_worked_point(self):
-        d, curv = negative_curvature_direction(WORKED, np.array([1.0, 0.0]))
-        assert curv == pytest.approx(-2.0, abs=1e-12)
-        assert np.abs(d) == pytest.approx([0.0, 1.0], abs=1e-12)
-
-    def test_indefinite_at_origin(self):
-        m = CubicModel([0.0, 0.0], np.diag([-1.0, 1.0]), 1.0)
-        d, curv = negative_curvature_direction(m, np.zeros(2))
-        assert curv == pytest.approx(-1.0, abs=1e-12)
-        assert np.abs(d) == pytest.approx([1.0, 0.0], abs=1e-12)
-
-    def test_curvature_is_rayleigh_quotient(self):
-        rng = np.random.default_rng(31)
-        for _ in range(20):
-            m = random_model(rng)
-            s = rng.normal(size=m.n)
-            d, curv = negative_curvature_direction(m, s)
-            shifted = m.Q.entries + m.sigma * np.linalg.norm(s) * np.eye(m.n)
-            assert d @ (shifted @ d) == pytest.approx(curv, abs=1e-9)
-            assert curv <= np.linalg.eigvalsh(shifted)[0] + 1e-9
 
 
 class TestAlphaThreshold:
@@ -160,6 +130,14 @@ class TestEscapeExactCases:
         with pytest.raises(NotStationary):
             escape_exact(WORKED, p)
 
+    def test_positive_curvature_override_is_not_a_certificate(self):
+        # d = e_1 has curvature 1 + lam = 2 at the saddle (1, 0), whose
+        # certificate fails (psd margin -2): no NONE_GLOBAL, and neither
+        # reflection along d decreases m.
+        assert not is_global(WORKED, WORKED_PT.s).is_global
+        with pytest.raises(NonNegativeCurvature):
+            escape_exact(WORKED, WORKED_PT, direction=np.array([1.0, 0.0]))
+
     def test_rejects_nan_residual(self):
         p = StationaryPoint(
             s=WORKED_PT.s, lam=WORKED_PT.lam, objective=WORKED_PT.objective,
@@ -179,7 +157,8 @@ class TestEscapeApprox:
 
     def test_case_a_on_inexact_point(self):
         m = CubicModel([1.0, 0.0], np.eye(2), 1.0)
-        out = escape_approx(m, np.array([1.0, 0.0]), ApproxTolerances(1e-6, 0.1))
+        # The residual at (1, 0) is 3; case A comes before the certificate.
+        out = escape_approx(m, np.array([1.0, 0.0]), ApproxTolerances(4.0, 0.1))
         assert out.case_tag == "A"
         assert np.array_equal(out.s_hat, [-1.0, -0.0])
         assert eval_model(m, np.array([1.0, 0.0])) == pytest.approx(11.0 / 6.0)
@@ -192,6 +171,11 @@ class TestEscapeApprox:
         assert out.case_tag == "B_III"
         assert out.decrease > 0.0
         assert eval_model(WORKED, out.s_hat) < eval_model(WORKED, s_bar)
+
+    def test_rejects_residual_above_eps_grad(self):
+        # The residual at (1.001, 0) is about 3e-3.
+        with pytest.raises(NotStationary):
+            escape_approx(WORKED, np.array([1.001, 0.0]), ApproxTolerances(1e-6, 0.1))
 
     def test_none_global_on_certified_point(self):
         m = CubicModel([0.0, 0.0], np.eye(2), 1.0)
@@ -208,10 +192,11 @@ class TestEscapeApprox:
             escape_approx(m, np.array([1.0, 0.01]), ApproxTolerances(1.0, 1e-3))
 
     def test_tolerances_must_be_nonnegative(self):
-        with pytest.raises(ValueError):
-            ApproxTolerances(-1.0, 0.0)
-        with pytest.raises(ValueError):
-            ApproxTolerances(0.0, -1e-3)
+        for bad_grad, bad_curv in ((-1.0, -1e-3), (float("nan"), float("nan"))):
+            with pytest.raises(ValueError, match="eps_grad"):
+                ApproxTolerances(bad_grad, 0.0)
+            with pytest.raises(ValueError, match="eps_curv"):
+                ApproxTolerances(0.0, bad_curv)
 
 
 class TestEscapeInvariants:
@@ -224,7 +209,10 @@ class TestEscapeInvariants:
             cert = is_global(m, p.s)
             assert (out.case_tag == "NONE_GLOBAL") == cert.is_global
             if out.case_tag == "NONE_GLOBAL":
+                # The escape's own certificate, field for field.
+                assert out.certificate == cert
                 continue
+            assert out.certificate is None
             assert out.decrease > 1e-12
             assert eval_model(m, out.s_hat) < p.objective - 1e-12
             if out.case_tag in ("B_II", "B_III"):

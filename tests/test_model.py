@@ -181,13 +181,19 @@ class TestIsGlobal:
 
     def test_certificate_definition(self):
         rng = np.random.default_rng(15)
+        cases = []
         for _ in range(30):
             m = random_model(rng)
-            s = rng.normal(size=m.n)
+            cases.append((m, rng.normal(size=m.n)))
+        cases.append((CubicModel([0.0, 0.0], np.diag([-1.0, 1.0]), 1.0), np.zeros(2)))
+        for m, s in cases:
             cert = is_global(m, s)
             assert isinstance(cert, GlobalCertificate)
             expect = cert.residual <= cert.tol_grad and cert.psd_margin >= -cert.tol_psd
             assert cert.is_global == expect
+            # The margin is the smallest eigenvalue of Q + sigma*||s||*I.
+            shifted = m.Q.entries + m.sigma * np.linalg.norm(s) * np.eye(m.n)
+            assert cert.psd_margin == pytest.approx(np.linalg.eigvalsh(shifted)[0], abs=1e-9)
 
     def test_explicit_tolerances(self):
         cert = is_global(WORKED, np.array([1.0, 0.0]), tol_grad=0.5, tol_psd=3.0)
