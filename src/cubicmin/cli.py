@@ -291,7 +291,7 @@ def _cmd_stationary(args):
     tol_grad, tol_psd = m.default_tol_grad(), m.default_tol_psd()
     rows = []
     for p in points:
-        cert = model_mod._certificate(m, p.lam, p.residual, tol_grad, tol_psd)
+        cert = model_mod._certificate(m, p, tol_grad, tol_psd)
         rows.append(
             {
                 "lambda": float(p.lam),

@@ -8,6 +8,7 @@ the loop is finite.  ``arc_plus_minimize`` wraps either that solver
 adaptive cubic-regularization outer loop for general smooth objectives.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -179,12 +180,9 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
             eps = eps / 10.0
             s = s_bar
             continue
-        objective = model_mod.eval_model(m, s_bar)
-        steps.append((s_bar, out.case_tag, objective))
+        steps.append((s_bar, out.case_tag, out.point.objective))
         if out.case_tag == escape_mod.CASE_NONE_GLOBAL:
-            sol = _global_solution(
-                m, s_bar, objective, out.certificate, False, [t[1] for t in steps]
-            )
+            sol = _global_solution(m, out.point, out.certificate, False, [t[1] for t in steps])
             return sol, SubproblemTrace(steps=steps, solution=sol, escape_count=escapes)
         escapes += 1
         if escapes > cap:
@@ -194,20 +192,30 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
         s = out.s_hat
 
 
-def cauchy_step(m, g=None):
-    """Exact minimizer of the cubic model along -grad.
+def cauchy_step(m):
+    """Exact minimizer of the cubic model along -grad m(0) = -c.
 
-    ``g`` defaults to the model gradient at 0 (that is, c).  Returns
-    the step vector -t* g with the closed-form positive root t*.
+    Returns the step vector -t* c with the closed-form positive root t*.
     """
-    if g is None:
-        g = m.c
-    g = np.asarray(g, dtype=float)
-    gnorm = linalg.norm(g)
+    g = m.c
+    gnorm = m.norm_c
     if gnorm == 0.0:
         return np.zeros(m.n)
+    try:
+        g5 = gnorm**5
+    except OverflowError:
+        # Past ||g|| ~ 2.6e61 the powers of ||g|| leave double range; the
+        # same root in bh = g'Qg / ||g||^2 stays in range.
+        u = g / gnorm
+        bh = float(u @ (m.Q.entries @ u))
+        disc = math.sqrt(bh * bh + 4.0 * m.sigma * gnorm)
+        if bh <= 0.0:
+            t = (-bh + disc) / (2.0 * m.sigma * gnorm)
+        else:
+            t = 2.0 / (bh + disc)
+        return -t * g
     b = float(g @ (m.Q.entries @ g))
-    disc = float(np.sqrt(b * b + 4.0 * m.sigma * gnorm**5))
+    disc = float(np.sqrt(b * b + 4.0 * m.sigma * g5))
     if b <= 0.0:
         t = (-b + disc) / (2.0 * m.sigma * gnorm**3)
     else:
@@ -285,11 +293,12 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         if variant == ARC:
             rep = local_minimize(m, s0, eps_inner)
             s = rep.s
+            mval = model_mod.eval_model(m, s)
         else:
             sol, _ = solve_via_escapes(m, s0, eps_grad=eps_inner)
             s = sol.s_star
+            mval = sol.objective
             margin = sol.certificate.psd_margin
-        mval = model_mod.eval_model(m, s)
         m_c = model_mod.eval_model(m, s_c)
         if m_c < mval:
             s, mval = s_c, m_c

@@ -64,11 +64,14 @@ class EscapeOutcome:
     ``case_tag`` names which construction fired; NONE_GLOBAL means the
     point passed the global-optimality certificate and no escape exists,
     and then ``certificate`` holds that GlobalCertificate (None on
-    moves).  ``decrease`` is ``m(s_bar) - m(s_hat)``, positive for every
-    actual move.  Reflection cases preserve the norm of s_bar.
+    moves).  ``point`` is the StationaryPoint of s_bar that the escape
+    judged, on every outcome, so ``point.objective = m(s_bar)``.
+    ``decrease`` is ``m(s_bar) - m(s_hat)``, positive for every actual
+    move.  Reflection cases preserve the norm of s_bar.
     """
 
     case_tag: str
+    point: model_mod.StationaryPoint
     s_hat: np.ndarray = None
     direction_used: np.ndarray = None
     alpha_used: float = None
@@ -109,16 +112,17 @@ def alpha_threshold_biii(m, s_bar, d):
     return (c_d - math.sqrt(disc)) / q_dd
 
 
-def _outcome(m, m_sbar, case, s_hat, d=None, alpha=None, z=None):
+def _outcome(m, point, case, s_hat, d=None, alpha=None, z=None):
     s_hat = np.array(s_hat, dtype=float)
     s_hat.setflags(write=False)
     return EscapeOutcome(
         case_tag=case,
+        point=point,
         s_hat=s_hat,
         direction_used=None if d is None else np.array(d),
         alpha_used=alpha,
         z_used=None if z is None else np.array(z),
-        decrease=m_sbar - model_mod.eval_model(m, s_hat),
+        decrease=point.objective - model_mod.eval_model(m, s_hat),
     )
 
 
@@ -179,19 +183,16 @@ def escape_approx(m, s_bar, tol, direction=None):
 
 def _escape(m, point, tol, direction):
     # The case analysis of both escapes, from the evaluated point.
-    cert = model_mod._certificate(
-        m, point.lam, point.residual, tol.eps_grad, tol.eps_curv, gate=True
-    )
+    cert = model_mod._certificate(m, point, tol.eps_grad, tol.eps_curv, gate=True)
     s = np.asarray(point.s, dtype=float)
-    m_sbar = point.objective
     flip = None
     if float(m.c @ s) > 0.0:
-        flip = _outcome(m, m_sbar, CASE_A, -s)
+        flip = _outcome(m, point, CASE_A, -s)
         if flip.decrease > 0.0:
             return flip
     if cert.is_global:
         # Also where c.s > 0 by rounding alone, so the flip cannot decrease.
-        return EscapeOutcome(case_tag=CASE_NONE_GLOBAL, certificate=cert)
+        return EscapeOutcome(case_tag=CASE_NONE_GLOBAL, point=point, certificate=cert)
     if flip is not None:
         raise ThresholdNotMet("sign flip failed to decrease the objective")
     d = m.eig.vectors[:, 0].copy() if direction is None else m._check_dim(direction)
@@ -203,7 +204,7 @@ def _escape(m, point, tol, direction):
         if float(m.c @ d) > 0.0:
             d = -d
         alpha = -0.75 * float(d @ (m.Q.entries @ d)) / (m.sigma * norm_d**3)
-        out = _outcome(m, m_sbar, CASE_B_I, alpha * d, d=d, alpha=alpha)
+        out = _outcome(m, point, CASE_B_I, alpha * d, d=d, alpha=alpha)
         if out.decrease > 0.0:
             return out
         raise ThresholdNotMet("origin step failed to decrease the objective")
@@ -224,7 +225,7 @@ def _escape(m, point, tol, direction):
             accepted = 0.5 * step**2 * q_dd - step * grad_d < 0.0
         if accepted:
             s_hat = s - 2.0 * (s_d / norm_d**2) * d
-            out = _outcome(m, m_sbar, CASE_B_II, s_hat, d=d)
+            out = _outcome(m, point, CASE_B_II, s_hat, d=d)
             if out.decrease > 0.0:
                 moves.append(out)
 
@@ -239,7 +240,7 @@ def _escape(m, point, tol, direction):
             z_q_z = float(z @ (m.Q.entries @ z) + lam * (z @ z))
             if z_q_z < -tol.eps_curv * float(z @ z):
                 s_hat = s - 2.0 * (float(s @ z) / float(z @ z)) * z
-                out = _outcome(m, m_sbar, CASE_B_III, s_hat, d=d, alpha=alpha, z=z)
+                out = _outcome(m, point, CASE_B_III, s_hat, d=d, alpha=alpha, z=z)
                 if out.decrease > 0.0:
                     moves.append(out)
                     break

@@ -7,6 +7,7 @@ addition, ``Q + lam*I`` is positive semidefinite.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,11 +88,13 @@ class CubicModel:
 
 @dataclass(frozen=True)
 class StationaryPoint:
-    """A candidate stationary point with its derived quantities.
+    """A point with its one evaluation: everything that judges it reads this.
 
-    ``lam`` is always recomputed as ``sigma * ||s||``, never supplied, so
-    the norm coupling holds by construction and only the gradient
-    residual remains to be checked.
+    ``s`` is a read-only copy, ``lam = sigma * ||s||`` (recomputed, never
+    supplied, so the norm coupling holds by construction),
+    ``objective = m(s)`` and ``residual = ||grad m(s)||``
+    (``linalg.safe_norm``).  ``_certificate`` judges the record, and
+    ``GlobalSolution`` and ``EscapeOutcome.point`` are built from it.
     """
 
     s: np.ndarray
@@ -131,7 +134,12 @@ class GlobalCertificate:
 
 def _objective(model, s, norm_s, qs):
     # m(s) from ||s|| and Q s, so one point's evaluations share them.
-    return float(model.c @ s + 0.5 * s @ qs + (model.sigma / 3.0) * norm_s**3)
+    # The Python float cube raises past ||s|| ~ 5.6e102; it is inf there.
+    try:
+        cube = norm_s**3
+    except OverflowError:
+        cube = math.inf
+    return float(model.c @ s + 0.5 * s @ qs + (model.sigma / 3.0) * cube)
 
 
 def _gradient(model, s, norm_s, qs):
@@ -188,21 +196,19 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
         tol_psd = model.default_tol_psd()
     if not (tol_grad > 0.0 and tol_psd > 0.0):
         raise ValueError("tolerances must be positive")
-    s = model._check_dim(s)
-    norm_s = linalg.norm(s)
-    g = _gradient(model, s, norm_s, model.Q.entries @ s)
-    return _certificate(model, model.sigma * norm_s, linalg.safe_norm(g), tol_grad, tol_psd)
+    return _certificate(model, StationaryPoint.from_vector(model, s), tol_grad, tol_psd)
 
 
-def _certificate(model, lam, residual, tol_grad, tol_psd, gate=False):
-    # The one judge of a point with multiplier lam = sigma*||s|| and
-    # gradient residual `residual`: nothing else compares either with a
+def _certificate(model, point, tol_grad, tol_psd, gate=False):
+    # The one judge of a point: it reads the StationaryPoint's lam =
+    # sigma*||s|| and residual, and nothing else compares either with a
     # tolerance.  With gate=True a residual above tol_grad (or NaN)
     # raises NotStationary instead of giving is_global = False.
+    residual = point.residual
     stationary = residual <= tol_grad
     if gate and not stationary:
         raise NotStationary(f"residual {residual!r} exceeds {tol_grad!r}")
-    psd_margin = float(model.eig.values[0] + lam)
+    psd_margin = float(model.eig.values[0] + point.lam)
     return GlobalCertificate(
         psd_margin=psd_margin,
         residual=residual,

@@ -134,8 +134,10 @@ class LambdaRoot:
 class GlobalSolution:
     """Certified global minimizer of a cubic model.
 
-    ``s_star`` is a read-only copy, ``lambda_star = sigma*||s_star||``
-    and ``objective = m(s_star)``.  ``global_minimize`` and
+    Built from the StationaryPoint the certificate judged: ``s_star`` is
+    its read-only copy and ``objective = m(s_star)`` its objective;
+    ``lambda_star = sigma*||s_star||`` (``linalg.safe_norm``).
+    ``global_minimize`` and
     ``solve_via_escapes`` agree on the minimizer, but only
     ``global_minimize`` detects the hard case: ``hard_case`` is always
     False from ``solve_via_escapes``.
@@ -345,19 +347,14 @@ def _boundary_points(sp):
     point and is skipped.
     """
     vals = sp.eig.values
-    negative = vals < 0.0
     # A coupled mode lies in its own multiplier's cluster, so only the
     # uncoupled negative eigenvalues can carry a boundary point.
-    if not (negative & ~sp.coupled).any():
+    if not ((vals < 0.0) & ~sp.coupled).any():
         return []
     out = []
-    seen = []
-    for mu, coupled in zip(vals[negative].tolist(), sp.coupled[negative].tolist()):
+    for mu in _distinct_negative(vals):
         lam = -mu
-        if any(abs(lam - s) <= SINGULAR_MODE_TOL for s in seen):
-            continue
-        seen.append(lam)
-        if coupled or (sp.coupled & (abs(vals + lam) <= SINGULAR_MODE_TOL)).any():
+        if (sp.coupled & (abs(vals + lam) <= SINGULAR_MODE_TOL)).any():
             continue
         try:
             base, free = _boundary_parts(sp, lam)
@@ -383,23 +380,25 @@ def enumerate_stationary(m):
     return points
 
 
+def _distinct_negative(vals):
+    """The negative eigenvalues ascending, each more than SINGULAR_MODE_TOL above the last kept."""
+    kept = []
+    for mu in vals[vals < 0.0].tolist():
+        if not kept or mu - kept[-1] > SINGULAR_MODE_TOL:
+            kept.append(mu)
+    return kept
+
+
 def count_bound(m):
     """The bound 2(k+1) on distinct stationary multipliers.
 
-    k counts distinct negative eigenvalues of Q, with distinctness
-    tolerance ``1e-9 * (1 + |mu_1|)``.
+    k counts the negative eigenvalues of Q kept by ``_distinct_negative``:
+    distinct to ``SINGULAR_MODE_TOL``, the walk ``_boundary_points``
+    makes.  Each positive pole's anchor and each boundary multiplier lies
+    in its own kept entry, so the bound holds for what
+    ``enumerate_stationary`` returns.
     """
-    vals = m.eig.values
-    tol = 1e-9 * (1.0 + abs(float(vals[0])))
-    k = 0
-    last = None
-    for v in vals:
-        if v >= 0.0:
-            continue
-        if last is None or abs(v - last) > tol:
-            k += 1
-        last = float(v)
-    return 2 * (k + 1)
+    return 2 * (len(_distinct_negative(m.eig.values)) + 1)
 
 
 def global_minimize(m):
@@ -450,35 +449,24 @@ def global_minimize(m):
 
 
 def _finish_global(m, s_star, hard, trace):
-    norm_s = linalg.norm(s_star)
-    qs = m.Q.entries @ s_star
-    residual = linalg.safe_norm(model_mod._gradient(m, s_star, norm_s, qs))
-    cert = model_mod._certificate(
-        m, m.sigma * norm_s, residual, m.default_tol_grad(), m.default_tol_psd()
-    )
+    point = StationaryPoint.from_vector(m, s_star)
+    cert = model_mod._certificate(m, point, m.default_tol_grad(), m.default_tol_psd())
     if not cert.is_global:
-        floor = _EPS * (m.norm_c + m.Q.max_abs * norm_s)
+        floor = _EPS * (m.norm_c + m.Q.max_abs * linalg.norm(point.s))
         raise CertificateFailure(
             f"certificate failed: residual = {cert.residual!r} (tol {cert.tol_grad!r}, "
             f"double-precision floor {floor!r}), "
             f"psd margin = {cert.psd_margin!r} (tol {cert.tol_psd!r})"
         )
-    objective = model_mod._objective(m, s_star, norm_s, qs)
-    return _global_solution(m, s_star, objective, cert, hard, trace)
+    return _global_solution(m, point, cert, hard, trace)
 
 
-def _global_solution(m, s_star, objective, cert, hard, trace):
-    """The GlobalSolution at s_star with ``objective = m(s_star)``, certified by ``cert``.
-
-    Stores a read-only copy of s_star with ``lambda_star =
-    sigma*||s_star||`` (``linalg.safe_norm``).
-    """
-    s_star = np.array(s_star)
-    s_star.setflags(write=False)
+def _global_solution(m, point, cert, hard, trace):
+    """The GlobalSolution at the StationaryPoint ``point``, certified by ``cert``."""
     return GlobalSolution(
-        s_star=s_star,
-        lambda_star=m.sigma * linalg.safe_norm(s_star),
-        objective=objective,
+        s_star=point.s,
+        lambda_star=m.sigma * linalg.safe_norm(point.s),
+        objective=point.objective,
         certificate=cert,
         hard_case=hard,
         trace=trace,

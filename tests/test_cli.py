@@ -221,6 +221,18 @@ class TestStationary:
         assert lams == [0.0, 1.0, 1.0]
         assert rec["bound"] == 4
 
+    def test_bound_counts_eigenvalues_5e_10_apart(self, tmp_path):
+        path = tmp_path / "close.json"
+        path.write_text(
+            '{"n": 3, "c": [-3e-10, -3e-10, -0.3], "Q": [[-1.0000000005, 0.0, 0.0],'
+            ' [0.0, -1.0, 0.0], [0.0, 0.0, 2.0]], "sigma": 0.5}\n'
+        )
+        out = run_cli("stationary", str(path), "--format", "structured")
+        assert out.returncode == 0
+        rec = json.loads(out.stdout)
+        assert len(rec["points"]) == 5
+        assert rec["bound"] == 6
+
     def test_convex_zero_c(self, problem_dir):
         out = run_cli(
             "stationary", str(problem_dir / "convexzero.json"),
@@ -277,6 +289,18 @@ class TestEscape:
         assert out.stderr.startswith(f"cubicmin: error: {field}")
         assert "Traceback" not in out.stderr
         assert not out.stdout
+
+    @pytest.mark.parametrize("flags", [[], ["--eps", "1"]])
+    def test_point_whose_cube_overflows_exit_2(self, tmp_path, flags):
+        # ||s||**3 past double range: the point is judged, not a traceback.
+        path = tmp_path / "unit.json"
+        path.write_text('{"n": 1, "c": [1.0], "Q": [[1.0]], "sigma": 1.0}\n')
+        out = run_cli("escape", str(path), "--point", "1e103", *flags)
+        assert out.returncode == 2
+        assert out.stderr.startswith(
+            "cubicmin: solver error: NotStationary: residual 1e+206 exceeds "
+        )
+        assert out.stderr.count("\n") == 1
 
     def test_nonstationary_point_exit_2(self, problem_dir):
         out = run_cli(
@@ -354,6 +378,19 @@ class TestMinimize:
             "minimize", "rosenbrock10", "--variant", "arc", "--max-iters", "2"
         )
         assert out.returncode == 2
+
+    @pytest.mark.parametrize(
+        "objective, x0",
+        [("worked", "1e103,0"), ("rosenbrock2", "1e20,1e20"), ("sphere2", "1e62,1e62")],
+    )
+    def test_start_beyond_power_range_exit_2(self, problem_dir, objective, x0):
+        # m(x0) or the Cauchy step's powers of ||g|| leave double range.
+        if objective == "worked":
+            objective = str(problem_dir / "worked.json")
+        out = run_cli("minimize", objective, "--x0", x0)
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert out.stderr.splitlines()[-1].startswith("cubicmin: solver error: ")
 
     def test_unknown_objective_exit_1(self):
         out = run_cli("minimize", "not_a_problem")

@@ -1,10 +1,13 @@
 """Escape-driven global solves, the outer optimizer, and the profile table."""
 
+import math
+
 import numpy as np
 import pytest
 
 from cubicmin import CubicModel
 from cubicmin import driver
+from cubicmin import model as model_mod
 from cubicmin.driver import (
     ArcOptions,
     arc_plus_minimize,
@@ -14,7 +17,7 @@ from cubicmin.driver import (
     solve_via_escapes,
 )
 from cubicmin.exceptions import BoundExceeded, EmptyInput, ThresholdNotMet, ToleranceFloor
-from cubicmin.model import eval_model, grad, is_global
+from cubicmin.model import StationaryPoint, eval_model, grad, is_global
 from cubicmin.problems import get_problem
 from cubicmin.stationary import global_minimize
 
@@ -143,7 +146,10 @@ class TestSolveViaEscapesRecovery:
     def test_endless_escapes_exceed_bound(self, monkeypatch):
         def respond(i, real, m, s_bar, tol):
             return driver.escape_mod.EscapeOutcome(
-                case_tag="B_II", s_hat=np.array(s_bar), decrease=1.0
+                case_tag="B_II",
+                point=StationaryPoint.from_vector(m, s_bar),
+                s_hat=np.array(s_bar),
+                decrease=1.0,
             )
 
         tols = self._patch(monkeypatch, respond)
@@ -278,6 +284,75 @@ class TestCauchyStep:
             # the step is the exact minimizer along -c
             g = grad(m, s)
             assert abs(g @ m.c) <= 1e-8 * (1.0 + m.norm_c) ** 2
+
+    @pytest.mark.parametrize("q", [1.0, -1.0])
+    @pytest.mark.parametrize("c", [1e61, 1e62])
+    def test_closed_form_at_large_gradient(self, c, q):
+        # ||c||**5 leaves double range past ||c|| ~ 2.6e61; on both sides
+        # t* is the root in bh = c'Qc / ||c||^2 = q.
+        m = CubicModel([c, 0.0], q * np.eye(2), 1.0)
+        root = math.sqrt(q * q + 4.0 * c)
+        t = 2.0 / (q + root) if q > 0.0 else (-q + root) / (2.0 * c)
+        assert cauchy_step(m) == pytest.approx([-t * c, 0.0], rel=1e-14)
+
+
+class TestOneEvaluation:
+    """Each point is evaluated once, by its StationaryPoint."""
+
+    def test_each_escape_step_evaluates_s_bar_once(self, monkeypatch):
+        # [s_bar bytes, evaluations at s_bar] per local solve, counted
+        # from its return to the next local solve.
+        counts = []
+        real_local = driver.local_minimize
+        real_objective = model_mod._objective
+
+        def local(m, s, eps):
+            rep = real_local(m, s, eps)
+            counts.append([rep.s.tobytes(), 0])
+            return rep
+
+        def objective(m, s, norm_s, qs):
+            if counts and np.asarray(s).tobytes() == counts[-1][0]:
+                counts[-1][1] += 1
+            return real_objective(m, s, norm_s, qs)
+
+        monkeypatch.setattr(driver, "local_minimize", local)
+        monkeypatch.setattr(model_mod, "_objective", objective)
+        rng = np.random.default_rng(43)
+        steps = 0
+        for _ in range(20):
+            m = random_model(rng, nmax=5)
+            counts.clear()
+            sol, trace = solve_via_escapes(m, rng.normal(size=m.n))
+            assert [n for _, n in counts] == [1] * len(counts)
+            steps += len(trace.steps)
+            for s_bar, _, obj in trace.steps:
+                assert obj == eval_model(m, s_bar)
+            assert sol.objective == trace.steps[-1][2]
+        assert steps > 20
+
+    def test_arc_plus_step_value_is_the_solution_objective(self, monkeypatch):
+        solutions = []
+        calls = []
+        real_solve = driver.solve_via_escapes
+        real_eval = model_mod.eval_model
+
+        def solve(m, s0, eps_grad=None, eps_curv=None):
+            sol, trace = real_solve(m, s0, eps_grad=eps_grad, eps_curv=eps_curv)
+            assert sol.objective == real_eval(m, sol.s_star)
+            solutions.append(sol)
+            return sol, trace
+
+        def eval_model(m, s):
+            calls.append(bool(solutions) and np.array_equal(s, solutions[-1].s_star))
+            return real_eval(m, s)
+
+        monkeypatch.setattr(driver, "solve_via_escapes", solve)
+        monkeypatch.setattr(model_mod, "eval_model", eval_model)
+        rep = arc_plus_minimize(get_problem("rosenbrock2"), None, "ARC_PLUS")
+        assert rep.converged
+        assert len(solutions) == rep.iterations
+        assert not any(calls)
 
 
 class TestPerformanceProfile:

@@ -138,6 +138,13 @@ class TestEscapeExactCases:
         with pytest.raises(NonNegativeCurvature):
             escape_exact(WORKED, WORKED_PT, direction=np.array([1.0, 0.0]))
 
+    def test_rejects_point_whose_cube_overflows(self):
+        m = CubicModel([1.0], [[1.0]], 1.0)
+        with pytest.raises(NotStationary, match=r"^residual 1e\+206 exceeds"):
+            escape_exact(m, StationaryPoint.from_vector(m, [1e103]))
+        with pytest.raises(NotStationary, match=r"^residual 1e\+206 exceeds 1\.0$"):
+            escape_approx(m, np.array([1e103]), ApproxTolerances(1.0, 1.0))
+
     def test_rejects_nan_residual(self):
         p = StationaryPoint(
             s=WORKED_PT.s, lam=WORKED_PT.lam, objective=WORKED_PT.objective,

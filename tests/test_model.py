@@ -55,6 +55,17 @@ class TestEval:
         with pytest.raises(ValueError):
             eval_model(WORKED, np.zeros(3))
 
+    def test_cube_beyond_double_range_is_inf(self):
+        # ||s||**3 of a Python float raises past ||s|| ~ 5.6e102; the
+        # objective is inf there and the residual stays finite.
+        m = CubicModel([1.0], [[1.0]], 1.0)
+        assert eval_model(m, np.array([1e103])) == math.inf
+        p = StationaryPoint.from_vector(m, [1e103])
+        assert p.objective == math.inf
+        assert p.residual == pytest.approx(1e206, rel=1e-15)
+        s = np.array([1e102])
+        assert eval_model(m, s) == pytest.approx(np_eval(m, s), rel=1e-15)
+
     def test_rewriting_identity(self):
         rng = np.random.default_rng(11)
         for _ in range(50):

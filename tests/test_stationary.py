@@ -221,6 +221,17 @@ class TestCountBound:
         m = CubicModel([0.0, 0.0, 0.0], -np.eye(3), 1.0)
         assert count_bound(m) == 4
 
+    def test_eigenvalues_5e_10_apart_count_twice(self):
+        # mu_1 and mu_2 are 5e-10 apart, tied by a 1e-9*(1+|mu_1|) rule,
+        # yet the enumeration finds five multipliers at least 1.6e-10 apart.
+        m = CubicModel([-3e-10, -3e-10, -0.3], np.diag([-1.0 - 5e-10, -1.0, 2.0]), 0.5)
+        pts = enumerate_stationary(m)
+        lams = [p.lam for p in pts]
+        assert len(lams) == 5
+        assert min(np.diff(lams)) > 1.6e-10
+        assert max(p.residual for p in pts) <= 1e-16
+        assert count_bound(m) == 6
+
 
 class TestGlobalMinimize:
     def test_convex_origin(self):
@@ -246,6 +257,15 @@ class TestGlobalMinimize:
         assert sol.certificate.is_global
         assert abs(sol.s_star[0] - 0.5) <= 1e-9
         assert abs(abs(sol.s_star[1]) - math.sqrt(35.0) / 2.0) <= 1e-9
+
+    def test_certificate_equals_is_global(self):
+        # The solution's certificate judges the same evaluation of s*
+        # that is_global makes.
+        rng = np.random.default_rng(79)
+        for _ in range(30):
+            m = random_model(rng)
+            sol = global_minimize(m)
+            assert is_global(m, sol.s_star) == sol.certificate
 
     def test_lambda_star_dominates_spectrum(self):
         rng = np.random.default_rng(77)
