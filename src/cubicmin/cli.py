@@ -9,6 +9,7 @@ is plain (no ANSI color), so NO_COLOR is honored by construction.
 import argparse
 import concurrent.futures
 import csv
+import functools
 import io
 import json
 import math
@@ -48,6 +49,7 @@ _BENCH_HEADER = [
     "f_final",
     "grad_inf_norm",
     "wall_ms",
+    "error",
 ]
 
 _VARIANTS = {"arc": ARC, "arc_plus": ARC_PLUS}
@@ -76,7 +78,10 @@ def _int_at_least(low, what):
     return parse
 
 
+@functools.cache
 def _build_parser():
+    # Built once per process, on the first call: construction dominates a
+    # small command's fixed cost, and parse_args leaves the parser as it was.
     parser = _Parser(
         prog="cubicmin",
         description="Certified global minimization of cubic-regularized "
@@ -201,6 +206,9 @@ def _write_output(args, text):
 
 
 def _parse_vector(text, n, what):
+    # "1,,0" or a leading or trailing comma is a typo, not a shorter vector.
+    if any(not field.strip() for field in text.split(",")):
+        raise SchemaError(what, f"empty coordinate in {text!r}")
     try:
         values = [float(v) for v in text.replace(",", " ").split()]
     except ValueError:
@@ -426,6 +434,7 @@ def _bench_cell(spec_text, variant, seed):
         "iterations": 0,
         "f_final": math.nan,
         "grad_inf_norm": math.nan,
+        "error": "",
     }
     try:
         f = _load_objective(spec_text)
@@ -438,8 +447,8 @@ def _bench_cell(spec_text, variant, seed):
             f_final=report.f_final,
             grad_inf_norm=report.grad_inf_norm,
         )
-    except Exception:
-        pass
+    except Exception as exc:
+        row["error"] = type(exc).__name__
     row["wall_ms"] = (time.perf_counter() - t0) * 1000.0
     return row
 

@@ -6,6 +6,12 @@ relative), ``sigma`` (positive), and an optional ``name``.  Numbers use
 '.' decimal notation; serialization writes shortest round-trip floats,
 so parse(serialize(p)) is the identity.
 
+``Q`` is converted in one call: when every row is a list of length n
+and one type scan over all entries finds only plain ints and floats, a
+single ``np.array`` conversion and one finiteness check validate the
+whole matrix.  Any other ``Q`` is checked row by row and entry by entry,
+which accepts it with the same floats or names its first offender.
+
 A schema error names the first offending entry of ``c`` or ``Q`` in
 file order (row-major for ``Q``), and for asymmetry the first pair
 ``Q[i][j]`` with ``i < j``.  Integer literals beyond float range or
@@ -39,24 +45,48 @@ def _require_number(value, field):
     return value
 
 
+def _plain_floats(value, types):
+    # ``value`` (a list, or a list of equal-length lists) as a float array
+    # when ``types``, the set of its entries' types, is within {int, float}
+    # and every entry is finite as a float; None otherwise.  NumPy converts
+    # each such entry exactly as float() does.  On None the caller goes
+    # entry by entry through _require_number, which accepts the input with
+    # the same floats or names its first offending entry.
+    if not types <= _PLAIN_NUMBER_TYPES:
+        return None
+    try:
+        out = np.array(value, dtype=float)
+    except OverflowError:
+        return None
+    return out if np.isfinite(out).all() else None
+
+
 def _require_vector(value, field, n):
     if not isinstance(value, list):
         raise SchemaError(field, f"expected an array, got {type(value).__name__}")
     if len(value) != n:
         raise SchemaError(field, f"expected length {n}, got {len(value)}")
-    # Fast path for the common row of plain ints and floats.  NumPy converts
-    # each such entry exactly as float() does.  Any other row, or one that
-    # fails a check, goes through _require_number entry by entry, which
-    # accepts it or names its first offending entry.
-    if set(map(type, value)) <= _PLAIN_NUMBER_TYPES:
-        try:
-            out = np.array(value, dtype=float)
-        except OverflowError:
-            pass
-        else:
-            if np.isfinite(out).all():
-                return out
+    out = _plain_floats(value, set(map(type, value)))
+    if out is not None:
+        return out
     return np.array([_require_number(v, f"{field}[{i}]") for i, v in enumerate(value)])
+
+
+def _require_matrix(rows, field, n):
+    if not isinstance(rows, list):
+        raise SchemaError(field, f"expected an array, got {type(rows).__name__}")
+    if len(rows) != n:
+        raise SchemaError(field, f"expected {n} rows, got {len(rows)}")
+    # The whole matrix in one conversion; any other input goes row by row,
+    # which names the first offender in file order.
+    if all(type(row) is list and len(row) == n for row in rows):
+        out = _plain_floats(rows, {type(v) for row in rows for v in row})
+        if out is not None:
+            return out
+    q = np.empty((n, n))
+    for i, row in enumerate(rows):
+        q[i] = _require_vector(row, f"{field}[{i}]", n)
+    return q
 
 
 def parse_problem(data):
@@ -85,14 +115,7 @@ def parse_problem(data):
 
     c = _require_vector(data["c"], "c", n)
 
-    q_rows = data["Q"]
-    if not isinstance(q_rows, list):
-        raise SchemaError("Q", f"expected an array, got {type(q_rows).__name__}")
-    if len(q_rows) != n:
-        raise SchemaError("Q", f"expected {n} rows, got {len(q_rows)}")
-    q = np.empty((n, n))
-    for i, row in enumerate(q_rows):
-        q[i] = _require_vector(row, f"Q[{i}]", n)
+    q = _require_matrix(data["Q"], "Q", n)
     # Halves throughout: q - q.T could overflow, half - half.T cannot.
     half = 0.5 * q
     gap = np.abs(half - half.T)

@@ -10,7 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-BENCH_HEADER = "name,n,variant,seed,converged,iterations,f_final,grad_inf_norm,wall_ms"
+BENCH_HEADER = (
+    "name,n,variant,seed,converged,iterations,f_final,grad_inf_norm,wall_ms,error"
+)
 
 
 def run_cli(*args, **kwargs):
@@ -335,6 +337,13 @@ class TestEscape:
         )
         assert out.returncode == 1
 
+    @pytest.mark.parametrize("value", ["1,,0", ",1,0", "1,0,", "1, ,0"])
+    def test_empty_coordinate_in_point_exit_1(self, problem_dir, value):
+        out = run_cli("escape", str(problem_dir / "worked.json"), f"--point={value}")
+        assert out.returncode == 1
+        assert out.stderr == f"cubicmin: error: --point: empty coordinate in {value!r}\n"
+        assert not out.stdout
+
 
 class TestMinimize:
     def test_sphere_converges(self):
@@ -392,6 +401,13 @@ class TestMinimize:
         assert "Traceback" not in out.stderr
         assert out.stderr.splitlines()[-1].startswith("cubicmin: solver error: ")
 
+    @pytest.mark.parametrize("value", [",-3,4", "-3,4,", "-3,,4"])
+    def test_empty_coordinate_in_x0_exit_1(self, value):
+        out = run_cli("minimize", "sphere2", "--x0", value)
+        assert out.returncode == 1
+        assert out.stderr == f"cubicmin: error: --x0: empty coordinate in {value!r}\n"
+        assert not out.stdout
+
     def test_unknown_objective_exit_1(self):
         out = run_cli("minimize", "not_a_problem")
         assert out.returncode == 1
@@ -436,6 +452,7 @@ class TestBenchAndProfile:
             float(r["f_final"])
             float(r["grad_inf_norm"])
             assert float(r["wall_ms"]) >= 0.0
+            assert r["error"] == ""
 
     def test_deterministic_metrics(self, bench_csv, tmp_path):
         again = tmp_path / "again.csv"
@@ -484,8 +501,10 @@ class TestBenchAndProfile:
             rows = {r["name"]: r for r in csv.DictReader(f)}
         assert rows["asym.json"]["converged"] == "false"
         assert math.isnan(float(rows["asym.json"]["f_final"]))
+        assert rows["asym.json"]["error"] == "SchemaError"
         # a file with an embedded name is reported under that name
         assert rows["worked"]["converged"] == "true"
+        assert rows["worked"]["error"] == ""
 
     def test_bench_empty_dir_exit_1(self, tmp_path):
         empty = tmp_path / "nothing"
@@ -582,3 +601,54 @@ class TestTopLevel:
             out = run_cli(*args)
             assert "\x1b" not in out.stdout
             assert "\x1b" not in out.stderr
+
+
+def _without_wall_ms(text):
+    return [line for line in text.splitlines() if "wall_ms" not in line]
+
+
+class TestInProcess:
+    """``cli.main`` builds its parser once; each call prints as a first call."""
+
+    def test_parser_built_once(self):
+        from cubicmin import cli
+
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_repeated_calls_print_as_first_calls(
+        self, problem_dir, tmp_path, monkeypatch, capsys
+    ):
+        from cubicmin import cli
+
+        # Usage lines wrap at the terminal width; fix it in both processes.
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def in_process(*args):
+            try:
+                code = cli.main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+            got = capsys.readouterr()
+            return code, _without_wall_ms(got.out), got.err
+
+        def first_call(*args):
+            out = run_cli(*args)
+            return out.returncode, _without_wall_ms(out.stdout), out.stderr
+
+        worked = str(problem_dir / "worked.json")
+        here, fresh = tmp_path / "here.json", tmp_path / "fresh.json"
+        solve = ("solve", worked, "--format", "structured", "--seed", "3", "--out")
+        assert in_process(*solve, str(here)) == first_call(*solve, str(fresh)) == (
+            0, [], ""
+        )
+        assert _without_wall_ms(here.read_text()) == _without_wall_ms(
+            fresh.read_text()
+        )
+        for code, args in [
+            (0, ("solve", worked)),
+            (1, ("solve", worked, "--bogus")),
+            (0, ("stationary", worked)),
+        ]:
+            got = in_process(*args)
+            assert got == first_call(*args)
+            assert got[0] == code

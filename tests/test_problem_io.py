@@ -234,6 +234,38 @@ class TestParseParity:
                     data["Q"][i] = data["Q"][i] + [0.0]
             assert _outcome(_parsed, data) == _outcome(_reference_parse, data)
 
+    @pytest.mark.parametrize("n", [32, 128])
+    def test_whole_matrix_matches_reference(self, n):
+        rng = np.random.default_rng(n)
+        junk = [True, math.nan, 10**400, "1.0"]
+        seen = set()
+        for trial in range(30):
+            data = {"n": n, "c": rng.uniform(-5, 5, size=n).tolist(),
+                    "Q": _symmetric_rows(rng, n), "sigma": 1.0}
+            q = data["Q"]
+            for k in range(int(rng.integers(0, 3))):
+                value = junk[(trial + k) % len(junk)]
+                i, j = (int(k) for k in rng.integers(n, size=2))
+                if rng.integers(8) == 0:
+                    data["c"][i] = value
+                else:
+                    q[i][j] = value
+            for _ in range(int(rng.integers(0, 2))):
+                i = int(rng.integers(n))
+                q[i] = tuple(q[i]) if rng.integers(2) else q[i][:-1]
+            outcome = _outcome(_parsed, data)
+            assert outcome == _outcome(_reference_parse, data)
+            seen.add(outcome.split(": ", 1)[1] if isinstance(outcome, str) else "ok")
+        assert seen == {
+            "ok",
+            "expected a number, got bool",
+            "expected a finite number, got nan",
+            "expected a finite number, got an integer beyond float range",
+            "expected a number, got str",
+            "expected an array, got tuple",
+            f"expected length {n}, got {n - 1}",
+        }
+
     @pytest.mark.parametrize(
         "place, field",
         [
@@ -321,3 +353,5 @@ class TestParseParity:
         assert again.c.tobytes() == m.c.tobytes()
         assert again.Q.entries.tobytes() == m.Q.entries.tobytes()
         assert again.sigma == m.sigma
+        data = json.loads(path.read_text())
+        assert _outcome(_parsed, data) == _outcome(_reference_parse, data)
