@@ -9,6 +9,7 @@ adaptive cubic-regularization outer loop for general smooth objectives.
 """
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,6 +18,7 @@ from . import escape as escape_mod
 from . import linalg
 from . import model as model_mod
 from .exceptions import BoundExceeded, ConvergenceError, EmptyInput, ThresholdNotMet, ToleranceFloor
+from .linalg import SymmetricMatrix
 from .local_solver import local_minimize
 from .model import CubicModel
 from .stationary import GlobalSolution, _global_solution, count_bound
@@ -44,6 +46,8 @@ _SIGMA0 = 1.0
 _ETA1 = 0.1
 _ETA2 = 0.9
 _SIGMA_MIN = 1e-8
+# Past sqrt(largest double) ~ 1.34e154 the square of ||g|| overflows.
+_GNORM_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -254,7 +258,16 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
 
     Both variants safeguard the subproblem step against the Cauchy
     point, so every accepted step decreases the model at least that
-    much.  Fixed options imply an identical report on replay.
+    much.  Fixed options imply an identical report on replay.  Each
+    iterate's Hessian is fetched and eigendecomposed once: the models
+    built at one ``x``, rejected steps included, share its
+    ``SymmetricMatrix``.
+
+    Raises
+    ------
+    ConvergenceError
+        The model's value at its Cauchy point leaves double range, which
+        takes a gradient norm past ~1.3e154.
     """
     if variant not in (ARC, ARC_PLUS):
         raise ValueError(f"unknown variant {variant!r}")
@@ -276,6 +289,9 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
     converged = False
     g = f.grad(x)
     ginf = float(np.max(np.abs(g))) if x.size else 0.0
+    hess_x = None  # the SymmetricMatrix of f.hess(x), built on first use
+    # ||g|| <= sqrt(n) * ginf, so ||g||^2 cannot overflow below _GNORM_MAX.
+    sqrt_n = math.sqrt(f.n)
 
     while iterations < opts.max_iters:
         if ginf <= opts.tol_grad_inf:
@@ -283,10 +299,23 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
             break
         iterations += 1
         sigma_history.append(sigma)
-        m = CubicModel(g, f.hess(x), sigma)
-        gnorm = linalg.norm(g)
+        if hess_x is None:
+            hess_x = SymmetricMatrix(f.hess(x))
+        m = CubicModel(g, hess_x, sigma)
+        if ginf * sqrt_n <= _GNORM_MAX:
+            gnorm = linalg.norm(g)
+        else:
+            # ||g||^2 may overflow: gnorm is then inf, without NumPy's warning.
+            with np.errstate(over="ignore"):
+                gnorm = linalg.norm(g)
         eps_inner = max(min(0.01, 0.1 * gnorm) * gnorm, 1e-12)
         s_c = cauchy_step(m)
+        if gnorm == math.inf and math.isinf(m.norm_c * linalg.safe_norm(s_c)):
+            # s_c = -t*g, so |c's_c| = ||g|| ||s_c||: m(s_c) is out of range.
+            raise ConvergenceError(
+                f"gradient norm {m.norm_c:.3e}: the model's linear term "
+                "overflows at the Cauchy point"
+            )
         s0 = s_c if opts.cauchy_start else _sphere_start(rng, f.n, sigma)
 
         margin = None
@@ -316,6 +345,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
             margins.append(margin)
             g = f.grad(x)
             ginf = float(np.max(np.abs(g)))
+            hess_x = None
             if rho >= _ETA2:
                 sigma = max(sigma / 2.0, _SIGMA_MIN)
         else:

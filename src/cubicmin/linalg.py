@@ -65,6 +65,10 @@ class SymmetricMatrix:
         Square matrix with ``|a_ij - a_ji| <= 1e-12 * (1 + |a_ij|)``.
         Stored symmetrized as ``A/2 + A^T/2``, which cannot overflow, and
         marked read-only.
+
+    ``max_abs`` and the eigendecomposition ``eig`` are computed lazily and
+    cached, so every model built on one matrix shares one
+    eigendecomposition.
     """
 
     def __init__(self, entries):
@@ -91,6 +95,11 @@ class SymmetricMatrix:
     def max_abs(self):
         """Largest entry magnitude, used for relative tolerances."""
         return float(np.max(np.abs(self.entries)))
+
+    @functools.cached_property
+    def eig(self):
+        """EigenDecomposition of the matrix (``sym_eigen``), computed on first use."""
+        return sym_eigen(self)
 
     def __repr__(self):
         return f"SymmetricMatrix(n={self.n})"

@@ -11,6 +11,9 @@ eigenbasis, ``H = V (diag(mu + sigma*||s||) + (sigma/||s||) u u^T) V^T``
 with ``u = V^T s``, on the model's cached eigendecomposition: nothing is
 factored per step.  The steepest-descent step is the fallback.  Every step
 passes the same Armijo test, so the solve stays a local descent method.
+Each point is evaluated once: the line search keeps ``||s||``, ``Q s`` and
+``m(s)`` of the trial it accepts, and the next gradient and Newton step
+reuse them.
 The model is coercive (sigma > 0), so descent sequences stay bounded; a
 run that exhausts its iteration budget reports rather than raises.
 """
@@ -51,9 +54,10 @@ class LocalSolveReport:
     step_counts: dict = field(default_factory=dict)
 
 
-def _newton_step(m, s, g, shifted=False):
+def _newton_step(m, s, norm_s, g, shifted=False):
     """Newton direction ``-(H + delta*I)^{-1} g`` in Q's eigenbasis, or None.
 
+    ``norm_s`` is ``linalg.norm(s)``, which the caller already holds.
     ``H + delta*I = V (diag(D) + rho*u*u^T) V^T`` with ``D = mu +
     sigma*||s|| + delta``, ``u = V^T s`` and ``rho = sigma/||s||`` (0 at
     s = 0): a diagonal solve plus a Sherman-Morrison correction.  The plain
@@ -61,21 +65,25 @@ def _newton_step(m, s, g, shifted=False):
     definite, which by interlacing means every D_i is positive, or only
     D_1 is negative and ``1 + rho*u^T D^{-1} u`` is negative; a D_i or
     that denominator within a relative tolerance of 0 also gives None, so
-    a singular positive semidefinite H yields no step.  The shifted step
-    has ``delta = -2*shift``, ``shift = D_1 = mu_1 + sigma*||s||``; it is
-    None when ``shift >= 0`` and otherwise every D_i is at least
-    ``|shift|``.
+    a singular positive semidefinite H yields no step.  D ascends with
+    ``mu``, so these tests read only ``D_1``, ``D_2`` and ``D_n``.  The
+    shifted step has ``delta = -2*shift``, ``shift = D_1 = mu_1 +
+    sigma*||s||``; it is None when ``shift >= 0`` and otherwise every D_i
+    is at least ``|shift|``.
     """
-    norm_s = linalg.norm(s)
     d = m.eig.values + m.sigma * norm_s
     if shifted:
         if d[0] >= 0.0:
             return None
         d = d - 2.0 * d[0]
-    elif np.count_nonzero(d < 0.0) > 1:
+    elif m.n > 1 and d[1] < 0.0:
         return None
-    elif np.abs(d).min() <= _PD_RTOL * (np.abs(d).max() + m.sigma * norm_s):
-        return None
+    else:
+        # At most D_1 is negative, so the least |D_i| is |D_1| or D_2 and
+        # the greatest is |D_1| or |D_n|.
+        least = min(abs(d[0]), abs(d[1])) if m.n > 1 else abs(d[0])
+        if least <= _PD_RTOL * (max(abs(d[0]), abs(d[-1])) + m.sigma * norm_s):
+            return None
     V = m.eig.vectors
     u = V.T @ s
     du = u / d
@@ -113,9 +121,12 @@ def local_minimize(m, s0, eps_grad=None):
         raise ValueError("eps_grad must be positive")
     eps = eps_grad if eps_grad is not None else m.default_tol_grad()
     s = np.array(m._check_dim(s0), dtype=float)
-    f = model_mod.eval_model(m, s)
+    # (s, ||s||, Q s, m(s)) of the current iterate, each computed once.
+    norm_s = linalg.norm(s)
+    qs = m.Q.entries @ s
+    f = model_mod._objective(m, s, norm_s, qs)
     trace = [f]
-    step0 = 1.0 / (1.0 + m.Q.max_abs + m.sigma * linalg.norm(s))
+    step0 = 1.0 / (1.0 + m.Q.max_abs + m.sigma * norm_s)
     # Accepted gradient steps seed the next trial length, so the line
     # search does not re-pay the full backtrack on every iteration.
     t_carry = step0
@@ -124,7 +135,7 @@ def local_minimize(m, s0, eps_grad=None):
     flat_steps = 0
     step_counts = {"newton": 0, "shifted": 0, "gradient": 0}
     for iterations in range(1, _MAX_ITERS + 1):
-        g = model_mod.grad(m, s)
+        g = model_mod._gradient(m, s, norm_s, qs)
         residual = linalg.safe_norm(g)
         if residual <= eps:
             return LocalSolveReport(
@@ -134,11 +145,11 @@ def local_minimize(m, s0, eps_grad=None):
             )
 
         candidates = []
-        d_newton = _newton_step(m, s, g)
+        d_newton = _newton_step(m, s, norm_s, g)
         if d_newton is not None:
             candidates.append(("newton", d_newton, 1.0))
         else:
-            d_shifted = _newton_step(m, s, g, shifted=True)
+            d_shifted = _newton_step(m, s, norm_s, g, shifted=True)
             if d_shifted is not None:
                 candidates.append(("shifted", d_shifted, 1.0))
         candidates.append(("gradient", -g, t_carry))
@@ -150,11 +161,13 @@ def local_minimize(m, s0, eps_grad=None):
                 continue
             t = t0
             for _ in range(60):
-                f_new = model_mod.eval_model(m, s + t * direction)
+                s_try = s + t * direction
+                n_try = linalg.norm(s_try)
+                q_try = m.Q.entries @ s_try
+                f_new = model_mod._objective(m, s_try, n_try, q_try)
                 if f_new <= f + _ARMIJO_C * t * slope:
                     flat_steps = flat_steps + 1 if f_new == f else 0
-                    s = s + t * direction
-                    f = f_new
+                    s, norm_s, qs, f = s_try, n_try, q_try, f_new
                     moved = True
                     step_counts[kind] += 1
                     if kind == "gradient":
@@ -170,7 +183,7 @@ def local_minimize(m, s0, eps_grad=None):
             break
         trace.append(f)
 
-    g = model_mod.grad(m, s)
+    g = model_mod._gradient(m, s, norm_s, qs)
     residual = linalg.safe_norm(g)
     # Newton polish.  Near a strict minimiser the remaining decrease sits
     # below float resolution, so objective-based tests cannot certify the
@@ -179,14 +192,16 @@ def local_minimize(m, s0, eps_grad=None):
     for _ in range(4):
         if residual <= eps:
             break
-        d = _newton_step(m, s, g)
+        d = _newton_step(m, s, norm_s, g)
         if d is None:
             break
         s_try = s + d
-        g_try = model_mod.grad(m, s_try)
+        n_try = linalg.norm(s_try)
+        q_try = m.Q.entries @ s_try
+        g_try = model_mod._gradient(m, s_try, n_try, q_try)
         r_try = linalg.norm(g_try)
         if r_try < 0.5 * residual:
-            s, g, residual = s_try, g_try, r_try
+            s, norm_s, qs, g, residual = s_try, n_try, q_try, g_try, r_try
         else:
             break
     return LocalSolveReport(

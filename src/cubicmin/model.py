@@ -29,12 +29,14 @@ class CubicModel:
     sigma : float
         Regularization weight, strictly positive.
 
-    The eigendecomposition of Q, ``norm_c`` and the secular data of
+    ``norm_c`` and the secular data of
     ``stationary.SecularProblem.from_model`` (with its largest root) are
-    computed lazily and cached.  Instances are immutable and safe to
-    share across threads: each cached value is a deterministic function
-    of (c, Q, sigma), so two threads that fill a cache at once store
-    equal values.
+    computed lazily and cached per model.  The eigendecomposition of Q is
+    cached on the ``SymmetricMatrix`` itself, so models that share one Q
+    (as the outer loop's models at one iterate do) share one
+    eigendecomposition.  Instances are immutable and safe to share across
+    threads: each cached value is a deterministic function of (c, Q,
+    sigma), so two threads that fill a cache at once store equal values.
     """
 
     def __init__(self, c, Q, sigma):
@@ -53,15 +55,12 @@ class CubicModel:
         self.Q = Q
         self.sigma = sigma
         self.n = Q.n
-        self._eig = None
         self._secular = None
 
     @property
     def eig(self):
-        """EigenDecomposition of Q, computed on first use."""
-        if self._eig is None:
-            self._eig = linalg.sym_eigen(self.Q)
-        return self._eig
+        """EigenDecomposition of Q, cached on Q (``SymmetricMatrix.eig``)."""
+        return self.Q.eig
 
     @functools.cached_property
     def norm_c(self):

@@ -20,13 +20,14 @@ def random_model(rng, nmax=6, sigmas=(0.1, 1.0, 10.0), n=None):
     return CubicModel(c, (a + a.T) / 2.0, sigma)
 
 
-def random_controlled_model(rng, nmax=6, sigmas=(0.1, 1.0, 10.0)):
+def random_controlled_model(rng, nmax=6, sigmas=(0.1, 1.0, 10.0), n=None):
     """A random model with prescribed eigenvalues in [-5, 5].
 
     Built as V diag(mu) V^T from a random orthogonal V, so spectral
     quantities used by coercivity-style bounds are directly controlled.
     """
-    n = int(rng.integers(1, nmax + 1))
+    if n is None:
+        n = int(rng.integers(1, nmax + 1))
     mu = rng.uniform(-5.0, 5.0, size=n)
     v, _ = np.linalg.qr(rng.normal(size=(n, n)))
     q = (v * mu) @ v.T

@@ -401,6 +401,28 @@ class TestMinimize:
         assert "Traceback" not in out.stderr
         assert out.stderr.splitlines()[-1].startswith("cubicmin: solver error: ")
 
+    @pytest.mark.parametrize(
+        "objective, x0, message",
+        [
+            ("worked", "1e103,0",
+             "gradient norm 1.000e+206: the model's linear term overflows at the Cauchy point"),
+            ("rosenbrock2", "1e60,1e60",
+             "local solve stalled at residual 7.136e+76 (target 7.136e+74)"),
+        ],
+        ids=["worked", "rosenbrock2"],
+    )
+    def test_gradient_norm_past_square_range_exit_2(self, problem_dir, objective, x0, message):
+        # ||g||^2 overflows: one solver error line and no NumPy warning.
+        if objective == "worked":
+            objective = str(problem_dir / "worked.json")
+        out = run_cli(
+            "minimize", objective, "--x0", x0,
+            env={**os.environ, "PYTHONWARNINGS": "error"},
+        )
+        assert out.returncode == 2
+        assert out.stderr == f"cubicmin: solver error: ConvergenceError: {message}\n"
+        assert not out.stdout
+
     @pytest.mark.parametrize("value", [",-3,4", "-3,4,", "-3,,4"])
     def test_empty_coordinate_in_x0_exit_1(self, value):
         out = run_cli("minimize", "sphere2", "--x0", value)

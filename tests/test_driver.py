@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cubicmin import CubicModel
-from cubicmin import driver
+from cubicmin import driver, linalg
 from cubicmin import model as model_mod
 from cubicmin.driver import (
     ArcOptions,
@@ -16,9 +16,15 @@ from cubicmin.driver import (
     performance_profile,
     solve_via_escapes,
 )
-from cubicmin.exceptions import BoundExceeded, EmptyInput, ThresholdNotMet, ToleranceFloor
+from cubicmin.exceptions import (
+    BoundExceeded,
+    ConvergenceError,
+    EmptyInput,
+    ThresholdNotMet,
+    ToleranceFloor,
+)
 from cubicmin.model import StationaryPoint, eval_model, grad, is_global
-from cubicmin.problems import get_problem
+from cubicmin.problems import DEFAULT_SUITE, cubic_objective, get_problem
 from cubicmin.stationary import global_minimize
 
 from .helpers import random_model
@@ -272,6 +278,28 @@ class TestArcOuter:
         assert rep.variant == "ARC_PLUS"
 
 
+def _worked_objective():
+    return cubic_objective(CubicModel([-2.0, 0.0], np.diag([1.0, -3.0]), 1.0))
+
+
+class TestGradientRange:
+    """Gradients whose squared norm overflows, on the worked-instance objective."""
+
+    def test_model_out_of_range_at_cauchy_point_raises(self):
+        # ||g|| = 1e206: the model's linear term at its Cauchy point overflows.
+        with pytest.raises(ConvergenceError, match="overflows at the Cauchy point"):
+            arc_plus_minimize(_worked_objective(), [1e103, 0.0])
+
+    # At x = (t, t) each gradient entry is about sqrt(2)*t^2, so t = 8.4e76
+    # keeps max|g| below 1.341e154 but not ||g||.  Warnings are errors here.
+    @pytest.mark.parametrize("x0", [[1e96, 0.0], [8.4e76, 8.4e76]])
+    @pytest.mark.parametrize("variant", ["ARC", "ARC_PLUS"])
+    def test_squared_norm_overflow_still_solves_without_warning(self, x0, variant):
+        rep = arc_plus_minimize(_worked_objective(), x0, variant)
+        assert rep.converged
+        assert rep.f_final == pytest.approx(-5.0)
+
+
 class TestCauchyStep:
     def test_descends_from_origin(self):
         rng = np.random.default_rng(55)
@@ -353,6 +381,41 @@ class TestOneEvaluation:
         assert rep.converged
         assert len(solutions) == rep.iterations
         assert not any(calls)
+
+
+class TestOneHessianPerIterate:
+    """A rejected step keeps x, so its next model reuses x's Hessian."""
+
+    def test_one_hessian_and_eigendecomposition_per_iterate(self, monkeypatch):
+        eigs = []
+        real_eigen = linalg.sym_eigen
+
+        def sym_eigen(A):
+            eigs.append(A)
+            return real_eigen(A)
+
+        monkeypatch.setattr(linalg, "sym_eigen", sym_eigen)
+        rejected = 0
+        for name in DEFAULT_SUITE:
+            for variant in ("ARC", "ARC_PLUS"):
+                f = get_problem(name)
+                points = []
+                real_hess = f.hess
+
+                def hess(x):
+                    points.append(np.array(x).tobytes())
+                    return real_hess(x)
+
+                f.hess = hess
+                eigs.clear()
+                rep = arc_plus_minimize(f, None, variant)
+                assert rep.converged
+                # A converged run builds models at every accepted x but the last.
+                distinct = len(rep.f_history) - 1
+                assert len(points) == len(set(points)) == distinct, (name, variant)
+                assert len(eigs) == distinct, (name, variant)
+                rejected += rep.iterations - distinct
+        assert rejected > 0
 
 
 class TestPerformanceProfile:

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from cubicmin import ArcOptions, CubicModel, arc_plus_minimize, get_problem, grad
-from cubicmin import driver
+from cubicmin import driver, linalg
 from cubicmin import model as model_mod
+from cubicmin.local_solver import _ARMIJO_C, _BACKTRACK, _MAX_ITERS, _PD_RTOL
 from cubicmin.local_solver import LocalSolveReport, _newton_step, local_minimize
 from cubicmin.model import hess, is_global
 from cubicmin.stationary import enumerate_stationary
@@ -52,7 +53,8 @@ class TestNewtonStep:
     def _step(q, g):
         q = np.asarray(q, dtype=float)
         m = CubicModel(np.zeros(q.shape[0]), q, 1.0)
-        return _newton_step(m, np.zeros(q.shape[0]), np.asarray(g, dtype=float))
+        s = np.zeros(q.shape[0])
+        return _newton_step(m, s, linalg.norm(s), np.asarray(g, dtype=float))
 
     @pytest.mark.parametrize(
         "q",
@@ -88,6 +90,14 @@ class TestNewtonStep:
         ref = np.linalg.solve(q + 1e-12 * np.eye(n), -g)
         assert np.max(np.abs(d - ref)) <= 1e-10 * (1.0 + np.linalg.norm(g))
 
+    @pytest.mark.parametrize("rel", [0.0, 1e-15, -1e-15])
+    def test_second_d_near_zero_after_negative_first(self, rel):
+        # Q = diag(-3, -1, 2), sigma = 1, ||s|| = 1 + rel: D = (-2, ~rel, 3),
+        # so the least |D_i| is D_2 and the diagonal solve is singular.
+        m = CubicModel([0.3, -0.2, 0.1], np.diag([-3.0, -1.0, 2.0]), 1.0)
+        s = (1.0 + rel) * np.array([0.6, 0.8, 0.0])
+        assert _newton_step(m, s, linalg.norm(s), grad(m, s)) is None
+
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_dense_solve_away_from_origin(self, seed):
         rng = np.random.default_rng(9200 + seed)
@@ -96,7 +106,7 @@ class TestNewtonStep:
         g = grad(m, s)
         H = hess(m, s).entries
         lo = np.linalg.eigvalsh(H)[0]
-        d = _newton_step(m, s, g)
+        d = _newton_step(m, s, linalg.norm(s), g)
         if lo > 1e-6 * np.max(np.abs(H)):
             assert d is not None
             ref = np.linalg.solve(H, -g)
@@ -104,7 +114,7 @@ class TestNewtonStep:
         elif lo < 0.0:
             assert d is None
         shift = m.eig.values[0] + m.sigma * np.linalg.norm(s)
-        d = _newton_step(m, s, g, shifted=True)
+        d = _newton_step(m, s, linalg.norm(s), g, shifted=True)
         if shift >= 0.0:
             assert d is None
         else:
@@ -142,7 +152,7 @@ class TestPositiveDefiniteBoundary:
         s = r * self.R[:, 0]
         g = grad(self.M, s)
         lo = np.linalg.eigvalsh(hess(self.M, s).entries)[0]
-        return s, g, lo, _newton_step(self.M, s, g)
+        return s, g, lo, _newton_step(self.M, s, linalg.norm(s), g)
 
     @pytest.mark.parametrize("r", [1.6, 2.0, 2.9])
     def test_one_negative_d_denominator_below_zero(self, r):
@@ -179,7 +189,7 @@ class TestPositiveDefiniteBoundary:
         H = hess(m, s).entries
         assert np.array_equal(H, np.diag([0.0, 4.0]))
         assert np.linalg.eigvalsh(H)[0] == 0.0
-        assert _newton_step(m, s, grad(m, s)) is None
+        assert _newton_step(m, s, linalg.norm(s), grad(m, s)) is None
 
 
 class TestShiftedNewtonStep:
@@ -198,7 +208,7 @@ class TestShiftedNewtonStep:
         shift = mu.min() + m.sigma * np.linalg.norm(s)
         assert shift < 0.0
         g = grad(m, s)
-        d = _newton_step(m, s, g, shifted=True)
+        d = _newton_step(m, s, linalg.norm(s), g, shifted=True)
         assert d is not None
         assert g @ d < 0.0
         ref = np.linalg.solve(hess(m, s).entries - 2.0 * shift * np.eye(n), -g)
@@ -217,7 +227,7 @@ class TestShiftedNewtonStep:
     def test_none_when_shift_nonnegative(self, q, sigma, s):
         m = CubicModel([0.3, -0.2], q, sigma)
         s = np.asarray(s, dtype=float)
-        assert _newton_step(m, s, grad(m, s), shifted=True) is None
+        assert _newton_step(m, s, linalg.norm(s), grad(m, s), shifted=True) is None
 
 
 class TestNoFactorization:
@@ -354,13 +364,173 @@ class TestCoercivityGuard:
         s0 = rng.uniform(-1.0, 1.0, size=m.n) * radius / 2.0
         # the solve evaluates the gradient at s0 and at every iterate after it
         iterates = []
+        gradient = model_mod._gradient
 
-        def recording(model, s):
+        def recording(model, s, norm_s, qs):
             iterates.append(np.array(s))
-            return grad(model, s)
+            return gradient(model, s, norm_s, qs)
 
-        monkeypatch.setattr(model_mod, "grad", recording)
+        monkeypatch.setattr(model_mod, "_gradient", recording)
         local_minimize(m, s0)
         assert np.array_equal(iterates[0], s0)
         for s in iterates[10:]:
             assert np.linalg.norm(s) <= radius
+
+
+# The local solve as it was before each iterate kept its ||s||, Q s and
+# m(s): eval_model and grad per point, and a Newton step that takes its
+# own norm and tests definiteness with whole-array reductions.  The
+# parity test below holds the solver to this reference bit for bit.
+
+
+def _reference_newton_step(m, s, g, shifted=False):
+    norm_s = linalg.norm(s)
+    d = m.eig.values + m.sigma * norm_s
+    if shifted:
+        if d[0] >= 0.0:
+            return None
+        d = d - 2.0 * d[0]
+    elif np.count_nonzero(d < 0.0) > 1:
+        return None
+    elif np.abs(d).min() <= _PD_RTOL * (np.abs(d).max() + m.sigma * norm_s):
+        return None
+    V = m.eig.vectors
+    u = V.T @ s
+    du = u / d
+    dh = (V.T @ g) / d
+    rho = m.sigma / norm_s if norm_s else 0.0
+    terms = rho * u * du
+    denom = 1.0 + float(terms.sum())
+    if d[0] < 0.0 and not denom < -_PD_RTOL * (1.0 + float(np.abs(terms).sum())):
+        return None
+    return -(V @ (dh - (rho * float(u @ dh) / denom) * du))
+
+
+def _reference_local_minimize(m, s0, eps_grad=None):
+    eps = eps_grad if eps_grad is not None else m.default_tol_grad()
+    s = np.array(m._check_dim(s0), dtype=float)
+    f = model_mod.eval_model(m, s)
+    trace = [f]
+    step0 = 1.0 / (1.0 + m.Q.max_abs + m.sigma * linalg.norm(s))
+    t_carry = step0
+
+    iterations = 0
+    flat_steps = 0
+    step_counts = {"newton": 0, "shifted": 0, "gradient": 0}
+    for iterations in range(1, _MAX_ITERS + 1):
+        g = model_mod.grad(m, s)
+        residual = linalg.safe_norm(g)
+        if residual <= eps:
+            return LocalSolveReport(
+                s=s, residual=residual, iterations=iterations - 1,
+                objective_trace=trace, converged=True,
+                step_counts=step_counts,
+            )
+
+        candidates = []
+        d_newton = _reference_newton_step(m, s, g)
+        if d_newton is not None:
+            candidates.append(("newton", d_newton, 1.0))
+        else:
+            d_shifted = _reference_newton_step(m, s, g, shifted=True)
+            if d_shifted is not None:
+                candidates.append(("shifted", d_shifted, 1.0))
+        candidates.append(("gradient", -g, t_carry))
+
+        moved = False
+        for kind, direction, t0 in candidates:
+            slope = float(g @ direction)
+            if slope >= 0.0:
+                continue
+            t = t0
+            for _ in range(60):
+                f_new = model_mod.eval_model(m, s + t * direction)
+                if f_new <= f + _ARMIJO_C * t * slope:
+                    flat_steps = flat_steps + 1 if f_new == f else 0
+                    s = s + t * direction
+                    f = f_new
+                    moved = True
+                    step_counts[kind] += 1
+                    if kind == "gradient":
+                        t_carry = 2.0 * t
+                    break
+                t *= _BACKTRACK
+            if moved:
+                break
+        if not moved or flat_steps >= 3:
+            break
+        trace.append(f)
+
+    g = model_mod.grad(m, s)
+    residual = linalg.safe_norm(g)
+    for _ in range(4):
+        if residual <= eps:
+            break
+        d = _reference_newton_step(m, s, g)
+        if d is None:
+            break
+        s_try = s + d
+        g_try = model_mod.grad(m, s_try)
+        r_try = linalg.norm(g_try)
+        if r_try < 0.5 * residual:
+            s, g, residual = s_try, g_try, r_try
+        else:
+            break
+    return LocalSolveReport(
+        s=s, residual=residual, iterations=iterations,
+        objective_trace=trace, converged=residual <= eps,
+        step_counts=step_counts,
+    )
+
+
+def _hard_case_model(rng, n):
+    """A controlled model with c orthogonal to Q's bottom eigenvector."""
+    m = random_controlled_model(rng, n=n)
+    v = m.eig.vectors[:, 0]
+    return CubicModel(m.c - (m.c @ v) * v, m.Q, m.sigma)
+
+
+def _badly_scaled_model(rng, n):
+    """A random model with Q scaled by 1e6 or sigma set to 1e-6, where
+    the Newton polish takes more than one step."""
+    m = random_model(rng, n=n)
+    if rng.random() < 0.5:
+        return CubicModel(m.c, 1e6 * m.Q.entries, m.sigma)
+    return CubicModel(m.c, m.Q, 1e-6)
+
+
+def _report_bytes(rep):
+    return (
+        rep.s.tobytes(),
+        np.float64(rep.residual).tobytes(),
+        rep.iterations,
+        np.array(rep.objective_trace, dtype=float).tobytes(),
+        rep.converged,
+        rep.step_counts,
+    )
+
+
+class TestReferenceParity:
+    """Each iterate evaluated once gives the reference solve's bits."""
+
+    MAKERS = {
+        "random": lambda rng, n: random_model(rng, n=n),
+        "controlled": lambda rng, n: random_controlled_model(rng, n=n),
+        "hard": _hard_case_model,
+        "badly_scaled": _badly_scaled_model,
+    }
+
+    EPS = (None, 1e-3, 1e-12)
+
+    @pytest.mark.parametrize("eps_grad", EPS)
+    @pytest.mark.parametrize("kind", sorted(MAKERS))
+    def test_reports_byte_equal(self, kind, eps_grad):
+        rng = np.random.default_rng([7000, sorted(self.MAKERS).index(kind), self.EPS.index(eps_grad)])
+        for n in np.repeat(np.arange(1, 11), 6):
+            m = self.MAKERS[kind](rng, int(n))
+            u = rng.normal(size=m.n)
+            on_sphere = (min(1.0, 1.0 / m.sigma) / np.linalg.norm(u)) * u
+            for s0 in (np.zeros(m.n), on_sphere, 1e3 * rng.normal(size=m.n)):
+                got = local_minimize(m, s0, eps_grad)
+                ref = _reference_local_minimize(m, s0, eps_grad)
+                assert _report_bytes(got) == _report_bytes(ref)

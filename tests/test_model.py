@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cubicmin import CubicModel, SymmetricMatrix, eval_model, global_minimize, grad, hess, is_global
+from cubicmin import linalg
 from cubicmin.model import GlobalCertificate, StationaryPoint
 
 from .helpers import np_eval, np_grad, random_model
@@ -32,6 +33,21 @@ class TestConstruction:
     def test_eig_is_cached(self):
         m = random_model(np.random.default_rng(0), n=4)
         assert m.eig is m.eig
+
+    def test_models_on_one_matrix_share_one_eigendecomposition(self, monkeypatch):
+        calls = []
+        real_eigen = linalg.sym_eigen
+
+        def sym_eigen(A):
+            calls.append(A)
+            return real_eigen(A)
+
+        monkeypatch.setattr(linalg, "sym_eigen", sym_eigen)
+        Q = SymmetricMatrix([[1.0, 2.0], [2.0, -3.0]])
+        m1 = CubicModel([1.0, 0.0], Q, 1.0)
+        m2 = CubicModel([0.0, -2.0], Q, 4.0)
+        assert m1.eig is m2.eig is Q.eig
+        assert calls == [Q]
 
     def test_default_tolerances_scale(self):
         assert WORKED.default_tol_grad() == 1e-8 * (1.0 + WORKED.norm_c)

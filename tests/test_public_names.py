@@ -1,27 +1,29 @@
 """Names other code depends on: the package's ``__all__`` and the
 functions the benchmark's per-layer tracer wraps."""
 
-import ast
 import importlib
+import importlib.util
 import os
 
 import pytest
 
 import cubicmin
+from cubicmin import driver, linalg, local_solver
 
 _TRACER = os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench", "tracer.py")
 
 
-def _tracer_constant(name):
-    """The literal assigned to ``name`` in perfbench/tracer.py, read without importing it."""
+def _load_tracer():
+    """perfbench/tracer.py as a module, executed from its source so no
+    bytecode is written next to it."""
+    spec = importlib.util.spec_from_loader("perfbench_tracer", loader=None)
+    module = importlib.util.module_from_spec(spec)
     with open(_TRACER, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == name for t in node.targets
-        ):
-            return ast.literal_eval(node.value)
-    raise LookupError(f"{name} is not assigned in {_TRACER}")
+        exec(compile(fh.read(), _TRACER, "exec"), module.__dict__)
+    return module
+
+
+tracer = _load_tracer()
 
 
 @pytest.mark.parametrize("name", cubicmin.__all__)
@@ -29,13 +31,31 @@ def test_every_exported_name_resolves(name):
     assert hasattr(cubicmin, name)
 
 
-@pytest.mark.parametrize("layer, module, attr", _tracer_constant("WRAPPED_FUNCTIONS"))
+@pytest.mark.parametrize("layer, module, attr", tracer.WRAPPED_FUNCTIONS)
 def test_every_traced_function_exists(layer, module, attr):
     assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
 
 
 def test_traced_callbacks_are_defined_on_their_class():
-    module, cls_name = _tracer_constant("CALLBACK_CLASS")
+    module, cls_name = tracer.CALLBACK_CLASS
     cls = getattr(importlib.import_module(module), cls_name)
-    for meth in _tracer_constant("CALLBACK_METHODS"):
+    for meth in tracer.CALLBACK_METHODS:
         assert meth in vars(cls), f"{module}.{cls_name}.{meth}"
+
+
+def test_traced_run_counts_every_layer_and_restores_bindings():
+    # install() raises MissingFunction when a wrapped name is gone; the
+    # outer loop must reach each layer through a binding the tracer rebinds.
+    f = cubicmin.get_problem("rosen_coupled6")
+    with tracer.Tracer() as tr:
+        rep = cubicmin.arc_plus_minimize(f, None, cubicmin.ARC_PLUS)
+    by_name, _ = tr.summary()
+    for span in ("driver.arc_plus_minimize", "driver.solve_via_escapes",
+                 "local_solver.local_minimize", "escape.escape_approx",
+                 "linalg.sym_eigen", "problems.callbacks"):
+        assert by_name[span][0] > 0, span
+    assert tr.counts["driver.outer_iters"] == rep.iterations
+    assert tr.counts["local_solver.local_minimize.iters"] > 0
+    assert not hasattr(linalg.sym_eigen, "__wrapped__")
+    assert driver.local_minimize is local_solver.local_minimize
+    assert not hasattr(cubicmin.ObjectiveFunction.hess, "__wrapped__")
