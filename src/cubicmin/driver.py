@@ -9,7 +9,6 @@ adaptive cubic-regularization outer loop for general smooth objectives.
 """
 
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,8 +45,6 @@ _SIGMA0 = 1.0
 _ETA1 = 0.1
 _ETA2 = 0.9
 _SIGMA_MIN = 1e-8
-# Past sqrt(largest double) ~ 1.34e154 the square of ||g|| overflows.
-_GNORM_MAX = math.sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -290,8 +287,6 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
     g = f.grad(x)
     ginf = float(np.max(np.abs(g))) if x.size else 0.0
     hess_x = None  # the SymmetricMatrix of f.hess(x), built on first use
-    # ||g|| <= sqrt(n) * ginf, so ||g||^2 cannot overflow below _GNORM_MAX.
-    sqrt_n = math.sqrt(f.n)
 
     while iterations < opts.max_iters:
         if ginf <= opts.tol_grad_inf:
@@ -302,12 +297,9 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         if hess_x is None:
             hess_x = SymmetricMatrix(f.hess(x))
         m = CubicModel(g, hess_x, sigma)
-        if ginf * sqrt_n <= _GNORM_MAX:
+        # Past ||g|| ~ 1.3e154 its square overflows: gnorm is inf, unwarned.
+        with np.errstate(over="ignore"):
             gnorm = linalg.norm(g)
-        else:
-            # ||g||^2 may overflow: gnorm is then inf, without NumPy's warning.
-            with np.errstate(over="ignore"):
-                gnorm = linalg.norm(g)
         eps_inner = max(min(0.01, 0.1 * gnorm) * gnorm, 1e-12)
         s_c = cauchy_step(m)
         if gnorm == math.inf and math.isinf(m.norm_c * linalg.safe_norm(s_c)):

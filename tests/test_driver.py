@@ -285,13 +285,15 @@ def _worked_objective():
 class TestGradientRange:
     """Gradients whose squared norm overflows, on the worked-instance objective."""
 
-    def test_model_out_of_range_at_cauchy_point_raises(self):
+    @pytest.mark.parametrize("variant", ["ARC", "ARC_PLUS"])
+    def test_model_out_of_range_at_cauchy_point_raises(self, variant):
         # ||g|| = 1e206: the model's linear term at its Cauchy point overflows.
         with pytest.raises(ConvergenceError, match="overflows at the Cauchy point"):
-            arc_plus_minimize(_worked_objective(), [1e103, 0.0])
+            arc_plus_minimize(_worked_objective(), [1e103, 0.0], variant)
 
     # At x = (t, t) each gradient entry is about sqrt(2)*t^2, so t = 8.4e76
-    # keeps max|g| below 1.341e154 but not ||g||.  Warnings are errors here.
+    # keeps each entry's square in double range but not ||g||^2.  Warnings
+    # are errors here.
     @pytest.mark.parametrize("x0", [[1e96, 0.0], [8.4e76, 8.4e76]])
     @pytest.mark.parametrize("variant", ["ARC", "ARC_PLUS"])
     def test_squared_norm_overflow_still_solves_without_warning(self, x0, variant):
