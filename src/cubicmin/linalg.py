@@ -64,7 +64,9 @@ class SymmetricMatrix:
     entries : array_like
         Square matrix with ``|a_ij - a_ji| <= 1e-12 * (1 + |a_ij|)``.
         Stored symmetrized as ``A/2 + A^T/2``, which cannot overflow, and
-        marked read-only.
+        marked read-only.  An exactly symmetric A passes without the
+        tolerance arithmetic; it is still stored as ``A/2 + A^T/2``,
+        which differs from A where halving rounds a subnormal entry.
 
     ``max_abs`` and the eigendecomposition ``eig`` are computed lazily and
     cached, so every model built on one matrix shares one
@@ -77,17 +79,19 @@ class SymmetricMatrix:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("matrix dimension must be at least 1")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("matrix entries must be finite")
         # Halves throughout: a - a.T could overflow, half - half.T cannot.
         half = 0.5 * a
-        gap = np.abs(half - half.T) - (0.5 * _SYMMETRY_RTOL) * (1.0 + np.abs(a))
-        if np.any(gap > 0):
-            i, j = np.unravel_index(np.argmax(gap), a.shape)
-            raise ValueError(
-                f"entry ({i},{j}) = {float(a[i, j])!r} differs from ({j},{i}) = "
-                f"{float(a[j, i])!r} beyond the symmetry tolerance"
-            )
+        # An exactly symmetric matrix has every gap negative: skip them.
+        if not (a == a.T).all():
+            gap = np.abs(half - half.T) - (0.5 * _SYMMETRY_RTOL) * (1.0 + np.abs(a))
+            if (gap > 0).any():
+                i, j = np.unravel_index(np.argmax(gap), a.shape)
+                raise ValueError(
+                    f"entry ({i},{j}) = {float(a[i, j])!r} differs from ({j},{i}) = "
+                    f"{float(a[j, i])!r} beyond the symmetry tolerance"
+                )
         self.entries = _freeze(half + half.T)
         self.n = a.shape[0]
 

@@ -30,13 +30,14 @@ class CubicModel:
         Regularization weight, strictly positive.
 
     ``norm_c`` and the secular data of
-    ``stationary.SecularProblem.from_model`` (with its largest root) are
-    computed lazily and cached per model.  The eigendecomposition of Q is
-    cached on the ``SymmetricMatrix`` itself, so models that share one Q
-    (as the outer loop's models at one iterate do) share one
-    eigendecomposition.  Instances are immutable and safe to share across
-    threads: each cached value is a deterministic function of (c, Q,
-    sigma), so two threads that fill a cache at once store equal values.
+    ``stationary.SecularProblem.from_model`` (with its largest root and
+    that root's StationaryPoint) are computed lazily and cached per
+    model.  The eigendecomposition of Q is cached on the
+    ``SymmetricMatrix`` itself, so models that share one Q (as the outer
+    loop's models at one iterate do) share one eigendecomposition.
+    Instances are immutable and safe to share across threads: each
+    cached value is a deterministic function of (c, Q, sigma), so two
+    threads that fill a cache at once store equal values.
     """
 
     def __init__(self, c, Q, sigma):
@@ -45,7 +46,7 @@ class CubicModel:
         c = np.array(c, dtype=float).reshape(-1)
         if c.shape[0] != Q.n:
             raise ValueError(f"c has length {c.shape[0]}, Q has dimension {Q.n}")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("c entries must be finite")
         sigma = float(sigma)
         if not sigma > 0.0:
@@ -76,7 +77,8 @@ class CubicModel:
         return 1e-8 * (1.0 + self.Q.max_abs)
 
     def _check_dim(self, s):
-        s = np.asarray(s, dtype=float).reshape(-1)
+        # A flat float copy of s, whatever its shape and type.
+        s = np.array(s, dtype=float).reshape(-1)
         if s.shape[0] != self.n:
             raise ValueError(f"point has length {s.shape[0]}, model dimension is {self.n}")
         return s
@@ -103,7 +105,7 @@ class StationaryPoint:
 
     @classmethod
     def from_vector(cls, model, s):
-        s = np.array(model._check_dim(s))
+        s = model._check_dim(s)
         s.setflags(write=False)
         norm_s = linalg.norm(s)
         qs = model.Q.entries @ s

@@ -19,10 +19,13 @@ carries the largest root when that root exceeds ``max(0, -mu_1)``.
 searches only the unbounded one, which holds the largest root whenever
 c is not zero.
 
-The secular data of a model (``beta``, the coupling mask and the poles)
-and the root in the unbounded subinterval are computed once per model
-and cached on it, so both entry points share one search for the
-largest root.
+The secular data of a model (``beta``, the coupling mask, the poles and
+the pole each left-end search starts from), the root in the unbounded
+subinterval and that root's StationaryPoint are computed once per model
+and cached on it, so both entry points share one search for the largest
+root and one evaluation of its point: when that point is the global
+minimizer, ``enumerate_stationary`` returns the very object that
+``global_minimize`` certifies, in either call order.
 """
 
 import functools
@@ -64,6 +67,8 @@ class SecularProblem:
     sigma : float
     coupled : ndarray of bool
         ``|beta_i| > pole_tol``: the modes the secular equation solves.
+    any_coupled : bool
+        ``coupled.any()``; False exactly when c = 0 up to ``pole_tol``.
     coupled_beta, coupled_poles : ndarray
         ``beta`` and ``-mu`` at the coupled modes, in eigenvalue order:
         the terms of ``||s(lam)||`` that the root finder evaluates.
@@ -73,6 +78,11 @@ class SecularProblem:
         above the last kept one, which stands for those merged.  Where the
         coupling vanishes g extends continuously across ``-mu_i``, so
         such points are not treated as poles.
+
+    The subintervals are cut once, and each cut has its anchor, the pole
+    its left-end Newton search starts from; the largest root carries its
+    StationaryPoint (``_top_point``), cached beside ``_top_root``; none
+    of them refers to the model.
     """
 
     def __init__(self, eig, beta, sigma, pole_tol):
@@ -81,14 +91,26 @@ class SecularProblem:
         self.sigma = float(sigma)
         self.pole_tol = float(pole_tol)
         self.coupled = linalg._freeze(np.abs(self.beta) > self.pole_tol)
+        self.any_coupled = bool(self.coupled.any())
         self.coupled_beta = linalg._freeze(self.beta[self.coupled])
         self.coupled_poles = linalg._freeze(-eig.values[self.coupled])
-        raw = sorted(self.coupled_poles)
+        # Python floats sort and subtract faster than NumPy scalars, with
+        # the same order (sorted is stable) and the same differences.
         poles = []
-        for p in raw:
+        for p in sorted(self.coupled_poles.tolist()):
             if not poles or p - poles[-1] > _POLE_MERGE:
                 poles.append(p)
         self.poles = linalg._freeze(np.array(poles, dtype=float))
+        cuts = [0.0] + [p for p in poles if p > 0.0]
+        self._subintervals = list(zip(cuts, cuts[1:] + [math.inf]))
+        # A cut is the lowest of the poles merged into it; its left-end
+        # search starts above all of them, at the cut's anchor.
+        cp = self.coupled_poles
+        self._anchors = {}
+        for end, far in self._subintervals:
+            merged = (cp <= end + _POLE_MERGE) & (cp < far)
+            self._anchors[end] = float(cp.max(initial=end, where=merged))
+        self._top_point_cache = None
 
     @classmethod
     def from_model(cls, m):
@@ -107,7 +129,18 @@ class SecularProblem:
     @functools.cached_property
     def _top_root(self):
         # The root in the unbounded subinterval, or None; searched once.
-        return _newton_root(self, subintervals(self)[-1][0], math.inf)
+        return _newton_root(self, self._subintervals[-1][0], math.inf)
+
+    def _top_point(self, m):
+        """The StationaryPoint of ``_top_root``, evaluated once and cached.
+
+        ``m`` is the model this instance was built from.
+        """
+        point = self._top_point_cache
+        if point is None:
+            s = stationary_from_lambda(self, self._top_root)
+            point = self._top_point_cache = StationaryPoint.from_vector(m, s)
+        return point
 
     def __repr__(self):
         return f"SecularProblem(n={self.eig.n}, sigma={self.sigma}, poles={self.poles!r})"
@@ -176,14 +209,9 @@ def subintervals(sp):
     """The subintervals of (0, inf) cut by the positive poles of g.
 
     Returns a list of ``(lo, hi)`` pairs ascending, the last with
-    ``hi = math.inf``.
+    ``hi = math.inf``; computed once, with the secular data.
     """
-    cuts = [0.0] + [float(p) for p in sp.poles if p > 0.0]
-    out = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        out.append((lo, hi))
-    out.append((cuts[-1], math.inf))
-    return out
+    return list(sp._subintervals)
 
 
 def _newton_root(sp, end, far):
@@ -198,13 +226,8 @@ def _newton_root(sp, end, far):
     """
     side = 1.0 if far > end else -1.0
     beta = sp.coupled_beta
-    poles = sp.coupled_poles
-    pole = end
-    if side > 0.0:
-        # A cut is the lowest of the poles merged into it; start above all.
-        merged = (poles <= end + _POLE_MERGE) & (poles < far)
-        pole = float(poles.max(initial=end, where=merged))
-    shift = pole - poles
+    pole = sp._anchors[end] if side > 0.0 else end
+    shift = pole - sp.coupled_poles
     width = side * (far - pole)
     # Closed-form start with phi < 0: for the mode j nearest the end, of
     # coupling w = |beta_j|, 1/||s|| <= |shift_j + t|/w, and lam <= pole +
@@ -269,10 +292,10 @@ def enumerate_lambda(sp):
     Returns an empty list when c = 0 (no couplings): then only s = 0 can
     be stationary, and only because the gradient at the origin is c.
     """
-    if not sp.coupled.any():
+    if not sp.any_coupled:
         return []
     roots = []
-    for lo, hi in subintervals(sp):
+    for lo, hi in sp._subintervals:
         left = sp._top_root if hi == math.inf else _newton_root(sp, lo, hi)
         if left is None:
             continue
@@ -284,14 +307,8 @@ def enumerate_lambda(sp):
     return roots
 
 
-def _mode_coefficients(sp, pole, offset=0.0):
-    """Eigenbasis coefficients a with ((mu_i + pole) + offset) a_i = beta_i.
-
-    The multiplier is ``pole + offset``.  Like the secular root finder,
-    only coupled modes (``|beta_i| > pole_tol``) are solved; the rest get
-    a_i = 0, which leaves a residual of at most their loads.  Also
-    returns the null modes: uncoupled modes with a vanishing shift.
-    """
+def _coefficients(sp, pole, offset):
+    # The coefficients of _mode_coefficients and the shifts they divide by.
     coupled = sp.coupled
     denom = (sp.eig.values + pole) + offset
     on_pole = coupled & (denom == 0.0)
@@ -300,9 +317,21 @@ def _mode_coefficients(sp, pole, offset=0.0):
         raise PoleEvaluation(
             f"multiplier {pole + offset!r} sits on the coupled pole {-sp.eig.values[i]!r}"
         )
-    coeff = np.zeros_like(sp.beta)
-    coeff[coupled] = sp.beta[coupled] / denom[coupled]
-    return coeff, ~coupled & (np.abs(denom) <= SINGULAR_MODE_TOL)
+    coeff = np.zeros(sp.beta.shape)
+    coeff[coupled] = sp.coupled_beta / denom[coupled]
+    return coeff, denom
+
+
+def _mode_coefficients(sp, pole, offset=0.0):
+    """Eigenbasis coefficients a with ((mu_i + pole) + offset) a_i = beta_i.
+
+    The multiplier is ``pole + offset``.  Like the secular root finder,
+    only coupled modes (``|beta_i| > pole_tol``) are solved; the rest get
+    a_i = 0, which leaves a residual of at most their loads.  Also
+    returns the null modes: uncoupled modes with a vanishing shift.
+    """
+    coeff, denom = _coefficients(sp, pole, offset)
+    return coeff, ~sp.coupled & (np.abs(denom) <= SINGULAR_MODE_TOL)
 
 
 def stationary_from_lambda(sp, root):
@@ -312,7 +341,7 @@ def stationary_from_lambda(sp, root):
     0 on the rest, with ``pole`` and ``offset`` those of the LambdaRoot.
     Returns the vector s.
     """
-    coeff, _ = _mode_coefficients(sp, root.pole, root.offset)
+    coeff, _ = _coefficients(sp, root.pole, root.offset)
     return sp.eig.vectors @ coeff
 
 
@@ -321,7 +350,8 @@ def _boundary_parts(sp, lam):
 
     v is the first null mode; tau >= 0 sets ``||V a +/- tau v|| = lam/sigma``.
     Raises NormMismatch if ``||V a||`` exceeds that beyond tolerance, or
-    if no mode is null at lam.
+    if no mode is null at lam, and ConvergenceError if the square of
+    lam/sigma leaves double range.
     """
     coeff, singular = _mode_coefficients(sp, lam)
     base = sp.eig.vectors @ coeff
@@ -333,7 +363,13 @@ def _boundary_parts(sp, lam):
         )
     if not singular.any():
         raise NormMismatch(f"boundary multiplier {lam!r} has no null mode")
-    tau = math.sqrt(max(0.0, radius**2 - norm_base**2))
+    try:
+        tau = math.sqrt(max(0.0, radius**2 - norm_base**2))
+    except OverflowError:
+        raise ConvergenceError(
+            f"boundary multiplier {lam!r} left double range: (lam/sigma)**2 overflows "
+            f"at lam/sigma = {radius!r}"
+        ) from None
     return base, tau * sp.eig.vectors[:, int(np.argmax(singular))]
 
 
@@ -370,12 +406,17 @@ def enumerate_stationary(m):
     The union of: the origin when c = 0 (no mode coupled); one point per
     secular root; two representatives per feasible boundary multiplier.
     The number of distinct multipliers is bounded by ``count_bound(m)``.
+    The largest root's point is the one cached on ``SecularProblem``,
+    the same object ``global_minimize`` certifies when it is s*.
     """
     sp = SecularProblem.from_model(m)
-    vectors = [] if sp.coupled.any() else [np.zeros(m.n)]
-    vectors += [stationary_from_lambda(sp, root) for root in enumerate_lambda(sp)]
-    vectors += _boundary_points(sp)
-    points = [StationaryPoint.from_vector(m, s) for s in vectors]
+    points = [] if sp.any_coupled else [StationaryPoint.from_vector(m, np.zeros(m.n))]
+    for root in enumerate_lambda(sp):
+        if root is sp._top_root:
+            points.append(sp._top_point(m))
+        else:
+            points.append(StationaryPoint.from_vector(m, stationary_from_lambda(sp, root)))
+    points += [StationaryPoint.from_vector(m, s) for s in _boundary_points(sp)]
     points.sort(key=lambda p: p.lam)
     return points
 
@@ -411,7 +452,8 @@ def global_minimize(m):
     Newton search there (cached, and shared with ``enumerate_lambda``)
     finds the only root that can be lam*.  When that root exceeds
     ``max(0, -mu_1)`` it is lam*, and s* is its point
-    ``stationary_from_lambda``; otherwise the model is in the hard case
+    ``stationary_from_lambda``, evaluated once and cached (shared with
+    ``enumerate_stationary``); otherwise the model is in the hard case
     ``lam* = max(0, -mu_1)``, and s* is the boundary point of
     ``_boundary_parts`` there (s* = 0 when also lam* = 0 and c = 0).  The
     two-part certificate (stationarity plus positive semidefiniteness of
@@ -421,6 +463,8 @@ def global_minimize(m):
     ------
     NormMismatch
         If the hard case is infeasible.
+    ConvergenceError
+        If the hard case's boundary radius leaves double range.
     CertificateFailure
         If the computed point fails its own certificate.  The message
         states the double-precision floor ``eps*(||c|| + max|Q|*||s*||)``
@@ -430,26 +474,24 @@ def global_minimize(m):
     trace = []
     sp = SecularProblem.from_model(m)
     lam_star = max(0.0, -float(m.eig.values[0]))
-    coupled = sp.coupled.any()
-    root = sp._top_root if coupled else None
+    root = sp._top_root if sp.any_coupled else None
     if root is not None and root.offset > lam_star - root.pole:
         trace.append(
             f"largest secular root lam = {root.lam!r} "
             f"(pole {root.pole!r} + offset {root.offset!r})"
         )
-        return _finish_global(m, stationary_from_lambda(sp, root), False, trace)
-    if lam_star == 0.0 and not coupled:
+        return _finish_global(m, sp._top_point(m), False, trace)
+    if lam_star == 0.0 and not sp.any_coupled:
         # c = 0 up to pole_tol; s* = 0 leaves the residual ||c||.
         trace.append("c = 0 and Q is positive semidefinite: s* = 0")
-        return _finish_global(m, np.zeros(m.n), False, trace)
+        return _finish_global(m, StationaryPoint.from_vector(m, np.zeros(m.n)), False, trace)
     # Hard case: no root beyond max(0, -mu_1); the minimizer sits there.
     base, free = _boundary_parts(sp, lam_star)
     trace.append(f"hard case: lam* = max(0, -mu_1) = {lam_star!r}")
-    return _finish_global(m, base + free, True, trace)
+    return _finish_global(m, StationaryPoint.from_vector(m, base + free), True, trace)
 
 
-def _finish_global(m, s_star, hard, trace):
-    point = StationaryPoint.from_vector(m, s_star)
+def _finish_global(m, point, hard, trace):
     cert = model_mod._certificate(m, point, m.default_tol_grad(), m.default_tol_psd())
     if not cert.is_global:
         floor = _EPS * (m.norm_c + m.Q.max_abs * linalg.norm(point.s))

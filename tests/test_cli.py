@@ -138,6 +138,23 @@ class TestSolve:
                 assert out.stderr.startswith("cubicmin: solver error: ConvergenceError: ")
                 assert out.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["solve", "stationary"])
+    def test_hard_case_radius_past_square_range_exit_2(self, tmp_path, command):
+        # Hard case at lam = 3e200, where (lam/sigma)**2 overflows: one
+        # solver error line, no traceback; any warning in the child is an error.
+        path = tmp_path / "hard_overflow.json"
+        path.write_text(
+            '{"n": 2, "c": [1e-300, 2e-300], "Q": [[-1e200, 0.0], [0.0, -3e200]],'
+            ' "sigma": 1.0}\n'
+        )
+        out = run_cli(command, str(path), env={**os.environ, "PYTHONWARNINGS": "error"})
+        assert out.returncode == 2
+        assert out.stderr == (
+            "cubicmin: solver error: ConvergenceError: boundary multiplier 3e+200 left double"
+            " range: (lam/sigma)**2 overflows at lam/sigma = 3e+200\n"
+        )
+        assert not out.stdout
+
     def test_escapes_minimizer_near_1e_200(self, tmp_path):
         # The gradient at the N(0, 1) start is about 1e200 and lambda* is
         # 1e-200; neither may warn or print lambda 0.

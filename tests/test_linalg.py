@@ -5,7 +5,14 @@ import pytest
 
 from cubicmin import CubicModel, kernel_backend
 from cubicmin.exceptions import ConvergenceError, PoleEvaluation
-from cubicmin.linalg import EigenDecomposition, SymmetricMatrix, norm, safe_norm, sym_eigen
+from cubicmin.linalg import (
+    _SYMMETRY_RTOL,
+    EigenDecomposition,
+    SymmetricMatrix,
+    norm,
+    safe_norm,
+    sym_eigen,
+)
 from cubicmin.stationary import SecularProblem, _mode_coefficients
 
 
@@ -105,6 +112,90 @@ class TestSymmetricMatrix:
         # a - a.T overflows here; any warning is an error in this suite.
         with pytest.raises(ValueError, match=r"entry \(0,1\) = 1e\+308 differs"):
             SymmetricMatrix([[0.0, 1e308], [-1e308, 0.0]])
+
+    def test_subnormal_entries_are_halved_and_doubled(self):
+        # Exactly symmetric, yet stored as A/2 + A^T/2: halving rounds an
+        # odd subnormal, so the stored entry differs from the input.
+        tiny = 5e-324
+        a = SymmetricMatrix([[tiny, 3 * tiny], [3 * tiny, 1.0]])
+        assert a.entries[0, 0] == 0.0
+        assert a.entries[0, 1] == a.entries[1, 0] == 4 * tiny
+
+
+def _reference_symmetric(entries):
+    """SymmetricMatrix validation without the exact-symmetry short cut (verbatim)."""
+    a = np.array(entries, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    if a.shape[0] < 1:
+        raise ValueError("matrix dimension must be at least 1")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix entries must be finite")
+    # Halves throughout: a - a.T could overflow, half - half.T cannot.
+    half = 0.5 * a
+    gap = np.abs(half - half.T) - (0.5 * _SYMMETRY_RTOL) * (1.0 + np.abs(a))
+    if np.any(gap > 0):
+        i, j = np.unravel_index(np.argmax(gap), a.shape)
+        raise ValueError(
+            f"entry ({i},{j}) = {float(a[i, j])!r} differs from ({j},{i}) = "
+            f"{float(a[j, i])!r} beyond the symmetry tolerance"
+        )
+    return half + half.T
+
+
+def _matrix_outcome(build, entries):
+    try:
+        return build(entries).tobytes()
+    except ValueError as exc:
+        return str(exc)
+
+
+_MATRIX_KINDS = ("symmetric", "within", "beyond", "subnormal", "signed_zero", "inf", "nan")
+
+
+def _parity_matrix(rng, kind, n):
+    """A random n-by-n matrix of one kind; every kind's scale is random too."""
+    a = rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-300.0, 300.0)
+    if kind == "subnormal":
+        a = np.triu(rng.integers(-9, 10, size=(n, n)) * 5e-324)
+        a = a + np.triu(a, 1).T
+    elif kind == "signed_zero":
+        # 0.0 facing -0.0 compares equal: symmetric, with unequal bits.
+        a = np.where(rng.uniform(size=(n, n)) < 0.5, 0.0, -0.0)
+    else:
+        a = a + a.T
+    i, j = (int(k) for k in rng.integers(n, size=2))
+    if kind == "within":
+        a[i, j] *= 1.0 + 1e-13 * rng.uniform(-1.0, 1.0)
+    elif kind == "beyond":
+        a[i, j] = a[i, j] * (1.0 + 1e-11) + 1e-11
+    elif kind == "subnormal" and rng.uniform() < 0.5:
+        a[i, j] += 5e-324
+    elif kind in ("inf", "nan"):
+        a[i, j] = (np.inf if rng.uniform() < 0.5 else -np.inf) if kind == "inf" else np.nan
+    return a
+
+
+class TestSymmetricMatrixReferenceParity:
+    """The exact-symmetry short cut changes no entry and no message."""
+
+    def test_entries_and_messages_match_reference(self):
+        rng = np.random.default_rng(1812)
+        verdicts = {kind: set() for kind in _MATRIX_KINDS}
+        for k in range(1400):
+            kind = _MATRIX_KINDS[k % len(_MATRIX_KINDS)]
+            a = _parity_matrix(rng, kind, 1 + (k // len(_MATRIX_KINDS)) % 7)
+            want = _matrix_outcome(_reference_symmetric, a)
+            got = _matrix_outcome(lambda e: SymmetricMatrix(e).entries, a)
+            assert got == want, (k, kind)
+            verdicts[kind].add(isinstance(want, bytes))
+        # Each kind was judged as its name says.  A subnormal gap is within
+        # the tolerance's absolute 1e-12; "beyond" goes both ways, since a
+        # 1-by-1 matrix or a perturbed diagonal entry stays symmetric.
+        assert verdicts["symmetric"] == verdicts["within"] == {True}
+        assert verdicts["signed_zero"] == verdicts["subnormal"] == {True}
+        assert verdicts["beyond"] == {True, False}
+        assert verdicts["inf"] == verdicts["nan"] == {False}
 
 
 class TestSymEigen:

@@ -21,8 +21,10 @@ from cubicmin.exceptions import (
 from cubicmin.model import StationaryPoint
 from cubicmin.problem_io import parse_problem
 from cubicmin.stationary import (
+    _POLE_MERGE,
     SecularProblem,
     _boundary_parts,
+    _boundary_points,
     _finish_global,
     _mode_coefficients,
     count_bound,
@@ -293,11 +295,13 @@ def _reference_global(m):
     roots = enumerate_lambda(sp)
     if roots and roots[-1].offset > lam_star - roots[-1].pole:
         coeff, _ = _mode_coefficients(sp, roots[-1].pole, roots[-1].offset)
-        return _finish_global(m, sp.eig.vectors @ coeff, False, [])
-    if lam_star == 0.0 and not np.any(sp.coupled):
-        return _finish_global(m, np.zeros(m.n), False, [])
-    base, free = _boundary_parts(sp, lam_star)
-    return _finish_global(m, base + free, True, [])
+        s_star, hard = sp.eig.vectors @ coeff, False
+    elif lam_star == 0.0 and not np.any(sp.coupled):
+        s_star, hard = np.zeros(m.n), False
+    else:
+        base, free = _boundary_parts(sp, lam_star)
+        s_star, hard = base + free, True
+    return _finish_global(m, StationaryPoint.from_vector(m, s_star), hard, [])
 
 
 def _outcome(solve, m):
@@ -409,7 +413,7 @@ class TestSharedSecularData:
 
     def test_bitwise_equal_in_either_order_and_fresh(self):
         rng = np.random.default_rng(4242)
-        tops = 0
+        tops = shared_tops = 0
         for i in range(160):
             cls = ("generic", "hard", "near_hard", "zero_c")[i % 4]
             m = _class_model(rng, cls, 1 + (i // 4) % 6)
@@ -425,7 +429,14 @@ class TestSharedSecularData:
                 # Outside the hard case the last point is the minimizer.
                 assert points[-1][0] == sol[0], (i, cls)
                 tops += 1
+                if sol[4][0].startswith("largest secular root"):
+                    # In either call order it is the certified point itself.
+                    for shared in (first, second):
+                        top = enumerate_stationary(shared)[-1]
+                        assert top.s is global_minimize(shared).s_star, (i, cls)
+                    shared_tops += 1
         assert tops > 60
+        assert shared_tops > 40
 
     def test_cached_arrays_are_read_only(self):
         sp = _sp(CubicModel([1.0, 0.0, 1.0], np.diag([-3.0, -1.0, 2.0]), 1.0))
@@ -478,6 +489,149 @@ class TestSharedSecularData:
             sys.setswitchinterval(interval)
         for k, results in enumerate(got):
             assert results == [want[k]] * 4, k
+
+
+def _reference_poles(sp):
+    """SecularProblem's pole merge over sorted NumPy scalars (verbatim)."""
+    raw = sorted(sp.coupled_poles)
+    poles = []
+    for p in raw:
+        if not poles or p - poles[-1] > _POLE_MERGE:
+            poles.append(p)
+    return np.array(poles, dtype=float)
+
+
+def _reference_anchor(sp, end, far):
+    """The start pole _newton_root chose before anchors were cached (verbatim)."""
+    side = 1.0 if far > end else -1.0
+    poles = sp.coupled_poles
+    pole = end
+    if side > 0.0:
+        # A cut is the lowest of the poles merged into it; start above all.
+        merged = (poles <= end + _POLE_MERGE) & (poles < far)
+        pole = float(poles.max(initial=end, where=merged))
+    return pole
+
+
+def _reference_points(m):
+    """enumerate_stationary with every point evaluated fresh from its vector."""
+    sp = SecularProblem.from_model(m)
+    vectors = [] if sp.coupled.any() else [np.zeros(m.n)]
+    vectors += [stationary_from_lambda(sp, root) for root in enumerate_lambda(sp)]
+    vectors += _boundary_points(sp)
+    points = [StationaryPoint.from_vector(m, s) for s in vectors]
+    points.sort(key=lambda p: p.lam)
+    return [(p.s.tobytes(), p.lam, p.objective, p.residual) for p in points]
+
+
+def _cluster_model(rng, n):
+    """Poles in clusters closer than 1e-10, some uncoupled, some at 0.
+
+    "edge" puts the pole -mu[i-1] at exactly fl(-mu[i] + 1e-10), the
+    bound of a cut's merged poles; for -mu[i] in [1/16, 1/8) that bound
+    is also within the merge distance 1e-10.
+    """
+    mu = np.sort(rng.uniform(-5.0, 5.0, size=n))
+    for i in range(1, n):
+        gap = rng.choice([None, 0.0, 2e-11, 5e-11, 9.9e-11, 1e-10, 2e-10, "edge"])
+        if gap == "edge":
+            mu[i] = -rng.uniform(0.0625, 0.125)
+            mu[i - 1] = -(-mu[i] + 1e-10)
+        elif gap is not None:
+            mu[i] = mu[i - 1] + float(gap)
+    if rng.uniform() < 0.2:
+        mu[int(rng.integers(n))] = 0.0
+    beta = rng.normal(size=n)
+    beta[rng.uniform(size=n) < 0.2] = 0.0
+    sigma = float(10.0 ** rng.uniform(-2.0, 1.0))
+    if rng.uniform() < 0.5:
+        return CubicModel(-beta, np.diag(mu), sigma)
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q = (v * mu) @ v.T
+    return CubicModel(v @ beta, (q + q.T) / 2.0, sigma)
+
+
+class TestSecularReferenceParity:
+    """Cached anchors and the NumPy pole sort give the old values bitwise."""
+
+    def test_anchors_and_poles_match_reference(self):
+        rng = np.random.default_rng(1818)
+        merged_cuts = 0
+        for i in range(600):
+            n = 1 + i % 7
+            m = _cluster_model(rng, n) if i % 2 else _class_model(rng, "generic", n)
+            sp = _sp(m)
+            assert sp.poles.tobytes() == _reference_poles(sp).tobytes(), i
+            cuts = subintervals(sp)
+            assert list(sp._anchors) == [lo for lo, _ in cuts], i
+            for lo, hi in cuts:
+                want = _reference_anchor(sp, lo, hi)
+                assert sp._anchors[lo].hex() == want.hex(), (i, lo)
+                merged_cuts += want != lo
+        # Clusters within 1e-10 put cuts below their anchors.
+        assert merged_cuts > 50
+
+    def test_points_equal_fresh_evaluation(self):
+        rng = np.random.default_rng(1819)
+        for i in range(300):
+            n = 1 + i % 6
+            if i % 3 == 0:
+                m = _cluster_model(rng, n)
+            else:
+                m = _class_model(rng, ("generic", "hard", "near_hard", "zero_c")[i % 4], n)
+            try:
+                want = _reference_points(_fresh(m))
+            except CubicminError as exc:
+                want = type(exc).__name__
+            global_first = _fresh(m)
+            _global_record(global_first)
+            assert _points_record(global_first) == want, i
+            assert _points_record(_fresh(m)) == want, i
+
+
+class TestOnePointPerRoot:
+    """The top root's StationaryPoint is evaluated once per model."""
+
+    M = CubicModel([1.0, 1.0, 1.0], np.diag([-3.0, -1.0, 2.0]), 1.0)
+
+    @staticmethod
+    def _count_from_vector(monkeypatch):
+        calls = []
+        real = StationaryPoint.from_vector.__func__
+
+        def counting(cls, model, s):
+            calls.append(model)
+            return real(cls, model, s)
+
+        monkeypatch.setattr(StationaryPoint, "from_vector", classmethod(counting))
+        return calls
+
+    def test_enumeration_after_global_reuses_the_certified_point(self, monkeypatch):
+        m = _fresh(self.M)
+        sol = global_minimize(m)
+        assert not sol.hard_case
+        calls = self._count_from_vector(monkeypatch)
+        points = enumerate_stationary(m)
+        assert len(points) > 2
+        assert len(calls) == len(points) - 1
+        assert [p for p in points if p.s is sol.s_star] == [points[-1]]
+        monkeypatch.undo()
+        assert _points_record(m) == _reference_points(_fresh(self.M))
+
+    def test_global_after_enumeration_evaluates_nothing(self, monkeypatch):
+        m = _fresh(self.M)
+        points = enumerate_stationary(m)
+        calls = self._count_from_vector(monkeypatch)
+        sol = global_minimize(m)
+        assert calls == []
+        assert sol.s_star is points[-1].s
+        assert sol.objective == points[-1].objective
+
+    def test_hard_case_point_is_not_the_top_point(self):
+        m = _fresh(WORKED)
+        sol = global_minimize(m)
+        assert sol.hard_case
+        assert all(p.s is not sol.s_star for p in enumerate_stationary(m))
 
 
 class TestBoundaryMixedCoupling:
@@ -604,6 +758,8 @@ EXTREME_SCALES = [
     {"n": 2, "c": [1.0, 2.0], "Q": [[1e200, 0.0], [0.0, 3e200]], "sigma": 1.0},
     # The Newton start underflows to the pole at lam = 1e200.
     {"n": 1, "c": [1.0], "Q": [[-1e200]], "sigma": 1.0},
+    # Hard case at lam = 3e200: (lam/sigma)**2 overflows.
+    {"n": 2, "c": [1e-300, 2e-300], "Q": [[-1e200, 0.0], [0.0, -3e200]], "sigma": 1.0},
 ]
 
 
@@ -634,6 +790,17 @@ class TestExtremeScales:
             assert "left double range" in str(exc)
         else:
             assert all(p.residual <= m.default_tol_grad() for p in points)
+
+
+    @pytest.mark.parametrize("solve", [global_minimize, enumerate_stationary])
+    def test_hard_case_radius_past_square_range(self, solve):
+        m = CubicModel([1e-300, 2e-300], np.diag([-1e200, -3e200]), 1.0)
+        with pytest.raises(ConvergenceError) as info:
+            solve(m)
+        assert str(info.value) == (
+            "boundary multiplier 3e+200 left double range: (lam/sigma)**2 overflows "
+            "at lam/sigma = 3e+200"
+        )
 
 
 def test_grid_beats_nothing_on_worked_instance():
