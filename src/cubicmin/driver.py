@@ -155,7 +155,7 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
 
     cap = count_bound(m) + 2
     eps = eps_grad
-    s = m._check_dim(s0)
+    s = np.array(m._check_dim(s0), dtype=float)
     steps = []
     escapes = 0
     tightenings = 0

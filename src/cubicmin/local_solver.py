@@ -120,7 +120,7 @@ def local_minimize(m, s0, eps_grad=None):
     if eps_grad is not None and not eps_grad > 0.0:
         raise ValueError("eps_grad must be positive")
     eps = eps_grad if eps_grad is not None else m.default_tol_grad()
-    s = m._check_dim(s0)
+    s = np.array(m._check_dim(s0), dtype=float)
     # (s, ||s||, Q s, m(s)) of the current iterate, each computed once.
     norm_s = linalg.norm(s)
     qs = m.Q.entries @ s

@@ -77,8 +77,7 @@ class CubicModel:
         return 1e-8 * (1.0 + self.Q.max_abs)
 
     def _check_dim(self, s):
-        # A flat float copy of s, whatever its shape and type.
-        s = np.array(s, dtype=float).reshape(-1)
+        s = np.asarray(s, dtype=float).reshape(-1)
         if s.shape[0] != self.n:
             raise ValueError(f"point has length {s.shape[0]}, model dimension is {self.n}")
         return s
@@ -105,7 +104,7 @@ class StationaryPoint:
 
     @classmethod
     def from_vector(cls, model, s):
-        s = model._check_dim(s)
+        s = model._check_dim(np.array(s, dtype=float))
         s.setflags(write=False)
         norm_s = linalg.norm(s)
         qs = model.Q.entries @ s

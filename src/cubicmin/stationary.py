@@ -20,11 +20,11 @@ searches only the unbounded one, which holds the largest root whenever
 c is not zero.
 
 The secular data of a model (``beta``, the coupling mask, the poles and
-the pole each left-end search starts from), the root in the unbounded
-subinterval and that root's StationaryPoint are computed once per model
-and cached on it, so both entry points share one search for the largest
-root and one evaluation of its point: when that point is the global
-minimizer, ``enumerate_stationary`` returns the very object that
+the subintervals they cut), the root in the unbounded subinterval and
+that root's StationaryPoint are computed once per model and cached on
+it, so both entry points share one search for the largest root and one
+evaluation of its point: when that point is the global minimizer,
+``enumerate_stationary`` returns the very object that
 ``global_minimize`` certifies, in either call order.
 """
 
@@ -79,10 +79,9 @@ class SecularProblem:
         coupling vanishes g extends continuously across ``-mu_i``, so
         such points are not treated as poles.
 
-    The subintervals are cut once, and each cut has its anchor, the pole
-    its left-end Newton search starts from; the largest root carries its
-    StationaryPoint (``_top_point``), cached beside ``_top_root``; none
-    of them refers to the model.
+    The subintervals are cut once; the largest root carries its
+    StationaryPoint (``_top_point``), cached beside ``_top_root``, and
+    neither refers to the model.
     """
 
     def __init__(self, eig, beta, sigma, pole_tol):
@@ -103,13 +102,6 @@ class SecularProblem:
         self.poles = linalg._freeze(np.array(poles, dtype=float))
         cuts = [0.0] + [p for p in poles if p > 0.0]
         self._subintervals = list(zip(cuts, cuts[1:] + [math.inf]))
-        # A cut is the lowest of the poles merged into it; its left-end
-        # search starts above all of them, at the cut's anchor.
-        cp = self.coupled_poles
-        self._anchors = {}
-        for end, far in self._subintervals:
-            merged = (cp <= end + _POLE_MERGE) & (cp < far)
-            self._anchors[end] = float(cp.max(initial=end, where=merged))
         self._top_point_cache = None
 
     @classmethod
@@ -226,8 +218,13 @@ def _newton_root(sp, end, far):
     """
     side = 1.0 if far > end else -1.0
     beta = sp.coupled_beta
-    pole = sp._anchors[end] if side > 0.0 else end
-    shift = pole - sp.coupled_poles
+    poles = sp.coupled_poles
+    pole = end
+    if side > 0.0:
+        # A cut is the lowest of the poles merged into it; start above all.
+        merged = (poles <= end + _POLE_MERGE) & (poles < far)
+        pole = float(poles.max(initial=end, where=merged))
+    shift = pole - poles
     width = side * (far - pole)
     # Closed-form start with phi < 0: for the mode j nearest the end, of
     # coupling w = |beta_j|, 1/||s|| <= |shift_j + t|/w, and lam <= pole +
