@@ -16,6 +16,19 @@ A schema error names the first offending entry of ``c`` or ``Q`` in
 file order (row-major for ``Q``), and for asymmetry the first pair
 ``Q[i][j]`` with ``i < j``.  Integer literals beyond float range or
 Python's digit limit are schema errors, like non-finite numbers.
+
+``load_problem`` decodes the file's bytes with orjson, which is imported
+on the first load, not with the package.  The stdlib ``json`` decoder is
+the reference: every file orjson refuses (``NaN`` and ``Infinity``
+literals, numbers beyond double range or the digit limit, a BOM, lone
+surrogates, malformed JSON) is decoded again by ``json.loads``, so its
+messages, with their line and column, are the reference's.  A file with
+more than 1024 opening brackets goes to the reference as well: orjson
+3.8 recurses on the C stack without a depth limit.  Both decoders give
+the same floats; the one difference is that orjson reads an integer
+literal below -2**63 or from 2**64 up as the float of its value, so
+``c``, ``Q`` and ``sigma`` are the same, and only such an ``n`` or
+``name`` fails with a different message.
 """
 
 import json
@@ -28,6 +41,9 @@ from .model import CubicModel
 __all__ = ["load_problem", "parse_problem", "save_problem", "problem_to_dict"]
 
 _SYM_RTOL = 1e-9
+# orjson is given files with at most this many '[' and '{' bytes, which
+# bounds their nesting depth; deeper input can overflow its C stack.
+_ORJSON_MAX_OPENINGS = 1024
 _PLAIN_NUMBER_TYPES = {int, float}
 
 
@@ -142,26 +158,59 @@ def parse_problem(data):
     return CubicModel(c, half + half.T, sigma), name
 
 
-def load_problem(path):
-    """Read and validate a problem file; returns (CubicModel, name).
-
-    Raises
-    ------
-    SchemaError
-        Malformed JSON (with line/column) or schema violation.
-    OSError
-        Unreadable path.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+def _reference_decode(raw):
+    # The stdlib decoder on the text that reading the file in text mode
+    # gives: UTF-8 with universal newlines, so that line and column count
+    # lines as they always have.
     try:
-        data = json.loads(text)
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SchemaError(
+            "$", f"not valid UTF-8 at byte {exc.start}: {exc.reason}"
+        ) from None
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(
             "$", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from None
     except ValueError as exc:  # an integer literal beyond the digit limit
         raise SchemaError("$", f"unreadable number: {exc}") from None
+    except RecursionError as exc:
+        raise SchemaError("$", f"nesting too deep: {exc}") from None
+
+
+def load_problem(path):
+    """Read and validate a problem file; returns (CubicModel, name).
+
+    The bytes are decoded with orjson.  Any file orjson refuses, and any
+    file with more than 1024 opening brackets, is decoded by the stdlib
+    ``json`` reference instead, whose errors name line and column.  An
+    integer literal below -2**63 or from 2**64 up is read as the float of
+    its value; it parses to the same ``c``, ``Q`` and ``sigma``, and only
+    as ``n`` or ``name`` does it fail with another message.
+
+    Raises
+    ------
+    SchemaError
+        Malformed JSON (with line/column), text that is not UTF-8, nesting
+        too deep to decode, or schema violation.
+    OSError
+        Unreadable path.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    codes = np.frombuffer(raw, dtype=np.uint8)
+    openings = np.count_nonzero(codes == ord("[")) + np.count_nonzero(codes == ord("{"))
+    if openings > _ORJSON_MAX_OPENINGS:
+        return parse_problem(_reference_decode(raw))
+    import orjson  # about 4 ms on first use, so not with the package
+
+    try:
+        data = orjson.loads(raw)
+    except orjson.JSONDecodeError:
+        data = _reference_decode(raw)
     return parse_problem(data)
 
 

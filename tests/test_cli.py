@@ -206,6 +206,30 @@ class TestSolve:
         assert out.stderr.startswith("cubicmin: error: $: ")
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("depth", [100_000, 200_000])
+    def test_deeply_nested_file_exit_1(self, tmp_path, depth):
+        # 200,000 levels would overflow orjson's C stack; such a file goes to
+        # the stdlib decoder, whose recursion limit makes it a schema error.
+        path = tmp_path / "deep.json"
+        path.write_text(
+            '{"n": 1, "c": ' + "[" * depth + "]" * depth + ', "Q": [[1.0]], "sigma": 1.0}'
+        )
+        out = run_cli("stationary", str(path))
+        assert out.returncode == 1
+        assert out.stderr.startswith("cubicmin: error: $: nesting too deep: ")
+        assert len(out.stderr.splitlines()) == 1
+
+    def test_file_not_utf8_exit_1(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        raw = b'{"n": 1, "c": [1.0], "Q": [[1.0]], "sigma": 1.0, "name": "\xff"}'
+        path.write_bytes(raw)
+        out = run_cli("solve", str(path))
+        assert out.returncode == 1
+        assert out.stderr == (
+            f"cubicmin: error: $: not valid UTF-8 at byte {raw.index(0xFF)}: "
+            "invalid start byte\n"
+        )
+
     def test_missing_file_exit_1(self, problem_dir):
         out = run_cli("solve", str(problem_dir / "nope.json"))
         assert out.returncode == 1

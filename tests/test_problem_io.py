@@ -2,10 +2,13 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from cubicmin import problem_io
 from cubicmin.exceptions import SchemaError
 from cubicmin.problem_io import (
     _require_number,
@@ -124,6 +127,10 @@ class TestRoundTrip:
         assert data["n"] == 2
 
 
+def _nested_c(depth, sigma="1.0"):
+    return '{"n": 1, "c": ' + "[" * depth + "]" * depth + f', "Q": [[1.0]], "sigma": {sigma}}}'
+
+
 class TestLoad:
     def test_invalid_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -147,6 +154,33 @@ class TestLoad:
             load_problem(path)
         assert info.value.field == "$"
         assert str(info.value).startswith("$: ")
+
+    def test_deep_file_orjson_reads_names_field(self, tmp_path):
+        # 1,000 levels: beyond the stdlib decoder's recursion limit.
+        path = tmp_path / "deep.json"
+        path.write_text(_nested_c(1000))
+        with pytest.raises(SchemaError) as info:
+            load_problem(path)
+        assert str(info.value) == "c[0]: expected a number, got list"
+
+    @pytest.mark.parametrize("depth, sigma", [(1000, "NaN"), (100_000, "1.0")])
+    def test_deep_file_on_reference_is_schema_error(self, depth, sigma, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(_nested_c(depth, sigma))
+        with pytest.raises(SchemaError) as info:
+            load_problem(path)
+        assert info.value.field == "$"
+        assert str(info.value).startswith("$: nesting too deep: maximum recursion depth")
+
+    def test_not_utf8_is_schema_error(self, tmp_path):
+        raw = b'{"n": 1, "c": [1.0], "Q": [[1.0]], "sigma": 1.0, "name": "caf\xe9"}'
+        path = tmp_path / "latin1.json"
+        path.write_bytes(raw)
+        with pytest.raises(SchemaError) as info:
+            load_problem(path)
+        assert str(info.value) == (
+            f"$: not valid UTF-8 at byte {raw.index(0xE9)}: invalid continuation byte"
+        )
 
 
 def _reference_parse(data):
@@ -355,3 +389,155 @@ class TestParseParity:
         assert again.sigma == m.sigma
         data = json.loads(path.read_text())
         assert _outcome(_parsed, data) == _outcome(_reference_parse, data)
+
+
+def _reference_load(path):
+    """``load_problem`` as it was on the stdlib decoder alone, kept as the oracle."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaError(
+            "$", f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from None
+    except ValueError as exc:  # an integer literal beyond the digit limit
+        raise SchemaError("$", f"unreadable number: {exc}") from None
+    return parse_problem(data)
+
+
+def _load_outcome(load, path):
+    try:
+        m, name = load(path)
+    except SchemaError as exc:
+        return str(exc)
+    return m.c.tobytes(), m.Q.entries.tobytes(), np.float64(m.sigma).tobytes(), name
+
+
+def _doc(c="[-2.0, 0.5]", q="[[1.0, 0.0], [0.0, -3.0]]", sigma="1.0", n=2, tail=""):
+    return f'{{"n": {n}, "c": {c}, "Q": {q}, "sigma": {sigma}{tail}}}\n'
+
+
+def _diag_doc(values, sigma="1.0"):
+    # ``values`` (decimal literals) as c and as the diagonal of Q.
+    n = len(values)
+    rows = [", ".join(values[i] if i == j else "0" for j in range(n)) for i in range(n)]
+    return _doc(c="[" + ", ".join(values) + "]",
+                q="[" + ", ".join(f"[{row}]" for row in rows) + "]", sigma=sigma, n=n)
+
+
+EDGE_FLOATS = ["0.0", "-0.0", "5e-324", "-5e-324", "2.2250738585072009e-308",
+               "2.2250738585072014e-308", "1e-310", "1.7976931348623157e308",
+               "-1.7976931348623157e308", "1e-400", "-0e0"]
+BIG_INTEGERS = [str(2**53 + 1), str(2**64 + 3), str(-(2**64 + 3)), str(2**63),
+                str(-(2**63)), str(-(2**63) - 1), str(2**64 - 1), "-0"]
+
+PARITY_CORPUS = {
+    "edge_floats": _diag_doc(EDGE_FLOATS, sigma="5e-324"),
+    "big_integers": _diag_doc(BIG_INTEGERS, sigma=str(2**64 + 3)),
+    "nan_in_c": _doc(c="[NaN, 0.5]"),
+    "infinity_in_q": _doc(q="[[Infinity, 0.0], [0.0, -3.0]]"),
+    "minus_infinity_sigma": _doc(sigma="-Infinity"),
+    "float_beyond_range": _doc(c="[1e400, 0.5]"),
+    "negative_float_beyond_range": _doc(q="[[1.0, 0.0], [0.0, -1e400]]"),
+    "integer_400_digits": _doc(c="[1" + "0" * 400 + ", 0.5]"),
+    "integer_400_digits_sigma": _doc(sigma="1" + "0" * 400),
+    "integer_5000_digits": _doc(c="[1" + "0" * 5000 + ", 0.5]"),
+    "bom": "\ufeff" + _doc(),
+    "nope": "{nope",
+    "empty": "",
+    "blank": " \n",
+    "null": "null",
+    "array": "[1, 2]",
+    "number": "3",
+    "string": '"text"',
+    "extra_data": _doc() + "x",
+    "trailing_comma": _doc(c="[-2.0, 0.5,]"),
+    "bad_number": _doc(c="[-2.0, 01]"),
+    "lone_surrogate_name": _doc(tail=', "name": "\\ud800"'),
+    "surrogate_pair_name": _doc(tail=', "name": "\\ud83d\\ude00 \\u00e9"'),
+    "control_character_name": _doc(tail=', "name": "a\tb"'),
+    "duplicate_keys": _doc(tail=', "sigma": 2.0, "c": [7.0, 8.0]'),
+    "unknown_field": _doc(tail=', "extra": [1]'),
+    "bool_entry": _doc(c="[true, 0.5]"),
+    "asymmetric": _doc(q="[[1.0, 0.5], [0.0, -3.0]]"),
+    "crlf_error_line_3": _doc().replace(", ", ",\r\n", 3).replace("0.5", "0.5.", 1),
+    "cr_error_line_3": _doc().replace(", ", ",\r", 3).replace("0.5", "0.5.", 1),
+    "crlf_valid": _doc().replace(", ", ",\r\n"),
+    "many_brackets_in_name": _doc(tail=', "name": "' + "[{" * 600 + '"'),
+}
+
+
+class TestDecoderParity:
+    """load_problem gives what the stdlib decoder alone gave, byte for byte."""
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 32, 128])
+    def test_save_round_trip(self, n, tmp_path):
+        m = random_model(np.random.default_rng(900 + n), n=n)
+        path = tmp_path / "p.json"
+        save_problem(path, m, name=f"n{n}")
+        outcome = _load_outcome(load_problem, path)
+        assert outcome == _load_outcome(_reference_load, path)
+        assert outcome == (m.c.tobytes(), m.Q.entries.tobytes(),
+                           np.float64(m.sigma).tobytes(), f"n{n}")
+
+    @pytest.mark.parametrize("case", sorted(PARITY_CORPUS))
+    def test_corpus(self, case, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_bytes(PARITY_CORPUS[case].encode())
+        assert _load_outcome(load_problem, path) == _load_outcome(_reference_load, path)
+
+    def test_corpus_covers_both_outcomes(self, tmp_path):
+        seen = set()
+        for text in PARITY_CORPUS.values():
+            path = tmp_path / "p.json"
+            path.write_text(text, encoding="utf-8", newline="")
+            outcome = _load_outcome(_reference_load, path)
+            seen.add(outcome.split(":", 1)[0] if isinstance(outcome, str) else "ok")
+        assert {"ok", "$", "c[0]", "Q[1][1]", "sigma", "Q[0][1]"} <= seen
+
+    @pytest.mark.parametrize(
+        "case, refused",
+        [("edge_floats", False), ("big_integers", False), ("duplicate_keys", False),
+         ("nan_in_c", True), ("bom", True), ("lone_surrogate_name", True),
+         ("integer_5000_digits", True), ("many_brackets_in_name", True)],
+    )
+    def test_reference_decodes_only_what_orjson_refuses(self, case, refused, tmp_path,
+                                                        monkeypatch):
+        calls = []
+        reference = problem_io._reference_decode
+        monkeypatch.setattr(problem_io, "_reference_decode",
+                            lambda raw: calls.append(raw) or reference(raw))
+        path = tmp_path / "p.json"
+        path.write_bytes(PARITY_CORPUS[case].encode())
+        _load_outcome(load_problem, path)
+        assert len(calls) == int(refused)
+
+    @pytest.mark.parametrize(
+        "field, literal, ours, reference",
+        [
+            ("n", str(2**64), "n: expected an integer, got float",
+             f"c: expected length {2**64}, got 2"),
+            ("n", str(-(2**63) - 1), "n: expected an integer, got float",
+             f"n: dimension must be at least 1, got {-(2**63) - 1}"),
+            ("name", str(2**64), "name: expected a string, got float",
+             "name: expected a string, got int"),
+        ],
+    )
+    def test_integer_beyond_64_bits_as_n_or_name_diverges(self, field, literal, ours,
+                                                          reference, tmp_path):
+        # orjson reads an integer literal below -2**63 or from 2**64 up as the
+        # float of its value: the one documented divergence from the stdlib.
+        text = _doc(n=literal) if field == "n" else _doc(tail=f', "name": {literal}')
+        path = tmp_path / "p.json"
+        path.write_text(text)
+        assert _load_outcome(load_problem, path) == ours
+        assert _load_outcome(_reference_load, path) == reference
+
+
+def test_import_leaves_orjson_unloaded():
+    # orjson is imported on the first load_problem call, not with the package.
+    code = "import sys, cubicmin, cubicmin.cli; print('orjson' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout == "False\n"
