@@ -20,7 +20,7 @@ from .exceptions import BoundExceeded, ConvergenceError, EmptyInput, ThresholdNo
 from .linalg import SymmetricMatrix
 from .local_solver import local_minimize
 from .model import CubicModel
-from .stationary import GlobalSolution, _global_solution, count_bound
+from .stationary import _global_solution, count_bound
 
 __all__ = [
     "ARC",
@@ -58,7 +58,6 @@ class SubproblemTrace:
     """
 
     steps: list
-    solution: GlobalSolution
     escape_count: int
 
 
@@ -183,8 +182,8 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
             continue
         steps.append((s_bar, out.case_tag, out.point.objective))
         if out.case_tag == escape_mod.CASE_NONE_GLOBAL:
-            sol = _global_solution(m, out.point, out.certificate, False, [t[1] for t in steps])
-            return sol, SubproblemTrace(steps=steps, solution=sol, escape_count=escapes)
+            sol = _global_solution(m, out.point, out.certificate, False)
+            return sol, SubproblemTrace(steps=steps, escape_count=escapes)
         escapes += 1
         if escapes > cap:
             raise BoundExceeded(
@@ -202,25 +201,15 @@ def cauchy_step(m):
     gnorm = m.norm_c
     if gnorm == 0.0:
         return np.zeros(m.n)
-    try:
-        g5 = gnorm**5
-    except OverflowError:
-        # Past ||g|| ~ 2.6e61 the powers of ||g|| leave double range; the
-        # same root in bh = g'Qg / ||g||^2 stays in range.
-        u = g / gnorm
-        bh = float(u @ (m.Q.entries @ u))
-        disc = math.sqrt(bh * bh + 4.0 * m.sigma * gnorm)
-        if bh <= 0.0:
-            t = (-bh + disc) / (2.0 * m.sigma * gnorm)
-        else:
-            t = 2.0 / (bh + disc)
-        return -t * g
-    b = float(g @ (m.Q.entries @ g))
-    disc = float(np.sqrt(b * b + 4.0 * m.sigma * g5))
-    if b <= 0.0:
-        t = (-b + disc) / (2.0 * m.sigma * gnorm**3)
+    # The root in bh = u'Qu with u = g/||g||, which stays in double range
+    # for every finite g (the powers of ||g|| in the unscaled form do not).
+    u = g / gnorm
+    bh = float(u @ (m.Q.entries @ u))
+    disc = math.sqrt(bh * bh + 4.0 * m.sigma * gnorm)
+    if bh <= 0.0:
+        t = (-bh + disc) / (2.0 * m.sigma * gnorm)
     else:
-        t = 2.0 * gnorm**2 / (b + disc)
+        t = 2.0 / (bh + disc)
     return -t * g
 
 

@@ -73,7 +73,6 @@ class EscapeOutcome:
     case_tag: str
     point: model_mod.StationaryPoint
     s_hat: np.ndarray = None
-    direction_used: np.ndarray = None
     alpha_used: float = None
     z_used: np.ndarray = None
     decrease: float = 0.0
@@ -112,14 +111,13 @@ def alpha_threshold_biii(m, s_bar, d):
     return (c_d - math.sqrt(disc)) / q_dd
 
 
-def _outcome(m, point, case, s_hat, d=None, alpha=None, z=None):
+def _outcome(m, point, case, s_hat, alpha=None, z=None):
     s_hat = np.array(s_hat, dtype=float)
     s_hat.setflags(write=False)
     return EscapeOutcome(
         case_tag=case,
         point=point,
         s_hat=s_hat,
-        direction_used=None if d is None else np.array(d),
         alpha_used=alpha,
         z_used=None if z is None else np.array(z),
         decrease=point.objective - model_mod.eval_model(m, s_hat),
@@ -204,7 +202,7 @@ def _escape(m, point, tol, direction):
         if float(m.c @ d) > 0.0:
             d = -d
         alpha = -0.75 * float(d @ (m.Q.entries @ d)) / (m.sigma * norm_d**3)
-        out = _outcome(m, point, CASE_B_I, alpha * d, d=d, alpha=alpha)
+        out = _outcome(m, point, CASE_B_I, alpha * d, alpha=alpha)
         if out.decrease > 0.0:
             return out
         raise ThresholdNotMet("origin step failed to decrease the objective")
@@ -225,7 +223,7 @@ def _escape(m, point, tol, direction):
             accepted = 0.5 * step**2 * q_dd - step * grad_d < 0.0
         if accepted:
             s_hat = s - 2.0 * (s_d / norm_d**2) * d
-            out = _outcome(m, point, CASE_B_II, s_hat, d=d)
+            out = _outcome(m, point, CASE_B_II, s_hat)
             if out.decrease > 0.0:
                 moves.append(out)
 
@@ -240,7 +238,7 @@ def _escape(m, point, tol, direction):
             z_q_z = float(z @ (m.Q.entries @ z) + lam * (z @ z))
             if z_q_z < -tol.eps_curv * float(z @ z):
                 s_hat = s - 2.0 * (float(s @ z) / float(z @ z)) * z
-                out = _outcome(m, point, CASE_B_III, s_hat, d=d, alpha=alpha, z=z)
+                out = _outcome(m, point, CASE_B_III, s_hat, alpha=alpha, z=z)
                 if out.decrease > 0.0:
                     moves.append(out)
                     break

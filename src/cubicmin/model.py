@@ -13,8 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from cubicmin import linalg
-from cubicmin.exceptions import NotStationary
+from cubicmin.exceptions import ConvergenceError, NotStationary
 from cubicmin.linalg import SymmetricMatrix
+
+# Below this bound on its terms, a point's evaluation stays in double range.
+_IN_RANGE = 2.0**1000
 
 
 class CubicModel:
@@ -29,10 +32,10 @@ class CubicModel:
     sigma : float
         Regularization weight, strictly positive.
 
-    ``norm_c`` and the secular data of
-    ``stationary.SecularProblem.from_model`` (with its largest root and
-    that root's StationaryPoint) are computed lazily and cached per
-    model.  The eigendecomposition of Q is cached on the
+    ``norm_c`` is computed on first use and cached, and so is the
+    secular record of ``stationary.SecularProblem.from_model``, which
+    one constructor builds whole, largest root and its StationaryPoint
+    included.  The eigendecomposition of Q is cached on the
     ``SymmetricMatrix`` itself, so models that share one Q (as the outer
     loop's models at one iterate do) share one eigendecomposition.
     Instances are immutable and safe to share across threads: each
@@ -104,16 +107,23 @@ class StationaryPoint:
 
     @classmethod
     def from_vector(cls, model, s):
+        """Evaluate ``s``; ConvergenceError where m(s) is NaN or below double range."""
         s = model._check_dim(np.array(s, dtype=float))
         s.setflags(write=False)
         norm_s = linalg.norm(s)
+        lam = model.sigma * norm_s
         qs = model.Q.entries @ s
-        return cls(
-            s=s,
-            lam=model.sigma * norm_s,
-            objective=_objective(model, s, norm_s, qs),
-            residual=linalg.safe_norm(_gradient(model, s, norm_s, qs)),
-        )
+        # Bounds the terms of grad m(s) and m(s), as ||Q|| <= n max|Q|.
+        if (1.0 + norm_s) * (model.norm_c + (model.n * model.Q.max_abs + lam) * norm_s) < _IN_RANGE:
+            objective = _objective(model, s, norm_s, qs)
+            residual = linalg.safe_norm(_gradient(model, s, norm_s, qs))
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                objective = _objective(model, s, norm_s, qs)
+                residual = linalg.safe_norm(_gradient(model, s, norm_s, qs))
+            if not objective > -math.inf:  # inf, as where only ||s||**3 overflows, stays
+                raise ConvergenceError(f"m(s) leaves double range at lam = {lam!r}: {objective!r}")
+        return cls(s=s, lam=lam, objective=objective, residual=residual)
 
 
 @dataclass(frozen=True)

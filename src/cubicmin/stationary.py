@@ -19,18 +19,17 @@ carries the largest root when that root exceeds ``max(0, -mu_1)``.
 searches only the unbounded one, which holds the largest root whenever
 c is not zero.
 
-The secular data of a model (``beta``, the coupling mask, the poles and
-the subintervals they cut), the root in the unbounded subinterval and
-that root's StationaryPoint are computed once per model and cached on
-it, so both entry points share one search for the largest root and one
+One constructor builds a model's whole secular record (``beta``, the
+coupling mask, the poles and the subintervals they cut, the largest root
+``top_root`` and its StationaryPoint ``top_point``), cached on the model,
+so both entry points share one search for the largest root and one
 evaluation of its point: when that point is the global minimizer,
 ``enumerate_stationary`` returns the very object that
 ``global_minimize`` certifies, in either call order.
 """
 
-import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,9 +54,10 @@ _NEWTON_MAX_STEPS = 100
 
 
 class SecularProblem:
-    """Spectral data of the secular equation for one cubic model.
+    """The secular record of one cubic model, built whole by the constructor.
 
-    Every array is read-only.
+    Every array is read-only.  ``from_model`` builds it once per model
+    and caches it there; the record holds no reference to the model.
 
     Attributes
     ----------
@@ -77,18 +77,20 @@ class SecularProblem:
         (``|beta_i| > pole_tol``), each kept only when more than 1e-10
         above the last kept one, which stands for those merged.  Where the
         coupling vanishes g extends continuously across ``-mu_i``, so
-        such points are not treated as poles.
-
-    The subintervals are cut once; the largest root carries its
-    StationaryPoint (``_top_point``), cached beside ``_top_root``, and
-    neither refers to the model.
+        such points are not treated as poles.  The positive ones cut
+        ``subintervals``.
+    top_root : LambdaRoot or None
+        The root in the unbounded subinterval above the last cut, which
+        is the largest root; None when c = 0 or no root is found.
+    top_point : StationaryPoint or None
+        The point of ``top_root``; None with it.
     """
 
-    def __init__(self, eig, beta, sigma, pole_tol):
-        self.eig = eig
-        self.beta = linalg._freeze(np.array(beta, dtype=float))
-        self.sigma = float(sigma)
-        self.pole_tol = float(pole_tol)
+    def __init__(self, m):
+        eig = self.eig = m.eig
+        self.beta = linalg._freeze(-(eig.vectors.T @ m.c))
+        self.sigma = m.sigma
+        self.pole_tol = 1e-10 * (1.0 + m.norm_c)
         self.coupled = linalg._freeze(np.abs(self.beta) > self.pole_tol)
         self.any_coupled = bool(self.coupled.any())
         self.coupled_beta = linalg._freeze(self.beta[self.coupled])
@@ -102,37 +104,19 @@ class SecularProblem:
         self.poles = linalg._freeze(np.array(poles, dtype=float))
         cuts = [0.0] + [p for p in poles if p > 0.0]
         self._subintervals = list(zip(cuts, cuts[1:] + [math.inf]))
-        self._top_point_cache = None
+        self.top_root = _newton_root(self, cuts[-1], math.inf) if self.any_coupled else None
+        self.top_point = None
+        if self.top_root is not None:
+            s = stationary_from_lambda(self, self.top_root)
+            self.top_point = StationaryPoint.from_vector(m, s)
 
     @classmethod
     def from_model(cls, m):
-        """The secular data of CubicModel ``m``, built on first use and cached on it.
-
-        The instance holds no reference to ``m``, so the cache makes no
-        reference cycle.
-        """
+        """The secular record of CubicModel ``m``, built on first use and cached on it."""
         sp = m._secular
         if sp is None:
-            eig = m.eig
-            pole_tol = 1e-10 * (1.0 + m.norm_c)
-            sp = m._secular = cls(eig, -(eig.vectors.T @ m.c), m.sigma, pole_tol)
+            sp = m._secular = cls(m)
         return sp
-
-    @functools.cached_property
-    def _top_root(self):
-        # The root in the unbounded subinterval, or None; searched once.
-        return _newton_root(self, self._subintervals[-1][0], math.inf)
-
-    def _top_point(self, m):
-        """The StationaryPoint of ``_top_root``, evaluated once and cached.
-
-        ``m`` is the model this instance was built from.
-        """
-        point = self._top_point_cache
-        if point is None:
-            s = stationary_from_lambda(self, self._top_root)
-            point = self._top_point_cache = StationaryPoint.from_vector(m, s)
-        return point
 
     def __repr__(self):
         return f"SecularProblem(n={self.eig.n}, sigma={self.sigma}, poles={self.poles!r})"
@@ -140,7 +124,7 @@ class SecularProblem:
 
 @dataclass(frozen=True)
 class LambdaRoot:
-    """One root of the secular equation g(lam) = 1/sigma^2 in (lo, hi).
+    """One root of the secular equation g(lam) = 1/sigma^2 in a subinterval.
 
     ``lam = pole + offset``, with ``pole`` the end of the subinterval
     the search started from; the point is built from the shifts
@@ -149,8 +133,6 @@ class LambdaRoot:
     """
 
     lam: float
-    lo: float
-    hi: float
     pole: float
     offset: float
 
@@ -162,10 +144,10 @@ class GlobalSolution:
     Built from the StationaryPoint the certificate judged: ``s_star`` is
     its read-only copy and ``objective = m(s_star)`` its objective;
     ``lambda_star = sigma*||s_star||`` (``linalg.safe_norm``).
-    ``global_minimize`` and
-    ``solve_via_escapes`` agree on the minimizer, but only
-    ``global_minimize`` detects the hard case: ``hard_case`` is always
-    False from ``solve_via_escapes``.
+    ``global_minimize`` and ``solve_via_escapes`` agree on the minimizer,
+    but only ``global_minimize`` detects the hard case: ``hard_case`` is
+    always False from ``solve_via_escapes``, whose escapes are listed in
+    its ``SubproblemTrace.steps``.
     """
 
     s_star: np.ndarray
@@ -173,7 +155,6 @@ class GlobalSolution:
     objective: float
     certificate: GlobalCertificate
     hard_case: bool
-    trace: list = field(default_factory=list)
 
 
 def g_eval(sp, lam):
@@ -275,7 +256,7 @@ def _newton_root(sp, end, far):
         raise ConvergenceError(
             f"secular Newton iteration left double range near lam = {pole + t!r}"
         ) from None
-    return LambdaRoot(lam=pole + t, lo=min(end, far), hi=max(end, far), pole=pole, offset=t)
+    return LambdaRoot(lam=pole + t, pole=pole, offset=t)
 
 
 def enumerate_lambda(sp):
@@ -283,8 +264,8 @@ def enumerate_lambda(sp):
 
     Each subinterval is searched from its left end; when a root is found
     there and the subinterval is bounded, also from its right end.  The
-    unbounded subinterval's search is the one ``global_minimize`` makes,
-    cached on ``sp``.
+    unbounded subinterval's root is ``sp.top_root``, the one
+    ``global_minimize`` reads.
 
     Returns an empty list when c = 0 (no couplings): then only s = 0 can
     be stationary, and only because the gradient at the origin is c.
@@ -293,7 +274,7 @@ def enumerate_lambda(sp):
         return []
     roots = []
     for lo, hi in sp._subintervals:
-        left = sp._top_root if hi == math.inf else _newton_root(sp, lo, hi)
+        left = sp.top_root if hi == math.inf else _newton_root(sp, lo, hi)
         if left is None:
             continue
         roots.append(left)
@@ -305,7 +286,13 @@ def enumerate_lambda(sp):
 
 
 def _coefficients(sp, pole, offset):
-    # The coefficients of _mode_coefficients and the shifts they divide by.
+    """Eigenbasis coefficients a with ((mu_i + pole) + offset) a_i = beta_i, and the shifts.
+
+    The multiplier is ``pole + offset``.  Like the secular root finder,
+    only coupled modes (``|beta_i| > pole_tol``) are solved; the rest get
+    a_i = 0, which leaves a residual of at most their loads.  Returns
+    ``a`` and the shifts ``(mu_i + pole) + offset`` it divides by.
+    """
     coupled = sp.coupled
     denom = (sp.eig.values + pole) + offset
     on_pole = coupled & (denom == 0.0)
@@ -317,18 +304,6 @@ def _coefficients(sp, pole, offset):
     coeff = np.zeros(sp.beta.shape)
     coeff[coupled] = sp.coupled_beta / denom[coupled]
     return coeff, denom
-
-
-def _mode_coefficients(sp, pole, offset=0.0):
-    """Eigenbasis coefficients a with ((mu_i + pole) + offset) a_i = beta_i.
-
-    The multiplier is ``pole + offset``.  Like the secular root finder,
-    only coupled modes (``|beta_i| > pole_tol``) are solved; the rest get
-    a_i = 0, which leaves a residual of at most their loads.  Also
-    returns the null modes: uncoupled modes with a vanishing shift.
-    """
-    coeff, denom = _coefficients(sp, pole, offset)
-    return coeff, ~sp.coupled & (np.abs(denom) <= SINGULAR_MODE_TOL)
 
 
 def stationary_from_lambda(sp, root):
@@ -345,12 +320,14 @@ def stationary_from_lambda(sp, root):
 def _boundary_parts(sp, lam):
     """``(V a, tau v)`` at a multiplier lam on an uncoupled eigenvalue shift.
 
-    v is the first null mode; tau >= 0 sets ``||V a +/- tau v|| = lam/sigma``.
-    Raises NormMismatch if ``||V a||`` exceeds that beyond tolerance, or
-    if no mode is null at lam, and ConvergenceError if the square of
-    lam/sigma leaves double range.
+    a is ``_coefficients`` at lam; v is the first null mode, an uncoupled
+    mode with a vanishing shift; tau >= 0 sets ``||V a +/- tau v|| =
+    lam/sigma``.  Raises NormMismatch if ``||V a||`` exceeds that beyond
+    tolerance, or if no mode is null at lam, and ConvergenceError if the
+    square of lam/sigma leaves double range.
     """
-    coeff, singular = _mode_coefficients(sp, lam)
+    coeff, denom = _coefficients(sp, lam, 0.0)
+    singular = ~sp.coupled & (np.abs(denom) <= SINGULAR_MODE_TOL)
     base = sp.eig.vectors @ coeff
     radius = lam / sp.sigma
     norm_base = linalg.norm(base)
@@ -403,14 +380,14 @@ def enumerate_stationary(m):
     The union of: the origin when c = 0 (no mode coupled); one point per
     secular root; two representatives per feasible boundary multiplier.
     The number of distinct multipliers is bounded by ``count_bound(m)``.
-    The largest root's point is the one cached on ``SecularProblem``,
-    the same object ``global_minimize`` certifies when it is s*.
+    The largest root's point is ``SecularProblem.top_point``, the same
+    object ``global_minimize`` certifies when it is s*.
     """
     sp = SecularProblem.from_model(m)
     points = [] if sp.any_coupled else [StationaryPoint.from_vector(m, np.zeros(m.n))]
     for root in enumerate_lambda(sp):
-        if root is sp._top_root:
-            points.append(sp._top_point(m))
+        if root is sp.top_root:
+            points.append(sp.top_point)
         else:
             points.append(StationaryPoint.from_vector(m, stationary_from_lambda(sp, root)))
     points += [StationaryPoint.from_vector(m, s) for s in _boundary_points(sp)]
@@ -445,50 +422,43 @@ def global_minimize(m):
     Finds the multiplier ``lam* >= max(0, -mu_1)`` with
     ``||s(lam*)|| = lam*/sigma``.  When c is not zero the largest
     secular root is the only one in the unbounded subinterval above the
-    largest pole, and every pole is at most ``max(0, -mu_1)``, so one
-    Newton search there (cached, and shared with ``enumerate_lambda``)
-    finds the only root that can be lam*.  When that root exceeds
-    ``max(0, -mu_1)`` it is lam*, and s* is its point
-    ``stationary_from_lambda``, evaluated once and cached (shared with
-    ``enumerate_stationary``); otherwise the model is in the hard case
-    ``lam* = max(0, -mu_1)``, and s* is the boundary point of
-    ``_boundary_parts`` there (s* = 0 when also lam* = 0 and c = 0).  The
-    two-part certificate (stationarity plus positive semidefiniteness of
-    ``Q + lam* I``) is verified before returning.
+    largest pole, and every pole is at most ``max(0, -mu_1)``, so that
+    subinterval's root ``SecularProblem.top_root`` (shared with
+    ``enumerate_lambda``) is the only root that can be lam*.  When it
+    exceeds ``max(0, -mu_1)`` it is lam*, and s* is its point
+    ``top_point`` (shared with ``enumerate_stationary``); otherwise the
+    model is in the hard case ``lam* = max(0, -mu_1)``, and s* is the
+    boundary point of ``_boundary_parts`` there (s* = 0 when also lam* = 0
+    and c = 0).  The two-part certificate (stationarity plus positive
+    semidefiniteness of ``Q + lam* I``) is verified before returning.
 
     Raises
     ------
     NormMismatch
         If the hard case is infeasible.
     ConvergenceError
-        If the hard case's boundary radius leaves double range.
+        If the secular search, the hard case's boundary radius or m(s) at
+        the top root leaves double range.
     CertificateFailure
         If the computed point fails its own certificate.  The message
         states the double-precision floor ``eps*(||c|| + max|Q|*||s*||)``
         of the residual; a floor above the gate means double precision
         cannot meet it, a floor below it points at the solver.
     """
-    trace = []
     sp = SecularProblem.from_model(m)
     lam_star = max(0.0, -float(m.eig.values[0]))
-    root = sp._top_root if sp.any_coupled else None
+    root = sp.top_root
     if root is not None and root.offset > lam_star - root.pole:
-        trace.append(
-            f"largest secular root lam = {root.lam!r} "
-            f"(pole {root.pole!r} + offset {root.offset!r})"
-        )
-        return _finish_global(m, sp._top_point(m), False, trace)
+        return _finish_global(m, sp.top_point, False)
     if lam_star == 0.0 and not sp.any_coupled:
         # c = 0 up to pole_tol; s* = 0 leaves the residual ||c||.
-        trace.append("c = 0 and Q is positive semidefinite: s* = 0")
-        return _finish_global(m, StationaryPoint.from_vector(m, np.zeros(m.n)), False, trace)
+        return _finish_global(m, StationaryPoint.from_vector(m, np.zeros(m.n)), False)
     # Hard case: no root beyond max(0, -mu_1); the minimizer sits there.
     base, free = _boundary_parts(sp, lam_star)
-    trace.append(f"hard case: lam* = max(0, -mu_1) = {lam_star!r}")
-    return _finish_global(m, StationaryPoint.from_vector(m, base + free), True, trace)
+    return _finish_global(m, StationaryPoint.from_vector(m, base + free), True)
 
 
-def _finish_global(m, point, hard, trace):
+def _finish_global(m, point, hard):
     cert = model_mod._certificate(m, point, m.default_tol_grad(), m.default_tol_psd())
     if not cert.is_global:
         floor = _EPS * (m.norm_c + m.Q.max_abs * linalg.norm(point.s))
@@ -497,10 +467,10 @@ def _finish_global(m, point, hard, trace):
             f"double-precision floor {floor!r}), "
             f"psd margin = {cert.psd_margin!r} (tol {cert.tol_psd!r})"
         )
-    return _global_solution(m, point, cert, hard, trace)
+    return _global_solution(m, point, cert, hard)
 
 
-def _global_solution(m, point, cert, hard, trace):
+def _global_solution(m, point, cert, hard):
     """The GlobalSolution at the StationaryPoint ``point``, certified by ``cert``."""
     return GlobalSolution(
         s_star=point.s,
@@ -508,5 +478,4 @@ def _global_solution(m, point, cert, hard, trace):
         objective=point.objective,
         certificate=cert,
         hard_case=hard,
-        trace=trace,
     )

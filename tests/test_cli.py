@@ -155,6 +155,25 @@ class TestSolve:
         )
         assert not out.stdout
 
+    @pytest.mark.parametrize("warnings", [None, "error"])
+    @pytest.mark.parametrize("command", ["solve", "stationary"])
+    def test_objective_below_range_exit_2(self, tmp_path, command, warnings):
+        # lam = 1.479e150 and m(s) about -2.2e450: one solver error line and
+        # no NumPy warning, not m(s) = nan.
+        path = tmp_path / "objective_out_of_range.json"
+        path.write_text('{"n": 2, "c": [1e300, 2e300], "Q": [[1e50, 0], [0, 3e50]], "sigma": 1}\n')
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        if warnings:
+            env["PYTHONWARNINGS"] = warnings
+        out = run_cli(command, str(path), env=env)
+        assert out.returncode == 2
+        assert out.stderr.startswith(
+            "cubicmin: solver error: ConvergenceError: m(s) leaves double range at lam = 1.479"
+        )
+        assert out.stderr.count("\n") == 1
+        assert not out.stdout
+
     def test_escapes_minimizer_near_1e_200(self, tmp_path):
         # The gradient at the N(0, 1) start is about 1e200 and lambda* is
         # 1e-200; neither may warn or print lambda 0.

@@ -71,7 +71,8 @@ class TestSolveViaEscapes:
             vals = [obj for (_, _, obj) in trace.steps]
             assert all(b < a for a, b in zip(vals, vals[1:]))
             assert trace.escape_count <= count_bound(m) + 2
-            assert trace.solution is sol
+            assert trace.steps[-1][1] == "NONE_GLOBAL"
+            assert trace.steps[-1][2] == sol.objective
 
     @pytest.mark.parametrize("seed", range(40))
     def test_matches_direct_global_minimize(self, seed):
@@ -324,6 +325,43 @@ class TestCauchyStep:
         root = math.sqrt(q * q + 4.0 * c)
         t = 2.0 / (q + root) if q > 0.0 else (-q + root) / (2.0 * c)
         assert cauchy_step(m) == pytest.approx([-t * c, 0.0], rel=1e-14)
+
+    @staticmethod
+    def _unscaled_step(m):
+        # The same root in b = g'Qg with ||g||**5, in range while the powers
+        # of ||g|| are (||g|| below about 2.6e61).
+        g = m.c
+        gnorm = m.norm_c
+        b = float(g @ (m.Q.entries @ g))
+        disc = float(np.sqrt(b * b + 4.0 * m.sigma * gnorm**5))
+        if b <= 0.0:
+            t = (-b + disc) / (2.0 * m.sigma * gnorm**3)
+        else:
+            t = 2.0 * gnorm**2 / (b + disc)
+        return -t * g
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_matches_unscaled_form_in_range(self, sign):
+        # sign fixes the sign of b: Q is sign times a positive definite matrix.
+        rng = np.random.default_rng(56)
+        eps = np.finfo(float).eps
+        for _ in range(300):
+            n = int(rng.integers(1, 7))
+            a = rng.normal(size=(n, n))
+            q = sign * (a @ a.T + 0.1 * np.eye(n))
+            c = rng.normal(size=n) * 10.0 ** rng.uniform(-20.0, 60.0)
+            m = CubicModel(c, q, 10.0 ** rng.uniform(-3.0, 3.0))
+            ref = self._unscaled_step(m)
+            assert np.all(np.abs(cauchy_step(m) - ref) <= 8.0 * eps * np.abs(ref).max())
+
+    @pytest.mark.parametrize("q", [1.0, -1.0])
+    @pytest.mark.parametrize("scale", [1e100, 1e200, 1e300])
+    def test_finite_up_to_gradient_1e300(self, scale, q):
+        m = CubicModel([scale, -0.5 * scale], q * np.diag([1.0, 2.0]), 1.0)
+        s = cauchy_step(m)
+        assert np.isfinite(s).all()
+        # The step is -t* c with t* > 0.
+        assert s[0] < 0.0 < s[1]
 
 
 class TestOneEvaluation:

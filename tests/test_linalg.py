@@ -13,7 +13,7 @@ from cubicmin.linalg import (
     safe_norm,
     sym_eigen,
 )
-from cubicmin.stationary import SecularProblem, _mode_coefficients
+from cubicmin.stationary import SINGULAR_MODE_TOL, SecularProblem, _coefficients
 
 
 def _eig_of(entries):
@@ -23,12 +23,14 @@ def _eig_of(entries):
 def _solve_shifted(entries, lam, b):
     """Solve ``(Q + lam*I) x = b`` with the secular code's eigenbasis solve.
 
-    ``_mode_coefficients`` solves ``(Q + lam*I) s = -c`` mode by mode, so
-    the model gets ``c = -b``.  Returns ``x`` and the eigenvectors of the
-    singular modes, which contribute nothing to ``x``.
+    ``_coefficients`` solves ``(Q + lam*I) s = -c`` mode by mode, so the
+    model gets ``c = -b``.  Returns ``x`` and the eigenvectors of the
+    singular modes (uncoupled, with a vanishing shift), which contribute
+    nothing to ``x``.
     """
     sp = SecularProblem.from_model(CubicModel(-np.asarray(b, dtype=float), entries, 1.0))
-    coeff, singular = _mode_coefficients(sp, lam)
+    coeff, denom = _coefficients(sp, lam, 0.0)
+    singular = ~sp.coupled & (np.abs(denom) <= SINGULAR_MODE_TOL)
     null = [sp.eig.vectors[:, i] for i in np.flatnonzero(singular)]
     return sp.eig.vectors @ coeff, null
 

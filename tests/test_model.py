@@ -7,6 +7,7 @@ import pytest
 
 from cubicmin import CubicModel, SymmetricMatrix, eval_model, global_minimize, grad, hess, is_global
 from cubicmin import linalg
+from cubicmin.exceptions import ConvergenceError
 from cubicmin.model import GlobalCertificate, StationaryPoint
 
 from .helpers import np_eval, np_grad, random_model
@@ -227,6 +228,34 @@ class TestIsGlobal:
         assert cert.is_global
         with pytest.raises(ValueError):
             is_global(WORKED, np.zeros(2), tol_grad=-1.0)
+
+
+class TestObjectiveRange:
+    """m(s) past double range raises; past it above, m(s) is inf."""
+
+    # The one stationary point has lam = 1.479e150 and m(s) about -2.2e450.
+    OUT = CubicModel([1e300, 2e300], np.diag([1e50, 3e50]), 1.0)
+
+    def test_objective_below_range_raises(self):
+        # c's overflows to -inf and ||s||**3 to inf: without the test m(s) is NaN.
+        s = np.array([-1e150, -1e150])
+        with pytest.raises(ConvergenceError, match=r"^m\(s\) leaves double range at lam = "):
+            StationaryPoint.from_vector(self.OUT, s)
+        with pytest.raises(ConvergenceError, match="leaves double range"):
+            is_global(self.OUT, s)
+
+    def test_cube_overflow_alone_is_inf(self):
+        p = StationaryPoint.from_vector(CubicModel([1.0], [[1.0]], 1.0), [1e103])
+        assert p.objective == math.inf
+        assert p.residual == 1e206
+
+    @pytest.mark.parametrize("x", [-1e50, 1e101])
+    def test_in_range_objective_is_the_plain_evaluation(self, x):
+        # 1e101 is past the bound that skips the overflow test, not past range.
+        m = CubicModel([1.0], [[1.0]], 1.0)
+        p = StationaryPoint.from_vector(m, [x])
+        assert math.isfinite(p.objective)
+        assert p.objective == eval_model(m, [x])
 
 
 class TestOverflowingLoad:

@@ -59,3 +59,49 @@ def test_traced_run_counts_every_layer_and_restores_bindings():
     assert not hasattr(linalg.sym_eigen, "__wrapped__")
     assert driver.local_minimize is local_solver.local_minimize
     assert not hasattr(cubicmin.ObjectiveFunction.hess, "__wrapped__")
+
+
+def _results():
+    """One real result of each record type whose fields other code reads."""
+    m = cubicmin.CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
+    sol = cubicmin.global_minimize(m)
+    points = cubicmin.enumerate_stationary(m)
+    escape = cubicmin.escape_exact(m, next(p for p in points if p.s is not sol.s_star))
+    _, trace = cubicmin.solve_via_escapes(m, [0.9, 0.02])
+    f = cubicmin.get_problem("sphere2")
+    return {
+        "GlobalSolution": sol,
+        "GlobalCertificate": sol.certificate,
+        "StationaryPoint": points[0],
+        "EscapeOutcome": escape,
+        "SubproblemTrace": trace,
+        "LocalSolveReport": local_solver.local_minimize(m, [0.9, 0.02], 1e-10),
+        "OuterReport": cubicmin.arc_plus_minimize(f, f.x0, cubicmin.ARC_PLUS),
+    }
+
+
+# The fields perfbench/workloads.py, perfbench/tracer.py and cli.py read.
+READ_FIELDS = {
+    "GlobalSolution": ("s_star", "objective", "lambda_star", "hard_case", "certificate"),
+    "GlobalCertificate": ("is_global", "residual", "psd_margin"),
+    "StationaryPoint": ("s", "lam", "objective"),
+    "EscapeOutcome": ("case_tag", "decrease", "s_hat"),
+    "SubproblemTrace": ("steps", "escape_count"),
+    "LocalSolveReport": ("iterations", "converged"),
+    "OuterReport": ("converged", "iterations", "f_final", "x_final", "f_history",
+                    "accepted_psd_margins", "grad_inf_norm", "variant"),
+}
+
+
+@pytest.fixture(scope="module")
+def results():
+    return _results()
+
+
+@pytest.mark.parametrize(
+    "record, name", [(record, name) for record, names in READ_FIELDS.items() for name in names]
+)
+def test_read_result_field_exists(results, record, name):
+    result = results[record]
+    assert type(result).__name__ == record
+    assert hasattr(result, name), f"{record}.{name}"

@@ -25,8 +25,8 @@ from cubicmin.stationary import (
     SecularProblem,
     _boundary_parts,
     _boundary_points,
+    _coefficients,
     _finish_global,
-    _mode_coefficients,
     count_bound,
     enumerate_lambda,
     enumerate_stationary,
@@ -124,9 +124,10 @@ class TestEnumerateLambda:
         assert lams == sorted(lams)
         k_pos = sum(1 for p in sp.poles if p > 0)
         assert len(lams) <= 2 * k_pos + 1
+        cuts = subintervals(sp)
         for r in roots:
-            assert r.lo <= r.lam <= r.hi
-            assert r.lo <= r.pole <= r.hi and r.lam == r.pole + r.offset
+            assert any(lo <= r.lam <= hi and lo <= r.pole <= hi for lo, hi in cuts)
+            assert r.lam == r.pole + r.offset
             assert abs(g_eval(sp, r.lam) - target) <= 1e-8 * target
 
 
@@ -294,14 +295,14 @@ def _reference_global(m):
     lam_star = max(0.0, -float(m.eig.values[0]))
     roots = enumerate_lambda(sp)
     if roots and roots[-1].offset > lam_star - roots[-1].pole:
-        coeff, _ = _mode_coefficients(sp, roots[-1].pole, roots[-1].offset)
+        coeff, _ = _coefficients(sp, roots[-1].pole, roots[-1].offset)
         s_star, hard = sp.eig.vectors @ coeff, False
     elif lam_star == 0.0 and not np.any(sp.coupled):
         s_star, hard = np.zeros(m.n), False
     else:
         base, free = _boundary_parts(sp, lam_star)
         s_star, hard = base + free, True
-    return _finish_global(m, StationaryPoint.from_vector(m, s_star), hard, [])
+    return _finish_global(m, StationaryPoint.from_vector(m, s_star), hard)
 
 
 def _outcome(solve, m):
@@ -379,7 +380,7 @@ def _global_record(m):
     except CubicminError as exc:
         return type(exc).__name__
     cert = sol.certificate
-    return (sol.s_star.tobytes(), sol.lambda_star, sol.objective, sol.hard_case, sol.trace,
+    return (sol.s_star.tobytes(), sol.lambda_star, sol.objective, sol.hard_case,
             cert.psd_margin, cert.residual, cert.is_global, cert.tol_grad, cert.tol_psd)
 
 
@@ -411,6 +412,19 @@ class TestSharedSecularData:
         assert len(fars) > 1
         assert SecularProblem.from_model(m) is SecularProblem.from_model(m)
 
+    def test_constructor_builds_top_root_and_point(self):
+        m = CubicModel([1.0, 1.0, 1.0], np.diag([-3.0, -1.0, 2.0]), 1.0)
+        sp = SecularProblem(m)
+        assert m._secular is None
+        assert sp.top_root is not None and sp.top_root.lam > sp.poles[-1]
+        assert sp.top_point.lam == pytest.approx(sp.top_root.lam, rel=1e-12)
+        cached = SecularProblem.from_model(m)
+        assert m._secular is cached
+        assert enumerate_lambda(cached)[-1] is cached.top_root
+        assert enumerate_stationary(m)[-1] is cached.top_point
+        zero = SecularProblem(CubicModel([0.0, 0.0], np.diag([-1.0, 2.0]), 1.0))
+        assert zero.top_root is None and zero.top_point is None
+
     def test_bitwise_equal_in_either_order_and_fresh(self):
         rng = np.random.default_rng(4242)
         tops = shared_tops = 0
@@ -429,7 +443,7 @@ class TestSharedSecularData:
                 # Outside the hard case the last point is the minimizer.
                 assert points[-1][0] == sol[0], (i, cls)
                 tops += 1
-                if sol[4][0].startswith("largest secular root"):
+                if _sp(first).any_coupled:
                     # In either call order it is the certified point itself.
                     for shared in (first, second):
                         top = enumerate_stationary(shared)[-1]
@@ -773,6 +787,18 @@ class TestExtremeScales:
             assert "left double range" in str(exc)
         else:
             assert all(p.residual <= m.default_tol_grad() for p in points)
+
+
+class TestObjectiveOutOfRange:
+    """The one stationary point of this model has lam = 1.479e150 and m(s)
+    about -2.2e450, below double range: both entry points raise."""
+
+    M = CubicModel([1e300, 2e300], np.diag([1e50, 3e50]), 1.0)
+
+    @pytest.mark.parametrize("solve", [global_minimize, enumerate_stationary])
+    def test_raises_convergence_error(self, solve):
+        with pytest.raises(ConvergenceError, match=r"^m\(s\) leaves double range at lam = 1\.479"):
+            solve(_fresh(self.M))
 
 
 def test_grid_beats_nothing_on_worked_instance():
