@@ -222,6 +222,27 @@ def _sphere_start(rng, n, sigma):
     return (min(1.0, 1.0 / sigma) / nv) * v
 
 
+def _check_step_can_move(x, m, gnorm):
+    """Raise ConvergenceError when no step of ``m`` or a later model can move x.
+
+    Every stationary point of m, and its Cauchy step, has ``||s|| <= R =
+    (q + sqrt(q^2 + 4 sigma ||g||)) / (2 sigma)`` with ``q = max|mu|``
+    (from ``c + Qs + sigma||s||s = 0``).  When R is below half the float
+    spacing of every entry of x, ``x + s`` rounds back to x, so the step
+    is rejected; sigma then doubles, which only shrinks R.  An x with a
+    zero entry never trips this: the spacing at 0 is the least subnormal.
+    """
+    mu = m.eig.values
+    q = max(-float(mu[0]), float(mu[-1]))
+    radius = (q + math.sqrt(q * q + 4.0 * m.sigma * gnorm)) / (2.0 * m.sigma)
+    resolution = 0.5 * float(np.spacing(np.abs(x)).min())
+    if radius < resolution:
+        raise ConvergenceError(
+            f"no model step can move x: steps are at most {radius:.3e} long, below half "
+            f"the float spacing {resolution:.3e} of x (sigma = {m.sigma:.3e})"
+        )
+
+
 def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
     """Adaptive cubic-regularization outer loop.
 
@@ -253,7 +274,9 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
     ------
     ConvergenceError
         The model's value at its Cauchy point leaves double range, which
-        takes a gradient norm past ~1.3e154.
+        takes a gradient norm past ~1.3e154; or a step is rejected where
+        every model step is below half the float spacing of x, so that no
+        later step could move it.
     """
     if variant not in (ARC, ARC_PLUS):
         raise ValueError(f"unknown variant {variant!r}")
@@ -314,23 +337,22 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
             s, mval = s_c, m_c
             margin = None
 
-        if not mval < 0.0:
-            sigma = 2.0 * sigma
-            continue
-        f_new = f.f(x + s)
-        rho = (fx - f_new) / (-mval)
-        if rho >= _ETA1:
-            x = x + s
-            fx = f_new
-            f_history.append(fx)
-            margins.append(margin)
-            g = f.grad(x)
-            ginf = float(np.max(np.abs(g)))
-            hess_x = None
-            if rho >= _ETA2:
-                sigma = max(sigma / 2.0, _SIGMA_MIN)
-        else:
-            sigma = 2.0 * sigma
+        if mval < 0.0:
+            f_new = f.f(x + s)
+            rho = (fx - f_new) / (-mval)
+            if rho >= _ETA1:
+                x = x + s
+                fx = f_new
+                f_history.append(fx)
+                margins.append(margin)
+                g = f.grad(x)
+                ginf = float(np.max(np.abs(g)))
+                hess_x = None
+                if rho >= _ETA2:
+                    sigma = max(sigma / 2.0, _SIGMA_MIN)
+                continue
+        _check_step_can_move(x, m, gnorm)
+        sigma = 2.0 * sigma
 
     return OuterReport(
         x_final=x,

@@ -151,7 +151,7 @@ def sym_eigen(A):
         values, vectors = np.linalg.eigh(A.entries)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
-    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(A.n)]
-    vectors[:, lead < 0.0] *= -1.0
+    lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(A.n)]
+    vectors *= np.copysign(1.0, lead)
     return EigenDecomposition(values, vectors)
 

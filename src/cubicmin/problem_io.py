@@ -10,7 +10,9 @@ so parse(serialize(p)) is the identity.
 and one type scan over all entries finds only plain ints and floats, a
 single ``np.array`` conversion and one finiteness check validate the
 whole matrix.  Any other ``Q`` is checked row by row and entry by entry,
-which accepts it with the same floats or names its first offender.
+which accepts it with the same floats or names its first offender.  An
+exactly symmetric ``Q`` skips the symmetry tolerance's arithmetic, as
+``SymmetricMatrix`` does; any other goes through it.
 
 A schema error names the first offending entry of ``c`` or ``Q`` in
 file order (row-major for ``Q``), and for asymmetry the first pair
@@ -31,6 +33,7 @@ literal below -2**63 or from 2**64 up as the float of its value, so
 ``name`` fails with a different message.
 """
 
+import itertools
 import json
 
 import numpy as np
@@ -96,7 +99,7 @@ def _require_matrix(rows, field, n):
     # The whole matrix in one conversion; any other input goes row by row,
     # which names the first offender in file order.
     if all(type(row) is list and len(row) == n for row in rows):
-        out = _plain_floats(rows, {type(v) for row in rows for v in row})
+        out = _plain_floats(rows, set(map(type, itertools.chain.from_iterable(rows))))
         if out is not None:
             return out
     q = np.empty((n, n))
@@ -134,18 +137,20 @@ def parse_problem(data):
     q = _require_matrix(data["Q"], "Q", n)
     # Halves throughout: q - q.T could overflow, half - half.T cannot.
     half = 0.5 * q
-    gap = np.abs(half - half.T)
-    bound = (0.5 * _SYM_RTOL) * (1.0 + np.maximum(np.abs(q), np.abs(q.T)))
-    asymmetric = np.argwhere(np.triu(gap > bound, 1))
-    if asymmetric.size:
-        # argwhere lists hits in row-major order: the first is the first pair.
-        i, j = asymmetric[0]
-        raise SchemaError(
-            f"Q[{i}][{j}]",
-            f"entry {float(q[i, j])!r} differs from Q[{j}][{i}] = "
-            f"{float(q[j, i])!r} beyond the 1e-9 relative symmetry "
-            "tolerance",
-        )
+    # An exactly symmetric matrix has no gap to bound: skip the tolerance.
+    if not (q == q.T).all():
+        gap = np.abs(half - half.T)
+        bound = (0.5 * _SYM_RTOL) * (1.0 + np.maximum(np.abs(q), np.abs(q.T)))
+        asymmetric = np.argwhere(np.triu(gap > bound, 1))
+        if asymmetric.size:
+            # argwhere lists hits in row-major order: the first is the first pair.
+            i, j = asymmetric[0]
+            raise SchemaError(
+                f"Q[{i}][{j}]",
+                f"entry {float(q[i, j])!r} differs from Q[{j}][{i}] = "
+                f"{float(q[j, i])!r} beyond the 1e-9 relative symmetry "
+                "tolerance",
+            )
 
     sigma = _require_number(data["sigma"], "sigma")
     if not sigma > 0.0:

@@ -15,9 +15,14 @@ most two roots and the unbounded rightmost one exactly one (when c is
 not zero); the number of distinct multipliers is at most 2(k+1) with k
 the number of distinct negative eigenvalues of Q.  The global minimizer
 carries the largest root when that root exceeds ``max(0, -mu_1)``.
-``enumerate_stationary`` searches every subinterval; ``global_minimize``
-searches only the unbounded one, which holds the largest root whenever
-c is not zero.
+``global_minimize`` searches only the unbounded subinterval, which holds
+the largest root whenever c is not zero.  ``enumerate_stationary``
+searches every subinterval except the bounded ones that a closed-form
+bound proves empty: the modes at a subinterval's two poles alone bound
+``1/||s||`` from above, and where that bound stays below ``sigma/lam``
+phi is negative throughout (the interlacing argument for secular
+equations: Golub, SIAM Rev. 15, 1973; R.-C. Li, LAPACK Working Note 89,
+1993).  On large models nearly every bounded subinterval is empty.
 
 One constructor builds a model's whole secular record (``beta``, the
 coupling mask, the poles and the subintervals they cut, the largest root
@@ -29,6 +34,7 @@ evaluation of its point: when that point is the global minimizer,
 """
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +57,9 @@ _EPS = float(np.finfo(float).eps)
 # Newton stops when its step falls below this share of the offset |t|.
 _NEWTON_STEP_RTOL = 64.0 * _EPS
 _NEWTON_MAX_STEPS = 100
+# A subinterval is proven rootless only with this relative margin.
+_EMPTY_MARGIN = 1e-9
+_TINY = sys.float_info.min
 
 
 class SecularProblem:
@@ -96,14 +105,22 @@ class SecularProblem:
         self.coupled_beta = linalg._freeze(self.beta[self.coupled])
         self.coupled_poles = linalg._freeze(-eig.values[self.coupled])
         # Python floats sort and subtract faster than NumPy scalars, with
-        # the same order (sorted is stable) and the same differences.
+        # the same order (sorted is stable) and the same differences.  Each
+        # kept pole also keeps the load |beta_j| of one mode at exactly its
+        # value, for the emptiness bound of ``enumerate_lambda``.
         poles = []
-        for p in sorted(self.coupled_poles.tolist()):
+        loads = []
+        for p, b in sorted(zip(self.coupled_poles.tolist(), self.coupled_beta.tolist())):
             if not poles or p - poles[-1] > _POLE_MERGE:
                 poles.append(p)
+                loads.append(abs(b))
         self.poles = linalg._freeze(np.array(poles, dtype=float))
-        cuts = [0.0] + [p for p in poles if p > 0.0]
+        positive = [(p, w) for p, w in zip(poles, loads) if p > 0.0]
+        cuts = [0.0] + [p for p, _ in positive]
         self._subintervals = list(zip(cuts, cuts[1:] + [math.inf]))
+        # Each subinterval's loads at its ends; 0 at lam = 0 and at inf.
+        cut_loads = [0.0] + [w for _, w in positive]
+        self._end_loads = list(zip(cut_loads, cut_loads[1:] + [0.0]))
         self.top_root = _newton_root(self, cuts[-1], math.inf) if self.any_coupled else None
         self.top_point = None
         if self.top_root is not None:
@@ -203,8 +220,8 @@ def _newton_root(sp, end, far):
     pole = end
     if side > 0.0:
         # A cut is the lowest of the poles merged into it; start above all.
-        merged = (poles <= end + _POLE_MERGE) & (poles < far)
-        pole = float(poles.max(initial=end, where=merged))
+        top = end + _POLE_MERGE
+        pole = max([end] + [p for p in poles.tolist() if p <= top and p < far])
     shift = pole - poles
     width = side * (far - pole)
     # Closed-form start with phi < 0: for the mode j nearest the end, of
@@ -236,12 +253,12 @@ def _newton_root(sp, end, far):
         for _ in range(_NEWTON_MAX_STEPS):
             d = shift + t
             a = beta / d
-            inv_norm = 1.0 / linalg.norm(a)
+            inv_norm = 1.0 / math.sqrt(a.dot(a))
             lam = pole + t
             phi = inv_norm - sp.sigma / lam
             if phi >= 0.0:
                 break
-            dphi = inv_norm**3 * float((a * a / d).sum()) + sp.sigma / lam**2
+            dphi = inv_norm**3 * float(np.add.reduce(a * a / d)) + sp.sigma / lam**2
             if side * dphi <= 0.0:
                 return None
             step = -phi / dphi
@@ -259,12 +276,35 @@ def _newton_root(sp, end, far):
     return LambdaRoot(lam=pole + t, pole=pole, offset=t)
 
 
+def _rootless(sigma, lo, hi, w_lo, w_hi):
+    """True when a closed-form bound proves phi < 0 on all of (lo, hi).
+
+    ``w_lo`` and ``w_hi`` are the loads |beta_j| of one coupled mode at
+    each end's pole (``w_lo`` unread at ``lo = 0``); the two terms give
+    ``||s||^2 >= w_lo^2/(lam-lo)^2 + w_hi^2/(hi-lam)^2``.  Inside the axis
+    (``lo > 0``) that caps ``1/||s||`` at ``(hi-lo)/(w_lo^(2/3) +
+    w_hi^(2/3))^(3/2)``, and ``sigma/lam >= sigma/hi``.  On the first
+    subinterval ``phi <= (hi-lam)/w_hi - sigma/lam``, whose maximum over
+    lam > 0 is ``(hi - 2r)/w_hi`` at ``r = sqrt(sigma*w_hi)``.  Each test
+    keeps a relative margin of ``_EMPTY_MARGIN``, far above the rounding
+    of phi, and a bound that over- or underflows proves nothing.
+    """
+    if lo == 0.0:
+        r2 = sigma * w_hi
+        return _TINY < r2 < math.inf and hi < 2.0 * (1.0 - _EMPTY_MARGIN) * math.sqrt(r2)
+    p = w_lo ** (2.0 / 3.0) + w_hi ** (2.0 / 3.0)
+    cap = (hi - lo) / (p * math.sqrt(p))
+    floor = sigma / hi
+    return _TINY < cap < (1.0 - _EMPTY_MARGIN) * floor < math.inf
+
+
 def enumerate_lambda(sp):
     """All roots lam > 0 of g(lam) = 1/sigma^2, ascending.
 
-    Each subinterval is searched from its left end; when a root is found
-    there and the subinterval is bounded, also from its right end.  The
-    unbounded subinterval's root is ``sp.top_root``, the one
+    A bounded subinterval that ``_rootless`` proves empty, from the loads
+    at its two poles, is not searched; every other one is searched from
+    its left end and, when a root is found there, also from its right
+    end.  The unbounded subinterval's root is ``sp.top_root``, the one
     ``global_minimize`` reads.
 
     Returns an empty list when c = 0 (no couplings): then only s = 0 can
@@ -273,8 +313,13 @@ def enumerate_lambda(sp):
     if not sp.any_coupled:
         return []
     roots = []
-    for lo, hi in sp._subintervals:
-        left = sp.top_root if hi == math.inf else _newton_root(sp, lo, hi)
+    for (lo, hi), (w_lo, w_hi) in zip(sp._subintervals, sp._end_loads):
+        if hi == math.inf:
+            left = sp.top_root
+        elif _rootless(sp.sigma, lo, hi, w_lo, w_hi):
+            continue
+        else:
+            left = _newton_root(sp, lo, hi)
         if left is None:
             continue
         roots.append(left)

@@ -488,6 +488,22 @@ class TestMinimize:
             assert lines[0] == f"cubicmin: solver error: ConvergenceError: {message}"
         assert not out.stdout
 
+    @pytest.mark.parametrize("variant", ["arc", "arc_plus"])
+    def test_start_below_step_resolution_exit_2(self, variant):
+        # Every model step from 1e48 is below the float spacing of x: ARC
+        # stops at its first rejection, ARC_PLUS in its first local solve.
+        out = run_cli(
+            "minimize", "sphere2", "--x0", "1e48,1e48", "--variant", variant,
+            env={**os.environ, "PYTHONWARNINGS": "error"}, timeout=60,
+        )
+        assert out.returncode == 2
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cubicmin: solver error: ConvergenceError: ")
+        if variant == "arc":
+            assert "no model step can move x" in lines[0]
+        assert not out.stdout
+
     @pytest.mark.parametrize("value", [",-3,4", "-3,4,", "-3,,4"])
     def test_empty_coordinate_in_x0_exit_1(self, value):
         out = run_cli("minimize", "sphere2", "--x0", value)

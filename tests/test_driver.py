@@ -303,6 +303,31 @@ class TestGradientRange:
         assert rep.f_final == pytest.approx(-5.0)
 
 
+class TestStepBelowResolution:
+    """ARC stops once no model step can move x, instead of doubling sigma to inf."""
+
+    def test_huge_start_raises_at_first_rejection(self):
+        # ||s|| <= R = 1.2e24 at sigma = 1, below half the spacing 1.6e32 of 1e48.
+        with pytest.raises(ConvergenceError, match=r"no model step can move x: .*sigma = 1\.000e\+00"):
+            arc_plus_minimize(get_problem("sphere2"), [1e48, 1e48], "ARC")
+
+    def test_zero_entry_never_triggers(self):
+        # x + s == x in the first entry, but the spacing at 0 is the least
+        # subnormal: the run goes on rejecting until its iteration cap.
+        rep = arc_plus_minimize(get_problem("sphere2"), [1e48, 0.0], "ARC", ArcOptions(max_iters=40))
+        assert not rep.converged
+        assert rep.iterations == 40
+        assert len(rep.f_history) == 1  # no step accepted
+        m = CubicModel([1.0, 1.0], np.eye(2), 1e300)
+        driver._check_step_can_move(np.array([1e300, 0.0]), m, math.sqrt(2.0))
+
+    def test_step_above_resolution_passes(self):
+        m = CubicModel([1.0, 1.0], np.eye(2), 1.0)
+        driver._check_step_can_move(np.array([1e15, 1e15]), m, math.sqrt(2.0))
+        with pytest.raises(ConvergenceError):
+            driver._check_step_can_move(np.array([1e17, 1e17]), m, math.sqrt(2.0))
+
+
 class TestCauchyStep:
     def test_descends_from_origin(self):
         rng = np.random.default_rng(55)

@@ -218,6 +218,28 @@ class TestSymEigen:
             col = eig.vectors[:, j]
             assert col[np.argmax(np.abs(col))] > 0
 
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[0.0, 1.0], [1.0, 0.0]]),  # lead entries tie in |v|
+            np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]),
+            np.diag([3.0, -1.0, -1.0]),
+        ]
+        + [_rotated(np.random.default_rng(n).uniform(-5.0, 5.0, n), seed=n) for n in (1, 5, 32, 128)],
+        ids=["swap", "tridiagonal", "diagonal", "n1", "n5", "n32", "n128"],
+    )
+    def test_sign_normalization_matches_column_flips(self, a):
+        # Flipping each column whose lead entry is negative, by a boolean
+        # gather and scatter, gives the same bits: the lead entry is the
+        # first largest |v| of its column either way.
+        A = SymmetricMatrix(a)
+        values, vectors = np.linalg.eigh(A.entries)
+        lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(A.n)]
+        vectors[:, lead < 0.0] *= -1.0
+        eig = sym_eigen(A)
+        assert eig.values.tobytes() == values.tobytes()
+        assert eig.vectors.tobytes() == vectors.tobytes()
+
     def test_random_reconstruction_6x6(self):
         rng = np.random.default_rng(42)
         a = rng.uniform(-5.0, 5.0, size=(6, 6))

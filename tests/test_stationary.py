@@ -9,6 +9,8 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cubicmin import CubicModel, eval_model, is_global, stationary
 from cubicmin.exceptions import (
@@ -27,6 +29,8 @@ from cubicmin.stationary import (
     _boundary_points,
     _coefficients,
     _finish_global,
+    _newton_root,
+    _rootless,
     count_bound,
     enumerate_lambda,
     enumerate_stationary,
@@ -810,3 +814,154 @@ def test_grid_beats_nothing_on_worked_instance():
     assert np_eval(WORKED, np.array([0.5, math.sqrt(35.0) / 2.0])) == pytest.approx(
         -5.0, abs=1e-12
     )
+
+
+# Exponents of ten for the bound's inputs: loads, sigma, poles and widths.
+_EXP = st.floats(-6.0, 6.0)
+_DENSE = np.concatenate([np.logspace(-12.0, -1.0, 200), np.linspace(0.0, 1.0, 2001)[1:-1]])
+
+
+def _inside(lo, hi, lams):
+    lams = np.asarray(lams, dtype=float)
+    return lams[(lams > lo) & (lams < hi)]
+
+
+class TestRootlessBound:
+    """``_rootless`` says "empty" only where phi is negative on all of (lo, hi).
+
+    phi is sampled densely, near both ends and at the maximizer of the
+    two-term bound, on the weakest model the bound allows: only the modes
+    at the subinterval's poles.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(_EXP, _EXP, _EXP, _EXP, _EXP)
+    def test_interior_empty_means_phi_negative(self, e_sigma, e_lo, e_width, e_wlo, e_whi):
+        sigma, lo, w_lo, w_hi = 10.0**e_sigma, 10.0**e_lo, 10.0**e_wlo, 10.0**e_whi
+        hi = lo + 10.0**e_width
+        if not _rootless(sigma, lo, hi, w_lo, w_hi):
+            return
+        # 1/||s|| peaks where (lam - lo)/(hi - lam) = (w_lo/w_hi)^(2/3).
+        ratio = (w_lo / w_hi) ** (2.0 / 3.0)
+        peak = lo + (hi - lo) * ratio / (1.0 + ratio)
+        lams = _inside(lo, hi, np.concatenate([lo + (hi - lo) * _DENSE, hi - (hi - lo) * _DENSE, [peak]]))
+        inv_norm = 1.0 / np.hypot(w_lo / (lams - lo), w_hi / (hi - lams))
+        assert (inv_norm - sigma / lams < 0.0).all()
+        p = w_lo ** (2.0 / 3.0) + w_hi ** (2.0 / 3.0)
+        cap = (hi - lo) / p**1.5
+        assert inv_norm.max() <= cap * (1.0 + 1e-12)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_EXP, _EXP, _EXP)
+    def test_first_subinterval_empty_means_phi_negative(self, e_sigma, e_hi, e_w):
+        sigma, hi, w = 10.0**e_sigma, 10.0**e_hi, 10.0**e_w
+        if not _rootless(sigma, 0.0, hi, 0.0, w):
+            return
+        lams = _inside(0.0, hi, np.concatenate([hi * _DENSE, hi - hi * _DENSE, [math.sqrt(sigma * w)]]))
+        assert ((hi - lams) / w - sigma / lams < 0.0).all()
+
+    def test_known_subintervals(self):
+        # Roots in (0, 1) and (1, 4) (the five-root instance): nothing proven.
+        assert not _rootless(0.05, 0.0, 1.0, 0.0, 1.0)
+        assert not _rootless(0.05, 1.0, 4.0, 1.0, 1.0)
+        # sigma = 1, unit loads: r = 1 > hi/2 on (0, 1); the cap on (1, 3) is
+        # 2/2**1.5 = 0.707, above sigma/hi = 1/3.
+        assert _rootless(1.0, 0.0, 1.0, 0.0, 1.0)
+        assert not _rootless(1.0, 1.0, 3.0, 1.0, 1.0)
+        assert _rootless(10.0, 1.0, 3.0, 1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (1e300, 0.0, 1.0, 0.0, 1e300),  # sigma * w overflows
+            (1e-300, 0.0, 1e-300, 0.0, 1e-30),  # sigma * w underflows
+            (1.0, 1.0, 3.0, 1e308, 1e308),  # the cap's denominator overflows
+            (1e300, 1e-300, 2e-300, 1.0, 1.0),  # sigma/hi overflows
+        ],
+    )
+    def test_out_of_range_proves_nothing(self, args):
+        assert not _rootless(*args)
+
+
+def _stress_model(rng, cls, n):
+    """generic, hard, near_hard, scaled_Q or tiny_sigma, indefinite."""
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    mu = np.sort(rng.uniform(-5.0, 5.0, size=n))
+    mu[0] = min(mu[0], -abs(mu[0]) - 0.1, mu[1] - 0.5)
+    beta = rng.normal(size=n)
+    sigma = float(10.0 ** rng.uniform(-1.0, 1.0))
+    if cls in ("hard", "near_hard"):
+        beta[0] = 0.0 if cls == "hard" else 1e-9
+        free = float(np.linalg.norm(beta[1:] / (mu[1:] - mu[0])))
+        sigma = 0.5 * -mu[0] / max(free, 1e-12)
+    elif cls == "scaled_Q":
+        mu = mu * 10.0 ** rng.uniform(3.0, 6.0)
+    elif cls == "tiny_sigma":
+        sigma = float(10.0 ** rng.uniform(-8.0, -4.0))
+    q = (v * mu) @ v.T
+    return CubicModel(v @ beta, (q + q.T) / 2.0, sigma)
+
+
+def _search_everywhere(sp):
+    """enumerate_lambda without the emptiness bound: every subinterval searched."""
+    roots = []
+    for lo, hi in subintervals(sp):
+        left = _newton_root(sp, lo, hi)
+        if left is None:
+            continue
+        roots.append(left)
+        if hi < math.inf:
+            right = _newton_root(sp, hi, lo)
+            if right is not None and right.lam > left.lam:
+                roots.append(right)
+    return roots
+
+
+def _roots_record(roots):
+    return [(r.lam.hex(), r.pole.hex(), r.offset.hex()) for r in roots]
+
+
+def _proven_empty(sp):
+    """The bounded subintervals that ``_rootless`` proves empty."""
+    return [
+        (lo, hi)
+        for (lo, hi), (w_lo, w_hi) in zip(subintervals(sp), sp._end_loads)
+        if hi < math.inf and _rootless(sp.sigma, lo, hi, w_lo, w_hi)
+    ]
+
+
+class TestSkippedSearches:
+    """Skipping the proven-empty subintervals leaves every root as it was."""
+
+    CLASSES = ("generic", "hard", "near_hard", "scaled_Q", "tiny_sigma")
+    DIMS = (2, 3, 4, 5, 6, 8, 12, 16, 24, 32, 48, 64, 96, 128)
+
+    def test_matches_search_of_every_subinterval(self):
+        rng = np.random.default_rng(2121)
+        skipped = 0
+        for i in range(140):
+            cls = self.CLASSES[i % len(self.CLASSES)]
+            m = _stress_model(rng, cls, self.DIMS[i % len(self.DIMS)])
+            sp = _sp(m)
+            assert _roots_record(enumerate_lambda(sp)) == _roots_record(_search_everywhere(sp)), (i, cls)
+            skipped += len(_proven_empty(sp))
+        assert skipped > 200
+
+    def test_no_search_on_proven_subinterval(self, monkeypatch):
+        m = _stress_model(np.random.default_rng(64), "generic", 64)
+        sp = _sp(m)
+        calls = []
+        real = stationary._newton_root
+
+        def counting(sp, end, far):
+            calls.append((min(end, far), max(end, far)))
+            return real(sp, end, far)
+
+        monkeypatch.setattr(stationary, "_newton_root", counting)
+        enumerate_lambda(sp)
+        proven = set(_proven_empty(sp))
+        assert len(proven) > 10
+        assert proven.isdisjoint(calls)
+        bounded = [cut for cut in subintervals(sp) if cut[1] < math.inf]
+        assert set(bounded) - proven <= set(calls)
+
