@@ -34,7 +34,6 @@ evaluation of its point: when that point is the global minimizer,
 """
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +58,7 @@ _NEWTON_STEP_RTOL = 64.0 * _EPS
 _NEWTON_MAX_STEPS = 100
 # A subinterval is proven rootless only with this relative margin.
 _EMPTY_MARGIN = 1e-9
-_TINY = sys.float_info.min
+_TINY = float(np.finfo(float).tiny)
 
 
 class SecularProblem:

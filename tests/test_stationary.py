@@ -318,7 +318,8 @@ def _outcome(solve, m):
 
 
 def _class_model(rng, cls, n):
-    """generic, hard (beta_1 = 0), near_hard (beta_1 = 1e-9) or zero_c."""
+    """generic, hard (beta_1 = 0), near_hard (beta_1 = 1e-9), zero_c,
+    scaled_Q (mu times 1e3 to 1e6) or tiny_sigma (sigma 1e-8 to 1e-4)."""
     v, _ = np.linalg.qr(rng.normal(size=(n, n)))
     mu = np.sort(rng.uniform(-5.0, 5.0, size=n))
     beta = rng.normal(size=n)
@@ -331,6 +332,10 @@ def _class_model(rng, cls, n):
         sigma = 0.5 * -mu[0] / max(free, 1e-12)
     elif cls == "zero_c":
         beta[:] = 0.0
+    elif cls == "scaled_Q":
+        mu = mu * 10.0 ** rng.uniform(3.0, 6.0)
+    elif cls == "tiny_sigma":
+        sigma = float(10.0 ** rng.uniform(-8.0, -4.0))
     q = (v * mu) @ v.T
     return CubicModel(v @ beta, (q + q.T) / 2.0, sigma)
 
@@ -883,25 +888,6 @@ class TestRootlessBound:
         assert not _rootless(*args)
 
 
-def _stress_model(rng, cls, n):
-    """generic, hard, near_hard, scaled_Q or tiny_sigma, indefinite."""
-    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    mu = np.sort(rng.uniform(-5.0, 5.0, size=n))
-    mu[0] = min(mu[0], -abs(mu[0]) - 0.1, mu[1] - 0.5)
-    beta = rng.normal(size=n)
-    sigma = float(10.0 ** rng.uniform(-1.0, 1.0))
-    if cls in ("hard", "near_hard"):
-        beta[0] = 0.0 if cls == "hard" else 1e-9
-        free = float(np.linalg.norm(beta[1:] / (mu[1:] - mu[0])))
-        sigma = 0.5 * -mu[0] / max(free, 1e-12)
-    elif cls == "scaled_Q":
-        mu = mu * 10.0 ** rng.uniform(3.0, 6.0)
-    elif cls == "tiny_sigma":
-        sigma = float(10.0 ** rng.uniform(-8.0, -4.0))
-    q = (v * mu) @ v.T
-    return CubicModel(v @ beta, (q + q.T) / 2.0, sigma)
-
-
 def _search_everywhere(sp):
     """enumerate_lambda without the emptiness bound: every subinterval searched."""
     roots = []
@@ -941,14 +927,14 @@ class TestSkippedSearches:
         skipped = 0
         for i in range(140):
             cls = self.CLASSES[i % len(self.CLASSES)]
-            m = _stress_model(rng, cls, self.DIMS[i % len(self.DIMS)])
+            m = _class_model(rng, cls, self.DIMS[i % len(self.DIMS)])
             sp = _sp(m)
             assert _roots_record(enumerate_lambda(sp)) == _roots_record(_search_everywhere(sp)), (i, cls)
             skipped += len(_proven_empty(sp))
         assert skipped > 200
 
     def test_no_search_on_proven_subinterval(self, monkeypatch):
-        m = _stress_model(np.random.default_rng(64), "generic", 64)
+        m = _class_model(np.random.default_rng(64), "generic", 64)
         sp = _sp(m)
         calls = []
         real = stationary._newton_root
