@@ -204,7 +204,7 @@ def cauchy_step(m):
     # The root in bh = u'Qu with u = g/||g||, which stays in double range
     # for every finite g (the powers of ||g|| in the unscaled form do not).
     u = g / gnorm
-    bh = float(u @ (m.Q.entries @ u))
+    bh = float(u.dot(m.Q.entries.dot(u)))
     disc = math.sqrt(bh * bh + 4.0 * m.sigma * gnorm)
     if bh <= 0.0:
         t = (-bh + disc) / (2.0 * m.sigma * gnorm)

@@ -11,9 +11,11 @@ negative-curvature direction d (B_II) or across z = s_bar + alpha*d
 above ``eps_grad`` raises NotStationary, and a point that passes gets
 NONE_GLOBAL.  ``escape_exact`` uses the model's default tolerances,
 ``escape_approx`` the caller's, which also set each reflection's
-threshold.  Every move is verified by direct evaluation; where the
-gates of both reflections hold, the larger verified decrease is
-returned.
+threshold.  The case analysis reads s_bar, its multiplier and its
+gradient from the point's ``StationaryPoint`` record, the one
+evaluation of s_bar.  Every move is verified by direct evaluation;
+where the gates of both reflections hold, the larger verified decrease
+is returned.
 """
 
 import math
@@ -100,11 +102,14 @@ def alpha_threshold_biii(m, s_bar, d):
     s_bar = m._check_dim(s_bar)
     d = m._check_dim(d)
     lam = m.sigma * linalg.norm(s_bar)
-    q_dd = float(d @ (m.Q.entries @ d) + lam * (d @ d))
+    q_dd = float(d.dot(m.Q.entries.dot(d))) + lam * float(d.dot(d))
+    return _threshold(q_dd, float(m.c.dot(d)), float(m.c.dot(s_bar)))
+
+
+def _threshold(q_dd, c_d, c_s):
+    # alpha_threshold_biii from q_dd = d'(Q + lam I)d, c_d = c'd and c_s = c's.
     if q_dd >= 0.0:
         raise NonNegativeCurvature(f"d^T (Q + lam I) d = {q_dd!r} is not negative")
-    c_d = float(m.c @ d)
-    c_s = float(m.c @ s_bar)
     if c_s > 0.0:
         raise ValueError("threshold requires c^T s_bar <= 0; apply the sign-flip case first")
     disc = c_d * c_d + c_s * q_dd
@@ -112,15 +117,16 @@ def alpha_threshold_biii(m, s_bar, d):
 
 
 def _outcome(m, point, case, s_hat, alpha=None, z=None):
-    s_hat = np.array(s_hat, dtype=float)
+    # s_hat and z are fresh arrays of the caller's.
     s_hat.setflags(write=False)
     return EscapeOutcome(
         case_tag=case,
         point=point,
         s_hat=s_hat,
         alpha_used=alpha,
-        z_used=None if z is None else np.array(z),
-        decrease=point.objective - model_mod.eval_model(m, s_hat),
+        z_used=z,
+        decrease=point.objective
+        - model_mod._objective(m, s_hat, linalg.norm(s_hat), m.Q.entries.dot(s_hat)),
     )
 
 
@@ -180,11 +186,14 @@ def escape_approx(m, s_bar, tol, direction=None):
 
 
 def _escape(m, point, tol, direction):
-    # The case analysis of both escapes, from the evaluated point.
+    # The case analysis of both escapes, from the evaluated point: s, lam
+    # and the gradient are the point's, and each product below is taken
+    # once.  Negating d is exact, so c'(-d) = -(c'd) and (-d)'Q(-d) = d'Qd.
     cert = model_mod._certificate(m, point, tol.eps_grad, tol.eps_curv, gate=True)
-    s = np.asarray(point.s, dtype=float)
+    s = point.s
+    c_s = float(m.c.dot(s))
     flip = None
-    if float(m.c @ s) > 0.0:
+    if c_s > 0.0:
         flip = _outcome(m, point, CASE_A, -s)
         if flip.decrease > 0.0:
             return flip
@@ -195,13 +204,15 @@ def _escape(m, point, tol, direction):
         raise ThresholdNotMet("sign flip failed to decrease the objective")
     d = m.eig.vectors[:, 0].copy() if direction is None else m._check_dim(direction)
     norm_s = linalg.norm(s)
-    grad = model_mod._gradient(m, s, norm_s, m.Q.entries @ s)
+    grad = point.gradient
     norm_d = linalg.norm(d)
+    c_d = float(m.c.dot(d))
+    d_q_d = float(d.dot(m.Q.entries.dot(d)))
 
     if norm_s <= _zero_tol(m):
-        if float(m.c @ d) > 0.0:
+        if c_d > 0.0:
             d = -d
-        alpha = -0.75 * float(d @ (m.Q.entries @ d)) / (m.sigma * norm_d**3)
+        alpha = -0.75 * d_q_d / (m.sigma * norm_d**3)
         out = _outcome(m, point, CASE_B_I, alpha * d, alpha=alpha)
         if out.decrease > 0.0:
             return out
@@ -211,15 +222,15 @@ def _escape(m, point, tol, direction):
     # the larger decrease wins, B_II on a tie.
     moves = []
     lam = point.lam
-    s_d = float(s @ d)
-    grad_d = float(grad @ d)
+    q_dd = d_q_d + lam * float(d.dot(d))
+    s_d = float(s.dot(d))
+    grad_d = float(grad.dot(d))
     if s_d != 0.0:
         accepted = tol.eps_curv >= abs(grad_d / s_d)
         if not accepted:
             # Strengthened acceptance: the reflection's predicted change
             # along d is negative even though the plain threshold fails.
             step = 2.0 * s_d / norm_d**2
-            q_dd = float(d @ (m.Q.entries @ d) + lam * (d @ d))
             accepted = 0.5 * step**2 * q_dd - step * grad_d < 0.0
         if accepted:
             s_hat = s - 2.0 * (s_d / norm_d**2) * d
@@ -229,15 +240,17 @@ def _escape(m, point, tol, direction):
 
     # B_III needs only stationarity, not s_d = 0, since
     # z^T (Q + lam I) z = -c.s - 2 alpha c.d + alpha^2 d^T (Q + lam I) d.
-    if tol.eps_curv > abs(float(grad @ s)) / norm_s**2:
+    if tol.eps_curv > abs(float(grad.dot(s))) / norm_s**2:
         if grad_d < 0.0:
             d = -d
-        alpha = 2.0 * max(alpha_threshold_biii(m, s, d), norm_s)
+            c_d = -c_d
+        alpha = 2.0 * max(_threshold(q_dd, c_d, c_s), norm_s)
         for _ in range(_MAX_DOUBLINGS + 1):
             z = s + alpha * d
-            z_q_z = float(z @ (m.Q.entries @ z) + lam * (z @ z))
-            if z_q_z < -tol.eps_curv * float(z @ z):
-                s_hat = s - 2.0 * (float(s @ z) / float(z @ z)) * z
+            z_z = float(z.dot(z))
+            z_q_z = float(z.dot(m.Q.entries.dot(z))) + lam * z_z
+            if z_q_z < -tol.eps_curv * z_z:
+                s_hat = s - 2.0 * (float(s.dot(z)) / z_z) * z
                 out = _outcome(m, point, CASE_B_III, s_hat, alpha=alpha, z=z)
                 if out.decrease > 0.0:
                     moves.append(out)

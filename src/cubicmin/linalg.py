@@ -42,11 +42,13 @@ def safe_norm(x):
     When ``max|x|`` exceeds 1e150 the squares could overflow, and when it
     is below 1e-150 (but not 0) they could underflow, so the norm is
     taken of ``x / max|x|`` and scaled back; otherwise it is ``norm(x)``
-    bitwise.  For loads and residuals, not for hot loops.
+    bitwise.  An infinite entry gives inf, without a warning.
     """
     # On short vectors a Python max is several times faster than NumPy's.
     x_max = max(map(abs, x.tolist()))
     if x_max > 1e150 or 0.0 < x_max < 1e-150:
+        if x_max == math.inf:
+            return x_max
         return x_max * norm(x / x_max)
     return norm(x)
 

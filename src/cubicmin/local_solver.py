@@ -85,15 +85,15 @@ def _newton_step(m, s, norm_s, g, shifted=False):
         if least <= _PD_RTOL * (max(abs(d[0]), abs(d[-1])) + m.sigma * norm_s):
             return None
     V = m.eig.vectors
-    u = V.T @ s
+    u = V.T.dot(s)
     du = u / d
-    dh = (V.T @ g) / d
+    dh = V.T.dot(g) / d
     rho = m.sigma / norm_s if norm_s else 0.0
     terms = rho * u * du
-    denom = 1.0 + float(terms.sum())
-    if d[0] < 0.0 and not denom < -_PD_RTOL * (1.0 + float(np.abs(terms).sum())):
+    denom = 1.0 + float(np.add.reduce(terms))
+    if d[0] < 0.0 and not denom < -_PD_RTOL * (1.0 + float(np.add.reduce(np.abs(terms)))):
         return None
-    return -(V @ (dh - (rho * float(u @ dh) / denom) * du))
+    return -V.dot(dh - (rho * float(u.dot(dh)) / denom) * du)
 
 
 def local_minimize(m, s0, eps_grad=None):
@@ -123,7 +123,7 @@ def local_minimize(m, s0, eps_grad=None):
     s = np.array(m._check_dim(s0), dtype=float)
     # (s, ||s||, Q s, m(s)) of the current iterate, each computed once.
     norm_s = linalg.norm(s)
-    qs = m.Q.entries @ s
+    qs = m.Q.entries.dot(s)
     f = model_mod._objective(m, s, norm_s, qs)
     trace = [f]
     step0 = 1.0 / (1.0 + m.Q.max_abs + m.sigma * norm_s)
@@ -156,14 +156,14 @@ def local_minimize(m, s0, eps_grad=None):
 
         moved = False
         for kind, direction, t0 in candidates:
-            slope = float(g @ direction)
+            slope = float(g.dot(direction))
             if slope >= 0.0:
                 continue
             t = t0
             for _ in range(60):
                 s_try = s + t * direction
                 n_try = linalg.norm(s_try)
-                q_try = m.Q.entries @ s_try
+                q_try = m.Q.entries.dot(s_try)
                 f_new = model_mod._objective(m, s_try, n_try, q_try)
                 if f_new <= f + _ARMIJO_C * t * slope:
                     flat_steps = flat_steps + 1 if f_new == f else 0
@@ -197,7 +197,7 @@ def local_minimize(m, s0, eps_grad=None):
             break
         s_try = s + d
         n_try = linalg.norm(s_try)
-        q_try = m.Q.entries @ s_try
+        q_try = m.Q.entries.dot(s_try)
         g_try = model_mod._gradient(m, s_try, n_try, q_try)
         r_try = linalg.norm(g_try)
         if r_try < 0.5 * residual:

@@ -4,6 +4,11 @@ The model is ``m(s) = c^T s + 1/2 s^T Q s + (sigma/3) ||s||^3`` with
 ``sigma > 0``.  A point is stationary when ``(Q + lam*I) s = -c`` with
 ``lam = sigma * ||s||``, and it is the global minimizer exactly when, in
 addition, ``Q + lam*I`` is positive semidefinite.
+
+A point is evaluated once, by ``StationaryPoint.from_vector``: the
+record keeps ``s``, ``lam``, ``m(s)``, the gradient and its norm, and the
+certificate and the escapes read that record instead of evaluating s
+again.
 """
 
 import functools
@@ -95,8 +100,11 @@ class StationaryPoint:
 
     ``s`` is a read-only copy, ``lam = sigma * ||s||`` (recomputed, never
     supplied, so the norm coupling holds by construction),
-    ``objective = m(s)`` and ``residual = ||grad m(s)||``
-    (``linalg.safe_norm``).  ``_certificate`` judges the record, and
+    ``objective = m(s)``, ``gradient = grad m(s) = c + Q s + sigma ||s|| s``
+    (read-only) and ``residual = ||gradient||``.  Both norms are
+    ``linalg.safe_norm``, so lam stays finite for every finite s.
+    ``_certificate`` judges the record, the escapes read ``s``, ``lam``
+    and ``gradient`` from it instead of evaluating s again, and
     ``GlobalSolution`` and ``EscapeOutcome.point`` are built from it.
     """
 
@@ -104,26 +112,31 @@ class StationaryPoint:
     lam: float
     objective: float
     residual: float
+    gradient: np.ndarray
 
     @classmethod
     def from_vector(cls, model, s):
         """Evaluate ``s``; ConvergenceError where m(s) is NaN or below double range."""
-        s = model._check_dim(np.array(s, dtype=float))
+        s = np.array(s, dtype=float).reshape(-1)
+        if s.shape[0] != model.n:
+            model._check_dim(s)  # raises the dimension error
         s.setflags(write=False)
-        norm_s = linalg.norm(s)
+        norm_s = linalg.safe_norm(s)
         lam = model.sigma * norm_s
-        qs = model.Q.entries @ s
+        qs = model.Q.entries.dot(s)
         # Bounds the terms of grad m(s) and m(s), as ||Q|| <= n max|Q|.
         if (1.0 + norm_s) * (model.norm_c + (model.n * model.Q.max_abs + lam) * norm_s) < _IN_RANGE:
             objective = _objective(model, s, norm_s, qs)
-            residual = linalg.safe_norm(_gradient(model, s, norm_s, qs))
+            gradient = _gradient(model, s, norm_s, qs)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
                 objective = _objective(model, s, norm_s, qs)
-                residual = linalg.safe_norm(_gradient(model, s, norm_s, qs))
+                gradient = _gradient(model, s, norm_s, qs)
             if not objective > -math.inf:  # inf, as where only ||s||**3 overflows, stays
                 raise ConvergenceError(f"m(s) leaves double range at lam = {lam!r}: {objective!r}")
-        return cls(s=s, lam=lam, objective=objective, residual=residual)
+        gradient.setflags(write=False)
+        return cls(s=s, lam=lam, objective=objective, residual=linalg.safe_norm(gradient),
+                   gradient=gradient)
 
 
 @dataclass(frozen=True)
@@ -149,7 +162,8 @@ def _objective(model, s, norm_s, qs):
         cube = norm_s**3
     except OverflowError:
         cube = math.inf
-    return float(model.c @ s + 0.5 * s @ qs + (model.sigma / 3.0) * cube)
+    # Python floats add without NumPy's scalar overhead, in the same order.
+    return float(model.c.dot(s)) + float((0.5 * s).dot(qs)) + (model.sigma / 3.0) * cube
 
 
 def _gradient(model, s, norm_s, qs):
@@ -159,13 +173,13 @@ def _gradient(model, s, norm_s, qs):
 def eval_model(model, s):
     """Evaluate ``m(s) = c^T s + 1/2 s^T Q s + (sigma/3) ||s||^3``."""
     s = model._check_dim(s)
-    return _objective(model, s, linalg.norm(s), model.Q.entries @ s)
+    return _objective(model, s, linalg.norm(s), model.Q.entries.dot(s))
 
 
 def grad(model, s):
     """Evaluate ``grad m(s) = c + Q s + sigma ||s|| s``."""
     s = model._check_dim(s)
-    return _gradient(model, s, linalg.norm(s), model.Q.entries @ s)
+    return _gradient(model, s, linalg.norm(s), model.Q.entries.dot(s))
 
 
 def hess(model, s):

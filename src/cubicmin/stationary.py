@@ -96,7 +96,7 @@ class SecularProblem:
 
     def __init__(self, m):
         eig = self.eig = m.eig
-        self.beta = linalg._freeze(-(eig.vectors.T @ m.c))
+        self.beta = linalg._freeze(-eig.vectors.T.dot(m.c))
         self.sigma = m.sigma
         self.pole_tol = 1e-10 * (1.0 + m.norm_c)
         self.coupled = linalg._freeze(np.abs(self.beta) > self.pole_tol)
@@ -158,8 +158,8 @@ class GlobalSolution:
     """Certified global minimizer of a cubic model.
 
     Built from the StationaryPoint the certificate judged: ``s_star`` is
-    its read-only copy and ``objective = m(s_star)`` its objective;
-    ``lambda_star = sigma*||s_star||`` (``linalg.safe_norm``).
+    its read-only copy, ``objective = m(s_star)`` its objective and
+    ``lambda_star = sigma*||s_star||`` its ``lam``.
     ``global_minimize`` and ``solve_via_escapes`` agree on the minimizer,
     but only ``global_minimize`` detects the hard case: ``hard_case`` is
     always False from ``solve_via_escapes``, whose escapes are listed in
@@ -345,8 +345,7 @@ def _coefficients(sp, pole, offset):
         raise PoleEvaluation(
             f"multiplier {pole + offset!r} sits on the coupled pole {-sp.eig.values[i]!r}"
         )
-    coeff = np.zeros(sp.beta.shape)
-    coeff[coupled] = sp.coupled_beta / denom[coupled]
+    coeff = np.divide(sp.beta, denom, out=np.zeros(sp.beta.shape), where=coupled)
     return coeff, denom
 
 
@@ -358,7 +357,7 @@ def stationary_from_lambda(sp, root):
     Returns the vector s.
     """
     coeff, _ = _coefficients(sp, root.pole, root.offset)
-    return sp.eig.vectors @ coeff
+    return sp.eig.vectors.dot(coeff)
 
 
 def _boundary_parts(sp, lam):
@@ -372,7 +371,7 @@ def _boundary_parts(sp, lam):
     """
     coeff, denom = _coefficients(sp, lam, 0.0)
     singular = ~sp.coupled & (np.abs(denom) <= SINGULAR_MODE_TOL)
-    base = sp.eig.vectors @ coeff
+    base = sp.eig.vectors.dot(coeff)
     radius = lam / sp.sigma
     norm_base = linalg.norm(base)
     if norm_base > radius + 1e-8 * (1.0 + radius):
@@ -518,7 +517,7 @@ def _global_solution(m, point, cert, hard):
     """The GlobalSolution at the StationaryPoint ``point``, certified by ``cert``."""
     return GlobalSolution(
         s_star=point.s,
-        lambda_star=m.sigma * linalg.safe_norm(point.s),
+        lambda_star=point.lam,
         objective=point.objective,
         certificate=cert,
         hard_case=hard,

@@ -1,6 +1,7 @@
 """Closed-form escape moves from stationary and near-stationary points."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,10 +16,11 @@ from cubicmin.escape import (
     escape_approx,
     escape_exact,
 )
+from cubicmin.exceptions import CubicminError
 from cubicmin.model import StationaryPoint
 from cubicmin.stationary import count_bound, enumerate_stationary, global_minimize
 
-from .helpers import random_model
+from .helpers import class_model, random_model, ref_alpha_threshold_biii, ref_escape
 
 WORKED = CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
 WORKED_PT = StationaryPoint.from_vector(WORKED, np.array([1.0, 0.0]))
@@ -148,7 +150,7 @@ class TestEscapeExactCases:
     def test_rejects_nan_residual(self):
         p = StationaryPoint(
             s=WORKED_PT.s, lam=WORKED_PT.lam, objective=WORKED_PT.objective,
-            residual=float("nan"),
+            residual=float("nan"), gradient=WORKED_PT.gradient,
         )
         with pytest.raises(NotStationary):
             escape_exact(WORKED, p)
@@ -253,3 +255,67 @@ class TestEscapeInvariants:
 
         _, trace = solve_via_escapes(m, p.s)
         assert trace.escape_count <= bound
+
+
+def _hex(x):
+    if x is None:
+        return None
+    if isinstance(x, np.ndarray):
+        return [v.hex() for v in x.tolist()]
+    return float(x).hex()
+
+
+def _escape_record(run):
+    """Every field of an escape's outcome as hex, or its exception's class and message."""
+    try:
+        out = run()
+    except CubicminError as exc:
+        return type(exc).__name__, str(exc)
+    return (out.case_tag, _hex(out.s_hat), _hex(out.alpha_used), _hex(out.z_used),
+            _hex(out.decrease), out.certificate)
+
+
+class TestReferenceParity:
+    """Both escapes give the reference escape's bits and exceptions on enumerated points."""
+
+    CLASSES = ("generic", "hard", "near_hard", "scaled_Q", "tiny_sigma", "zero_c")
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_matches_reference(self, cls):
+        rng = np.random.default_rng([8100, self.CLASSES.index(cls)])
+        seen = set()
+        for n in np.repeat(np.arange(2, 13), 4):
+            m = class_model(rng, cls, int(n))
+            try:
+                points = enumerate_stationary(m)
+            except CubicminError:
+                continue
+            exact_tol = ApproxTolerances(m.default_tol_grad(), m.default_tol_psd())
+            loose = ApproxTolerances(m.default_tol_grad(), 1e-2 * (1.0 + m.Q.max_abs))
+            tight = ApproxTolerances(m.default_tol_grad(), 1e-14)
+            for p in points:
+                want = _escape_record(lambda: ref_escape(m, p, exact_tol))
+                assert _escape_record(lambda: escape_exact(m, p)) == want
+                seen.add(want[0])
+                for tol in (loose, tight):
+                    q = StationaryPoint.from_vector(m, p.s)
+                    want = _escape_record(lambda: ref_escape(m, q, tol))
+                    assert _escape_record(lambda: escape_approx(m, p.s, tol)) == want
+                    seen.add(want[0])
+        assert "NONE_GLOBAL" in seen
+        assert seen - {"NONE_GLOBAL"}, "no escape move or error was compared"
+
+    def test_threshold_matches_reference(self):
+        rng = np.random.default_rng(8200)
+        for n in np.repeat(np.arange(2, 13), 20):
+            m = class_model(rng, "generic", int(n))
+            s, d = rng.normal(size=m.n), rng.normal(size=m.n)
+            if m.c @ s > 0.0:
+                s = -s
+            try:
+                want = ref_alpha_threshold_biii(m, s, d).hex()
+            except NonNegativeCurvature as exc:
+                with pytest.raises(NonNegativeCurvature, match=f"^{re.escape(str(exc))}$"):
+                    alpha_threshold_biii(m, s, d)
+                continue
+            assert alpha_threshold_biii(m, s, d).hex() == want

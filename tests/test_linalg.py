@@ -1,5 +1,7 @@
 """Eigendecomposition and shifted-solve contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -412,6 +414,12 @@ class TestSafeNorm:
 
     def test_zero_vector(self):
         assert safe_norm(np.zeros(3)) == 0.0
+
+    @pytest.mark.parametrize("x", [[np.inf], [1.0, -np.inf, 2.0], [np.inf, 1e200, -np.inf]])
+    def test_infinite_entry_gives_inf(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert safe_norm(np.array(x)) == np.inf
 
 
 def test_eigendecomposition_repr_mentions_n():

@@ -11,7 +11,7 @@ from cubicmin.local_solver import LocalSolveReport, _newton_step, local_minimize
 from cubicmin.model import hess, is_global
 from cubicmin.stationary import enumerate_stationary
 
-from .helpers import random_controlled_model, random_model
+from .helpers import random_controlled_model, random_model, ref_local_minimize
 
 WORKED = CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
 
@@ -531,6 +531,8 @@ class TestReferenceParity:
             u = rng.normal(size=m.n)
             on_sphere = (min(1.0, 1.0 / m.sigma) / np.linalg.norm(u)) * u
             for s0 in (np.zeros(m.n), on_sphere, 1e3 * rng.normal(size=m.n)):
-                got = local_minimize(m, s0, eps_grad)
-                ref = _reference_local_minimize(m, s0, eps_grad)
-                assert _report_bytes(got) == _report_bytes(ref)
+                got = _report_bytes(local_minimize(m, s0, eps_grad))
+                assert got == _report_bytes(_reference_local_minimize(m, s0, eps_grad))
+                # The helpers' copy is the solve before the hot paths took
+                # ``a.dot(b)`` and ``np.add.reduce``.
+                assert got == _report_bytes(ref_local_minimize(m, s0, eps_grad))

@@ -1,13 +1,15 @@
 """Cubic model evaluation, derivatives, and the global certificate."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from cubicmin import CubicModel, SymmetricMatrix, eval_model, global_minimize, grad, hess, is_global
 from cubicmin import linalg
-from cubicmin.exceptions import ConvergenceError
+from cubicmin.escape import escape_exact
+from cubicmin.exceptions import ConvergenceError, NotStationary
 from cubicmin.model import GlobalCertificate, StationaryPoint
 
 from .helpers import np_eval, np_grad, random_model
@@ -186,6 +188,26 @@ class TestStationaryPoint:
             assert p.lam >= 0.0
             assert p.lam == m.sigma * np.linalg.norm(p.s)
 
+    def test_gradient_is_the_evaluated_gradient(self):
+        rng = np.random.default_rng(5)
+        for scale in (1e-3, 1.0, 1e3):
+            for _ in range(30):
+                m = random_model(rng)
+                p = StationaryPoint.from_vector(m, scale * rng.normal(size=m.n))
+                want = grad(m, p.s)
+                assert [v.hex() for v in p.gradient.tolist()] == [v.hex() for v in want.tolist()]
+                assert p.residual == linalg.safe_norm(p.gradient)
+                with pytest.raises(ValueError, match="read-only"):
+                    p.gradient[0] = 0.0
+
+    def test_global_lambda_is_the_points_lam(self):
+        rng = np.random.default_rng(6)
+        for _ in range(30):
+            m = random_model(rng)
+            sol = global_minimize(m)
+            assert sol.lambda_star.hex() == (m.sigma * linalg.safe_norm(sol.s_star)).hex()
+            assert sol.lambda_star.hex() == StationaryPoint.from_vector(m, sol.s_star).lam.hex()
+
 
 class TestIsGlobal:
     def test_convex_origin(self):
@@ -248,6 +270,18 @@ class TestObjectiveRange:
         p = StationaryPoint.from_vector(CubicModel([1.0], [[1.0]], 1.0), [1e103])
         assert p.objective == math.inf
         assert p.residual == 1e206
+
+    def test_norm_of_s_past_squares_range(self):
+        # ||s||^2 overflows past ||s|| ~ 1.3e154; the norm itself stays finite.
+        m = CubicModel([1.0], [[1.0]], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = StationaryPoint.from_vector(m, [1e160])
+            assert p.lam == 1e160
+            assert p.objective == math.inf
+            assert p.residual == math.inf
+            with pytest.raises(NotStationary, match=r"^residual inf exceeds "):
+                escape_exact(m, p)
 
     @pytest.mark.parametrize("x", [-1e50, 1e101])
     def test_in_range_objective_is_the_plain_evaluation(self, x):

@@ -40,6 +40,7 @@ from cubicmin.stationary import (
     subintervals,
 )
 
+from .helpers import class_model as _class_model
 from .helpers import min_second_difference, np_eval, np_psd_margin, np_residual, random_model
 
 WORKED = CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
@@ -315,29 +316,6 @@ def _outcome(solve, m):
     except CubicminError as exc:
         return type(exc).__name__
     return sol.lambda_star, sol.s_star.tobytes(), sol.hard_case
-
-
-def _class_model(rng, cls, n):
-    """generic, hard (beta_1 = 0), near_hard (beta_1 = 1e-9), zero_c,
-    scaled_Q (mu times 1e3 to 1e6) or tiny_sigma (sigma 1e-8 to 1e-4)."""
-    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    mu = np.sort(rng.uniform(-5.0, 5.0, size=n))
-    beta = rng.normal(size=n)
-    sigma = float(10.0 ** rng.uniform(-1.0, 1.0))
-    if cls in ("hard", "near_hard"):
-        mu[0] = min(mu[0], -0.1)
-        beta[0] = 0.0 if cls == "hard" else 1e-9
-        # Small enough sigma that the hard case binds.
-        free = float(np.linalg.norm(beta[1:] / (mu[1:] - mu[0]))) if n > 1 else 0.0
-        sigma = 0.5 * -mu[0] / max(free, 1e-12)
-    elif cls == "zero_c":
-        beta[:] = 0.0
-    elif cls == "scaled_Q":
-        mu = mu * 10.0 ** rng.uniform(3.0, 6.0)
-    elif cls == "tiny_sigma":
-        sigma = float(10.0 ** rng.uniform(-8.0, -4.0))
-    q = (v * mu) @ v.T
-    return CubicModel(v @ beta, (q + q.T) / 2.0, sigma)
 
 
 class TestSingleRootSearch:
