@@ -2,7 +2,8 @@
 
 Commands: solve, stationary, escape, minimize, bench, profile.  Exit
 codes: 0 success, 1 input or schema error, 2 solver error.  Output goes
-to stdout or to --out; --format selects human text or JSON.  All output
+to stdout or to --out; --format selects human text or JSON for the
+report commands, and bench and profile always write CSV.  All output
 is plain (no ANSI color), so NO_COLOR is honored by construction.
 """
 
@@ -205,6 +206,33 @@ def _write_output(args, text):
         sys.stdout.write(text)
 
 
+def _emit(args, record, render_text):
+    # The one reader of --format: the record as JSON, or the lines that
+    # render_text makes of it, so structured output never formats them.
+    if args.format == "structured":
+        _write_output(args, json.dumps(record, indent=2) + "\n")
+    else:
+        _write_output(args, "\n".join(render_text(record)) + "\n")
+
+
+def _emit_csv(args, rows):
+    # bench and profile write CSV whatever --format says.
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    _write_output(args, buf.getvalue())
+
+
+def _report(name, wall_ms, fields):
+    # The envelope of the solve, escape and minimize records; wall_ms comes
+    # last in the record.
+    return {"tool": "cubicmin", "version": __version__, "name": name, **fields,
+            "wall_ms": wall_ms}
+
+
+def _ms_since(t0):
+    return (time.perf_counter() - t0) * 1000.0
+
+
 def _parse_vector(text, n, what):
     # "1,,0" or a leading or trailing comma is a typo, not a shorter vector.
     if any(not field.strip() for field in text.split(",")):
@@ -225,44 +253,8 @@ def _json_vector(v):
     return np.asarray(v, dtype=float).reshape(-1).tolist()
 
 
-def _result_record(m, name, method, sol, trace, wall_ms):
-    cases = [step[1] for step in trace.steps] if trace is not None else []
-    return {
-        "tool": "cubicmin",
-        "version": __version__,
-        "name": name,
-        "n": m.n,
-        "method": method,
-        "solution": _json_vector(sol.s_star),
-        "lambda": float(sol.lambda_star),
-        "objective": float(sol.objective),
-        "psd_margin": float(sol.certificate.psd_margin),
-        "residual": float(sol.certificate.residual),
-        "is_global": bool(sol.certificate.is_global),
-        "hard_case": bool(sol.hard_case),
-        "escape_count": trace.escape_count if trace is not None else 0,
-        "escape_cases": cases,
-        "wall_ms": wall_ms,
-    }
-
-
-def _format_record_text(rec):
-    lines = [
-        f"problem   {rec['name'] or '(unnamed)'}  (n = {rec['n']})",
-        f"method    {rec['method']}",
-        f"objective {rec['objective']:.12g}",
-        f"lambda    {rec['lambda']:.12g}",
-        "solution  [" + ", ".join(f"{v:.12g}" for v in rec["solution"]) + "]",
-        f"certificate  residual {rec['residual']:.3e}  psd_margin "
-        f"{rec['psd_margin']:.3e}  global {rec['is_global']}",
-        f"hard_case {rec['hard_case']}",
-    ]
-    if rec["method"] == "escapes":
-        lines.append(
-            f"escapes   {rec['escape_count']}  cases {' '.join(rec['escape_cases'])}"
-        )
-    lines.append(f"wall_ms   {rec['wall_ms']:.3f}")
-    return "\n".join(lines) + "\n"
+def _text_vector(values, spec):
+    return "[" + ", ".join(format(v, spec) for v in values) + "]"
 
 
 def _cmd_solve(args):
@@ -273,18 +265,44 @@ def _cmd_solve(args):
     m, name = load_problem(args.problem)
     t0 = time.perf_counter()
     if args.method == "secular":
-        sol = global_minimize(m)
-        trace = None
+        sol, escape_count, cases = global_minimize(m), 0, []
     else:
-        rng = np.random.default_rng(args.seed)
-        s0 = rng.normal(size=m.n)
+        s0 = np.random.default_rng(args.seed).normal(size=m.n)
         sol, trace = solve_via_escapes(m, s0, eps_grad=args.eps, eps_curv=args.eps2)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    rec = _result_record(m, name, args.method, sol, trace, wall_ms)
-    if args.format == "structured":
-        _write_output(args, json.dumps(rec, indent=2) + "\n")
-    else:
-        _write_output(args, _format_record_text(rec))
+        escape_count, cases = trace.escape_count, [step[1] for step in trace.steps]
+    cert = sol.certificate
+    rec = _report(name, _ms_since(t0), {
+        "n": m.n,
+        "method": args.method,
+        "solution": _json_vector(sol.s_star),
+        "lambda": float(sol.lambda_star),
+        "objective": float(sol.objective),
+        "psd_margin": float(cert.psd_margin),
+        "residual": float(cert.residual),
+        "is_global": bool(cert.is_global),
+        "hard_case": bool(sol.hard_case),
+        "escape_count": escape_count,
+        "escape_cases": cases,
+    })
+
+    def text(rec):
+        lines = [
+            f"problem   {rec['name'] or '(unnamed)'}  (n = {rec['n']})",
+            f"method    {rec['method']}",
+            f"objective {rec['objective']:.12g}",
+            f"lambda    {rec['lambda']:.12g}",
+            "solution  " + _text_vector(rec["solution"], ".12g"),
+            f"certificate  residual {rec['residual']:.3e}  psd_margin "
+            f"{rec['psd_margin']:.3e}  global {rec['is_global']}",
+            f"hard_case {rec['hard_case']}",
+        ]
+        if rec["method"] == "escapes":
+            lines.append(
+                f"escapes   {rec['escape_count']}  cases {' '.join(rec['escape_cases'])}"
+            )
+        return lines + [f"wall_ms   {rec['wall_ms']:.3f}"]
+
+    _emit(args, rec, text)
     return 0
 
 
@@ -300,39 +318,38 @@ def _cmd_stationary(args):
         if not any(abs(p.lam - q) <= 1e-9 * (1.0 + abs(q)) for q in distinct):
             distinct.append(p.lam)
     tol_grad, tol_psd = m.default_tol_grad(), m.default_tol_psd()
-    rows = []
-    for p in points:
-        cert = model_mod._certificate(m, p, tol_grad, tol_psd)
-        rows.append(
+    rec = {
+        "name": name,
+        "n": m.n,
+        "points": [
             {
                 "lambda": float(p.lam),
                 "norm": linalg.norm(p.s),
                 "objective": float(p.objective),
-                "is_global": bool(cert.is_global),
+                "is_global": bool(model_mod._certificate(m, p, tol_grad, tol_psd).is_global),
                 "s": _json_vector(p.s),
             }
-        )
-    if args.format == "structured":
-        payload = {
-            "name": name,
-            "n": m.n,
-            "points": rows,
-            "distinct_lambdas": len(distinct),
-            "bound": bound,
-        }
-        _write_output(args, json.dumps(payload, indent=2) + "\n")
-        return 0
-    lines = [f"{'lambda':>14}  {'|s|':>12}  {'m(s)':>16}  global"]
-    for r in rows:
+            for p in points
+        ],
+        "distinct_lambdas": len(distinct),
+        "bound": bound,
+    }
+
+    def text(rec):
+        rows = rec["points"]
+        lines = [f"{'lambda':>14}  {'|s|':>12}  {'m(s)':>16}  global"]
+        for r in rows:
+            lines.append(
+                f"{r['lambda']:>14.8g}  {r['norm']:>12.8g}  {r['objective']:>16.10g}  "
+                f"{'yes' if r['is_global'] else 'no'}"
+            )
         lines.append(
-            f"{r['lambda']:>14.8g}  {r['norm']:>12.8g}  {r['objective']:>16.10g}  "
-            f"{'yes' if r['is_global'] else 'no'}"
+            f"{rec['distinct_lambdas']} distinct multiplier(s) among {len(rows)} point(s); "
+            f"bound 2(k+1) = {rec['bound']}"
         )
-    lines.append(
-        f"{len(distinct)} distinct multiplier(s) among {len(rows)} point(s); "
-        f"bound 2(k+1) = {bound}"
-    )
-    _write_output(args, "\n".join(lines) + "\n")
+        return lines
+
+    _emit(args, rec, text)
     return 0
 
 
@@ -343,8 +360,7 @@ def _cmd_escape(args):
     point = _parse_vector(args.point, m.n, "--point")
     t0 = time.perf_counter()
     if args.eps is None:
-        sp = StationaryPoint.from_vector(m, point)
-        out = escape_mod.escape_exact(m, sp)
+        out = escape_mod.escape_exact(m, StationaryPoint.from_vector(m, point))
         mode = "exact"
     else:
         eps2 = args.eps2 if args.eps2 is not None else m.default_tol_psd()
@@ -352,27 +368,23 @@ def _cmd_escape(args):
             m, point, escape_mod.ApproxTolerances(eps_grad=args.eps, eps_curv=eps2)
         )
         mode = "approx"
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    rec = {
-        "tool": "cubicmin",
-        "version": __version__,
-        "name": name,
+    rec = _report(name, _ms_since(t0), {
         "mode": mode,
         "case": out.case_tag,
         "s_hat": None if out.s_hat is None else _json_vector(out.s_hat),
         "decrease": float(out.decrease),
-        "wall_ms": wall_ms,
-    }
-    if args.format == "structured":
-        _write_output(args, json.dumps(rec, indent=2) + "\n")
-        return 0
-    lines = [f"case      {rec['case']}  ({mode} tests)"]
-    if rec["s_hat"] is not None:
-        lines.append("s_hat     [" + ", ".join(f"{v:.12g}" for v in rec["s_hat"]) + "]")
-        lines.append(f"decrease  {rec['decrease']:.12g}")
-    else:
-        lines.append("the point is a certified global minimizer; no escape exists")
-    _write_output(args, "\n".join(lines) + "\n")
+    })
+
+    def text(rec):
+        lines = [f"case      {rec['case']}  ({mode} tests)"]
+        if rec["s_hat"] is None:
+            return lines + ["the point is a certified global minimizer; no escape exists"]
+        return lines + [
+            "s_hat     " + _text_vector(rec["s_hat"], ".12g"),
+            f"decrease  {rec['decrease']:.12g}",
+        ]
+
+    _emit(args, rec, text)
     return 0
 
 
@@ -397,63 +409,47 @@ def _cmd_minimize(args):
     )
     t0 = time.perf_counter()
     report = arc_plus_minimize(f, x0, _VARIANTS[args.variant], opts)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    rec = {
-        "tool": "cubicmin",
-        "version": __version__,
-        "name": f.name,
+    rec = _report(f.name, _ms_since(t0), {
         "variant": report.variant,
         "converged": bool(report.converged),
         "iterations": report.iterations,
         "f_final": float(report.f_final),
         "grad_inf_norm": float(report.grad_inf_norm),
         "x_final": _json_vector(report.x_final),
-        "wall_ms": wall_ms,
-    }
-    if args.format == "structured":
-        _write_output(args, json.dumps(rec, indent=2) + "\n")
-    else:
-        lines = [
+    })
+
+    def text(rec):
+        return [
             f"objective {f.name}  (n = {f.n}, variant {report.variant})",
             f"converged {rec['converged']} after {rec['iterations']} iterations",
             f"f_final   {rec['f_final']:.12g}",
             f"grad_inf  {rec['grad_inf_norm']:.3e}",
-            "x_final   [" + ", ".join(f"{v:.9g}" for v in rec["x_final"]) + "]",
-            f"wall_ms   {wall_ms:.3f}",
+            "x_final   " + _text_vector(rec["x_final"], ".9g"),
+            f"wall_ms   {rec['wall_ms']:.3f}",
         ]
-        _write_output(args, "\n".join(lines) + "\n")
+
+    _emit(args, rec, text)
     return 0 if report.converged else 2
 
 
 def _bench_cell(spec_text, variant, seed):
+    # One CSV row, in _BENCH_HEADER order.  A cell that raises gets the
+    # failure row: not converged, 0 iterations, NaN results, the error class.
     t0 = time.perf_counter()
-    # The failure row; a run that finishes overrides its result fields.
-    row = {
-        "name": os.path.basename(spec_text),
-        "n": 0,
-        "variant": variant,
-        "seed": seed,
-        "converged": False,
-        "iterations": 0,
-        "f_final": math.nan,
-        "grad_inf_norm": math.nan,
-        "error": "",
-    }
     try:
         f = _load_objective(spec_text)
         report = arc_plus_minimize(f, f.x0, variant, ArcOptions(seed=seed))
-        row.update(
-            name=f.name,
-            n=f.n,
-            converged=report.converged,
-            iterations=report.iterations,
-            f_final=report.f_final,
-            grad_inf_norm=report.grad_inf_norm,
-        )
+        name, n, error = f.name, f.n, ""
+        converged, iterations = report.converged, report.iterations
+        f_final, grad_inf_norm = report.f_final, report.grad_inf_norm
     except Exception as exc:
-        row["error"] = type(exc).__name__
-    row["wall_ms"] = (time.perf_counter() - t0) * 1000.0
-    return row
+        name, n, error = os.path.basename(spec_text), 0, type(exc).__name__
+        converged, iterations, f_final, grad_inf_norm = False, 0, math.nan, math.nan
+    wall_ms = _ms_since(t0)
+    return [
+        name, n, variant, seed, "true" if converged else "false", iterations,
+        repr(float(f_final)), repr(float(grad_inf_norm)), f"{wall_ms:.3f}", error,
+    ]
 
 
 def _suite_members(suite):
@@ -495,14 +491,11 @@ def _parse_seeds(text):
 
 def _cmd_bench(args):
     members = _suite_members(args.suite)
-    variants = []
-    for v in args.variants.split(","):
-        v = v.strip().lower()
-        if not v:
-            continue
+    variants = [v.strip().lower() for v in args.variants.split(",") if v.strip()]
+    for v in variants:
         if v not in _VARIANTS:
             raise SchemaError("--variants", f"unknown variant {v!r}")
-        variants.append(_VARIANTS[v])
+    variants = [_VARIANTS[v] for v in variants]
     if not variants:
         raise SchemaError("--variants", "empty variant list")
     seeds = _parse_seeds(args.seeds)
@@ -514,19 +507,8 @@ def _cmd_bench(args):
             rows = list(pool.map(_bench_cell, *zip(*cells)))
     else:
         rows = [_bench_cell(*cell) for cell in cells]
-    rows.sort(key=lambda r: (r["name"], r["variant"], r["seed"]))
-
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=_BENCH_HEADER, lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        out = dict(row)
-        out["converged"] = "true" if row["converged"] else "false"
-        out["f_final"] = repr(float(row["f_final"]))
-        out["grad_inf_norm"] = repr(float(row["grad_inf_norm"]))
-        out["wall_ms"] = f"{row['wall_ms']:.3f}"
-        writer.writerow(out)
-    _write_output(args, buf.getvalue())
+    rows.sort(key=lambda r: (r[0], r[2], r[3]))  # name, variant, seed
+    _emit_csv(args, [_BENCH_HEADER] + rows)
     return 0
 
 
@@ -545,12 +527,9 @@ def _cmd_profile(args):
             reports.append((key, row["variant"], iters))
     table = performance_profile(reports)
     variants = sorted(table.curves)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["tau"] + variants)
-    for i, tau in enumerate(table.taus):
-        writer.writerow([f"{tau:.6g}"] + [f"{table.curves[v][i]:.6g}" for v in variants])
-    _write_output(args, buf.getvalue())
+    rows = [[f"{tau:.6g}"] + [f"{table.curves[v][i]:.6g}" for v in variants]
+            for i, tau in enumerate(table.taus)]
+    _emit_csv(args, [["tau"] + variants] + rows)
     return 0
 
 
@@ -575,30 +554,23 @@ def _fuse_negative_vectors(argv):
     space-separated form.
     """
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        nxt = argv[i + 1] if i + 1 < len(argv) else None
+    for tok in argv:
         if (
-            tok in _VECTOR_FLAGS
-            and nxt is not None
-            and len(nxt) >= 2
-            and nxt[0] == "-"
-            and (nxt[1].isdigit() or nxt[1] == ".")
+            out
+            and out[-1] in _VECTOR_FLAGS
+            and len(tok) >= 2
+            and tok[0] == "-"
+            and (tok[1].isdigit() or tok[1] == ".")
         ):
-            out.append(f"{tok}={nxt}")
-            i += 2
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv=None):
-    parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_fuse_negative_vectors(list(argv)))
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_fuse_negative_vectors(argv))
     try:
         return _COMMANDS[args.command](args)
     except (SchemaError, OSError, EmptyInput) as exc:

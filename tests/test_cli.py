@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -174,6 +175,23 @@ class TestSolve:
         assert out.stderr.count("\n") == 1
         assert not out.stdout
 
+    @pytest.mark.parametrize("warnings", [None, "error"])
+    def test_local_solve_past_range_exit_2(self, tmp_path, warnings):
+        # ||g||^2 and g.d overflow from the first iterate: the local solve
+        # reports its stall without a NumPy warning.
+        path = tmp_path / "objective_out_of_range.json"
+        path.write_text('{"n": 2, "c": [1e300, 2e300], "Q": [[1e50, 0], [0, 3e50]], "sigma": 1}\n')
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        if warnings:
+            env["PYTHONWARNINGS"] = warnings
+        out = run_cli("solve", str(path), "--method", "escapes", env=env)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            "cubicmin: solver error: ConvergenceError: local solve stalled at residual"
+            " 2.236e+300 (target 2.236e+292)\n"
+        )
+
     def test_escapes_minimizer_near_1e_200(self, tmp_path):
         # The gradient at the N(0, 1) start is about 1e200 and lambda* is
         # 1e-200; neither may warn or print lambda 0.
@@ -293,6 +311,8 @@ class TestStationary:
         assert out.returncode == 0
         rec = json.loads(out.stdout)
         assert len(rec["points"]) == 5
+        # 1e-9 (1 + |lam|) merges the four multipliers near 1 into one.
+        assert rec["distinct_lambdas"] == 2
         assert rec["bound"] == 6
 
     def test_convex_zero_c(self, problem_dir):
@@ -755,3 +775,311 @@ class TestInProcess:
             got = in_process(*args)
             assert got == first_call(*args)
             assert got[0] == code
+
+
+def _mask_wall_ms(text):
+    # wall_ms is the one field that varies from run to run.
+    return re.sub(r'(wall_ms"?:? +)[0-9.e+-]+', r"\1X", text)
+
+
+# Exact stdout of each report command, with wall_ms masked.  The fixtures'
+# Q are diagonal, so eigh is exact and the bytes do not depend on the BLAS
+# build.
+_GOLDEN_STDOUT = {
+    ("solve", "worked", "secular", "text"): """\
+problem   worked  (n = 2)
+method    secular
+objective -5
+lambda    3
+solution  [0.5, 2.95803989155]
+certificate  residual 0.000e+00  psd_margin 0.000e+00  global True
+hard_case True
+wall_ms   X
+""",
+    ("solve", "worked", "secular", "structured"): """\
+{
+  "tool": "cubicmin",
+  "version": "0.1.0",
+  "name": "worked",
+  "n": 2,
+  "method": "secular",
+  "solution": [
+    0.5,
+    2.958039891549808
+  ],
+  "lambda": 3.0,
+  "objective": -5.000000000000002,
+  "psd_margin": 0.0,
+  "residual": 0.0,
+  "is_global": true,
+  "hard_case": true,
+  "escape_count": 0,
+  "escape_cases": [],
+  "wall_ms": X
+}
+""",
+    ("solve", "oned", "secular", "text"): """\
+problem   (unnamed)  (n = 1)
+method    secular
+objective -0.666666666667
+lambda    1
+solution  [-1]
+certificate  residual 0.000e+00  psd_margin 1.000e+00  global True
+hard_case False
+wall_ms   X
+""",
+    ("solve", "worked", "escapes", "text"): """\
+problem   worked  (n = 2)
+method    escapes
+objective -5
+lambda    3
+solution  [0.5, -2.95803989155]
+certificate  residual 0.000e+00  psd_margin 0.000e+00  global True
+hard_case False
+escapes   0  cases NONE_GLOBAL
+wall_ms   X
+""",
+    ("solve", "worked", "escapes", "structured"): """\
+{
+  "tool": "cubicmin",
+  "version": "0.1.0",
+  "name": "worked",
+  "n": 2,
+  "method": "escapes",
+  "solution": [
+    0.5,
+    -2.958039891549808
+  ],
+  "lambda": 3.0,
+  "objective": -5.000000000000002,
+  "psd_margin": 0.0,
+  "residual": 0.0,
+  "is_global": true,
+  "hard_case": false,
+  "escape_count": 0,
+  "escape_cases": [
+    "NONE_GLOBAL"
+  ],
+  "wall_ms": X
+}
+""",
+    ("stationary", "worked", "text"): """\
+        lambda           |s|              m(s)  global
+             1             1      -1.166666667  no
+             3             3                -5  yes
+             3             3                -5  yes
+2 distinct multiplier(s) among 3 point(s); bound 2(k+1) = 4
+""",
+    ("stationary", "indefzero", "structured"): """\
+{
+  "name": null,
+  "n": 2,
+  "points": [
+    {
+      "lambda": 0.0,
+      "norm": 0.0,
+      "objective": 0.0,
+      "is_global": false,
+      "s": [
+        0.0,
+        0.0
+      ]
+    },
+    {
+      "lambda": 1.0,
+      "norm": 1.0,
+      "objective": -0.16666666666666669,
+      "is_global": true,
+      "s": [
+        1.0,
+        0.0
+      ]
+    },
+    {
+      "lambda": 1.0,
+      "norm": 1.0,
+      "objective": -0.16666666666666669,
+      "is_global": true,
+      "s": [
+        -1.0,
+        0.0
+      ]
+    }
+  ],
+  "distinct_lambdas": 2,
+  "bound": 4
+}
+""",
+    ("escape", "exact", "text"): """\
+case      B_III  (exact tests)
+s_hat     [0.6, -0.8]
+decrease  0.48
+""",
+    ("escape", "exact", "structured"): """\
+{
+  "tool": "cubicmin",
+  "version": "0.1.0",
+  "name": "worked",
+  "mode": "exact",
+  "case": "B_III",
+  "s_hat": [
+    0.6,
+    -0.8
+  ],
+  "decrease": 0.4800000000000002,
+  "wall_ms": X
+}
+""",
+    ("escape", "global", "text"): """\
+case      NONE_GLOBAL  (exact tests)
+the point is a certified global minimizer; no escape exists
+""",
+    ("escape", "global", "structured"): """\
+{
+  "tool": "cubicmin",
+  "version": "0.1.0",
+  "name": "worked",
+  "mode": "exact",
+  "case": "NONE_GLOBAL",
+  "s_hat": null,
+  "decrease": 0.0,
+  "wall_ms": X
+}
+""",
+    ("escape", "approx", "text"): """\
+case      B_III  (approx tests)
+s_hat     [0.6006, -0.8008]
+decrease  0.48176128
+""",
+    ("escape", "approx", "structured"): """\
+{
+  "tool": "cubicmin",
+  "version": "0.1.0",
+  "name": "worked",
+  "mode": "approx",
+  "case": "B_III",
+  "s_hat": [
+    0.6006,
+    -0.8007999999999998
+  ],
+  "decrease": 0.48176127999999974,
+  "wall_ms": X
+}
+""",
+}
+
+
+class TestGoldenContract:
+    """Exact stdout, stderr and exit code of ``cli.main`` (wall_ms masked).
+
+    Report bytes are pinned where the fixtures make them exact; for
+    minimize, bench and profile, whose floats come from iterative solves,
+    the key order, CSV header and row shape are pinned instead.
+    """
+
+    @pytest.fixture
+    def run(self, problem_dir, capsys):
+        from cubicmin import cli
+
+        fixtures = ("worked", "oned", "indefzero", "asym")
+
+        def run(*args):
+            args = [str(problem_dir / f"{a}.json") if a in fixtures else a for a in args]
+            try:
+                code = cli.main(args)
+            except SystemExit as exc:
+                code = exc.code
+            got = capsys.readouterr()
+            return code, _mask_wall_ms(got.out), got.err
+
+        return run
+
+    @pytest.mark.parametrize("key", [k for k in _GOLDEN_STDOUT if k[0] == "solve"])
+    def test_solve(self, run, key):
+        _, fixture, method, fmt = key
+        seed = ("--seed", "3") if method == "escapes" else ()
+        got = run("solve", fixture, "--method", method, *seed, "--format", fmt)
+        assert got == (0, _GOLDEN_STDOUT[key], "")
+
+    @pytest.mark.parametrize("key", [k for k in _GOLDEN_STDOUT if k[0] == "stationary"])
+    def test_stationary(self, run, key):
+        _, fixture, fmt = key
+        assert run("stationary", fixture, "--format", fmt) == (0, _GOLDEN_STDOUT[key], "")
+
+    _ESCAPE_ARGS = {
+        "exact": ("--point", "1,0"),
+        "global": ("--point", "0.5,2.958039891549808"),
+        "approx": ("--point", "1.001,0", "--eps", "1.0", "--eps2", "0.1"),
+    }
+
+    @pytest.mark.parametrize("key", [k for k in _GOLDEN_STDOUT if k[0] == "escape"])
+    def test_escape(self, run, key):
+        _, move, fmt = key
+        got = run("escape", "worked", *self._ESCAPE_ARGS[move], "--format", fmt)
+        assert got == (0, _GOLDEN_STDOUT[key], "")
+
+    @pytest.mark.parametrize(
+        "args, code, err",
+        [
+            (("solve", "asym"), 1,
+             "cubicmin: error: Q[0][1]: entry 0.5 differs from Q[1][0] = 0.0 beyond the"
+             " 1e-9 relative symmetry tolerance\n"),
+            (("solve", "worked", "--eps2", "0.1"), 1,
+             "cubicmin: error: --eps2: applies only to --method escapes\n"),
+            (("escape", "worked", "--point", "1,0", "--eps2", "5"), 1,
+             "cubicmin: error: --eps2: applies only with --eps (the approximate tests)\n"),
+            (("escape", "worked", "--point", "0.5,0.5"), 2,
+             "cubicmin: solver error: NotStationary: residual 1.6213203435596426 exceeds"
+             " 3.0000000000000004e-08\n"),
+            (("escape", "worked", "--point", "1.001,0", "--eps", "1e-6", "--eps2", "0.1"), 2,
+             "cubicmin: solver error: NotStationary: residual 0.0030009999999995873"
+             " exceeds 1e-06\n"),
+            (("minimize", "nosuch"), 1,
+             "cubicmin: error: objective: unknown problem 'nosuch'; registered: quartic_nc4,"
+             " rosen_coupled6, rosenbrock10, rosenbrock2, sphere2\n"),
+            (("bench", "sphere2", "--variants", "foo", "--jobs", "1"), 1,
+             "cubicmin: error: --variants: unknown variant 'foo'\n"),
+            (("profile", "worked"), 1, "cubicmin: error: name: missing bench CSV column\n"),
+        ],
+    )
+    def test_error_line(self, run, args, code, err):
+        assert run(*args) == (code, "", err)
+
+    def test_minimize_shape(self, run):
+        code, out, err = run("minimize", "sphere2", "--x0", "-3,4", "--max-iters", "1",
+                             "--format", "structured")
+        assert (code, err) == (2, "")
+        assert list(json.loads(out.replace("X", "0"))) == [
+            "tool", "version", "name", "variant", "converged", "iterations",
+            "f_final", "grad_inf_norm", "x_final", "wall_ms",
+        ]
+        code, out, err = run("minimize", "sphere2", "--x0", "-3,4", "--max-iters", "1")
+        assert (code, err) == (2, "")
+        assert [line.split()[0] for line in out.splitlines()] == [
+            "objective", "converged", "f_final", "grad_inf", "x_final", "wall_ms",
+        ]
+        assert out.startswith("objective sphere2  (n = 2, variant ARC_PLUS)\n"
+                              "converged False after 1 iterations\n")
+        assert out.endswith("wall_ms   X\n")
+
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_bench_and_profile_shape(self, run, tmp_path, fmt):
+        # Both write CSV whatever --format says.
+        code, out, err = run("bench", "sphere2", "--seeds", "2", "--jobs", "1",
+                             "--format", fmt)
+        assert (code, err) == (0, "")
+        lines = out.splitlines(keepends=True)
+        assert lines[0] == BENCH_HEADER + "\n"
+        assert [line.split(",")[:6] for line in lines[1:]] == [
+            ["sphere2", "2", variant, seed, "true", iters]
+            for variant, iters in (("ARC", "5"), ("ARC_PLUS", "5"))
+            for seed in ("0", "1")
+        ]
+        for line in lines[1:]:
+            fields = line.rstrip("\n").split(",")
+            assert len(fields) == 10 and fields[-1] == ""
+            assert fields[6] == repr(float(fields[6]))
+            assert re.fullmatch(r"[0-9]+\.[0-9]{3}", fields[8])
+        src = tmp_path / "bench.csv"
+        src.write_text(out)
+        assert run("profile", str(src), "--format", fmt) == (0, "tau,ARC,ARC_PLUS\n1,1,1\n", "")

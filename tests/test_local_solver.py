@@ -1,5 +1,7 @@
 """Armijo descent with opportunistic Newton steps on the cubic model."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -375,6 +377,33 @@ class TestCoercivityGuard:
         assert np.array_equal(iterates[0], s0)
         for s in iterates[10:]:
             assert np.linalg.norm(s) <= radius
+
+
+class TestDoubleRange:
+    def test_past_range_reports_without_warning(self):
+        # ||g||^2 and g.d overflow from the first iterate; the report has the
+        # bits the solve gave before it silenced the warnings.
+        m = CubicModel([1e300, 2e300], [[1e50, 0.0], [0.0, 3e50]], 1.0)
+        s0 = np.array([0.3, -0.7])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = local_minimize(m, s0)
+        assert not rep.converged
+        assert f"{rep.residual:.3e}" == "2.236e+300"
+        with np.errstate(all="ignore"):
+            assert _report_bytes(rep) == _report_bytes(ref_local_minimize(m, s0))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_in_range_solve_never_enters_errstate(self, monkeypatch, seed):
+        rng = np.random.default_rng(6100 + seed)
+        m = random_model(rng, n=int(rng.integers(1, 8)))
+        s0 = 1e3 * rng.normal(size=m.n)
+
+        def refused(**kwargs):
+            raise AssertionError("np.errstate entered on an in-range solve")
+
+        monkeypatch.setattr(np, "errstate", refused)
+        assert local_minimize(m, s0).converged
 
 
 # The local solve as it was before each iterate kept its ||s||, Q s and
