@@ -565,3 +565,20 @@ class TestReferenceParity:
                 # The helpers' copy is the solve before the hot paths took
                 # ``a.dot(b)`` and ``np.add.reduce``.
                 assert got == _report_bytes(ref_local_minimize(m, s0, eps_grad))
+
+    @pytest.mark.parametrize("e", range(30, 60, 2))
+    def test_stalled_reports_byte_equal(self, e):
+        # c = (10^e, -10^e) keeps every term in double range, but the line
+        # search cannot reach the minimizer's radius from a unit start, so
+        # most of these solves end where no candidate decreases m.
+        rng = np.random.default_rng([7100, e])
+        for q in (np.eye(2), np.diag([-1.0, 2.0]), np.diag([1e-3, 5.0])):
+            m = CubicModel([float(10**e), -float(10**e)], q, 1.0)
+            for _ in range(4):
+                u = rng.normal(size=2)
+                s0 = u / np.linalg.norm(u)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = _report_bytes(local_minimize(m, s0))
+                    assert got == _report_bytes(_reference_local_minimize(m, s0))
+                    assert got == _report_bytes(ref_local_minimize(m, s0))
