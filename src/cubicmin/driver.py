@@ -222,7 +222,7 @@ def _sphere_start(rng, n, sigma):
     return (min(1.0, 1.0 / sigma) / nv) * v
 
 
-def _check_step_can_move(x, m, gnorm):
+def _check_step_can_move(x, m):
     """Raise ConvergenceError when no step of ``m`` or a later model can move x.
 
     Every stationary point of m, and its Cauchy step, has ``||s|| <= R =
@@ -234,7 +234,7 @@ def _check_step_can_move(x, m, gnorm):
     """
     mu = m.eig.values
     q = max(-float(mu[0]), float(mu[-1]))
-    radius = (q + math.sqrt(q * q + 4.0 * m.sigma * gnorm)) / (2.0 * m.sigma)
+    radius = (q + math.sqrt(q * q + 4.0 * m.sigma * m.norm_c)) / (2.0 * m.sigma)
     resolution = 0.5 * float(np.spacing(np.abs(x)).min())
     if radius < resolution:
         raise ConvergenceError(
@@ -309,12 +309,9 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         if hess_x is None:
             hess_x = SymmetricMatrix(f.hess(x))
         m = CubicModel(g, hess_x, sigma)
-        # Past ||g|| ~ 1.3e154 its square overflows: gnorm is inf, unwarned.
-        with np.errstate(over="ignore"):
-            gnorm = linalg.norm(g)
-        eps_inner = max(min(0.01, 0.1 * gnorm) * gnorm, 1e-12)
+        eps_inner = max(min(0.01, 0.1 * m.norm_c) * m.norm_c, 1e-12)
         s_c = cauchy_step(m)
-        if gnorm == math.inf and math.isinf(m.norm_c * linalg.safe_norm(s_c)):
+        if math.isinf(m.norm_c * linalg.safe_norm(s_c)):
             # s_c = -t*g, so |c's_c| = ||g|| ||s_c||: m(s_c) is out of range.
             raise ConvergenceError(
                 f"gradient norm {m.norm_c:.3e}: the model's linear term "
@@ -351,7 +348,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
                 if rho >= _ETA2:
                     sigma = max(sigma / 2.0, _SIGMA_MIN)
                 continue
-        _check_step_can_move(x, m, gnorm)
+        _check_step_can_move(x, m)
         sigma = 2.0 * sigma
 
     return OuterReport(

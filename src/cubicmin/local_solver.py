@@ -57,41 +57,46 @@ class LocalSolveReport:
     step_counts: dict = field(default_factory=dict)
 
 
-def _newton_step(m, s, norm_s, g, shifted=False):
-    """Newton direction ``-(H + delta*I)^{-1} g`` in Q's eigenbasis, or None.
+def _newton_step(m, s, norm_s, g):
+    """The Newton-type step of one iterate: ``(kind, direction)``.
 
-    ``norm_s`` is ``linalg.norm(s)``, which the caller already holds.
-    ``H + delta*I = V (diag(D) + rho*u*u^T) V^T`` with ``D = mu +
-    sigma*||s|| + delta``, ``u = V^T s`` and ``rho = sigma/||s||`` (0 at
-    s = 0): a diagonal solve plus a Sherman-Morrison correction.  The plain
-    step (``delta = 0``) returns None unless the matrix is positive
-    definite, which by interlacing means every D_i is positive, or only
-    D_1 is negative and ``1 + rho*u^T D^{-1} u`` is negative; a D_i or
-    that denominator within a relative tolerance of 0 also gives None, so
-    a singular positive semidefinite H yields no step.  D ascends with
-    ``mu``, so these tests read only ``D_1``, ``D_2`` and ``D_n``.  The
-    shifted step has ``delta = -2*shift``, ``shift = D_1 = mu_1 +
-    sigma*||s||``; it is None when ``shift >= 0`` and otherwise every D_i
-    is at least ``|shift|``.
+    ``norm_s`` is ``linalg.norm(s)``, which the caller already holds.  In
+    Q's eigenbasis the Hessian is ``H = V (diag(D) + rho*u*u^T) V^T`` with
+    ``D = mu + sigma*||s||``, ``u = V^T s`` and ``rho = sigma/||s||`` (0 at
+    s = 0).  The kind is ``"newton"``, direction ``-H^{-1} g``, when H is
+    positive definite: by interlacing every D_i is positive, or only D_1
+    is negative and ``1 + rho*u^T D^{-1} u`` is negative; a D_i or that
+    denominator within a relative tolerance of 0 counts as singular, so a
+    singular positive semidefinite H gives no Newton step.  D ascends with
+    ``mu``, so these tests read only ``D_1``, ``D_2`` and ``D_n``.
+    Otherwise, where ``shift = D_1`` is negative, the kind is
+    ``"shifted"``, direction ``-(H - 2*shift*I)^{-1} g``: every D_i is
+    then at least ``|shift|``.  Otherwise it is ``(None, None)``.
     """
     d = m.eig.values + m.sigma * norm_s
-    if shifted:
-        if d[0] >= 0.0:
-            return None
-        d = d - 2.0 * d[0]
-    elif m.n > 1 and d[1] < 0.0:
-        return None
-    else:
-        # At most D_1 is negative, so the least |D_i| is |D_1| or D_2 and
-        # the greatest is |D_1| or |D_n|.
-        least = min(abs(d[0]), abs(d[1])) if m.n > 1 else abs(d[0])
-        if least <= _PD_RTOL * (max(abs(d[0]), abs(d[-1])) + m.sigma * norm_s):
-            return None
+    d_1, d_n = float(d[0]), float(d[-1])
+    d_2 = float(d[1]) if m.n > 1 else math.inf
     V = m.eig.vectors
-    u = V.T.dot(s)
-    du = u / d
-    dh = V.T.dot(g) / d
+    u, vg = V.T.dot(s), V.T.dot(g)
     rho = m.sigma / norm_s if norm_s else 0.0
+    # With D_2 >= 0 at most D_1 is negative, so the least |D_i| is |D_1| or
+    # D_2 and the greatest is |D_1| or |D_n|.
+    if d_2 >= 0.0 and min(abs(d_1), d_2) > _PD_RTOL * (max(abs(d_1), abs(d_n)) + m.sigma * norm_s):
+        direction = _solve(V, d, u, vg, rho)
+        if direction is not None:
+            return "newton", direction
+    if d_1 < 0.0:
+        return "shifted", _solve(V, d - 2.0 * d_1, u, vg, rho)
+    return None, None
+
+
+def _solve(V, d, u, vg, rho):
+    # -(V (diag(d) + rho*u*u^T) V^T)^{-1} g from vg = V^T g: a diagonal
+    # solve plus a Sherman-Morrison correction.  Where d_1 is negative the
+    # matrix is positive definite only if the denominator is negative;
+    # otherwise None.
+    du = u / d
+    dh = vg / d
     terms = rho * u * du
     denom = 1.0 + float(np.add.reduce(terms))
     if d[0] < 0.0 and not denom < -_PD_RTOL * (1.0 + float(np.add.reduce(np.abs(terms)))):
@@ -102,8 +107,9 @@ def _newton_step(m, s, norm_s, g, shifted=False):
 def local_minimize(m, s0, eps_grad=None):
     """Descend the cubic model to an approximately stationary point.
 
-    Every iterate tries the Newton step, then the shifted Newton step,
-    then the gradient step; there is no residual threshold for Newton.
+    Every iterate tries the Newton step where H is positive definite,
+    else the shifted Newton step where it exists, then the gradient step;
+    there is no residual threshold for Newton.
 
     Parameters
     ----------
@@ -154,12 +160,10 @@ def _descend(m, s, eps):
     qs = m.Q.entries.dot(s)
     f = model_mod._objective(m, s, norm_s, qs)
     trace = [f]
-    step0 = 1.0 / (1.0 + m.Q.max_abs + m.sigma * norm_s)
     # Accepted gradient steps seed the next trial length, so the line
     # search does not re-pay the full backtrack on every iteration.
-    t_carry = step0
+    t_carry = 1.0 / (1.0 + m.Q.max_abs + m.sigma * norm_s)
 
-    iterations = 0
     flat_steps = 0
     step_counts = {"newton": 0, "shifted": 0, "gradient": 0}
     for iterations in range(1, _MAX_ITERS + 1):
@@ -172,42 +176,34 @@ def _descend(m, s, eps):
                 step_counts=step_counts,
             )
 
-        candidates = []
-        d_newton = _newton_step(m, s, norm_s, g)
-        if d_newton is not None:
-            candidates.append(("newton", d_newton, 1.0))
-        else:
-            d_shifted = _newton_step(m, s, norm_s, g, shifted=True)
-            if d_shifted is not None:
-                candidates.append(("shifted", d_shifted, 1.0))
-        candidates.append(("gradient", -g, t_carry))
-
-        moved = False
-        for kind, direction, t0 in candidates:
+        kind, direction = _newton_step(m, s, norm_s, g)
+        candidates = [(kind, direction, 1.0)] if kind else []
+        for kind, direction, t in candidates + [("gradient", -g, t_carry)]:
             slope = float(g.dot(direction))
             if slope >= 0.0:
                 continue
-            t = t0
             for _ in range(60):
                 s_try = s + t * direction
                 n_try = linalg.norm(s_try)
                 q_try = m.Q.entries.dot(s_try)
                 f_new = model_mod._objective(m, s_try, n_try, q_try)
                 if f_new <= f + _ARMIJO_C * t * slope:
-                    flat_steps = flat_steps + 1 if f_new == f else 0
-                    s, norm_s, qs, f = s_try, n_try, q_try, f_new
-                    moved = True
-                    step_counts[kind] += 1
-                    if kind == "gradient":
-                        t_carry = 2.0 * t
                     break
                 t *= _BACKTRACK
-            if moved:
-                break
-        if not moved or flat_steps >= 3:
-            # Either no candidate achieved sufficient decrease at any step
-            # size, or accepted steps stopped changing the objective:
+            else:
+                continue
+            break
+        else:
+            # No candidate achieved sufficient decrease at any step size:
             # stalled at the objective's float resolution.
+            break
+        flat_steps = flat_steps + 1 if f_new == f else 0
+        s, norm_s, qs, f = s_try, n_try, q_try, f_new
+        step_counts[kind] += 1
+        if kind == "gradient":
+            t_carry = 2.0 * t
+        if flat_steps >= 3:
+            # Accepted steps stopped changing the objective: the same stall.
             break
         trace.append(f)
 
@@ -220,8 +216,8 @@ def _descend(m, s, eps):
     for _ in range(4):
         if residual <= eps:
             break
-        d = _newton_step(m, s, norm_s, g)
-        if d is None:
+        kind, d = _newton_step(m, s, norm_s, g)
+        if kind != "newton":
             break
         s_try = s + d
         n_try = linalg.norm(s_try)

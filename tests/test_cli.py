@@ -524,6 +524,24 @@ class TestMinimize:
             assert "no model step can move x" in lines[0]
         assert not out.stdout
 
+    @pytest.mark.parametrize("variant", ["arc", "arc_plus"])
+    @pytest.mark.parametrize("warnings", [None, "error"])
+    def test_gradient_check_past_squares_range_exit_2(self, tmp_path, variant, warnings):
+        # ||g||^2 overflows at x0 = 0: validating the gradient must not
+        # warn before the driver rejects the model.
+        path = tmp_path / "objective_out_of_range.json"
+        path.write_text('{"n": 2, "c": [1e300, 2e300], "Q": [[1e50, 0], [0, 3e50]], "sigma": 1}\n')
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        if warnings:
+            env["PYTHONWARNINGS"] = warnings
+        out = run_cli("minimize", str(path), "--variant", variant, env=env)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            "cubicmin: solver error: ConvergenceError: gradient norm 2.236e+300: the model's"
+            " linear term overflows at the Cauchy point\n"
+        )
+
     @pytest.mark.parametrize("value", [",-3,4", "-3,4,", "-3,,4"])
     def test_empty_coordinate_in_x0_exit_1(self, value):
         out = run_cli("minimize", "sphere2", "--x0", value)

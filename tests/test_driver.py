@@ -1,6 +1,7 @@
 """Escape-driven global solves, the outer optimizer, and the profile table."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,22 @@ class TestGradientRange:
         assert rep.f_final == pytest.approx(-5.0)
 
 
+    # ||g|| = 1e160 at x0: its square overflows, its safe_norm does not.
+    @pytest.mark.parametrize(
+        "variant, message",
+        [
+            ("ARC", r"no model step can move x: steps are at most 1\.000e\+80 long"),
+            ("ARC_PLUS", r"local solve stalled at residual 1\.000e\+160 \(target 1\.000e\+158\)"),
+        ],
+    )
+    def test_step_resolution_reads_the_scaled_gradient_norm(self, variant, message):
+        f = cubic_objective(CubicModel([1e160, 0.0], np.zeros((2, 2)), 1e-200))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=message):
+                arc_plus_minimize(f, [-1e140, -1e140], variant, ArcOptions(max_iters=2000))
+
+
 class TestStepBelowResolution:
     """ARC stops once no model step can move x, instead of doubling sigma to inf."""
 
@@ -319,13 +336,13 @@ class TestStepBelowResolution:
         assert rep.iterations == 40
         assert len(rep.f_history) == 1  # no step accepted
         m = CubicModel([1.0, 1.0], np.eye(2), 1e300)
-        driver._check_step_can_move(np.array([1e300, 0.0]), m, math.sqrt(2.0))
+        driver._check_step_can_move(np.array([1e300, 0.0]), m)
 
     def test_step_above_resolution_passes(self):
         m = CubicModel([1.0, 1.0], np.eye(2), 1.0)
-        driver._check_step_can_move(np.array([1e15, 1e15]), m, math.sqrt(2.0))
+        driver._check_step_can_move(np.array([1e15, 1e15]), m)
         with pytest.raises(ConvergenceError):
-            driver._check_step_can_move(np.array([1e17, 1e17]), m, math.sqrt(2.0))
+            driver._check_step_can_move(np.array([1e17, 1e17]), m)
 
 
 class TestCauchyStep:

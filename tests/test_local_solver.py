@@ -9,13 +9,23 @@ from cubicmin import ArcOptions, CubicModel, arc_plus_minimize, get_problem, gra
 from cubicmin import driver, linalg
 from cubicmin import model as model_mod
 from cubicmin.local_solver import _ARMIJO_C, _BACKTRACK, _MAX_ITERS, _PD_RTOL
-from cubicmin.local_solver import LocalSolveReport, _newton_step, local_minimize
+from cubicmin.local_solver import LocalSolveReport, _newton_step, _solve, local_minimize
 from cubicmin.model import hess, is_global
 from cubicmin.stationary import enumerate_stationary
 
 from .helpers import random_controlled_model, random_model, ref_local_minimize
 
 WORKED = CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
+
+
+def _shifted_step(m, s, g):
+    """The shifted Newton direction through the solve helper, formed
+    whether or not the plain Newton step exists."""
+    norm_s = linalg.norm(s)
+    V = m.eig.vectors
+    d = m.eig.values + m.sigma * norm_s
+    rho = m.sigma / norm_s if norm_s else 0.0
+    return _solve(V, d - 2.0 * d[0], V.T.dot(s), V.T.dot(g), rho)
 
 
 class TestOptions:
@@ -67,7 +77,8 @@ class TestNewtonStep:
         ],
     )
     def test_indefinite_returns_none(self, q):
-        assert self._step(q, np.ones(len(q))) is None
+        # The plain Newton step is refused, for the shifted one.
+        assert self._step(q, np.ones(len(q)))[0] == "shifted"
 
     @pytest.mark.parametrize(
         "q",
@@ -79,7 +90,8 @@ class TestNewtonStep:
         ],
     )
     def test_singular_returns_none(self, q):
-        assert self._step(q, np.ones(len(q))) is None
+        # The plain Newton step is refused.
+        assert self._step(q, np.ones(len(q)))[0] != "newton"
 
     @pytest.mark.parametrize("seed", range(30))
     def test_spd_matches_dense_solve(self, seed):
@@ -88,7 +100,8 @@ class TestNewtonStep:
         b = rng.normal(size=(n, n))
         q = b @ b.T + np.eye(n)
         g = rng.uniform(-5.0, 5.0, size=n)
-        d = self._step(q, g)
+        kind, d = self._step(q, g)
+        assert kind == "newton"
         ref = np.linalg.solve(q + 1e-12 * np.eye(n), -g)
         assert np.max(np.abs(d - ref)) <= 1e-10 * (1.0 + np.linalg.norm(g))
 
@@ -98,7 +111,7 @@ class TestNewtonStep:
         # so the least |D_i| is D_2 and the diagonal solve is singular.
         m = CubicModel([0.3, -0.2, 0.1], np.diag([-3.0, -1.0, 2.0]), 1.0)
         s = (1.0 + rel) * np.array([0.6, 0.8, 0.0])
-        assert _newton_step(m, s, linalg.norm(s), grad(m, s)) is None
+        assert _newton_step(m, s, linalg.norm(s), grad(m, s))[0] == "shifted"
 
     @pytest.mark.parametrize("seed", range(30))
     def test_matches_dense_solve_away_from_origin(self, seed):
@@ -108,20 +121,22 @@ class TestNewtonStep:
         g = grad(m, s)
         H = hess(m, s).entries
         lo = np.linalg.eigvalsh(H)[0]
-        d = _newton_step(m, s, linalg.norm(s), g)
+        kind, d = _newton_step(m, s, linalg.norm(s), g)
         if lo > 1e-6 * np.max(np.abs(H)):
-            assert d is not None
+            assert kind == "newton"
             ref = np.linalg.solve(H, -g)
             assert np.max(np.abs(d - ref)) <= 1e-9 * (1.0 + np.linalg.norm(ref))
         elif lo < 0.0:
-            assert d is None
+            assert kind != "newton"
         shift = m.eig.values[0] + m.sigma * np.linalg.norm(s)
-        d = _newton_step(m, s, linalg.norm(s), g, shifted=True)
         if shift >= 0.0:
-            assert d is None
+            assert kind != "shifted"
         else:
+            shifted = _shifted_step(m, s, g)
             ref = np.linalg.solve(H - 2.0 * shift * np.eye(m.n), -g)
-            assert np.max(np.abs(d - ref)) <= 1e-9 * (1.0 + np.linalg.norm(ref))
+            assert np.max(np.abs(shifted - ref)) <= 1e-9 * (1.0 + np.linalg.norm(ref))
+            if kind == "shifted":
+                assert np.array_equal(d, shifted)
 
     def test_local_solve_builds_no_validated_hessian(self, monkeypatch):
         m = random_controlled_model(np.random.default_rng(17), nmax=8)
@@ -158,31 +173,32 @@ class TestPositiveDefiniteBoundary:
 
     @pytest.mark.parametrize("r", [1.6, 2.0, 2.9])
     def test_one_negative_d_denominator_below_zero(self, r):
-        s, g, lo, d = self._case(r)
+        s, g, lo, (kind, d) = self._case(r)
         assert self.M.eig.values[0] + r < 0.0
         assert lo > 0.0
+        assert kind == "newton"
         ref = np.linalg.solve(hess(self.M, s).entries, -g)
         assert np.max(np.abs(d - ref)) <= 1e-12 * (1.0 + np.linalg.norm(ref))
 
     @pytest.mark.parametrize("r", [0.5, 1.0, 1.4])
     def test_one_negative_d_denominator_above_zero(self, r):
-        _, _, lo, d = self._case(r)
+        _, _, lo, (kind, _) = self._case(r)
         assert lo < 0.0
-        assert d is None
+        assert kind == "shifted"
 
     @pytest.mark.parametrize("rel", [0.0, 1e-15, -1e-15, 1e-14])
     def test_one_negative_d_denominator_near_zero(self, rel):
-        _, _, lo, d = self._case(1.5 * (1.0 + rel))
+        _, _, lo, (kind, _) = self._case(1.5 * (1.0 + rel))
         assert abs(lo) <= 1e-12
-        assert d is None
+        assert kind == "shifted"
 
     @pytest.mark.parametrize("rel", [0.0, 1e-15, -1e-15, 1e-14])
     def test_d_near_zero(self, rel):
         # D_1 = r - 3 vanishes at r = 3, where H = diag(3, 4) in the
         # rotated basis is well conditioned, but the diagonal solve is not.
-        _, _, lo, d = self._case(3.0 * (1.0 + rel))
+        _, _, lo, (kind, _) = self._case(3.0 * (1.0 + rel))
         assert lo > 2.0
-        assert d is None
+        assert kind != "newton"
 
     def test_singular_semidefinite_hessian_away_from_origin(self):
         # Q = diag(-1, 2), sigma = 1, s = (0, 1): H = diag(0, 4).
@@ -191,7 +207,7 @@ class TestPositiveDefiniteBoundary:
         H = hess(m, s).entries
         assert np.array_equal(H, np.diag([0.0, 4.0]))
         assert np.linalg.eigvalsh(H)[0] == 0.0
-        assert _newton_step(m, s, linalg.norm(s), grad(m, s)) is None
+        assert _newton_step(m, s, linalg.norm(s), grad(m, s)) == (None, None)
 
 
 class TestShiftedNewtonStep:
@@ -210,11 +226,15 @@ class TestShiftedNewtonStep:
         shift = mu.min() + m.sigma * np.linalg.norm(s)
         assert shift < 0.0
         g = grad(m, s)
-        d = _newton_step(m, s, linalg.norm(s), g, shifted=True)
+        kind, direction = _newton_step(m, s, linalg.norm(s), g)
+        assert kind in ("newton", "shifted")
+        d = _shifted_step(m, s, g)
         assert d is not None
         assert g @ d < 0.0
         ref = np.linalg.solve(hess(m, s).entries - 2.0 * shift * np.eye(n), -g)
         assert np.max(np.abs(d - ref)) <= 1e-10 * (1.0 + np.linalg.norm(ref))
+        if kind == "shifted":
+            assert np.array_equal(direction, d)
 
     @pytest.mark.parametrize(
         "q, sigma, s",
@@ -229,7 +249,7 @@ class TestShiftedNewtonStep:
     def test_none_when_shift_nonnegative(self, q, sigma, s):
         m = CubicModel([0.3, -0.2], q, sigma)
         s = np.asarray(s, dtype=float)
-        assert _newton_step(m, s, linalg.norm(s), grad(m, s), shifted=True) is None
+        assert _newton_step(m, s, linalg.norm(s), grad(m, s))[0] != "shifted"
 
 
 class TestNoFactorization:
