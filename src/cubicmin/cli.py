@@ -434,16 +434,18 @@ def _cmd_minimize(args):
 
 def _bench_cell(spec_text, variant, seed):
     # One CSV row, in _BENCH_HEADER order.  A cell that raises gets the
-    # failure row: not converged, 0 iterations, NaN results, the error class.
+    # failure row: not converged, 0 iterations, NaN results, the error class;
+    # its name and n are the file's basename and 0 only if the load failed.
     t0 = time.perf_counter()
+    name, n, error = os.path.basename(spec_text), 0, ""
     try:
         f = _load_objective(spec_text)
+        name, n = f.name, f.n
         report = arc_plus_minimize(f, f.x0, variant, ArcOptions(seed=seed))
-        name, n, error = f.name, f.n, ""
         converged, iterations = report.converged, report.iterations
         f_final, grad_inf_norm = report.f_final, report.grad_inf_norm
     except Exception as exc:
-        name, n, error = os.path.basename(spec_text), 0, type(exc).__name__
+        error = type(exc).__name__
         converged, iterations, f_final, grad_inf_norm = False, 0, math.nan, math.nan
     wall_ms = _ms_since(t0)
     return [

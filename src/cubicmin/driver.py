@@ -297,7 +297,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
     iterations = 0
     converged = False
     g = f.grad(x)
-    ginf = float(np.max(np.abs(g))) if x.size else 0.0
+    ginf = float(np.max(np.abs(g)))
     hess_x = None  # the SymmetricMatrix of f.hess(x), built on first use
 
     while iterations < opts.max_iters:

@@ -16,8 +16,8 @@ Each point is evaluated once: the line search keeps ``||s||``, ``Q s`` and
 reuse them.
 The model is coercive (sigma > 0), so descent sequences stay bounded; a
 run that exhausts its iteration budget reports rather than raises.  So
-does a run whose terms leave double range: whether they can is decided
-once per solve, and such a solve runs with NumPy's overflow warnings off.
+does a run whose terms leave double range: every solve runs with NumPy's
+overflow and invalid warnings off, which changes no value.
 """
 
 import math
@@ -125,33 +125,17 @@ def local_minimize(m, s0, eps_grad=None):
         ``converged`` is true when the gradient residual reached
         ``eps_grad``; otherwise the best iterate found is reported with
         ``converged = False``.  Deterministic for fixed inputs.
+
+    The solve runs with NumPy's overflow and invalid warnings off, which
+    changes no value: a solve whose terms leave double range warns
+    nothing and reports itself unconverged.
     """
     if eps_grad is not None and not eps_grad > 0.0:
         raise ValueError("eps_grad must be positive")
     eps = eps_grad if eps_grad is not None else m.default_tol_grad()
     s = np.array(m._check_dim(s0), dtype=float)
-    if _in_range(m, s):
-        return _descend(m, s, eps)
-    # The same solve, to a report the caller judges, without a warning for
-    # each term that overflows.
     with np.errstate(over="ignore", invalid="ignore"):
         return _descend(m, s, eps)
-
-
-def _in_range(m, s0):
-    # Whether the solve from s0 stays in double range, decided from scalars
-    # the model holds.  r bounds ||s0|| and the radius
-    # (q + sqrt(q^2 + 4 sigma ||c||)) / (2 sigma) of every stationary point,
-    # with q = n max|Q| >= ||Q||; the terms of m and grad m on the ball of
-    # radius r are at most b.  The solve multiplies such terms (||s||^2,
-    # ||g||^2, g.d), so b squared must stay below the bound that from_vector
-    # puts on the terms themselves.  Python float products overflow to inf,
-    # not an error.
-    q = m.n * m.Q.max_abs
-    radius = (q + math.sqrt(q * q + 4.0 * m.sigma * m.norm_c)) / (2.0 * m.sigma)
-    r = max(radius, math.sqrt(m.n) * max(map(abs, s0.tolist())))
-    b = max(r, (1.0 + r) * (m.norm_c + (q + m.sigma * r) * r))
-    return b * b < model_mod._IN_RANGE
 
 
 def _descend(m, s, eps):

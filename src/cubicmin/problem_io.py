@@ -135,10 +135,11 @@ def parse_problem(data):
     c = _require_vector(data["c"], "c", n)
 
     q = _require_matrix(data["Q"], "Q", n)
-    # Halves throughout: q - q.T could overflow, half - half.T cannot.
-    half = 0.5 * q
-    # An exactly symmetric matrix has no gap to bound: skip the tolerance.
+    # An exactly symmetric matrix has no gap to bound and goes to CubicModel
+    # as it is; the model's SymmetricMatrix symmetrizes it.
     if not (q == q.T).all():
+        # Halves throughout: q - q.T could overflow, half - half.T cannot.
+        half = 0.5 * q
         gap = np.abs(half - half.T)
         bound = (0.5 * _SYM_RTOL) * (1.0 + np.maximum(np.abs(q), np.abs(q.T)))
         asymmetric = np.argwhere(np.triu(gap > bound, 1))
@@ -151,6 +152,7 @@ def parse_problem(data):
                 f"{float(q[j, i])!r} beyond the 1e-9 relative symmetry "
                 "tolerance",
             )
+        q = half + half.T
 
     sigma = _require_number(data["sigma"], "sigma")
     if not sigma > 0.0:
@@ -160,7 +162,7 @@ def parse_problem(data):
     if name is not None and not isinstance(name, str):
         raise SchemaError("name", f"expected a string, got {type(name).__name__}")
 
-    return CubicModel(c, half + half.T, sigma), name
+    return CubicModel(c, q, sigma), name
 
 
 def _reference_decode(raw):

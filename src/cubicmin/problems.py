@@ -32,7 +32,7 @@ class ObjectiveFunction:
     ----------
     name : str
     n : int
-        Problem dimension.
+        Problem dimension, at least 1 (ValueError otherwise).
     f, grad, hess : callables
         Value, gradient (shape (n,)) and dense symmetric Hessian
         (shape (n, n)) at a point of shape (n,).
@@ -48,6 +48,8 @@ class ObjectiveFunction:
     def __init__(self, name, n, f, grad, hess, x0):
         self.name = str(name)
         self.n = int(n)
+        if self.n < 1:
+            raise ValueError(f"dimension must be at least 1, got {self.n}")
         self._f = f
         self._grad = grad
         self._hess = hess
@@ -170,14 +172,12 @@ def _quartic_nc4():
     return ObjectiveFunction("quartic_nc4", n, f, grad, hess, [0.9, -0.7, 0.8, -0.6])
 
 
-def cubic_objective(m, name="cubic", x0=None):
-    """Wrap a CubicModel as an ObjectiveFunction (f = m, x0 = 0).
+def cubic_objective(m, name="cubic"):
+    """Wrap a CubicModel as an ObjectiveFunction with f = m, started at 0.
 
     Minimizing f reproduces the model's own landscape, so the outer
     optimizer faces exactly the nonconvexity the escape moves target.
     """
-    if x0 is None:
-        x0 = np.zeros(m.n)
 
     def f(x):
         return model_mod.eval_model(m, x)
@@ -188,16 +188,16 @@ def cubic_objective(m, name="cubic", x0=None):
     def hess(x):
         return model_mod.hess(m, x).entries
 
-    return ObjectiveFunction(name, m.n, f, grad, hess, x0)
+    return ObjectiveFunction(name, m.n, f, grad, hess, np.zeros(m.n))
 
 
-def random_cubic_objective(n, seed, sigma=1.0):
-    """A random indefinite cubic-model instance as an outer objective."""
+def random_cubic_objective(n, seed):
+    """A random indefinite cubic model with sigma = 1 as an outer objective."""
     rng = np.random.default_rng(seed)
     a = rng.uniform(-5.0, 5.0, size=(n, n))
     q = SymmetricMatrix((a + a.T) / 2.0)
     c = rng.uniform(-5.0, 5.0, size=n)
-    m = CubicModel(c, q, float(sigma))
+    m = CubicModel(c, q, 1.0)
     return cubic_objective(m, name=f"cubic{n}_s{seed}")
 
 

@@ -45,6 +45,9 @@ def problem_dir(tmp_path_factory):
     (d / "asym.json").write_text(
         '{"n": 2, "c": [0.0, 0.0], "Q": [[1.0, 0.5], [0.0, 1.0]], "sigma": 1.0}\n'
     )
+    (d / "big_c.json").write_text(
+        '{"n": 2, "c": [1e300, 2e300], "Q": [[1e50, 0], [0, 3e50]], "sigma": 1}\n'
+    )
     return d
 
 
@@ -643,6 +646,11 @@ class TestBenchAndProfile:
         assert rows["asym.json"]["converged"] == "false"
         assert math.isnan(float(rows["asym.json"]["f_final"]))
         assert rows["asym.json"]["error"] == "SchemaError"
+        assert rows["asym.json"]["n"] == "0"
+        # a file that loads and whose solve raises keeps its name and n
+        assert rows["big_c.json"]["converged"] == "false"
+        assert rows["big_c.json"]["n"] == "2"
+        assert rows["big_c.json"]["error"] == "ConvergenceError"
         # a file with an embedded name is reported under that name
         assert rows["worked"]["converged"] == "true"
         assert rows["worked"]["error"] == ""

@@ -20,6 +20,7 @@ from cubicmin.problem_io import (
 
 from .helpers import random_model
 
+TINY = 5e-324  # the least subnormal
 GOOD = {"n": 2, "c": [-2.0, 0.0], "Q": [[1.0, 0.0], [0.0, -3.0]], "sigma": 1.0}
 
 
@@ -56,6 +57,25 @@ class TestParse:
         m, _ = parse_problem(_variant(n=n, c=[1.0] * n, Q=q.tolist()))
         mean = (q + q.T) / 2.0
         assert [x.hex() for x in m.Q.entries.ravel()] == [x.hex() for x in mean.ravel()]
+
+    @pytest.mark.parametrize(
+        "q, entries",
+        [
+            # exactly symmetric: halving an odd multiple of TINY rounds to
+            # even, so it lands on an even multiple; -0.0 == 0.0, so a pair
+            # of opposite zeros is symmetric and reads +0.0 on both sides
+            ([[3 * TINY, -0.0], [0.0, -0.0]], [[4 * TINY, 0.0], [0.0, -0.0]]),
+            ([[TINY, 2 * TINY], [2 * TINY, -5 * TINY]], [[0.0, 2 * TINY], [2 * TINY, -4 * TINY]]),
+            # asymmetric within the tolerance
+            ([[2 * TINY, TINY], [3 * TINY, -0.0]], [[2 * TINY, 2 * TINY], [2 * TINY, -0.0]]),
+            ([[-0.0, -0.0], [TINY, 1.0]], [[-0.0, 0.0], [0.0, 1.0]]),
+        ],
+    )
+    def test_symmetrization_of_subnormals_and_signed_zeros(self, q, entries):
+        m, _ = parse_problem(_variant(Q=q))
+        assert [x.hex() for x in m.Q.entries.ravel()] == [
+            float(x).hex() for x in np.ravel(entries)
+        ]
 
     @pytest.mark.parametrize("big", [1e200, 1e308])
     def test_entries_near_float_limit(self, big):

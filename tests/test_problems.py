@@ -5,6 +5,7 @@ import pytest
 
 from cubicmin import CubicModel, eval_model, grad, hess
 from cubicmin.problems import (
+    ObjectiveFunction,
     available_problems,
     cubic_objective,
     get_problem,
@@ -83,6 +84,13 @@ class TestRegistry:
         assert all(b > a for a, b in zip(ray, ray[1:]))
 
 
+class TestObjectiveFunction:
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_dimension_below_one(self, n):
+        with pytest.raises(ValueError, match=rf"^dimension must be at least 1, got {n}$"):
+            ObjectiveFunction("empty", n, lambda x: 0.0, np.zeros_like, np.zeros_like, [])
+
+
 class TestCubicObjective:
     def test_wraps_model_exactly(self):
         m = random_model(np.random.default_rng(12), n=4)
@@ -92,6 +100,7 @@ class TestCubicObjective:
         assert p.f(x) == eval_model(m, x)
         assert np.array_equal(p.grad(x), grad(m, x))
         assert np.array_equal(np.asarray(p.hess(x)), hess(m, x).entries)
+        assert np.array_equal(p.x0, np.zeros(4))
 
     def test_random_cubic_objective_seeded(self):
         a = random_cubic_objective(5, seed=3)
