@@ -232,8 +232,7 @@ def _check_step_can_move(x, m):
     is rejected; sigma then doubles, which only shrinks R.  An x with a
     zero entry never trips this: the spacing at 0 is the least subnormal.
     """
-    mu = m.eig.values
-    q = max(-float(mu[0]), float(mu[-1]))
+    q = max(-m.eig.mu_1, float(m.eig.values[-1]))
     radius = (q + math.sqrt(q * q + 4.0 * m.sigma * m.norm_c)) / (2.0 * m.sigma)
     resolution = 0.5 * float(np.spacing(np.abs(x)).min())
     if radius < resolution:
@@ -273,10 +272,14 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
     Raises
     ------
     ConvergenceError
-        The model's value at its Cauchy point leaves double range, which
-        takes a gradient norm past ~1.3e154; or a step is rejected where
-        every model step is below half the float spacing of x, so that no
-        later step could move it.
+        ``f(x0)`` is NaN or ``-inf``, from which the ratio test accepts no
+        step (rho is NaN or ``-inf`` for every trial); the model's value
+        at its Cauchy point leaves double range, which takes a gradient
+        norm past ~1.3e154; or a step is rejected where every model step
+        is below half the float spacing of x, so that no later step could
+        move it.  An ``f(x0) = +inf`` is kept: rho is ``+inf`` at any
+        finite trial value, so the first such step is accepted and the
+        run goes on from a finite value.
     """
     if variant not in (ARC, ARC_PLUS):
         raise ValueError(f"unknown variant {variant!r}")
@@ -291,6 +294,8 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
 
     sigma = _SIGMA0
     fx = f.f(x)
+    if not fx > -math.inf:
+        raise ConvergenceError(f"f(x0) = {fx!r}: the ratio test accepts no step from it")
     sigma_history = []
     f_history = [fx]
     margins = []

@@ -15,7 +15,10 @@ threshold.  The case analysis reads s_bar, its multiplier and its
 gradient from the point's ``StationaryPoint`` record, the one
 evaluation of s_bar.  Every move is verified by direct evaluation;
 where the gates of both reflections hold, the larger verified decrease
-is returned.
+is returned.  Each ``EscapeOutcome`` is built by ``model._record``,
+without the dataclass's generated ``__init__``, and the default
+direction and its norm are the eigendecomposition's cached ``v_1`` and
+``norm_v_1``.
 """
 
 import math
@@ -84,7 +87,7 @@ class EscapeOutcome:
 def _zero_tol(m):
     # lam = sigma*||s_bar|| below this is negligible against any curvature
     # that survives the NONE_GLOBAL gate.
-    return 1e-10 * max(1.0, abs(float(m.eig.values[0])) / m.sigma)
+    return 1e-10 * max(1.0, abs(m.eig.mu_1) / m.sigma)
 
 
 def alpha_threshold_biii(m, s_bar, d):
@@ -119,7 +122,8 @@ def _threshold(q_dd, c_d, c_s):
 def _outcome(m, point, case, s_hat, alpha=None, z=None):
     # s_hat and z are fresh arrays of the caller's.
     s_hat.setflags(write=False)
-    return EscapeOutcome(
+    return model_mod._record(
+        EscapeOutcome,
         case_tag=case,
         point=point,
         s_hat=s_hat,
@@ -127,6 +131,7 @@ def _outcome(m, point, case, s_hat, alpha=None, z=None):
         z_used=z,
         decrease=point.objective
         - model_mod._objective(m, s_hat, linalg.norm(s_hat), m.Q.entries.dot(s_hat)),
+        certificate=None,
     )
 
 
@@ -199,13 +204,19 @@ def _escape(m, point, tol, direction):
             return flip
     if cert.is_global:
         # Also where c.s > 0 by rounding alone, so the flip cannot decrease.
-        return EscapeOutcome(case_tag=CASE_NONE_GLOBAL, point=point, certificate=cert)
+        return model_mod._record(
+            EscapeOutcome, case_tag=CASE_NONE_GLOBAL, point=point, s_hat=None,
+            alpha_used=None, z_used=None, decrease=0.0, certificate=cert,
+        )
     if flip is not None:
         raise ThresholdNotMet("sign flip failed to decrease the objective")
-    d = m.eig.vectors[:, 0].copy() if direction is None else m._check_dim(direction)
+    if direction is None:
+        d, norm_d = m.eig.v_1, m.eig.norm_v_1
+    else:
+        d = m._check_dim(direction)
+        norm_d = linalg.norm(d)
     norm_s = linalg.norm(s)
     grad = point.gradient
-    norm_d = linalg.norm(d)
     c_d = float(m.c.dot(d))
     d_q_d = float(d.dot(m.Q.entries.dot(d)))
 

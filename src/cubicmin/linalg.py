@@ -76,19 +76,20 @@ class SymmetricMatrix:
     """
 
     def __init__(self, entries):
-        a = np.array(entries, dtype=float)
+        # The halving below copies, so the input is only read.
+        a = np.asarray(entries, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if a.shape[0] < 1:
             raise ValueError("matrix dimension must be at least 1")
-        if not np.isfinite(a).all():
+        if np.count_nonzero(np.isfinite(a)) < a.size:
             raise ValueError("matrix entries must be finite")
         # Halves throughout: a - a.T could overflow, half - half.T cannot.
         half = 0.5 * a
         # An exactly symmetric matrix has every gap negative: skip them.
-        if not (a == a.T).all():
+        if np.count_nonzero(a != a.T):
             gap = np.abs(half - half.T) - (0.5 * _SYMMETRY_RTOL) * (1.0 + np.abs(a))
-            if (gap > 0).any():
+            if np.count_nonzero(gap > 0):
                 i, j = np.unravel_index(np.argmax(gap), a.shape)
                 raise ValueError(
                     f"entry ({i},{j}) = {float(a[i, j])!r} differs from ({j},{i}) = "
@@ -120,12 +121,28 @@ class EigenDecomposition:
         Eigenvalues ``mu_1 <= ... <= mu_n``.
     vectors : ndarray, shape (n, n)
         Orthonormal eigenvectors as columns, aligned with ``values``.
+    mu_1 : float
+        ``values[0]`` as a Python float, read once per decomposition.
+    v_1 : ndarray, shape (n,)
+        ``vectors[:, 0]`` as a contiguous, read-only copy (a strided
+        column dots in another summation order); built on first use.
+    norm_v_1 : float
+        ``norm(v_1)``, built on first use.
     """
 
     def __init__(self, values, vectors):
         self.values = _freeze(np.asarray(values, dtype=float))
         self.vectors = _freeze(np.asarray(vectors, dtype=float))
         self.n = self.values.shape[0]
+        self.mu_1 = float(self.values[0])
+
+    @functools.cached_property
+    def v_1(self):
+        return _freeze(self.vectors[:, 0].copy())
+
+    @functools.cached_property
+    def norm_v_1(self):
+        return norm(self.v_1)
 
     def __repr__(self):
         return f"EigenDecomposition(n={self.n}, values={self.values!r})"

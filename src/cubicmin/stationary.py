@@ -31,6 +31,12 @@ so both entry points share one search for the largest root and one
 evaluation of its point: when that point is the global minimizer,
 ``enumerate_stationary`` returns the very object that
 ``global_minimize`` certifies, in either call order.
+
+The records of each solve (``LambdaRoot``, ``GlobalSolution`` and the
+``StationaryPoint`` and ``GlobalCertificate`` they carry) are built by
+``model._record``, without the dataclasses' generated ``__init__``, and
+the root finder reads the coupled poles from a Python list the record
+builds once.
 """
 
 import math
@@ -76,7 +82,7 @@ class SecularProblem:
     coupled : ndarray of bool
         ``|beta_i| > pole_tol``: the modes the secular equation solves.
     any_coupled : bool
-        ``coupled.any()``; False exactly when c = 0 up to ``pole_tol``.
+        Some mode coupled; False exactly when c = 0 up to ``pole_tol``.
     coupled_beta, coupled_poles : ndarray
         ``beta`` and ``-mu`` at the coupled modes, in eigenvalue order:
         the terms of ``||s(lam)||`` that the root finder evaluates.
@@ -100,16 +106,17 @@ class SecularProblem:
         self.sigma = m.sigma
         self.pole_tol = 1e-10 * (1.0 + m.norm_c)
         self.coupled = linalg._freeze(np.abs(self.beta) > self.pole_tol)
-        self.any_coupled = bool(self.coupled.any())
+        self.any_coupled = np.count_nonzero(self.coupled) > 0
         self.coupled_beta = linalg._freeze(self.beta[self.coupled])
         self.coupled_poles = linalg._freeze(-eig.values[self.coupled])
+        self._coupled_pole_list = self.coupled_poles.tolist()
         # Python floats sort and subtract faster than NumPy scalars, with
         # the same order (sorted is stable) and the same differences.  Each
         # kept pole also keeps the load |beta_j| of one mode at exactly its
         # value, for the emptiness bound of ``enumerate_lambda``.
         poles = []
         loads = []
-        for p, b in sorted(zip(self.coupled_poles.tolist(), self.coupled_beta.tolist())):
+        for p, b in sorted(zip(self._coupled_pole_list, self.coupled_beta.tolist())):
             if not poles or p - poles[-1] > _POLE_MERGE:
                 poles.append(p)
                 loads.append(abs(b))
@@ -220,7 +227,7 @@ def _newton_root(sp, end, far):
     if side > 0.0:
         # A cut is the lowest of the poles merged into it; start above all.
         top = end + _POLE_MERGE
-        pole = max([end] + [p for p in poles.tolist() if p <= top and p < far])
+        pole = max([end] + [p for p in sp._coupled_pole_list if p <= top and p < far])
     shift = pole - poles
     width = side * (far - pole)
     # Closed-form start with phi < 0: for the mode j nearest the end, of
@@ -272,7 +279,7 @@ def _newton_root(sp, end, far):
         raise ConvergenceError(
             f"secular Newton iteration left double range near lam = {pole + t!r}"
         ) from None
-    return LambdaRoot(lam=pole + t, pole=pole, offset=t)
+    return model_mod._record(LambdaRoot, lam=pole + t, pole=pole, offset=t)
 
 
 def _rootless(sigma, lo, hi, w_lo, w_hi):
@@ -340,7 +347,7 @@ def _coefficients(sp, pole, offset):
     coupled = sp.coupled
     denom = (sp.eig.values + pole) + offset
     on_pole = coupled & (denom == 0.0)
-    if on_pole.any():
+    if np.count_nonzero(on_pole):
         i = int(np.argmax(on_pole))
         raise PoleEvaluation(
             f"multiplier {pole + offset!r} sits on the coupled pole {-sp.eig.values[i]!r}"
@@ -378,7 +385,7 @@ def _boundary_parts(sp, lam):
         raise NormMismatch(
             f"boundary multiplier {lam!r}: ||V a|| = {norm_base!r} exceeds lam/sigma = {radius!r}"
         )
-    if not singular.any():
+    if not np.count_nonzero(singular):
         raise NormMismatch(f"boundary multiplier {lam!r} has no null mode")
     try:
         tau = math.sqrt(max(0.0, radius**2 - norm_base**2))
@@ -402,12 +409,12 @@ def _boundary_points(sp):
     vals = sp.eig.values
     # A coupled mode lies in its own multiplier's cluster, so only the
     # uncoupled negative eigenvalues can carry a boundary point.
-    if not ((vals < 0.0) & ~sp.coupled).any():
+    if not np.count_nonzero((vals < 0.0) & ~sp.coupled):
         return []
     out = []
     for mu in _distinct_negative(vals):
         lam = -mu
-        if (sp.coupled & (abs(vals + lam) <= SINGULAR_MODE_TOL)).any():
+        if np.count_nonzero(sp.coupled & (abs(vals + lam) <= SINGULAR_MODE_TOL)):
             continue
         try:
             base, free = _boundary_parts(sp, lam)
@@ -489,7 +496,7 @@ def global_minimize(m):
         cannot meet it, a floor below it points at the solver.
     """
     sp = SecularProblem.from_model(m)
-    lam_star = max(0.0, -float(m.eig.values[0]))
+    lam_star = max(0.0, -m.eig.mu_1)
     root = sp.top_root
     if root is not None and root.offset > lam_star - root.pole:
         return _finish_global(m, sp.top_point, False)
@@ -515,7 +522,8 @@ def _finish_global(m, point, hard):
 
 def _global_solution(m, point, cert, hard):
     """The GlobalSolution at the StationaryPoint ``point``, certified by ``cert``."""
-    return GlobalSolution(
+    return model_mod._record(
+        GlobalSolution,
         s_star=point.s,
         lambda_star=point.lam,
         objective=point.objective,

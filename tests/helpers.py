@@ -3,9 +3,10 @@
 Oracles here deliberately avoid package internals: gradients and
 eigenvalues come from numpy, grid searches evaluate the model formula
 directly, so agreement is evidence rather than tautology.  The reference
-copies of the escape and the local solve at the end are the exception:
-they pin today's arithmetic to an earlier written form of it, and call
-the package's norms and certificate as that form did.
+copies of the escape, the local solve and the small-model solve's record
+builders at the end are the exception: they pin today's arithmetic to an
+earlier written form of it, and call the package's norms and certificate
+as that form did.
 """
 
 import math
@@ -24,7 +25,13 @@ from cubicmin.escape import (
     EscapeOutcome,
     _zero_tol,
 )
-from cubicmin.exceptions import NonNegativeCurvature, ThresholdNotMet
+from cubicmin.exceptions import (
+    ConvergenceError,
+    NonNegativeCurvature,
+    NotStationary,
+    ThresholdNotMet,
+)
+from cubicmin.linalg import _SYMMETRY_RTOL, EigenDecomposition, _freeze
 from cubicmin.local_solver import (
     _ARMIJO_C,
     _BACKTRACK,
@@ -32,6 +39,8 @@ from cubicmin.local_solver import (
     _PD_RTOL,
     LocalSolveReport,
 )
+from cubicmin.model import _IN_RANGE, GlobalCertificate, StationaryPoint, _gradient, _objective
+from cubicmin.stationary import _NEWTON_MAX_STEPS, _NEWTON_STEP_RTOL, _POLE_MERGE, LambdaRoot
 
 
 def random_model(rng, nmax=6, sigmas=(0.1, 1.0, 10.0), n=None):
@@ -393,3 +402,132 @@ def ref_local_minimize(m, s0, eps_grad=None):
         objective_trace=trace, converged=residual <= eps,
         step_counts=step_counts,
     )
+
+
+# Reference copies of the small-model solve's record builders as they were
+# written before the records skipped the dataclasses' generated __init__,
+# the eigendecomposition carried mu_1 and v_1, and the checks counted with
+# np.count_nonzero.  The bodies are verbatim; tests hold the package to
+# them bit for bit.
+
+class RefSymmetricMatrix:
+    """``SymmetricMatrix`` validation and symmetrization; decompose with ``ref_sym_eigen``."""
+
+    def __init__(self, entries):
+        a = np.array(entries, dtype=float)
+        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        if a.shape[0] < 1:
+            raise ValueError("matrix dimension must be at least 1")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
+        # Halves throughout: a - a.T could overflow, half - half.T cannot.
+        half = 0.5 * a
+        # An exactly symmetric matrix has every gap negative: skip them.
+        if not (a == a.T).all():
+            gap = np.abs(half - half.T) - (0.5 * _SYMMETRY_RTOL) * (1.0 + np.abs(a))
+            if (gap > 0).any():
+                i, j = np.unravel_index(np.argmax(gap), a.shape)
+                raise ValueError(
+                    f"entry ({i},{j}) = {float(a[i, j])!r} differs from ({j},{i}) = "
+                    f"{float(a[j, i])!r} beyond the symmetry tolerance"
+                )
+        self.entries = _freeze(half + half.T)
+        self.n = a.shape[0]
+
+
+def ref_sym_eigen(A):
+    try:
+        values, vectors = np.linalg.eigh(A.entries)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"symmetric eigensolver failed: {exc}") from exc
+    lead = vectors[np.abs(vectors).argmax(axis=0), np.arange(A.n)]
+    vectors *= np.copysign(1.0, lead)
+    return EigenDecomposition(values, vectors)
+
+
+def ref_from_vector(model, s):
+    """``StationaryPoint.from_vector``."""
+    cls = StationaryPoint
+    s = np.array(s, dtype=float).reshape(-1)
+    if s.shape[0] != model.n:
+        model._check_dim(s)  # raises the dimension error
+    s.setflags(write=False)
+    norm_s = linalg.safe_norm(s)
+    lam = model.sigma * norm_s
+    qs = model.Q.entries.dot(s)
+    # Bounds the terms of grad m(s) and m(s), as ||Q|| <= n max|Q|.
+    if (1.0 + norm_s) * (model.norm_c + (model.n * model.Q.max_abs + lam) * norm_s) < _IN_RANGE:
+        objective = _objective(model, s, norm_s, qs)
+        gradient = _gradient(model, s, norm_s, qs)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            objective = _objective(model, s, norm_s, qs)
+            gradient = _gradient(model, s, norm_s, qs)
+        if not objective > -math.inf:  # inf, as where only ||s||**3 overflows, stays
+            raise ConvergenceError(f"m(s) leaves double range at lam = {lam!r}: {objective!r}")
+    gradient.setflags(write=False)
+    return cls(s=s, lam=lam, objective=objective, residual=linalg.safe_norm(gradient),
+               gradient=gradient)
+
+
+def ref_certificate(model, point, tol_grad, tol_psd, gate=False):
+    residual = point.residual
+    stationary = residual <= tol_grad
+    if gate and not stationary:
+        raise NotStationary(f"residual {residual!r} exceeds {tol_grad!r}")
+    psd_margin = float(model.eig.values[0] + point.lam)
+    return GlobalCertificate(
+        psd_margin=psd_margin,
+        residual=residual,
+        is_global=stationary and (psd_margin >= -tol_psd),
+        tol_grad=tol_grad,
+        tol_psd=tol_psd,
+    )
+
+
+def ref_newton_root(sp, end, far):
+    side = 1.0 if far > end else -1.0
+    beta = sp.coupled_beta
+    poles = sp.coupled_poles
+    pole = end
+    if side > 0.0:
+        # A cut is the lowest of the poles merged into it; start above all.
+        top = end + _POLE_MERGE
+        pole = max([end] + [p for p in poles.tolist() if p <= top and p < far])
+    shift = pole - poles
+    width = side * (far - pole)
+    j = int(abs(shift).argmin())
+    w = abs(float(beta[j]))
+    P = abs(float(shift[j])) + pole
+    t_max = 2.0 * sp.sigma * w / (P + math.sqrt(P * P + 4.0 * sp.sigma * w))
+    t = side * 0.5 * min(t_max, width)
+    if t == 0.0:
+        # t_max underflowed (P * P overflows once P exceeds about 1e154):
+        # lam would sit on the pole, where s(lam) is undefined.
+        raise ConvergenceError(f"secular Newton start left double range at lam = {pole!r}")
+    try:
+        for _ in range(_NEWTON_MAX_STEPS):
+            d = shift + t
+            a = beta / d
+            inv_norm = 1.0 / math.sqrt(a.dot(a))
+            lam = pole + t
+            phi = inv_norm - sp.sigma / lam
+            if phi >= 0.0:
+                break
+            dphi = inv_norm**3 * float(np.add.reduce(a * a / d)) + sp.sigma / lam**2
+            if side * dphi <= 0.0:
+                return None
+            step = -phi / dphi
+            if side * (t + step) >= width:
+                return None
+            t += step
+            if abs(step) <= _NEWTON_STEP_RTOL * abs(t):
+                break
+        else:
+            return None
+    except (ZeroDivisionError, OverflowError):
+        raise ConvergenceError(
+            f"secular Newton iteration left double range near lam = {pole + t!r}"
+        ) from None
+    return LambdaRoot(lam=pole + t, pole=pole, offset=t)

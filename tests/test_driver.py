@@ -20,15 +20,16 @@ from cubicmin.driver import (
 from cubicmin.exceptions import (
     BoundExceeded,
     ConvergenceError,
+    CubicminError,
     EmptyInput,
     ThresholdNotMet,
     ToleranceFloor,
 )
 from cubicmin.model import StationaryPoint, eval_model, grad, is_global
-from cubicmin.problems import DEFAULT_SUITE, cubic_objective, get_problem
+from cubicmin.problems import DEFAULT_SUITE, ObjectiveFunction, cubic_objective, get_problem
 from cubicmin.stationary import global_minimize
 
-from .helpers import random_model
+from .helpers import class_model, random_model
 
 WORKED = CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
 
@@ -107,6 +108,27 @@ class TestSolveViaEscapes:
             sol, trace = solve_via_escapes(m, rng.normal(size=1))
             assert sol.certificate.is_global
             assert trace.escape_count == 0
+
+
+class TestAgreesWithSecularSolver:
+    """The paper's escape loop and the secular solver find the same minimum."""
+
+    CLASSES = ("generic", "hard", "near_hard", "zero_c", "scaled_Q", "tiny_sigma")
+
+    def test_objectives_agree_where_both_certify(self):
+        both = 0
+        for cls in self.CLASSES:
+            for seed in range(60):
+                m = class_model(np.random.default_rng(seed), cls, 2 + seed % 9)
+                try:
+                    want = global_minimize(m).objective
+                    got = solve_via_escapes(m, np.ones(m.n))[0].objective
+                except CubicminError:
+                    continue
+                both += 1
+                assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (cls, seed)
+        # 297 of the 360 models today; the rest fail in one solver or both.
+        assert both >= 250
 
 
 class TestSolveViaEscapesRecovery:
@@ -318,6 +340,36 @@ class TestGradientRange:
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match=message):
                 arc_plus_minimize(f, [-1e140, -1e140], variant, ArcOptions(max_iters=2000))
+
+
+class TestNonFiniteStart:
+    """f(x0) NaN or -inf stops at once; +inf runs like any other start."""
+
+    X0 = (3.0, 4.0)
+
+    def _objective(self, at_x0):
+        # A quadratic whose value is replaced at x0 alone, so the gradient
+        # check, which evaluates f only near x0, passes.
+        def f(x):
+            return at_x0 if tuple(x.tolist()) == self.X0 else float(x.dot(x))
+
+        return ObjectiveFunction(
+            "patched", 2, f, lambda x: 2.0 * x, lambda x: 2.0 * np.eye(2), self.X0)
+
+    @pytest.mark.parametrize("variant", ["ARC", "ARC_PLUS"])
+    @pytest.mark.parametrize("at_x0", [math.nan, -math.inf])
+    def test_nan_or_minus_inf_raises_at_once(self, at_x0, variant):
+        f = self._objective(at_x0)
+        message = r"^f\(x0\) = (nan|-inf): the ratio test accepts no step from it$"
+        with pytest.raises(ConvergenceError, match=message):
+            arc_plus_minimize(f, None, variant)
+
+    @pytest.mark.parametrize("variant", ["ARC", "ARC_PLUS"])
+    def test_plus_inf_converges(self, variant):
+        rep = arc_plus_minimize(self._objective(math.inf), None, variant)
+        assert rep.converged
+        assert rep.iterations == 5
+        assert rep.f_history[0] == math.inf and math.isfinite(rep.f_final)
 
 
 class TestStepBelowResolution:

@@ -1,6 +1,8 @@
 """Cubic model evaluation, derivatives, and the global certificate."""
 
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -8,9 +10,11 @@ import pytest
 
 from cubicmin import CubicModel, SymmetricMatrix, eval_model, global_minimize, grad, hess, is_global
 from cubicmin import linalg
-from cubicmin.escape import escape_exact
+from cubicmin import model as model_mod
+from cubicmin.escape import EscapeOutcome, escape_exact
 from cubicmin.exceptions import ConvergenceError, NotStationary
 from cubicmin.model import GlobalCertificate, StationaryPoint
+from cubicmin.stationary import GlobalSolution, LambdaRoot, SecularProblem, enumerate_stationary
 
 from .helpers import np_eval, np_grad, random_model
 
@@ -315,3 +319,74 @@ class TestOverflowingLoad:
         assert math.isfinite(sol.certificate.residual)
         assert sol.certificate.is_global
         assert not sol.hard_case
+
+
+def _hash_or_error(x):
+    try:
+        return hash(x)
+    except TypeError as exc:  # a record holding an ndarray is unhashable
+        return str(exc)
+
+
+def _field_bits(x):
+    """A record's fields as exact bits, nested records included."""
+    if dataclasses.is_dataclass(x):
+        fields = dataclasses.fields(x)
+        return type(x).__name__, tuple(_field_bits(getattr(x, f.name)) for f in fields)
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if isinstance(x, float):
+        return x.hex()
+    return x
+
+
+def _package_records():
+    """Records the solve builds on its hot paths: every record type, every escape kind."""
+    records = []
+    for m in (WORKED, CubicModel([0.5, 0.25, 0.1], np.diag([-3.0, -2.0, 1.0]), 1.0)):
+        sol = global_minimize(m)
+        points = enumerate_stationary(m)
+        outcomes = [escape_exact(m, p) for p in points]
+        records += [sol, sol.certificate, SecularProblem.from_model(m).top_root]
+        records += points + outcomes + [out.certificate for out in outcomes if out.certificate]
+        records.append(is_global(m, points[0].s))
+    kinds = {out.case_tag for out in records if isinstance(out, EscapeOutcome)}
+    assert kinds == {"A", "B_II", "B_III", "NONE_GLOBAL"}
+    return records
+
+
+class TestRecordParity:
+    """Records built without ``__init__`` (``model._record``) equal the constructor's."""
+
+    TYPES = (StationaryPoint, GlobalCertificate, LambdaRoot, EscapeOutcome, GlobalSolution)
+
+    @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+    def test_no_post_init(self, cls):
+        # _record skips __init__, so it would skip a __post_init__ too.
+        assert not hasattr(cls, "__post_init__")
+        assert cls.__dataclass_params__.frozen
+
+    @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
+    def test_record_equals_constructed(self, cls):
+        records = [r for r in _package_records() if type(r) is cls]
+        assert records
+        fields = [f.name for f in dataclasses.fields(cls)]
+        for rec in records:
+            # The package set every field on the instance, in declaration order.
+            assert list(vars(rec)) == fields
+            built = cls(**vars(rec))
+            direct = model_mod._record(cls, **vars(built))
+            for other in (built, direct):
+                assert rec == other and other == rec
+                assert _hash_or_error(rec) == _hash_or_error(other)
+                assert repr(rec) == repr(other)
+            swap = {fields[0]: getattr(rec, fields[-1])}
+            changed = dataclasses.replace(rec, **swap)
+            assert type(changed) is cls
+            assert repr(changed) == repr(dataclasses.replace(built, **swap))
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, fields[0], None)
+            back = pickle.loads(pickle.dumps(rec))
+            assert type(back) is cls
+            assert repr(back) == repr(rec)
+            assert _field_bits(back) == _field_bits(rec)

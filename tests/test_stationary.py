@@ -1,5 +1,6 @@
 """Secular equation, stationary-point enumeration, and global minimization."""
 
+import dataclasses
 import gc
 import math
 import re
@@ -12,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicmin import CubicModel, eval_model, is_global, stationary
+from cubicmin import CubicModel, eval_model, is_global, linalg, stationary
+from cubicmin import model as model_mod
 from cubicmin.exceptions import (
     CertificateFailure,
     ConvergenceError,
@@ -20,6 +22,7 @@ from cubicmin.exceptions import (
     NormMismatch,
     PoleEvaluation,
 )
+from cubicmin.linalg import SymmetricMatrix
 from cubicmin.model import StationaryPoint
 from cubicmin.problem_io import parse_problem
 from cubicmin.stationary import (
@@ -40,8 +43,19 @@ from cubicmin.stationary import (
     subintervals,
 )
 
+from .helpers import RefSymmetricMatrix
 from .helpers import class_model as _class_model
-from .helpers import min_second_difference, np_eval, np_psd_margin, np_residual, random_model
+from .helpers import (
+    min_second_difference,
+    np_eval,
+    np_psd_margin,
+    np_residual,
+    random_model,
+    ref_certificate,
+    ref_from_vector,
+    ref_newton_root,
+    ref_sym_eigen,
+)
 
 WORKED = CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
 
@@ -571,6 +585,112 @@ class TestSecularReferenceParity:
             _global_record(global_first)
             assert _points_record(global_first) == want, i
             assert _points_record(_fresh(m)) == want, i
+
+
+def _bits(x):
+    """A value's exact bits: arrays with dtype, shape, layout and write flag."""
+    if isinstance(x, np.ndarray):
+        return (x.dtype.str, x.shape, x.strides, x.flags.writeable, x.tobytes())
+    if isinstance(x, float):
+        return type(x).__name__, x.hex()
+    return x
+
+
+def _record_bits(run):
+    """Every field of the record ``run()`` returns as bits, or its exception's class and message."""
+    try:
+        rec = run()
+    except CubicminError as exc:
+        return type(exc).__name__, str(exc)
+    if rec is None:
+        return None
+    return type(rec).__name__, tuple(_bits(getattr(rec, f.name)) for f in dataclasses.fields(rec))
+
+
+def _matrix_inputs(entries):
+    """The model's Q as given, off-diagonal within the symmetry tolerance, transposed
+    (Fortran order), as a strided view, and asymmetric beyond the tolerance."""
+    n = entries.shape[0]
+    upper = np.triu_indices(n, 1)
+    near = entries.copy()
+    near[upper] *= 1.0 + 1e-13
+    wide = np.zeros((2 * n, 2 * n))
+    wide[::2, ::2] = near
+    far = entries.copy()
+    far[upper] += 1.0
+    return [entries, near, np.asfortranarray(near.T), wide[::2, ::2], far]
+
+
+class TestSmallSolveReferenceParity:
+    """The matrix, the eigen scalars, the secular roots, the points and the
+    certificates give the bits of ``tests/helpers.py``'s reference builders."""
+
+    CLASSES = ("generic", "hard", "near_hard", "zero_c", "scaled_Q", "tiny_sigma")
+
+    # "clustered" adds poles merged within 1e-10, where the root finder's
+    # start reads the coupled poles rather than the merged ones.
+    @pytest.mark.parametrize("cls", CLASSES + ("clustered",))
+    def test_matches_reference(self, cls):
+        roots = points = 0
+        for n in range(1, 9):
+            for seed in range(20):
+                if cls == "clustered":
+                    m = _cluster_model(np.random.default_rng(seed), n)
+                else:
+                    m = _class_model(np.random.default_rng(seed), cls, n)
+                for a in _matrix_inputs(m.Q.entries):
+                    try:
+                        want = RefSymmetricMatrix(a)
+                    except ValueError as exc:
+                        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                            SymmetricMatrix(a)
+                        continue
+                    given = _bits(a)
+                    got = SymmetricMatrix(a)
+                    assert _bits(a) == given  # the input is only read
+                    assert _bits(got.entries) == _bits(want.entries)
+                    eig, ref = got.eig, ref_sym_eigen(want)
+                    assert _bits(eig.values) == _bits(ref.values)
+                    assert _bits(eig.vectors) == _bits(ref.vectors)
+                    assert eig.mu_1.hex() == float(ref.values[0]).hex()
+                    v_1 = linalg._freeze(ref.vectors[:, 0].copy())
+                    assert _bits(eig.v_1) == _bits(v_1)
+                    assert eig.norm_v_1.hex() == linalg.norm(v_1).hex()
+                try:
+                    sp = SecularProblem.from_model(m)
+                except CubicminError:
+                    continue
+                vectors = [np.zeros(n)] + _boundary_points(sp)
+                # Without a coupled mode there is no root to search for.
+                for (lo, hi) in sp._subintervals if sp.any_coupled else ():
+                    for end, far in ((lo, hi), (hi, lo)) if hi < math.inf else ((lo, hi),):
+                        # Also the searches enumerate_lambda skips, which can
+                        # divide by a zero shift.
+                        with np.errstate(divide="ignore", invalid="ignore"):
+                            want = _record_bits(lambda: ref_newton_root(sp, end, far))
+                            got = _record_bits(lambda: _newton_root(sp, end, far))
+                        assert got == want
+                        if want and want[0] == "LambdaRoot":
+                            roots += 1
+                            vectors.append(stationary_from_lambda(sp, _newton_root(sp, end, far)))
+                rng = np.random.default_rng([seed, n])
+                # Far out, m(s) overflows to +inf or -inf, and ||s||**2 overflows.
+                vectors += [10.0**k * rng.normal(size=n) for k in (0, 110, 160)]
+                for s in vectors:
+                    want = _record_bits(lambda: ref_from_vector(m, s))
+                    assert _record_bits(lambda: StationaryPoint.from_vector(m, s)) == want
+                    if want[0] != "StationaryPoint":
+                        continue
+                    points += 1
+                    got_p = StationaryPoint.from_vector(m, s)
+                    want_p = ref_from_vector(m, s)
+                    for tols in ((m.default_tol_grad(), m.default_tol_psd()), (1e-300, 1e-300)):
+                        for gate in (False, True):
+                            want = _record_bits(lambda: ref_certificate(m, want_p, *tols, gate))
+                            assert _record_bits(
+                                lambda: model_mod._certificate(m, got_p, *tols, gate)) == want
+        assert points > 800
+        assert roots > 200 or cls == "zero_c"
 
 
 class TestOnePointPerRoot:
