@@ -6,6 +6,16 @@ relative), ``sigma`` (positive), and an optional ``name``.  Numbers use
 '.' decimal notation; serialization writes shortest round-trip floats,
 so parse(serialize(p)) is the identity.
 
+``save_problem`` encodes with orjson, imported on first use like the
+decoder: two-space indent, one number per line, a final newline, and
+UTF-8 names.  orjson spells a float's shortest digits in its own way
+(``1e-7``, ``1e16``, ``-0.000021374821571048957`` where the stdlib
+writes ``1e-07``, ``1e+16``, ``-2.1374821571048957e-05``); a
+correctly rounding reader, orjson or the stdlib, reads the same double
+from either.  A name orjson refuses to encode (a lone surrogate) is
+written by the stdlib encoder, with ``\\uXXXX`` escapes, as every file
+was before.
+
 ``Q`` is converted in one call: when every row is a list of length n
 and one type scan over all entries finds only plain ints and floats, a
 single ``np.array`` conversion and one finiteness check validate the
@@ -235,7 +245,22 @@ def problem_to_dict(m, name=None):
 
 
 def save_problem(path, m, name=None):
-    """Write a CubicModel to a problem file (round-trip exact)."""
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(problem_to_dict(m, name), fh, indent=2)
-        fh.write("\n")
+    """Write a CubicModel to a problem file (round-trip exact).
+
+    The file is ``problem_to_dict(m, name)`` as orjson writes it with a
+    two-space indent and a final newline: UTF-8, one number per line,
+    each float in its shortest round-trip spelling.  A name orjson
+    refuses (one holding a lone surrogate) is written by the stdlib
+    ``json.dumps(..., indent=2)`` instead, whose ``\\uXXXX`` escapes
+    ``load_problem`` reads back.  The text is encoded before the file is
+    opened, so a failed encode never leaves a truncated file.
+    """
+    import orjson  # imported on first use, as in load_problem
+
+    data = problem_to_dict(m, name)
+    try:
+        raw = orjson.dumps(data, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError:
+        raw = (json.dumps(data, indent=2) + "\n").encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(raw)

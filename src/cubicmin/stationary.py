@@ -95,7 +95,10 @@ class SecularProblem:
         ``subintervals``.
     top_root : LambdaRoot or None
         The root in the unbounded subinterval above the last cut, which
-        is the largest root; None when c = 0 or no root is found.
+        is the largest root; None exactly when c = 0.  phi runs from
+        below 0 to +inf there, so a root exists when c is not zero, and
+        the constructor raises ConvergenceError when the iteration loses
+        it (as where ``||s||^2`` overflows).
     top_point : StationaryPoint or None
         The point of ``top_root``; None with it.
     """
@@ -127,9 +130,16 @@ class SecularProblem:
         # Each subinterval's loads at its ends; 0 at lam = 0 and at inf.
         cut_loads = [0.0] + [w for _, w in positive]
         self._end_loads = list(zip(cut_loads, cut_loads[1:] + [0.0]))
-        self.top_root = _newton_root(self, cuts[-1], math.inf) if self.any_coupled else None
-        self.top_point = None
-        if self.top_root is not None:
+        self.top_root = self.top_point = None
+        if self.any_coupled:
+            self.top_root = _newton_root(self, cuts[-1], math.inf)
+            if self.top_root is None:
+                # phi runs from below 0 to +inf there, so a root exists; the
+                # iteration lost it, as where ||s||^2 overflows.
+                raise ConvergenceError(
+                    f"secular Newton iteration lost the largest root: none found above"
+                    f" lam = {cuts[-1]!r}, though c is not zero"
+                )
             s = stationary_from_lambda(self, self.top_root)
             self.top_point = StationaryPoint.from_vector(m, s)
 
@@ -350,7 +360,7 @@ def _coefficients(sp, pole, offset):
     if np.count_nonzero(on_pole):
         i = int(np.argmax(on_pole))
         raise PoleEvaluation(
-            f"multiplier {pole + offset!r} sits on the coupled pole {-sp.eig.values[i]!r}"
+            f"multiplier {pole + offset!r} sits on the coupled pole {float(-sp.eig.values[i])!r}"
         )
     coeff = np.divide(sp.beta, denom, out=np.zeros(sp.beta.shape), where=coupled)
     return coeff, denom

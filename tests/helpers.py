@@ -9,6 +9,7 @@ earlier written form of it, and call the package's norms and certificate
 as that form did.
 """
 
+import decimal
 import math
 
 import numpy as np
@@ -108,6 +109,26 @@ def np_grad(m, s):
 
 def np_residual(m, s):
     return float(np.linalg.norm(np_grad(m, s)))
+
+
+def exact_residual(m, s):
+    """``||c + Qs + sigma||s|| s||`` in 80-digit decimal arithmetic, as a float.
+
+    The referee for a certificate's residual: it reads the model's doubles
+    ``c``, ``Q.entries`` and ``sigma`` and the double vector ``s`` exactly,
+    so its only rounding is at 80 digits, far below that of a double
+    residual (about ``eps * || |c| + |Q||s| + sigma||s|| |s| ||``).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 80
+        D = decimal.Decimal
+        s_d = [D(v) for v in np.asarray(s, dtype=float).tolist()]
+        k = D(m.sigma) * sum(v * v for v in s_d).sqrt()
+        total = D(0)
+        for c_i, row, s_i in zip(m.c.tolist(), m.Q.entries.tolist(), s_d):
+            r_i = D(c_i) + sum(D(q) * v for q, v in zip(row, s_d)) + k * s_i
+            total += r_i * r_i
+        return float(total.sqrt())
 
 
 def np_psd_margin(m, s):

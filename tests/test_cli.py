@@ -159,6 +159,22 @@ class TestSolve:
         )
         assert not out.stdout
 
+    @pytest.mark.parametrize("command", ["solve", "stationary"])
+    def test_lost_top_root_exit_2(self, tmp_path, command):
+        # s* is about 1.618e200, and ||s||^2 overflows in the secular search
+        # (NumPy warns of it): a ConvergenceError, where stationary listed 0
+        # points and solve named a PoleEvaluation.
+        path = tmp_path / "lost_root.json"
+        path.write_text('{"n": 1, "c": [-1e200], "Q": [[-1.0]], "sigma": 1e-200}\n')
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        out = run_cli(command, str(path), env=env)
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.splitlines()[-1] == (
+            "cubicmin: solver error: ConvergenceError: secular Newton iteration lost the"
+            " largest root: none found above lam = 1.0, though c is not zero"
+        )
+
     @pytest.mark.parametrize("warnings", [None, "error"])
     @pytest.mark.parametrize("command", ["solve", "stationary"])
     def test_objective_below_range_exit_2(self, tmp_path, command, warnings):

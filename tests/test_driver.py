@@ -29,7 +29,7 @@ from cubicmin.model import StationaryPoint, eval_model, grad, is_global
 from cubicmin.problems import DEFAULT_SUITE, ObjectiveFunction, cubic_objective, get_problem
 from cubicmin.stationary import global_minimize
 
-from .helpers import class_model, random_model
+from .helpers import class_model, exact_residual, random_model
 
 WORKED = CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
 
@@ -129,6 +129,48 @@ class TestAgreesWithSecularSolver:
                 assert abs(got - want) <= 1e-8 * max(1.0, abs(want)), (cls, seed)
         # 297 of the 360 models today; the rest fail in one solver or both.
         assert both >= 250
+
+
+def _referee_failures(classes):
+    """Certificates, and those the exact residual puts above the gate, of
+    ``global_minimize`` and ``solve_via_escapes(m, ones)`` on class models."""
+    solvers = {
+        "global_minimize": global_minimize,
+        "escapes": lambda m: solve_via_escapes(m, np.ones(m.n))[0],
+    }
+    certified, failed = 0, []
+    for cls in classes:
+        for seed in range(60):
+            m = class_model(np.random.default_rng(seed), cls, 2 + seed % 9)
+            for name, solve in solvers.items():
+                try:
+                    sol = solve(m)
+                except CubicminError:
+                    continue
+                certified += 1
+                if not exact_residual(m, sol.s_star) <= m.default_tol_grad():
+                    failed.append((cls, seed, name))
+    return certified, failed
+
+
+class TestExactResidualReferee:
+    """Each certified point meets the gate ``1e-8 (1 + ||c||)`` on its exact
+    residual, not only on its double one."""
+
+    def test_certificates_pass_referee(self):
+        certified, failed = _referee_failures(("generic", "hard", "near_hard", "zero_c"))
+        assert failed == []
+        assert certified == 480  # both solvers certify every one of these models
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1: a double residual below the gate is certified even "
+        "where the exact one is above it (2 escape-loop certificates per class)",
+    )
+    @pytest.mark.parametrize("cls", ["scaled_Q", "tiny_sigma"])
+    def test_stress_certificates_pass_referee(self, cls):
+        _, failed = _referee_failures((cls,))
+        assert failed == []
 
 
 class TestSolveViaEscapesRecovery:

@@ -2,13 +2,15 @@
 
 import json
 import math
+import re
 import subprocess
 import sys
 
 import numpy as np
+import orjson
 import pytest
 
-from cubicmin import problem_io
+from cubicmin import CubicModel, problem_io
 from cubicmin.exceptions import SchemaError
 from cubicmin.problem_io import (
     _require_number,
@@ -21,7 +23,26 @@ from cubicmin.problem_io import (
 from .helpers import random_model
 
 TINY = 5e-324  # the least subnormal
+_ORJSON_INDENT = orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE
 GOOD = {"n": 2, "c": [-2.0, 0.0], "Q": [[1.0, 0.0], [0.0, -3.0]], "sigma": 1.0}
+
+
+_NUMBER_TOKEN = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
+
+
+def _mask_numbers(text):
+    return _NUMBER_TOKEN.sub("0", text)
+
+
+def _float_bits(value):
+    """``value`` with each float replaced by its bit pattern, for bitwise equality."""
+    if isinstance(value, float):
+        return ("float", np.float64(value).tobytes())
+    if isinstance(value, list):
+        return [_float_bits(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _float_bits(v) for k, v in value.items()}
+    return value
 
 
 def _variant(**overrides):
@@ -145,6 +166,80 @@ class TestRoundTrip:
         data = json.loads(path.read_text())
         assert set(data) == {"n", "c", "Q", "sigma"}
         assert data["n"] == 2
+
+    def test_golden_file_text(self, tmp_path):
+        # orjson's spelling of the shortest digits: no exponent padding or
+        # '+', and plain decimals where the stdlib writes 2.1374821571048957e-05.
+        m = CubicModel([1e-07, -2.1374821571048957e-05], [[1e16, -0.0], [-0.0, 0.0]],
+                       1.7976931348623157e308)
+        path = tmp_path / "golden.json"
+        save_problem(path, m)
+        assert path.read_bytes() == GOLDEN_2X2.encode()
+        again, name = load_problem(path)
+        assert name is None
+        assert again.c.tobytes() == m.c.tobytes()
+        assert again.Q.entries.tobytes() == m.Q.entries.tobytes()
+        assert again.sigma == m.sigma
+
+    @pytest.mark.parametrize(
+        "name", [None, "", "w", "\u00e9", "\ud800", "a\ud800b", "\udfff", "\U0001f600",
+                 "a\tb\n", '"\\', "\x00\x7f"],
+    )
+    def test_both_readers_read_what_save_writes(self, name, tmp_path):
+        m = random_model(np.random.default_rng(4242), n=3)
+        path = tmp_path / "p.json"
+        save_problem(path, m, name=name)
+        for data in (json.loads(path.read_bytes()), problem_to_dict(*load_problem(path))):
+            assert _float_bits(data) == _float_bits(problem_to_dict(m, name))
+
+    def test_non_ascii_name_is_raw_utf8(self, tmp_path):
+        m, _ = parse_problem(GOOD)
+        path = tmp_path / "p.json"
+        save_problem(path, m, name="\u00e9")
+        assert b'"name": "\xc3\xa9"' in path.read_bytes()
+        assert load_problem(path)[1] == "\u00e9"
+
+    def test_lone_surrogate_name_falls_back_to_stdlib(self, tmp_path):
+        # orjson refuses to encode a lone surrogate; the stdlib escapes it.
+        m, _ = parse_problem(GOOD)
+        path = tmp_path / "p.json"
+        save_problem(path, m, name="\ud800")
+        data = problem_to_dict(m, "\ud800")
+        assert path.read_text() == json.dumps(data, indent=2) + "\n"
+        assert load_problem(path)[1] == "\ud800"
+
+    def test_failed_encode_leaves_existing_file(self, tmp_path):
+        class Unprintable:
+            def __str__(self):
+                raise ValueError("no text")
+
+        m, _ = parse_problem(GOOD)
+        path = tmp_path / "p.json"
+        path.write_text("kept\n")
+        with pytest.raises(ValueError, match="no text"):
+            save_problem(path, m, name=Unprintable())
+        assert path.read_text() == "kept\n"
+
+
+GOLDEN_2X2 = """{
+  "n": 2,
+  "c": [
+    1e-7,
+    -0.000021374821571048957
+  ],
+  "Q": [
+    [
+      1e16,
+      -0.0
+    ],
+    [
+      -0.0,
+      0.0
+    ]
+  ],
+  "sigma": 1.7976931348623157e308
+}
+"""
 
 
 def _nested_c(depth, sigma="1.0"):
@@ -401,13 +496,20 @@ class TestParseParity:
             "sigma": float(m.sigma),
             "name": "big",
         }
-        assert path.read_text() == json.dumps(reference, indent=2) + "\n"
+        raw = path.read_bytes()
+        # The stdlib reads back the same values, each float bit for bit.
+        data = json.loads(raw)
+        assert _float_bits(data) == _float_bits(reference)
+        # The stdlib's layout, where only the spelling of numbers differs.
+        assert _mask_numbers(raw.decode()) == _mask_numbers(
+            json.dumps(reference, indent=2) + "\n"
+        )
+        assert raw == orjson.dumps(reference, option=_ORJSON_INDENT)
         again, name = load_problem(path)
         assert name == "big"
         assert again.c.tobytes() == m.c.tobytes()
         assert again.Q.entries.tobytes() == m.Q.entries.tobytes()
         assert again.sigma == m.sigma
-        data = json.loads(path.read_text())
         assert _outcome(_parsed, data) == _outcome(_reference_parse, data)
 
 
@@ -556,7 +658,8 @@ class TestDecoderParity:
 
 
 def test_import_leaves_orjson_unloaded():
-    # orjson is imported on the first load_problem call, not with the package.
+    # orjson is imported on the first load_problem or save_problem call, not
+    # with the package.
     code = "import sys, cubicmin, cubicmin.cli; print('orjson' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)

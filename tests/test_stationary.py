@@ -908,6 +908,33 @@ class TestObjectiveOutOfRange:
             solve(_fresh(self.M))
 
 
+class TestLostTopRoot:
+    """c = -1e200, Q = -1, sigma = 1e-200 has one stationary point, s* about
+    1.618e200, and ||s||^2 overflows in its secular search.  c is not zero,
+    so the unbounded subinterval holds a root: losing it is a
+    ConvergenceError, not an empty enumeration or a PoleEvaluation."""
+
+    M = CubicModel([-1e200], [[-1.0]], 1e-200)
+
+    @pytest.mark.parametrize("solve", [SecularProblem, global_minimize, enumerate_stationary])
+    def test_raises_convergence_error(self, solve):
+        # The overflow warns; the suite makes warnings errors.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ConvergenceError, match=(
+                r"^secular Newton iteration lost the largest root: none found above"
+                r" lam = 1\.0, though c is not zero$"
+            )):
+                solve(_fresh(self.M))
+
+
+def test_pole_evaluation_names_a_plain_float():
+    sp = _sp(CubicModel([-1.0, -1.0], np.diag([-2.0, -1.0]), 1.0))
+    with pytest.raises(PoleEvaluation, match=(
+        r"^multiplier 2\.0 sits on the coupled pole 2\.0$"
+    )):
+        _coefficients(sp, 2.0, 0.0)
+
+
 def test_grid_beats_nothing_on_worked_instance():
     # independent sanity anchor for the brute-force oracle itself
     from .helpers import grid_minimum
