@@ -9,16 +9,21 @@ negative-curvature direction d (B_II) or across z = s_bar + alpha*d
 (B_III).  Both escapes judge the point by its global certificate
 (``model._certificate`` at ``eps_grad`` and ``eps_curv``): a residual
 above ``eps_grad`` raises NotStationary, and a point that passes gets
-NONE_GLOBAL.  ``escape_exact`` uses the model's default tolerances,
-``escape_approx`` the caller's, which also set each reflection's
-threshold.  The case analysis reads s_bar, its multiplier and its
-gradient from the point's ``StationaryPoint`` record, the one
-evaluation of s_bar.  Every move is verified by direct evaluation;
-where the gates of both reflections hold, the larger verified decrease
-is returned.  Each ``EscapeOutcome`` is built by ``model._record``,
-without the dataclass's generated ``__init__``, and the default
+NONE_GLOBAL.  ``escape_exact`` takes the model's default tolerances
+as the two floats ``m.default_tol_grad()`` and ``m.default_tol_psd()``,
+without an ``ApproxTolerances`` record; ``escape_approx`` takes the
+caller's record, validated when it was built, whose tolerances also set
+each reflection's threshold.  The case analysis reads s_bar, its
+multiplier and its gradient from the point's ``StationaryPoint``
+record, the one evaluation of s_bar.  Every move is verified by direct
+evaluation; where the gates of both reflections hold, the larger
+verified decrease is returned.  Each ``EscapeOutcome`` is built by ``model._record``,
+without the dataclass's generated ``__init__``.  The default
 direction and its norm are the eigendecomposition's cached ``v_1`` and
-``norm_v_1``.
+``norm_v_1``, and its products ``c^T v_1``, ``v_1^T Q v_1`` and
+``v_1^T v_1`` are taken on the first escape from a model and cached on
+it (``CubicModel._escape_direction``); a ``direction`` override has its
+products taken on each call.
 """
 
 import math
@@ -163,8 +168,7 @@ def escape_exact(m, s_bar, direction=None):
     ThresholdNotMet
         As escape_approx (not seen on enumerated points).
     """
-    tol = ApproxTolerances(m.default_tol_grad(), m.default_tol_psd())
-    return _escape(m, s_bar, tol, direction)
+    return _escape(m, s_bar, m.default_tol_grad(), m.default_tol_psd(), direction)
 
 
 def escape_approx(m, s_bar, tol, direction=None):
@@ -187,14 +191,21 @@ def escape_approx(m, s_bar, tol, direction=None):
         verifies a decrease; the caller should tighten the local-solve
         tolerance and retry.
     """
-    return _escape(m, model_mod.StationaryPoint.from_vector(m, s_bar), tol, direction)
+    point = model_mod.StationaryPoint.from_vector(m, s_bar)
+    return _escape(m, point, tol.eps_grad, tol.eps_curv, direction)
 
 
-def _escape(m, point, tol, direction):
+def _direction(m, d, norm_d):
+    # d with its norm and the products c'd, d'Qd and d'd that _escape reads.
+    return d, norm_d, float(m.c.dot(d)), float(d.dot(m.Q.entries.dot(d))), float(d.dot(d))
+
+
+def _escape(m, point, eps_grad, eps_curv, direction):
     # The case analysis of both escapes, from the evaluated point: s, lam
     # and the gradient are the point's, and each product below is taken
-    # once.  Negating d is exact, so c'(-d) = -(c'd) and (-d)'Q(-d) = d'Qd.
-    cert = model_mod._certificate(m, point, tol.eps_grad, tol.eps_curv, gate=True)
+    # once, those of the default direction once per model.  Negating d is
+    # exact, so c'(-d) = -(c'd) and (-d)'Q(-d) = d'Qd.
+    cert = model_mod._certificate(m, point, eps_grad, eps_curv, gate=True)
     s = point.s
     c_s = float(m.c.dot(s))
     flip = None
@@ -211,14 +222,15 @@ def _escape(m, point, tol, direction):
     if flip is not None:
         raise ThresholdNotMet("sign flip failed to decrease the objective")
     if direction is None:
-        d, norm_d = m.eig.v_1, m.eig.norm_v_1
+        found = m._escape_direction
+        if found is None:
+            found = m._escape_direction = _direction(m, m.eig.v_1, m.eig.norm_v_1)
+        d, norm_d, c_d, d_q_d, d_d = found
     else:
         d = m._check_dim(direction)
-        norm_d = linalg.norm(d)
+        d, norm_d, c_d, d_q_d, d_d = _direction(m, d, linalg.norm(d))
     norm_s = linalg.norm(s)
     grad = point.gradient
-    c_d = float(m.c.dot(d))
-    d_q_d = float(d.dot(m.Q.entries.dot(d)))
 
     if norm_s <= _zero_tol(m):
         if c_d > 0.0:
@@ -233,11 +245,11 @@ def _escape(m, point, tol, direction):
     # the larger decrease wins, B_II on a tie.
     moves = []
     lam = point.lam
-    q_dd = d_q_d + lam * float(d.dot(d))
+    q_dd = d_q_d + lam * d_d
     s_d = float(s.dot(d))
     grad_d = float(grad.dot(d))
     if s_d != 0.0:
-        accepted = tol.eps_curv >= abs(grad_d / s_d)
+        accepted = eps_curv >= abs(grad_d / s_d)
         if not accepted:
             # Strengthened acceptance: the reflection's predicted change
             # along d is negative even though the plain threshold fails.
@@ -251,7 +263,7 @@ def _escape(m, point, tol, direction):
 
     # B_III needs only stationarity, not s_d = 0, since
     # z^T (Q + lam I) z = -c.s - 2 alpha c.d + alpha^2 d^T (Q + lam I) d.
-    if tol.eps_curv > abs(float(grad.dot(s))) / norm_s**2:
+    if eps_curv > abs(float(grad.dot(s))) / norm_s**2:
         if grad_d < 0.0:
             d = -d
             c_d = -c_d
@@ -260,7 +272,7 @@ def _escape(m, point, tol, direction):
             z = s + alpha * d
             z_z = float(z.dot(z))
             z_q_z = float(z.dot(m.Q.entries.dot(z))) + lam * z_z
-            if z_q_z < -tol.eps_curv * z_z:
+            if z_q_z < -eps_curv * z_z:
                 s_hat = s - 2.0 * (float(s.dot(z)) / z_z) * z
                 out = _outcome(m, point, CASE_B_III, s_hat, alpha=alpha, z=z)
                 if out.decrease > 0.0:

@@ -13,7 +13,6 @@ are normalized.  All returned arrays are marked read-only so values can
 be shared freely across threads.
 """
 
-import functools
 import math
 
 import numpy as np
@@ -58,6 +57,30 @@ def _freeze(a):
     return a
 
 
+class _cached:
+    """An attribute computed on first read and stored on the instance.
+
+    ``functools.cached_property`` without its lock (which CPython up to
+    3.11 takes on every first read): the value is a deterministic
+    function of the instance, so two threads that fill it at once store
+    equal values, and later reads find it in the instance dict without
+    calling the descriptor.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
 class SymmetricMatrix:
     """A validated, symmetrized n-by-n real matrix.
 
@@ -70,9 +93,10 @@ class SymmetricMatrix:
         tolerance arithmetic; it is still stored as ``A/2 + A^T/2``,
         which differs from A where halving rounds a subnormal entry.
 
-    ``max_abs`` and the eigendecomposition ``eig`` are computed lazily and
-    cached, so every model built on one matrix shares one
-    eigendecomposition.
+    ``max_abs``, the largest entry magnitude, is computed by the
+    constructor, since every solve reads it.  The eigendecomposition
+    ``eig`` is computed on first use and cached, so every model built on
+    one matrix shares one eigendecomposition.
     """
 
     def __init__(self, entries):
@@ -97,13 +121,9 @@ class SymmetricMatrix:
                 )
         self.entries = _freeze(half + half.T)
         self.n = a.shape[0]
+        self.max_abs = float(np.max(np.abs(self.entries)))
 
-    @functools.cached_property
-    def max_abs(self):
-        """Largest entry magnitude, used for relative tolerances."""
-        return float(np.max(np.abs(self.entries)))
-
-    @functools.cached_property
+    @_cached
     def eig(self):
         """EigenDecomposition of the matrix (``sym_eigen``), computed on first use."""
         return sym_eigen(self)
@@ -136,11 +156,11 @@ class EigenDecomposition:
         self.n = self.values.shape[0]
         self.mu_1 = float(self.values[0])
 
-    @functools.cached_property
+    @_cached
     def v_1(self):
         return _freeze(self.vectors[:, 0].copy())
 
-    @functools.cached_property
+    @_cached
     def norm_v_1(self):
         return norm(self.v_1)
 

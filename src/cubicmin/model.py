@@ -8,7 +8,9 @@ addition, ``Q + lam*I`` is positive semidefinite.
 A point is evaluated once, by ``StationaryPoint.from_vector``: the
 record keeps ``s``, ``lam``, ``m(s)``, the gradient and its norm, and the
 certificate and the escapes read that record instead of evaluating s
-again.
+again.  ``is_global``, which keeps no record, shares the start of that
+evaluation and, where it stays in double range, judges s without
+building one.
 
 The records built on the solve's hot paths (``StationaryPoint``,
 ``GlobalCertificate`` and the records of ``stationary`` and ``escape``)
@@ -17,7 +19,6 @@ dict directly instead of running the generated ``__init__``: the same
 instance, several times faster to build at n = 2..6.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -58,15 +59,19 @@ class CubicModel:
     sigma : float
         Regularization weight, strictly positive.
 
-    ``norm_c`` is computed on first use and cached, and so is the
-    secular record of ``stationary.SecularProblem.from_model``, which
-    one constructor builds whole, largest root and its StationaryPoint
-    included.  The eigendecomposition of Q is cached on the
-    ``SymmetricMatrix`` itself, so models that share one Q (as the outer
-    loop's models at one iterate do) share one eigendecomposition.
-    Instances are immutable and safe to share across threads: each
-    cached value is a deterministic function of (c, Q, sigma), so two
-    threads that fill a cache at once store equal values.
+    ``norm_c = ||c||`` (``linalg.safe_norm``, finite for every finite c)
+    is computed by the constructor, as is ``Q.max_abs``, since every
+    solve path reads both.  The secular record of
+    ``stationary.SecularProblem.from_model``, which one constructor
+    builds whole, largest root and its StationaryPoint included, is
+    built on first use and cached, and so are the escape's products of
+    the default direction (``_escape_direction``).  The
+    eigendecomposition of Q is cached on the ``SymmetricMatrix`` itself,
+    so models that share one Q (as the outer loop's models at one
+    iterate do) share one eigendecomposition.  Instances are immutable
+    and safe to share across threads: each cached value is a
+    deterministic function of (c, Q, sigma), so two threads that fill a
+    cache at once store equal values, and no cache takes a lock.
     """
 
     def __init__(self, c, Q, sigma):
@@ -85,17 +90,14 @@ class CubicModel:
         self.Q = Q
         self.sigma = sigma
         self.n = Q.n
+        self.norm_c = linalg.safe_norm(c)
         self._secular = None
+        self._escape_direction = None
 
     @property
     def eig(self):
         """EigenDecomposition of Q, cached on Q (``SymmetricMatrix.eig``)."""
         return self.Q.eig
-
-    @functools.cached_property
-    def norm_c(self):
-        """``||c||``, finite for every finite c (``linalg.safe_norm``)."""
-        return linalg.safe_norm(self.c)
 
     def default_tol_grad(self):
         """Default stationarity tolerance, relative to the model scale."""
@@ -138,15 +140,8 @@ class StationaryPoint:
     @classmethod
     def from_vector(cls, model, s):
         """Evaluate ``s``; ConvergenceError where m(s) is NaN or below double range."""
-        s = np.array(s, dtype=float).reshape(-1)
-        if s.shape[0] != model.n:
-            model._check_dim(s)  # raises the dimension error
-        s.setflags(write=False)
-        norm_s = linalg.safe_norm(s)
-        lam = model.sigma * norm_s
-        qs = model.Q.entries.dot(s)
-        # Bounds the terms of grad m(s) and m(s), as ||Q|| <= n max|Q|.
-        if (1.0 + norm_s) * (model.norm_c + (model.n * model.Q.max_abs + lam) * norm_s) < _IN_RANGE:
+        s, norm_s, lam, qs, in_range = _evaluate(model, s)
+        if in_range:
             objective = _objective(model, s, norm_s, qs)
             gradient = _gradient(model, s, norm_s, qs)
         else:
@@ -174,6 +169,22 @@ class GlobalCertificate:
     is_global: bool
     tol_grad: float
     tol_psd: float
+
+
+def _evaluate(model, s):
+    # The start of every evaluation of s: a read-only float copy of s,
+    # ||s||, lam, Q s, and whether the terms of grad m(s) and m(s) stay
+    # below _IN_RANGE (as ||Q|| <= n max|Q|), so that neither needs an
+    # errstate nor can leave double range.
+    s = np.array(s, dtype=float).reshape(-1)
+    if s.shape[0] != model.n:
+        model._check_dim(s)  # raises the dimension error
+    s.setflags(write=False)
+    norm_s = linalg.safe_norm(s)
+    lam = model.sigma * norm_s
+    qs = model.Q.entries.dot(s)
+    in_range = (1.0 + norm_s) * (model.norm_c + (model.n * model.Q.max_abs + lam) * norm_s) < _IN_RANGE
+    return s, norm_s, lam, qs, in_range
 
 
 def _objective(model, s, norm_s, qs):
@@ -234,6 +245,19 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
     GlobalCertificate
         With ``psd_margin = mu_1 + sigma * ||s||`` and
         ``is_global = (residual <= tol_grad) and (psd_margin >= -tol_psd)``.
+
+    Raises
+    ------
+    ConvergenceError
+        Where m(s) is NaN or below double range, as
+        ``StationaryPoint.from_vector``.
+
+    Where the terms of the gradient and of m(s) stay in double range, the
+    certificate is judged from ``||s||``, ``Q s``, the gradient and its
+    norm alone, without the objective or a ``StationaryPoint`` record,
+    which the certificate does not read; elsewhere s is evaluated by
+    ``StationaryPoint.from_vector``.  The certificate is the same either
+    way, bit for bit.
     """
     if tol_grad is None:
         tol_grad = model.default_tol_grad()
@@ -241,7 +265,11 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
         tol_psd = model.default_tol_psd()
     if not (tol_grad > 0.0 and tol_psd > 0.0):
         raise ValueError("tolerances must be positive")
-    return _certificate(model, StationaryPoint.from_vector(model, s), tol_grad, tol_psd)
+    s, norm_s, lam, qs, in_range = _evaluate(model, s)
+    if not in_range:
+        return _certificate(model, StationaryPoint.from_vector(model, s), tol_grad, tol_psd)
+    residual = linalg.safe_norm(_gradient(model, s, norm_s, qs))
+    return _judge(model, residual, lam, tol_grad, tol_psd)
 
 
 def _certificate(model, point, tol_grad, tol_psd, gate=False):
@@ -249,11 +277,15 @@ def _certificate(model, point, tol_grad, tol_psd, gate=False):
     # sigma*||s|| and residual, and nothing else compares either with a
     # tolerance.  With gate=True a residual above tol_grad (or NaN)
     # raises NotStationary instead of giving is_global = False.
-    residual = point.residual
+    return _judge(model, point.residual, point.lam, tol_grad, tol_psd, gate)
+
+
+def _judge(model, residual, lam, tol_grad, tol_psd, gate=False):
+    # _certificate from the residual and lam of a point.
     stationary = residual <= tol_grad
     if gate and not stationary:
         raise NotStationary(f"residual {residual!r} exceeds {tol_grad!r}")
-    psd_margin = model.eig.mu_1 + point.lam
+    psd_margin = model.eig.mu_1 + lam
     return _record(
         GlobalCertificate,
         psd_margin=psd_margin,

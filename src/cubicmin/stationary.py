@@ -98,7 +98,7 @@ class SecularProblem:
         is the largest root; None exactly when c = 0.  phi runs from
         below 0 to +inf there, so a root exists when c is not zero, and
         the constructor raises ConvergenceError when the iteration loses
-        it (as where ``||s||^2`` overflows).
+        it (as where ``||s||^2`` would overflow).
     top_point : StationaryPoint or None
         The point of ``top_root``; None with it.
     """
@@ -107,6 +107,7 @@ class SecularProblem:
         eig = self.eig = m.eig
         self.beta = linalg._freeze(-eig.vectors.T.dot(m.c))
         self.sigma = m.sigma
+        self._norm_c = m.norm_c
         self.pole_tol = 1e-10 * (1.0 + m.norm_c)
         self.coupled = linalg._freeze(np.abs(self.beta) > self.pole_tol)
         self.any_coupled = np.count_nonzero(self.coupled) > 0
@@ -229,6 +230,15 @@ def _newton_root(sp, end, far):
     through the shifts ``(mu_i + pole) + t``, which equal ``t`` exactly
     for the modes of the pole.  ``s`` holds the coupled modes, the ones
     whose poles cut the subintervals.
+
+    In the unbounded subinterval every shift is >= 0 and t only grows, so
+    each ``|a_i| = |beta_i| / d_i`` stays below ``r = ||beta|| / d_min``,
+    with ``d_min = |shift_j| + t`` the smallest shift at the start, and
+    ``a.dot(a)`` and ``sum a_i^2 / d_i`` below ``r^2`` and ``r^2 / d_min``.
+    Where those scalar bounds (taken with ``||c||``, which is ``||beta||``
+    up to rounding) reach ``2^1000``, the same iteration runs with NumPy
+    overflow raising, and an overflow of ``||s||^2`` or phi' returns None
+    instead of a NumPy warning.
     """
     side = 1.0 if far > end else -1.0
     beta = sp.coupled_beta
@@ -248,13 +258,29 @@ def _newton_root(sp, end, far):
     # P = |shift_j| + pole.  Start halfway to it, or to mid-subinterval.
     j = int(abs(shift).argmin())
     w = abs(float(beta[j]))
-    P = abs(float(shift[j])) + pole
+    near = abs(float(shift[j]))
+    P = near + pole
     t_max = 2.0 * sp.sigma * w / (P + math.sqrt(P * P + 4.0 * sp.sigma * w))
     t = side * 0.5 * min(t_max, width)
     if t == 0.0:
         # t_max underflowed (P * P overflows once P exceeds about 1e154):
         # lam would sit on the pole, where s(lam) is undefined.
         raise ConvergenceError(f"secular Newton start left double range at lam = {pole!r}")
+    if far == math.inf:
+        d_min = near + t
+        r = sp._norm_c / d_min
+        if not r * max(r, r / d_min) < model_mod._IN_RANGE:
+            with np.errstate(over="raise", invalid="raise"):
+                try:
+                    return _newton_walk(sp, shift, pole, t, width, side)
+                except FloatingPointError:
+                    return None
+    return _newton_walk(sp, shift, pole, t, width, side)
+
+
+def _newton_walk(sp, shift, pole, t, width, side):
+    """Newton's iteration of ``_newton_root`` from the offset ``t``: a LambdaRoot or None."""
+    beta = sp.coupled_beta
     # phi is concave on the subinterval: 1/||s|| is the power mean M_-2 of
     # the affine |mu_i + lam|, and -sigma/lam is concave.  So phi lies
     # below each tangent: Newton from phi < 0 never overshoots, walks

@@ -175,6 +175,19 @@ class TestSolve:
             " largest root: none found above lam = 1.0, though c is not zero"
         )
 
+    @pytest.mark.parametrize("command", ["solve", "stationary"])
+    def test_lost_top_root_one_line_under_warnings_error(self, tmp_path, command):
+        # The search that would overflow ||s||^2 warns of nothing: exit 2
+        # with the one solver error line, not a RuntimeWarning traceback.
+        path = tmp_path / "lost_root.json"
+        path.write_text('{"n": 1, "c": [-1e200], "Q": [[-1.0]], "sigma": 1e-200}\n')
+        out = run_cli(command, str(path), env={**os.environ, "PYTHONWARNINGS": "error"})
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            "cubicmin: solver error: ConvergenceError: secular Newton iteration lost the"
+            " largest root: none found above lam = 1.0, though c is not zero\n"
+        )
+
     @pytest.mark.parametrize("warnings", [None, "error"])
     @pytest.mark.parametrize("command", ["solve", "stationary"])
     def test_objective_below_range_exit_2(self, tmp_path, command, warnings):

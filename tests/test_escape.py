@@ -319,3 +319,36 @@ class TestReferenceParity:
                     alpha_threshold_biii(m, s, d)
                 continue
             assert alpha_threshold_biii(m, s, d).hex() == want
+
+
+class TestDefaultDirection:
+    """The default direction's products, taken once per model, give the bits
+    of the same direction passed as an override, whose products are taken
+    on each call."""
+
+    CLASSES = ("generic", "hard", "near_hard", "scaled_Q", "tiny_sigma", "zero_c")
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_matches_override(self, cls):
+        rng = np.random.default_rng([8300, self.CLASSES.index(cls)])
+        seen = set()
+        for n in np.repeat(np.arange(1, 9), 3):
+            m = class_model(rng, cls, int(n))
+            try:
+                points = enumerate_stationary(m)
+            except CubicminError:
+                continue
+            loose = ApproxTolerances(m.default_tol_grad(), 1e-2 * (1.0 + m.Q.max_abs))
+            for p in points:
+                if is_global(m, p.s).is_global:
+                    continue
+                v_1 = m.eig.v_1.copy()
+                want = _escape_record(lambda: escape_exact(m, p, direction=v_1))
+                assert _escape_record(lambda: escape_exact(m, p)) == want
+                # Again from the cache, which a negated direction left alone.
+                assert _escape_record(lambda: escape_exact(m, p)) == want
+                seen.add(want[0])
+                want = _escape_record(lambda: escape_approx(m, p.s, loose, direction=v_1))
+                assert _escape_record(lambda: escape_approx(m, p.s, loose)) == want
+                seen.add(want[0])
+        assert seen - {"NONE_GLOBAL"}, "no escape move or error was compared"

@@ -12,11 +12,11 @@ from cubicmin import CubicModel, SymmetricMatrix, eval_model, global_minimize, g
 from cubicmin import linalg
 from cubicmin import model as model_mod
 from cubicmin.escape import EscapeOutcome, escape_exact
-from cubicmin.exceptions import ConvergenceError, NotStationary
+from cubicmin.exceptions import ConvergenceError, CubicminError, NotStationary
 from cubicmin.model import GlobalCertificate, StationaryPoint
 from cubicmin.stationary import GlobalSolution, LambdaRoot, SecularProblem, enumerate_stationary
 
-from .helpers import np_eval, np_grad, random_model
+from .helpers import class_model, np_eval, np_grad, random_model
 
 WORKED = CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
 HARD_S = np.array([0.5, np.sqrt(35.0) / 2.0])
@@ -254,6 +254,109 @@ class TestIsGlobal:
         assert cert.is_global
         with pytest.raises(ValueError):
             is_global(WORKED, np.zeros(2), tol_grad=-1.0)
+
+
+def _certificate_bits(run):
+    """A certificate's fields with their types, floats as hex, or the exception's class and message."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = run()
+    except (CubicminError, ValueError, RuntimeWarning) as exc:
+        return type(exc).__name__, str(exc)
+    return (type(cert).__name__, type(cert.is_global).__name__, cert.is_global,
+            *((type(x).__name__, x.hex()) for x in (cert.psd_margin, cert.residual,
+                                                     cert.tol_grad, cert.tol_psd)))
+
+
+def _reference_certificate(m, s, tol_grad=None, tol_psd=None):
+    # What is_global returned when it judged every s through its record.
+    tol_grad = m.default_tol_grad() if tol_grad is None else tol_grad
+    tol_psd = m.default_tol_psd() if tol_psd is None else tol_psd
+    return model_mod._certificate(m, StationaryPoint.from_vector(m, s), tol_grad, tol_psd)
+
+
+def _is_global_inputs(s):
+    """The vector s in the layouts and dtypes callers pass, with its scaled copies."""
+    n = s.shape[0]
+    strided = np.repeat(s, 2)[::2]
+    yield s
+    yield strided
+    yield np.asfortranarray(s.reshape(-1, 1))
+    yield s.reshape(-1, 1)
+    yield np.rint(4.0 * s).astype(np.int64)
+    yield np.append(s, 1.0)
+    if n > 1:
+        yield s[:-1]
+    for scale in (1e110, 1e160):
+        yield s * scale
+        yield -strided * scale
+
+
+class TestLeanIsGlobal:
+    """is_global, which builds no record where s stays in range, gives the
+    certificate of ``_certificate`` on ``StationaryPoint.from_vector``, bit
+    for bit, and the same exceptions."""
+
+    CLASSES = ("generic", "hard", "near_hard", "scaled_Q", "tiny_sigma", "zero_c")
+    TOLERANCES = ((None, None), (0.5, 3.0), (1e-300, 1e-300))
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_matches_certificate_of_record(self, cls):
+        rng = np.random.default_rng([9100, self.CLASSES.index(cls)])
+        compared = raised = 0
+        for n in np.repeat(np.arange(1, 9), 2):
+            m = class_model(rng, cls, int(n))
+            try:
+                points = [p.s for p in enumerate_stationary(m)]
+            except CubicminError:
+                points = []
+            for s in points + [rng.normal(size=m.n)]:
+                for x in _is_global_inputs(s):
+                    before = (x.dtype, x.shape, x.strides, x.tobytes())
+                    for tol_grad, tol_psd in self.TOLERANCES:
+                        want = _certificate_bits(
+                            lambda: _reference_certificate(m, x, tol_grad, tol_psd))
+                        got = _certificate_bits(lambda: is_global(m, x, tol_grad, tol_psd))
+                        assert got == want
+                        compared += 1
+                        raised += want[0] != "GlobalCertificate"
+                    assert (x.dtype, x.shape, x.strides, x.tobytes()) == before
+        assert compared > 0 and raised > 0
+
+    @pytest.mark.parametrize("s", [[-1e150, -1e150], [1e150, -1e150], [1e140, 0.0], [3.0, 4.0]])
+    def test_past_range_goes_through_record(self, s):
+        # m(s) NaN or below range raises as from_vector does; above it, inf stays.
+        m = TestObjectiveRange.OUT
+        for tol_grad, tol_psd in self.TOLERANCES:
+            assert (_certificate_bits(lambda: is_global(m, s, tol_grad, tol_psd))
+                    == _certificate_bits(lambda: _reference_certificate(m, s, tol_grad, tol_psd)))
+
+    def test_in_range_builds_no_record(self, monkeypatch):
+        def refuse(cls, model, s):
+            raise AssertionError("built a StationaryPoint")
+
+        monkeypatch.setattr(StationaryPoint, "from_vector", classmethod(refuse))
+        assert not is_global(WORKED, [1.0, 0.0]).is_global
+        assert is_global(WORKED, HARD_S).is_global
+        with pytest.raises(AssertionError, match="built a StationaryPoint"):
+            is_global(TestObjectiveRange.OUT, [-1e150, -1e150])
+
+
+class TestEagerScalars:
+    """``norm_c`` and ``max_abs``, set by the constructors, are the values
+    their definitions give, bit for bit."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-310, 1e-160, 1e160, 1e300])
+    def test_match_definitions(self, scale):
+        rng = np.random.default_rng(9200)
+        for n in range(1, 9):
+            for cls in TestLeanIsGlobal.CLASSES:
+                base = class_model(rng, cls, n)
+                m = CubicModel(base.c * scale, base.Q.entries * min(scale, 1e300 / n), base.sigma)
+                assert m.norm_c.hex() == linalg.safe_norm(m.c).hex()
+                assert m.Q.max_abs.hex() == float(np.max(np.abs(m.Q.entries))).hex()
+                assert type(m.norm_c) is float and type(m.Q.max_abs) is float
 
 
 class TestObjectiveRange:

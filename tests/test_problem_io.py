@@ -659,8 +659,12 @@ class TestDecoderParity:
 
 def test_import_leaves_orjson_unloaded():
     # orjson is imported on the first load_problem or save_problem call, not
-    # with the package.
-    code = "import sys, cubicmin, cubicmin.cli; print('orjson' in sys.modules)"
+    # with the package, and the CLI's own modules only with cubicmin.cli.
+    code = (
+        "import sys, cubicmin; "
+        "print([k for k in ('argparse', 'csv', 'concurrent.futures') if k in sys.modules]); "
+        "import cubicmin.cli; print('orjson' in sys.modules)"
+    )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout == "False\n"
+    assert out.stdout == "[]\nFalse\n"

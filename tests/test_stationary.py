@@ -6,6 +6,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -925,6 +926,33 @@ class TestLostTopRoot:
                 r" lam = 1\.0, though c is not zero$"
             )):
                 solve(_fresh(self.M))
+
+    @pytest.mark.parametrize("solve", [SecularProblem, global_minimize, enumerate_stationary])
+    def test_raises_without_warning(self, solve):
+        # Past the top-root search's range bound the iteration runs with
+        # NumPy overflow raising, so the lost root warns of nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=(
+                r"^secular Newton iteration lost the largest root: none found above"
+                r" lam = 1\.0, though c is not zero$"
+            )):
+                solve(_fresh(self.M))
+
+    @pytest.mark.parametrize("c, q, sigma", [
+        ([1.0], [[-1.0]], 1e-101),
+        ([2.0, 1.0], [[-1.0, 0.0], [0.0, 3.0]], 1e-101),
+        ([1e-9, 1.0], [[-1.0, 0.0], [0.0, 1e10]], 2e-94),
+    ])
+    def test_past_bound_without_overflow_keeps_bits(self, c, q, sigma):
+        # These searches lie past the range bound but overflow nothing:
+        # the checked iteration gives the reference's root, bit for bit.
+        sp = _sp(CubicModel(c, q, sigma))
+        with np.errstate(over="raise", invalid="raise"):
+            want = ref_newton_root(sp, sp._subintervals[-1][0], math.inf)
+        got = sp.top_root
+        assert (got.lam.hex(), got.pole.hex(), got.offset.hex()) == (
+            want.lam.hex(), want.pole.hex(), want.offset.hex())
 
 
 def test_pole_evaluation_names_a_plain_float():
