@@ -17,13 +17,12 @@ each reflection's threshold.  The case analysis reads s_bar, its
 multiplier and its gradient from the point's ``StationaryPoint``
 record, the one evaluation of s_bar.  Every move is verified by direct
 evaluation; where the gates of both reflections hold, the larger
-verified decrease is returned.  Each ``EscapeOutcome`` is built by ``model._record``,
-without the dataclass's generated ``__init__``.  The default
-direction and its norm are the eigendecomposition's cached ``v_1`` and
-``norm_v_1``, and its products ``c^T v_1``, ``v_1^T Q v_1`` and
-``v_1^T v_1`` are taken on the first escape from a model and cached on
-it (``CubicModel._escape_direction``); a ``direction`` override has its
-products taken on each call.
+verified decrease is returned.  Each ``EscapeOutcome`` is built by
+``model._record``, without the dataclass's generated ``__init__``.  The
+direction d is a contiguous copy of the extreme eigenvector, or the
+``direction`` override; its norm, which must be finite and nonzero, and
+the products ``c^T d``, ``d^T Q d`` and ``d^T d`` are taken on each
+call, the same way for both.
 """
 
 import math
@@ -150,7 +149,9 @@ def escape_exact(m, s_bar, direction=None):
     direction : array_like, optional
         Override for the negative-curvature direction (testing hook);
         by default the extreme eigenvector is used.  NONE_GLOBAL still
-        follows the certificate, not the override's curvature.
+        follows the certificate, not the override's curvature.  Where
+        a move needs it, a direction whose norm is not finite and
+        nonzero raises ValueError.
 
     Returns
     -------
@@ -195,16 +196,10 @@ def escape_approx(m, s_bar, tol, direction=None):
     return _escape(m, point, tol.eps_grad, tol.eps_curv, direction)
 
 
-def _direction(m, d, norm_d):
-    # d with its norm and the products c'd, d'Qd and d'd that _escape reads.
-    return d, norm_d, float(m.c.dot(d)), float(d.dot(m.Q.entries.dot(d))), float(d.dot(d))
-
-
 def _escape(m, point, eps_grad, eps_curv, direction):
     # The case analysis of both escapes, from the evaluated point: s, lam
     # and the gradient are the point's, and each product below is taken
-    # once, those of the default direction once per model.  Negating d is
-    # exact, so c'(-d) = -(c'd) and (-d)'Q(-d) = d'Qd.
+    # once.  Negating d is exact, so c'(-d) = -(c'd) and (-d)'Q(-d) = d'Qd.
     cert = model_mod._certificate(m, point, eps_grad, eps_curv, gate=True)
     s = point.s
     c_s = float(m.c.dot(s))
@@ -221,14 +216,14 @@ def _escape(m, point, eps_grad, eps_curv, direction):
         )
     if flip is not None:
         raise ThresholdNotMet("sign flip failed to decrease the objective")
-    if direction is None:
-        found = m._escape_direction
-        if found is None:
-            found = m._escape_direction = _direction(m, m.eig.v_1, m.eig.norm_v_1)
-        d, norm_d, c_d, d_q_d, d_d = found
-    else:
-        d = m._check_dim(direction)
-        d, norm_d, c_d, d_q_d, d_d = _direction(m, d, linalg.norm(d))
+    # A contiguous copy: a strided column dots in another summation order.
+    d = m.eig.vectors[:, 0].copy() if direction is None else m._check_dim(direction)
+    norm_d = linalg.norm(d)
+    if not 0.0 < norm_d < math.inf:
+        raise ValueError(f"direction needs a finite, nonzero norm, got {norm_d!r}")
+    c_d = float(m.c.dot(d))
+    d_q_d = float(d.dot(m.Q.entries.dot(d)))
+    d_d = float(d.dot(d))
     norm_s = linalg.norm(s)
     grad = point.gradient
 

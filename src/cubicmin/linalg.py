@@ -13,6 +13,7 @@ are normalized.  All returned arrays are marked read-only so values can
 be shared freely across threads.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -57,30 +58,6 @@ def _freeze(a):
     return a
 
 
-class _cached:
-    """An attribute computed on first read and stored on the instance.
-
-    ``functools.cached_property`` without its lock (which CPython up to
-    3.11 takes on every first read): the value is a deterministic
-    function of the instance, so two threads that fill it at once store
-    equal values, and later reads find it in the instance dict without
-    calling the descriptor.
-    """
-
-    def __init__(self, func):
-        self.func = func
-        self.__doc__ = func.__doc__
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.func(obj)
-        return value
-
-
 class SymmetricMatrix:
     """A validated, symmetrized n-by-n real matrix.
 
@@ -123,7 +100,7 @@ class SymmetricMatrix:
         self.n = a.shape[0]
         self.max_abs = float(np.max(np.abs(self.entries)))
 
-    @_cached
+    @functools.cached_property
     def eig(self):
         """EigenDecomposition of the matrix (``sym_eigen``), computed on first use."""
         return sym_eigen(self)
@@ -143,11 +120,6 @@ class EigenDecomposition:
         Orthonormal eigenvectors as columns, aligned with ``values``.
     mu_1 : float
         ``values[0]`` as a Python float, read once per decomposition.
-    v_1 : ndarray, shape (n,)
-        ``vectors[:, 0]`` as a contiguous, read-only copy (a strided
-        column dots in another summation order); built on first use.
-    norm_v_1 : float
-        ``norm(v_1)``, built on first use.
     """
 
     def __init__(self, values, vectors):
@@ -155,14 +127,6 @@ class EigenDecomposition:
         self.vectors = _freeze(np.asarray(vectors, dtype=float))
         self.n = self.values.shape[0]
         self.mu_1 = float(self.values[0])
-
-    @_cached
-    def v_1(self):
-        return _freeze(self.vectors[:, 0].copy())
-
-    @_cached
-    def norm_v_1(self):
-        return norm(self.v_1)
 
     def __repr__(self):
         return f"EigenDecomposition(n={self.n}, values={self.values!r})"

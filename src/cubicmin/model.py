@@ -64,14 +64,14 @@ class CubicModel:
     solve path reads both.  The secular record of
     ``stationary.SecularProblem.from_model``, which one constructor
     builds whole, largest root and its StationaryPoint included, is
-    built on first use and cached, and so are the escape's products of
-    the default direction (``_escape_direction``).  The
-    eigendecomposition of Q is cached on the ``SymmetricMatrix`` itself,
-    so models that share one Q (as the outer loop's models at one
-    iterate do) share one eigendecomposition.  Instances are immutable
-    and safe to share across threads: each cached value is a
-    deterministic function of (c, Q, sigma), so two threads that fill a
-    cache at once store equal values, and no cache takes a lock.
+    built on first use and cached.  The eigendecomposition of Q is a
+    ``functools.cached_property`` of the ``SymmetricMatrix`` itself, so
+    models that share one Q (as the outer loop's models at one iterate
+    do) share one eigendecomposition.  Instances are immutable and safe
+    to share across threads: each cached value is a deterministic
+    function of (c, Q, sigma), so two threads that fill a cache at once
+    store equal values.  Up to CPython 3.11 ``cached_property`` takes a
+    lock on a first read; the secular record takes none.
     """
 
     def __init__(self, c, Q, sigma):
@@ -92,7 +92,6 @@ class CubicModel:
         self.n = Q.n
         self.norm_c = linalg.safe_norm(c)
         self._secular = None
-        self._escape_direction = None
 
     @property
     def eig(self):
@@ -140,12 +139,14 @@ class StationaryPoint:
     @classmethod
     def from_vector(cls, model, s):
         """Evaluate ``s``; ConvergenceError where m(s) is NaN or below double range."""
-        s, norm_s, lam, qs, in_range = _evaluate(model, s)
+        s, norm_s, lam, in_range = _evaluate(model, s)
         if in_range:
+            qs = model.Q.entries.dot(s)
             objective = _objective(model, s, norm_s, qs)
             gradient = _gradient(model, s, norm_s, qs)
         else:
             with np.errstate(over="ignore", invalid="ignore"):
+                qs = model.Q.entries.dot(s)
                 objective = _objective(model, s, norm_s, qs)
                 gradient = _gradient(model, s, norm_s, qs)
             if not objective > -math.inf:  # inf, as where only ||s||**3 overflows, stays
@@ -173,18 +174,18 @@ class GlobalCertificate:
 
 def _evaluate(model, s):
     # The start of every evaluation of s: a read-only float copy of s,
-    # ||s||, lam, Q s, and whether the terms of grad m(s) and m(s) stay
-    # below _IN_RANGE (as ||Q|| <= n max|Q|), so that neither needs an
-    # errstate nor can leave double range.
+    # ||s||, lam, and whether the terms of Q s, grad m(s) and m(s) stay
+    # below _IN_RANGE (as ||Q|| <= n max|Q|), so that none needs an
+    # errstate nor can leave double range.  It reads only scalars, so it
+    # comes before Q s, which can overflow.
     s = np.array(s, dtype=float).reshape(-1)
     if s.shape[0] != model.n:
         model._check_dim(s)  # raises the dimension error
     s.setflags(write=False)
     norm_s = linalg.safe_norm(s)
     lam = model.sigma * norm_s
-    qs = model.Q.entries.dot(s)
     in_range = (1.0 + norm_s) * (model.norm_c + (model.n * model.Q.max_abs + lam) * norm_s) < _IN_RANGE
-    return s, norm_s, lam, qs, in_range
+    return s, norm_s, lam, in_range
 
 
 def _objective(model, s, norm_s, qs):
@@ -265,10 +266,10 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
         tol_psd = model.default_tol_psd()
     if not (tol_grad > 0.0 and tol_psd > 0.0):
         raise ValueError("tolerances must be positive")
-    s, norm_s, lam, qs, in_range = _evaluate(model, s)
+    s, norm_s, lam, in_range = _evaluate(model, s)
     if not in_range:
         return _certificate(model, StationaryPoint.from_vector(model, s), tol_grad, tol_psd)
-    residual = linalg.safe_norm(_gradient(model, s, norm_s, qs))
+    residual = linalg.safe_norm(_gradient(model, s, norm_s, model.Q.entries.dot(s)))
     return _judge(model, residual, lam, tol_grad, tol_psd)
 
 

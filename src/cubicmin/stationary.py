@@ -34,11 +34,10 @@ evaluation of its point: when that point is the global minimizer,
 
 The records of each solve (``LambdaRoot``, ``GlobalSolution`` and the
 ``StationaryPoint`` and ``GlobalCertificate`` they carry) are built by
-``model._record``, without the dataclasses' generated ``__init__``, and
-the root finder reads the coupled poles from a Python list the record
-builds once.
+``model._record``, without the dataclasses' generated ``__init__``.
 """
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -96,9 +95,11 @@ class SecularProblem:
     top_root : LambdaRoot or None
         The root in the unbounded subinterval above the last cut, which
         is the largest root; None exactly when c = 0.  phi runs from
-        below 0 to +inf there, so a root exists when c is not zero, and
-        the constructor raises ConvergenceError when the iteration loses
-        it (as where ``||s||^2`` would overflow).
+        below 0 to +inf there, so a root exists when c is not zero.  The
+        search runs with NumPy overflow and invalid operations raising,
+        and the constructor raises ConvergenceError, without a NumPy
+        warning, when the iteration loses the root (as where ``||s||^2``
+        would overflow).
     top_point : StationaryPoint or None
         The point of ``top_root``; None with it.
     """
@@ -107,20 +108,18 @@ class SecularProblem:
         eig = self.eig = m.eig
         self.beta = linalg._freeze(-eig.vectors.T.dot(m.c))
         self.sigma = m.sigma
-        self._norm_c = m.norm_c
         self.pole_tol = 1e-10 * (1.0 + m.norm_c)
         self.coupled = linalg._freeze(np.abs(self.beta) > self.pole_tol)
         self.any_coupled = np.count_nonzero(self.coupled) > 0
         self.coupled_beta = linalg._freeze(self.beta[self.coupled])
         self.coupled_poles = linalg._freeze(-eig.values[self.coupled])
-        self._coupled_pole_list = self.coupled_poles.tolist()
         # Python floats sort and subtract faster than NumPy scalars, with
         # the same order (sorted is stable) and the same differences.  Each
         # kept pole also keeps the load |beta_j| of one mode at exactly its
         # value, for the emptiness bound of ``enumerate_lambda``.
         poles = []
         loads = []
-        for p, b in sorted(zip(self._coupled_pole_list, self.coupled_beta.tolist())):
+        for p, b in sorted(zip(self.coupled_poles.tolist(), self.coupled_beta.tolist())):
             if not poles or p - poles[-1] > _POLE_MERGE:
                 poles.append(p)
                 loads.append(abs(b))
@@ -133,7 +132,10 @@ class SecularProblem:
         self._end_loads = list(zip(cut_loads, cut_loads[1:] + [0.0]))
         self.top_root = self.top_point = None
         if self.any_coupled:
-            self.top_root = _newton_root(self, cuts[-1], math.inf)
+            # An overflow or invalid operation loses the root instead of warning.
+            raising = np.errstate(over="raise", invalid="raise")
+            with raising, contextlib.suppress(FloatingPointError):
+                self.top_root = _newton_root(self, cuts[-1], math.inf)
             if self.top_root is None:
                 # phi runs from below 0 to +inf there, so a root exists; the
                 # iteration lost it, as where ||s||^2 overflows.
@@ -231,14 +233,9 @@ def _newton_root(sp, end, far):
     for the modes of the pole.  ``s`` holds the coupled modes, the ones
     whose poles cut the subintervals.
 
-    In the unbounded subinterval every shift is >= 0 and t only grows, so
-    each ``|a_i| = |beta_i| / d_i`` stays below ``r = ||beta|| / d_min``,
-    with ``d_min = |shift_j| + t`` the smallest shift at the start, and
-    ``a.dot(a)`` and ``sum a_i^2 / d_i`` below ``r^2`` and ``r^2 / d_min``.
-    Where those scalar bounds (taken with ``||c||``, which is ``||beta||``
-    up to rounding) reach ``2^1000``, the same iteration runs with NumPy
-    overflow raising, and an overflow of ``||s||^2`` or phi' returns None
-    instead of a NumPy warning.
+    NumPy overflow and invalid operations follow the caller's error
+    state; ``SecularProblem`` searches the unbounded subinterval with both
+    raising and reads the FloatingPointError as a lost root.
     """
     side = 1.0 if far > end else -1.0
     beta = sp.coupled_beta
@@ -247,7 +244,7 @@ def _newton_root(sp, end, far):
     if side > 0.0:
         # A cut is the lowest of the poles merged into it; start above all.
         top = end + _POLE_MERGE
-        pole = max([end] + [p for p in sp._coupled_pole_list if p <= top and p < far])
+        pole = max([end] + [p for p in poles.tolist() if p <= top and p < far])
     shift = pole - poles
     width = side * (far - pole)
     # Closed-form start with phi < 0: for the mode j nearest the end, of
@@ -258,29 +255,13 @@ def _newton_root(sp, end, far):
     # P = |shift_j| + pole.  Start halfway to it, or to mid-subinterval.
     j = int(abs(shift).argmin())
     w = abs(float(beta[j]))
-    near = abs(float(shift[j]))
-    P = near + pole
+    P = abs(float(shift[j])) + pole
     t_max = 2.0 * sp.sigma * w / (P + math.sqrt(P * P + 4.0 * sp.sigma * w))
     t = side * 0.5 * min(t_max, width)
     if t == 0.0:
         # t_max underflowed (P * P overflows once P exceeds about 1e154):
         # lam would sit on the pole, where s(lam) is undefined.
         raise ConvergenceError(f"secular Newton start left double range at lam = {pole!r}")
-    if far == math.inf:
-        d_min = near + t
-        r = sp._norm_c / d_min
-        if not r * max(r, r / d_min) < model_mod._IN_RANGE:
-            with np.errstate(over="raise", invalid="raise"):
-                try:
-                    return _newton_walk(sp, shift, pole, t, width, side)
-                except FloatingPointError:
-                    return None
-    return _newton_walk(sp, shift, pole, t, width, side)
-
-
-def _newton_walk(sp, shift, pole, t, width, side):
-    """Newton's iteration of ``_newton_root`` from the offset ``t``: a LambdaRoot or None."""
-    beta = sp.coupled_beta
     # phi is concave on the subinterval: 1/||s|| is the power mean M_-2 of
     # the affine |mu_i + lam|, and -sigma/lam is concave.  So phi lies
     # below each tangent: Newton from phi < 0 never overshoots, walks

@@ -416,6 +416,20 @@ class TestEscape:
         )
         assert out.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("flags", [[], ["--eps", "1"]])
+    def test_point_whose_q_s_overflows_exit_2(self, tmp_path, flags):
+        # Q s overflows at (1e308, 1e308): the range test comes first, so
+        # one solver error line, not a RuntimeWarning traceback.
+        path = tmp_path / "saddle.json"
+        path.write_text('{"n": 2, "c": [1, 0.5], "Q": [[-3, 1], [1, 2]], "sigma": 1}\n')
+        out = run_cli("escape", str(path), "--point", "1e308,1e308", *flags,
+                      env={**os.environ, "PYTHONWARNINGS": "error"})
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            "cubicmin: solver error: ConvergenceError: m(s) leaves double range at"
+            " lam = 1.4142135623730951e+308: nan\n"
+        )
+
     def test_nonstationary_point_exit_2(self, problem_dir):
         out = run_cli(
             "escape", str(problem_dir / "worked.json"), "--point", "0.5,0.5"

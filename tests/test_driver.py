@@ -230,6 +230,50 @@ class TestSolveViaEscapesRecovery:
         assert len(tols) == count_bound(WORKED) + 3
 
 
+class TestNaturalTightening:
+    """The tightening path on a natural input, without a stand-in escape.
+
+    From s0 = 0 at a loose eps_grad, this hard-case model's local solves
+    stop where neither reflection's gate holds, so the real escape raises
+    ThresholdNotMet and the driver tightens eps_grad.
+    """
+
+    M = class_model(np.random.default_rng(0), "hard", 2)
+
+    def _count_threshold_failures(self, monkeypatch):
+        real = driver.escape_mod.escape_approx
+        raised = []
+
+        def counting(m, s_bar, tol, direction=None):
+            try:
+                return real(m, s_bar, tol, direction)
+            except ThresholdNotMet:
+                raised.append(tol.eps_grad)
+                raise
+
+        monkeypatch.setattr(driver.escape_mod, "escape_approx", counting)
+        return raised
+
+    def test_certifies_after_threshold_failures(self, monkeypatch):
+        m = self.M
+        raised = self._count_threshold_failures(monkeypatch)
+        sol, trace = solve_via_escapes(m, np.zeros(2), eps_grad=1e-4 * (1.0 + m.norm_c))
+        assert len(raised) == 3
+        assert [case for _, case, _ in trace.steps] == ["B_III", "NONE_GLOBAL"]
+        assert sol.certificate.is_global
+        ref = global_minimize(m)
+        assert ref.hard_case
+        assert sol.objective == pytest.approx(ref.objective, rel=1e-8)
+
+    def test_explicit_eps_curv_tightens_to_the_floor(self, monkeypatch):
+        m = self.M
+        raised = self._count_threshold_failures(monkeypatch)
+        with pytest.raises(ToleranceFloor, match="^no escape threshold held down to eps_grad = "):
+            solve_via_escapes(m, np.zeros(2), eps_grad=1e-2 * (1.0 + m.norm_c), eps_curv=1e-9)
+        # The first escape and each of the six tightenings.
+        assert len(raised) == 7
+
+
 class TestSolutionArrays:
     """Both global solvers return s_star as a read-only copy."""
 

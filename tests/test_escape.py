@@ -140,6 +140,18 @@ class TestEscapeExactCases:
         with pytest.raises(NonNegativeCurvature):
             escape_exact(WORKED, WORKED_PT, direction=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("d, norm", [
+        ([0.0, 0.0], "0.0"), ([math.nan, 0.0], "nan"), ([math.inf, 0.0], "inf"),
+    ], ids=["zero", "nan", "inf"])
+    def test_rejects_direction_without_finite_nonzero_norm(self, d, norm):
+        # s = 0 is stationary but not global (psd margin -1), so the move
+        # reads the direction: a ValueError, not a ZeroDivisionError or a
+        # ThresholdNotMet from NaN arithmetic.
+        m = CubicModel([0.0, 0.0], np.diag([-1.0, 2.0]), 1.0)
+        p = StationaryPoint.from_vector(m, np.zeros(2))
+        with pytest.raises(ValueError, match=f"^direction needs a finite, nonzero norm, got {norm}$"):
+            escape_exact(m, p, direction=np.array(d))
+
     def test_rejects_point_whose_cube_overflows(self):
         m = CubicModel([1.0], [[1.0]], 1.0)
         with pytest.raises(NotStationary, match=r"^residual 1e\+206 exceeds"):
@@ -322,9 +334,8 @@ class TestReferenceParity:
 
 
 class TestDefaultDirection:
-    """The default direction's products, taken once per model, give the bits
-    of the same direction passed as an override, whose products are taken
-    on each call."""
+    """The default direction gives the bits of the same direction passed as
+    an override."""
 
     CLASSES = ("generic", "hard", "near_hard", "scaled_Q", "tiny_sigma", "zero_c")
 
@@ -342,10 +353,10 @@ class TestDefaultDirection:
             for p in points:
                 if is_global(m, p.s).is_global:
                     continue
-                v_1 = m.eig.v_1.copy()
+                v_1 = m.eig.vectors[:, 0].copy()
                 want = _escape_record(lambda: escape_exact(m, p, direction=v_1))
                 assert _escape_record(lambda: escape_exact(m, p)) == want
-                # Again from the cache, which a negated direction left alone.
+                # Again: an escape leaves nothing on the model that moves the next.
                 assert _escape_record(lambda: escape_exact(m, p)) == want
                 seen.add(want[0])
                 want = _escape_record(lambda: escape_approx(m, p.s, loose, direction=v_1))

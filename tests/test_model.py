@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import pickle
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from cubicmin import CubicModel, SymmetricMatrix, eval_model, global_minimize, grad, hess, is_global
 from cubicmin import linalg
 from cubicmin import model as model_mod
-from cubicmin.escape import EscapeOutcome, escape_exact
+from cubicmin.escape import ApproxTolerances, EscapeOutcome, escape_approx, escape_exact
 from cubicmin.exceptions import ConvergenceError, CubicminError, NotStationary
 from cubicmin.model import GlobalCertificate, StationaryPoint
 from cubicmin.stationary import GlobalSolution, LambdaRoot, SecularProblem, enumerate_stationary
@@ -389,6 +390,20 @@ class TestObjectiveRange:
             assert p.residual == math.inf
             with pytest.raises(NotStationary, match=r"^residual inf exceeds "):
                 escape_exact(m, p)
+
+    @pytest.mark.parametrize("s, lam", [
+        ([1e308, 1e308], "1.4142135623730951e+308"),  # Q s overflows
+        ([math.inf, math.inf], "inf"),  # Q s is inf - inf
+    ])
+    def test_q_s_out_of_range_raises_without_warning(self, s, lam):
+        m = CubicModel([1.0, 0.5], [[-3.0, 1.0], [1.0, 2.0]], 1.0)
+        tol = ApproxTolerances(1.0, 1.0)
+        message = f"^m\\(s\\) leaves double range at lam = {re.escape(lam)}: nan$"
+        for run in (StationaryPoint.from_vector, is_global, lambda m, s: escape_approx(m, s, tol)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConvergenceError, match=message):
+                    run(m, s)
 
     @pytest.mark.parametrize("x", [-1e50, 1e101])
     def test_in_range_objective_is_the_plain_evaluation(self, x):
