@@ -16,7 +16,14 @@ import numpy as np
 from . import escape as escape_mod
 from . import linalg
 from . import model as model_mod
-from .exceptions import BoundExceeded, ConvergenceError, EmptyInput, ThresholdNotMet, ToleranceFloor
+from .exceptions import (
+    BoundExceeded,
+    ConvergenceError,
+    CubicminError,
+    EmptyInput,
+    ThresholdNotMet,
+    ToleranceFloor,
+)
 from .linalg import SymmetricMatrix
 from .local_solver import local_minimize
 from .model import CubicModel
@@ -277,9 +284,10 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         at its Cauchy point leaves double range, which takes a gradient
         norm past ~1.3e154; or a step is rejected where every model step
         is below half the float spacing of x, so that no later step could
-        move it.  An ``f(x0) = +inf`` is kept: rho is ``+inf`` at any
-        finite trial value, so the first such step is accepted and the
-        run goes on from a finite value.
+        move it; ARC_PLUS also checks this when a subproblem solve fails,
+        and otherwise re-raises that solve's error.  An ``f(x0) = +inf``
+        is kept: rho is ``+inf`` at any finite trial value, so the first
+        such step is accepted and the run goes on from a finite value.
     """
     if variant not in (ARC, ARC_PLUS):
         raise ValueError(f"unknown variant {variant!r}")
@@ -330,7 +338,12 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
             s = rep.s
             mval = model_mod.eval_model(m, s)
         else:
-            sol, _ = solve_via_escapes(m, s0, eps_grad=eps_inner)
+            try:
+                sol, _ = solve_via_escapes(m, s0, eps_grad=eps_inner)
+            except CubicminError:
+                # Where no step can move x, that is the cause to name.
+                _check_step_can_move(x, m)
+                raise
             s = sol.s_star
             mval = sol.objective
             margin = sol.certificate.psd_margin

@@ -15,9 +15,10 @@ without an ``ApproxTolerances`` record; ``escape_approx`` takes the
 caller's record, validated when it was built, whose tolerances also set
 each reflection's threshold.  The case analysis reads s_bar, its
 multiplier and its gradient from the point's ``StationaryPoint``
-record, the one evaluation of s_bar.  Every move is verified by direct
-evaluation; where the gates of both reflections hold, the larger
-verified decrease is returned.  Each ``EscapeOutcome`` is built by
+record, the one evaluation of s_bar.  One verdict, ``_outcome``, keeps a
+move only where direct evaluation verifies a positive decrease; where
+the gates of both reflections hold, the larger verified decrease is
+returned.  Each ``EscapeOutcome`` is built by
 ``model._record``, without the dataclass's generated ``__init__``.  The
 direction d is a contiguous copy of the extreme eigenvector, or the
 ``direction`` override; its norm, which must be finite and nonzero, and
@@ -124,18 +125,16 @@ def _threshold(q_dd, c_d, c_s):
 
 
 def _outcome(m, point, case, s_hat, alpha=None, z=None):
-    # s_hat and z are fresh arrays of the caller's.
+    # The one verdict on a move: None unless direct evaluation verifies a
+    # decrease.  s_hat and z are fresh arrays of the caller's.
+    decrease = point.objective - model_mod._objective(
+        m, s_hat, linalg.norm(s_hat), m.Q.entries.dot(s_hat))
+    if not decrease > 0.0:
+        return None
     s_hat.setflags(write=False)
     return model_mod._record(
-        EscapeOutcome,
-        case_tag=case,
-        point=point,
-        s_hat=s_hat,
-        alpha_used=alpha,
-        z_used=z,
-        decrease=point.objective
-        - model_mod._objective(m, s_hat, linalg.norm(s_hat), m.Q.entries.dot(s_hat)),
-        certificate=None,
+        EscapeOutcome, case_tag=case, point=point, s_hat=s_hat, alpha_used=alpha,
+        z_used=z, decrease=decrease, certificate=None,
     )
 
 
@@ -203,10 +202,9 @@ def _escape(m, point, eps_grad, eps_curv, direction):
     cert = model_mod._certificate(m, point, eps_grad, eps_curv, gate=True)
     s = point.s
     c_s = float(m.c.dot(s))
-    flip = None
     if c_s > 0.0:
         flip = _outcome(m, point, CASE_A, -s)
-        if flip.decrease > 0.0:
+        if flip is not None:
             return flip
     if cert.is_global:
         # Also where c.s > 0 by rounding alone, so the flip cannot decrease.
@@ -214,7 +212,7 @@ def _escape(m, point, eps_grad, eps_curv, direction):
             EscapeOutcome, case_tag=CASE_NONE_GLOBAL, point=point, s_hat=None,
             alpha_used=None, z_used=None, decrease=0.0, certificate=cert,
         )
-    if flip is not None:
+    if c_s > 0.0:
         raise ThresholdNotMet("sign flip failed to decrease the objective")
     # A contiguous copy: a strided column dots in another summation order.
     d = m.eig.vectors[:, 0].copy() if direction is None else m._check_dim(direction)
@@ -232,7 +230,7 @@ def _escape(m, point, eps_grad, eps_curv, direction):
             d = -d
         alpha = -0.75 * d_q_d / (m.sigma * norm_d**3)
         out = _outcome(m, point, CASE_B_I, alpha * d, alpha=alpha)
-        if out.decrease > 0.0:
+        if out is not None:
             return out
         raise ThresholdNotMet("origin step failed to decrease the objective")
 
@@ -253,7 +251,7 @@ def _escape(m, point, eps_grad, eps_curv, direction):
         if accepted:
             s_hat = s - 2.0 * (s_d / norm_d**2) * d
             out = _outcome(m, point, CASE_B_II, s_hat)
-            if out.decrease > 0.0:
+            if out is not None:
                 moves.append(out)
 
     # B_III needs only stationarity, not s_d = 0, since
@@ -270,7 +268,7 @@ def _escape(m, point, eps_grad, eps_curv, direction):
             if z_q_z < -eps_curv * z_z:
                 s_hat = s - 2.0 * (float(s.dot(z)) / z_z) * z
                 out = _outcome(m, point, CASE_B_III, s_hat, alpha=alpha, z=z)
-                if out.decrease > 0.0:
+                if out is not None:
                     moves.append(out)
                     break
             alpha *= 2.0

@@ -5,12 +5,12 @@ The model is ``m(s) = c^T s + 1/2 s^T Q s + (sigma/3) ||s||^3`` with
 ``lam = sigma * ||s||``, and it is the global minimizer exactly when, in
 addition, ``Q + lam*I`` is positive semidefinite.
 
-A point is evaluated once, by ``StationaryPoint.from_vector``: the
-record keeps ``s``, ``lam``, ``m(s)``, the gradient and its norm, and the
-certificate and the escapes read that record instead of evaluating s
-again.  ``is_global``, which keeps no record, shares the start of that
-evaluation and, where it stays in double range, judges s without
-building one.
+A judged point is evaluated once, by ``_evaluate``, which alone makes
+the 2^1000 range decision.  ``StationaryPoint.from_vector`` keeps that
+evaluation as a record (``s``, ``lam``, ``m(s)``, the gradient and its
+norm), and the certificate and the escapes read the record instead of
+evaluating s again.  ``is_global`` reads the same evaluation and builds
+no record; in double range it does not compute ``m(s)`` either.
 
 The records built on the solve's hot paths (``StationaryPoint``,
 ``GlobalCertificate`` and the records of ``stationary`` and ``escape``)
@@ -139,18 +139,7 @@ class StationaryPoint:
     @classmethod
     def from_vector(cls, model, s):
         """Evaluate ``s``; ConvergenceError where m(s) is NaN or below double range."""
-        s, norm_s, lam, in_range = _evaluate(model, s)
-        if in_range:
-            qs = model.Q.entries.dot(s)
-            objective = _objective(model, s, norm_s, qs)
-            gradient = _gradient(model, s, norm_s, qs)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                qs = model.Q.entries.dot(s)
-                objective = _objective(model, s, norm_s, qs)
-                gradient = _gradient(model, s, norm_s, qs)
-            if not objective > -math.inf:  # inf, as where only ||s||**3 overflows, stays
-                raise ConvergenceError(f"m(s) leaves double range at lam = {lam!r}: {objective!r}")
+        s, lam, objective, gradient = _evaluate(model, s)
         gradient.setflags(write=False)
         return _record(cls, s=s, lam=lam, objective=objective,
                        residual=linalg.safe_norm(gradient), gradient=gradient)
@@ -172,20 +161,29 @@ class GlobalCertificate:
     tol_psd: float
 
 
-def _evaluate(model, s):
-    # The start of every evaluation of s: a read-only float copy of s,
-    # ||s||, lam, and whether the terms of Q s, grad m(s) and m(s) stay
-    # below _IN_RANGE (as ||Q|| <= n max|Q|), so that none needs an
-    # errstate nor can leave double range.  It reads only scalars, so it
-    # comes before Q s, which can overflow.
+def _evaluate(model, s, objective=True):
+    # The one evaluation of a judged point: a read-only float copy of s, lam,
+    # m(s) (None if not objective) and grad m(s).  Where the terms of all
+    # three stay below _IN_RANGE (as ||Q|| <= n max|Q|; a test on scalars,
+    # before Q s), none needs an errstate nor can leave double range.
+    # Elsewhere m(s) is always computed, and NaN or -inf raises.
     s = np.array(s, dtype=float).reshape(-1)
     if s.shape[0] != model.n:
         model._check_dim(s)  # raises the dimension error
     s.setflags(write=False)
     norm_s = linalg.safe_norm(s)
     lam = model.sigma * norm_s
-    in_range = (1.0 + norm_s) * (model.norm_c + (model.n * model.Q.max_abs + lam) * norm_s) < _IN_RANGE
-    return s, norm_s, lam, in_range
+    if (1.0 + norm_s) * (model.norm_c + (model.n * model.Q.max_abs + lam) * norm_s) < _IN_RANGE:
+        qs = model.Q.entries.dot(s)
+        value = _objective(model, s, norm_s, qs) if objective else None
+        return s, lam, value, _gradient(model, s, norm_s, qs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        qs = model.Q.entries.dot(s)
+        value = _objective(model, s, norm_s, qs)
+        gradient = _gradient(model, s, norm_s, qs)
+    if not value > -math.inf:  # inf, as where only ||s||**3 overflows, stays
+        raise ConvergenceError(f"m(s) leaves double range at lam = {lam!r}: {value!r}")
+    return s, lam, value, gradient
 
 
 def _objective(model, s, norm_s, qs):
@@ -253,12 +251,9 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
         Where m(s) is NaN or below double range, as
         ``StationaryPoint.from_vector``.
 
-    Where the terms of the gradient and of m(s) stay in double range, the
-    certificate is judged from ``||s||``, ``Q s``, the gradient and its
-    norm alone, without the objective or a ``StationaryPoint`` record,
-    which the certificate does not read; elsewhere s is evaluated by
-    ``StationaryPoint.from_vector``.  The certificate is the same either
-    way, bit for bit.
+    s is judged from the evaluation ``StationaryPoint.from_vector`` keeps,
+    bit for bit, but without building a record; where the terms of the
+    gradient and of m(s) stay in double range, m(s) is not computed.
     """
     if tol_grad is None:
         tol_grad = model.default_tol_grad()
@@ -266,11 +261,8 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
         tol_psd = model.default_tol_psd()
     if not (tol_grad > 0.0 and tol_psd > 0.0):
         raise ValueError("tolerances must be positive")
-    s, norm_s, lam, in_range = _evaluate(model, s)
-    if not in_range:
-        return _certificate(model, StationaryPoint.from_vector(model, s), tol_grad, tol_psd)
-    residual = linalg.safe_norm(_gradient(model, s, norm_s, model.Q.entries.dot(s)))
-    return _judge(model, residual, lam, tol_grad, tol_psd)
+    _, lam, _, gradient = _evaluate(model, s, objective=False)
+    return _judge(model, linalg.safe_norm(gradient), lam, tol_grad, tol_psd)
 
 
 def _certificate(model, point, tol_grad, tol_psd, gate=False):

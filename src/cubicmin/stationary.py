@@ -12,9 +12,10 @@ subinterval cut by the positive poles and written in the offset from
 the end it starts at, so that roots next to a pole keep their digits.
 phi is concave on each subinterval, so each bounded subinterval holds at
 most two roots and the unbounded rightmost one exactly one (when c is
-not zero); the number of distinct multipliers is at most 2(k+1) with k
-the number of distinct negative eigenvalues of Q.  The global minimizer
-carries the largest root when that root exceeds ``max(0, -mu_1)``.
+not zero); the number of distinct multipliers is at most 2k+1 with k
+the number of distinct negative eigenvalues of Q (``count_bound``).
+The global minimizer carries the largest root when that root exceeds
+``max(0, -mu_1)``.
 ``global_minimize`` searches only the unbounded subinterval, which holds
 the largest root whenever c is not zero.  ``enumerate_stationary``
 searches every subinterval except the bounded ones that a closed-form
@@ -91,7 +92,8 @@ class SecularProblem:
         above the last kept one, which stands for those merged.  Where the
         coupling vanishes g extends continuously across ``-mu_i``, so
         such points are not treated as poles.  The positive ones cut
-        ``subintervals``.
+        ``subintervals``; the same walk records where a search up from
+        each cut starts (``_newton_root``).
     top_root : LambdaRoot or None
         The root in the unbounded subinterval above the last cut, which
         is the largest root; None exactly when c = 0.  phi runs from
@@ -116,19 +118,24 @@ class SecularProblem:
         # Python floats sort and subtract faster than NumPy scalars, with
         # the same order (sorted is stable) and the same differences.  Each
         # kept pole also keeps the load |beta_j| of one mode at exactly its
-        # value, for the emptiness bound of ``enumerate_lambda``.
-        poles = []
-        loads = []
+        # value, for the emptiness bound of ``enumerate_lambda``, and the
+        # highest pole merged into it.
+        kept = []
         for p, b in sorted(zip(self.coupled_poles.tolist(), self.coupled_beta.tolist())):
-            if not poles or p - poles[-1] > _POLE_MERGE:
-                poles.append(p)
-                loads.append(abs(b))
-        self.poles = linalg._freeze(np.array(poles, dtype=float))
-        positive = [(p, w) for p, w in zip(poles, loads) if p > 0.0]
-        cuts = [0.0] + [p for p, _ in positive]
+            if not kept or p - kept[-1][0] > _POLE_MERGE:
+                kept.append([p, abs(b), p])
+            else:
+                kept[-1][2] = p
+        self.poles = linalg._freeze(np.array([p for p, _, _ in kept], dtype=float))
+        positive = [pole for pole in kept if pole[0] > 0.0]
+        cuts = [0.0] + [p for p, _, _ in positive]
         self._subintervals = list(zip(cuts, cuts[1:] + [math.inf]))
+        # A search up from a cut starts above every pole merged into it;
+        # from 0, above 0 and those merged into the last pole at or below 0.
+        start = max([0.0] + [top for p, _, top in kept if p <= 0.0][-1:])
+        self._starts = dict(zip(cuts, [start] + [top for _, _, top in positive]))
         # Each subinterval's loads at its ends; 0 at lam = 0 and at inf.
-        cut_loads = [0.0] + [w for _, w in positive]
+        cut_loads = [0.0] + [w for _, w, _ in positive]
         self._end_loads = list(zip(cut_loads, cut_loads[1:] + [0.0]))
         self.top_root = self.top_point = None
         if self.any_coupled:
@@ -230,8 +237,9 @@ def _newton_root(sp, end, far):
     (``far`` may be infinite).  Runs Newton on ``phi = 1/||s|| - sigma/lam``
     in the offset ``t = lam - pole`` from the pole at ``end`` (or from 0),
     through the shifts ``(mu_i + pole) + t``, which equal ``t`` exactly
-    for the modes of the pole.  ``s`` holds the coupled modes, the ones
-    whose poles cut the subintervals.
+    for the modes of the pole; searching up, ``pole`` is the start that
+    ``SecularProblem``'s pole merge recorded for ``end``.  ``s`` holds the
+    coupled modes, the ones whose poles cut the subintervals.
 
     NumPy overflow and invalid operations follow the caller's error
     state; ``SecularProblem`` searches the unbounded subinterval with both
@@ -240,11 +248,7 @@ def _newton_root(sp, end, far):
     side = 1.0 if far > end else -1.0
     beta = sp.coupled_beta
     poles = sp.coupled_poles
-    pole = end
-    if side > 0.0:
-        # A cut is the lowest of the poles merged into it; start above all.
-        top = end + _POLE_MERGE
-        pole = max([end] + [p for p in poles.tolist() if p <= top and p < far])
+    pole = sp._starts[end] if side > 0.0 else end
     shift = pole - poles
     width = side * (far - pole)
     # Closed-form start with phi < 0: for the mode j nearest the end, of
@@ -472,13 +476,24 @@ def _distinct_negative(vals):
 
 
 def count_bound(m):
-    """The bound 2(k+1) on distinct stationary multipliers.
+    """The bound 2(k+1) on distinct stationary multipliers; at most 2k+1 occur.
 
     k counts the negative eigenvalues of Q kept by ``_distinct_negative``:
     distinct to ``SINGULAR_MODE_TOL``, the walk ``_boundary_points``
     makes.  Each positive pole's anchor and each boundary multiplier lies
     in its own kept entry, so the bound holds for what
     ``enumerate_stationary`` returns.
+
+    It is not sharp.  phi is concave on each subinterval, so a bounded
+    subinterval holds at most two roots and the unbounded one exactly one.
+    Every boundary multiplier comes from a kept entry with no coupled
+    mode.  With k' positive cuts and u such entries (k' + u <= k), the
+    distinct multipliers number at most 2k' + 1 + u <= 2k + 1; with c = 0
+    there are no roots, and at most u + 1, the origin's 0 included.  A
+    model with five negative eigenvalues, all coupled, reaches 11.  The
+    value stays 2(k+1) because the escape loop's cap in
+    ``solve_via_escapes`` reads it, and changing that cap is its own
+    change.
     """
     return 2 * (len(_distinct_negative(m.eig.values)) + 1)
 

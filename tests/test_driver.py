@@ -274,6 +274,27 @@ class TestNaturalTightening:
         assert len(raised) == 7
 
 
+class TestEscapeRoundingCycle:
+    """ROADMAP item 5: with c = 0, a B_II reflection across the eigenvector's
+    hyperplane leaves m unchanged, so the loop takes a decrease of rounding
+    size, and the next B_II reflects back until the escape cap trips."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=BoundExceeded,
+        reason="ROADMAP item 5: an escape rests on a decrease that rounding explains "
+        "(7 escapes exceed the stationary-count cap 6)",
+    )
+    def test_zero_c_ends_certified_or_at_floor(self):
+        m = class_model(np.random.default_rng(1), "zero_c", 3)
+        try:
+            sol, _ = solve_via_escapes(m, 1e-3 * np.ones(3), eps_grad=1e-2)
+        except ToleranceFloor:
+            return
+        assert sol.certificate.is_global
+        assert sol.objective == pytest.approx(global_minimize(m).objective, rel=1e-8)
+
+
 class TestSolutionArrays:
     """Both global solvers return s_star as a read-only copy."""
 
@@ -413,11 +434,12 @@ class TestGradientRange:
 
 
     # ||g|| = 1e160 at x0: its square overflows, its safe_norm does not.
+    # ARC_PLUS's failed subproblem solve defers to the same check.
     @pytest.mark.parametrize(
         "variant, message",
         [
             ("ARC", r"no model step can move x: steps are at most 1\.000e\+80 long"),
-            ("ARC_PLUS", r"local solve stalled at residual 1\.000e\+160 \(target 1\.000e\+158\)"),
+            ("ARC_PLUS", r"no model step can move x: steps are at most 1\.000e\+80 long"),
         ],
     )
     def test_step_resolution_reads_the_scaled_gradient_norm(self, variant, message):
@@ -459,12 +481,27 @@ class TestNonFiniteStart:
 
 
 class TestStepBelowResolution:
-    """ARC stops once no model step can move x, instead of doubling sigma to inf."""
+    """ARC stops once no model step can move x, instead of doubling sigma to inf;
+    ARC_PLUS names the same cause when its subproblem solve fails."""
 
     def test_huge_start_raises_at_first_rejection(self):
         # ||s|| <= R = 1.2e24 at sigma = 1, below half the spacing 1.6e32 of 1e48.
         with pytest.raises(ConvergenceError, match=r"no model step can move x: .*sigma = 1\.000e\+00"):
             arc_plus_minimize(get_problem("sphere2"), [1e48, 1e48], "ARC")
+
+    def test_arc_plus_names_the_resolution(self):
+        # ARC_PLUS's first subproblem solve stalls; the check names why.
+        message = r"^no model step can move x: steps are at most 1\.189e\+24 long"
+        with pytest.raises(ConvergenceError, match=message):
+            arc_plus_minimize(get_problem("sphere2"), [1e48, 1e48], "ARC_PLUS")
+
+    def test_arc_plus_reraises_where_steps_can_move(self, monkeypatch):
+        def failing(m, s0, eps_grad=None, eps_curv=None):
+            raise BoundExceeded("forced")
+
+        monkeypatch.setattr(driver, "solve_via_escapes", failing)
+        with pytest.raises(BoundExceeded, match="^forced$"):
+            arc_plus_minimize(get_problem("sphere2"), None, "ARC_PLUS")
 
     def test_zero_entry_never_triggers(self):
         # x + s == x in the first entry, but the spacing at 0 is the least

@@ -295,7 +295,7 @@ def _is_global_inputs(s):
 
 
 class TestLeanIsGlobal:
-    """is_global, which builds no record where s stays in range, gives the
+    """is_global, which builds no record on any input, gives the
     certificate of ``_certificate`` on ``StationaryPoint.from_vector``, bit
     for bit, and the same exceptions."""
 
@@ -340,7 +340,18 @@ class TestLeanIsGlobal:
         monkeypatch.setattr(StationaryPoint, "from_vector", classmethod(refuse))
         assert not is_global(WORKED, [1.0, 0.0]).is_global
         assert is_global(WORKED, HARD_S).is_global
-        with pytest.raises(AssertionError, match="built a StationaryPoint"):
+        # Out of range it still evaluates m(s), and raises on its NaN.
+        with pytest.raises(ConvergenceError, match=r"^m\(s\) leaves double range at lam = "):
+            is_global(TestObjectiveRange.OUT, [-1e150, -1e150])
+
+
+    def test_in_range_computes_no_objective(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("computed m(s)")
+
+        monkeypatch.setattr(model_mod, "_objective", refuse)
+        assert is_global(WORKED, HARD_S).is_global
+        with pytest.raises(AssertionError, match="computed m"):
             is_global(TestObjectiveRange.OUT, [-1e150, -1e150])
 
 

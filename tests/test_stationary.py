@@ -308,6 +308,103 @@ class TestCountBound:
         assert max(p.residual for p in pts) <= 1e-16
         assert count_bound(m) == 6
 
+    @staticmethod
+    def _distinct(m):
+        # Multipliers within 1e-9 (1 + |lam|) of each other count as one, as
+        # the CLI's stationary command counts them.
+        distinct = []
+        for p in enumerate_stationary(m):
+            if not any(abs(p.lam - q) <= 1e-9 * (1.0 + abs(q)) for q in distinct):
+                distinct.append(p.lam)
+        return distinct
+
+    @pytest.mark.parametrize("cls", ["generic", "hard", "near_hard", "zero_c"])
+    def test_distinct_multipliers_at_most_2k_plus_1(self, cls):
+        # TestAllRootsOracle's grid: the count never reaches 2(k+1).
+        for seed in range(150):
+            m = _class_model(np.random.default_rng(seed), cls, 1 + seed % 8)
+            assert len(self._distinct(m)) <= count_bound(m) - 1, seed
+
+    def test_reaches_2k_plus_1(self):
+        # Five distinct negative eigenvalues, all coupled: two roots in each
+        # of the five bounded subintervals and one in the unbounded one.
+        m = _class_model(np.random.default_rng(118), "generic", 7)
+        assert count_bound(m) == 12
+        assert len(self._distinct(m)) == 11
+
+
+def _small_units_models():
+    """Ten models of each well-posed class, n = 2..6, with their classes."""
+    out = []
+    for i, cls in enumerate(("generic", "hard", "near_hard", "zero_c")):
+        rng = np.random.default_rng(9500 + i)
+        out += [(cls, _class_model(rng, cls, 2 + j % 5)) for j in range(10)]
+    return out
+
+
+def _units_outcome(m):
+    """Status (certified or error class), hard_case, point count and objective."""
+    try:
+        sol = global_minimize(m)
+        status, hard, objective = "certified", sol.hard_case, sol.objective
+    except CubicminError as exc:
+        status, hard, objective = type(exc).__name__, None, None
+    try:
+        count = len(enumerate_stationary(m))
+    except CubicminError as exc:
+        count = type(exc).__name__
+    return status, hard, count, objective
+
+
+_POWERS = (-40, -20, 20, 40)
+# The (alpha, k) maps at which some model's outcome moves (ROADMAP item 2):
+# thresholds in absolute units.  Only (2^e, 2^e) for e in {-20, 20, 40} holds.
+_UNITS_FAIL = {(a, k) for a in _POWERS for k in _POWERS} - {(-20, -20), (20, 20), (40, 40)}
+
+
+class TestSmallUnits:
+    """Metamorphic: ``(c, Q, sigma) -> (alpha W c/k, alpha^2 W Q W'/k,
+    alpha^3 sigma/k)`` with W orthogonal maps s to ``W s / alpha`` and m to
+    m/k.  The status, ``hard_case``, the number of enumerated points and k
+    times the objective (to 1e-9 relative) must not move."""
+
+    @staticmethod
+    def _mismatches(alpha, k, rotate):
+        rng = np.random.default_rng(77)
+        bad = []
+        for i, (cls, m) in enumerate(_small_units_models()):
+            W = np.eye(m.n)
+            if rotate:
+                v, _ = np.linalg.qr(rng.normal(size=(m.n, m.n)))
+                W = v[:, rng.permutation(m.n)]
+            q = alpha**2 * (W @ m.Q.entries @ W.T) / k
+            scaled = CubicModel(alpha * (W @ m.c) / k, (q + q.T) / 2.0, alpha**3 * m.sigma / k)
+            *want, f = _units_outcome(m)
+            *got, g = _units_outcome(scaled)
+            if got != want or (f is not None and not abs(k * g - f) <= 1e-9 * abs(f)):
+                bad.append((cls, i % 10, want, got))
+        return bad
+
+    def test_rotation_and_permutation(self):
+        assert self._mismatches(1.0, 1.0, rotate=True) == []
+
+    @pytest.mark.parametrize(
+        "e_alpha, e_k",
+        [
+            pytest.param(
+                a, k,
+                marks=[pytest.mark.xfail(
+                    strict=True, raises=AssertionError,
+                    reason="ROADMAP item 2: tolerances in absolute units")]
+                if (a, k) in _UNITS_FAIL else [],
+            )
+            for a in _POWERS
+            for k in _POWERS
+        ],
+    )
+    def test_power_of_two_units(self, e_alpha, e_k):
+        assert self._mismatches(2.0**e_alpha, 2.0**e_k, rotate=False) == []
+
 
 class TestGlobalMinimize:
     def test_convex_origin(self):
