@@ -310,12 +310,10 @@ def _cmd_stationary(args):
     m, name = load_problem(args.problem)
     points = enumerate_stationary(m)
     bound = count_bound(m)
-    # Multipliers within 1e-9 (1 + |lam|) of each other count as one, as in
-    # the benchmark's check; count_bound separates negative eigenvalues at
-    # SINGULAR_MODE_TOL (1e-12), so near-equal ones count twice there.
+    # Tied multipliers count as one, as in the benchmark's check.
     distinct = []
     for p in points:
-        if not any(abs(p.lam - q) <= 1e-9 * (1.0 + abs(q)) for q in distinct):
+        if not any(abs(p.lam - q) <= model_mod.multiplier_tie(q) for q in distinct):
             distinct.append(p.lam)
     tol_grad, tol_psd = m.default_tol_grad(), m.default_tol_psd()
     rec = {

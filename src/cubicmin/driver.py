@@ -46,7 +46,6 @@ ARC = "ARC"
 ARC_PLUS = "ARC_PLUS"
 
 _MAX_TIGHTENINGS = 6
-_EPS_FLOOR = 1e-15
 
 _SIGMA0 = 1.0
 _ETA1 = 0.1
@@ -116,12 +115,6 @@ class ArcOptions:
             raise ValueError("seed must be non-negative")
 
 
-def _adaptive_eps_curv(eps_grad, s_bar):
-    # Curvature threshold paired with the gradient residual; capped so
-    # accepted certificates keep psd_margin >= -1e-6.
-    return min(10.0 * eps_grad / max(linalg.norm(s_bar), 1e-8), 1e-6)
-
-
 def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
     """Globally minimize a cubic model by local solves plus escapes.
 
@@ -132,11 +125,10 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
         Starting point for the first local solve.
     eps_grad : float, optional
         Residual tolerance for each local solve; defaults to the
-        model's gradient tolerance.
+        model's gradient gate.
     eps_curv : float, optional
-        Curvature threshold for the approximate escape tests.  When
-        omitted, a per-point threshold 10*eps_grad/max(||s_bar||, 1e-8)
-        capped at 1e-6 is used.
+        Curvature threshold for the approximate escape tests; by default
+        ``model.escape_eps_curv`` of each point.
 
     Returns
     -------
@@ -149,7 +141,7 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
     BoundExceeded
         More escapes fired than the stationary-count bound allows.
     ToleranceFloor
-        Repeated threshold failures pushed eps_grad below 1e-15.
+        Repeated threshold failures reached ``model.ESCAPE_EPS_FLOOR``.
     """
     if eps_grad is None:
         eps_grad = m.default_tol_grad()
@@ -173,13 +165,13 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
                 f"(target {eps:.3e})"
             )
         s_bar = rep.s
-        ec = float(eps_curv) if eps_curv is not None else _adaptive_eps_curv(eps, s_bar)
+        ec = float(eps_curv) if eps_curv is not None else model_mod.escape_eps_curv(eps, s_bar)
         try:
             out = escape_mod.escape_approx(
                 m, s_bar, escape_mod.ApproxTolerances(eps_grad=eps, eps_curv=ec)
             )
         except ThresholdNotMet:
-            if tightenings >= _MAX_TIGHTENINGS or eps / 10.0 < _EPS_FLOOR:
+            if tightenings >= _MAX_TIGHTENINGS or eps / 10.0 < model_mod.ESCAPE_EPS_FLOOR:
                 raise ToleranceFloor(
                     f"no escape threshold held down to eps_grad = {eps:.3e}"
                 )
@@ -322,7 +314,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         if hess_x is None:
             hess_x = SymmetricMatrix(f.hess(x))
         m = CubicModel(g, hess_x, sigma)
-        eps_inner = max(min(0.01, 0.1 * m.norm_c) * m.norm_c, 1e-12)
+        eps_inner = m.arc_target()
         s_c = cauchy_step(m)
         if math.isinf(m.norm_c * linalg.safe_norm(s_c)):
             # s_c = -t*g, so |c's_c| = ||g|| ||s_c||: m(s_c) is out of range.

@@ -9,8 +9,8 @@ negative-curvature direction d (B_II) or across z = s_bar + alpha*d
 (B_III).  Both escapes judge the point by its global certificate
 (``model._certificate`` at ``eps_grad`` and ``eps_curv``): a residual
 above ``eps_grad`` raises NotStationary, and a point that passes gets
-NONE_GLOBAL.  ``escape_exact`` takes the model's default tolerances
-as the two floats ``m.default_tol_grad()`` and ``m.default_tol_psd()``,
+NONE_GLOBAL; one with ``||s_bar|| <= m.zero_step_tol()`` moves as from
+the origin (B_I).  ``escape_exact`` takes the model's two gates,
 without an ``ApproxTolerances`` record; ``escape_approx`` takes the
 caller's record, validated when it was built, whose tolerances also set
 each reflection's threshold.  The case analysis reads s_bar, its
@@ -87,12 +87,6 @@ class EscapeOutcome:
     z_used: np.ndarray = None
     decrease: float = 0.0
     certificate: model_mod.GlobalCertificate = None
-
-
-def _zero_tol(m):
-    # lam = sigma*||s_bar|| below this is negligible against any curvature
-    # that survives the NONE_GLOBAL gate.
-    return 1e-10 * max(1.0, abs(m.eig.mu_1) / m.sigma)
 
 
 def alpha_threshold_biii(m, s_bar, d):
@@ -225,7 +219,7 @@ def _escape(m, point, eps_grad, eps_curv, direction):
     norm_s = linalg.norm(s)
     grad = point.gradient
 
-    if norm_s <= _zero_tol(m):
+    if norm_s <= m.zero_step_tol():
         if c_d > 0.0:
             d = -d
         alpha = -0.75 * d_q_d / (m.sigma * norm_d**3)

@@ -37,7 +37,7 @@ def norm(x):
 
 
 def safe_norm(x):
-    """Euclidean norm of a float vector, finite for every finite x.
+    """Euclidean norm of a float vector; inf only where the norm passes double range.
 
     When ``max|x|`` exceeds 1e150 the squares could overflow, and when it
     is below 1e-150 (but not 0) they could underflow, so the norm is

@@ -117,7 +117,7 @@ def local_minimize(m, s0, eps_grad=None):
     s0 : array_like, shape (n,)
     eps_grad : float, optional
         Positive gradient-residual target; defaults to the model's
-        ``1e-8 * (1 + ||c||)``.
+        gradient gate ``m.default_tol_grad()``.
 
     Returns
     -------

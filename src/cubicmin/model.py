@@ -5,6 +5,7 @@ The model is ``m(s) = c^T s + 1/2 s^T Q s + (sigma/3) ||s||^3`` with
 ``lam = sigma * ||s||``, and it is the global minimizer exactly when, in
 addition, ``Q + lam*I`` is positive semidefinite.
 
+Every model-scale threshold is stated once, in the tolerance table below.
 A judged point is evaluated once, by ``_evaluate``, which alone makes
 the 2^1000 range decision.  ``StationaryPoint.from_vector`` keeps that
 evaluation as a record (``s``, ``lam``, ``m(s)``, the gradient and its
@@ -30,6 +31,31 @@ from cubicmin.linalg import SymmetricMatrix
 
 # Below this bound on its terms, a point's evaluation stays in double range.
 _IN_RANGE = 2.0**1000
+
+# The tolerance table; a row relative to ||c|| raises ConvergenceError where ||c|| overflows.
+#   gradient gate     1e-8 (1 + ||c||), on ||grad m||           CubicModel.default_tol_grad
+#   psd gate          1e-8 (1 + max|Q|), on -(mu_1 + lam)       CubicModel.default_tol_psd
+#   coupling          1e-10 (1 + ||c||), on |beta_i|            CubicModel.coupling_tol
+#   zero step         1e-10 max(1, |mu_1|/sigma), on ||s||      CubicModel.zero_step_tol
+#   ARC target        max(min(0.01, 0.1 ||c||) ||c||, 1e-12)    CubicModel.arc_target
+#   boundary slack    1e-8 (1 + lam/sigma), on ||V a||          boundary_slack
+#   multiplier tie    1e-9 (1 + |lam|), between multipliers     multiplier_tie
+#   escape curvature  min(10 eps / max(||s||, 1e-8), 1e-6)      escape_eps_curv
+SINGULAR_MODE_TOL = 1e-12  # singular mode, on |mu_i + lam|
+_POLE_MERGE = 1e-10  # pole merge, between a coupled pole and the one below
+ESCAPE_EPS_FLOOR = 1e-15  # escape floor, on the escape loop's eps_grad
+
+
+def boundary_slack(radius):
+    return 1e-8 * (1.0 + radius)
+
+
+def multiplier_tie(lam):
+    return 1e-9 * (1.0 + abs(lam))
+
+
+def escape_eps_curv(eps_grad, s):
+    return min(10.0 * eps_grad / max(linalg.norm(s), 1e-8), 1e-6)  # cap: psd_margin >= -1e-6
 
 
 def _record(cls, **fields):
@@ -59,7 +85,7 @@ class CubicModel:
     sigma : float
         Regularization weight, strictly positive.
 
-    ``norm_c = ||c||`` (``linalg.safe_norm``, finite for every finite c)
+    ``norm_c = ||c||`` (``linalg.safe_norm``; inf only past double range)
     is computed by the constructor, as is ``Q.max_abs``, since every
     solve path reads both.  The secular record of
     ``stationary.SecularProblem.from_model``, which one constructor
@@ -99,12 +125,27 @@ class CubicModel:
         return self.Q.eig
 
     def default_tol_grad(self):
-        """Default stationarity tolerance, relative to the model scale."""
-        return 1e-8 * (1.0 + self.norm_c)
+        """Default stationarity tolerance: the tolerance table's gradient gate."""
+        return 1e-8 * (1.0 + self._finite_norm_c())
 
     def default_tol_psd(self):
-        """Default semidefiniteness tolerance, relative to the model scale."""
+        """Default semidefiniteness tolerance: the tolerance table's psd gate."""
         return 1e-8 * (1.0 + self.Q.max_abs)
+
+    def coupling_tol(self):
+        return 1e-10 * (1.0 + self._finite_norm_c())
+
+    def zero_step_tol(self):
+        return 1e-10 * max(1.0, abs(self.eig.mu_1) / self.sigma)  # lam then negligible beside mu_1
+
+    def arc_target(self):
+        g = self._finite_norm_c()
+        return max(min(0.01, 0.1 * g) * g, 1e-12)
+
+    def _finite_norm_c(self):
+        if self.norm_c == math.inf:
+            raise ConvergenceError("||c|| overflows, so no tolerance relative to it is finite")
+        return self.norm_c
 
     def _check_dim(self, s):
         s = np.asarray(s, dtype=float).reshape(-1)
@@ -124,7 +165,7 @@ class StationaryPoint:
     supplied, so the norm coupling holds by construction),
     ``objective = m(s)``, ``gradient = grad m(s) = c + Q s + sigma ||s|| s``
     (read-only) and ``residual = ||gradient||``.  Both norms are
-    ``linalg.safe_norm``, so lam stays finite for every finite s.
+    ``linalg.safe_norm``, so lam is finite wherever ||s|| is.
     ``_certificate`` judges the record, the escapes read ``s``, ``lam``
     and ``gradient`` from it instead of evaluating s again, and
     ``GlobalSolution`` and ``EscapeOutcome.point`` are built from it.
@@ -236,8 +277,7 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
     Parameters
     ----------
     tol_grad, tol_psd : float, optional
-        Positive tolerances; default to ``1e-8 * (1 + ||c||)`` and
-        ``1e-8 * (1 + max|Q|)``.
+        Positive tolerances; default to the model's gradient and psd gates.
 
     Returns
     -------

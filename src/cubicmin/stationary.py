@@ -52,12 +52,8 @@ from cubicmin.exceptions import (
     NormMismatch,
     PoleEvaluation,
 )
-from cubicmin.model import GlobalCertificate, StationaryPoint
+from cubicmin.model import _POLE_MERGE, SINGULAR_MODE_TOL, GlobalCertificate, StationaryPoint
 
-# |mu_i + lam| at or below this makes mode i singular at lam.
-SINGULAR_MODE_TOL = 1e-12
-# Coupled poles closer than this to the pole below them are merged into it.
-_POLE_MERGE = 1e-10
 _EPS = float(np.finfo(float).eps)
 # Newton stops when its step falls below this share of the offset |t|.
 _NEWTON_STEP_RTOL = 64.0 * _EPS
@@ -80,18 +76,18 @@ class SecularProblem:
         ``-V^T c``, the eigenbasis loads of the linear term.
     sigma : float
     coupled : ndarray of bool
-        ``|beta_i| > pole_tol``: the modes the secular equation solves.
+        ``|beta_i| > pole_tol = m.coupling_tol()``: the modes solved for.
     any_coupled : bool
         Some mode coupled; False exactly when c = 0 up to ``pole_tol``.
     coupled_beta, coupled_poles : ndarray
         ``beta`` and ``-mu`` at the coupled modes, in eigenvalue order:
         the terms of ``||s(lam)||`` that the root finder evaluates.
     poles : ndarray
-        Sorted values ``-mu_i`` restricted to coupled indices
-        (``|beta_i| > pole_tol``), each kept only when more than 1e-10
-        above the last kept one, which stands for those merged.  Where the
-        coupling vanishes g extends continuously across ``-mu_i``, so
-        such points are not treated as poles.  The positive ones cut
+        Sorted values ``-mu_i`` restricted to coupled indices, each
+        kept only when more than ``_POLE_MERGE`` above the last kept
+        one, which stands for those merged.  Where the coupling
+        vanishes g extends continuously across ``-mu_i``, so such points
+        are not treated as poles.  The positive ones cut
         ``subintervals``; the same walk records where a search up from
         each cut starts (``_newton_root``).
     top_root : LambdaRoot or None
@@ -110,7 +106,7 @@ class SecularProblem:
         eig = self.eig = m.eig
         self.beta = linalg._freeze(-eig.vectors.T.dot(m.c))
         self.sigma = m.sigma
-        self.pole_tol = 1e-10 * (1.0 + m.norm_c)
+        self.pole_tol = m.coupling_tol()
         self.coupled = linalg._freeze(np.abs(self.beta) > self.pole_tol)
         self.any_coupled = np.count_nonzero(self.coupled) > 0
         self.coupled_beta = linalg._freeze(self.beta[self.coupled])
@@ -206,7 +202,7 @@ def g_eval(sp, lam):
     Raises
     ------
     PoleEvaluation
-        If ``lam`` is within 1e-12 of zero or of a pole.
+        If ``lam`` is within ``SINGULAR_MODE_TOL`` of zero or of a pole.
     """
     lam = float(lam)
     if abs(lam) <= SINGULAR_MODE_TOL:
@@ -393,16 +389,16 @@ def _boundary_parts(sp, lam):
 
     a is ``_coefficients`` at lam; v is the first null mode, an uncoupled
     mode with a vanishing shift; tau >= 0 sets ``||V a +/- tau v|| =
-    lam/sigma``.  Raises NormMismatch if ``||V a||`` exceeds that beyond
-    tolerance, or if no mode is null at lam, and ConvergenceError if the
-    square of lam/sigma leaves double range.
+    lam/sigma``.  Raises NormMismatch if ``||V a||`` exceeds that by more
+    than ``model.boundary_slack``, or if no mode is null at lam, and
+    ConvergenceError if the square of lam/sigma leaves double range.
     """
     coeff, denom = _coefficients(sp, lam, 0.0)
     singular = ~sp.coupled & (np.abs(denom) <= SINGULAR_MODE_TOL)
     base = sp.eig.vectors.dot(coeff)
     radius = lam / sp.sigma
     norm_base = linalg.norm(base)
-    if norm_base > radius + 1e-8 * (1.0 + radius):
+    if norm_base > radius + model_mod.boundary_slack(radius):
         raise NormMismatch(
             f"boundary multiplier {lam!r}: ||V a|| = {norm_base!r} exceeds lam/sigma = {radius!r}"
         )

@@ -24,7 +24,6 @@ from cubicmin.escape import (
     CASE_B_III,
     CASE_NONE_GLOBAL,
     EscapeOutcome,
-    _zero_tol,
 )
 from cubicmin.exceptions import (
     ConvergenceError,
@@ -267,7 +266,7 @@ def ref_escape(m, point, tol, direction=None):
     grad = _ref_gradient(m, s, norm_s, m.Q.entries @ s)
     norm_d = linalg.norm(d)
 
-    if norm_s <= _zero_tol(m):
+    if norm_s <= 1e-10 * max(1.0, abs(m.eig.mu_1) / m.sigma):
         if float(m.c @ d) > 0.0:
             d = -d
         alpha = -0.75 * float(d @ (m.Q.entries @ d)) / (m.sigma * norm_d**3)
@@ -552,3 +551,43 @@ def ref_newton_root(sp, end, far):
             f"secular Newton iteration left double range near lam = {pole + t!r}"
         ) from None
     return LambdaRoot(lam=pole + t, pole=pole, offset=t)
+
+
+# Reference copies of the tolerance formulas as each call site wrote them
+# before the tolerance table of ``model`` held them; tests hold the table to
+# them bit for bit.
+REF_SINGULAR_MODE_TOL = 1e-12
+REF_POLE_MERGE = 1e-10
+REF_EPS_FLOOR = 1e-15
+
+
+def ref_default_tol_grad(m):
+    return 1e-8 * (1.0 + m.norm_c)
+
+
+def ref_default_tol_psd(m):
+    return 1e-8 * (1.0 + m.Q.max_abs)
+
+
+def ref_pole_tol(m):
+    return 1e-10 * (1.0 + m.norm_c)
+
+
+def ref_zero_tol(m):
+    return 1e-10 * max(1.0, abs(m.eig.mu_1) / m.sigma)
+
+
+def ref_eps_inner(m):
+    return max(min(0.01, 0.1 * m.norm_c) * m.norm_c, 1e-12)
+
+
+def ref_boundary_slack(radius):
+    return 1e-8 * (1.0 + radius)
+
+
+def ref_multiplier_tie(q):
+    return 1e-9 * (1.0 + abs(q))
+
+
+def ref_adaptive_eps_curv(eps_grad, s_bar):
+    return min(10.0 * eps_grad / max(linalg.norm(s_bar), 1e-8), 1e-6)

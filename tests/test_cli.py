@@ -1155,3 +1155,25 @@ class TestGoldenContract:
         src = tmp_path / "bench.csv"
         src.write_text(out)
         assert run("profile", str(src), "--format", fmt) == (0, "tau,ARC,ARC_PLUS\n1,1,1\n", "")
+
+
+class TestOverflowingNormC:
+    """Finite entries of c whose norm overflows: a solver error, not a
+    certificate at s = 0 with tol_grad = inf."""
+
+    @pytest.mark.parametrize(
+        "argv", [["solve"], ["solve", "--method", "escapes"], ["stationary"]],
+        ids=["solve", "solve-escapes", "stationary"],
+    )
+    def test_exit_2_one_line(self, tmp_path, argv):
+        path = tmp_path / "norm_c_overflows.json"
+        path.write_text(
+            '{"n": 2, "c": [1.5e308, 1.5e308], "Q": [[1.0, 0.0], [0.0, 1.0]], "sigma": 0.01}\n'
+        )
+        out = run_cli(argv[0], str(path), *argv[1:],
+                      env={**os.environ, "PYTHONWARNINGS": "error"})
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            "cubicmin: solver error: ConvergenceError: ||c|| overflows, so no tolerance"
+            " relative to it is finite\n"
+        )

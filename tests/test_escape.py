@@ -363,3 +363,28 @@ class TestDefaultDirection:
                 assert _escape_record(lambda: escape_approx(m, p.s, loose)) == want
                 seen.add(want[0])
         assert seen - {"NONE_GLOBAL"}, "no escape move or error was compared"
+
+
+class TestThresholdNotMetExits:
+    """The two early ThresholdNotMet exits of the case analysis, each with
+    the reference escape's exception and message."""
+
+    def test_sign_flip_failed(self):
+        # c.s_bar = 1e-30 > 0, but the flip changes m(s) only below rounding.
+        m = CubicModel([1.0, 0.0], np.diag([-2.0, -1.0]), 1.0)
+        s_bar = np.array([1e-30, 1.0])
+        tol = ApproxTolerances(10.0, 0.5)
+        want = _escape_record(lambda: ref_escape(m, StationaryPoint.from_vector(m, s_bar), tol))
+        assert want == ("ThresholdNotMet", "sign flip failed to decrease the objective")
+        assert _escape_record(lambda: escape_approx(m, s_bar, tol)) == want
+
+    def test_origin_step_failed(self):
+        # Along the positive-curvature direction [0, 1] the origin step
+        # alpha = -0.75 d'Qd / sigma is a step up.
+        m = CubicModel([0.0, 0.0], np.diag([-1.0, 2.0]), 1.0)
+        point = StationaryPoint.from_vector(m, np.zeros(2))
+        d = np.array([0.0, 1.0])
+        tol = ApproxTolerances(m.default_tol_grad(), m.default_tol_psd())
+        want = _escape_record(lambda: ref_escape(m, point, tol, direction=d))
+        assert want == ("ThresholdNotMet", "origin step failed to decrease the objective")
+        assert _escape_record(lambda: escape_exact(m, point, direction=d)) == want

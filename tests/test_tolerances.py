@@ -1,0 +1,208 @@
+"""The tolerance policy: its table in ``model`` gives the bits of the
+formulas it replaced, no other module states a model-scale threshold, and
+a tolerance relative to an overflowing ``||c||`` raises."""
+
+import ast
+import pathlib
+
+import numpy as np
+import pytest
+
+import cubicmin
+from cubicmin import CubicModel, model
+from cubicmin.driver import ARC, ARC_PLUS, ArcOptions, arc_plus_minimize, solve_via_escapes
+from cubicmin.escape import escape_exact
+from cubicmin.exceptions import ConvergenceError
+from cubicmin.model import StationaryPoint, is_global
+from cubicmin.stationary import enumerate_stationary, global_minimize
+
+from .helpers import (
+    REF_EPS_FLOOR,
+    REF_POLE_MERGE,
+    REF_SINGULAR_MODE_TOL,
+    class_model,
+    ref_adaptive_eps_curv,
+    ref_boundary_slack,
+    ref_default_tol_grad,
+    ref_default_tol_psd,
+    ref_eps_inner,
+    ref_multiplier_tie,
+    ref_pole_tol,
+    ref_zero_tol,
+)
+from .test_stationary import _POWERS, _small_units_models
+
+CLASSES = ("generic", "hard", "near_hard", "zero_c", "scaled_Q", "tiny_sigma")
+
+
+def _policy(m):
+    """Every entry of the table at the quantities of m, and the reference formula's value."""
+    lam = max(0.0, -m.eig.mu_1)
+    eps = m.default_tol_grad()
+    rows = [
+        ("gradient gate", m.default_tol_grad(), ref_default_tol_grad(m)),
+        ("psd gate", m.default_tol_psd(), ref_default_tol_psd(m)),
+        ("coupling", m.coupling_tol(), ref_pole_tol(m)),
+        ("zero step", m.zero_step_tol(), ref_zero_tol(m)),
+        ("ARC target", m.arc_target(), ref_eps_inner(m)),
+    ]
+    for x in (lam, -m.eig.mu_1, m.norm_c, lam / m.sigma):
+        rows.append(("boundary slack", model.boundary_slack(x), ref_boundary_slack(x)))
+        rows.append(("multiplier tie", model.multiplier_tie(x), ref_multiplier_tie(x)))
+    v_1 = m.eig.vectors[:, 0]
+    for s in (np.zeros(m.n), 1e-12 * v_1, v_1, 1e6 * v_1, m.c / (1.0 + m.norm_c)):
+        for e in (eps, 1e-3 * eps, 10.0 * eps):
+            rows.append(("escape curvature", model.escape_eps_curv(e, s),
+                         ref_adaptive_eps_curv(e, s)))
+    return [(name, float(got).hex(), float(want).hex()) for name, got, want in rows]
+
+
+def _assert_policy(m):
+    for name, got, want in _policy(m):
+        assert got == want, (name, m)
+
+
+def test_constants_match_reference():
+    assert model.SINGULAR_MODE_TOL.hex() == REF_SINGULAR_MODE_TOL.hex()
+    assert model._POLE_MERGE.hex() == REF_POLE_MERGE.hex()
+    assert model.ESCAPE_EPS_FLOOR.hex() == REF_EPS_FLOOR.hex()
+    # stationary reads the table's constants under their old names.
+    assert cubicmin.stationary.SINGULAR_MODE_TOL is model.SINGULAR_MODE_TOL
+    assert cubicmin.stationary._POLE_MERGE is model._POLE_MERGE
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_class_models_match_reference(cls):
+    rng = np.random.default_rng([9700, CLASSES.index(cls)])
+    for n in np.repeat(np.arange(2, 7), 4):
+        _assert_policy(class_model(rng, cls, int(n)))
+
+
+@pytest.mark.parametrize("e_alpha", _POWERS)
+@pytest.mark.parametrize("e_k", _POWERS)
+def test_small_units_models_match_reference(e_alpha, e_k):
+    alpha, k = 2.0**e_alpha, 2.0**e_k
+    for _, m in _small_units_models():
+        q = alpha**2 * m.Q.entries / k
+        _assert_policy(CubicModel(alpha * m.c / k, (q + q.T) / 2.0, alpha**3 * m.sigma / k))
+
+
+@pytest.mark.parametrize(
+    "c, Q, sigma",
+    [
+        ([0.0, 0.0], np.diag([-1.0, 2.0]), 1.0),  # c = 0
+        ([1e308, 0.0], np.eye(2), 1.0),  # ||c|| = 1e308
+        ([1.2e308, 1.2e308], np.diag([-3.0, 1.0]), 0.5),  # ||c|| near 1.7e308
+        ([1.0, -2.0], np.diag([-1.0, 2.0]), 1e-300),  # tiny sigma: zero step 1e290
+        ([1.0, -2.0], np.diag([-1e20, 2.0]), 1e-300),  # |mu_1|/sigma overflows
+        ([1.0, -2.0], np.diag([0.0, 3.0]), 1.0),  # mu_1 = 0
+        ([0.0, 0.0], np.zeros((2, 2)), 1.0),  # c = 0 and mu_1 = 0
+    ],
+)
+def test_edge_models_match_reference(c, Q, sigma):
+    _assert_policy(CubicModel(c, Q, sigma))
+
+
+def test_secular_record_reads_coupling():
+    m = class_model(np.random.default_rng(9710), "near_hard", 4)
+    sp = cubicmin.SecularProblem.from_model(m)
+    assert sp.pole_tol.hex() == ref_pole_tol(m).hex()
+
+
+# The float literals below 1e-3 that may stay outside model.py, each with
+# its reason, keyed by module, enclosing definition (or assigned name) and
+# value.  A threshold on a quantity of a model belongs in model's table.
+_ALLOWED = {
+    ("cli.py", "_build_parser", 1e-5): "--tol default, the outer loop's gradient target",
+    ("driver.py", "ArcOptions", 1e-5): "tol_grad_inf default, the outer loop's gradient target",
+    ("driver.py", "_SIGMA_MIN", 1e-8): "ARC's floor on sigma, an algorithm constant",
+    ("driver.py", "performance_profile", 1e-12): "the profile's ratio grid",
+    ("linalg.py", "_SYMMETRY_RTOL", 1e-12): "input contract: symmetry of a matrix",
+    ("linalg.py", "safe_norm", 1e-150): "safe_norm's underflow scaling bound",
+    ("local_solver.py", "_ARMIJO_C", 1e-4): "the line search's Armijo constant",
+    ("local_solver.py", "_PD_RTOL", 1e-12): "the Newton step's relative definiteness test",
+    ("problem_io.py", "_SYM_RTOL", 1e-9): "input contract: symmetry of a file's Q",
+    ("problems.py", "_FD_REL_TOL", 1e-4): "input contract: gradient against finite differences",
+    ("problems.py", "_validate_gradient", 1e-6): "the finite-difference step",
+    ("stationary.py", "_EMPTY_MARGIN", 1e-9): "relative margin of the emptiness bound",
+}
+
+
+def _small_literals(path):
+    """(module, owner, value, line) of each float literal below 1e-3 in magnitude.
+
+    The owner is the innermost enclosing def or class, or the name a
+    module-level assignment binds."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+
+    def walk(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name
+            elif node is tree and isinstance(child, (ast.Assign, ast.AnnAssign)):
+                target = child.targets[0] if isinstance(child, ast.Assign) else child.target
+                inner = getattr(target, "id", owner)
+            if isinstance(child, ast.Constant) and type(child.value) is float:
+                if 0.0 < abs(child.value) < 1e-3:
+                    found.append((path.name, owner if inner is None else inner,
+                                  child.value, child.lineno))
+            walk(child, inner)
+
+    walk(tree, None)
+    return found
+
+
+def test_no_model_scale_literal_outside_model():
+    src = pathlib.Path(cubicmin.__file__).parent
+    hits = [hit for path in sorted(src.glob("*.py")) if path.name != "model.py"
+            for hit in _small_literals(path)]
+    stray = [hit for hit in hits if hit[:3] not in _ALLOWED]
+    assert stray == [], "state these thresholds in model.py's tolerance table"
+    # Every allowed literal is still there: the list does not go stale,
+    # and the scan read the modules.
+    assert {hit[:3] for hit in hits} == set(_ALLOWED)
+
+
+BIG_C = CubicModel([1.5e308, 1.5e308], np.eye(2), 0.01)
+OVERFLOW = "^\\|\\|c\\|\\| overflows, so no tolerance relative to it is finite$"
+
+
+class TestOverflowingNormC:
+    """Finite entries of c whose norm overflows: every tolerance relative
+    to ||c|| raises, so no solve certifies s = 0 at tol_grad = inf."""
+
+    def test_model_still_builds(self):
+        assert BIG_C.norm_c == np.inf
+        assert np.isfinite(BIG_C.default_tol_psd())
+
+    @pytest.mark.parametrize("entry", ["default_tol_grad", "coupling_tol", "arc_target"])
+    def test_entries_relative_to_norm_c_raise(self, entry):
+        with pytest.raises(ConvergenceError, match=OVERFLOW):
+            getattr(BIG_C, entry)()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: global_minimize(BIG_C),
+            lambda: enumerate_stationary(BIG_C),
+            lambda: solve_via_escapes(BIG_C, np.zeros(2)),
+            lambda: is_global(BIG_C, np.zeros(2)),
+            lambda: escape_exact(BIG_C, StationaryPoint.from_vector(BIG_C, np.zeros(2))),
+        ],
+        ids=["global_minimize", "enumerate_stationary", "solve_via_escapes", "is_global",
+             "escape_exact"],
+    )
+    def test_solves_raise(self, call):
+        with pytest.raises(ConvergenceError, match=OVERFLOW):
+            call()
+
+    @pytest.mark.parametrize("variant", [ARC, ARC_PLUS])
+    def test_outer_loop_raises_at_iteration_1(self, variant):
+        f = cubicmin.get_problem("sphere2")
+        hess, calls = f._hess, []
+        f._hess = lambda x: calls.append(1) or hess(x)
+        with np.errstate(over="ignore"), pytest.raises(ConvergenceError, match=OVERFLOW):
+            arc_plus_minimize(f, [1.5e308, 1.5e308], variant, ArcOptions(max_iters=50))
+        assert len(calls) == 1
