@@ -302,7 +302,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
     iterations = 0
     converged = False
     g = f.grad(x)
-    ginf = float(np.max(np.abs(g)))
+    ginf = float(np.abs(g).max())
     hess_x = None  # the SymmetricMatrix of f.hess(x), built on first use
 
     while iterations < opts.max_iters:
@@ -353,7 +353,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
                 f_history.append(fx)
                 margins.append(margin)
                 g = f.grad(x)
-                ginf = float(np.max(np.abs(g)))
+                ginf = float(np.abs(g).max())
                 hess_x = None
                 if rho >= _ETA2:
                     sigma = max(sigma / 2.0, _SIGMA_MIN)

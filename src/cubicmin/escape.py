@@ -103,7 +103,7 @@ def alpha_threshold_biii(m, s_bar, d):
     """
     s_bar = m._check_dim(s_bar)
     d = m._check_dim(d)
-    lam = m.sigma * linalg.norm(s_bar)
+    lam = m.sigma * linalg.safe_norm(s_bar)
     q_dd = float(d.dot(m.Q.entries.dot(d))) + lam * float(d.dot(d))
     return _threshold(q_dd, float(m.c.dot(d)), float(m.c.dot(s_bar)))
 

@@ -98,7 +98,7 @@ class SymmetricMatrix:
                 )
         self.entries = _freeze(half + half.T)
         self.n = a.shape[0]
-        self.max_abs = float(np.max(np.abs(self.entries)))
+        self.max_abs = float(np.abs(self.entries).max())
 
     @functools.cached_property
     def eig(self):

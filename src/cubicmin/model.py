@@ -55,7 +55,7 @@ def multiplier_tie(lam):
 
 
 def escape_eps_curv(eps_grad, s):
-    return min(10.0 * eps_grad / max(linalg.norm(s), 1e-8), 1e-6)  # cap: psd_margin >= -1e-6
+    return min(10.0 * eps_grad / max(linalg.safe_norm(s), 1e-8), 1e-6)  # cap: psd_margin >= -1e-6
 
 
 def _record(cls, **fields):
@@ -103,7 +103,9 @@ class CubicModel:
     def __init__(self, c, Q, sigma):
         if not isinstance(Q, SymmetricMatrix):
             Q = SymmetricMatrix(Q)
-        c = np.array(c, dtype=float).reshape(-1)
+        c = np.array(c, dtype=float)
+        if c.ndim != 1:
+            c = c.reshape(-1)
         if c.shape[0] != Q.n:
             raise ValueError(f"c has length {c.shape[0]}, Q has dimension {Q.n}")
         if np.count_nonzero(np.isfinite(c)) < c.shape[0]:
@@ -180,7 +182,8 @@ class StationaryPoint:
     @classmethod
     def from_vector(cls, model, s):
         """Evaluate ``s``; ConvergenceError where m(s) is NaN or below double range."""
-        s, lam, objective, gradient = _evaluate(model, s)
+        s, lam, objective, gradient = _evaluate(model, np.array(s, dtype=float))
+        s.setflags(write=False)
         gradient.setflags(write=False)
         return _record(cls, s=s, lam=lam, objective=objective,
                        residual=linalg.safe_norm(gradient), gradient=gradient)
@@ -203,15 +206,21 @@ class GlobalCertificate:
 
 
 def _evaluate(model, s, objective=True):
-    # The one evaluation of a judged point: a read-only float copy of s, lam,
-    # m(s) (None if not objective) and grad m(s).  Where the terms of all
-    # three stay below _IN_RANGE (as ||Q|| <= n max|Q|; a test on scalars,
-    # before Q s), none needs an errstate nor can leave double range.
-    # Elsewhere m(s) is always computed, and NaN or -inf raises.
-    s = np.array(s, dtype=float).reshape(-1)
+    """The one evaluation of a judged point: ``(s, lam, m(s), grad m(s))``.
+
+    ``s`` is a contiguous float array: ``from_vector``'s own copy, or
+    the caller's array that ``is_global`` reads in place.  It is only
+    read, and reshaped (a view) only when it is not 1-D; the gradient is
+    a new array.  ``m(s)`` is None when not ``objective``.  Where the
+    terms of all three stay below ``_IN_RANGE`` (as ``||Q|| <= n
+    max|Q|``; a test on scalars, before ``Q s``), none needs an errstate
+    nor can leave double range.  Elsewhere ``m(s)`` is always computed,
+    and NaN or -inf raises ConvergenceError.
+    """
+    if s.ndim != 1:
+        s = s.reshape(-1)
     if s.shape[0] != model.n:
         model._check_dim(s)  # raises the dimension error
-    s.setflags(write=False)
     norm_s = linalg.safe_norm(s)
     lam = model.sigma * norm_s
     if (1.0 + norm_s) * (model.norm_c + (model.n * model.Q.max_abs + lam) * norm_s) < _IN_RANGE:
@@ -293,7 +302,8 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
 
     s is judged from the evaluation ``StationaryPoint.from_vector`` keeps,
     bit for bit, but without building a record; where the terms of the
-    gradient and of m(s) stay in double range, m(s) is not computed.
+    gradient and of m(s) stay in double range, m(s) is not computed.  A
+    contiguous float64 s is read in place, neither copied nor frozen.
     """
     if tol_grad is None:
         tol_grad = model.default_tol_grad()
@@ -301,7 +311,7 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
         tol_psd = model.default_tol_psd()
     if not (tol_grad > 0.0 and tol_psd > 0.0):
         raise ValueError("tolerances must be positive")
-    _, lam, _, gradient = _evaluate(model, s, objective=False)
+    _, lam, _, gradient = _evaluate(model, np.ascontiguousarray(s, dtype=float), objective=False)
     return _judge(model, linalg.safe_norm(gradient), lam, tol_grad, tol_psd)
 
 

@@ -38,7 +38,6 @@ The records of each solve (``LambdaRoot``, ``GlobalSolution`` and the
 ``model._record``, without the dataclasses' generated ``__init__``.
 """
 
-import contextlib
 import math
 from dataclasses import dataclass
 
@@ -79,6 +78,11 @@ class SecularProblem:
         ``|beta_i| > pole_tol = m.coupling_tol()``: the modes solved for.
     any_coupled : bool
         Some mode coupled; False exactly when c = 0 up to ``pole_tol``.
+    all_coupled : bool
+        Every mode coupled, as when c loads each eigenvector of Q.  Then
+        ``coupled_beta`` is ``beta`` itself, ``_coefficients`` divides
+        without the mask and ``_boundary_points`` has nothing to look
+        for: the values of the masked path, in fewer NumPy calls.
     coupled_beta, coupled_poles : ndarray
         ``beta`` and ``-mu`` at the coupled modes, in eigenvalue order:
         the terms of ``||s(lam)||`` that the root finder evaluates.
@@ -108,9 +112,16 @@ class SecularProblem:
         self.sigma = m.sigma
         self.pole_tol = m.coupling_tol()
         self.coupled = linalg._freeze(np.abs(self.beta) > self.pole_tol)
-        self.any_coupled = np.count_nonzero(self.coupled) > 0
-        self.coupled_beta = linalg._freeze(self.beta[self.coupled])
-        self.coupled_poles = linalg._freeze(-eig.values[self.coupled])
+        n_coupled = int(np.count_nonzero(self.coupled))
+        self.any_coupled = n_coupled > 0
+        self.all_coupled = n_coupled == eig.n
+        if self.all_coupled:
+            # The same values as the masked gathers below, without them.
+            self.coupled_beta = self.beta
+            self.coupled_poles = linalg._freeze(-eig.values)
+        else:
+            self.coupled_beta = linalg._freeze(self.beta[self.coupled])
+            self.coupled_poles = linalg._freeze(-eig.values[self.coupled])
         # Python floats sort and subtract faster than NumPy scalars, with
         # the same order (sorted is stable) and the same differences.  Each
         # kept pole also keeps the load |beta_j| of one mode at exactly its
@@ -136,9 +147,11 @@ class SecularProblem:
         self.top_root = self.top_point = None
         if self.any_coupled:
             # An overflow or invalid operation loses the root instead of warning.
-            raising = np.errstate(over="raise", invalid="raise")
-            with raising, contextlib.suppress(FloatingPointError):
-                self.top_root = _newton_root(self, cuts[-1], math.inf)
+            with np.errstate(over="raise", invalid="raise"):
+                try:
+                    self.top_root = _newton_root(self, cuts[-1], math.inf)
+                except FloatingPointError:
+                    pass
             if self.top_root is None:
                 # phi runs from below 0 to +inf there, so a root exists; the
                 # iteration lost it, as where ||s||^2 overflows.
@@ -244,6 +257,7 @@ def _newton_root(sp, end, far):
     side = 1.0 if far > end else -1.0
     beta = sp.coupled_beta
     poles = sp.coupled_poles
+    sigma = sp.sigma
     pole = sp._starts[end] if side > 0.0 else end
     shift = pole - poles
     width = side * (far - pole)
@@ -256,7 +270,7 @@ def _newton_root(sp, end, far):
     j = int(abs(shift).argmin())
     w = abs(float(beta[j]))
     P = abs(float(shift[j])) + pole
-    t_max = 2.0 * sp.sigma * w / (P + math.sqrt(P * P + 4.0 * sp.sigma * w))
+    t_max = 2.0 * sigma * w / (P + math.sqrt(P * P + 4.0 * sigma * w))
     t = side * 0.5 * min(t_max, width)
     if t == 0.0:
         # t_max underflowed (P * P overflows once P exceeds about 1e154):
@@ -271,24 +285,26 @@ def _newton_root(sp, end, far):
     # The Python float arithmetic raises where the iteration leaves double
     # range: 1/||s||**3 overflows once ||s|| is below about 2e-103, and
     # ||s|| or lam**2 underflows to 0 further down (Q = [[1e200]], c = [1]
-    # has s* = -1e-200).  The catch costs nothing per step.
+    # has s* = -1e-200).  The catch costs nothing per step.  The loop's
+    # functions and constants are locals, which it reads faster.
+    add_reduce, sqrt, rtol = np.add.reduce, math.sqrt, _NEWTON_STEP_RTOL
     try:
         for _ in range(_NEWTON_MAX_STEPS):
             d = shift + t
             a = beta / d
-            inv_norm = 1.0 / math.sqrt(a.dot(a))
+            inv_norm = 1.0 / sqrt(a.dot(a))
             lam = pole + t
-            phi = inv_norm - sp.sigma / lam
+            phi = inv_norm - sigma / lam
             if phi >= 0.0:
                 break
-            dphi = inv_norm**3 * float(np.add.reduce(a * a / d)) + sp.sigma / lam**2
+            dphi = inv_norm**3 * float(add_reduce(a * a / d)) + sigma / lam**2
             if side * dphi <= 0.0:
                 return None
             step = -phi / dphi
             if side * (t + step) >= width:
                 return None
             t += step
-            if abs(step) <= _NEWTON_STEP_RTOL * abs(t):
+            if abs(step) <= rtol * abs(t):
                 break
         else:
             return None
@@ -360,9 +376,15 @@ def _coefficients(sp, pole, offset):
     only coupled modes (``|beta_i| > pole_tol``) are solved; the rest get
     a_i = 0, which leaves a residual of at most their loads.  Returns
     ``a`` and the shifts ``(mu_i + pole) + offset`` it divides by.
+
+    When every mode is coupled and no shift is zero, ``a = beta / shifts``
+    in one division, without the mask: the same bits.  A zero shift takes
+    the masked path, which raises PoleEvaluation.
     """
-    coupled = sp.coupled
     denom = (sp.eig.values + pole) + offset
+    if sp.all_coupled and np.count_nonzero(denom) == sp.eig.n:
+        return sp.beta / denom, denom
+    coupled = sp.coupled
     on_pole = coupled & (denom == 0.0)
     if np.count_nonzero(on_pole):
         i = int(np.argmax(on_pole))
@@ -421,8 +443,11 @@ def _boundary_points(sp):
     uncoupled, giving the two representatives ``V a +/- tau v`` of
     ``_boundary_parts``; the continuum they stand for shares one
     objective value.  A multiplier with ``||V a|| > lam/sigma`` has no
-    point and is skipped.
+    point and is skipped.  Where every mode is coupled there is none to
+    look for.
     """
+    if sp.all_coupled:
+        return []
     vals = sp.eig.values
     # A coupled mode lies in its own multiplier's cluster, so only the
     # uncoupled negative eigenvalues can carry a boundary point.

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -63,6 +64,15 @@ class TestAlphaThreshold:
         m = CubicModel([0.0, 0.0], np.eye(2), 1.0)
         with pytest.raises(NonNegativeCurvature):
             alpha_threshold_biii(m, np.zeros(2), np.array([1.0, 0.0]))
+
+    def test_far_point_takes_a_safe_norm(self):
+        # ||s_bar||^2 overflows at 1e200; lam = sigma ||s_bar|| stays finite,
+        # so the curvature test runs, without a warning.
+        m = CubicModel([1.0, 0.5], [[-3.0, 1.0], [1.0, 2.0]], 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonNegativeCurvature):
+                alpha_threshold_biii(m, np.array([1e200, 1e200]), np.array([0.0, 1.0]))
 
 
 class TestEscapeExactCases:

@@ -423,6 +423,35 @@ class TestDoubleRange:
             assert local_minimize(m, s0).converged
 
 
+# ROADMAP item 4's table: Q = I, sigma = 1 and c = (10^e, 10^e).
+_FAR_EXPONENTS = list(range(30, 41)) + [60, 100, 150, 200, 250, 300]
+
+
+def _far_model(e):
+    return CubicModel([float(10**e)] * 2, np.eye(2), 1.0)
+
+
+class TestFarLinearTerm:
+    """The local solve from the Cauchy point and from a unit-sphere start
+    as ``||c||`` grows to 1e300."""
+
+    @pytest.mark.parametrize("e", _FAR_EXPONENTS)
+    def test_cauchy_start_converges(self, e):
+        m = _far_model(e)
+        assert local_minimize(m, driver.cauchy_step(m)).converged
+
+    @pytest.mark.parametrize("e", [
+        e if e <= 36 else pytest.param(e, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError,
+            reason="the line search halves a step at most 60 times, too few to come"
+                   " down from a unit step to the minimizer's scale (ROADMAP item 4)"))
+        for e in _FAR_EXPONENTS])
+    def test_sphere_start_converges(self, e):
+        m = _far_model(e)
+        rep = local_minimize(m, driver._sphere_start(np.random.default_rng(0), 2, 1.0))
+        assert rep.converged
+
+
 # The local solve as it was before each iterate kept its ||s||, Q s and
 # m(s): eval_model and grad per point, and a Newton step that takes its
 # own norm and tests definiteness with whole-array reductions.  The

@@ -344,6 +344,16 @@ class TestLeanIsGlobal:
         with pytest.raises(ConvergenceError, match=r"^m\(s\) leaves double range at lam = "):
             is_global(TestObjectiveRange.OUT, [-1e150, -1e150])
 
+    def test_reads_the_callers_array_in_place(self):
+        # A writable float64 s stays writable and unchanged, and gives the
+        # certificate of the record from_vector builds, field for field.
+        for m, s in ((WORKED, np.array([1.0, 0.0])), (WORKED, HARD_S.copy()),
+                     (TestObjectiveRange.OUT, np.array([1e150, -1e150]))):
+            before = s.tobytes()
+            got = _certificate_bits(lambda: is_global(m, s))
+            assert s.flags.writeable and s.tobytes() == before
+            assert got == _certificate_bits(lambda: _reference_certificate(m, s))
+            assert got[0] == "GlobalCertificate"
 
     def test_in_range_computes_no_objective(self, monkeypatch):
         def refuse(*args):
@@ -353,6 +363,18 @@ class TestLeanIsGlobal:
         assert is_global(WORKED, HARD_S).is_global
         with pytest.raises(AssertionError, match="computed m"):
             is_global(TestObjectiveRange.OUT, [-1e150, -1e150])
+
+
+class TestEscapeCurvatureFarOut:
+    """The escape curvature row takes ``||s||`` without overflow, so a point
+    whose squares overflow still gets a positive, finite threshold."""
+
+    @pytest.mark.parametrize("x", [1e200, 1e308])
+    def test_positive_and_finite(self, x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            eps = model_mod.escape_eps_curv(1e-8, np.array([x, x]))
+        assert 0.0 < eps < math.inf
 
 
 class TestEagerScalars:

@@ -28,6 +28,7 @@ from cubicmin.model import StationaryPoint
 from cubicmin.problem_io import parse_problem
 from cubicmin.stationary import (
     _POLE_MERGE,
+    GlobalSolution,
     SecularProblem,
     _boundary_parts,
     _boundary_points,
@@ -789,56 +790,146 @@ class TestSmallSolveReferenceParity:
                     m = _cluster_model(np.random.default_rng(seed), n)
                 else:
                     m = _class_model(np.random.default_rng(seed), cls, n)
-                for a in _matrix_inputs(m.Q.entries):
-                    try:
-                        want = RefSymmetricMatrix(a)
-                    except ValueError as exc:
-                        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-                            SymmetricMatrix(a)
-                        continue
-                    given = _bits(a)
-                    got = SymmetricMatrix(a)
-                    assert _bits(a) == given  # the input is only read
-                    assert _bits(got.entries) == _bits(want.entries)
-                    eig, ref = got.eig, ref_sym_eigen(want)
-                    assert _bits(eig.values) == _bits(ref.values)
-                    assert _bits(eig.vectors) == _bits(ref.vectors)
-                    assert eig.mu_1.hex() == float(ref.values[0]).hex()
-                try:
-                    sp = SecularProblem.from_model(m)
-                except CubicminError:
-                    continue
-                vectors = [np.zeros(n)] + _boundary_points(sp)
-                # Without a coupled mode there is no root to search for.
-                for (lo, hi) in sp._subintervals if sp.any_coupled else ():
-                    for end, far in ((lo, hi), (hi, lo)) if hi < math.inf else ((lo, hi),):
-                        # Also the searches enumerate_lambda skips, which can
-                        # divide by a zero shift.
-                        with np.errstate(divide="ignore", invalid="ignore"):
-                            want = _record_bits(lambda: ref_newton_root(sp, end, far))
-                            got = _record_bits(lambda: _newton_root(sp, end, far))
-                        assert got == want
-                        if want and want[0] == "LambdaRoot":
-                            roots += 1
-                            vectors.append(stationary_from_lambda(sp, _newton_root(sp, end, far)))
-                rng = np.random.default_rng([seed, n])
-                # Far out, m(s) overflows to +inf or -inf, and ||s||**2 overflows.
-                vectors += [10.0**k * rng.normal(size=n) for k in (0, 110, 160)]
-                for s in vectors:
-                    want = _record_bits(lambda: ref_from_vector(m, s))
-                    assert _record_bits(lambda: StationaryPoint.from_vector(m, s)) == want
-                    if want[0] != "StationaryPoint":
-                        continue
-                    points += 1
-                    got_p = StationaryPoint.from_vector(m, s)
-                    want_p = ref_from_vector(m, s)
-                    for tols in ((m.default_tol_grad(), m.default_tol_psd()), (1e-300, 1e-300)):
-                        for gate in (False, True):
-                            want = _record_bits(lambda: ref_certificate(m, want_p, *tols, gate))
-                            assert _record_bits(
-                                lambda: model_mod._certificate(m, got_p, *tols, gate)) == want
+                found = self._check(m, seed)
+                roots, points = roots + found[0], points + found[1]
         assert points > 800
         assert roots > 200 or cls == "zero_c"
+
+    # Every mode of a generic model is coupled: the path without the mask,
+    # at the sizes of the large-model workload.
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_large_generic_matches_reference(self, n):
+        roots = points = 0
+        for seed in range(3):
+            m = _class_model(np.random.default_rng([seed, n]), "generic", n)
+            assert _sp(_fresh(m)).all_coupled
+            found = self._check(m, seed)
+            roots, points = roots + found[0], points + found[1]
+        # At least each model's top root, its point and the origin.
+        assert roots >= 3 and points >= 6
+
+    @staticmethod
+    def _check(m, seed):
+        """Hold one model to the references; the roots and points compared."""
+        n = m.n
+        roots = points = 0
+        for a in _matrix_inputs(m.Q.entries):
+            try:
+                want = RefSymmetricMatrix(a)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                    SymmetricMatrix(a)
+                continue
+            given = _bits(a)
+            got = SymmetricMatrix(a)
+            assert _bits(a) == given  # the input is only read
+            assert _bits(got.entries) == _bits(want.entries)
+            eig, ref = got.eig, ref_sym_eigen(want)
+            assert _bits(eig.values) == _bits(ref.values)
+            assert _bits(eig.vectors) == _bits(ref.vectors)
+            assert eig.mu_1.hex() == float(ref.values[0]).hex()
+        try:
+            sp = SecularProblem.from_model(m)
+        except CubicminError:
+            return roots, points
+        vectors = [np.zeros(n)] + _boundary_points(sp)
+        # Without a coupled mode there is no root to search for.
+        for (lo, hi) in sp._subintervals if sp.any_coupled else ():
+            for end, far in ((lo, hi), (hi, lo)) if hi < math.inf else ((lo, hi),):
+                # Also the searches enumerate_lambda skips, which can
+                # divide by a zero shift.
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    want = _record_bits(lambda: ref_newton_root(sp, end, far))
+                    got = _record_bits(lambda: _newton_root(sp, end, far))
+                assert got == want
+                if want and want[0] == "LambdaRoot":
+                    roots += 1
+                    vectors.append(stationary_from_lambda(sp, _newton_root(sp, end, far)))
+        rng = np.random.default_rng([seed, n])
+        # Far out, m(s) overflows to +inf or -inf, and ||s||**2 overflows.
+        vectors += [10.0**k * rng.normal(size=n) for k in (0, 110, 160)]
+        for s in vectors:
+            want = _record_bits(lambda: ref_from_vector(m, s))
+            assert _record_bits(lambda: StationaryPoint.from_vector(m, s)) == want
+            if want[0] != "StationaryPoint":
+                continue
+            points += 1
+            got_p = StationaryPoint.from_vector(m, s)
+            want_p = ref_from_vector(m, s)
+            for tols in ((m.default_tol_grad(), m.default_tol_psd()), (1e-300, 1e-300)):
+                for gate in (False, True):
+                    want = _record_bits(lambda: ref_certificate(m, want_p, *tols, gate))
+                    assert _record_bits(
+                        lambda: model_mod._certificate(m, got_p, *tols, gate)) == want
+        return roots, points
+
+
+class _MaskedPath(SecularProblem):
+    """A secular record built and read as if some mode were uncoupled."""
+
+    all_coupled = property(lambda self: False, lambda self, value: None)
+
+
+class TestAllCoupledPath:
+    """Where every mode is coupled, the record divides without the coupling
+    mask and looks for no boundary point; the masked path gives the same
+    bits."""
+
+    @staticmethod
+    def _models():
+        out = []
+        for k, cls in enumerate(("generic", "near_hard", "scaled_Q", "tiny_sigma", "hard")):
+            for n in range(1, 9):
+                for seed in range(4):
+                    out.append(_class_model(np.random.default_rng([seed, n, k]), cls, n))
+        return out
+
+    @staticmethod
+    def _outcome(m, sp):
+        """The global solution, its certificate and every enumerated point, as bits."""
+        m = _fresh(m)
+        m._secular = sp
+        out = [_record_bits(lambda: global_minimize(m)),
+               _record_bits(lambda: global_minimize(m).certificate)]
+        try:
+            points = enumerate_stationary(m)
+        except CubicminError as exc:
+            return out + [type(exc).__name__]
+        return out + [_record_bits(lambda p=p: p) for p in points]
+
+    def test_masked_path_gives_the_same_bits(self):
+        fast_models = 0
+        for m in self._models():
+            fast = SecularProblem(m)
+            if not fast.all_coupled:
+                continue
+            fast_models += 1
+            masked = _MaskedPath(m)
+            assert not masked.all_coupled
+            for name in ("coupled_beta", "coupled_poles", "poles"):
+                assert _bits(getattr(masked, name)) == _bits(getattr(fast, name))
+            assert _boundary_points(fast) == _boundary_points(masked) == []
+            for root in enumerate_lambda(fast):
+                for got, want in zip(_coefficients(fast, root.pole, root.offset),
+                                     _coefficients(masked, root.pole, root.offset)):
+                    assert _bits(got) == _bits(want)
+            assert self._outcome(m, fast) == self._outcome(m, masked)
+        assert fast_models > 100
+
+    def test_hard_case_takes_the_masked_path(self):
+        m = _class_model(np.random.default_rng(3), "hard", 4)
+        sp = _sp(_fresh(m))
+        assert sp.any_coupled and not sp.all_coupled
+        assert global_minimize(m).hard_case
+
+    def test_multiplier_on_a_coupled_pole_raises(self):
+        m = _class_model(np.random.default_rng(5), "generic", 4)
+        sp = _sp(_fresh(m))
+        assert sp.all_coupled
+        for mu in sp.eig.values.tolist():
+            for pole, offset in ((-mu, 0.0), (0.0, -mu)):
+                with pytest.raises(PoleEvaluation, match="sits on the coupled pole"):
+                    _coefficients(sp, pole, offset)
 
 
 class TestOnePointPerRoot:
