@@ -316,7 +316,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         m = CubicModel(g, hess_x, sigma)
         eps_inner = m.arc_target()
         s_c = cauchy_step(m)
-        if math.isinf(m.norm_c * linalg.safe_norm(s_c)):
+        if math.isinf(m.norm_c * linalg.norm(s_c)):
             # s_c = -t*g, so |c's_c| = ||g|| ||s_c||: m(s_c) is out of range.
             raise ConvergenceError(
                 f"gradient norm {m.norm_c:.3e}: the model's linear term "

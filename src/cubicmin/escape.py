@@ -16,14 +16,13 @@ caller's record, validated when it was built, whose tolerances also set
 each reflection's threshold.  The case analysis reads s_bar, its
 multiplier and its gradient from the point's ``StationaryPoint``
 record, the one evaluation of s_bar.  One verdict, ``_outcome``, keeps a
-move only where direct evaluation verifies a positive decrease; where
-the gates of both reflections hold, the larger verified decrease is
-returned.  Each ``EscapeOutcome`` is built by
-``model._record``, without the dataclass's generated ``__init__``.  The
-direction d is a contiguous copy of the extreme eigenvector, or the
-``direction`` override; its norm, which must be finite and nonzero, and
-the products ``c^T d``, ``d^T Q d`` and ``d^T d`` are taken on each
-call, the same way for both.
+move only where direct evaluation (``model._evaluate``, with its range
+test) verifies a positive decrease; where the gates of both reflections
+hold, the larger verified decrease is returned.  The direction d is a
+contiguous copy of the extreme eigenvector, or the ``direction``
+override; its norm, which must be finite and nonzero, and the products
+``c^T d``, ``d^T Q d`` and ``d^T d`` are taken on each call, the same
+way for both.
 """
 
 import math
@@ -103,7 +102,7 @@ def alpha_threshold_biii(m, s_bar, d):
     """
     s_bar = m._check_dim(s_bar)
     d = m._check_dim(d)
-    lam = m.sigma * linalg.safe_norm(s_bar)
+    lam = m.sigma * linalg.norm(s_bar)
     q_dd = float(d.dot(m.Q.entries.dot(d))) + lam * float(d.dot(d))
     return _threshold(q_dd, float(m.c.dot(d)), float(m.c.dot(s_bar)))
 
@@ -119,10 +118,10 @@ def _threshold(q_dd, c_d, c_s):
 
 
 def _outcome(m, point, case, s_hat, alpha=None, z=None):
-    # The one verdict on a move: None unless direct evaluation verifies a
-    # decrease.  s_hat and z are fresh arrays of the caller's.
-    decrease = point.objective - model_mod._objective(
-        m, s_hat, linalg.norm(s_hat), m.Q.entries.dot(s_hat))
+    # The one verdict on a move: None unless the model's one evaluation
+    # verifies a decrease.  s_hat and z are fresh arrays of the caller's.
+    _, _, value, _ = model_mod._evaluate(m, s_hat, gradient=False)
+    decrease = point.objective - value
     if not decrease > 0.0:
         return None
     s_hat.setflags(write=False)
@@ -159,8 +158,8 @@ def escape_exact(m, s_bar, direction=None):
     NotStationary
         If the residual exceeds ``m.default_tol_grad()``; use
         escape_approx with a looser ``eps_grad`` instead.
-    ThresholdNotMet
-        As escape_approx (not seen on enumerated points).
+    ThresholdNotMet, ConvergenceError
+        As escape_approx (ThresholdNotMet is not seen on enumerated points).
     """
     return _escape(m, s_bar, m.default_tol_grad(), m.default_tol_psd(), direction)
 
@@ -184,6 +183,8 @@ def escape_approx(m, s_bar, tol, direction=None):
         Negative curvature is present but no move whose threshold holds
         verifies a decrease; the caller should tighten the local-solve
         tolerance and retry.
+    ConvergenceError
+        Where m(s_bar), or m at a move, is NaN or below double range.
     """
     point = model_mod.StationaryPoint.from_vector(m, s_bar)
     return _escape(m, point, tol.eps_grad, tol.eps_curv, direction)

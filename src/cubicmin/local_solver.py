@@ -60,7 +60,7 @@ class LocalSolveReport:
 def _newton_step(m, s, norm_s, g):
     """The Newton-type step of one iterate: ``(kind, direction)``.
 
-    ``norm_s`` is ``linalg.norm(s)``, which the caller already holds.  In
+    ``norm_s`` is ``||s||`` (``linalg.norm``), which the caller already holds.  In
     Q's eigenbasis the Hessian is ``H = V (diag(D) + rho*u*u^T) V^T`` with
     ``D = mu + sigma*||s||``, ``u = V^T s`` and ``rho = sigma/||s||`` (0 at
     s = 0).  The kind is ``"newton"``, direction ``-H^{-1} g``, when H is
@@ -152,7 +152,7 @@ def _descend(m, s, eps):
     step_counts = {"newton": 0, "shifted": 0, "gradient": 0}
     for iterations in range(1, _MAX_ITERS + 1):
         g = model_mod._gradient(m, s, norm_s, qs)
-        residual = linalg.safe_norm(g)
+        residual = linalg.norm(g)
         if residual <= eps:
             return LocalSolveReport(
                 s=s, residual=residual, iterations=iterations - 1,
@@ -192,7 +192,7 @@ def _descend(m, s, eps):
         trace.append(f)
 
     g = model_mod._gradient(m, s, norm_s, qs)
-    residual = linalg.safe_norm(g)
+    residual = linalg.norm(g)
     # Newton polish.  Near a strict minimiser the remaining decrease sits
     # below float resolution, so objective-based tests cannot certify the
     # last few steps.  Full Newton steps accepted on gradient-norm

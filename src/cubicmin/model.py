@@ -7,17 +7,12 @@ addition, ``Q + lam*I`` is positive semidefinite.
 
 Every model-scale threshold is stated once, in the tolerance table below.
 A judged point is evaluated once, by ``_evaluate``, which alone makes
-the 2^1000 range decision.  ``StationaryPoint.from_vector`` keeps that
+the 2^1000 range decision; the escapes' verdict evaluates each move
+through it too.  ``StationaryPoint.from_vector`` keeps that
 evaluation as a record (``s``, ``lam``, ``m(s)``, the gradient and its
 norm), and the certificate and the escapes read the record instead of
 evaluating s again.  ``is_global`` reads the same evaluation and builds
 no record; in double range it does not compute ``m(s)`` either.
-
-The records built on the solve's hot paths (``StationaryPoint``,
-``GlobalCertificate`` and the records of ``stationary`` and ``escape``)
-are frozen dataclasses made by ``_record``, which fills the instance
-dict directly instead of running the generated ``__init__``: the same
-instance, several times faster to build at n = 2..6.
 """
 
 import math
@@ -55,18 +50,20 @@ def multiplier_tie(lam):
 
 
 def escape_eps_curv(eps_grad, s):
-    return min(10.0 * eps_grad / max(linalg.safe_norm(s), 1e-8), 1e-6)  # cap: psd_margin >= -1e-6
+    return min(10.0 * eps_grad / max(linalg.norm(s), 1e-8), 1e-6)  # cap: psd_margin >= -1e-6
 
 
 def _record(cls, **fields):
     """An instance of the frozen dataclass ``cls`` with ``fields``, built without ``__init__``.
 
-    Equal to ``cls(**fields)`` in ``==``, hash, repr, ``dataclasses.replace``
-    and pickle when ``fields`` names every field in declaration order.
-    Only for classes without a ``__post_init__``: it would be skipped.
-    The instance holds a full dict, which on CPython 3.11 takes about twice
-    the memory of one built by ``__init__`` (248 against 121 bytes for a
-    five-field record).
+    Builds the hot-path records (``StationaryPoint``, ``GlobalCertificate``
+    and those of ``stationary`` and ``escape``), several times faster than
+    ``__init__`` at n = 2..6.  Equal to ``cls(**fields)`` in ``==``, hash,
+    repr, ``dataclasses.replace`` and pickle when ``fields`` names every
+    field in declaration order.  Only for classes without a
+    ``__post_init__``: it would be skipped.  The instance holds a full
+    dict, which on CPython 3.11 takes about twice the memory of one built
+    by ``__init__`` (248 against 121 bytes for a five-field record).
     """
     obj = object.__new__(cls)
     obj.__dict__.update(fields)
@@ -85,7 +82,7 @@ class CubicModel:
     sigma : float
         Regularization weight, strictly positive.
 
-    ``norm_c = ||c||`` (``linalg.safe_norm``; inf only past double range)
+    ``norm_c = ||c||`` (``linalg.norm``; inf only past double range)
     is computed by the constructor, as is ``Q.max_abs``, since every
     solve path reads both.  The secular record of
     ``stationary.SecularProblem.from_model``, which one constructor
@@ -118,7 +115,7 @@ class CubicModel:
         self.Q = Q
         self.sigma = sigma
         self.n = Q.n
-        self.norm_c = linalg.safe_norm(c)
+        self.norm_c = linalg.norm(c)
         self._secular = None
 
     @property
@@ -167,7 +164,7 @@ class StationaryPoint:
     supplied, so the norm coupling holds by construction),
     ``objective = m(s)``, ``gradient = grad m(s) = c + Q s + sigma ||s|| s``
     (read-only) and ``residual = ||gradient||``.  Both norms are
-    ``linalg.safe_norm``, so lam is finite wherever ||s|| is.
+    ``linalg.norm``, so lam is finite wherever ||s|| is.
     ``_certificate`` judges the record, the escapes read ``s``, ``lam``
     and ``gradient`` from it instead of evaluating s again, and
     ``GlobalSolution`` and ``EscapeOutcome.point`` are built from it.
@@ -186,7 +183,7 @@ class StationaryPoint:
         s.setflags(write=False)
         gradient.setflags(write=False)
         return _record(cls, s=s, lam=lam, objective=objective,
-                       residual=linalg.safe_norm(gradient), gradient=gradient)
+                       residual=linalg.norm(gradient), gradient=gradient)
 
 
 @dataclass(frozen=True)
@@ -205,13 +202,14 @@ class GlobalCertificate:
     tol_psd: float
 
 
-def _evaluate(model, s, objective=True):
+def _evaluate(model, s, objective=True, gradient=True):
     """The one evaluation of a judged point: ``(s, lam, m(s), grad m(s))``.
 
-    ``s`` is a contiguous float array: ``from_vector``'s own copy, or
-    the caller's array that ``is_global`` reads in place.  It is only
-    read, and reshaped (a view) only when it is not 1-D; the gradient is
-    a new array.  ``m(s)`` is None when not ``objective``.  Where the
+    ``s`` is a contiguous float array: ``from_vector``'s own copy, the
+    caller's array that ``is_global`` reads in place, or an escape's
+    move.  It is only read, and reshaped (a view) only when it is not
+    1-D; the gradient is a new array.  ``m(s)`` is None when not
+    ``objective``, and the gradient None when not ``gradient``.  Where the
     terms of all three stay below ``_IN_RANGE`` (as ``||Q|| <= n
     max|Q|``; a test on scalars, before ``Q s``), none needs an errstate
     nor can leave double range.  Elsewhere ``m(s)`` is always computed,
@@ -221,19 +219,19 @@ def _evaluate(model, s, objective=True):
         s = s.reshape(-1)
     if s.shape[0] != model.n:
         model._check_dim(s)  # raises the dimension error
-    norm_s = linalg.safe_norm(s)
+    norm_s = linalg.norm(s)
     lam = model.sigma * norm_s
     if (1.0 + norm_s) * (model.norm_c + (model.n * model.Q.max_abs + lam) * norm_s) < _IN_RANGE:
         qs = model.Q.entries.dot(s)
         value = _objective(model, s, norm_s, qs) if objective else None
-        return s, lam, value, _gradient(model, s, norm_s, qs)
+        return s, lam, value, _gradient(model, s, norm_s, qs) if gradient else None
     with np.errstate(over="ignore", invalid="ignore"):
         qs = model.Q.entries.dot(s)
         value = _objective(model, s, norm_s, qs)
-        gradient = _gradient(model, s, norm_s, qs)
+        grad_s = _gradient(model, s, norm_s, qs) if gradient else None
     if not value > -math.inf:  # inf, as where only ||s||**3 overflows, stays
         raise ConvergenceError(f"m(s) leaves double range at lam = {lam!r}: {value!r}")
-    return s, lam, value, gradient
+    return s, lam, value, grad_s
 
 
 def _objective(model, s, norm_s, qs):
@@ -312,7 +310,7 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
     if not (tol_grad > 0.0 and tol_psd > 0.0):
         raise ValueError("tolerances must be positive")
     _, lam, _, gradient = _evaluate(model, np.ascontiguousarray(s, dtype=float), objective=False)
-    return _judge(model, linalg.safe_norm(gradient), lam, tol_grad, tol_psd)
+    return _judge(model, linalg.norm(gradient), lam, tol_grad, tol_psd)
 
 
 def _certificate(model, point, tol_grad, tol_psd, gate=False):

@@ -32,10 +32,6 @@ so both entry points share one search for the largest root and one
 evaluation of its point: when that point is the global minimizer,
 ``enumerate_stationary`` returns the very object that
 ``global_minimize`` certifies, in either call order.
-
-The records of each solve (``LambdaRoot``, ``GlobalSolution`` and the
-``StationaryPoint`` and ``GlobalCertificate`` they carry) are built by
-``model._record``, without the dataclasses' generated ``__init__``.
 """
 
 import math

@@ -3,10 +3,10 @@
 Oracles here deliberately avoid package internals: gradients and
 eigenvalues come from numpy, grid searches evaluate the model formula
 directly, so agreement is evidence rather than tautology.  The reference
-copies of the escape, the local solve and the small-model solve's record
-builders at the end are the exception: they pin today's arithmetic to an
-earlier written form of it, and call the package's norms and certificate
-as that form did.
+copies of the two old norms, the escape, the local solve and the
+small-model solve's record builders at the end are the exception: they
+pin today's arithmetic to an earlier written form of it, and call the old
+norms and the package's certificate as that form did.
 """
 
 import decimal
@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from cubicmin import CubicModel, linalg
+from cubicmin import CubicModel
 from cubicmin import model as model_mod
 from cubicmin.escape import (
     _MAX_DOUBLINGS,
@@ -198,6 +198,27 @@ def grid_minimum(m, points=9, keep=3, target_step=0.02):
     return best
 
 
+# Reference copies of the two Euclidean norms as they were written before
+# ``linalg.norm`` made the range decision itself: ``ref_norm`` squared
+# first, with NumPy's overflow warning, and ``ref_safe_norm`` scaled where
+# max|x| left [1e-150, 1e150].  The bodies are verbatim, and the references
+# below call them, so parity tests compare against the bits of that code.
+
+def ref_norm(x):
+    v = x.ravel(order="K")
+    return math.sqrt(v.dot(v))
+
+
+def ref_safe_norm(x):
+    # On short vectors a Python max is several times faster than NumPy's.
+    x_max = max(map(abs, x.tolist()))
+    if x_max > 1e150 or 0.0 < x_max < 1e-150:
+        if x_max == math.inf:
+            return x_max
+        return x_max * ref_norm(x / x_max)
+    return ref_norm(x)
+
+
 # Reference copies of the escape and the local solve as they were written
 # before each StationaryPoint carried its gradient and before the hot paths
 # took ``a.dot(b)`` for ``a @ b``.  The bodies are verbatim, with their own
@@ -217,13 +238,13 @@ def _ref_gradient(model, s, norm_s, qs):
 
 def _ref_eval_model(model, s):
     s = model._check_dim(s)
-    return _ref_objective(model, s, linalg.norm(s), model.Q.entries @ s)
+    return _ref_objective(model, s, ref_norm(s), model.Q.entries @ s)
 
 
 def ref_alpha_threshold_biii(m, s_bar, d):
     s_bar = m._check_dim(s_bar)
     d = m._check_dim(d)
-    lam = m.sigma * linalg.norm(s_bar)
+    lam = m.sigma * ref_norm(s_bar)
     q_dd = float(d @ (m.Q.entries @ d) + lam * (d @ d))
     if q_dd >= 0.0:
         raise NonNegativeCurvature(f"d^T (Q + lam I) d = {q_dd!r} is not negative")
@@ -262,9 +283,9 @@ def ref_escape(m, point, tol, direction=None):
     if flip is not None:
         raise ThresholdNotMet("sign flip failed to decrease the objective")
     d = m.eig.vectors[:, 0].copy() if direction is None else m._check_dim(direction)
-    norm_s = linalg.norm(s)
+    norm_s = ref_norm(s)
     grad = _ref_gradient(m, s, norm_s, m.Q.entries @ s)
-    norm_d = linalg.norm(d)
+    norm_d = ref_norm(d)
 
     if norm_s <= 1e-10 * max(1.0, abs(m.eig.mu_1) / m.sigma):
         if float(m.c @ d) > 0.0:
@@ -344,7 +365,7 @@ def ref_local_minimize(m, s0, eps_grad=None):
         raise ValueError("eps_grad must be positive")
     eps = eps_grad if eps_grad is not None else m.default_tol_grad()
     s = np.array(m._check_dim(s0), dtype=float)
-    norm_s = linalg.norm(s)
+    norm_s = ref_norm(s)
     qs = m.Q.entries @ s
     f = _ref_objective(m, s, norm_s, qs)
     trace = [f]
@@ -356,7 +377,7 @@ def ref_local_minimize(m, s0, eps_grad=None):
     step_counts = {"newton": 0, "shifted": 0, "gradient": 0}
     for iterations in range(1, _MAX_ITERS + 1):
         g = _ref_gradient(m, s, norm_s, qs)
-        residual = linalg.safe_norm(g)
+        residual = ref_safe_norm(g)
         if residual <= eps:
             return LocalSolveReport(
                 s=s, residual=residual, iterations=iterations - 1,
@@ -382,7 +403,7 @@ def ref_local_minimize(m, s0, eps_grad=None):
             t = t0
             for _ in range(60):
                 s_try = s + t * direction
-                n_try = linalg.norm(s_try)
+                n_try = ref_norm(s_try)
                 q_try = m.Q.entries @ s_try
                 f_new = _ref_objective(m, s_try, n_try, q_try)
                 if f_new <= f + _ARMIJO_C * t * slope:
@@ -401,7 +422,7 @@ def ref_local_minimize(m, s0, eps_grad=None):
         trace.append(f)
 
     g = _ref_gradient(m, s, norm_s, qs)
-    residual = linalg.safe_norm(g)
+    residual = ref_safe_norm(g)
     for _ in range(4):
         if residual <= eps:
             break
@@ -409,10 +430,10 @@ def ref_local_minimize(m, s0, eps_grad=None):
         if d is None:
             break
         s_try = s + d
-        n_try = linalg.norm(s_try)
+        n_try = ref_norm(s_try)
         q_try = m.Q.entries @ s_try
         g_try = _ref_gradient(m, s_try, n_try, q_try)
-        r_try = linalg.norm(g_try)
+        r_try = ref_norm(g_try)
         if r_try < 0.5 * residual:
             s, norm_s, qs, g, residual = s_try, n_try, q_try, g_try, r_try
         else:
@@ -473,7 +494,7 @@ def ref_from_vector(model, s):
     if s.shape[0] != model.n:
         model._check_dim(s)  # raises the dimension error
     s.setflags(write=False)
-    norm_s = linalg.safe_norm(s)
+    norm_s = ref_safe_norm(s)
     lam = model.sigma * norm_s
     qs = model.Q.entries.dot(s)
     # Bounds the terms of grad m(s) and m(s), as ||Q|| <= n max|Q|.
@@ -487,7 +508,7 @@ def ref_from_vector(model, s):
         if not objective > -math.inf:  # inf, as where only ||s||**3 overflows, stays
             raise ConvergenceError(f"m(s) leaves double range at lam = {lam!r}: {objective!r}")
     gradient.setflags(write=False)
-    return cls(s=s, lam=lam, objective=objective, residual=linalg.safe_norm(gradient),
+    return cls(s=s, lam=lam, objective=objective, residual=ref_safe_norm(gradient),
                gradient=gradient)
 
 
@@ -590,4 +611,4 @@ def ref_multiplier_tie(q):
 
 
 def ref_adaptive_eps_curv(eps_grad, s_bar):
-    return min(10.0 * eps_grad / max(linalg.norm(s_bar), 1e-8), 1e-6)
+    return min(10.0 * eps_grad / max(ref_norm(s_bar), 1e-8), 1e-6)

@@ -430,6 +430,20 @@ class TestEscape:
             " lam = 1.4142135623730951e+308: nan\n"
         )
 
+    def test_move_past_double_range_exit_2(self, tmp_path):
+        # The B_I step from the origin, 7.5e199 along d, takes m out of
+        # double range: one solver error line, not a RuntimeWarning.
+        path = tmp_path / "tiny_sigma.json"
+        path.write_text(
+            '{"n": 2, "c": [0.0, 0.0], "Q": [[-1.0, 0.0], [0.0, 2.0]], "sigma": 1e-200}\n')
+        out = run_cli("escape", str(path), "--point", "0,0",
+                      env={**os.environ, "PYTHONWARNINGS": "error"})
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == (
+            "cubicmin: solver error: ConvergenceError: m(s) leaves double range at"
+            " lam = 0.75: nan\n"
+        )
+
     def test_nonstationary_point_exit_2(self, problem_dir):
         out = run_cli(
             "escape", str(problem_dir / "worked.json"), "--point", "0.5,0.5"

@@ -433,7 +433,7 @@ class TestGradientRange:
         assert rep.f_final == pytest.approx(-5.0)
 
 
-    # ||g|| = 1e160 at x0: its square overflows, its safe_norm does not.
+    # ||g|| = 1e160 at x0: its square overflows, its norm does not.
     # ARC_PLUS's failed subproblem solve defers to the same check.
     @pytest.mark.parametrize(
         "variant, message",

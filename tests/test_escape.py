@@ -17,7 +17,7 @@ from cubicmin.escape import (
     escape_approx,
     escape_exact,
 )
-from cubicmin.exceptions import CubicminError
+from cubicmin.exceptions import ConvergenceError, CubicminError
 from cubicmin.model import StationaryPoint
 from cubicmin.stationary import count_bound, enumerate_stationary, global_minimize
 
@@ -398,3 +398,28 @@ class TestThresholdNotMetExits:
         want = _escape_record(lambda: ref_escape(m, point, tol, direction=d))
         assert want == ("ThresholdNotMet", "origin step failed to decrease the objective")
         assert _escape_record(lambda: escape_exact(m, point, direction=d)) == want
+
+
+class TestMoveLeavesDoubleRange:
+    """A move is evaluated by the model's one evaluation, range test
+    included: where m leaves double range there, the escape raises
+    ConvergenceError, without a NumPy warning."""
+
+    # The B_I step from the origin is 0.75 / sigma = 7.5e199 along d = e_1,
+    # where s'Qs/2 is -inf and (sigma/3)||s||^3 is inf.
+    M = CubicModel([0.0, 0.0], np.diag([-1.0, 2.0]), 1e-200)
+    MESSAGE = r"^m\(s\) leaves double range at lam = 0\.75: nan$"
+
+    def test_escape_exact(self):
+        point = StationaryPoint.from_vector(self.M, np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=self.MESSAGE):
+                escape_exact(self.M, point)
+
+    def test_escape_approx(self):
+        tol = ApproxTolerances(1e-8, 1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match=self.MESSAGE):
+                escape_approx(self.M, np.zeros(2), tol)

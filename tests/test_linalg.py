@@ -8,14 +8,17 @@ import pytest
 from cubicmin import CubicModel, kernel_backend
 from cubicmin.exceptions import ConvergenceError, PoleEvaluation
 from cubicmin.linalg import (
+    _SS_MAX,
+    _SS_MIN,
     _SYMMETRY_RTOL,
     EigenDecomposition,
     SymmetricMatrix,
     norm,
-    safe_norm,
     sym_eigen,
 )
 from cubicmin.stationary import SINGULAR_MODE_TOL, SecularProblem, _coefficients
+
+from .helpers import ref_norm, ref_safe_norm
 
 
 def _eig_of(entries):
@@ -385,18 +388,20 @@ class TestNorm:
 
 
 class TestSafeNorm:
+    """``linalg.norm`` is finite wherever the norm is, and warns on no input."""
+
     @pytest.mark.parametrize("scale", [1e-5, 1.0, 1e5, 1e150])
     def test_bitwise_equal_to_norm_in_range(self, scale):
         rng = np.random.default_rng(int(np.log10(scale)) + 20)
         for n in range(1, 50):
             x = scale * rng.normal(size=n)
             x = x * (scale / np.max(np.abs(x)))
-            assert safe_norm(x).hex() == norm(x).hex()
+            assert norm(x).hex() == ref_norm(x).hex()
 
     @pytest.mark.parametrize("scale", [1e151, 1e200, 1e300, np.finfo(float).max])
     def test_finite_where_squares_overflow(self, scale):
         x = np.array([0.6, -0.8, 0.0]) * scale
-        assert safe_norm(x) == pytest.approx(scale, rel=1e-15)
+        assert norm(x) == pytest.approx(scale, rel=1e-15)
 
     @pytest.mark.parametrize("scale", [1.01e-150, 1e-120, 1e-50])
     def test_bitwise_equal_to_norm_down_to_1e_150(self, scale):
@@ -404,22 +409,100 @@ class TestSafeNorm:
         for n in range(1, 50):
             x = rng.normal(size=n)
             x = x * (scale / np.max(np.abs(x)))
-            assert safe_norm(x).hex() == norm(x).hex()
+            assert norm(x).hex() == ref_norm(x).hex()
 
     @pytest.mark.parametrize("scale", [9.9e-151, 1e-200, 1e-300])
     def test_accurate_where_squares_underflow(self, scale):
         x = np.array([0.6, -0.8, 0.0]) * scale
-        assert safe_norm(x) == pytest.approx(scale, rel=1e-15)
-        assert safe_norm(np.array([-scale])) == scale
+        assert norm(x) == pytest.approx(scale, rel=1e-15)
+        assert norm(np.array([-scale])) == scale
 
     def test_zero_vector(self):
-        assert safe_norm(np.zeros(3)) == 0.0
+        assert norm(np.zeros(3)) == 0.0
 
     @pytest.mark.parametrize("x", [[np.inf], [1.0, -np.inf, 2.0], [np.inf, 1e200, -np.inf]])
     def test_infinite_entry_gives_inf(self, x):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert safe_norm(np.array(x)) == np.inf
+            assert norm(np.array(x)) == np.inf
+
+
+def _max_abs_grid():
+    """max|x| from 1e-320 to the largest double, with both band edges of
+    the old scaling test and their neighbours."""
+    scales = [10.0**k for k in range(-320, 309, 4)] + [1.7e308, np.finfo(float).max]
+    for edge in (1e-150, 1e150):
+        scales += [edge, np.nextafter(edge, 0.0), np.nextafter(edge, np.inf)]
+    return scales
+
+
+def _ss_edge_vectors(n):
+    """Vectors whose sum of squares sits on either side of ``n * _SS_MIN``
+    and of ``_SS_MAX``, the two bounds of norm's shortcut."""
+    for bound in (n * _SS_MIN, _SS_MAX):
+        for rel in (-1e-9, -1e-15, 0.0, 1e-15, 1e-9):
+            a = np.sqrt(bound * (1.0 + rel) / n)
+            yield np.full(n, a)
+            x = np.full(n, a / 8.0)
+            x[0] = np.sqrt(bound * (1.0 + rel) - (n - 1) * (a / 8.0) ** 2)
+            yield x
+
+
+class TestNormMatchesOldSafeNorm:
+    """``linalg.norm`` is hex-equal to the old ``safe_norm`` on every input
+    and, where max|x| lies in [1e-150, 1e150], to NumPy's norm; no input
+    raises a NumPy warning."""
+
+    @staticmethod
+    def _check(x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = norm(x)
+            want = ref_safe_norm(x)
+            assert type(got) is float
+            assert got.hex() == want.hex(), (x.size, x.strides, float(np.max(np.abs(x))))
+            if 1e-150 <= float(np.max(np.abs(x))) <= 1e150:
+                assert got.hex() == float(np.linalg.norm(x)).hex()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 32, 64, 128, 199, 200])
+    def test_grid_of_max_abs(self, n):
+        rng = np.random.default_rng(9800 + n)
+        for scale in _max_abs_grid():
+            x = rng.normal(size=n)
+            x = x / np.max(np.abs(x)) * scale
+            # A column of a C-ordered matrix is a strided view.
+            column = np.repeat(x[:, None], 3, axis=1)[:, 1]
+            self._check(x)
+            self._check(column)
+            self._check(x[::-1])
+
+    def test_every_length_from_1_to_200(self):
+        rng = np.random.default_rng(9801)
+        for n in range(1, 201):
+            for scale in (1e-320, 1e-160, 1e-150, 1.0, 1e150, 1e160, 1.7e308):
+                x = rng.normal(size=n)
+                x = x / np.max(np.abs(x)) * scale
+                self._check(x)
+                self._check(np.repeat(x[:, None], 2, axis=1)[:, 0])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 200])
+    def test_sum_of_squares_bounds(self, n):
+        for x in _ss_edge_vectors(n):
+            self._check(x)
+            self._check(np.repeat(x[:, None], 3, axis=1)[:, 2])
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 200])
+    def test_zero_vector(self, n):
+        for v in (np.zeros(n), np.zeros((n, 2))[:, 0], -np.zeros(n)):
+            self._check(v)
+
+    @pytest.mark.parametrize(
+        "x",
+        [[np.inf], [1.0, -np.inf, 2.0], [np.inf, 1e200, -np.inf], [1e-200, np.inf],
+         [np.nan], [1.0, np.nan], [1e200, np.nan], [np.nan, 1e-200]],
+    )
+    def test_infinite_and_nan_entries(self, x):
+        self._check(np.array(x))
 
 
 def test_eigendecomposition_repr_mentions_n():

@@ -1,6 +1,7 @@
 """The tolerance policy: its table in ``model`` gives the bits of the
 formulas it replaced, no other module states a model-scale threshold, and
-a tolerance relative to an overflowing ``||c||`` raises."""
+a tolerance relative to an overflowing ``||c||`` raises.  Beside it, the
+range policy of norms: no module but ``linalg`` takes a Euclidean norm."""
 
 import ast
 import pathlib
@@ -118,7 +119,7 @@ _ALLOWED = {
     ("driver.py", "_SIGMA_MIN", 1e-8): "ARC's floor on sigma, an algorithm constant",
     ("driver.py", "performance_profile", 1e-12): "the profile's ratio grid",
     ("linalg.py", "_SYMMETRY_RTOL", 1e-12): "input contract: symmetry of a matrix",
-    ("linalg.py", "safe_norm", 1e-150): "safe_norm's underflow scaling bound",
+    ("linalg.py", "_SQUARE_MIN", 1e-150): "norm's underflow scaling bound",
     ("local_solver.py", "_ARMIJO_C", 1e-4): "the line search's Armijo constant",
     ("local_solver.py", "_PD_RTOL", 1e-12): "the Newton step's relative definiteness test",
     ("problem_io.py", "_SYM_RTOL", 1e-9): "input contract: symmetry of a file's Q",
@@ -128,13 +129,12 @@ _ALLOWED = {
 }
 
 
-def _small_literals(path):
-    """(module, owner, value, line) of each float literal below 1e-3 in magnitude.
+def _owned_nodes(path):
+    """(owner, node) for each node of a module.
 
     The owner is the innermost enclosing def or class, or the name a
     module-level assignment binds."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    found = []
 
     def walk(node, owner):
         for child in ast.iter_child_nodes(node):
@@ -144,14 +144,17 @@ def _small_literals(path):
             elif node is tree and isinstance(child, (ast.Assign, ast.AnnAssign)):
                 target = child.targets[0] if isinstance(child, ast.Assign) else child.target
                 inner = getattr(target, "id", owner)
-            if isinstance(child, ast.Constant) and type(child.value) is float:
-                if 0.0 < abs(child.value) < 1e-3:
-                    found.append((path.name, owner if inner is None else inner,
-                                  child.value, child.lineno))
-            walk(child, inner)
+            yield inner, child
+            yield from walk(child, inner)
 
-    walk(tree, None)
-    return found
+    return walk(tree, None)
+
+
+def _small_literals(path):
+    """(module, owner, value, line) of each float literal below 1e-3 in magnitude."""
+    return [(path.name, owner, node.value, node.lineno) for owner, node in _owned_nodes(path)
+            if isinstance(node, ast.Constant) and type(node.value) is float
+            and 0.0 < abs(node.value) < 1e-3]
 
 
 def test_no_model_scale_literal_outside_model():
@@ -163,6 +166,87 @@ def test_no_model_scale_literal_outside_model():
     # Every allowed literal is still there: the list does not go stale,
     # and the scan read the modules.
     assert {hit[:3] for hit in hits} == set(_ALLOWED)
+
+
+# The Euclidean norms taken outside ``linalg.norm``, each with its reason,
+# keyed by module and enclosing definition.  linalg.norm is finite wherever
+# the norm is and warns on no input; a norm taken by hand is neither.
+_NORM_ALLOWED = {
+    ("stationary.py", "_newton_root"): "the top-root search relies on errstate(over='raise') "
+                                       "to detect a lost root, so it needs the unscaled square",
+}
+
+
+def _is_sum_of_squares(node):
+    """``x.dot(x)``, ``np.dot(x, x)``, ``np.vdot(x, x)``, ``np.inner(x, x)`` or ``x @ x``,
+    inside any ``float()``."""
+    while (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+           and node.func.id == "float" and len(node.args) == 1):
+        node = node.args[0]
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult):
+        pair = [node.left, node.right]
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+          and node.func.attr in ("dot", "vdot", "inner")):
+        pair = node.args if len(node.args) == 2 else [node.func.value, *node.args]
+    else:
+        return False
+    return len(pair) == 2 and ast.dump(pair[0]) == ast.dump(pair[1])
+
+
+def _takes_norm(node):
+    """Whether the node takes a Euclidean norm itself: ``np.linalg.norm``,
+    a ``hypot``, or the square root of a sum of squares."""
+    if isinstance(node, ast.ImportFrom):
+        return node.module == "numpy.linalg" and any(a.name == "norm" for a in node.names)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "hypot" or (
+            node.attr == "norm" and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"
+            and getattr(node.value.value, "id", "") in ("np", "numpy"))
+    if isinstance(node, ast.Name):
+        return node.id == "hypot"
+    if isinstance(node, ast.Call) and len(node.args) == 1:
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        return name == "sqrt" and _is_sum_of_squares(node.args[0])
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        return (isinstance(node.right, ast.Constant) and node.right.value == 0.5
+                and _is_sum_of_squares(node.left))
+    return False
+
+
+def _hand_norms(path):
+    """(module, owner, line) of each Euclidean norm a module takes itself."""
+    return [(path.name, owner, node.lineno) for owner, node in _owned_nodes(path)
+            if _takes_norm(node)]
+
+
+def test_no_euclidean_norm_outside_linalg():
+    src = pathlib.Path(cubicmin.__file__).parent
+    hits = [hit for path in sorted(src.glob("*.py")) if path.name != "linalg.py"
+            for hit in _hand_norms(path)]
+    stray = [hit for hit in hits if hit[:2] not in _NORM_ALLOWED]
+    assert stray == [], "take Euclidean norms with linalg.norm"
+    assert {hit[:2] for hit in hits} == set(_NORM_ALLOWED)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["r = np.linalg.norm(s)", "from numpy.linalg import norm", "r = math.hypot(a, b)",
+     "r = hypot(a, b)", "r = math.sqrt(s.dot(s))", "r = np.sqrt(float(np.dot(s, s)))",
+     "r = sqrt(s @ s)", "r = np.vdot(s, s) ** 0.5", "r = math.sqrt(np.inner(s, s))"],
+)
+def test_norm_scan_sees_each_form(tmp_path, line):
+    path = tmp_path / "mod.py"
+    path.write_text(f"def f(s, a, b):\n    {line}\n", encoding="utf-8")
+    assert [hit[:2] for hit in _hand_norms(path)] == [("mod.py", "f")]
+
+
+def test_norm_scan_passes_other_products(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def f(s, d):\n    return linalg.norm(s), cubicmin.linalg.norm(s), "
+                    "math.sqrt(s.dot(d)), s.dot(s)\n", encoding="utf-8")
+    assert _hand_norms(path) == []
 
 
 BIG_C = CubicModel([1.5e308, 1.5e308], np.eye(2), 0.01)
