@@ -20,9 +20,9 @@ move only where direct evaluation (``model._evaluate``, with its range
 test) verifies a positive decrease; where the gates of both reflections
 hold, the larger verified decrease is returned.  The direction d is a
 contiguous copy of the extreme eigenvector, or the ``direction``
-override; its norm, which must be finite and nonzero, and the products
-``c^T d``, ``d^T Q d`` and ``d^T d`` are taken on each call, the same
-way for both.
+override, scaled by an exact power of two where its norm (finite and
+nonzero) lies outside [2^-100, 2^100]; its norm and the products ``c^T
+d``, ``d^T Q d`` and ``d^T d`` are taken on each call, the same way.
 """
 
 import math
@@ -143,7 +143,8 @@ def escape_exact(m, s_bar, direction=None):
         by default the extreme eigenvector is used.  NONE_GLOBAL still
         follows the certificate, not the override's curvature.  Where
         a move needs it, a direction whose norm is not finite and
-        nonzero raises ValueError.
+        nonzero raises ValueError; one outside [2^-100, 2^100] is first
+        scaled into [0.5, 1) by an exact power of two.
 
     Returns
     -------
@@ -214,6 +215,11 @@ def _escape(m, point, eps_grad, eps_curv, direction):
     norm_d = linalg.norm(d)
     if not 0.0 < norm_d < math.inf:
         raise ValueError(f"direction needs a finite, nonzero norm, got {norm_d!r}")
+    if not 2.0**-100 <= norm_d <= 2.0**100:
+        # An exact power of two brings the norm into [0.5, 1), where
+        # norm_d**3 and d'Qd stay in range; inside the band d keeps its bits.
+        d = np.ldexp(d, -math.frexp(norm_d)[1])
+        norm_d = linalg.norm(d)
     c_d = float(m.c.dot(d))
     d_q_d = float(d.dot(m.Q.entries.dot(d)))
     d_d = float(d.dot(d))

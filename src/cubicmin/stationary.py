@@ -26,9 +26,9 @@ equations: Golub, SIAM Rev. 15, 1973; R.-C. Li, LAPACK Working Note 89,
 1993).  On large models nearly every bounded subinterval is empty.
 
 One constructor builds a model's whole secular record (``beta``, the
-coupling mask, the poles and the subintervals they cut, the largest root
-``top_root`` and its StationaryPoint ``top_point``), cached on the model,
-so both entry points share one search for the largest root and one
+coupling mask, the poles, one row per subinterval they cut, the largest
+root ``top_root`` and its StationaryPoint ``top_point``), cached on the
+model, so both entry points share one search for the largest root and one
 evaluation of its point: when that point is the global minimizer,
 ``enumerate_stationary`` returns the very object that
 ``global_minimize`` certifies, in either call order.
@@ -88,8 +88,8 @@ class SecularProblem:
         one, which stands for those merged.  Where the coupling
         vanishes g extends continuously across ``-mu_i``, so such points
         are not treated as poles.  The positive ones cut
-        ``subintervals``; the same walk records where a search up from
-        each cut starts (``_newton_root``).
+        ``subintervals``, one row ``(lo, hi, start, w_lo, w_hi)`` each:
+        where a search up starts (``_newton_root``) and the end loads.
     top_root : LambdaRoot or None
         The root in the unbounded subinterval above the last cut, which
         is the largest root; None exactly when c = 0.  phi runs from
@@ -130,22 +130,21 @@ class SecularProblem:
             else:
                 kept[-1][2] = p
         self.poles = linalg._freeze(np.array([p for p, _, _ in kept], dtype=float))
+        # One row (lo, hi, start, w_lo, w_hi) per subinterval, ascending, the
+        # last with hi = inf.  A search up starts above every pole merged into
+        # lo; from 0, above 0 and those merged into the last pole at or below
+        # 0.  The loads at lam = 0 and at inf are 0.
         positive = [pole for pole in kept if pole[0] > 0.0]
-        cuts = [0.0] + [p for p, _, _ in positive]
-        self._subintervals = list(zip(cuts, cuts[1:] + [math.inf]))
-        # A search up from a cut starts above every pole merged into it;
-        # from 0, above 0 and those merged into the last pole at or below 0.
         start = max([0.0] + [top for p, _, top in kept if p <= 0.0][-1:])
-        self._starts = dict(zip(cuts, [start] + [top for _, _, top in positive]))
-        # Each subinterval's loads at its ends; 0 at lam = 0 and at inf.
-        cut_loads = [0.0] + [w for _, w, _ in positive]
-        self._end_loads = list(zip(cut_loads, cut_loads[1:] + [0.0]))
+        ends = zip([(0.0, 0.0, start)] + positive, positive + [(math.inf, 0.0, 0.0)])
+        self._rows = [(lo, hi, top, w_lo, w_hi) for (lo, w_lo, top), (hi, w_hi, _) in ends]
         self.top_root = self.top_point = None
         if self.any_coupled:
+            lo, _, start, _, _ = self._rows[-1]
             # An overflow or invalid operation loses the root instead of warning.
             with np.errstate(over="raise", invalid="raise"):
                 try:
-                    self.top_root = _newton_root(self, cuts[-1], math.inf)
+                    self.top_root = _newton_root(self, start, math.inf)
                 except FloatingPointError:
                     pass
             if self.top_root is None:
@@ -153,7 +152,7 @@ class SecularProblem:
                 # iteration lost it, as where ||s||^2 overflows.
                 raise ConvergenceError(
                     f"secular Newton iteration lost the largest root: none found above"
-                    f" lam = {cuts[-1]!r}, though c is not zero"
+                    f" lam = {lo!r}, though c is not zero"
                 )
             s = stationary_from_lambda(self, self.top_root)
             self.top_point = StationaryPoint.from_vector(m, s)
@@ -230,31 +229,30 @@ def subintervals(sp):
     """The subintervals of (0, inf) cut by the positive poles of g.
 
     Returns a list of ``(lo, hi)`` pairs ascending, the last with
-    ``hi = math.inf``; computed once, with the secular data.
+    ``hi = math.inf``: the ends of the rows of the secular record.
     """
-    return list(sp._subintervals)
+    return [(lo, hi) for lo, hi, _, _, _ in sp._rows]
 
 
-def _newton_root(sp, end, far):
-    """The root of phi in (end, far) nearest ``end``, as a LambdaRoot, or None.
+def _newton_root(sp, pole, far):
+    """The root of phi between ``pole`` and ``far`` nearest ``pole``, as a LambdaRoot, or None.
 
-    ``end`` and ``far`` are the ends of a subinterval of ``subintervals``
-    (``far`` may be infinite).  Runs Newton on ``phi = 1/||s|| - sigma/lam``
-    in the offset ``t = lam - pole`` from the pole at ``end`` (or from 0),
-    through the shifts ``(mu_i + pole) + t``, which equal ``t`` exactly
-    for the modes of the pole; searching up, ``pole`` is the start that
-    ``SecularProblem``'s pole merge recorded for ``end``.  ``s`` holds the
-    coupled modes, the ones whose poles cut the subintervals.
+    ``pole`` is where a search of one row of the secular record starts:
+    the row's ``start`` searching up, toward ``far = hi`` (which may be
+    infinite), and its ``hi`` searching down, toward ``far = lo``.  Runs
+    Newton on ``phi = 1/||s|| - sigma/lam`` in the offset ``t = lam -
+    pole``, through the shifts ``(mu_i + pole) + t``, which equal ``t``
+    exactly for the modes of the pole.  ``s`` holds the coupled modes,
+    the ones whose poles cut the subintervals.
 
     NumPy overflow and invalid operations follow the caller's error
     state; ``SecularProblem`` searches the unbounded subinterval with both
     raising and reads the FloatingPointError as a lost root.
     """
-    side = 1.0 if far > end else -1.0
+    side = 1.0 if far > pole else -1.0
     beta = sp.coupled_beta
     poles = sp.coupled_poles
     sigma = sp.sigma
-    pole = sp._starts[end] if side > 0.0 else end
     shift = pole - poles
     width = side * (far - pole)
     # Closed-form start with phi < 0: for the mode j nearest the end, of
@@ -336,32 +334,29 @@ def _rootless(sigma, lo, hi, w_lo, w_hi):
 def enumerate_lambda(sp):
     """All roots lam > 0 of g(lam) = 1/sigma^2, ascending.
 
-    A bounded subinterval that ``_rootless`` proves empty, from the loads
-    at its two poles, is not searched; every other one is searched from
-    its left end and, when a root is found there, also from its right
-    end.  The unbounded subinterval's root is ``sp.top_root``, the one
+    A bounded row of the secular record that ``_rootless`` proves empty,
+    from its end loads, is not searched; every other one is searched up
+    from its ``start`` and, when a root is found there, also down from
+    its ``hi``.  The unbounded row's root is ``sp.top_root``, the one
     ``global_minimize`` reads.
 
-    Returns an empty list when c = 0 (no couplings): then only s = 0 can
-    be stationary, and only because the gradient at the origin is c.
+    Returns an empty list when c = 0 (the one row (0, inf), no
+    ``top_root``): then only s = 0 can be stationary, and only because
+    the gradient at the origin is c.
     """
-    if not sp.any_coupled:
-        return []
     roots = []
-    for (lo, hi), (w_lo, w_hi) in zip(sp._subintervals, sp._end_loads):
-        if hi == math.inf:
-            left = sp.top_root
-        elif _rootless(sp.sigma, lo, hi, w_lo, w_hi):
+    for lo, hi, start, w_lo, w_hi in sp._rows[:-1]:
+        if _rootless(sp.sigma, lo, hi, w_lo, w_hi):
             continue
-        else:
-            left = _newton_root(sp, lo, hi)
+        left = _newton_root(sp, start, hi)
         if left is None:
             continue
         roots.append(left)
-        if hi < math.inf:
-            right = _newton_root(sp, hi, lo)
-            if right is not None and right.lam > left.lam:
-                roots.append(right)
+        right = _newton_root(sp, hi, lo)
+        if right is not None and right.lam > left.lam:
+            roots.append(right)
+    if sp.top_root is not None:
+        roots.append(sp.top_root)
     return roots
 
 
@@ -440,18 +435,16 @@ def _boundary_points(sp):
     ``_boundary_parts``; the continuum they stand for shares one
     objective value.  A multiplier with ``||V a|| > lam/sigma`` has no
     point and is skipped.  Where every mode is coupled there is none to
-    look for.
+    look for; with every negative one coupled, the walk finds none.
     """
     if sp.all_coupled:
         return []
     vals = sp.eig.values
-    # A coupled mode lies in its own multiplier's cluster, so only the
-    # uncoupled negative eigenvalues can carry a boundary point.
-    if not np.count_nonzero((vals < 0.0) & ~sp.coupled):
-        return []
     out = []
     for mu in _distinct_negative(vals):
         lam = -mu
+        # A coupled mode lies in its own multiplier's cluster, so only the
+        # uncoupled negative eigenvalues can carry a boundary point.
         if np.count_nonzero(sp.coupled & (abs(vals + lam) <= SINGULAR_MODE_TOL)):
             continue
         try:

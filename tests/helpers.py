@@ -3,8 +3,9 @@
 Oracles here deliberately avoid package internals: gradients and
 eigenvalues come from numpy, grid searches evaluate the model formula
 directly, so agreement is evidence rather than tautology.  The reference
-copies of the two old norms, the escape, the local solve and the
-small-model solve's record builders at the end are the exception: they
+copies of the two old norms, the escape, the local solve, the
+small-model solve's record builders and the secular record's bookkeeping
+at the end are the exception: they
 pin today's arithmetic to an earlier written form of it, and call the old
 norms and the package's certificate as that form did.
 """
@@ -28,6 +29,7 @@ from cubicmin.escape import (
 from cubicmin.exceptions import (
     ConvergenceError,
     NonNegativeCurvature,
+    NormMismatch,
     NotStationary,
     ThresholdNotMet,
 )
@@ -39,8 +41,24 @@ from cubicmin.local_solver import (
     _PD_RTOL,
     LocalSolveReport,
 )
-from cubicmin.model import _IN_RANGE, GlobalCertificate, StationaryPoint, _gradient, _objective
-from cubicmin.stationary import _NEWTON_MAX_STEPS, _NEWTON_STEP_RTOL, _POLE_MERGE, LambdaRoot
+from cubicmin.model import (
+    _IN_RANGE,
+    SINGULAR_MODE_TOL,
+    GlobalCertificate,
+    StationaryPoint,
+    _gradient,
+    _objective,
+)
+from cubicmin.stationary import (
+    _NEWTON_MAX_STEPS,
+    _NEWTON_STEP_RTOL,
+    _POLE_MERGE,
+    LambdaRoot,
+    _boundary_parts,
+    _distinct_negative,
+    _newton_root,
+    _rootless,
+)
 
 
 def random_model(rng, nmax=6, sigmas=(0.1, 1.0, 10.0), n=None):
@@ -572,6 +590,92 @@ def ref_newton_root(sp, end, far):
             f"secular Newton iteration left double range near lam = {pole + t!r}"
         ) from None
     return LambdaRoot(lam=pole + t, pole=pole, offset=t)
+
+
+# Reference copies of the secular record's bookkeeping as it was written
+# before one row per subinterval held it: the pole-merge walk that built
+# ``_subintervals``, ``_starts`` and ``_end_loads``, and ``enumerate_lambda``
+# and ``_boundary_points`` with the early exits they kept.  The bodies are
+# verbatim; the search looks its start up in ``_starts``, as it did, and
+# runs the package's Newton iteration from there.
+
+class RefSecularWalk:
+    """The walk's three fields over the built record ``sp``, with the fields it reads."""
+
+    def __init__(self, sp):
+        self.record = sp
+        self.sigma = sp.sigma
+        self.any_coupled = sp.any_coupled
+        self.all_coupled = sp.all_coupled
+        self.coupled = sp.coupled
+        self.eig = sp.eig
+        self.top_root = sp.top_root
+        kept = []
+        for p, b in sorted(zip(sp.coupled_poles.tolist(), sp.coupled_beta.tolist())):
+            if not kept or p - kept[-1][0] > _POLE_MERGE:
+                kept.append([p, abs(b), p])
+            else:
+                kept[-1][2] = p
+        positive = [pole for pole in kept if pole[0] > 0.0]
+        cuts = [0.0] + [p for p, _, _ in positive]
+        self._subintervals = list(zip(cuts, cuts[1:] + [math.inf]))
+        # A search up from a cut starts above every pole merged into it;
+        # from 0, above 0 and those merged into the last pole at or below 0.
+        start = max([0.0] + [top for p, _, top in kept if p <= 0.0][-1:])
+        self._starts = dict(zip(cuts, [start] + [top for _, _, top in positive]))
+        # Each subinterval's loads at its ends; 0 at lam = 0 and at inf.
+        cut_loads = [0.0] + [w for _, w, _ in positive]
+        self._end_loads = list(zip(cut_loads, cut_loads[1:] + [0.0]))
+
+
+def _ref_cut_newton_root(sp, end, far):
+    side = 1.0 if far > end else -1.0
+    pole = sp._starts[end] if side > 0.0 else end
+    return _newton_root(sp.record, pole, far)
+
+
+def ref_enumerate_lambda(sp):
+    """``enumerate_lambda`` over a ``RefSecularWalk``."""
+    if not sp.any_coupled:
+        return []
+    roots = []
+    for (lo, hi), (w_lo, w_hi) in zip(sp._subintervals, sp._end_loads):
+        if hi == math.inf:
+            left = sp.top_root
+        elif _rootless(sp.sigma, lo, hi, w_lo, w_hi):
+            continue
+        else:
+            left = _ref_cut_newton_root(sp, lo, hi)
+        if left is None:
+            continue
+        roots.append(left)
+        if hi < math.inf:
+            right = _ref_cut_newton_root(sp, hi, lo)
+            if right is not None and right.lam > left.lam:
+                roots.append(right)
+    return roots
+
+
+def ref_boundary_points(sp):
+    """``_boundary_points`` over a ``RefSecularWalk``."""
+    if sp.all_coupled:
+        return []
+    vals = sp.eig.values
+    # A coupled mode lies in its own multiplier's cluster, so only the
+    # uncoupled negative eigenvalues can carry a boundary point.
+    if not np.count_nonzero((vals < 0.0) & ~sp.coupled):
+        return []
+    out = []
+    for mu in _distinct_negative(vals):
+        lam = -mu
+        if np.count_nonzero(sp.coupled & (abs(vals + lam) <= SINGULAR_MODE_TOL)):
+            continue
+        try:
+            base, free = _boundary_parts(sp.record, lam)
+        except NormMismatch:
+            continue
+        out += [base + free, base - free]
+    return out
 
 
 # Reference copies of the tolerance formulas as each call site wrote them

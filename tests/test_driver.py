@@ -340,6 +340,11 @@ class TestArcOuter:
         assert rep.x_final == pytest.approx([1.0, 1.0], abs=1e-3)
         assert rep.iterations <= 10**5
 
+    @pytest.mark.parametrize("variant", ["ARC", "ARC_PLUS"])
+    def test_rejects_x0_of_wrong_length(self, variant):
+        with pytest.raises(ValueError, match=r"^x0 has length 3, expected 2$"):
+            arc_plus_minimize(get_problem("sphere2"), [0.1, 0.1, 0.1], variant=variant)
+
     def test_explicit_x0_overrides_registered_start(self):
         rep = arc_plus_minimize(
             get_problem("sphere2"), np.array([0.1, 0.1]), variant="ARC"
@@ -521,6 +526,10 @@ class TestStepBelowResolution:
 
 
 class TestCauchyStep:
+    def test_zero_linear_term_gives_zero_step(self):
+        m = CubicModel([0.0, 0.0], np.diag([-1.0, 2.0]), 1.0)
+        assert cauchy_step(m).tolist() == [0.0, 0.0]
+
     def test_descends_from_origin(self):
         rng = np.random.default_rng(55)
         for _ in range(20):
@@ -713,6 +722,11 @@ class TestPerformanceProfile:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             performance_profile([])
+
+    @pytest.mark.parametrize("iters", [0, -1])
+    def test_rejects_nonpositive_iteration_count(self, iters):
+        with pytest.raises(ValueError, match=r"^nonpositive iteration count for 'A'$"):
+            performance_profile([("A", "ARC", iters), ("A", "ARC_PLUS", 1)])
 
     def test_requires_one_complete_problem(self):
         with pytest.raises(EmptyInput):

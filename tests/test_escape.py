@@ -60,6 +60,14 @@ class TestAlphaThreshold:
         a = alpha_threshold_biii(m, np.zeros(2), np.array([1.0, 0.0]))
         assert a == 0.0
 
+    def test_rejects_positive_linear_term_along_s_bar(self):
+        # d'(Q + lam I)d = -3 + 1 < 0, but c's_bar = 1 > 0.
+        m = CubicModel([1.0, 0.0], np.diag([2.0, -3.0]), 1.0)
+        with pytest.raises(ValueError, match=(
+            r"^threshold requires c\^T s_bar <= 0; apply the sign-flip case first$"
+        )):
+            alpha_threshold_biii(m, [1.0, 0.0], [0.0, 1.0])
+
     def test_rejects_nonnegative_curvature(self):
         m = CubicModel([0.0, 0.0], np.eye(2), 1.0)
         with pytest.raises(NonNegativeCurvature):
@@ -373,6 +381,40 @@ class TestDefaultDirection:
                 assert _escape_record(lambda: escape_approx(m, p.s, loose)) == want
                 seen.add(want[0])
         assert seen - {"NONE_GLOBAL"}, "no escape move or error was compared"
+
+
+class TestOverrideFarFromUnitNorm:
+    """A direction override whose norm lies outside [2^-100, 2^100] moves as
+    the same direction scaled by hand by the power of two that brings its
+    norm into [0.5, 1): the same bits, and no NumPy warning or bare
+    arithmetic error (norm_d**3 overflows at 1e103 and vanishes at 1e-200,
+    d'Qd overflows at 1e160)."""
+
+    M = CubicModel([0.0, 0.0], np.diag([-1.0, 2.0]), 1.0)
+
+    @staticmethod
+    def _by_hand(d):
+        return [math.ldexp(d[0], -math.frexp(d[0])[1]), d[1]]
+
+    @pytest.mark.parametrize("d", [[1e103, 0.0], [1e-200, 0.0], [1e160, 0.0]])
+    def test_escape_exact(self, d):
+        point = StationaryPoint.from_vector(self.M, np.zeros(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = _escape_record(lambda: escape_exact(self.M, point, direction=self._by_hand(d)))
+            assert want[0] == "B_I"
+            assert _escape_record(lambda: escape_exact(self.M, point, direction=d)) == want
+
+    @pytest.mark.parametrize("d", [[1e103, 0.0], [1e-200, 0.0], [1e160, 0.0]])
+    def test_escape_approx(self, d):
+        tol = ApproxTolerances(1e-8, 1e-8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = _escape_record(
+                lambda: escape_approx(self.M, np.zeros(2), tol, direction=self._by_hand(d)))
+            assert want[0] == "B_I"
+            assert _escape_record(
+                lambda: escape_approx(self.M, np.zeros(2), tol, direction=d)) == want
 
 
 class TestThresholdNotMetExits:

@@ -34,6 +34,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CubicModel([1.0, 2.0], [[1.0]], 1.0)
 
+    def test_rejects_nan_in_c(self):
+        with pytest.raises(ValueError, match=r"^c entries must be finite$"):
+            CubicModel([math.nan, 0.0], np.eye(2), 1.0)
+
     def test_accepts_symmetric_matrix_instance(self):
         m = CubicModel([0.0], SymmetricMatrix([[2.0]]), 1.0)
         assert m.Q.entries[0, 0] == 2.0

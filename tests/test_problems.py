@@ -90,6 +90,21 @@ class TestObjectiveFunction:
         with pytest.raises(ValueError, match=rf"^dimension must be at least 1, got {n}$"):
             ObjectiveFunction("empty", n, lambda x: 0.0, np.zeros_like, np.zeros_like, [])
 
+    @staticmethod
+    def _square(grad, x0):
+        return ObjectiveFunction("sq", 2, lambda x: x @ x, grad, lambda x: 2.0 * np.eye(2), x0)
+
+    def test_rejects_x0_of_wrong_length(self):
+        with pytest.raises(ValueError, match=r"^x0 has length 1, expected 2$"):
+            self._square(lambda x: 2.0 * x, [1.0])
+
+    def test_rejects_gradient_off_finite_differences(self):
+        # The gradient 3x of x'x is off by half at (1, 2).
+        with pytest.raises(ValueError, match=(
+            r"^gradient of 'sq' disagrees with finite differences at the starting point"
+        )):
+            self._square(lambda x: 3.0 * x, [1.0, 2.0])
+
 
 class TestCubicObjective:
     def test_wraps_model_exactly(self):

@@ -48,12 +48,15 @@ from cubicmin.stationary import (
 from .helpers import RefSymmetricMatrix
 from .helpers import class_model as _class_model
 from .helpers import (
+    RefSecularWalk,
     min_second_difference,
     np_eval,
     np_psd_margin,
     np_residual,
     random_model,
+    ref_boundary_points,
     ref_certificate,
+    ref_enumerate_lambda,
     ref_from_vector,
     ref_newton_root,
     ref_sym_eigen,
@@ -72,6 +75,16 @@ class TestGEval:
         sp = _sp(m)
         for lam in (0.5, 1.0, 7.3):
             assert g_eval(sp, lam) == 0.0
+
+    def test_uncoupled_load_on_exact_shift(self):
+        # beta_1 = -1e-12 is below pole_tol, so lam = 1 is no pole of g, but
+        # the load is not zero and its shift mu_1 + lam is exactly 0.
+        sp = _sp(CubicModel([1e-12, 1.0], np.diag([-1.0, 2.0]), 1.0))
+        assert not sp.coupled[0]
+        with pytest.raises(PoleEvaluation, match=(
+            r"^lambda = 1\.0 hits an eigenvalue shift exactly$"
+        )):
+            g_eval(sp, 1.0)
 
     def test_two_pole_example(self):
         # mu = (-2, -1), beta = (1, 1): g(3) = (1/9)(1/1 + 1/4) = 5/36
@@ -834,17 +847,19 @@ class TestSmallSolveReferenceParity:
             return roots, points
         vectors = [np.zeros(n)] + _boundary_points(sp)
         # Without a coupled mode there is no root to search for.
-        for (lo, hi) in sp._subintervals if sp.any_coupled else ():
-            for end, far in ((lo, hi), (hi, lo)) if hi < math.inf else ((lo, hi),):
+        for lo, hi, start, _, _ in sp._rows if sp.any_coupled else ():
+            # Up from the row's start, which the reference derives from lo.
+            searches = [(lo, start, hi)] + ([(hi, hi, lo)] if hi < math.inf else [])
+            for end, pole, far in searches:
                 # Also the searches enumerate_lambda skips, which can
                 # divide by a zero shift.
                 with np.errstate(divide="ignore", invalid="ignore"):
                     want = _record_bits(lambda: ref_newton_root(sp, end, far))
-                    got = _record_bits(lambda: _newton_root(sp, end, far))
+                    got = _record_bits(lambda: _newton_root(sp, pole, far))
                 assert got == want
                 if want and want[0] == "LambdaRoot":
                     roots += 1
-                    vectors.append(stationary_from_lambda(sp, _newton_root(sp, end, far)))
+                    vectors.append(stationary_from_lambda(sp, _newton_root(sp, pole, far)))
         rng = np.random.default_rng([seed, n])
         # Far out, m(s) overflows to +inf or -inf, and ||s||**2 overflows.
         vectors += [10.0**k * rng.normal(size=n) for k in (0, 110, 160)]
@@ -1095,6 +1110,9 @@ class TestSecularConvexity:
             assert worst > 0.0
 
 
+# s* is about -1e-103: 1/||s||**3 overflows within the Newton iteration.
+ITERATION_PAST_RANGE = {"n": 1, "c": [1.0], "Q": [[1e103]], "sigma": 1.0}
+
 EXTREME_SCALES = [
     {"n": 1, "c": [1.0], "Q": [[1e200]], "sigma": 1.0},
     {"n": 1, "c": [1.0], "Q": [[1e308]], "sigma": 1.0},
@@ -1103,6 +1121,7 @@ EXTREME_SCALES = [
     {"n": 1, "c": [1.0], "Q": [[-1e200]], "sigma": 1.0},
     # Hard case at lam = 3e200: (lam/sigma)**2 overflows.
     {"n": 2, "c": [1e-300, 2e-300], "Q": [[-1e200, 0.0], [0.0, -3e200]], "sigma": 1.0},
+    ITERATION_PAST_RANGE,
 ]
 
 
@@ -1133,6 +1152,14 @@ class TestExtremeScales:
             assert "left double range" in str(exc)
         else:
             assert all(p.residual <= m.default_tol_grad() for p in points)
+
+    @pytest.mark.parametrize("solve", [global_minimize, enumerate_stationary])
+    def test_iteration_leaves_double_range(self, solve):
+        m, _ = parse_problem(ITERATION_PAST_RANGE)
+        with pytest.raises(ConvergenceError, match=(
+            r"^secular Newton iteration left double range near lam = 5e-104"
+        )):
+            solve(m)
 
 
 class TestObjectiveOutOfRange:
@@ -1187,7 +1214,7 @@ class TestLostTopRoot:
         # the checked iteration gives the reference's root, bit for bit.
         sp = _sp(CubicModel(c, q, sigma))
         with np.errstate(over="raise", invalid="raise"):
-            want = ref_newton_root(sp, sp._subintervals[-1][0], math.inf)
+            want = ref_newton_root(sp, subintervals(sp)[-1][0], math.inf)
         got = sp.top_root
         assert (got.lam.hex(), got.pole.hex(), got.offset.hex()) == (
             want.lam.hex(), want.pole.hex(), want.offset.hex())
@@ -1282,8 +1309,8 @@ class TestRootlessBound:
 def _search_everywhere(sp):
     """enumerate_lambda without the emptiness bound: every subinterval searched."""
     roots = []
-    for lo, hi in subintervals(sp):
-        left = _newton_root(sp, lo, hi)
+    for lo, hi, start, _, _ in sp._rows:
+        left = _newton_root(sp, start, hi)
         if left is None:
             continue
         roots.append(left)
@@ -1302,10 +1329,80 @@ def _proven_empty(sp):
     """The bounded subintervals that ``_rootless`` proves empty."""
     return [
         (lo, hi)
-        for (lo, hi), (w_lo, w_hi) in zip(subintervals(sp), sp._end_loads)
+        for lo, hi, _, w_lo, w_hi in sp._rows
         if hi < math.inf and _rootless(sp.sigma, lo, hi, w_lo, w_hi)
     ]
 
+
+def _coupled_negatives_model(rng, n):
+    """Every negative mode coupled, and the largest eigenvalue positive and
+    uncoupled: the record is not fully coupled, yet has no boundary point."""
+    mu = np.sort(rng.uniform(-5.0, 5.0, size=n))
+    mu[-1] = max(mu[-1], 0.5)
+    beta = rng.normal(size=n)
+    beta[(mu > 0.0) & (rng.uniform(size=n) < 0.5)] = 0.0
+    beta[-1] = 0.0
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    q = (v * mu) @ v.T
+    return CubicModel(v @ beta, (q + q.T) / 2.0, float(10.0 ** rng.uniform(-1.0, 1.0)))
+
+
+def _outcome_bits(run, bits):
+    """``bits`` of what ``run()`` returns, or its exception's class and message."""
+    try:
+        return bits(run())
+    except CubicminError as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestSecularTable:
+    """Each row of the record holds the bookkeeping the pole-merge walk kept
+    in three fields before (``tests/helpers.py``), bit for bit, and the
+    enumeration and the boundary points that read the rows give the bits of
+    the code that read those fields."""
+
+    CLASSES = ("generic", "hard", "near_hard", "zero_c", "scaled_Q", "tiny_sigma")
+
+    @classmethod
+    def _models(cls):
+        for n in range(1, 9):
+            for seed in range(12):
+                for kind in cls.CLASSES:
+                    yield _class_model(np.random.default_rng([seed, n]), kind, n)
+                yield _cluster_model(np.random.default_rng([seed, n]), n)
+                yield _coupled_negatives_model(np.random.default_rng([seed, n]), n)
+
+    @staticmethod
+    def _vector_bits(vectors):
+        return [_bits(v) for v in vectors]
+
+    def test_rows_match_the_walk(self):
+        seen = {"merged start": 0, "negatives coupled": 0, "zero_c": 0, "boundary": 0, "roots": 0}
+        for m in self._models():
+            try:
+                sp = _sp(m)
+            except CubicminError:
+                continue
+            walk = RefSecularWalk(sp)
+            assert [(lo.hex(), hi.hex()) for lo, hi in subintervals(sp)] == [
+                (lo.hex(), hi.hex()) for lo, hi in walk._subintervals]
+            assert len(sp._rows) == len(walk._end_loads)
+            for (lo, hi, start, w_lo, w_hi), loads in zip(sp._rows, walk._end_loads):
+                assert start.hex() == walk._starts[lo].hex()
+                assert (w_lo.hex(), w_hi.hex()) == (loads[0].hex(), loads[1].hex())
+                seen["merged start"] += start != lo
+            want = _outcome_bits(lambda: ref_enumerate_lambda(walk), _roots_record)
+            assert _outcome_bits(lambda: enumerate_lambda(sp), _roots_record) == want
+            seen["roots"] += len(want)
+            want = _outcome_bits(lambda: ref_boundary_points(walk), self._vector_bits)
+            assert _outcome_bits(lambda: _boundary_points(sp), self._vector_bits) == want
+            seen["boundary"] += len(want)
+            vals = sp.eig.values
+            # The input of the pre-check that the walk now covers.
+            seen["negatives coupled"] += not sp.all_coupled and not np.count_nonzero(
+                (vals < 0.0) & ~sp.coupled)
+            seen["zero_c"] += not sp.any_coupled
+        assert min(seen.values()) > 20, seen
 
 class TestSkippedSearches:
     """Skipping the proven-empty subintervals leaves every root as it was."""
