@@ -14,8 +14,6 @@ phi is concave on each subinterval, so each bounded subinterval holds at
 most two roots and the unbounded rightmost one exactly one (when c is
 not zero); the number of distinct multipliers is at most 2k+1 with k
 the number of distinct negative eigenvalues of Q (``count_bound``).
-The global minimizer carries the largest root when that root exceeds
-``max(0, -mu_1)``.
 ``global_minimize`` searches only the unbounded subinterval, which holds
 the largest root whenever c is not zero.  ``enumerate_stationary``
 searches every subinterval except the bounded ones that a closed-form
@@ -25,13 +23,13 @@ phi is negative throughout (the interlacing argument for secular
 equations: Golub, SIAM Rev. 15, 1973; R.-C. Li, LAPACK Working Note 89,
 1993).  On large models nearly every bounded subinterval is empty.
 
-One constructor builds a model's whole secular record (``beta``, the
-coupling mask, the poles, one row per subinterval they cut, the largest
-root ``top_root`` and its StationaryPoint ``top_point``), cached on the
-model, so both entry points share one search for the largest root and one
-evaluation of its point: when that point is the global minimizer,
-``enumerate_stationary`` returns the very object that
-``global_minimize`` certifies, in either call order.
+One constructor builds a model's secular record (``beta``, the coupling
+mask, the poles, one row per subinterval they cut, the largest root
+``top_root`` and its point ``top_point``, or the origin's point when c = 0),
+cached on the model, and the record builds each boundary pair on first
+use.  So each point that no bounded root carries is built and evaluated
+once, by the record, and ``enumerate_stationary`` lists the very object
+that ``global_minimize`` certifies, in either call order.
 """
 
 import math
@@ -77,7 +75,7 @@ class SecularProblem:
     all_coupled : bool
         Every mode coupled, as when c loads each eigenvector of Q.  Then
         ``coupled_beta`` is ``beta`` itself, ``_coefficients`` divides
-        without the mask and ``_boundary_points`` has nothing to look
+        without the mask and the boundary walk has nothing to look
         for: the values of the masked path, in fewer NumPy calls.
     coupled_beta, coupled_poles : ndarray
         ``beta`` and ``-mu`` at the coupled modes, in eigenvalue order:
@@ -100,6 +98,9 @@ class SecularProblem:
         would overflow).
     top_point : StationaryPoint or None
         The point of ``top_root``; None with it.
+
+    It also builds, and evaluates once, the points no root carries: the
+    origin ``_origin`` when c = 0, and each boundary pair on first use.
     """
 
     def __init__(self, m):
@@ -139,6 +140,9 @@ class SecularProblem:
         ends = zip([(0.0, 0.0, start)] + positive, positive + [(math.inf, 0.0, 0.0)])
         self._rows = [(lo, hi, top, w_lo, w_hi) for (lo, w_lo, top), (hi, w_hi, _) in ends]
         self.top_root = self.top_point = None
+        self._pairs = {}
+        # c = 0 up to pole_tol: s = 0 leaves the residual ||c||.
+        self._origin = None if self.any_coupled else StationaryPoint.from_vector(m, np.zeros(m.n))
         if self.any_coupled:
             lo, _, start, _, _ = self._rows[-1]
             # An overflow or invalid operation loses the root instead of warning.
@@ -164,6 +168,35 @@ class SecularProblem:
         if sp is None:
             sp = m._secular = cls(m)
         return sp
+
+    def _boundary_pair(self, m, lam):
+        """``_boundary_parts`` at lam as the points ``(base + free, base - free)``, kept."""
+        if lam not in self._pairs:
+            base, free = _boundary_parts(self, lam)
+            self._pairs[lam] = (StationaryPoint.from_vector(m, base + free),
+                                StationaryPoint.from_vector(m, base - free))
+        return self._pairs[lam]
+
+    def _boundary_points(self, m):
+        """The boundary pairs of the degenerate multipliers lam = -mu_i > 0.
+
+        One multiplier per distinct negative eigenvalue whose modes are all
+        uncoupled; one with ``||V a|| > lam/sigma`` has no point and is
+        skipped.  The continuum a pair stands for shares one objective value.
+        """
+        if self.all_coupled:
+            return []
+        vals = self.eig.values
+        out = []
+        for mu in _distinct_negative(vals):
+            lam = -mu
+            if np.count_nonzero(self.coupled & (abs(vals + lam) <= SINGULAR_MODE_TOL)):
+                continue
+            try:
+                out += self._boundary_pair(m, lam)
+            except NormMismatch:
+                continue
+        return out
 
     def __repr__(self):
         return f"SecularProblem(n={self.eig.n}, sigma={self.sigma}, poles={self.poles!r})"
@@ -427,51 +460,23 @@ def _boundary_parts(sp, lam):
     return base, tau * sp.eig.vectors[:, int(np.argmax(singular))]
 
 
-def _boundary_points(sp):
-    """The vectors of the degenerate multipliers lam = -mu_i > 0.
-
-    One multiplier per distinct negative eigenvalue whose modes are all
-    uncoupled, giving the two representatives ``V a +/- tau v`` of
-    ``_boundary_parts``; the continuum they stand for shares one
-    objective value.  A multiplier with ``||V a|| > lam/sigma`` has no
-    point and is skipped.  Where every mode is coupled there is none to
-    look for; with every negative one coupled, the walk finds none.
-    """
-    if sp.all_coupled:
-        return []
-    vals = sp.eig.values
-    out = []
-    for mu in _distinct_negative(vals):
-        lam = -mu
-        # A coupled mode lies in its own multiplier's cluster, so only the
-        # uncoupled negative eigenvalues can carry a boundary point.
-        if np.count_nonzero(sp.coupled & (abs(vals + lam) <= SINGULAR_MODE_TOL)):
-            continue
-        try:
-            base, free = _boundary_parts(sp, lam)
-        except NormMismatch:
-            continue
-        out += [base + free, base - free]
-    return out
-
-
 def enumerate_stationary(m):
     """Every stationary point of the model, ascending in multiplier.
 
     The union of: the origin when c = 0 (no mode coupled); one point per
     secular root; two representatives per feasible boundary multiplier.
     The number of distinct multipliers is bounded by ``count_bound(m)``.
-    The largest root's point is ``SecularProblem.top_point``, the same
-    object ``global_minimize`` certifies when it is s*.
+    The origin, ``top_point`` and the boundary points are the record's
+    own, so the point ``global_minimize`` certifies is among them.
     """
     sp = SecularProblem.from_model(m)
-    points = [] if sp.any_coupled else [StationaryPoint.from_vector(m, np.zeros(m.n))]
+    points = [] if sp.any_coupled else [sp._origin]
     for root in enumerate_lambda(sp):
         if root is sp.top_root:
             points.append(sp.top_point)
         else:
             points.append(StationaryPoint.from_vector(m, stationary_from_lambda(sp, root)))
-    points += [StationaryPoint.from_vector(m, s) for s in _boundary_points(sp)]
+    points += sp._boundary_points(m)
     points.sort(key=lambda p: p.lam)
     return points
 
@@ -489,9 +494,9 @@ def count_bound(m):
     """The bound 2(k+1) on distinct stationary multipliers; at most 2k+1 occur.
 
     k counts the negative eigenvalues of Q kept by ``_distinct_negative``:
-    distinct to ``SINGULAR_MODE_TOL``, the walk ``_boundary_points``
-    makes.  Each positive pole's anchor and each boundary multiplier lies
-    in its own kept entry, so the bound holds for what
+    distinct to ``SINGULAR_MODE_TOL``, the walk of the record's
+    ``_boundary_points``.  Each positive pole's anchor and each boundary
+    multiplier lies in its own kept entry, so the bound holds for what
     ``enumerate_stationary`` returns.
 
     It is not sharp.  phi is concave on each subinterval, so a bounded
@@ -512,17 +517,13 @@ def global_minimize(m):
     """Certified global minimization of the cubic model.
 
     Finds the multiplier ``lam* >= max(0, -mu_1)`` with
-    ``||s(lam*)|| = lam*/sigma``.  When c is not zero the largest
-    secular root is the only one in the unbounded subinterval above the
-    largest pole, and every pole is at most ``max(0, -mu_1)``, so that
-    subinterval's root ``SecularProblem.top_root`` (shared with
-    ``enumerate_lambda``) is the only root that can be lam*.  When it
-    exceeds ``max(0, -mu_1)`` it is lam*, and s* is its point
-    ``top_point`` (shared with ``enumerate_stationary``); otherwise the
-    model is in the hard case ``lam* = max(0, -mu_1)``, and s* is the
-    boundary point of ``_boundary_parts`` there (s* = 0 when also lam* = 0
-    and c = 0).  The two-part certificate (stationarity plus positive
-    semidefiniteness of ``Q + lam* I``) is verified before returning.
+    ``||s(lam*)|| = lam*/sigma``.  Every pole is at most ``max(0, -mu_1)``,
+    so only the record's ``top_root`` (the root above the last pole) can
+    exceed it; then s* is ``top_point``.  Otherwise, in the hard case
+    ``lam* = max(0, -mu_1)``, s* is the record's boundary point ``base +
+    free`` there, or its origin when lam* = 0 and c = 0: the record builds
+    each once, and the enumeration lists the same object.  The certificate
+    (stationarity, ``Q + lam* I`` positive semidefinite) is checked before returning.
 
     Raises
     ------
@@ -543,11 +544,10 @@ def global_minimize(m):
     if root is not None and root.offset > lam_star - root.pole:
         return _finish_global(m, sp.top_point, False)
     if lam_star == 0.0 and not sp.any_coupled:
-        # c = 0 up to pole_tol; s* = 0 leaves the residual ||c||.
-        return _finish_global(m, StationaryPoint.from_vector(m, np.zeros(m.n)), False)
+        return _finish_global(m, sp._origin, False)
     # Hard case: no root beyond max(0, -mu_1); the minimizer sits there.
-    base, free = _boundary_parts(sp, lam_star)
-    return _finish_global(m, StationaryPoint.from_vector(m, base + free), True)
+    plus, _ = sp._boundary_pair(m, lam_star)
+    return _finish_global(m, plus, True)
 
 
 def _finish_global(m, point, hard):

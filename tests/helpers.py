@@ -88,15 +88,17 @@ def random_controlled_model(rng, nmax=6, sigmas=(0.1, 1.0, 10.0), n=None):
 
 
 def class_model(rng, cls, n):
-    """generic, hard (beta_1 = 0), near_hard (beta_1 = 1e-9), zero_c,
-    scaled_Q (mu times 1e3 to 1e6) or tiny_sigma (sigma 1e-8 to 1e-4)."""
+    """generic, hard (beta_1 = 0), near_hard (beta_1 = 1e-9), faint_hard
+    (beta_1 = 1e-10, below the coupling row ``1e-10 (1 + ||c||)``, so the
+    mode is uncoupled), zero_c, scaled_Q (mu times 1e3 to 1e6) or
+    tiny_sigma (sigma 1e-8 to 1e-4)."""
     v, _ = np.linalg.qr(rng.normal(size=(n, n)))
     mu = np.sort(rng.uniform(-5.0, 5.0, size=n))
     beta = rng.normal(size=n)
     sigma = float(10.0 ** rng.uniform(-1.0, 1.0))
-    if cls in ("hard", "near_hard"):
+    if cls in ("hard", "near_hard", "faint_hard"):
         mu[0] = min(mu[0], -0.1)
-        beta[0] = 0.0 if cls == "hard" else 1e-9
+        beta[0] = {"hard": 0.0, "near_hard": 1e-9, "faint_hard": 1e-10}[cls]
         # Small enough sigma that the hard case binds.
         free = float(np.linalg.norm(beta[1:] / (mu[1:] - mu[0]))) if n > 1 else 0.0
         sigma = 0.5 * -mu[0] / max(free, 1e-12)

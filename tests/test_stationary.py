@@ -31,7 +31,6 @@ from cubicmin.stationary import (
     GlobalSolution,
     SecularProblem,
     _boundary_parts,
-    _boundary_points,
     _coefficients,
     _finish_global,
     _newton_root,
@@ -686,7 +685,7 @@ def _reference_points(m):
     sp = SecularProblem.from_model(m)
     vectors = [] if sp.coupled.any() else [np.zeros(m.n)]
     vectors += [stationary_from_lambda(sp, root) for root in enumerate_lambda(sp)]
-    vectors += _boundary_points(sp)
+    vectors += ref_boundary_points(RefSecularWalk(sp))
     points = [StationaryPoint.from_vector(m, s) for s in vectors]
     points.sort(key=lambda p: p.lam)
     return [(p.s.tobytes(), p.lam, p.objective, p.residual) for p in points]
@@ -845,7 +844,7 @@ class TestSmallSolveReferenceParity:
             sp = SecularProblem.from_model(m)
         except CubicminError:
             return roots, points
-        vectors = [np.zeros(n)] + _boundary_points(sp)
+        vectors = [np.zeros(n)] + ref_boundary_points(RefSecularWalk(sp))
         # Without a coupled mode there is no root to search for.
         for lo, hi, start, _, _ in sp._rows if sp.any_coupled else ():
             # Up from the row's start, which the reference derives from lo.
@@ -923,7 +922,7 @@ class TestAllCoupledPath:
             assert not masked.all_coupled
             for name in ("coupled_beta", "coupled_poles", "poles"):
                 assert _bits(getattr(masked, name)) == _bits(getattr(fast, name))
-            assert _boundary_points(fast) == _boundary_points(masked) == []
+            assert fast._boundary_points(m) == masked._boundary_points(m) == []
             for root in enumerate_lambda(fast):
                 for got, want in zip(_coefficients(fast, root.pole, root.offset),
                                      _coefficients(masked, root.pole, root.offset)):
@@ -989,7 +988,74 @@ class TestOnePointPerRoot:
         m = _fresh(WORKED)
         sol = global_minimize(m)
         assert sol.hard_case
-        assert all(p.s is not sol.s_star for p in enumerate_stationary(m))
+        assert _sp(m).top_point.s is not sol.s_star
+        # The certified boundary point is the record's, which the
+        # enumeration lists once.
+        assert len([p for p in enumerate_stationary(m) if p.s is sol.s_star]) == 1
+
+
+class TestRecordBuildsEachPoint:
+    """The secular record builds the origin and each boundary pair once, and
+    the enumeration lists the object ``global_minimize`` certified."""
+
+    @staticmethod
+    def _models():
+        for seed in range(40):
+            for cls in ("hard", "faint_hard", "zero_c"):
+                m = _class_model(np.random.default_rng([seed, 7]), cls, 1 + seed % 6)
+                yield m
+            # c = 0 with Q positive semidefinite: s* is the origin.
+            square = m.Q.entries @ m.Q.entries
+            yield CubicModel(m.c, (square + square.T) / 2.0, m.sigma)
+
+    @pytest.mark.parametrize("global_first", [True, False])
+    def test_certified_point_is_enumerated_and_built_once(self, monkeypatch, global_first):
+        calls = []
+        real = stationary._boundary_parts
+
+        def counting(sp, lam):
+            calls.append(lam)
+            return real(sp, lam)
+
+        monkeypatch.setattr(stationary, "_boundary_parts", counting)
+        seen = {"hard": 0, "origin": 0, "boundary multipliers": 0}
+        for m in self._models():
+            m = _fresh(m)
+            calls.clear()
+            try:
+                if global_first:
+                    sol, points = global_minimize(m), enumerate_stationary(m)
+                else:
+                    points = enumerate_stationary(m)
+                    sol = global_minimize(m)
+            except CubicminError:
+                continue
+            if not (sol.hard_case or sol.lambda_star == 0.0 and not _sp(m).any_coupled):
+                continue
+            seen["hard" if sol.hard_case else "origin"] += 1
+            assert len([p for p in points if p.s is sol.s_star]) == 1
+            # Once per boundary multiplier, whichever entry point asks first.
+            assert len(calls) == len(set(calls))
+            seen["boundary multipliers"] += len(calls)
+        assert min(seen.values()) > 10, seen
+
+    def test_origin_is_built_by_the_record(self):
+        m = CubicModel([0.0, 0.0], np.diag([1.0, 2.0]), 1.0)
+        sp = _sp(m)
+        assert global_minimize(m).s_star is sp._origin.s
+        assert [p is sp._origin for p in enumerate_stationary(m)] == [True]
+        assert _sp(WORKED)._origin is None
+
+    def test_no_boundary_point_outside_the_hard_case(self, monkeypatch):
+        calls = []
+        real = stationary._boundary_parts
+        monkeypatch.setattr(stationary, "_boundary_parts",
+                            lambda sp, lam: calls.append(lam) or real(sp, lam))
+        m = CubicModel([1.0, 0.0, 1.0], np.diag([-3.0, -1.0, 2.0]), 1.0)
+        assert not global_minimize(m).hard_case
+        assert calls == []
+        enumerate_stationary(m)
+        assert calls == [1.0]
 
 
 class TestBoundaryMixedCoupling:
@@ -1395,7 +1461,9 @@ class TestSecularTable:
             assert _outcome_bits(lambda: enumerate_lambda(sp), _roots_record) == want
             seen["roots"] += len(want)
             want = _outcome_bits(lambda: ref_boundary_points(walk), self._vector_bits)
-            assert _outcome_bits(lambda: _boundary_points(sp), self._vector_bits) == want
+            got = _outcome_bits(lambda: [p.s.copy() for p in sp._boundary_points(m)],
+                                self._vector_bits)
+            assert got == want
             seen["boundary"] += len(want)
             vals = sp.eig.values
             # The input of the pre-check that the walk now covers.
