@@ -29,7 +29,9 @@ mask, the poles, one row per subinterval they cut, the largest root
 cached on the model, and the record builds each boundary pair on first
 use.  So each point that no bounded root carries is built and evaluated
 once, by the record, and ``enumerate_stationary`` lists the very object
-that ``global_minimize`` certifies, in either call order.
+that ``global_minimize`` certifies, in either call order.  In the hard
+case that is the boundary representative of lower m (More and Sorensen,
+SIAM J. Sci. Stat. Comput. 4(3), 1983), ``base + free`` on a tie.
 """
 
 import math
@@ -101,6 +103,7 @@ class SecularProblem:
 
     It also builds, and evaluates once, the points no root carries: the
     origin ``_origin`` when c = 0, and each boundary pair on first use.
+    The hard case certifies the one of its pair with the lower m.
     """
 
     def __init__(self, m):
@@ -466,8 +469,9 @@ def enumerate_stationary(m):
     The union of: the origin when c = 0 (no mode coupled); one point per
     secular root; two representatives per feasible boundary multiplier.
     The number of distinct multipliers is bounded by ``count_bound(m)``.
-    The origin, ``top_point`` and the boundary points are the record's
-    own, so the point ``global_minimize`` certifies is among them.
+    The origin, ``top_point`` and both boundary representatives are the
+    record's own, built once, so the point ``global_minimize`` certifies
+    (in the hard case the representative of lower m) is among them.
     """
     sp = SecularProblem.from_model(m)
     points = [] if sp.any_coupled else [sp._origin]
@@ -520,10 +524,12 @@ def global_minimize(m):
     ``||s(lam*)|| = lam*/sigma``.  Every pole is at most ``max(0, -mu_1)``,
     so only the record's ``top_root`` (the root above the last pole) can
     exceed it; then s* is ``top_point``.  Otherwise, in the hard case
-    ``lam* = max(0, -mu_1)``, s* is the record's boundary point ``base +
-    free`` there, or its origin when lam* = 0 and c = 0: the record builds
-    each once, and the enumeration lists the same object.  The certificate
-    (stationarity, ``Q + lam* I`` positive semidefinite) is checked before returning.
+    ``lam* = max(0, -mu_1)``, s* is the one of the record's boundary pair
+    ``base +/- free`` there with the lower m (``base + free`` on a tie), or
+    the record's origin when lam* = 0 and c = 0: the record builds each
+    once, and the enumeration lists the same object.  The certificate
+    (stationarity, ``Q + lam* I`` positive semidefinite) is checked before
+    returning.
 
     Raises
     ------
@@ -545,9 +551,11 @@ def global_minimize(m):
         return _finish_global(m, sp.top_point, False)
     if lam_star == 0.0 and not sp.any_coupled:
         return _finish_global(m, sp._origin, False)
-    # Hard case: no root beyond max(0, -mu_1); the minimizer sits there.
-    plus, _ = sp._boundary_pair(m, lam_star)
-    return _finish_global(m, plus, True)
+    # Hard case: no root beyond max(0, -mu_1); the minimizer sits there, at
+    # the representative of lower m: they differ by 2 tau c'v, c'v a load
+    # below the coupling row.  base + free on a tie.
+    plus, minus = sp._boundary_pair(m, lam_star)
+    return _finish_global(m, minus if minus.objective < plus.objective else plus, True)
 
 
 def _finish_global(m, point, hard):

@@ -483,8 +483,10 @@ def _reference_global(m):
     elif lam_star == 0.0 and not np.any(sp.coupled):
         s_star, hard = np.zeros(m.n), False
     else:
+        # The representative of lower m, base + free on a tie.
         base, free = _boundary_parts(sp, lam_star)
-        s_star, hard = base + free, True
+        plus, minus = (StationaryPoint.from_vector(m, s) for s in (base + free, base - free))
+        return _finish_global(m, minus if minus.objective < plus.objective else plus, True)
     return _finish_global(m, StationaryPoint.from_vector(m, s_star), hard)
 
 
@@ -1056,6 +1058,42 @@ class TestRecordBuildsEachPoint:
         assert calls == []
         enumerate_stationary(m)
         assert calls == [1.0]
+
+
+def _value_scale(m, s):
+    """``M(s) = |c|'|s| + |s|'|Q||s|/2 + (sigma/3)||s||^3``, which bounds the terms of m(s)."""
+    a = np.abs(s)
+    q = np.abs(m.Q.entries)
+    return float(np.abs(m.c) @ a + a @ (q @ a) / 2.0 + m.sigma / 3.0 * np.linalg.norm(s) ** 3)
+
+
+class TestHardCaseLowerRepresentative:
+    """In the hard case the two representatives ``base +/- tau v`` differ in
+    m by ``2 tau c'v``, with ``c'v`` a load below the coupling row; the
+    certified one is the lower, ``base + free`` on a tie."""
+
+    def test_certifies_the_lowest_enumerated_objective(self):
+        eps = float(np.finfo(float).eps)
+        took_minus = 0
+        for seed in range(200):
+            n = 2 + seed % 9
+            m = _class_model(np.random.default_rng(seed), "faint_hard", n)
+            sol = global_minimize(m)
+            assert sol.hard_case, seed
+            best = min(p.objective for p in enumerate_stationary(m))
+            assert sol.objective <= best + 4 * n * eps * _value_scale(m, sol.s_star), seed
+            plus, minus = _sp(m)._boundary_pair(m, -m.eig.mu_1)
+            assert sol.s_star is (minus if minus.objective < plus.objective else plus).s
+            took_minus += sol.s_star is minus.s
+        assert 50 < took_minus < 150
+
+    def test_tie_takes_base_plus_free(self):
+        # c'v = 0 exactly: both representatives of lam = 3 share m = -5.
+        m = _fresh(WORKED)
+        sol = global_minimize(m)
+        plus, minus = _sp(m)._boundary_pair(m, 3.0)
+        assert plus.objective == minus.objective
+        assert sol.s_star is plus.s
 
 
 class TestBoundaryMixedCoupling:
