@@ -206,7 +206,14 @@ def cauchy_step(m):
     bh = float(u.dot(m.Q.entries.dot(u)))
     disc = math.sqrt(bh * bh + 4.0 * m.sigma * gnorm)
     if bh <= 0.0:
-        t = (-bh + disc) / (2.0 * m.sigma * gnorm)
+        den = 2.0 * m.sigma * gnorm
+        if den == 0.0:
+            # 2 sigma ||g|| underflows: the step's length t ||g|| is
+            # (-bh + sqrt(bh^2 + 4 sigma ||g||)) / (2 sigma), with the root
+            # the norm of (bh, 2 sqrt(sigma) sqrt(||g||)), which stay in range.
+            root = linalg.norm(np.array([bh, 2.0 * math.sqrt(m.sigma) * math.sqrt(gnorm)]))
+            return -((-bh + root) / (2.0 * m.sigma)) * u
+        t = (-bh + disc) / den
     else:
         t = 2.0 / (bh + disc)
     return -t * g

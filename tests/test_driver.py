@@ -1,5 +1,6 @@
 """Escape-driven global solves, the outer optimizer, and the profile table."""
 
+import decimal
 import math
 import warnings
 
@@ -551,6 +552,18 @@ class TestCauchyStep:
         root = math.sqrt(q * q + 4.0 * c)
         t = 2.0 / (q + root) if q > 0.0 else (-q + root) / (2.0 * c)
         assert cauchy_step(m) == pytest.approx([-t * c, 0.0], rel=1e-14)
+
+    @pytest.mark.parametrize("sigma", [1e-100, 1e-300])
+    def test_underflowing_curvature_product(self, sigma):
+        # 2 sigma ||c|| underflows to 0 with bh = -1e-300 <= 0: the step is
+        # the positive root r of -||c|| + bh r + sigma r^2 along -c/||c||.
+        m = CubicModel([1e-300, 0.0], np.diag([-1e-300, 1e-300]), sigma)
+        assert 2.0 * m.sigma * m.norm_c == 0.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            bh, sig, g = (decimal.Decimal(x) for x in (-1e-300, sigma, 1e-300))
+            r = float((-bh + (bh * bh + 4 * sig * g).sqrt()) / (2 * sig))
+        assert cauchy_step(m) == pytest.approx([-r, 0.0], rel=1e-14)
 
     @staticmethod
     def _unscaled_step(m):
