@@ -174,11 +174,13 @@ class SecularProblem:
 
     def _boundary_pair(self, m, lam):
         """``_boundary_parts`` at lam as the points ``(base + free, base - free)``, kept."""
-        if lam not in self._pairs:
+        pair = self._pairs.get(lam)
+        if pair is None:
             base, free = _boundary_parts(self, lam)
-            self._pairs[lam] = (StationaryPoint.from_vector(m, base + free),
-                                StationaryPoint.from_vector(m, base - free))
-        return self._pairs[lam]
+            # The first pair kept is every caller's, also across threads.
+            pair = self._pairs.setdefault(lam, (StationaryPoint.from_vector(m, base + free),
+                                                StationaryPoint.from_vector(m, base - free)))
+        return pair
 
     def _boundary_points(self, m):
         """The boundary pairs of the degenerate multipliers lam = -mu_i > 0.

@@ -1041,6 +1041,44 @@ class TestRecordBuildsEachPoint:
             seen["boundary multipliers"] += len(calls)
         assert min(seen.values()) > 10, seen
 
+    def test_threads_certify_one_shared_pair(self):
+        models = [m for m in self._models() if _fresh(m).eig.mu_1 < 0.0][:24]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for k, m in enumerate(models):
+                shared = _fresh(m)
+                _sp(shared)  # one record, so the threads race on its pairs only
+                got = [None] * 4
+                barrier = threading.Barrier(4, timeout=10.0)
+
+                def work(j, shared=shared, barrier=barrier, got=got):
+                    barrier.wait()
+                    try:
+                        if j % 2:
+                            got[j] = (global_minimize(shared), enumerate_stationary(shared))
+                        else:
+                            points = enumerate_stationary(shared)
+                            got[j] = (global_minimize(shared), points)
+                    except CubicminError as exc:
+                        got[j] = type(exc).__name__
+
+                threads = [threading.Thread(target=work, args=(j,)) for j in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10.0)
+                    assert not t.is_alive()
+                if isinstance(got[0], str):
+                    assert got == [got[0]] * 4, k
+                    continue
+                s_star = got[0][0].s_star
+                for sol, points in got:
+                    assert sol.s_star is s_star, k
+                    assert len([p for p in points if p.s is s_star]) == 1, k
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_origin_is_built_by_the_record(self):
         m = CubicModel([0.0, 0.0], np.diag([1.0, 2.0]), 1.0)
         sp = _sp(m)
