@@ -59,7 +59,7 @@ _TINY = float(np.finfo(float).tiny)
 
 
 class SecularProblem:
-    """The secular record of one cubic model, built whole by the constructor.
+    """The secular record of one cubic model; the constructor builds all but the boundary pairs.
 
     Every array is read-only.  ``from_model`` builds it once per model
     and caches it there; the record holds no reference to the model.
@@ -183,7 +183,7 @@ class SecularProblem:
         return pair
 
     def _boundary_points(self, m):
-        """The boundary pairs of the degenerate multipliers lam = -mu_i > 0.
+        """Both points of each feasible degenerate multiplier lam = -mu_i > 0.
 
         One multiplier per distinct negative eigenvalue whose modes are all
         uncoupled; one with ``||V a|| > lam/sigma`` has no point and is

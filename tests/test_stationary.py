@@ -1004,9 +1004,9 @@ class TestRecordBuildsEachPoint:
     def _models():
         for seed in range(40):
             for cls in ("hard", "faint_hard", "zero_c"):
-                m = _class_model(np.random.default_rng([seed, 7]), cls, 1 + seed % 6)
-                yield m
+                yield _class_model(np.random.default_rng([seed, 7]), cls, 1 + seed % 6)
             # c = 0 with Q positive semidefinite: s* is the origin.
+            m = _class_model(np.random.default_rng([seed, 8]), "zero_c", 1 + seed % 6)
             square = m.Q.entries @ m.Q.entries
             yield CubicModel(m.c, (square + square.T) / 2.0, m.sigma)
 
@@ -1089,8 +1089,12 @@ class TestRecordBuildsEachPoint:
     def test_no_boundary_point_outside_the_hard_case(self, monkeypatch):
         calls = []
         real = stationary._boundary_parts
-        monkeypatch.setattr(stationary, "_boundary_parts",
-                            lambda sp, lam: calls.append(lam) or real(sp, lam))
+
+        def counting(sp, lam):
+            calls.append(lam)
+            return real(sp, lam)
+
+        monkeypatch.setattr(stationary, "_boundary_parts", counting)
         m = CubicModel([1.0, 0.0, 1.0], np.diag([-3.0, -1.0, 2.0]), 1.0)
         assert not global_minimize(m).hard_case
         assert calls == []
