@@ -9,6 +9,7 @@ adaptive cubic-regularization outer loop for general smooth objectives.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,6 +100,7 @@ class ArcOptions:
     rho >= eta2 = 0.9, double it on rejection.  ``cauchy_start`` seeds
     each subproblem from the Cauchy point instead of a random sphere
     point.  ``seed`` (non-negative) drives all subproblem starting points.
+    ``max_iters`` and ``seed`` are Python or NumPy integers, not bools.
     """
 
     tol_grad_inf: float = 1e-5
@@ -109,6 +111,10 @@ class ArcOptions:
     def __post_init__(self):
         if not self.tol_grad_inf > 0.0:
             raise ValueError("tol_grad_inf must be positive")
+        for name in ("max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.seed < 0:
@@ -122,7 +128,8 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
     ----------
     m : CubicModel
     s0 : array_like, shape (n,)
-        Starting point for the first local solve.
+        Finite starting point for the first local solve, which copies
+        and checks it.
     eps_grad : float, optional
         Residual tolerance for each local solve; defaults to the
         model's gradient gate.
@@ -136,8 +143,18 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
         The solution's certificate is evaluated at the tolerances the
         final point actually met; its ``hard_case`` is always False.
 
+    Each local solve's final point is evaluated once, by the solve: its
+    ``LocalSolveReport.point`` goes to ``escape_approx`` as it stands,
+    and the solution's ``s_star`` and objective are that record's.
+
     Raises
     ------
+    ValueError
+        A tolerance is not positive, or ``s0`` has the wrong length or a
+        NaN or infinite entry.
+    ConvergenceError
+        A local solve stalls above its target, or m at its point or at a
+        move is NaN or below double range.
     BoundExceeded
         More escapes fired than the stationary-count bound allows.
     ToleranceFloor
@@ -151,9 +168,9 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
     if eps_curv is not None and not float(eps_curv) > 0.0:
         raise ValueError("eps_curv must be positive")
 
-    cap = count_bound(m) + 2
+    cap = None  # count_bound(m) + 2, taken at the first escape
     eps = eps_grad
-    s = np.array(m._check_dim(s0), dtype=float)
+    s = s0
     steps = []
     escapes = 0
     tightenings = 0
@@ -164,11 +181,13 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
                 f"local solve stalled at residual {rep.residual:.3e} "
                 f"(target {eps:.3e})"
             )
+        point = rep.point
+        model_mod._check_range(point.objective, point.lam)
         s_bar = rep.s
         ec = float(eps_curv) if eps_curv is not None else model_mod.escape_eps_curv(eps, s_bar)
         try:
             out = escape_mod.escape_approx(
-                m, s_bar, escape_mod.ApproxTolerances(eps_grad=eps, eps_curv=ec)
+                m, point, escape_mod.ApproxTolerances(eps_grad=eps, eps_curv=ec)
             )
         except ThresholdNotMet:
             if tightenings >= _MAX_TIGHTENINGS or eps / 10.0 < model_mod.ESCAPE_EPS_FLOOR:
@@ -184,6 +203,8 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
             sol = _global_solution(m, out.point, out.certificate, False)
             return sol, SubproblemTrace(steps=steps, escape_count=escapes)
         escapes += 1
+        if cap is None:
+            cap = count_bound(m) + 2
         if escapes > cap:
             raise BoundExceeded(
                 f"{escapes} escapes exceed the stationary-count cap {cap}"
@@ -323,7 +344,8 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         m = CubicModel(g, hess_x, sigma)
         eps_inner = m.arc_target()
         s_c = cauchy_step(m)
-        if math.isinf(m.norm_c * linalg.norm(s_c)):
+        norm_sc = linalg.norm(s_c)
+        if math.isinf(m.norm_c * norm_sc):
             # s_c = -t*g, so |c's_c| = ||g|| ||s_c||: m(s_c) is out of range.
             raise ConvergenceError(
                 f"gradient norm {m.norm_c:.3e}: the model's linear term "
@@ -335,7 +357,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         if variant == ARC:
             rep = local_minimize(m, s0, eps_inner)
             s = rep.s
-            mval = model_mod.eval_model(m, s)
+            mval = rep.point.objective
         else:
             try:
                 sol, _ = solve_via_escapes(m, s0, eps_grad=eps_inner)
@@ -346,7 +368,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
             s = sol.s_star
             mval = sol.objective
             margin = sol.certificate.psd_margin
-        m_c = model_mod.eval_model(m, s_c)
+        m_c = model_mod._objective(m, s_c, norm_sc, m.Q.entries.dot(s_c))
         if m_c < mval:
             s, mval = s_c, m_c
             margin = None

@@ -13,9 +13,10 @@ NONE_GLOBAL; one with ``||s_bar|| <= m.zero_step_tol()`` moves as from
 the origin (B_I).  ``escape_exact`` takes the model's two gates,
 without an ``ApproxTolerances`` record; ``escape_approx`` takes the
 caller's record, validated when it was built, whose tolerances also set
-each reflection's threshold.  The case analysis reads s_bar, its
-multiplier and its gradient from the point's ``StationaryPoint``
-record, the one evaluation of s_bar.  One verdict, ``_outcome``, keeps a
+each reflection's threshold, and also takes s_bar as a vector.  The
+case analysis reads s_bar, its multiplier and its gradient from the
+point's ``StationaryPoint`` record, the one evaluation of s_bar: the
+escape loop passes the local solve's.  One verdict, ``_outcome``, keeps a
 move only where direct evaluation (``model._evaluate``, with its range
 test) verifies a positive decrease; where the gates of both reflections
 hold, the larger verified decrease is returned.  The direction d is a
@@ -168,9 +169,11 @@ def escape_exact(m, s_bar, direction=None):
 def escape_approx(m, s_bar, tol, direction=None):
     """Escape move from an approximately stationary point.
 
-    ``s_bar`` is a vector; it is evaluated once, and its certificate at
-    ``(tol.eps_grad, tol.eps_curv)`` decides NONE_GLOBAL.  Each
-    reflection is gated by a threshold on ``tol.eps_curv`` so the
+    ``s_bar`` is a ``StationaryPoint``, judged as recorded (the escape
+    loop passes the local solve's ``LocalSolveReport.point``), or a
+    vector, which ``StationaryPoint.from_vector`` evaluates once.  Its
+    certificate at ``(tol.eps_grad, tol.eps_curv)`` decides NONE_GLOBAL.
+    Each reflection is gated by a threshold on ``tol.eps_curv`` so the
     theoretical decrease survives the gradient residual.  Every move is
     verified by direct evaluation; B_II and B_III are both built when
     their gates hold, and the larger verified decrease is returned
@@ -185,10 +188,12 @@ def escape_approx(m, s_bar, tol, direction=None):
         verifies a decrease; the caller should tighten the local-solve
         tolerance and retry.
     ConvergenceError
-        Where m(s_bar), or m at a move, is NaN or below double range.
+        Where m at a move is NaN or below double range, or m(s_bar) is,
+        for a vector s_bar (a record is judged as it stands).
     """
-    point = model_mod.StationaryPoint.from_vector(m, s_bar)
-    return _escape(m, point, tol.eps_grad, tol.eps_curv, direction)
+    if not isinstance(s_bar, model_mod.StationaryPoint):
+        s_bar = model_mod.StationaryPoint.from_vector(m, s_bar)
+    return _escape(m, s_bar, tol.eps_grad, tol.eps_curv, direction)
 
 
 def _escape(m, point, eps_grad, eps_curv, direction):

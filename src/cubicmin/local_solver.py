@@ -13,7 +13,9 @@ factored per step.  The steepest-descent step is the fallback.  Every step
 passes the same Armijo test, so the solve stays a local descent method.
 Each point is evaluated once: the line search keeps ``||s||``, ``Q s`` and
 ``m(s)`` of the trial it accepts, and the next gradient and Newton step
-reuse them.
+reuse them.  The report's ``point`` is the final iterate's
+``StationaryPoint``, built from those values; the escape loop and the
+outer loop read it instead of evaluating the iterate again.
 The model is coercive (sigma > 0), so descent sequences stay bounded; a
 run that exhausts its iteration budget reports rather than raises.  So
 does a run whose terms leave double range: every solve runs with NumPy's
@@ -47,6 +49,13 @@ class LocalSolveReport:
     ``step_counts`` counts the accepted descent steps by kind
     (``"newton"``, ``"shifted"``, ``"gradient"``); the Newton polish is
     not counted.
+
+    ``point`` is the ``StationaryPoint`` of the final ``s``, built from
+    the norm, ``Q s``, ``m(s)`` and gradient the solve already holds:
+    field by field the bits of ``StationaryPoint.from_vector(m, s)``,
+    converged or not, its ``s`` a read-only copy.  Unlike
+    ``from_vector`` it does not raise where ``m(s)`` is NaN or ``-inf``;
+    the escape loop does.
     """
 
     s: np.ndarray
@@ -55,6 +64,7 @@ class LocalSolveReport:
     objective_trace: list
     converged: bool
     step_counts: dict = field(default_factory=dict)
+    point: model_mod.StationaryPoint = None
 
 
 def _newton_step(m, s, norm_s, g):
@@ -115,6 +125,7 @@ def local_minimize(m, s0, eps_grad=None):
     ----------
     m : CubicModel
     s0 : array_like, shape (n,)
+        Finite entries; copied, so the caller's array is left as it is.
     eps_grad : float, optional
         Positive gradient-residual target; defaults to the model's
         gradient gate ``m.default_tol_grad()``.
@@ -124,7 +135,16 @@ def local_minimize(m, s0, eps_grad=None):
     LocalSolveReport
         ``converged`` is true when the gradient residual reached
         ``eps_grad``; otherwise the best iterate found is reported with
-        ``converged = False``.  Deterministic for fixed inputs.
+        ``converged = False``.  Either way ``point`` is the final
+        iterate's ``StationaryPoint``, evaluated by the solve itself, so
+        a caller reads ``m(s)`` and the gradient there without evaluating
+        ``s`` again.  Deterministic for fixed inputs.
+
+    Raises
+    ------
+    ValueError
+        ``eps_grad`` is not positive, or ``s0`` has the wrong length or a
+        NaN or infinite entry.
 
     The solve runs with NumPy's overflow and invalid warnings off, which
     changes no value: a solve whose terms leave double range warns
@@ -134,6 +154,8 @@ def local_minimize(m, s0, eps_grad=None):
         raise ValueError("eps_grad must be positive")
     eps = eps_grad if eps_grad is not None else m.default_tol_grad()
     s = np.array(m._check_dim(s0), dtype=float)
+    if np.count_nonzero(np.isfinite(s)) < m.n:
+        raise ValueError("s0 entries must be finite")
     with np.errstate(over="ignore", invalid="ignore"):
         return _descend(m, s, eps)
 
@@ -154,11 +176,7 @@ def _descend(m, s, eps):
         g = model_mod._gradient(m, s, norm_s, qs)
         residual = linalg.norm(g)
         if residual <= eps:
-            return LocalSolveReport(
-                s=s, residual=residual, iterations=iterations - 1,
-                objective_trace=trace, converged=True,
-                step_counts=step_counts,
-            )
+            return _report(m, s, norm_s, f, g, residual, iterations - 1, trace, True, step_counts)
 
         kind, direction = _newton_step(m, s, norm_s, g)
         candidates = [(kind, direction, 1.0)] if kind else []
@@ -193,6 +211,7 @@ def _descend(m, s, eps):
 
     g = model_mod._gradient(m, s, norm_s, qs)
     residual = linalg.norm(g)
+    polished = False
     # Newton polish.  Near a strict minimiser the remaining decrease sits
     # below float resolution, so objective-based tests cannot certify the
     # last few steps.  Full Newton steps accepted on gradient-norm
@@ -210,10 +229,25 @@ def _descend(m, s, eps):
         r_try = linalg.norm(g_try)
         if r_try < 0.5 * residual:
             s, norm_s, qs, g, residual = s_try, n_try, q_try, g_try, r_try
+            polished = True
         else:
             break
+    if polished:
+        f = model_mod._objective(m, s, norm_s, qs)
+    return _report(m, s, norm_s, f, g, residual, iterations, trace, residual <= eps, step_counts)
+
+
+def _report(m, s, norm_s, f, g, residual, iterations, trace, converged, step_counts):
+    # The final iterate's StationaryPoint from the values the solve holds:
+    # the bits of StationaryPoint.from_vector(m, s), without evaluating s.
+    s_point = s.copy()
+    s_point.setflags(write=False)
+    g.setflags(write=False)
+    point = model_mod._record(
+        model_mod.StationaryPoint, s=s_point, lam=m.sigma * norm_s, objective=f,
+        residual=residual, gradient=g,
+    )
     return LocalSolveReport(
-        s=s, residual=residual, iterations=iterations,
-        objective_trace=trace, converged=residual <= eps,
-        step_counts=step_counts,
+        s=s, residual=residual, iterations=iterations, objective_trace=trace,
+        converged=converged, step_counts=step_counts, point=point,
     )

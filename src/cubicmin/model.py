@@ -94,8 +94,12 @@ class CubicModel:
     to share across threads: each cached value is a deterministic
     function of (c, Q, sigma), so two threads that fill a cache at once
     store equal values.  Up to CPython 3.11 ``cached_property`` takes a
-    lock on a first read; the secular record takes none.
+    lock on a first read; the secular record takes none, and is stored
+    with ``dict.setdefault`` on the instance, so threads that build it
+    at once all keep the first record stored.
     """
+
+    _secular = None  # the secular record, set on the instance on first use
 
     def __init__(self, c, Q, sigma):
         if not isinstance(Q, SymmetricMatrix):
@@ -116,7 +120,6 @@ class CubicModel:
         self.sigma = sigma
         self.n = Q.n
         self.norm_c = linalg.norm(c)
-        self._secular = None
 
     @property
     def eig(self):
@@ -229,9 +232,15 @@ def _evaluate(model, s, objective=True, gradient=True):
         qs = model.Q.entries.dot(s)
         value = _objective(model, s, norm_s, qs)
         grad_s = _gradient(model, s, norm_s, qs) if gradient else None
-    if not value > -math.inf:  # inf, as where only ||s||**3 overflows, stays
-        raise ConvergenceError(f"m(s) leaves double range at lam = {lam!r}: {value!r}")
+    _check_range(value, lam)
     return s, lam, value, grad_s
+
+
+def _check_range(value, lam):
+    # ConvergenceError where m(s) = value is NaN or -inf; inf, as where
+    # only ||s||**3 overflows, stays.
+    if not value > -math.inf:
+        raise ConvergenceError(f"m(s) leaves double range at lam = {lam!r}: {value!r}")
 
 
 def _objective(model, s, norm_s, qs):

@@ -166,10 +166,15 @@ class SecularProblem:
 
     @classmethod
     def from_model(cls, m):
-        """The secular record of CubicModel ``m``, built on first use and cached on it."""
+        """The secular record of CubicModel ``m``, built on first use and cached on it.
+
+        Threads that first use one model together may each build a
+        record, but every one of them returns the first record stored.
+        """
         sp = m._secular
         if sp is None:
-            sp = m._secular = cls(m)
+            # One dict operation: the instance's entry shadows the class's None.
+            sp = vars(m).setdefault("_secular", cls(m))
         return sp
 
     def _boundary_pair(self, m, lam):

@@ -36,6 +36,24 @@ WORKED = CubicModel([-2.0, 0.0], [[1.0, 0.0], [0.0, -3.0]], 1.0)
 
 
 class TestSolveViaEscapes:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_start(self, bad):
+        # Before any local solve, as the CLI rejects a non-finite --x0.
+        with pytest.raises(ValueError, match="^s0 entries must be finite$"):
+            solve_via_escapes(WORKED, [0.9, bad])
+
+    @pytest.mark.parametrize("model, s0, objective", [
+        (CubicModel([-1e200], [[0.0]], 1e-100), [1e150], "nan"),
+        (CubicModel([0.0], [[-4e108]], 4e8), [1e100], "-inf"),
+    ])
+    def test_converged_point_past_range_raises(self, model, s0, objective):
+        # The local solve converges at a point whose m(s) leaves double
+        # range below; the loop refuses it, as StationaryPoint.from_vector.
+        with pytest.raises(ConvergenceError, match=(
+            rf"^m\(s\) leaves double range at lam = .*: {objective}$"
+        )):
+            solve_via_escapes(model, s0)
+
     def test_convex_no_escapes(self):
         m = CubicModel([0.0, 0.0], np.eye(2), 1.0)
         sol, trace = solve_via_escapes(m, np.array([0.7, -0.3]))
@@ -218,10 +236,11 @@ class TestSolveViaEscapesRecovery:
 
     def test_endless_escapes_exceed_bound(self, monkeypatch):
         def respond(i, real, m, s_bar, tol):
+            # s_bar is the local solve's StationaryPoint.
             return driver.escape_mod.EscapeOutcome(
                 case_tag="B_II",
-                point=StationaryPoint.from_vector(m, s_bar),
-                s_hat=np.array(s_bar),
+                point=s_bar,
+                s_hat=np.array(s_bar.s),
                 decrease=1.0,
             )
 
@@ -399,6 +418,19 @@ class TestArcOuter:
             ArcOptions(max_iters=0)
         with pytest.raises(ValueError):
             ArcOptions(seed=-1)
+
+    @pytest.mark.parametrize("name", ["max_iters", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, np.float64(2.0), True, False, np.bool_(True), "3"])
+    def test_options_must_be_integers(self, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            ArcOptions(**{name: value})
+
+    @pytest.mark.parametrize("value", [2, np.int64(2), np.int32(2), np.uint8(2)])
+    def test_options_keep_python_and_numpy_integers(self, value):
+        opts = ArcOptions(max_iters=value, seed=value)
+        assert opts.max_iters is value and opts.seed is value
+        rep = arc_plus_minimize(get_problem("rosenbrock10"), None, "ARC", opts)
+        assert rep.iterations == 2
 
     def test_iteration_cap_reported(self):
         rep = arc_plus_minimize(
@@ -606,9 +638,13 @@ class TestCauchyStep:
 class TestOneEvaluation:
     """Each point is evaluated once, by its StationaryPoint."""
 
+    # c = 0: the local solve stops at the origin, and a B_I move leaves it.
+    SADDLE = CubicModel([0.0, 0.0], np.diag([-1.0, 1.0]), 1.0)
+
     def test_each_escape_step_evaluates_s_bar_once(self, monkeypatch):
         # [s_bar bytes, evaluations at s_bar] per local solve, counted
-        # from its return to the next local solve.
+        # from its return to the next local solve: none, since the solve's
+        # report carries the point's one evaluation.
         counts = []
         real_local = driver.local_minimize
         real_objective = model_mod._objective
@@ -631,12 +667,81 @@ class TestOneEvaluation:
             m = random_model(rng, nmax=5)
             counts.clear()
             sol, trace = solve_via_escapes(m, rng.normal(size=m.n))
-            assert [n for _, n in counts] == [1] * len(counts)
+            assert [n for _, n in counts] == [0] * len(counts)
             steps += len(trace.steps)
             for s_bar, _, obj in trace.steps:
                 assert obj == eval_model(m, s_bar)
             assert sol.objective == trace.steps[-1][2]
         assert steps > 20
+
+    @pytest.mark.parametrize("variant", ["ARC", "ARC_PLUS"])
+    def test_step_does_not_evaluate_the_local_solution_again(self, monkeypatch, variant):
+        # Evaluations of m at the last local solve's s, counted outside the
+        # local solves; an ARC step reads m(s) from the solve's report.
+        solved = []
+        inside = []
+        outside = []
+        real_local = driver.local_minimize
+        real_objective = model_mod._objective
+
+        def local(m, s, eps):
+            inside.append(True)
+            try:
+                rep = real_local(m, s, eps)
+            finally:
+                inside.pop()
+            solved.append(rep.s.tobytes())
+            return rep
+
+        def objective(m, s, norm_s, qs):
+            if not inside and solved and np.asarray(s).tobytes() == solved[-1]:
+                outside.append(len(solved))
+            return real_objective(m, s, norm_s, qs)
+
+        monkeypatch.setattr(driver, "local_minimize", local)
+        monkeypatch.setattr(model_mod, "_objective", objective)
+        for name in ("rosenbrock2", "quartic_nc4"):
+            rep = arc_plus_minimize(get_problem(name), None, variant)
+            assert rep.converged
+        assert len(solved) > 20
+        assert outside == []
+
+    def test_escape_judges_the_local_solve_point(self, monkeypatch):
+        reports = []
+        judged = []
+        real_local = driver.local_minimize
+        real_escape = driver.escape_mod.escape_approx
+
+        def local(m, s, eps):
+            reports.append(real_local(m, s, eps))
+            return reports[-1]
+
+        def escape(m, s_bar, tol, direction=None):
+            judged.append(s_bar)
+            return real_escape(m, s_bar, tol, direction)
+
+        monkeypatch.setattr(driver, "local_minimize", local)
+        monkeypatch.setattr(driver.escape_mod, "escape_approx", escape)
+        sol, trace = solve_via_escapes(self.SADDLE, np.zeros(2))
+        assert trace.escape_count > 0
+        assert len(judged) == len(reports)
+        assert all(p is rep.point for p, rep in zip(judged, reports))
+        assert sol.s_star is reports[-1].point.s
+        assert sol.objective == reports[-1].point.objective
+
+    def test_cap_is_taken_at_the_first_escape(self, monkeypatch):
+        calls = []
+        real = driver.count_bound
+
+        def counting(m):
+            calls.append(m)
+            return real(m)
+
+        monkeypatch.setattr(driver, "count_bound", counting)
+        _, trace = solve_via_escapes(CubicModel([0.0, 0.0], np.eye(2), 1.0), np.array([0.7, -0.3]))
+        assert trace.escape_count == 0 and calls == []
+        _, trace = solve_via_escapes(self.SADDLE, np.zeros(2))
+        assert trace.escape_count > 0 and calls == [self.SADDLE]
 
     def test_arc_plus_step_value_is_the_solution_objective(self, monkeypatch):
         solutions = []

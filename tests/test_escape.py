@@ -230,6 +230,30 @@ class TestEscapeApprox:
         with pytest.raises(ThresholdNotMet):
             escape_approx(m, np.array([1.0, 0.01]), ApproxTolerances(1.0, 1e-3))
 
+    def test_record_is_judged_as_recorded(self):
+        # A StationaryPoint gives the vector's outcome, bit for bit, and is
+        # itself the outcome's point: nothing evaluates s_bar again.
+        rng = np.random.default_rng(2300)
+        cases = set()
+        for k in range(40):
+            m = class_model(rng, ("generic", "hard", "zero_c", "near_hard")[k % 4], 2 + k % 5)
+            tol = ApproxTolerances(m.default_tol_grad(), m.default_tol_psd())
+            for p in enumerate_stationary(m):
+                try:
+                    want = escape_approx(m, np.array(p.s), tol)
+                except CubicminError as exc:
+                    with pytest.raises(type(exc)):
+                        escape_approx(m, p, tol)
+                    continue
+                got = escape_approx(m, p, tol)
+                assert got.point is p
+                assert got.case_tag == want.case_tag
+                assert got.decrease == want.decrease
+                if got.s_hat is not None:
+                    assert got.s_hat.tobytes() == want.s_hat.tobytes()
+                cases.add(got.case_tag)
+        assert {"NONE_GLOBAL", "B_III"} <= cases, cases
+
     def test_tolerances_must_be_nonnegative(self):
         for bad_grad, bad_curv in ((-1.0, -1e-3), (float("nan"), float("nan"))):
             with pytest.raises(ValueError, match="eps_grad"):

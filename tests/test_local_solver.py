@@ -1,5 +1,6 @@
 """Armijo descent with opportunistic Newton steps on the cubic model."""
 
+import math
 import warnings
 
 import numpy as np
@@ -10,10 +11,12 @@ from cubicmin import driver, linalg
 from cubicmin import model as model_mod
 from cubicmin.local_solver import _ARMIJO_C, _BACKTRACK, _MAX_ITERS, _PD_RTOL
 from cubicmin.local_solver import LocalSolveReport, _newton_step, _solve, local_minimize
-from cubicmin.model import hess, is_global
+from cubicmin.exceptions import ConvergenceError
+from cubicmin.model import StationaryPoint, hess, is_global
 from cubicmin.stationary import enumerate_stationary
 
 from .helpers import (
+    class_model,
     random_controlled_model,
     random_model,
     ref_local_minimize,
@@ -38,6 +41,17 @@ class TestOptions:
     def test_validation(self):
         with pytest.raises(ValueError):
             local_minimize(WORKED, np.zeros(2), eps_grad=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_start(self, bad):
+        with pytest.raises(ValueError, match="^s0 entries must be finite$"):
+            local_minimize(WORKED, [bad, 0.0])
+
+    def test_start_is_copied(self):
+        s0 = np.array([0.9, 0.02])
+        rep = local_minimize(WORKED, s0)
+        assert not np.shares_memory(rep.s, s0)
+        assert s0.flags.writeable and np.array_equal(s0, [0.9, 0.02])
 
 
 class TestExamples:
@@ -634,3 +648,74 @@ class TestReferenceParity:
                     got = _report_bytes(local_minimize(m, s0))
                     assert got == _report_bytes(_reference_local_minimize(m, s0))
                     assert got == _report_bytes(ref_local_minimize(m, s0))
+
+
+_POINT_FIELDS = ("s", "lam", "objective", "residual", "gradient")
+
+
+def _point_bits(point):
+    return [np.asarray(getattr(point, name)).tobytes() for name in _POINT_FIELDS]
+
+
+class TestReportPoint:
+    """``rep.point`` is the StationaryPoint that ``from_vector`` builds at
+    ``rep.s``, field by field and bit for bit, without evaluating s again."""
+
+    CLASSES = ("generic", "hard", "near_hard", "faint_hard", "zero_c", "scaled_Q", "tiny_sigma")
+
+    def _solve_logged(self, monkeypatch, m, s0, eps_grad):
+        """The report and whether the Newton polish moved its s: a point
+        the polish takes has its gradient evaluated before its objective,
+        where every line-search trial has its objective evaluated first."""
+        events = []
+        real_objective, real_gradient = model_mod._objective, model_mod._gradient
+
+        def objective(m, s, norm_s, qs):
+            events.append(("f", s.tobytes()))
+            return real_objective(m, s, norm_s, qs)
+
+        def gradient(m, s, norm_s, qs):
+            events.append(("g", s.tobytes()))
+            return real_gradient(m, s, norm_s, qs)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(model_mod, "_objective", objective)
+            mp.setattr(model_mod, "_gradient", gradient)
+            rep = local_minimize(m, s0, eps_grad)
+        first = next(kind for kind, bits in events if bits == rep.s.tobytes())
+        return rep, first == "g"
+
+    @pytest.mark.parametrize("cls", CLASSES)
+    def test_bitwise_equal_to_from_vector(self, monkeypatch, cls):
+        seen = {"polished": 0, "unconverged": 0}
+        for n in range(1, 9):
+            for seed in range(3):
+                rng = np.random.default_rng([7200, self.CLASSES.index(cls), n, seed])
+                m = class_model(rng, cls, n)
+                for s0 in (rng.normal(size=n), 1e3 * rng.normal(size=n)):
+                    for eps_grad in (None, 1e-300):
+                        rep, polished = self._solve_logged(monkeypatch, m, s0, eps_grad)
+                        want = StationaryPoint.from_vector(m, rep.s)
+                        assert _point_bits(rep.point) == _point_bits(want)
+                        assert rep.residual == rep.point.residual
+                        assert not rep.point.s.flags.writeable
+                        assert not rep.point.gradient.flags.writeable
+                        assert not np.shares_memory(rep.point.s, rep.s)
+                        seen["polished"] += polished
+                        seen["unconverged"] += not rep.converged
+        assert min(seen.values()) > 0, seen
+
+    @pytest.mark.parametrize("model, s0, objective", [
+        # m(s) = -inf + inf: c's overflows below, the cube above.
+        (CubicModel([-1e200], [[0.0]], 1e-100), [1e150], "nan"),
+        # s'Qs/2 = -2e308 overflows below; the cube stays finite.
+        (CubicModel([0.0], [[-4e108]], 4e8), [1e100], "-inf"),
+    ])
+    def test_converged_point_past_range_is_kept(self, model, s0, objective):
+        # from_vector refuses the point; the report keeps the same bits
+        # and leaves the refusal to the escape loop.
+        rep = local_minimize(model, s0)
+        assert rep.converged
+        assert repr(rep.point.objective) == objective
+        with pytest.raises(ConvergenceError, match=r"^m\(s\) leaves double range"):
+            StationaryPoint.from_vector(model, rep.s)

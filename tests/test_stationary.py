@@ -1079,6 +1079,32 @@ class TestRecordBuildsEachPoint:
         finally:
             sys.setswitchinterval(interval)
 
+    def test_threads_on_a_fresh_model_keep_one_record(self):
+        # Four threads first use one fresh model together: each may build a
+        # record, but all keep the first one stored, so all certify one object.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for seed in range(60):
+                m = _class_model(np.random.default_rng([seed, 9]), "generic", 2 + seed % 5)
+                got = [None] * 4
+                barrier = threading.Barrier(4, timeout=10.0)
+
+                def work(j, m=m, barrier=barrier, got=got):
+                    barrier.wait()
+                    got[j] = global_minimize(m)
+
+                threads = [threading.Thread(target=work, args=(j,)) for j in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=10.0)
+                    assert not t.is_alive()
+                sp = SecularProblem.from_model(m)
+                assert all(sol.s_star is sp.top_point.s for sol in got), seed
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_origin_is_built_by_the_record(self):
         m = CubicModel([0.0, 0.0], np.diag([1.0, 2.0]), 1.0)
         sp = _sp(m)
@@ -1306,6 +1332,27 @@ class TestExtremeScales:
             r"^secular Newton iteration left double range near lam = 5e-104"
         )):
             solve(m)
+
+
+class TestLostSecularRoots:
+    """Two models whose minimizer is a normal double, but whose secular
+    iteration loses its root (ROADMAP item 2, "Not covered")."""
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
+        "ROADMAP item 2: the secular iteration leaves double range near lam = 5e-104"))
+    def test_minimizer_near_1e_minus_103(self):
+        # [[1e102]] certifies s* = -1e-102; here 1/||s||**3 overflows.
+        sol = global_minimize(CubicModel([1.0], [[1e103]], 1.0))
+        assert sol.certificate.is_global
+        assert sol.s_star[0] == pytest.approx(-1e-103, rel=1e-12)
+
+    @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
+        "ROADMAP item 2: the largest root, lam = 1 + 1e-140, rounds onto the pole 1"))
+    def test_root_within_rounding_of_its_pole(self):
+        # s* = -(1 + sqrt(1 + 4 sigma)) / (2 sigma), about -1e140.
+        sol = global_minimize(CubicModel([1.0], [[-1.0]], 1e-140))
+        assert sol.certificate.is_global
+        assert sol.s_star[0] == pytest.approx(-1e140, rel=1e-12)
 
 
 class TestObjectiveOutOfRange:
