@@ -94,12 +94,10 @@ class CubicModel:
     to share across threads: each cached value is a deterministic
     function of (c, Q, sigma), so two threads that fill a cache at once
     store equal values.  Up to CPython 3.11 ``cached_property`` takes a
-    lock on a first read; the secular record takes none, and is stored
-    with ``dict.setdefault`` on the instance, so threads that build it
-    at once all keep the first record stored.
+    lock on a first read; the secular record takes none: threads that
+    build it at once each append theirs to one list and all keep the
+    first one appended.
     """
-
-    _secular = None  # the secular record, set on the instance on first use
 
     def __init__(self, c, Q, sigma):
         if not isinstance(Q, SymmetricMatrix):
@@ -120,6 +118,8 @@ class CubicModel:
         self.sigma = sigma
         self.n = Q.n
         self.norm_c = linalg.norm(c)
+        self._secular = None
+        self._secular_built = []  # one entry, or one per thread that raced to build it
 
     @property
     def eig(self):

@@ -173,8 +173,10 @@ class SecularProblem:
         """
         sp = m._secular
         if sp is None:
-            # One dict operation: the instance's entry shadows the class's None.
-            sp = vars(m).setdefault("_secular", cls(m))
+            # One list operation: threads that race here each append a
+            # record, and all of them read the first one appended.
+            m._secular_built.append(cls(m))
+            sp = m._secular = m._secular_built[0]
         return sp
 
     def _boundary_pair(self, m, lam):
