@@ -12,7 +12,11 @@ through it too.  ``StationaryPoint.from_vector`` keeps that
 evaluation as a record (``s``, ``lam``, ``m(s)``, the gradient and its
 norm), and the certificate and the escapes read the record instead of
 evaluating s again.  ``is_global`` reads the same evaluation and builds
-no record; in double range it does not compute ``m(s)`` either.
+no record; in double range it does not compute ``m(s)`` either.  The
+local solve builds the record of its last iterate from the values its
+descent holds (``LocalSolveReport.point``), bitwise ``from_vector``'s,
+and the escape loop applies ``_check_range``, the range test of
+``_evaluate``, to it.
 """
 
 import math
@@ -171,6 +175,7 @@ class StationaryPoint:
     ``_certificate`` judges the record, the escapes read ``s``, ``lam``
     and ``gradient`` from it instead of evaluating s again, and
     ``GlobalSolution`` and ``EscapeOutcome.point`` are built from it.
+    ``LocalSolveReport.point`` is one too, built by the local solve.
     """
 
     s: np.ndarray

@@ -26,7 +26,7 @@ from cubicmin.exceptions import (
     ThresholdNotMet,
     ToleranceFloor,
 )
-from cubicmin.model import StationaryPoint, eval_model, grad, is_global
+from cubicmin.model import eval_model, grad, is_global
 from cubicmin.problems import DEFAULT_SUITE, ObjectiveFunction, cubic_objective, get_problem
 from cubicmin.stationary import global_minimize
 

@@ -1347,9 +1347,11 @@ class TestLostSecularRoots:
         assert sol.s_star[0] == pytest.approx(-1e-103, rel=1e-12)
 
     @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
-        "ROADMAP item 2: the largest root, lam = 1 + 1e-140, rounds onto the pole 1"))
+        "ROADMAP item 2: the largest root, lam = 1 + 1e-140, is the pole 1 in double, "
+        "and the search's phi' overflows at its first step"))
     def test_root_within_rounding_of_its_pole(self):
-        # s* = -(1 + sqrt(1 + 4 sigma)) / (2 sigma), about -1e140.
+        # s* = -(1 + sqrt(1 + 4 sigma)) / (2 sigma), about -1e140, where
+        # ||s||**3 overflows, so m(s*) reads inf, as from_vector allows.
         sol = global_minimize(CubicModel([1.0], [[-1.0]], 1e-140))
         assert sol.certificate.is_global
         assert sol.s_star[0] == pytest.approx(-1e140, rel=1e-12)
