@@ -276,7 +276,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
     ----------
     f : ObjectiveFunction
     x0 : array_like, shape (n,), optional
-        Defaults to the starting point registered on ``f``.
+        Finite (else ValueError); defaults to ``f.x0``.
     variant : {"ARC", "ARC_PLUS"}
         ARC minimizes each subproblem locally from a seeded random
         start; ARC_PLUS solves it globally via escape moves.
@@ -302,10 +302,11 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         ``f(x0)`` is NaN or ``-inf``, from which the ratio test accepts no
         step (rho is NaN or ``-inf`` for every trial); the model's value
         at its Cauchy point leaves double range, which takes a gradient
-        norm past ~1.3e154; or a step is rejected where every model step
-        is below half the float spacing of x, so that no later step could
-        move it; ARC_PLUS also checks this when a subproblem solve fails,
-        and otherwise re-raises that solve's error.  An ``f(x0) = +inf``
+        norm past ~1.3e154; a rejection doubles sigma past double range;
+        or a step is rejected where every model step is below half the
+        float spacing of x, so that no later step could move it; ARC_PLUS
+        also checks this when a subproblem solve fails, and otherwise
+        re-raises that solve's error.  An ``f(x0) = +inf``
         is kept: rho is ``+inf`` at any finite trial value, so the first
         such step is accepted and the run goes on from a finite value.
     """
@@ -318,6 +319,8 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
     x = np.array(x0, dtype=float).reshape(-1)
     if x.shape[0] != f.n:
         raise ValueError(f"x0 has length {x.shape[0]}, expected {f.n}")
+    if np.count_nonzero(np.isfinite(x)) < f.n:
+        raise ValueError("x0 entries must be finite")
     rng = np.random.default_rng(opts.seed)
 
     sigma = _SIGMA0
@@ -389,6 +392,9 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
                 continue
         _check_step_can_move(x, m)
         sigma = 2.0 * sigma
+        if sigma == math.inf:
+            raise ConvergenceError(f"sigma = {m.sigma:.3e} doubles past double range at "
+                                   f"outer iteration {iterations}")
 
     return OuterReport(
         x_final=x,

@@ -20,10 +20,9 @@ escape loop passes the local solve's.  One verdict, ``_outcome``, keeps a
 move only where direct evaluation (``model._evaluate``, with its range
 test) verifies a positive decrease; where the gates of both reflections
 hold, the larger verified decrease is returned.  The direction d is a
-contiguous copy of the extreme eigenvector, or the ``direction``
-override, scaled by an exact power of two where its norm (finite and
-nonzero) lies outside [2^-100, 2^100]; its norm and the products ``c^T
-d``, ``d^T Q d`` and ``d^T d`` are taken on each call, the same way.
+contiguous copy of the bottom eigenvector of Q; its norm and the
+products ``c^T d``, ``d^T Q d`` and ``d^T d`` are taken on each call,
+the same way.
 """
 
 import math
@@ -132,20 +131,13 @@ def _outcome(m, point, case, s_hat, alpha=None, z=None):
     )
 
 
-def escape_exact(m, s_bar, direction=None):
+def escape_exact(m, s_bar):
     """escape_approx at the default tolerances, from a stationary point.
 
     Parameters
     ----------
     s_bar : StationaryPoint
         Judged by its own residual at ``m.default_tol_grad()``.
-    direction : array_like, optional
-        Override for the negative-curvature direction (testing hook);
-        by default the extreme eigenvector is used.  NONE_GLOBAL still
-        follows the certificate, not the override's curvature.  Where
-        a move needs it, a direction whose norm is not finite and
-        nonzero raises ValueError; one outside [2^-100, 2^100] is first
-        scaled into [0.5, 1) by an exact power of two.
 
     Returns
     -------
@@ -163,10 +155,10 @@ def escape_exact(m, s_bar, direction=None):
     ThresholdNotMet, ConvergenceError
         As escape_approx (ThresholdNotMet is not seen on enumerated points).
     """
-    return _escape(m, s_bar, m.default_tol_grad(), m.default_tol_psd(), direction)
+    return _escape(m, s_bar, m.default_tol_grad(), m.default_tol_psd())
 
 
-def escape_approx(m, s_bar, tol, direction=None):
+def escape_approx(m, s_bar, tol):
     """Escape move from an approximately stationary point.
 
     ``s_bar`` is a ``StationaryPoint``, judged as recorded (the escape
@@ -193,10 +185,10 @@ def escape_approx(m, s_bar, tol, direction=None):
     """
     if not isinstance(s_bar, model_mod.StationaryPoint):
         s_bar = model_mod.StationaryPoint.from_vector(m, s_bar)
-    return _escape(m, s_bar, tol.eps_grad, tol.eps_curv, direction)
+    return _escape(m, s_bar, tol.eps_grad, tol.eps_curv)
 
 
-def _escape(m, point, eps_grad, eps_curv, direction):
+def _escape(m, point, eps_grad, eps_curv):
     # The case analysis of both escapes, from the evaluated point: s, lam
     # and the gradient are the point's, and each product below is taken
     # once.  Negating d is exact, so c'(-d) = -(c'd) and (-d)'Q(-d) = d'Qd.
@@ -216,15 +208,8 @@ def _escape(m, point, eps_grad, eps_curv, direction):
     if c_s > 0.0:
         raise ThresholdNotMet("sign flip failed to decrease the objective")
     # A contiguous copy: a strided column dots in another summation order.
-    d = m.eig.vectors[:, 0].copy() if direction is None else m._check_dim(direction)
+    d = m.eig.vectors[:, 0].copy()
     norm_d = linalg.norm(d)
-    if not 0.0 < norm_d < math.inf:
-        raise ValueError(f"direction needs a finite, nonzero norm, got {norm_d!r}")
-    if not 2.0**-100 <= norm_d <= 2.0**100:
-        # An exact power of two brings the norm into [0.5, 1), where
-        # norm_d**3 and d'Qd stay in range; inside the band d keeps its bits.
-        d = np.ldexp(d, -math.frexp(norm_d)[1])
-        norm_d = linalg.norm(d)
     c_d = float(m.c.dot(d))
     d_q_d = float(d.dot(m.Q.entries.dot(d)))
     d_d = float(d.dot(d))

@@ -84,7 +84,7 @@ class CubicModel:
     Q : SymmetricMatrix or array_like, shape (n, n)
         Symmetric quadratic coefficients.
     sigma : float
-        Regularization weight, strictly positive.
+        Regularization weight, strictly positive and finite.
 
     ``norm_c = ||c||`` (``linalg.norm``; inf only past double range)
     is computed by the constructor, as is ``Q.max_abs``, since every
@@ -114,8 +114,8 @@ class CubicModel:
         if np.count_nonzero(np.isfinite(c)) < c.shape[0]:
             raise ValueError("c entries must be finite")
         sigma = float(sigma)
-        if not sigma > 0.0:
-            raise ValueError(f"sigma must be positive, got {sigma}")
+        if not 0.0 < sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {sigma}")
         c.setflags(write=False)
         self.c = c
         self.Q = Q

@@ -445,14 +445,15 @@ def stationary_from_lambda(sp, root):
 def _boundary_parts(sp, lam):
     """``(V a, tau v)`` at a multiplier lam on an uncoupled eigenvalue shift.
 
-    a is ``_coefficients`` at lam; v is the first null mode, an uncoupled
-    mode with a vanishing shift; tau >= 0 sets ``||V a +/- tau v|| =
-    lam/sigma``.  Raises NormMismatch if ``||V a||`` exceeds that by more
-    than ``model.boundary_slack``, or if no mode is null at lam, and
-    ConvergenceError if the square of lam/sigma leaves double range.
+    a is ``_coefficients`` at lam; v is the first null mode (uncoupled,
+    with a vanishing shift), or with several the unit vector along their
+    part ``sum_i beta_i v_i`` of -c, where that is nonzero.  tau >= 0 sets
+    ``||V a +/- tau v|| = lam/sigma``.  Raises NormMismatch if ``||V a||``
+    exceeds that by more than ``model.boundary_slack``, or if no mode is
+    null at lam, and ConvergenceError if (lam/sigma)**2 leaves double range.
     """
     coeff, denom = _coefficients(sp, lam, 0.0)
-    singular = ~sp.coupled & (np.abs(denom) <= SINGULAR_MODE_TOL)
+    null = np.flatnonzero(~sp.coupled & (np.abs(denom) <= SINGULAR_MODE_TOL))
     base = sp.eig.vectors.dot(coeff)
     radius = lam / sp.sigma
     norm_base = linalg.norm(base)
@@ -460,7 +461,7 @@ def _boundary_parts(sp, lam):
         raise NormMismatch(
             f"boundary multiplier {lam!r}: ||V a|| = {norm_base!r} exceeds lam/sigma = {radius!r}"
         )
-    if not np.count_nonzero(singular):
+    if not null.size:
         raise NormMismatch(f"boundary multiplier {lam!r} has no null mode")
     try:
         tau = math.sqrt(max(0.0, radius**2 - norm_base**2))
@@ -469,7 +470,12 @@ def _boundary_parts(sp, lam):
             f"boundary multiplier {lam!r} left double range: (lam/sigma)**2 overflows "
             f"at lam/sigma = {radius!r}"
         ) from None
-    return base, tau * sp.eig.vectors[:, int(np.argmax(singular))]
+    v = sp.eig.vectors[:, null[0]]
+    if null.size > 1:
+        # Along -c's part in the null space, base + free is the lower of the pair.
+        w = sp.eig.vectors[:, null].dot(sp.beta[null])
+        v = w / linalg.norm(w) if w.any() else v
+    return base, tau * v
 
 
 def enumerate_stationary(m):

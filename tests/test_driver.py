@@ -201,7 +201,7 @@ class TestSolveViaEscapesRecovery:
         real = driver.escape_mod.escape_approx
         tols = []
 
-        def fake(m, s_bar, tol, direction=None):
+        def fake(m, s_bar, tol):
             tols.append(tol.eps_grad)
             return respond(len(tols) - 1, real, m, s_bar, tol)
 
@@ -264,9 +264,9 @@ class TestNaturalTightening:
         real = driver.escape_mod.escape_approx
         raised = []
 
-        def counting(m, s_bar, tol, direction=None):
+        def counting(m, s_bar, tol):
             try:
-                return real(m, s_bar, tol, direction)
+                return real(m, s_bar, tol)
             except ThresholdNotMet:
                 raised.append(tol.eps_grad)
                 raise
@@ -364,6 +364,12 @@ class TestArcOuter:
     def test_rejects_x0_of_wrong_length(self, variant):
         with pytest.raises(ValueError, match=r"^x0 has length 3, expected 2$"):
             arc_plus_minimize(get_problem("sphere2"), [0.1, 0.1, 0.1], variant=variant)
+
+    @pytest.mark.parametrize("variant", ["ARC", "ARC_PLUS"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_x0(self, bad, variant):
+        with pytest.raises(ValueError, match="^x0 entries must be finite$"):
+            arc_plus_minimize(get_problem("sphere2"), [bad, 0.0], variant=variant)
 
     def test_explicit_x0_overrides_registered_start(self):
         rep = arc_plus_minimize(
@@ -551,6 +557,21 @@ class TestStepBelowResolution:
         m = CubicModel([1.0, 1.0], np.eye(2), 1e300)
         driver._check_step_can_move(np.array([1e300, 0.0]), m)
 
+    @pytest.mark.parametrize("x0, variant, tol", [
+        ([5e-201, 0.0], "ARC", 1e-250),
+        ([5e-201, 0.0], "ARC_PLUS", 1e-250),
+        ([1e48, 0.0], "ARC", 1e-5),
+    ])
+    def test_sigma_overflow_raises(self, x0, variant, tol):
+        # Every step is rejected, so sigma doubles: 2**1023 is its last finite
+        # value.  From (5e-201, 0) m(s) underflows to 0 at each step; from
+        # (1e48, 0), x + s rounds to x, and the zero entry keeps the
+        # resolution check from firing.
+        opts = ArcOptions(max_iters=1100, tol_grad_inf=tol)
+        message = r"^sigma = 8\.988e\+307 doubles past double range at outer iteration 1024$"
+        with pytest.raises(ConvergenceError, match=message):
+            arc_plus_minimize(get_problem("sphere2"), x0, variant, opts)
+
     def test_step_above_resolution_passes(self):
         m = CubicModel([1.0, 1.0], np.eye(2), 1.0)
         driver._check_step_can_move(np.array([1e15, 1e15]), m)
@@ -716,9 +737,9 @@ class TestOneEvaluation:
             reports.append(real_local(m, s, eps))
             return reports[-1]
 
-        def escape(m, s_bar, tol, direction=None):
+        def escape(m, s_bar, tol):
             judged.append(s_bar)
-            return real_escape(m, s_bar, tol, direction)
+            return real_escape(m, s_bar, tol)
 
         monkeypatch.setattr(driver, "local_minimize", local)
         monkeypatch.setattr(driver.escape_mod, "escape_approx", escape)

@@ -105,17 +105,23 @@ class TestEscapeExactCases:
         assert out.decrease == pytest.approx(9.0 / 64.0, abs=1e-12)
 
     def test_case_bii_reflection(self):
-        d = np.array([1.0, 2.0]) / math.sqrt(5.0)
-        out = escape_exact(WORKED, WORKED_PT, direction=d)
+        # The acceptance fixture's saddle near (0.504, 2.923) reflects across
+        # the hyperplane of the bottom eigenvector d = e_2: s - 2 (s.d) d.
+        m = CubicModel([-2.0, 0.1], np.diag([1.0, -3.0]), 1.0)
+        (p,) = [q for q in enumerate_stationary(m)
+                if q.s == pytest.approx([0.504, 2.923], abs=1e-3)]
+        out = escape_exact(m, p)
         assert out.case_tag == "B_II"
-        assert out.s_hat == pytest.approx([0.6, -0.8], abs=1e-12)
-        assert eval_model(WORKED, out.s_hat) == pytest.approx(-247.0 / 150.0, abs=1e-12)
-        assert np.linalg.norm(out.s_hat) == pytest.approx(1.0, abs=1e-12)
-        # decrease = -7/6 - (-247/150) = 72/150 = 12/25
-        assert out.decrease == pytest.approx(12.0 / 25.0, abs=1e-12)
+        d = m.eig.vectors[:, 0]
+        assert out.s_hat == pytest.approx(p.s - 2.0 * (p.s @ d) * d, abs=1e-12)
+        assert out.s_hat == pytest.approx([0.504, -2.923], abs=1e-3)
+        assert np.linalg.norm(out.s_hat) == pytest.approx(np.linalg.norm(p.s), abs=1e-12)
+        assert out.decrease == pytest.approx(p.objective - eval_model(m, out.s_hat), abs=1e-12)
+        assert out.decrease == pytest.approx(0.58452, abs=1e-5)
 
     def test_case_biii_orthogonal_direction(self):
-        out = escape_exact(WORKED, WORKED_PT, direction=np.array([0.0, 1.0]))
+        # The bottom eigenvector e_2 is orthogonal to s_bar = (1, 0).
+        out = escape_exact(WORKED, WORKED_PT)
         assert out.case_tag == "B_III"
         assert out.alpha_used == pytest.approx(2.0, abs=1e-12)
         assert out.z_used == pytest.approx([1.0, 2.0], abs=1e-12)
@@ -149,26 +155,6 @@ class TestEscapeExactCases:
         p = StationaryPoint.from_vector(WORKED, np.array([0.5, 0.5]))
         with pytest.raises(NotStationary):
             escape_exact(WORKED, p)
-
-    def test_positive_curvature_override_is_not_a_certificate(self):
-        # d = e_1 has curvature 1 + lam = 2 at the saddle (1, 0), whose
-        # certificate fails (psd margin -2): no NONE_GLOBAL, and neither
-        # reflection along d decreases m.
-        assert not is_global(WORKED, WORKED_PT.s).is_global
-        with pytest.raises(NonNegativeCurvature):
-            escape_exact(WORKED, WORKED_PT, direction=np.array([1.0, 0.0]))
-
-    @pytest.mark.parametrize("d, norm", [
-        ([0.0, 0.0], "0.0"), ([math.nan, 0.0], "nan"), ([math.inf, 0.0], "inf"),
-    ], ids=["zero", "nan", "inf"])
-    def test_rejects_direction_without_finite_nonzero_norm(self, d, norm):
-        # s = 0 is stationary but not global (psd margin -1), so the move
-        # reads the direction: a ValueError, not a ZeroDivisionError or a
-        # ThresholdNotMet from NaN arithmetic.
-        m = CubicModel([0.0, 0.0], np.diag([-1.0, 2.0]), 1.0)
-        p = StationaryPoint.from_vector(m, np.zeros(2))
-        with pytest.raises(ValueError, match=f"^direction needs a finite, nonzero norm, got {norm}$"):
-            escape_exact(m, p, direction=np.array(d))
 
     def test_rejects_point_whose_cube_overflows(self):
         m = CubicModel([1.0], [[1.0]], 1.0)
@@ -376,8 +362,8 @@ class TestReferenceParity:
 
 
 class TestDefaultDirection:
-    """The default direction gives the bits of the same direction passed as
-    an override."""
+    """An escape along the model's own direction leaves nothing on the
+    model that moves the next: two calls in a row give one record."""
 
     CLASSES = ("generic", "hard", "near_hard", "scaled_Q", "tiny_sigma", "zero_c")
 
@@ -395,50 +381,13 @@ class TestDefaultDirection:
             for p in points:
                 if is_global(m, p.s).is_global:
                     continue
-                v_1 = m.eig.vectors[:, 0].copy()
-                want = _escape_record(lambda: escape_exact(m, p, direction=v_1))
-                assert _escape_record(lambda: escape_exact(m, p)) == want
-                # Again: an escape leaves nothing on the model that moves the next.
+                want = _escape_record(lambda: escape_exact(m, p))
                 assert _escape_record(lambda: escape_exact(m, p)) == want
                 seen.add(want[0])
-                want = _escape_record(lambda: escape_approx(m, p.s, loose, direction=v_1))
+                want = _escape_record(lambda: escape_approx(m, p.s, loose))
                 assert _escape_record(lambda: escape_approx(m, p.s, loose)) == want
                 seen.add(want[0])
         assert seen - {"NONE_GLOBAL"}, "no escape move or error was compared"
-
-
-class TestOverrideFarFromUnitNorm:
-    """A direction override whose norm lies outside [2^-100, 2^100] moves as
-    the same direction scaled by hand by the power of two that brings its
-    norm into [0.5, 1): the same bits, and no NumPy warning or bare
-    arithmetic error (norm_d**3 overflows at 1e103 and vanishes at 1e-200,
-    d'Qd overflows at 1e160)."""
-
-    M = CubicModel([0.0, 0.0], np.diag([-1.0, 2.0]), 1.0)
-
-    @staticmethod
-    def _by_hand(d):
-        return [math.ldexp(d[0], -math.frexp(d[0])[1]), d[1]]
-
-    @pytest.mark.parametrize("d", [[1e103, 0.0], [1e-200, 0.0], [1e160, 0.0]])
-    def test_escape_exact(self, d):
-        point = StationaryPoint.from_vector(self.M, np.zeros(2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            want = _escape_record(lambda: escape_exact(self.M, point, direction=self._by_hand(d)))
-            assert want[0] == "B_I"
-            assert _escape_record(lambda: escape_exact(self.M, point, direction=d)) == want
-
-    @pytest.mark.parametrize("d", [[1e103, 0.0], [1e-200, 0.0], [1e160, 0.0]])
-    def test_escape_approx(self, d):
-        tol = ApproxTolerances(1e-8, 1e-8)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            want = _escape_record(
-                lambda: escape_approx(self.M, np.zeros(2), tol, direction=self._by_hand(d)))
-            assert want[0] == "B_I"
-            assert _escape_record(
-                lambda: escape_approx(self.M, np.zeros(2), tol, direction=d)) == want
 
 
 class TestThresholdNotMetExits:
@@ -455,15 +404,14 @@ class TestThresholdNotMetExits:
         assert _escape_record(lambda: escape_approx(m, s_bar, tol)) == want
 
     def test_origin_step_failed(self):
-        # Along the positive-curvature direction [0, 1] the origin step
-        # alpha = -0.75 d'Qd / sigma is a step up.
-        m = CubicModel([0.0, 0.0], np.diag([-1.0, 2.0]), 1.0)
+        # The curvature -1e-110 fails the certificate at eps_curv = 0, but
+        # the origin step's decrease, about 1e-331, underflows to 0.
+        m = CubicModel([0.0, 0.0], np.diag([-1e-110, 1.0]), 1.0)
+        tol = ApproxTolerances(1e-8, 0.0)
         point = StationaryPoint.from_vector(m, np.zeros(2))
-        d = np.array([0.0, 1.0])
-        tol = ApproxTolerances(m.default_tol_grad(), m.default_tol_psd())
-        want = _escape_record(lambda: ref_escape(m, point, tol, direction=d))
+        want = _escape_record(lambda: ref_escape(m, point, tol))
         assert want == ("ThresholdNotMet", "origin step failed to decrease the objective")
-        assert _escape_record(lambda: escape_exact(m, point, direction=d)) == want
+        assert _escape_record(lambda: escape_approx(m, np.zeros(2), tol)) == want
 
 
 class TestMoveLeavesDoubleRange:

@@ -30,6 +30,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             CubicModel([1.0], [[1.0]], -2.0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_rejects_non_finite_sigma(self, sigma):
+        # sigma = inf gave "lost the largest root" in global_minimize.
+        with pytest.raises(ValueError, match=r"^sigma must be positive and finite, got (inf|nan)$"):
+            CubicModel([1.0, -2.0], np.diag([1.0, -1.0]), sigma)
+
     def test_rejects_dimension_mismatch(self):
         with pytest.raises(ValueError):
             CubicModel([1.0, 2.0], [[1.0]], 1.0)

@@ -1155,6 +1155,24 @@ class TestHardCaseLowerRepresentative:
             took_minus += sol.s_star is minus.s
         assert 50 < took_minus < 150
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_two_null_modes_go_along_minus_c(self, seed):
+        # Q = V diag(-2, -2, 1) V' with faint loads on both null modes: the
+        # certified point is no higher than base + tau v*, v* the unit vector
+        # along the null-space part of -c, which lies 2 tau ||w|| below
+        # base - tau v*.
+        eps = float(np.finfo(float).eps)
+        V, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(3, 3)))
+        Q = V @ np.diag([-2.0, -2.0, 1.0]) @ V.T
+        beta = np.array([3e-11, 4e-11, -1.0])
+        m = CubicModel(-V @ beta, (Q + Q.T) / 2.0, 1.0)
+        sol = global_minimize(m)
+        assert sol.hard_case
+        base, free = _boundary_parts(_sp(m), -m.eig.mu_1)
+        w = V[:, :2] @ beta[:2]
+        best = eval_model(m, base + np.linalg.norm(free) * (w / np.linalg.norm(w)))
+        assert sol.objective <= best + 4 * m.n * eps * _value_scale(m, sol.s_star)
+
     def test_tie_takes_base_plus_free(self):
         # c'v = 0 exactly: both representatives of lam = 3 share m = -5.
         m = _fresh(WORKED)
