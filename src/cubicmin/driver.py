@@ -226,14 +226,16 @@ def cauchy_step(m):
     u = g / gnorm
     bh = float(u.dot(m.Q.entries.dot(u)))
     disc = math.sqrt(bh * bh + 4.0 * m.sigma * gnorm)
+    den = 2.0 * m.sigma * gnorm
+    if disc == math.inf or (bh <= 0.0 and den == 0.0):
+        # disc overflows (4 sigma does from sigma = 2^1022 on), or 2 sigma
+        # ||g|| underflows: the step's length t ||g|| is (-bh + root) /
+        # (2 sigma), or 2 ||g|| / (bh + root) where bh > 0, with the root the
+        # norm of (bh, 2 sqrt(sigma) sqrt(||g||)), which stay in range.
+        root = linalg.norm(np.array([bh, 2.0 * math.sqrt(m.sigma) * math.sqrt(gnorm)]))
+        length = (-bh + root) / (2.0 * m.sigma) if bh <= 0.0 else 2.0 * gnorm / (bh + root)
+        return -length * u
     if bh <= 0.0:
-        den = 2.0 * m.sigma * gnorm
-        if den == 0.0:
-            # 2 sigma ||g|| underflows: the step's length t ||g|| is
-            # (-bh + sqrt(bh^2 + 4 sigma ||g||)) / (2 sigma), with the root
-            # the norm of (bh, 2 sqrt(sigma) sqrt(||g||)), which stay in range.
-            root = linalg.norm(np.array([bh, 2.0 * math.sqrt(m.sigma) * math.sqrt(gnorm)]))
-            return -((-bh + root) / (2.0 * m.sigma)) * u
         t = (-bh + disc) / den
     else:
         t = 2.0 / (bh + disc)

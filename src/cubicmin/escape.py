@@ -27,6 +27,7 @@ the same way.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +67,7 @@ class ApproxTolerances:
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
 
 
-@dataclass(frozen=True)
-class EscapeOutcome:
+class EscapeOutcome(NamedTuple):
     """Result of one escape attempt.
 
     ``case_tag`` names which construction fired; NONE_GLOBAL means the
@@ -125,10 +125,7 @@ def _outcome(m, point, case, s_hat, alpha=None, z=None):
     if not decrease > 0.0:
         return None
     s_hat.setflags(write=False)
-    return model_mod._record(
-        EscapeOutcome, case_tag=case, point=point, s_hat=s_hat, alpha_used=alpha,
-        z_used=z, decrease=decrease, certificate=None,
-    )
+    return EscapeOutcome(case, point, s_hat, alpha, z, decrease, None)
 
 
 def escape_exact(m, s_bar):
@@ -201,10 +198,7 @@ def _escape(m, point, eps_grad, eps_curv):
             return flip
     if cert.is_global:
         # Also where c.s > 0 by rounding alone, so the flip cannot decrease.
-        return model_mod._record(
-            EscapeOutcome, case_tag=CASE_NONE_GLOBAL, point=point, s_hat=None,
-            alpha_used=None, z_used=None, decrease=0.0, certificate=cert,
-        )
+        return EscapeOutcome(CASE_NONE_GLOBAL, point, None, None, None, 0.0, cert)
     if c_s > 0.0:
         raise ThresholdNotMet("sign flip failed to decrease the objective")
     # A contiguous copy: a strided column dots in another summation order.

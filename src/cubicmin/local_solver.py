@@ -243,10 +243,7 @@ def _report(m, s, norm_s, f, g, residual, iterations, trace, converged, step_cou
     s_point = s.copy()
     s_point.setflags(write=False)
     g.setflags(write=False)
-    point = model_mod._record(
-        model_mod.StationaryPoint, s=s_point, lam=m.sigma * norm_s, objective=f,
-        residual=residual, gradient=g,
-    )
+    point = model_mod.StationaryPoint(s_point, m.sigma * norm_s, f, residual, g)
     return LocalSolveReport(
         s=s, residual=residual, iterations=iterations, objective_trace=trace,
         converged=converged, step_counts=step_counts, point=point,

@@ -11,16 +11,18 @@ the 2^1000 range decision; the escapes' verdict evaluates each move
 through it too.  ``StationaryPoint.from_vector`` keeps that
 evaluation as a record (``s``, ``lam``, ``m(s)``, the gradient and its
 norm), and the certificate and the escapes read the record instead of
-evaluating s again.  ``is_global`` reads the same evaluation and builds
-no record; in double range it does not compute ``m(s)`` either.  The
-local solve builds the record of its last iterate from the values its
-descent holds (``LocalSolveReport.point``), bitwise ``from_vector``'s,
-and the escape loop applies ``_check_range``, the range test of
-``_evaluate``, to it.
+evaluating s again.  The per-point records (``StationaryPoint``,
+``GlobalCertificate`` and those of ``stationary`` and ``escape``) are
+NamedTuples, each built by its own constructor.  ``is_global`` reads
+the same evaluation and builds no record; in double range it does not
+compute ``m(s)`` either.  The local solve builds the record of its last
+iterate from the values its descent holds (``LocalSolveReport.point``),
+bitwise ``from_vector``'s, and the escape loop applies ``_check_range``,
+the range test of ``_evaluate``, to it.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,23 +57,6 @@ def multiplier_tie(lam):
 
 def escape_eps_curv(eps_grad, s):
     return min(10.0 * eps_grad / max(linalg.norm(s), 1e-8), 1e-6)  # cap: psd_margin >= -1e-6
-
-
-def _record(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` with ``fields``, built without ``__init__``.
-
-    Builds the hot-path records (``StationaryPoint``, ``GlobalCertificate``
-    and those of ``stationary`` and ``escape``), several times faster than
-    ``__init__`` at n = 2..6.  Equal to ``cls(**fields)`` in ``==``, hash,
-    repr, ``dataclasses.replace`` and pickle when ``fields`` names every
-    field in declaration order.  Only for classes without a
-    ``__post_init__``: it would be skipped.  The instance holds a full
-    dict, which on CPython 3.11 takes about twice the memory of one built
-    by ``__init__`` (248 against 121 bytes for a five-field record).
-    """
-    obj = object.__new__(cls)
-    obj.__dict__.update(fields)
-    return obj
 
 
 class CubicModel:
@@ -163,8 +148,7 @@ class CubicModel:
         return f"CubicModel(n={self.n}, sigma={self.sigma})"
 
 
-@dataclass(frozen=True)
-class StationaryPoint:
+class StationaryPoint(NamedTuple):
     """A point with its one evaluation: everything that judges it reads this.
 
     ``s`` is a read-only copy, ``lam = sigma * ||s||`` (recomputed, never
@@ -190,12 +174,10 @@ class StationaryPoint:
         s, lam, objective, gradient = _evaluate(model, np.array(s, dtype=float))
         s.setflags(write=False)
         gradient.setflags(write=False)
-        return _record(cls, s=s, lam=lam, objective=objective,
-                       residual=linalg.norm(gradient), gradient=gradient)
+        return cls(s, lam, objective, linalg.norm(gradient), gradient)
 
 
-@dataclass(frozen=True)
-class GlobalCertificate:
+class GlobalCertificate(NamedTuple):
     """Outcome of the two-part global-optimality test.
 
     ``psd_margin`` is the smallest eigenvalue of ``Q + sigma*||s||*I``;
@@ -341,11 +323,6 @@ def _judge(model, residual, lam, tol_grad, tol_psd, gate=False):
     if gate and not stationary:
         raise NotStationary(f"residual {residual!r} exceeds {tol_grad!r}")
     psd_margin = model.eig.mu_1 + lam
-    return _record(
-        GlobalCertificate,
-        psd_margin=psd_margin,
-        residual=residual,
-        is_global=stationary and (psd_margin >= -tol_psd),
-        tol_grad=tol_grad,
-        tol_psd=tol_psd,
+    return GlobalCertificate(
+        psd_margin, residual, stationary and (psd_margin >= -tol_psd), tol_grad, tol_psd
     )

@@ -35,7 +35,7 @@ SIAM J. Sci. Stat. Comput. 4(3), 1983), ``base + free`` on a tie.
 """
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -214,8 +214,7 @@ class SecularProblem:
         return f"SecularProblem(n={self.eig.n}, sigma={self.sigma}, poles={self.poles!r})"
 
 
-@dataclass(frozen=True)
-class LambdaRoot:
+class LambdaRoot(NamedTuple):
     """One root of the secular equation g(lam) = 1/sigma^2 in a subinterval.
 
     ``lam = pole + offset``, with ``pole`` the end of the subinterval
@@ -229,8 +228,7 @@ class LambdaRoot:
     offset: float
 
 
-@dataclass(frozen=True)
-class GlobalSolution:
+class GlobalSolution(NamedTuple):
     """Certified global minimizer of a cubic model.
 
     Built from the StationaryPoint the certificate judged: ``s_star`` is
@@ -351,7 +349,7 @@ def _newton_root(sp, pole, far):
         raise ConvergenceError(
             f"secular Newton iteration left double range near lam = {pole + t!r}"
         ) from None
-    return model_mod._record(LambdaRoot, lam=pole + t, pole=pole, offset=t)
+    return LambdaRoot(pole + t, pole, t)
 
 
 def _rootless(sigma, lo, hi, w_lo, w_hi):
@@ -587,11 +585,4 @@ def _finish_global(m, point, hard):
 
 def _global_solution(m, point, cert, hard):
     """The GlobalSolution at the StationaryPoint ``point``, certified by ``cert``."""
-    return model_mod._record(
-        GlobalSolution,
-        s_star=point.s,
-        lambda_star=point.lam,
-        objective=point.objective,
-        certificate=cert,
-        hard_case=hard,
-    )
+    return GlobalSolution(point.s, point.lam, point.objective, cert, hard)

@@ -572,6 +572,14 @@ class TestStepBelowResolution:
         with pytest.raises(ConvergenceError, match=message):
             arc_plus_minimize(get_problem("sphere2"), x0, variant, opts)
 
+    def test_sigma_overflow_raises_from_cauchy_start(self):
+        # The same run as ARC_PLUS from the Cauchy step: its subproblem solve
+        # starts at cauchy_step, which stays nonzero up to sigma = 2**1023.
+        opts = ArcOptions(max_iters=1100, tol_grad_inf=1e-5, cauchy_start=True)
+        message = r"^sigma = 8\.988e\+307 doubles past double range at outer iteration 1024$"
+        with pytest.raises(ConvergenceError, match=message):
+            arc_plus_minimize(get_problem("sphere2"), [1e48, 0.0], "ARC_PLUS", opts)
+
     def test_step_above_resolution_passes(self):
         m = CubicModel([1.0, 1.0], np.eye(2), 1.0)
         driver._check_step_can_move(np.array([1e15, 1e15]), m)
@@ -617,6 +625,19 @@ class TestCauchyStep:
             bh, sig, g = (decimal.Decimal(x) for x in (-1e-300, sigma, 1e-300))
             r = float((-bh + (bh * bh + 4 * sig * g).sqrt()) / (2 * sig))
         assert cauchy_step(m) == pytest.approx([-r, 0.0], rel=1e-14)
+
+    @pytest.mark.parametrize("q", [2.0, -2.0])
+    def test_overflowing_curvature_product(self, q):
+        # 4 sigma overflows at sigma = 2^1022 on either sign of bh = q; the
+        # step, about sqrt(||c|| / sigma) = 2^-512 long, is a normal double.
+        sigma = 2.0**1022
+        m = CubicModel([0.25, 0.0], q * np.eye(2), sigma)
+        assert 4.0 * m.sigma == math.inf
+        with decimal.localcontext() as ctx:
+            ctx.prec = 50
+            bh, sig, g = (decimal.Decimal(x) for x in (q, sigma, 0.25))
+            r = float((-bh + (bh * bh + 4 * sig * g).sqrt()) / (2 * sig))
+        assert cauchy_step(m) == pytest.approx([-r, 0.0], rel=1e-14, abs=0.0)
 
     @staticmethod
     def _unscaled_step(m):

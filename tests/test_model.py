@@ -1,6 +1,5 @@
 """Cubic model evaluation, derivatives, and the global certificate."""
 
-import dataclasses
 import math
 import pickle
 import re
@@ -482,18 +481,10 @@ class TestOverflowingLoad:
         assert not sol.hard_case
 
 
-def _hash_or_error(x):
-    try:
-        return hash(x)
-    except TypeError as exc:  # a record holding an ndarray is unhashable
-        return str(exc)
-
-
 def _field_bits(x):
     """A record's fields as exact bits, nested records included."""
-    if dataclasses.is_dataclass(x):
-        fields = dataclasses.fields(x)
-        return type(x).__name__, tuple(_field_bits(getattr(x, f.name)) for f in fields)
+    if hasattr(x, "_fields"):
+        return type(x).__name__, tuple(_field_bits(getattr(x, f)) for f in x._fields)
     if isinstance(x, np.ndarray):
         return x.dtype.str, x.shape, x.tobytes()
     if isinstance(x, float):
@@ -516,38 +507,37 @@ def _package_records():
     return records
 
 
-class TestRecordParity:
-    """Records built without ``__init__`` (``model._record``) equal the constructor's."""
+class TestRecordTypes:
+    """The five per-point records are NamedTuples: fields by name, no
+    instance dict, immutable, and kept whole by pickle and ``_replace``."""
 
-    TYPES = (StationaryPoint, GlobalCertificate, LambdaRoot, EscapeOutcome, GlobalSolution)
+    FIELDS = {
+        StationaryPoint: ("s", "lam", "objective", "residual", "gradient"),
+        GlobalCertificate: ("psd_margin", "residual", "is_global", "tol_grad", "tol_psd"),
+        LambdaRoot: ("lam", "pole", "offset"),
+        GlobalSolution: ("s_star", "lambda_star", "objective", "certificate", "hard_case"),
+        EscapeOutcome: (
+            "case_tag", "point", "s_hat", "alpha_used", "z_used", "decrease", "certificate",
+        ),
+    }
 
-    @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
-    def test_no_post_init(self, cls):
-        # _record skips __init__, so it would skip a __post_init__ too.
-        assert not hasattr(cls, "__post_init__")
-        assert cls.__dataclass_params__.frozen
+    @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+    def test_named_tuple_fields(self, cls):
+        assert issubclass(cls, tuple)
+        assert cls._fields == self.FIELDS[cls]
 
-    @pytest.mark.parametrize("cls", TYPES, ids=lambda c: c.__name__)
-    def test_record_equals_constructed(self, cls):
+    @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+    def test_records_are_immutable_and_round_trip(self, cls):
         records = [r for r in _package_records() if type(r) is cls]
         assert records
-        fields = [f.name for f in dataclasses.fields(cls)]
+        first, last = cls._fields[0], cls._fields[-1]
         for rec in records:
-            # The package set every field on the instance, in declaration order.
-            assert list(vars(rec)) == fields
-            built = cls(**vars(rec))
-            direct = model_mod._record(cls, **vars(built))
-            for other in (built, direct):
-                assert rec == other and other == rec
-                assert _hash_or_error(rec) == _hash_or_error(other)
-                assert repr(rec) == repr(other)
-            swap = {fields[0]: getattr(rec, fields[-1])}
-            changed = dataclasses.replace(rec, **swap)
-            assert type(changed) is cls
-            assert repr(changed) == repr(dataclasses.replace(built, **swap))
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(rec, fields[0], None)
+            assert not hasattr(rec, "__dict__")
+            with pytest.raises(AttributeError):
+                setattr(rec, first, None)
             back = pickle.loads(pickle.dumps(rec))
             assert type(back) is cls
-            assert repr(back) == repr(rec)
             assert _field_bits(back) == _field_bits(rec)
+            changed = rec._replace(**{first: getattr(rec, last)})
+            assert type(changed) is cls
+            assert getattr(changed, first) is getattr(rec, last)

@@ -1,6 +1,5 @@
 """Secular equation, stationary-point enumeration, and global minimization."""
 
-import dataclasses
 import gc
 import math
 import re
@@ -770,7 +769,7 @@ def _record_bits(run):
         return type(exc).__name__, str(exc)
     if rec is None:
         return None
-    return type(rec).__name__, tuple(_bits(getattr(rec, f.name)) for f in dataclasses.fields(rec))
+    return type(rec).__name__, tuple(_bits(getattr(rec, f)) for f in rec._fields)
 
 
 def _matrix_inputs(entries):
@@ -1373,6 +1372,23 @@ class TestLostSecularRoots:
         sol = global_minimize(CubicModel([1.0], [[-1.0]], 1e-140))
         assert sol.certificate.is_global
         assert sol.s_star[0] == pytest.approx(-1e140, rel=1e-12)
+
+
+class TestMisplacedSecularRoot:
+    """c = (2e48, 0), Q = 2I certifies at sigma = 2^764 and 2^765, but from
+    2^766 on the secular root lam sits 2.6e-6 relative from sigma*||s||, and
+    the certificate fails though s* is a normal double (ROADMAP item 2,
+    "Not covered").  The phi' terms there are subnormal; the cause is not
+    verified."""
+
+    @pytest.mark.xfail(strict=True, raises=CertificateFailure, reason=(
+        "ROADMAP item 2: the secular root misses sigma*||s|| past the gradient tolerance"))
+    @pytest.mark.parametrize("k, s0", [(766, -7.178383533691765e-92), (767, -5.0758836746312984e-92)])
+    def test_certifies_at_sigma_2_to_the_k(self, k, s0):
+        # s0 = -r, r the positive root of sigma r^2 + 2 r = 2e48, to 50 digits.
+        sol = global_minimize(CubicModel([2e48, 0.0], 2.0 * np.eye(2), 2.0**k))
+        assert sol.certificate.is_global
+        assert sol.s_star[0] == pytest.approx(s0, rel=1e-12)
 
 
 class TestObjectiveOutOfRange:

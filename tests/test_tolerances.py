@@ -1,7 +1,9 @@
 """The tolerance policy: its table in ``model`` gives the bits of the
 formulas it replaced, no other module states a model-scale threshold, and
 a tolerance relative to an overflowing ``||c||`` raises.  Beside it, the
-range policy of norms: no module but ``linalg`` takes a Euclidean norm."""
+range policy of norms: no module but ``linalg`` takes a Euclidean norm,
+and the construction policy: every instance comes from its constructor,
+none from ``object.__new__`` or a write to its ``__dict__``."""
 
 import ast
 import pathlib
@@ -247,6 +249,64 @@ def test_norm_scan_passes_other_products(tmp_path):
     path.write_text("def f(s, d):\n    return linalg.norm(s), cubicmin.linalg.norm(s), "
                     "math.sqrt(s.dot(d)), s.dot(s)\n", encoding="utf-8")
     assert _hand_norms(path) == []
+
+
+_DICT_MUTATORS = ("update", "setdefault", "pop", "popitem", "clear", "__setitem__", "__delitem__")
+
+
+def _is_instance_dict(node):
+    """``x.__dict__`` or ``vars(x)``."""
+    return (isinstance(node, ast.Attribute) and node.attr == "__dict__") or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "vars" and len(node.args) == 1)
+
+
+def _bypasses_constructor(node):
+    """Whether the node builds or fills an instance around its constructor:
+    ``object.__new__(...)``, or a write to an instance's ``__dict__``."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        func = node.func
+        if func.attr == "__new__" and getattr(func.value, "id", None) == "object":
+            return True
+        return func.attr in _DICT_MUTATORS and _is_instance_dict(func.value)
+    if isinstance(node, ast.Attribute) and node.attr == "__dict__":
+        return not isinstance(node.ctx, ast.Load)
+    if isinstance(node, ast.Subscript):
+        return not isinstance(node.ctx, ast.Load) and _is_instance_dict(node.value)
+    return False
+
+
+def _constructor_bypasses(path):
+    """(module, owner, line) of each instance a module builds or fills around its constructor."""
+    return [(path.name, owner, node.lineno) for owner, node in _owned_nodes(path)
+            if _bypasses_constructor(node)]
+
+
+def test_records_come_from_their_constructors():
+    src = pathlib.Path(cubicmin.__file__).parent
+    paths = sorted(src.glob("*.py"))
+    assert len(paths) > 10
+    hits = [hit for path in paths for hit in _constructor_bypasses(path)]
+    assert hits == [], "build each instance with its own constructor"
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["obj = object.__new__(cls)", "obj.__dict__.update(fields)", "obj.__dict__['s'] = s",
+     "obj.__dict__ = dict(fields)", "vars(obj).setdefault('s', s)", "vars(obj)['s'] = s",
+     "del obj.__dict__['s']"],
+)
+def test_constructor_scan_sees_each_form(tmp_path, line):
+    path = tmp_path / "mod.py"
+    path.write_text(f"def f(cls, obj, fields, s):\n    {line}\n", encoding="utf-8")
+    assert [hit[:2] for hit in _constructor_bypasses(path)] == [("mod.py", "f")]
+
+
+def test_constructor_scan_passes_reads(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("def f(cls, obj, fields):\n    return cls(*fields), obj.__dict__['s'], "
+                    "dict(vars(obj)), cls.__new__(cls), fields.update(obj)\n", encoding="utf-8")
+    assert _constructor_bypasses(path) == []
 
 
 BIG_C = CubicModel([1.5e308, 1.5e308], np.eye(2), 0.01)
