@@ -6,11 +6,15 @@ from any non-global stationary point; the escape count is bounded, so
 the loop is finite.  ``arc_plus_minimize`` wraps either that solver
 (variant ARC_PLUS) or the plain local solve (variant ARC) inside an
 adaptive cubic-regularization outer loop for general smooth objectives.
+Their records, ``SubproblemTrace``, ``OuterReport``, ``ArcOptions`` and
+``ProfileTable``, are NamedTuples: ``ArcOptions`` checks its fields in
+its constructor and in ``_replace``, and a report built without a
+history gets its own new list.
 """
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +58,7 @@ _ETA2 = 0.9
 _SIGMA_MIN = 1e-8
 
 
-@dataclass(frozen=True)
-class SubproblemTrace:
+class SubproblemTrace(NamedTuple):
     """History of one solve_via_escapes run.
 
     ``steps`` holds one (s_bar, case_tag, objective) triple per local
@@ -68,17 +71,7 @@ class SubproblemTrace:
     escape_count: int
 
 
-@dataclass(frozen=True)
-class OuterReport:
-    """Outcome of one outer-optimizer run.
-
-    ``sigma_history`` records the regularization weight used at each
-    iteration; ``f_history`` the objective after each accepted step.
-    ``accepted_psd_margins`` has one entry per accepted step: the
-    subproblem certificate margin for ARC_PLUS steps, None for steps
-    without a certificate.
-    """
-
+class _OuterReport(NamedTuple):
     x_final: np.ndarray
     f_final: float
     grad_inf_norm: float
@@ -86,12 +79,39 @@ class OuterReport:
     sigma_history: list
     variant: str
     converged: bool
-    f_history: list = field(default_factory=list)
-    accepted_psd_margins: list = field(default_factory=list)
+    f_history: list = []
+    accepted_psd_margins: list = []
 
 
-@dataclass(frozen=True)
-class ArcOptions:
+class OuterReport(_OuterReport):
+    """Outcome of one outer-optimizer run.
+
+    ``sigma_history`` records the regularization weight used at each
+    iteration; ``f_history`` the objective after each accepted step.
+    ``accepted_psd_margins`` has one entry per accepted step: the
+    subproblem certificate margin for ARC_PLUS steps, None for steps
+    without a certificate.  A report built without either history gets
+    its own new empty list.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        # The defaults are shared objects: swap each one taken for a new list.
+        fresh = {name: [] for name, default in cls._field_defaults.items()
+                 if getattr(self, name) is default}
+        return self._replace(**fresh) if fresh else self
+
+
+class _ArcOptions(NamedTuple):
+    tol_grad_inf: float = 1e-5
+    max_iters: int = 100000
+    cauchy_start: bool = False
+    seed: int = 0
+
+
+class ArcOptions(_ArcOptions):
     """Outer-loop controls.
 
     The acceptance and sigma-update constants are fixed at standard
@@ -101,14 +121,13 @@ class ArcOptions:
     each subproblem from the Cauchy point instead of a random sphere
     point.  ``seed`` (non-negative) drives all subproblem starting points.
     ``max_iters`` and ``seed`` are Python or NumPy integers, not bools.
+    The constructor, ``_replace`` and unpickling all check the fields.
     """
 
-    tol_grad_inf: float = 1e-5
-    max_iters: int = 100000
-    cauchy_start: bool = False
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.tol_grad_inf > 0.0:
             raise ValueError("tol_grad_inf must be positive")
         for name in ("max_iters", "seed"):
@@ -119,6 +138,12 @@ class ArcOptions:
             raise ValueError("max_iters must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, whose tuple.__new__ skips the checks.
+        return cls(*iterable)
 
 
 def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
@@ -231,9 +256,11 @@ def cauchy_step(m):
         # disc overflows (4 sigma does from sigma = 2^1022 on), or 2 sigma
         # ||g|| underflows: the step's length t ||g|| is (-bh + root) /
         # (2 sigma), or 2 ||g|| / (bh + root) where bh > 0, with the root the
-        # norm of (bh, 2 sqrt(sigma) sqrt(||g||)), which stay in range.
+        # norm of (bh, 2 sqrt(sigma) sqrt(||g||)), which stay in range.  The
+        # numerator is halved first, exactly where it is a normal double,
+        # since 2 sigma overflows from sigma = 2^1023 on.
         root = linalg.norm(np.array([bh, 2.0 * math.sqrt(m.sigma) * math.sqrt(gnorm)]))
-        length = (-bh + root) / (2.0 * m.sigma) if bh <= 0.0 else 2.0 * gnorm / (bh + root)
+        length = (-bh + root) / 2.0 / m.sigma if bh <= 0.0 else 2.0 * gnorm / (bh + root)
         return -length * u
     if bh <= 0.0:
         t = (-bh + disc) / den
@@ -411,8 +438,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
     )
 
 
-@dataclass(frozen=True)
-class ProfileTable:
+class ProfileTable(NamedTuple):
     """Sampled performance-profile curves.
 
     ``taus`` is the ratio grid; ``curves`` maps each variant to its

@@ -22,11 +22,12 @@ test) verifies a positive decrease; where the gates of both reflections
 hold, the larger verified decrease is returned.  The direction d is a
 contiguous copy of the bottom eigenvector of Q; its norm and the
 products ``c^T d``, ``d^T Q d`` and ``d^T d`` are taken on each call,
-the same way.
+the same way.  ``ApproxTolerances`` and ``EscapeOutcome`` are
+NamedTuples; ``ApproxTolerances`` checks its tolerances in its
+constructor and in ``_replace``.
 """
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -48,23 +49,34 @@ CASE_NONE_GLOBAL = "NONE_GLOBAL"
 _MAX_DOUBLINGS = 60
 
 
-@dataclass(frozen=True)
-class ApproxTolerances:
+class _ApproxTolerances(NamedTuple):
+    eps_grad: float
+    eps_curv: float
+
+
+class ApproxTolerances(_ApproxTolerances):
     """Tolerances certifying an approximate stationary point.
 
     ``eps_grad`` bounds the gradient residual at s_bar; ``eps_curv`` is
     the curvature margin required of the escape direction.  Both must be
-    ``>= 0`` (NaN is rejected).
+    ``>= 0`` (NaN is rejected); the constructor, ``_replace`` and
+    unpickling all check them.
     """
 
-    eps_grad: float
-    eps_curv: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("eps_grad", "eps_curv"):
             value = getattr(self, name)
             if not value >= 0.0:
                 raise ValueError(f"{name} must be nonnegative, got {value!r}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make, whose tuple.__new__ skips the checks.
+        return cls(*iterable)
 
 
 class EscapeOutcome(NamedTuple):

@@ -13,9 +13,10 @@ factored per step.  The steepest-descent step is the fallback.  Every step
 passes the same Armijo test, so the solve stays a local descent method.
 Each point is evaluated once: the line search keeps ``||s||``, ``Q s`` and
 ``m(s)`` of the trial it accepts, and the next gradient and Newton step
-reuse them.  The report's ``point`` is the final iterate's
-``StationaryPoint``, built from those values; the escape loop and the
-outer loop read it instead of evaluating the iterate again.
+reuse them.  The report, a ``LocalSolveReport`` NamedTuple, holds in
+``point`` the final iterate's ``StationaryPoint``, built from those
+values; the escape loop and the outer loop read it instead of evaluating
+the iterate again.
 The model is coercive (sigma > 0), so descent sequences stay bounded; a
 run that exhausts its iteration budget reports rather than raises.  So
 does a run whose terms leave double range: every solve runs with NumPy's
@@ -23,7 +24,7 @@ overflow and invalid warnings off, which changes no value.
 """
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,8 +38,17 @@ _BACKTRACK = 0.5
 _PD_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class LocalSolveReport:
+class _LocalSolveReport(NamedTuple):
+    s: np.ndarray
+    residual: float
+    iterations: int
+    objective_trace: list
+    converged: bool
+    step_counts: dict = {}
+    point: model_mod.StationaryPoint = None
+
+
+class LocalSolveReport(_LocalSolveReport):
     """Outcome of one local solve.
 
     ``objective_trace`` is the non-increasing objective history of the
@@ -48,7 +58,7 @@ class LocalSolveReport:
 
     ``step_counts`` counts the accepted descent steps by kind
     (``"newton"``, ``"shifted"``, ``"gradient"``); the Newton polish is
-    not counted.
+    not counted.  A report built without it gets its own new empty dict.
 
     ``point`` is the ``StationaryPoint`` of the final ``s``, built from
     the norm, ``Q s``, ``m(s)`` and gradient the solve already holds:
@@ -58,13 +68,14 @@ class LocalSolveReport:
     the escape loop does.
     """
 
-    s: np.ndarray
-    residual: float
-    iterations: int
-    objective_trace: list
-    converged: bool
-    step_counts: dict = field(default_factory=dict)
-    point: model_mod.StationaryPoint = None
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        # The default is a shared object: swap it for a new dict.
+        if self.step_counts is cls._field_defaults["step_counts"]:
+            return self._replace(step_counts={})
+        return self
 
 
 def _newton_step(m, s, norm_s, g):
@@ -244,7 +255,4 @@ def _report(m, s, norm_s, f, g, residual, iterations, trace, converged, step_cou
     s_point.setflags(write=False)
     g.setflags(write=False)
     point = model_mod.StationaryPoint(s_point, m.sigma * norm_s, f, residual, g)
-    return LocalSolveReport(
-        s=s, residual=residual, iterations=iterations, objective_trace=trace,
-        converged=converged, step_counts=step_counts, point=point,
-    )
+    return LocalSolveReport(s, residual, iterations, trace, converged, step_counts, point)

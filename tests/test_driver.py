@@ -628,16 +628,17 @@ class TestCauchyStep:
 
     @pytest.mark.parametrize("q", [2.0, -2.0])
     def test_overflowing_curvature_product(self, q):
-        # 4 sigma overflows at sigma = 2^1022 on either sign of bh = q; the
-        # step, about sqrt(||c|| / sigma) = 2^-512 long, is a normal double.
-        sigma = 2.0**1022
-        m = CubicModel([0.25, 0.0], q * np.eye(2), sigma)
-        assert 4.0 * m.sigma == math.inf
-        with decimal.localcontext() as ctx:
-            ctx.prec = 50
-            bh, sig, g = (decimal.Decimal(x) for x in (q, sigma, 0.25))
-            r = float((-bh + (bh * bh + 4 * sig * g).sqrt()) / (2 * sig))
-        assert cauchy_step(m) == pytest.approx([-r, 0.0], rel=1e-14, abs=0.0)
+        # 4 sigma overflows at sigma = 2^1022 on either sign of bh = q, and
+        # 2 sigma at 2^1023; the step, about sqrt(||c|| / sigma) = 2^-512 or
+        # 2^-512.5 long, is a normal double.
+        for sigma in (2.0**1022, 2.0**1023):
+            m = CubicModel([0.25, 0.0], q * np.eye(2), sigma)
+            assert 4.0 * m.sigma == math.inf
+            with decimal.localcontext() as ctx:
+                ctx.prec = 50
+                bh, sig, g = (decimal.Decimal(x) for x in (q, sigma, 0.25))
+                r = float((-bh + (bh * bh + 4 * sig * g).sqrt()) / (2 * sig))
+            assert cauchy_step(m) == pytest.approx([-r, 0.0], rel=1e-14, abs=0.0), sigma
 
     @staticmethod
     def _unscaled_step(m):

@@ -11,9 +11,21 @@ import pytest
 from cubicmin import CubicModel, SymmetricMatrix, eval_model, global_minimize, grad, hess, is_global
 from cubicmin import linalg
 from cubicmin import model as model_mod
+from cubicmin.driver import (
+    ARC_PLUS,
+    ArcOptions,
+    OuterReport,
+    ProfileTable,
+    SubproblemTrace,
+    arc_plus_minimize,
+    performance_profile,
+    solve_via_escapes,
+)
 from cubicmin.escape import ApproxTolerances, EscapeOutcome, escape_approx, escape_exact
 from cubicmin.exceptions import ConvergenceError, CubicminError, NotStationary
+from cubicmin.local_solver import LocalSolveReport, local_minimize
 from cubicmin.model import GlobalCertificate, StationaryPoint
+from cubicmin.problems import get_problem
 from cubicmin.stationary import GlobalSolution, LambdaRoot, SecularProblem, enumerate_stationary
 
 from .helpers import class_model, np_eval, np_grad, random_model, ref_safe_norm
@@ -482,9 +494,13 @@ class TestOverflowingLoad:
 
 
 def _field_bits(x):
-    """A record's fields as exact bits, nested records included."""
+    """A record's fields as exact bits, nested records, lists and dicts included."""
     if hasattr(x, "_fields"):
         return type(x).__name__, tuple(_field_bits(getattr(x, f)) for f in x._fields)
+    if isinstance(x, (list, tuple)):
+        return type(x).__name__, [_field_bits(v) for v in x]
+    if isinstance(x, dict):
+        return "dict", [(k, _field_bits(v)) for k, v in x.items()]
     if isinstance(x, np.ndarray):
         return x.dtype.str, x.shape, x.tobytes()
     if isinstance(x, float):
@@ -541,3 +557,126 @@ class TestRecordTypes:
             changed = rec._replace(**{first: getattr(rec, last)})
             assert type(changed) is cls
             assert getattr(changed, first) is getattr(rec, last)
+
+
+def _package_reports():
+    """One or more instances of each option and report class, as the package builds them."""
+    m = CubicModel([0.5, 0.25, 0.1], np.diag([-3.0, -2.0, 1.0]), 1.0)
+    saddle = max(enumerate_stationary(m), key=lambda p: p.objective)
+    _, trace = solve_via_escapes(m, saddle.s)
+    assert trace.escape_count > 0
+    opts = ArcOptions(max_iters=50, seed=4)
+    return [
+        trace, opts, ArcOptions(),
+        arc_plus_minimize(get_problem("sphere2"), None, ARC_PLUS, opts),
+        performance_profile([("p", "ARC", 3), ("p", "ARC_PLUS", 4), ("q", "ARC", None),
+                             ("q", "ARC_PLUS", 2)]),
+        ApproxTolerances(1e-8, 0.0), ApproxTolerances(eps_grad=0.0, eps_curv=2.5),
+        local_minimize(m, np.ones(3)),
+    ]
+
+
+class TestOptionAndReportTypes:
+    """The option and report classes are NamedTuples as well: the fields
+    and defaults written out below, immutable, kept whole by pickle and
+    ``_replace``, a new default list or dict per instance, and options
+    checked by ``_replace`` as by the constructor."""
+
+    FIELDS = {
+        SubproblemTrace: (("steps", "escape_count"), {}),
+        OuterReport: (
+            ("x_final", "f_final", "grad_inf_norm", "iterations", "sigma_history", "variant",
+             "converged", "f_history", "accepted_psd_margins"),
+            {"f_history": [], "accepted_psd_margins": []},
+        ),
+        ArcOptions: (
+            ("tol_grad_inf", "max_iters", "cauchy_start", "seed"),
+            {"tol_grad_inf": 1e-5, "max_iters": 100000, "cauchy_start": False, "seed": 0},
+        ),
+        ProfileTable: (("taus", "curves"), {}),
+        ApproxTolerances: (("eps_grad", "eps_curv"), {}),
+        LocalSolveReport: (
+            ("s", "residual", "iterations", "objective_trace", "converged", "step_counts",
+             "point"),
+            {"step_counts": {}, "point": None},
+        ),
+    }
+
+    @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+    def test_named_tuple_fields_and_defaults(self, cls):
+        fields, defaults = self.FIELDS[cls]
+        assert issubclass(cls, tuple)
+        assert cls._fields == fields
+        assert list(cls._field_defaults.items()) == list(defaults.items())
+        assert [type(v) for v in cls._field_defaults.values()] == [
+            type(v) for v in defaults.values()]
+
+    @pytest.mark.parametrize("cls", list(FIELDS), ids=lambda c: c.__name__)
+    def test_immutable_and_round_trip(self, cls):
+        instances = [x for x in _package_reports() if type(x) is cls]
+        assert instances
+        for x in instances:
+            assert not hasattr(x, "__dict__")
+            for name in cls._fields:
+                with pytest.raises(AttributeError):
+                    setattr(x, name, getattr(x, name))
+            back = pickle.loads(pickle.dumps(x))
+            assert type(back) is cls
+            assert _field_bits(back) == _field_bits(x)
+            changed = x._replace(**{cls._fields[-1]: getattr(x, cls._fields[-1])})
+            assert type(changed) is cls
+            assert all(a is b for a, b in zip(changed, x))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: OuterReport(np.zeros(1), 0.0, 0.0, 0, [], "ARC", True),
+            lambda: OuterReport(x_final=np.zeros(1), f_final=0.0, grad_inf_norm=0.0,
+                                iterations=0, sigma_history=[], variant="ARC", converged=True),
+            lambda: LocalSolveReport(np.zeros(1), 0.0, 0, [], True),
+            lambda: LocalSolveReport(s=np.zeros(1), residual=0.0, iterations=0,
+                                     objective_trace=[], converged=True),
+        ],
+        ids=["OuterReport-positional", "OuterReport-keyword", "LocalSolveReport-positional",
+             "LocalSolveReport-keyword"],
+    )
+    def test_default_containers_are_fresh(self, build):
+        first, second = build(), build()
+        cls = type(first)
+        for name, default in cls._field_defaults.items():
+            if isinstance(default, (list, dict)):
+                value = getattr(first, name)
+                assert type(value) is type(default) and value == default
+                assert value is not default
+                assert value is not getattr(second, name)
+                value.clear()  # a new container, so the default stays empty
+        assert cls._field_defaults == self.FIELDS[cls][1]
+
+    def test_given_containers_are_kept(self):
+        history, margins, counts = [1.0], [None], {"newton": 2}
+        rep = OuterReport(np.zeros(1), 0.0, 0.0, 0, [], "ARC", True, history, margins)
+        assert rep.f_history is history and rep.accepted_psd_margins is margins
+        assert LocalSolveReport(np.zeros(1), 0.0, 0, [], True, counts).step_counts is counts
+
+    @pytest.mark.parametrize(
+        "cls, field, value, message",
+        [
+            (ArcOptions, "max_iters", 0, "max_iters must be at least 1"),
+            (ArcOptions, "max_iters", 1.5, "max_iters must be an integer, got 1.5"),
+            (ArcOptions, "seed", True, "seed must be an integer, got True"),
+            (ArcOptions, "seed", -1, "seed must be non-negative"),
+            (ArcOptions, "tol_grad_inf", 0, "tol_grad_inf must be positive"),
+            (ApproxTolerances, "eps_grad", -1, "eps_grad must be nonnegative, got -1"),
+            (ApproxTolerances, "eps_grad", math.nan, "eps_grad must be nonnegative, got nan"),
+            (ApproxTolerances, "eps_curv", -1, "eps_curv must be nonnegative, got -1"),
+            (ApproxTolerances, "eps_curv", math.nan, "eps_curv must be nonnegative, got nan"),
+        ],
+    )
+    @pytest.mark.parametrize("how", ["constructor", "replace"])
+    def test_options_are_checked(self, cls, field, value, message, how):
+        valid = {} if cls is ArcOptions else {"eps_grad": 1e-8, "eps_curv": 1e-8}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            if how == "constructor":
+                cls(**{**valid, field: value})
+            else:
+                cls(**valid)._replace(**{field: value})

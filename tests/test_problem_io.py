@@ -660,9 +660,11 @@ class TestDecoderParity:
 def test_import_leaves_orjson_unloaded():
     # orjson is imported on the first load_problem or save_problem call, not
     # with the package, and the CLI's own modules only with cubicmin.cli.
+    # The package's records are NamedTuples, so it loads no dataclasses.
     code = (
         "import sys, cubicmin; "
-        "print([k for k in ('argparse', 'csv', 'concurrent.futures') if k in sys.modules]); "
+        "print([k for k in ('argparse', 'csv', 'concurrent.futures', 'dataclasses') "
+        "if k in sys.modules]); "
         "import cubicmin.cli; print('orjson' in sys.modules)"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,

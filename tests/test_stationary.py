@@ -1375,11 +1375,21 @@ class TestLostSecularRoots:
 
 
 class TestMisplacedSecularRoot:
-    """c = (2e48, 0), Q = 2I certifies at sigma = 2^764 and 2^765, but from
-    2^766 on the secular root lam sits 2.6e-6 relative from sigma*||s||, and
-    the certificate fails though s* is a normal double (ROADMAP item 2,
-    "Not covered").  The phi' terms there are subnormal; the cause is not
-    verified."""
+    """c = (2e48, 0), Q = 2I: from sigma = 2^766 on the secular root lam
+    sits 2.6e-6 relative from sigma*||s||, and the certificate fails though
+    s* is a normal double (ROADMAP item 2, "Not covered").  At 2^764 the
+    certificate passes, but on a misplaced root: s*[0] is 1.4e-10 relative
+    off, within a gradient gate relative to ||c|| = 2e48 (2^763 is 1.6e-12
+    off; 2^765 is exact to the last digit).  The phi' terms there are
+    subnormal; the cause is not verified."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "ROADMAP item 2: the secular root misses sigma*||s||, within the gradient tolerance"))
+    def test_root_at_sigma_2_to_the_764(self):
+        # -r, r the positive root of sigma r^2 + 2 r = 2e48, to 60 digits.
+        sol = global_minimize(CubicModel([2e48, 0.0], 2.0 * np.eye(2), 2.0**764))
+        assert sol.certificate.is_global
+        assert sol.s_star[0] == pytest.approx(-1.435676706738353e-91, rel=1e-12, abs=0.0)
 
     @pytest.mark.xfail(strict=True, raises=CertificateFailure, reason=(
         "ROADMAP item 2: the secular root misses sigma*||s|| past the gradient tolerance"))

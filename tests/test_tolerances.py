@@ -2,8 +2,9 @@
 formulas it replaced, no other module states a model-scale threshold, and
 a tolerance relative to an overflowing ``||c||`` raises.  Beside it, the
 range policy of norms: no module but ``linalg`` takes a Euclidean norm,
-and the construction policy: every instance comes from its constructor,
-none from ``object.__new__`` or a write to its ``__dict__``."""
+the construction policy: every instance comes from its constructor,
+none from ``object.__new__`` or a write to its ``__dict__``, and the
+import policy: no module imports ``dataclasses``."""
 
 import ast
 import pathlib
@@ -117,7 +118,7 @@ def test_secular_record_reads_coupling():
 # value.  A threshold on a quantity of a model belongs in model's table.
 _ALLOWED = {
     ("cli.py", "_build_parser", 1e-5): "--tol default, the outer loop's gradient target",
-    ("driver.py", "ArcOptions", 1e-5): "tol_grad_inf default, the outer loop's gradient target",
+    ("driver.py", "_ArcOptions", 1e-5): "tol_grad_inf default, the outer loop's gradient target",
     ("driver.py", "_SIGMA_MIN", 1e-8): "ARC's floor on sigma, an algorithm constant",
     ("driver.py", "performance_profile", 1e-12): "the profile's ratio grid",
     ("linalg.py", "_SYMMETRY_RTOL", 1e-12): "input contract: symmetry of a matrix",
@@ -307,6 +308,48 @@ def test_constructor_scan_passes_reads(tmp_path):
     path.write_text("def f(cls, obj, fields):\n    return cls(*fields), obj.__dict__['s'], "
                     "dict(vars(obj)), cls.__new__(cls), fields.update(obj)\n", encoding="utf-8")
     assert _constructor_bypasses(path) == []
+
+
+def _imports_dataclasses(node):
+    """``import dataclasses`` (aliased or not, alone or in a list) or
+    ``from dataclasses import ...``."""
+    if isinstance(node, ast.Import):
+        return any(alias.name == "dataclasses" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "dataclasses"
+
+
+def _dataclass_imports(path):
+    """(module, owner, line) of each import of ``dataclasses`` in a module."""
+    return [(path.name, owner, node.lineno) for owner, node in _owned_nodes(path)
+            if _imports_dataclasses(node)]
+
+
+def test_package_does_not_import_dataclasses():
+    # A frozen dataclass generates and execs its methods when its class
+    # statement runs, which ``import cubicmin`` would pay; records are NamedTuples.
+    src = pathlib.Path(cubicmin.__file__).parent
+    paths = sorted(src.glob("*.py"))
+    assert len(paths) > 10
+    hits = [hit for path in paths for hit in _dataclass_imports(path)]
+    assert hits == [], "make the record a NamedTuple"
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["import dataclasses", "import dataclasses as dc", "import os, dataclasses",
+     "from dataclasses import dataclass, field", "from dataclasses import *"],
+)
+def test_dataclass_scan_sees_each_form(tmp_path, line):
+    path = tmp_path / "mod.py"
+    path.write_text(f"def f():\n    {line}\n", encoding="utf-8")
+    assert [hit[:2] for hit in _dataclass_imports(path)] == [("mod.py", "f")]
+
+
+def test_dataclass_scan_passes_other_imports(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("import typing\nfrom typing import NamedTuple\nfrom . import dataclasses\n"
+                    "from .dataclasses import x\nname = 'dataclasses'\n", encoding="utf-8")
+    assert _dataclass_imports(path) == []
 
 
 BIG_C = CubicModel([1.5e308, 1.5e308], np.eye(2), 0.01)
