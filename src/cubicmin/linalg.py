@@ -15,6 +15,7 @@ be shared freely across threads.
 
 import functools
 import math
+import sys
 
 import numpy as np
 
@@ -33,6 +34,15 @@ _SQUARE_MIN = 1e-150
 _SQUARE_MAX = 1e150
 _SS_MIN = 1.01 * _SQUARE_MIN * _SQUARE_MIN
 _SS_MAX = 0.99 * _SQUARE_MAX * _SQUARE_MAX
+
+# A sum of fewer than _PAIRWISE_BLOCK terms may be taken in Python floats.
+# NumPy's pairwise summation adds a float64 vector shorter than its 8-term
+# block one term at a time, left to right from +0.0, so ``np.add.reduce(v)``
+# has the bits of ``sum(v.tolist(), 0.0)``, which skips the ufunc dispatch
+# (tests/test_linalg.py checks it).  Python 3.12's ``sum`` compensates its
+# rounding, so there the block is 0 and every sum stays in NumPy.  Dot
+# products always stay in NumPy: BLAS accumulates them with fused multiply-add.
+_PAIRWISE_BLOCK = 8 if sys.version_info < (3, 12) else 0
 
 
 def norm(x):

@@ -44,7 +44,6 @@ literal below -2**63 or from 2**64 up as the float of its value, so
 """
 
 import itertools
-import json
 
 import numpy as np
 
@@ -186,6 +185,8 @@ def _reference_decode(raw):
             "$", f"not valid UTF-8 at byte {exc.start}: {exc.reason}"
         ) from None
     text = text.replace("\r\n", "\n").replace("\r", "\n")
+    import json  # about 1.75 ms, paid only by a file orjson refuses
+
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
@@ -261,6 +262,8 @@ def save_problem(path, m, name=None):
     try:
         raw = orjson.dumps(data, option=orjson.OPT_INDENT_2 | orjson.OPT_APPEND_NEWLINE)
     except orjson.JSONEncodeError:
+        import json  # as in _reference_decode
+
         raw = (json.dumps(data, indent=2) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(raw)

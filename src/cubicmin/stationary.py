@@ -35,6 +35,7 @@ SIAM J. Sci. Stat. Comput. 4(3), 1983), ``base + free`` on a tie.
 """
 
 import math
+from operator import mul, truediv
 from typing import NamedTuple
 
 import numpy as np
@@ -304,9 +305,18 @@ def _newton_root(sp, pole, far):
     # one of shift_j (0 at a pole) and pole (0 at the left end of the
     # axis) vanishes: |t| below the root of t^2 + P t - sigma w,
     # P = |shift_j| + pole.  Start halfway to it, or to mid-subinterval.
-    j = int(abs(shift).argmin())
-    w = abs(float(beta[j]))
-    P = abs(float(shift[j])) + pole
+    # Fewer than linalg._PAIRWISE_BLOCK coupled modes: the nearest mode, and
+    # the sum in phi', in Python floats, with the bits of NumPy's.
+    short = beta.size < linalg._PAIRWISE_BLOCK
+    if short:
+        gaps = list(map(abs, shift.tolist()))
+        j = gaps.index(min(gaps))
+        w = abs(beta.item(j))
+        P = gaps[j] + pole
+    else:
+        j = int(abs(shift).argmin())
+        w = abs(float(beta[j]))
+        P = abs(float(shift[j])) + pole
     t_max = 2.0 * sigma * w / (P + math.sqrt(P * P + 4.0 * sigma * w))
     t = side * 0.5 * min(t_max, width)
     if t == 0.0:
@@ -334,7 +344,18 @@ def _newton_root(sp, pole, far):
             phi = inv_norm - sigma / lam
             if phi >= 0.0:
                 break
-            dphi = inv_norm**3 * float(add_reduce(a * a / d)) + sigma / lam**2
+            if short:
+                # sum(a_i * a_i / d_i), in add.reduce's order.
+                al = a.tolist()
+                try:
+                    a2d = sum(map(truediv, map(mul, al, al), d.tolist()), 0.0)
+                except ZeroDivisionError:
+                    a2d = math.nan
+            # NumPy takes a zero shift or a sum that is not finite, so its
+            # errors and warnings stay as they are.
+            if not short or a2d - a2d != 0.0:
+                a2d = float(add_reduce(a * a / d))
+            dphi = inv_norm**3 * a2d + sigma / lam**2
             if side * dphi <= 0.0:
                 return None
             step = -phi / dphi

@@ -12,6 +12,7 @@ norms and the package's certificate as that form did.
 
 import decimal
 import math
+import warnings
 
 import numpy as np
 
@@ -110,6 +111,27 @@ def class_model(rng, cls, n):
         sigma = float(10.0 ** rng.uniform(-8.0, -4.0))
     q = (v * mu) @ v.T
     return CubicModel(v @ beta, (q + q.T) / 2.0, sigma)
+
+
+def outcome_bits(run):
+    """How ``run()`` ends, bit for bit: its result, records and lists item by
+    item with arrays and floats as bytes, or its exception's class and
+    message; and the warnings it gave."""
+
+    def bits(x):
+        if isinstance(x, (tuple, list)):
+            return type(x).__name__, [bits(v) for v in x]
+        if isinstance(x, (np.ndarray, float)):
+            return type(x).__name__, np.asarray(x).shape, np.asarray(x).tobytes()
+        return x
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = bits(run())
+        except Exception as exc:
+            out = type(exc).__name__, str(exc)
+    return out, [(w.category.__name__, str(w.message)) for w in caught]
 
 
 def np_eval(m, s):

@@ -1,5 +1,7 @@
 """Eigendecomposition and shifted-solve contracts."""
 
+import math
+import sys
 import warnings
 
 import numpy as np
@@ -8,6 +10,7 @@ import pytest
 from cubicmin import CubicModel, kernel_backend
 from cubicmin.exceptions import ConvergenceError, PoleEvaluation
 from cubicmin.linalg import (
+    _PAIRWISE_BLOCK,
     _SS_MAX,
     _SS_MIN,
     _SYMMETRY_RTOL,
@@ -503,6 +506,55 @@ class TestNormMatchesOldSafeNorm:
     )
     def test_infinite_and_nan_entries(self, x):
         self._check(np.array(x))
+
+
+def _short_vectors(rng, n, count):
+    """``count`` vectors of ``n`` entries of magnitude 1e-300 to 1e300, most
+    within a few decades of each other so that the order of the additions
+    shows, with some entries +-0.0, the least subnormal or +-inf."""
+    special = np.array([0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf])
+    out = []
+    for _ in range(count):
+        spread = rng.choice([0.0, 2.0, 20.0, 600.0])
+        exps = np.clip(rng.uniform(-300.0, 300.0) + rng.uniform(-spread, spread, n), -300, 300)
+        v = rng.choice([-1.0, 1.0], size=n) * 10.0**exps
+        hit = rng.uniform(size=n) < 0.1
+        v[hit] = rng.choice(special, size=int(np.count_nonzero(hit)))
+        out.append(v)
+    return out
+
+
+def _sums_differ(v):
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = float(np.add.reduce(v))
+    got = sum(v.tolist(), 0.0)
+    return not (math.isnan(want) and math.isnan(got)) and got.hex() != want.hex()
+
+
+class TestShortSum:
+    """The secular and local Newton steps sum fewer than ``_PAIRWISE_BLOCK``
+    terms in Python floats; that keeps NumPy's bits only while
+    ``np.add.reduce`` adds such vectors left to right from +0.0."""
+
+    def test_block_follows_python_sum(self):
+        # Python 3.12's sum compensates float rounding: no Python sums there.
+        assert _PAIRWISE_BLOCK == (8 if sys.version_info < (3, 12) else 0)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_python_sum_has_numpy_bits(self, n):
+        if n >= _PAIRWISE_BLOCK:
+            pytest.skip(f"sums of {n} terms stay in NumPy on this Python")
+        for v in _short_vectors(np.random.default_rng([n, 41]), n, 2000):
+            assert not _sums_differ(v), (
+                f"np.add.reduce of {n} terms no longer adds left to right from +0.0 in "
+                f"NumPy {np.__version__}, so linalg._PAIRWISE_BLOCK = {_PAIRWISE_BLOCK} "
+                f"is too large: {v.tolist()!r}"
+            )
+
+    def test_vectors_tell_the_order_at_8_terms(self):
+        # NumPy sums 8 terms pairwise: the same vectors catch that order.
+        differ = sum(map(_sums_differ, _short_vectors(np.random.default_rng(8), 8, 2000)))
+        assert differ > 100
 
 
 def test_eigendecomposition_repr_mentions_n():

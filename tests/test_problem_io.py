@@ -657,16 +657,25 @@ class TestDecoderParity:
         assert _load_outcome(_reference_load, path) == reference
 
 
+def _fresh_modules(code):
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True).stdout
+
+
 def test_import_leaves_orjson_unloaded():
     # orjson is imported on the first load_problem or save_problem call, not
-    # with the package, and the CLI's own modules only with cubicmin.cli.
-    # The package's records are NamedTuples, so it loads no dataclasses.
+    # with the package or with the CLI.
+    assert _fresh_modules("import sys, cubicmin.cli; print('orjson' in sys.modules)") == "False\n"
+
+
+def test_import_leaves_stdlib_extras_unloaded():
+    # NumPy loads none of these.  json is imported only by the reference
+    # decode and the fallback encode, the CLI's own modules only with
+    # cubicmin.cli, and the package's records are NamedTuples, so it loads
+    # no dataclasses.
     code = (
-        "import sys, cubicmin; "
-        "print([k for k in ('argparse', 'csv', 'concurrent.futures', 'dataclasses') "
-        "if k in sys.modules]); "
-        "import cubicmin.cli; print('orjson' in sys.modules)"
+        "import sys, numpy, cubicmin; "
+        "print([k for k in ('json', 'dataclasses', 'argparse', 'csv', 'concurrent.futures') "
+        "if k in sys.modules])"
     )
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True)
-    assert out.stdout == "[]\nFalse\n"
+    assert _fresh_modules(code) == "[]\n"

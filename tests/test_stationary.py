@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubicmin import CubicModel, eval_model, is_global, stationary
+from cubicmin import CubicModel, eval_model, is_global, linalg, stationary
 from cubicmin import model as model_mod
 from cubicmin.exceptions import (
     CertificateFailure,
@@ -51,6 +51,7 @@ from .helpers import (
     np_eval,
     np_psd_margin,
     np_residual,
+    outcome_bits,
     random_model,
     ref_boundary_points,
     ref_certificate,
@@ -797,7 +798,7 @@ class TestSmallSolveReferenceParity:
     @pytest.mark.parametrize("cls", CLASSES + ("clustered",))
     def test_matches_reference(self, cls):
         roots = points = 0
-        for n in range(1, 9):
+        for n in range(1, 10):
             for seed in range(20):
                 if cls == "clustered":
                     m = _cluster_model(np.random.default_rng(seed), n)
@@ -877,6 +878,70 @@ class TestSmallSolveReferenceParity:
                     assert _record_bits(
                         lambda: model_mod._certificate(m, got_p, *tols, gate)) == want
         return roots, points
+
+
+class TestShortSumPath:
+    """Fewer than ``linalg._PAIRWISE_BLOCK`` coupled modes sum the terms of
+    phi' in Python floats; with the block patched to 0 every sum runs in
+    NumPy.  Both end each solve and each search alike: the same bits, or the
+    same exception and message, with the same warnings."""
+
+    # The range-edge pins, and the clustered models of the reference parity,
+    # whose merged poles give some searches an exactly zero shift.
+    @staticmethod
+    def _models():
+        out = [CubicModel([1.0], [[-1.0]], 1e-140), CubicModel([1.0], [[1e103]], 1.0)]
+        out += [CubicModel([2e48, 0.0], 2.0 * np.eye(2), 2.0**k) for k in range(764, 768)]
+        for n in range(1, 10):
+            out += [_cluster_model(np.random.default_rng(seed), n) for seed in range(20)]
+        return out
+
+    @staticmethod
+    def _both_ways(run, monkeypatch):
+        """``run()`` as shipped, then with the block patched to 0."""
+        shipped = run()
+        monkeypatch.setattr(linalg, "_PAIRWISE_BLOCK", 0)
+        return shipped, run()
+
+    @pytest.mark.parametrize("solve", [global_minimize, enumerate_stationary])
+    def test_solves_end_alike(self, solve, monkeypatch):
+        real = stationary._newton_root
+
+        def run():
+            searches = []
+
+            def logged(sp, pole, far):
+                # Each search the solve makes, also the top one that the
+                # record runs with NumPy overflow raising.
+                searches.append(outcome_bits(lambda: real(sp, pole, far)))
+                return real(sp, pole, far)
+
+            with monkeypatch.context() as mp:
+                mp.setattr(stationary, "_newton_root", logged)
+                outcomes = [outcome_bits(lambda: solve(_fresh(m))) for m in self._models()]
+            return outcomes, searches
+
+        shipped, numpy_only = self._both_ways(run, monkeypatch)
+        assert numpy_only == shipped
+
+    def test_every_search_ends_alike(self, monkeypatch):
+        def run():
+            out = []
+            for m in self._models():
+                try:
+                    sp = _sp(_fresh(m))
+                except CubicminError:
+                    continue
+                # Up and down in every row, also where enumerate_lambda skips.
+                for lo, hi, start, _, _ in sp._rows if sp.any_coupled else ():
+                    for pole, far in [(start, hi)] + ([(hi, lo)] if hi < math.inf else []):
+                        out.append(outcome_bits(lambda: _newton_root(sp, pole, far)))
+                        with np.errstate(over="raise", invalid="raise"):
+                            out.append(outcome_bits(lambda: _newton_root(sp, pole, far)))
+            return out
+
+        shipped, numpy_only = self._both_ways(run, monkeypatch)
+        assert numpy_only == shipped
 
 
 class _MaskedPath(SecularProblem):
