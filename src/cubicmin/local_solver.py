@@ -115,22 +115,13 @@ def _solve(V, d, u, vg, rho):
     # -(V (diag(d) + rho*u*u^T) V^T)^{-1} g from vg = V^T g: a diagonal
     # solve plus a Sherman-Morrison correction.  Where d_1 is negative the
     # matrix is positive definite only if the denominator is negative;
-    # otherwise None.  Fewer than linalg._PAIRWISE_BLOCK terms are summed in
-    # Python floats, with the bits of NumPy's sums; a sum that is inf or NaN
-    # is so either way, and the solve's overflow and invalid warnings are off.
+    # otherwise None.
     du = u / d
     dh = vg / d
-    short = d.size < linalg._PAIRWISE_BLOCK
-    if short:
-        terms = [rho * x * y for x, y in zip(u.tolist(), du.tolist())]
-        denom = 1.0 + sum(terms, 0.0)
-    else:
-        terms = rho * u * du
-        denom = 1.0 + float(np.add.reduce(terms))
-    if d[0] < 0.0:
-        size = sum(map(abs, terms), 0.0) if short else float(np.add.reduce(np.abs(terms)))
-        if not denom < -_PD_RTOL * (1.0 + size):
-            return None
+    terms = rho * u * du
+    denom = 1.0 + float(np.add.reduce(terms))
+    if d[0] < 0.0 and not denom < -_PD_RTOL * (1.0 + float(np.add.reduce(np.abs(terms)))):
+        return None
     return -V.dot(dh - (rho * float(u.dot(dh)) / denom) * du)
 
 

@@ -289,9 +289,12 @@ def _newton_root(sp, pole, far):
     exactly for the modes of the pole.  ``s`` holds the coupled modes,
     the ones whose poles cut the subintervals.
 
-    NumPy overflow and invalid operations follow the caller's error
-    state; ``SecularProblem`` searches the unbounded subinterval with both
-    raising and reads the FloatingPointError as a lost root.
+    NumPy overflow, invalid operations and division by zero follow the
+    caller's error state; ``SecularProblem`` searches the unbounded
+    subinterval with overflow and invalid raising and reads the
+    FloatingPointError as a lost root.  Underflow does not: below
+    ``linalg._PAIRWISE_BLOCK`` coupled modes the terms of phi' are summed
+    in Python floats, which underflow to 0 silently.
     """
     side = 1.0 if far > pole else -1.0
     beta = sp.coupled_beta
@@ -305,18 +308,9 @@ def _newton_root(sp, pole, far):
     # one of shift_j (0 at a pole) and pole (0 at the left end of the
     # axis) vanishes: |t| below the root of t^2 + P t - sigma w,
     # P = |shift_j| + pole.  Start halfway to it, or to mid-subinterval.
-    # Fewer than linalg._PAIRWISE_BLOCK coupled modes: the nearest mode, and
-    # the sum in phi', in Python floats, with the bits of NumPy's.
-    short = beta.size < linalg._PAIRWISE_BLOCK
-    if short:
-        gaps = list(map(abs, shift.tolist()))
-        j = gaps.index(min(gaps))
-        w = abs(beta.item(j))
-        P = gaps[j] + pole
-    else:
-        j = int(abs(shift).argmin())
-        w = abs(float(beta[j]))
-        P = abs(float(shift[j])) + pole
+    j = int(abs(shift).argmin())
+    w = abs(float(beta[j]))
+    P = abs(float(shift[j])) + pole
     t_max = 2.0 * sigma * w / (P + math.sqrt(P * P + 4.0 * sigma * w))
     t = side * 0.5 * min(t_max, width)
     if t == 0.0:
@@ -334,7 +328,10 @@ def _newton_root(sp, pole, far):
     # ||s|| or lam**2 underflows to 0 further down (Q = [[1e200]], c = [1]
     # has s* = -1e-200).  The catch costs nothing per step.  The loop's
     # functions and constants are locals, which it reads faster.
+    # Fewer than linalg._PAIRWISE_BLOCK coupled modes sum the terms of phi'
+    # in Python floats, with the bits of NumPy's sum.
     add_reduce, sqrt, rtol = np.add.reduce, math.sqrt, _NEWTON_STEP_RTOL
+    short = beta.size < linalg._PAIRWISE_BLOCK
     try:
         for _ in range(_NEWTON_MAX_STEPS):
             d = shift + t

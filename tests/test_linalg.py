@@ -532,9 +532,9 @@ def _sums_differ(v):
 
 
 class TestShortSum:
-    """The secular and local Newton steps sum fewer than ``_PAIRWISE_BLOCK``
-    terms in Python floats; that keeps NumPy's bits only while
-    ``np.add.reduce`` adds such vectors left to right from +0.0."""
+    """The secular Newton steps sum fewer than ``_PAIRWISE_BLOCK`` terms in
+    Python floats; that keeps NumPy's bits only while ``np.add.reduce``
+    adds such vectors left to right from +0.0."""
 
     def test_block_follows_python_sum(self):
         # Python 3.12's sum compensates float rounding: no Python sums there.
