@@ -100,7 +100,7 @@ def _build_parser():
         "--jobs",
         type=_int_at_least(1, "positive"),
         default=None,
-        help="worker processes (default: every CPU)",
+        help="worker processes, at most one per cell (default: every CPU)",
     )
     common.add_argument("--out", default=None, help="write output to this path")
     common.add_argument(
@@ -501,8 +501,9 @@ def _cmd_bench(args):
     seeds = _parse_seeds(args.seeds)
 
     cells = [(m, v, s) for m in members for v in variants for s in seeds]
-    jobs = args.jobs or os.cpu_count() or 1
-    if jobs > 1 and len(cells) > 1:
+    # A fork-started pool forks all its workers at once: never more than cells.
+    jobs = min(args.jobs or os.cpu_count() or 1, len(cells))
+    if jobs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_bench_cell, *zip(*cells)))
     else:

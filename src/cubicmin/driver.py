@@ -8,8 +8,7 @@ the loop is finite.  ``arc_plus_minimize`` wraps either that solver
 adaptive cubic-regularization outer loop for general smooth objectives.
 Their records, ``SubproblemTrace``, ``OuterReport``, ``ArcOptions`` and
 ``ProfileTable``, are NamedTuples: ``ArcOptions`` checks its fields in
-its constructor and in ``_replace``, and a report built without a
-history gets its own new list.
+its constructor and in ``_replace``.
 """
 
 import math
@@ -71,7 +70,16 @@ class SubproblemTrace(NamedTuple):
     escape_count: int
 
 
-class _OuterReport(NamedTuple):
+class OuterReport(NamedTuple):
+    """Outcome of one outer-optimizer run.
+
+    ``sigma_history`` records the regularization weight used at each
+    iteration; ``f_history`` the objective after each accepted step.
+    ``accepted_psd_margins`` has one entry per accepted step: the
+    subproblem certificate margin for ARC_PLUS steps, None for steps
+    without a certificate.
+    """
+
     x_final: np.ndarray
     f_final: float
     grad_inf_norm: float
@@ -79,29 +87,8 @@ class _OuterReport(NamedTuple):
     sigma_history: list
     variant: str
     converged: bool
-    f_history: list = []
-    accepted_psd_margins: list = []
-
-
-class OuterReport(_OuterReport):
-    """Outcome of one outer-optimizer run.
-
-    ``sigma_history`` records the regularization weight used at each
-    iteration; ``f_history`` the objective after each accepted step.
-    ``accepted_psd_margins`` has one entry per accepted step: the
-    subproblem certificate margin for ARC_PLUS steps, None for steps
-    without a certificate.  A report built without either history gets
-    its own new empty list.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        # The defaults are shared objects: swap each one taken for a new list.
-        fresh = {name: [] for name, default in cls._field_defaults.items()
-                 if getattr(self, name) is default}
-        return self._replace(**fresh) if fresh else self
+    f_history: list
+    accepted_psd_margins: list
 
 
 class _ArcOptions(NamedTuple):
@@ -225,7 +212,7 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
             continue
         steps.append((s_bar, out.case_tag, out.point.objective))
         if out.case_tag == escape_mod.CASE_NONE_GLOBAL:
-            sol = _global_solution(m, out.point, out.certificate, False)
+            sol = _global_solution(out.point, out.certificate, False)
             return sol, SubproblemTrace(steps=steps, escape_count=escapes)
         escapes += 1
         if cap is None:

@@ -38,17 +38,7 @@ _BACKTRACK = 0.5
 _PD_RTOL = 1e-12
 
 
-class _LocalSolveReport(NamedTuple):
-    s: np.ndarray
-    residual: float
-    iterations: int
-    objective_trace: list
-    converged: bool
-    step_counts: dict = {}
-    point: model_mod.StationaryPoint = None
-
-
-class LocalSolveReport(_LocalSolveReport):
+class LocalSolveReport(NamedTuple):
     """Outcome of one local solve.
 
     ``objective_trace`` is the non-increasing objective history of the
@@ -58,7 +48,7 @@ class LocalSolveReport(_LocalSolveReport):
 
     ``step_counts`` counts the accepted descent steps by kind
     (``"newton"``, ``"shifted"``, ``"gradient"``); the Newton polish is
-    not counted.  A report built without it gets its own new empty dict.
+    not counted.
 
     ``point`` is the ``StationaryPoint`` of the final ``s``, built from
     the norm, ``Q s``, ``m(s)`` and gradient the solve already holds:
@@ -68,14 +58,13 @@ class LocalSolveReport(_LocalSolveReport):
     the escape loop does.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        # The default is a shared object: swap it for a new dict.
-        if self.step_counts is cls._field_defaults["step_counts"]:
-            return self._replace(step_counts={})
-        return self
+    s: np.ndarray
+    residual: float
+    iterations: int
+    objective_trace: list
+    converged: bool
+    step_counts: dict
+    point: model_mod.StationaryPoint = None
 
 
 def _newton_step(m, s, norm_s, g):

@@ -598,9 +598,9 @@ def _finish_global(m, point, hard):
             f"double-precision floor {floor!r}), "
             f"psd margin = {cert.psd_margin!r} (tol {cert.tol_psd!r})"
         )
-    return _global_solution(m, point, cert, hard)
+    return _global_solution(point, cert, hard)
 
 
-def _global_solution(m, point, cert, hard):
+def _global_solution(point, cert, hard):
     """The GlobalSolution at the StationaryPoint ``point``, certified by ``cert``."""
     return GlobalSolution(point.s, point.lam, point.objective, cert, hard)

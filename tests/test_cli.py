@@ -770,6 +770,43 @@ class TestBenchAndProfile:
         err = capsys.readouterr().err
         assert f"argument --jobs: expected a positive integer, got '{value}'" in err
 
+    @pytest.mark.parametrize(
+        "args, cpus, workers",
+        [(("--seeds", "2", "--jobs", "8"), 1, [2]),
+         (("--seeds", "2"), 8, [2]),
+         (("--seeds", "3", "--jobs", "2"), 1, [2]),
+         (("--seeds", "1", "--jobs", "8"), 8, [])],
+    )
+    def test_bench_starts_at_most_one_worker_per_cell(self, args, cpus, workers, monkeypatch,
+                                                      tmp_path):
+        # In-process, with a fake pool that records its size and maps
+        # serially, so no worker process starts.
+        from cubicmin import cli
+
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        dest = tmp_path / "bench.csv"
+        assert cli.main(["bench", "sphere2", "--variants", "arc", *args,
+                         "--out", str(dest)]) == 0
+        assert asked == workers
+        with open(dest, newline="") as f:
+            assert len(list(csv.DictReader(f))) == int(args[1])
+
     def test_profile_empty_csv_exit_1(self, tmp_path):
         src = tmp_path / "empty.csv"
         src.write_text(BENCH_HEADER + "\n")

@@ -183,7 +183,7 @@ class TestExactResidualReferee:
 
     @pytest.mark.xfail(
         strict=True,
-        reason="ROADMAP item 1: a double residual below the gate is certified even "
+        reason="ROADMAP item 11: a double residual below the gate is certified even "
         "where the exact one is above it (2 escape-loop certificates per class)",
     )
     @pytest.mark.parametrize("cls", ["scaled_Q", "tiny_sigma"])

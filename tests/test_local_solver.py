@@ -335,10 +335,9 @@ class TestReportContract:
         assert rep.iterations >= 0
         assert rep.objective_trace[0] == 0.0
         assert set(rep.step_counts) == {"newton", "shifted", "gradient"}
-        bare = LocalSolveReport(
-            s=rep.s, residual=0.0, iterations=0, objective_trace=[], converged=True
-        )
-        assert bare.step_counts == {}
+        with pytest.raises(TypeError, match="step_counts"):
+            LocalSolveReport(s=rep.s, residual=0.0, iterations=0, objective_trace=[],
+                             converged=True)
 
     def test_step_counts_sum_to_iterations(self):
         rng = np.random.default_rng(17)

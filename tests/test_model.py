@@ -1,13 +1,16 @@
 """Cubic model evaluation, derivatives, and the global certificate."""
 
+import importlib
 import math
 import pickle
+import pkgutil
 import re
 import warnings
 
 import numpy as np
 import pytest
 
+import cubicmin
 from cubicmin import CubicModel, SymmetricMatrix, eval_model, global_minimize, grad, hess, is_global
 from cubicmin import linalg
 from cubicmin import model as model_mod
@@ -579,15 +582,15 @@ def _package_reports():
 class TestOptionAndReportTypes:
     """The option and report classes are NamedTuples as well: the fields
     and defaults written out below, immutable, kept whole by pickle and
-    ``_replace``, a new default list or dict per instance, and options
-    checked by ``_replace`` as by the constructor."""
+    ``_replace``, and options checked by ``_replace`` as by the
+    constructor."""
 
     FIELDS = {
         SubproblemTrace: (("steps", "escape_count"), {}),
         OuterReport: (
             ("x_final", "f_final", "grad_inf_norm", "iterations", "sigma_history", "variant",
              "converged", "f_history", "accepted_psd_margins"),
-            {"f_history": [], "accepted_psd_margins": []},
+            {},
         ),
         ArcOptions: (
             ("tol_grad_inf", "max_iters", "cauchy_start", "seed"),
@@ -598,7 +601,7 @@ class TestOptionAndReportTypes:
         LocalSolveReport: (
             ("s", "residual", "iterations", "objective_trace", "converged", "step_counts",
              "point"),
-            {"step_counts": {}, "point": None},
+            {"point": None},
         ),
     }
 
@@ -627,36 +630,30 @@ class TestOptionAndReportTypes:
             assert type(changed) is cls
             assert all(a is b for a, b in zip(changed, x))
 
-    @pytest.mark.parametrize(
-        "build",
-        [
-            lambda: OuterReport(np.zeros(1), 0.0, 0.0, 0, [], "ARC", True),
-            lambda: OuterReport(x_final=np.zeros(1), f_final=0.0, grad_inf_norm=0.0,
-                                iterations=0, sigma_history=[], variant="ARC", converged=True),
-            lambda: LocalSolveReport(np.zeros(1), 0.0, 0, [], True),
-            lambda: LocalSolveReport(s=np.zeros(1), residual=0.0, iterations=0,
-                                     objective_trace=[], converged=True),
-        ],
-        ids=["OuterReport-positional", "OuterReport-keyword", "LocalSolveReport-positional",
-             "LocalSolveReport-keyword"],
-    )
-    def test_default_containers_are_fresh(self, build):
-        first, second = build(), build()
-        cls = type(first)
-        for name, default in cls._field_defaults.items():
-            if isinstance(default, (list, dict)):
-                value = getattr(first, name)
-                assert type(value) is type(default) and value == default
-                assert value is not default
-                assert value is not getattr(second, name)
-                value.clear()  # a new container, so the default stays empty
-        assert cls._field_defaults == self.FIELDS[cls][1]
-
     def test_given_containers_are_kept(self):
         history, margins, counts = [1.0], [None], {"newton": 2}
         rep = OuterReport(np.zeros(1), 0.0, 0.0, 0, [], "ARC", True, history, margins)
         assert rep.f_history is history and rep.accepted_psd_margins is margins
         assert LocalSolveReport(np.zeros(1), 0.0, 0, [], True, counts).step_counts is counts
+
+    def test_no_named_tuple_defaults_to_a_mutable_container(self):
+        # A NamedTuple default is one object shared by every instance that
+        # takes it, so a list, dict, set or array there leaks between records.
+        classes = []
+        for info in pkgutil.iter_modules(cubicmin.__path__):
+            if info.name == "__main__":  # importing it runs the CLI
+                continue
+            module = importlib.import_module(f"cubicmin.{info.name}")
+            classes += [obj for obj in vars(module).values()
+                        if isinstance(obj, type) and issubclass(obj, tuple)
+                        and hasattr(obj, "_field_defaults")
+                        and obj.__module__ == module.__name__]
+        names = {cls.__qualname__ for cls in classes}
+        assert {"OuterReport", "LocalSolveReport", "_ArcOptions", "StationaryPoint"} <= names
+        mutable = [f"{cls.__module__}.{cls.__qualname__}.{name}"
+                   for cls in classes for name, default in cls._field_defaults.items()
+                   if isinstance(default, (list, dict, set, np.ndarray))]
+        assert mutable == []
 
     @pytest.mark.parametrize(
         "cls, field, value, message",

@@ -1420,10 +1420,10 @@ class TestExtremeScales:
 
 class TestLostSecularRoots:
     """Two models whose minimizer is a normal double, but whose secular
-    iteration loses its root (ROADMAP item 2, "Not covered")."""
+    iteration loses its root (ROADMAP item 13)."""
 
     @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
-        "ROADMAP item 2: the secular iteration leaves double range near lam = 5e-104"))
+        "ROADMAP item 13: the secular iteration leaves double range near lam = 5e-104"))
     def test_minimizer_near_1e_minus_103(self):
         # [[1e102]] certifies s* = -1e-102; here 1/||s||**3 overflows.
         sol = global_minimize(CubicModel([1.0], [[1e103]], 1.0))
@@ -1431,7 +1431,7 @@ class TestLostSecularRoots:
         assert sol.s_star[0] == pytest.approx(-1e-103, rel=1e-12)
 
     @pytest.mark.xfail(strict=True, raises=ConvergenceError, reason=(
-        "ROADMAP item 2: the largest root, lam = 1 + 1e-140, is the pole 1 in double, "
+        "ROADMAP item 13: the largest root, lam = 1 + 1e-140, is the pole 1 in double, "
         "and the search's phi' overflows at its first step"))
     def test_root_within_rounding_of_its_pole(self):
         # s* = -(1 + sqrt(1 + 4 sigma)) / (2 sigma), about -1e140, where
@@ -1444,14 +1444,14 @@ class TestLostSecularRoots:
 class TestMisplacedSecularRoot:
     """c = (2e48, 0), Q = 2I: from sigma = 2^766 on the secular root lam
     sits 2.6e-6 relative from sigma*||s||, and the certificate fails though
-    s* is a normal double (ROADMAP item 2, "Not covered").  At 2^764 the
+    s* is a normal double (ROADMAP item 13).  At 2^764 the
     certificate passes, but on a misplaced root: s*[0] is 1.4e-10 relative
     off, within a gradient gate relative to ||c|| = 2e48 (2^763 is 1.6e-12
     off; 2^765 is exact to the last digit).  The phi' terms there are
     subnormal; the cause is not verified."""
 
     @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 2: the secular root misses sigma*||s||, within the gradient tolerance"))
+        "ROADMAP item 13: the secular root misses sigma*||s||, within the gradient tolerance"))
     def test_root_at_sigma_2_to_the_764(self):
         # -r, r the positive root of sigma r^2 + 2 r = 2e48, to 60 digits.
         sol = global_minimize(CubicModel([2e48, 0.0], 2.0 * np.eye(2), 2.0**764))
@@ -1459,7 +1459,7 @@ class TestMisplacedSecularRoot:
         assert sol.s_star[0] == pytest.approx(-1.435676706738353e-91, rel=1e-12, abs=0.0)
 
     @pytest.mark.xfail(strict=True, raises=CertificateFailure, reason=(
-        "ROADMAP item 2: the secular root misses sigma*||s|| past the gradient tolerance"))
+        "ROADMAP item 13: the secular root misses sigma*||s|| past the gradient tolerance"))
     @pytest.mark.parametrize("k, s0", [(766, -7.178383533691765e-92), (767, -5.0758836746312984e-92)])
     def test_certifies_at_sigma_2_to_the_k(self, k, s0):
         # s0 = -r, r the positive root of sigma r^2 + 2 r = 2e48, to 50 digits.
