@@ -188,14 +188,14 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
     tightenings = 0
     while True:
         rep = local_minimize(m, s, eps)
+        point = rep.point
         if not rep.converged:
             raise ConvergenceError(
-                f"local solve stalled at residual {rep.residual:.3e} "
+                f"local solve stalled at residual {point.residual:.3e} "
                 f"(target {eps:.3e})"
             )
-        point = rep.point
         model_mod._check_range(point.objective, point.lam)
-        s_bar = rep.s
+        s_bar = point.s
         ec = float(eps_curv) if eps_curv is not None else model_mod.escape_eps_curv(eps, s_bar)
         try:
             out = escape_mod.escape_approx(
@@ -375,7 +375,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         margin = None
         if variant == ARC:
             rep = local_minimize(m, s0, eps_inner)
-            s = rep.s
+            s = rep.point.s
             mval = rep.point.objective
         else:
             try:

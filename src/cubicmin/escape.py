@@ -93,11 +93,11 @@ class EscapeOutcome(NamedTuple):
 
     case_tag: str
     point: model_mod.StationaryPoint
-    s_hat: np.ndarray = None
-    alpha_used: float = None
-    z_used: np.ndarray = None
-    decrease: float = 0.0
-    certificate: model_mod.GlobalCertificate = None
+    s_hat: np.ndarray
+    alpha_used: float
+    z_used: np.ndarray
+    decrease: float
+    certificate: model_mod.GlobalCertificate
 
 
 def alpha_threshold_biii(m, s_bar, d):

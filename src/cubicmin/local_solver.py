@@ -50,21 +50,19 @@ class LocalSolveReport(NamedTuple):
     (``"newton"``, ``"shifted"``, ``"gradient"``); the Newton polish is
     not counted.
 
-    ``point`` is the ``StationaryPoint`` of the final ``s``, built from
-    the norm, ``Q s``, ``m(s)`` and gradient the solve already holds:
-    field by field the bits of ``StationaryPoint.from_vector(m, s)``,
-    converged or not, its ``s`` a read-only copy.  Unlike
-    ``from_vector`` it does not raise where ``m(s)`` is NaN or ``-inf``;
-    the escape loop does.
+    ``point`` is the ``StationaryPoint`` of the final iterate ``s``,
+    built from the norm, ``Q s``, ``m(s)`` and gradient the solve already
+    holds: field by field the bits of ``StationaryPoint.from_vector(m, s)``,
+    converged or not.  ``point.s`` is the solve's own final iterate, made
+    read-only.  Unlike ``from_vector`` it does not raise where ``m(s)`` is
+    NaN or ``-inf``; the escape loop does.
     """
 
-    s: np.ndarray
-    residual: float
+    point: model_mod.StationaryPoint
     iterations: int
     objective_trace: list
     converged: bool
     step_counts: dict
-    point: model_mod.StationaryPoint = None
 
 
 def _newton_step(m, s, norm_s, g):
@@ -240,8 +238,8 @@ def _descend(m, s, eps):
 def _report(m, s, norm_s, f, g, residual, iterations, trace, converged, step_counts):
     # The final iterate's StationaryPoint from the values the solve holds:
     # the bits of StationaryPoint.from_vector(m, s), without evaluating s.
-    s_point = s.copy()
-    s_point.setflags(write=False)
+    # s is the solve's copy of s0 or a trial it built; nothing writes to it.
+    s.setflags(write=False)
     g.setflags(write=False)
-    point = model_mod.StationaryPoint(s_point, m.sigma * norm_s, f, residual, g)
-    return LocalSolveReport(s, residual, iterations, trace, converged, step_counts, point)
+    point = model_mod.StationaryPoint(s, m.sigma * norm_s, f, residual, g)
+    return LocalSolveReport(point, iterations, trace, converged, step_counts)

@@ -107,7 +107,6 @@ class CubicModel:
         self.sigma = sigma
         self.n = Q.n
         self.norm_c = linalg.norm(c)
-        self._secular = None
         self._secular_built = []  # one entry, or one per thread that raced to build it
 
     @property
@@ -151,10 +150,11 @@ class CubicModel:
 class StationaryPoint(NamedTuple):
     """A point with its one evaluation: everything that judges it reads this.
 
-    ``s`` is a read-only copy, ``lam = sigma * ||s||`` (recomputed, never
-    supplied, so the norm coupling holds by construction),
-    ``objective = m(s)``, ``gradient = grad m(s) = c + Q s + sigma ||s|| s``
-    (read-only) and ``residual = ||gradient||``.  Both norms are
+    ``s`` is read-only and shares no memory with a caller's array,
+    ``lam = sigma * ||s||`` (recomputed, never supplied, so the norm
+    coupling holds by construction), ``objective = m(s)``,
+    ``gradient = grad m(s) = c + Q s + sigma ||s|| s`` (read-only) and
+    ``residual = ||gradient||``.  Both norms are
     ``linalg.norm``, so lam is finite wherever ||s|| is.
     ``_certificate`` judges the record, the escapes read ``s``, ``lam``
     and ``gradient`` from it instead of evaluating s again, and
@@ -225,20 +225,22 @@ def _evaluate(model, s, objective=True, gradient=True):
 
 def _check_range(value, lam):
     # ConvergenceError where m(s) = value is NaN or -inf; inf, as where
-    # only ||s||**3 overflows, stays.
+    # only (sigma/3)||s||^3 overflows, stays.
     if not value > -math.inf:
         raise ConvergenceError(f"m(s) leaves double range at lam = {lam!r}: {value!r}")
 
 
 def _objective(model, s, norm_s, qs):
     # m(s) from ||s|| and Q s, so one point's evaluations share them.
-    # The Python float cube raises past ||s|| ~ 5.6e102; it is inf there.
+    # The Python float cube raises past ||s|| ~ 5.6e102.  There
+    # (sigma/3)||s||^3 is taken factor by factor: each partial product is
+    # at most the last, so it is inf only where (sigma/3)||s||^3 overflows.
     try:
-        cube = norm_s**3
+        cubic = (model.sigma / 3.0) * norm_s**3
     except OverflowError:
-        cube = math.inf
+        cubic = model.sigma / 3.0 * norm_s * norm_s * norm_s
     # Python floats add without NumPy's scalar overhead, in the same order.
-    return float(model.c.dot(s)) + float((0.5 * s).dot(qs)) + (model.sigma / 3.0) * cube
+    return float(model.c.dot(s)) + float((0.5 * s).dot(qs)) + cubic
 
 
 def _gradient(model, s, norm_s, qs):

@@ -5,6 +5,8 @@ default starting point.  Registered gradients are validated against a
 central finite difference once at construction time.
 """
 
+import numbers
+
 import numpy as np
 
 from . import linalg
@@ -32,7 +34,8 @@ class ObjectiveFunction:
     ----------
     name : str
     n : int
-        Problem dimension, at least 1 (ValueError otherwise).
+        Problem dimension: a Python or NumPy integer, not a bool, at
+        least 1 (ValueError otherwise).
     f, grad, hess : callables
         Value, gradient (shape (n,)) and dense symmetric Hessian
         (shape (n, n)) at a point of shape (n,).
@@ -47,6 +50,8 @@ class ObjectiveFunction:
 
     def __init__(self, name, n, f, grad, hess, x0):
         self.name = str(name)
+        if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+            raise ValueError(f"dimension must be an integer, got {n!r}")
         self.n = int(n)
         if self.n < 1:
             raise ValueError(f"dimension must be at least 1, got {self.n}")

@@ -172,13 +172,12 @@ class SecularProblem:
         Threads that first use one model together may each build a
         record, but every one of them returns the first record stored.
         """
-        sp = m._secular
-        if sp is None:
+        built = m._secular_built
+        if not built:
             # One list operation: threads that race here each append a
             # record, and all of them read the first one appended.
-            m._secular_built.append(cls(m))
-            sp = m._secular = m._secular_built[0]
-        return sp
+            built.append(cls(m))
+        return built[0]
 
     def _boundary_pair(self, m, lam):
         """``_boundary_parts`` at lam as the points ``(base + free, base - free)``, kept."""

@@ -13,6 +13,7 @@ norms and the package's certificate as that form did.
 import decimal
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +41,6 @@ from cubicmin.local_solver import (
     _BACKTRACK,
     _MAX_ITERS,
     _PD_RTOL,
-    LocalSolveReport,
 )
 from cubicmin.model import (
     _IN_RANGE,
@@ -308,6 +308,7 @@ def _ref_outcome(m, point, case, s_hat, alpha=None, z=None):
         alpha_used=alpha,
         z_used=None if z is None else np.array(z),
         decrease=point.objective - _ref_eval_model(m, s_hat),
+        certificate=None,
     )
 
 
@@ -321,7 +322,8 @@ def ref_escape(m, point, tol, direction=None):
         if flip.decrease > 0.0:
             return flip
     if cert.is_global:
-        return EscapeOutcome(case_tag=CASE_NONE_GLOBAL, point=point, certificate=cert)
+        return EscapeOutcome(case_tag=CASE_NONE_GLOBAL, point=point, s_hat=None,
+                             alpha_used=None, z_used=None, decrease=0.0, certificate=cert)
     if flip is not None:
         raise ThresholdNotMet("sign flip failed to decrease the objective")
     d = m.eig.vectors[:, 0].copy() if direction is None else m._check_dim(direction)
@@ -401,6 +403,17 @@ def _ref_newton_step(m, s, norm_s, g, shifted=False):
     return -(V @ (dh - (rho * float(u @ dh) / denom) * du))
 
 
+class RefLocalReport(NamedTuple):
+    """A reference local solve's outcome, its final iterate in ``s``."""
+
+    s: np.ndarray
+    residual: float
+    iterations: int
+    objective_trace: list
+    converged: bool
+    step_counts: dict
+
+
 def ref_local_minimize(m, s0, eps_grad=None):
     """The local solve: Newton, shifted Newton, then gradient, with Armijo backtracking."""
     if eps_grad is not None and not eps_grad > 0.0:
@@ -421,7 +434,7 @@ def ref_local_minimize(m, s0, eps_grad=None):
         g = _ref_gradient(m, s, norm_s, qs)
         residual = ref_safe_norm(g)
         if residual <= eps:
-            return LocalSolveReport(
+            return RefLocalReport(
                 s=s, residual=residual, iterations=iterations - 1,
                 objective_trace=trace, converged=True,
                 step_counts=step_counts,
@@ -480,7 +493,7 @@ def ref_local_minimize(m, s0, eps_grad=None):
             s, norm_s, qs, g, residual = s_try, n_try, q_try, g_try, r_try
         else:
             break
-    return LocalSolveReport(
+    return RefLocalReport(
         s=s, residual=residual, iterations=iterations,
         objective_trace=trace, converged=residual <= eps,
         step_counts=step_counts,

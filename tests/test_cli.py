@@ -16,6 +16,15 @@ BENCH_HEADER = (
 )
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    """Parse JSON text; NaN, Infinity and -Infinity, which are not JSON, raise ValueError."""
+    return json.loads(text, parse_constant=_reject_constant)
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "cubicmin", *args],
@@ -58,7 +67,7 @@ class TestSolve:
             "--format", "structured",
         )
         assert out.returncode == 0
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         assert rec["objective"] == pytest.approx(-2.0 / 3.0, abs=1e-9)
         assert rec["lambda"] == pytest.approx(1.0, abs=1e-6)
         assert rec["is_global"] is True
@@ -69,7 +78,7 @@ class TestSolve:
             "--seed", "7", "--format", "structured",
         )
         assert a.returncode == 0
-        rec = json.loads(a.stdout)
+        rec = strict_json(a.stdout)
         assert rec["objective"] == pytest.approx(-2.0 / 3.0, abs=1e-8)
 
     def test_cross_method_agreement_worked(self, problem_dir):
@@ -80,7 +89,7 @@ class TestSolve:
                 "--format", "structured",
             )
             assert out.returncode == 0
-            recs[method] = json.loads(out.stdout)
+            recs[method] = strict_json(out.stdout)
         gap = abs(recs["secular"]["objective"] - recs["escapes"]["objective"])
         assert gap <= 1e-6
         assert recs["secular"]["objective"] == pytest.approx(-5.0, abs=1e-6)
@@ -105,7 +114,7 @@ class TestSolve:
         )
         assert out.returncode == 0, out.stderr
         assert out.stderr == ""
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         assert math.isfinite(rec["residual"])
         assert rec["is_global"] is True
         assert rec["solution"] == pytest.approx([-1e100, 0.0], rel=1e-12)
@@ -124,7 +133,7 @@ class TestSolve:
         # lists its points (0), or a solver error (2), with no traceback;
         # any warning in the child is an error.
         path = tmp_path / "extreme.json"
-        n = len(json.loads(c))
+        n = len(strict_json(c))
         path.write_text(f'{{"n": {n}, "c": {c}, "Q": {q}, "sigma": 1.0}}\n')
         for command in ("solve", "stationary"):
             out = run_cli(
@@ -134,7 +143,7 @@ class TestSolve:
             assert out.returncode in (0, 2), out.stderr
             if out.returncode == 0:
                 assert out.stderr == ""
-                rec = json.loads(out.stdout)
+                rec = strict_json(out.stdout)
                 if command == "solve":
                     assert rec["is_global"] is True
             else:
@@ -235,10 +244,23 @@ class TestSolve:
         )
         assert out.returncode == 0, out.stderr
         assert out.stderr == ""
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         assert rec["is_global"] is True
         assert rec["lambda"] == pytest.approx(1e-200, rel=1e-12)
         assert rec["solution"] == pytest.approx([-1e-200], rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["solve", "stationary"])
+    def test_cube_past_range_objective_is_json(self, tmp_path, command):
+        # ||s*||**3 = 1e315 leaves double range, (sigma/3)||s*||^3 does not:
+        # the objective is a number, not Infinity.
+        path = tmp_path / "far.json"
+        path.write_text('{"n": 1, "c": [-1e200], "Q": [[0.0]], "sigma": 1e-10}\n')
+        out = run_cli(command, str(path), "--format", "structured",
+                      env={**os.environ, "PYTHONWARNINGS": "error"})
+        assert (out.returncode, out.stderr) == (0, ""), out.stderr
+        rec = strict_json(out.stdout)
+        objective = rec["objective"] if command == "solve" else rec["points"][0]["objective"]
+        assert objective == pytest.approx(-6.666666666666667e304, rel=1e-15)
 
     def test_out_flag_writes_file(self, problem_dir, tmp_path):
         dest = tmp_path / "result.json"
@@ -247,7 +269,7 @@ class TestSolve:
             "--format", "structured", "--out", str(dest),
         )
         assert out.returncode == 0
-        rec = json.loads(dest.read_text())
+        rec = strict_json(dest.read_text())
         assert rec["objective"] == pytest.approx(-2.0 / 3.0, abs=1e-9)
 
     def test_asymmetric_matrix_exit_1(self, problem_dir):
@@ -328,7 +350,7 @@ class TestStationary:
             "--format", "structured",
         )
         assert out.returncode == 0
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         lams = sorted(round(p["lambda"], 9) for p in rec["points"])
         assert lams == [0.0, 1.0, 1.0]
         assert rec["bound"] == 4
@@ -341,7 +363,7 @@ class TestStationary:
         )
         out = run_cli("stationary", str(path), "--format", "structured")
         assert out.returncode == 0
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         assert len(rec["points"]) == 5
         # 1e-9 (1 + |lam|) merges the four multipliers near 1 into one.
         assert rec["distinct_lambdas"] == 2
@@ -352,7 +374,7 @@ class TestStationary:
             "stationary", str(problem_dir / "convexzero.json"),
             "--format", "structured",
         )
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         assert [p["lambda"] for p in rec["points"]] == [0.0]
         assert rec["bound"] == 2
 
@@ -364,7 +386,7 @@ class TestEscape:
             "--format", "structured",
         )
         assert out.returncode == 0
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         assert rec["case"] == "B_III"
         assert rec["decrease"] == pytest.approx(12.0 / 25.0, abs=1e-9)
         assert rec["s_hat"] == pytest.approx([0.6, -0.8], abs=1e-9)
@@ -375,7 +397,7 @@ class TestEscape:
             "--eps", "1.0", "--eps2", "0.1", "--format", "structured",
         )
         assert out.returncode == 0
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         assert rec["case"] == "B_III"
         assert rec["decrease"] > 0.0
 
@@ -458,7 +480,7 @@ class TestEscape:
             "--point", f"0.5,{tau!r}", "--format", "structured",
         )
         assert out.returncode == 0
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         assert rec["case"] == "NONE_GLOBAL"
 
     def test_leading_negative_point(self, tmp_path):
@@ -469,7 +491,7 @@ class TestEscape:
         for form in (["--point", "-1"], ["--point=-1"]):
             out = run_cli("escape", str(path), *form, "--format", "structured")
             assert out.returncode == 0
-            assert json.loads(out.stdout)["case"] == "NONE_GLOBAL"
+            assert strict_json(out.stdout)["case"] == "NONE_GLOBAL"
 
     def test_malformed_point_exit_1(self, problem_dir):
         out = run_cli(
@@ -491,7 +513,7 @@ class TestMinimize:
             "minimize", "sphere2", "--variant", "arc", "--format", "structured"
         )
         assert out.returncode == 0
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         assert rec["converged"] is True
         assert rec["f_final"] <= 1e-10
 
@@ -500,7 +522,7 @@ class TestMinimize:
             "minimize", "sphere2", "--x0", "-3,4", "--format", "structured"
         )
         assert out.returncode == 0
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         assert rec["converged"] is True
 
     def test_arc_plus_on_rosenbrock(self):
@@ -508,7 +530,7 @@ class TestMinimize:
             "minimize", "rosenbrock2", "--variant", "arc_plus",
             "--format", "structured",
         )
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         assert rec["converged"] is True
         assert rec["grad_inf_norm"] <= 1e-5
         assert rec["x_final"] == pytest.approx([1.0, 1.0], abs=1e-3)
@@ -519,7 +541,7 @@ class TestMinimize:
             "--variant", "arc_plus", "--format", "structured",
         )
         assert out.returncode == 0
-        rec = json.loads(out.stdout)
+        rec = strict_json(out.stdout)
         assert rec["f_final"] == pytest.approx(-5.0, abs=1e-5)
 
     def test_nonconvergence_exit_2(self):
@@ -1172,7 +1194,7 @@ class TestGoldenContract:
         code, out, err = run("minimize", "sphere2", "--x0", "-3,4", "--max-iters", "1",
                              "--format", "structured")
         assert (code, err) == (2, "")
-        assert list(json.loads(out.replace("X", "0"))) == [
+        assert list(strict_json(out.replace("X", "0"))) == [
             "tool", "version", "name", "variant", "converged", "iterations",
             "f_final", "grad_inf_norm", "x_final", "wall_ms",
         ]
@@ -1206,6 +1228,13 @@ class TestGoldenContract:
         src = tmp_path / "bench.csv"
         src.write_text(out)
         assert run("profile", str(src), "--format", fmt) == (0, "tau,ARC,ARC_PLUS\n1,1,1\n", "")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", '{"objective": Infinity}'])
+    def test_non_json_constants_raise(self, text):
+        with pytest.raises(ValueError, match="is not JSON$"):
+            strict_json(text)
 
 
 class TestOverflowingNormC:

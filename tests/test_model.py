@@ -1,5 +1,6 @@
 """Cubic model evaluation, derivatives, and the global certificate."""
 
+import decimal
 import importlib
 import math
 import pickle
@@ -113,6 +114,21 @@ class TestEval:
         assert p.residual == pytest.approx(1e206, rel=1e-15)
         s = np.array([1e102])
         assert eval_model(m, s) == pytest.approx(np_eval(m, s), rel=1e-15)
+
+    def test_cube_past_range_with_finite_objective(self):
+        # ||s*||**3 = 1e315 raises, (sigma/3)||s*||^3 = 3.3e304 does not:
+        # the certified minimizer's m* is a normal double, not inf.
+        m = CubicModel([-1e200], [[0.0]], 1e-10)
+        sol = global_minimize(m)
+        assert sol.certificate.is_global
+        with decimal.localcontext() as ctx:
+            ctx.prec = 60
+            D = decimal.Decimal
+            s = D(float(sol.s_star[0]))
+            exact = float(D(-1e200) * s + D(1e-10) / 3 * abs(s) ** 3)
+        assert exact == pytest.approx(-6.666666666666667e304, rel=1e-15)
+        assert abs(sol.objective - exact) <= 4.0 * np.finfo(float).eps * abs(exact)
+        assert [p.objective for p in enumerate_stationary(m)] == [sol.objective]
 
     def test_rewriting_identity(self):
         rng = np.random.default_rng(11)
@@ -599,9 +615,8 @@ class TestOptionAndReportTypes:
         ProfileTable: (("taus", "curves"), {}),
         ApproxTolerances: (("eps_grad", "eps_curv"), {}),
         LocalSolveReport: (
-            ("s", "residual", "iterations", "objective_trace", "converged", "step_counts",
-             "point"),
-            {"point": None},
+            ("point", "iterations", "objective_trace", "converged", "step_counts"),
+            {},
         ),
     }
 
@@ -634,11 +649,12 @@ class TestOptionAndReportTypes:
         history, margins, counts = [1.0], [None], {"newton": 2}
         rep = OuterReport(np.zeros(1), 0.0, 0.0, 0, [], "ARC", True, history, margins)
         assert rep.f_history is history and rep.accepted_psd_margins is margins
-        assert LocalSolveReport(np.zeros(1), 0.0, 0, [], True, counts).step_counts is counts
+        point = StationaryPoint.from_vector(WORKED, np.zeros(2))
+        assert LocalSolveReport(point, 0, [], True, counts).step_counts is counts
 
-    def test_no_named_tuple_defaults_to_a_mutable_container(self):
-        # A NamedTuple default is one object shared by every instance that
-        # takes it, so a list, dict, set or array there leaks between records.
+    @staticmethod
+    def _package_named_tuples():
+        """Every NamedTuple class defined in a ``cubicmin`` module, public or private."""
         classes = []
         for info in pkgutil.iter_modules(cubicmin.__path__):
             if info.name == "__main__":  # importing it runs the CLI
@@ -649,11 +665,26 @@ class TestOptionAndReportTypes:
                         and hasattr(obj, "_field_defaults")
                         and obj.__module__ == module.__name__]
         names = {cls.__qualname__ for cls in classes}
-        assert {"OuterReport", "LocalSolveReport", "_ArcOptions", "StationaryPoint"} <= names
+        assert {"OuterReport", "LocalSolveReport", "_ArcOptions", "StationaryPoint",
+                "EscapeOutcome"} <= names
+        return classes
+
+    def test_no_named_tuple_defaults_to_a_mutable_container(self):
+        # A NamedTuple default is one object shared by every instance that
+        # takes it, so a list, dict, set or array there leaks between records.
+        classes = self._package_named_tuples()
         mutable = [f"{cls.__module__}.{cls.__qualname__}.{name}"
                    for cls in classes for name, default in cls._field_defaults.items()
                    if isinstance(default, (list, dict, set, np.ndarray))]
         assert mutable == []
+
+    def test_only_arc_options_declares_field_defaults(self):
+        # A result record is built whole by the code that computes it; only
+        # the options have defaults.  A subclass inherits its base's.
+        declared = [f"{cls.__module__}.{cls.__qualname__}"
+                    for cls in self._package_named_tuples()
+                    if vars(cls).get("_field_defaults")]
+        assert declared == ["cubicmin.driver._ArcOptions"]
 
     @pytest.mark.parametrize(
         "cls, field, value, message",

@@ -1,5 +1,7 @@
 """Registered benchmark objectives and cubic-model wrappers."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,17 @@ class TestObjectiveFunction:
     def test_rejects_dimension_below_one(self, n):
         with pytest.raises(ValueError, match=rf"^dimension must be at least 1, got {n}$"):
             ObjectiveFunction("empty", n, lambda x: 0.0, np.zeros_like, np.zeros_like, [])
+
+    @pytest.mark.parametrize("n", [2.5, True, "2", 2.0], ids=repr)
+    def test_rejects_dimension_not_an_integer(self, n):
+        message = f"^dimension must be an integer, got {re.escape(repr(n))}$"
+        with pytest.raises(ValueError, match=message):
+            ObjectiveFunction("x", n, lambda x: 0.0, np.zeros_like, np.zeros_like, [0.0, 0.0])
+
+    def test_accepts_numpy_integer_dimension(self):
+        p = ObjectiveFunction("x", np.int64(2), lambda x: 0.0, np.zeros_like, np.zeros_like,
+                              [0.0, 0.0])
+        assert p.n == 2 and type(p.n) is int
 
     @staticmethod
     def _square(grad, x0):

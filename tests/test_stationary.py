@@ -582,11 +582,11 @@ class TestSharedSecularData:
     def test_constructor_builds_top_root_and_point(self):
         m = CubicModel([1.0, 1.0, 1.0], np.diag([-3.0, -1.0, 2.0]), 1.0)
         sp = SecularProblem(m)
-        assert m._secular is None
+        assert m._secular_built == [] and not hasattr(m, "_secular")
         assert sp.top_root is not None and sp.top_root.lam > sp.poles[-1]
         assert sp.top_point.lam == pytest.approx(sp.top_root.lam, rel=1e-12)
         cached = SecularProblem.from_model(m)
-        assert m._secular is cached
+        assert len(m._secular_built) == 1 and m._secular_built[0] is cached
         assert enumerate_lambda(cached)[-1] is cached.top_root
         assert enumerate_stationary(m)[-1] is cached.top_point
         zero = SecularProblem(CubicModel([0.0, 0.0], np.diag([-1.0, 2.0]), 1.0))
@@ -970,7 +970,7 @@ class TestAllCoupledPath:
     def _outcome(m, sp):
         """The global solution, its certificate and every enumerated point, as bits."""
         m = _fresh(m)
-        m._secular = sp
+        m._secular_built.append(sp)
         out = [_record_bits(lambda: global_minimize(m)),
                _record_bits(lambda: global_minimize(m).certificate)]
         try:
