@@ -107,6 +107,7 @@ class ArcOptions(_ArcOptions):
     rho >= eta2 = 0.9, double it on rejection.  ``cauchy_start`` seeds
     each subproblem from the Cauchy point instead of a random sphere
     point.  ``seed`` (non-negative) drives all subproblem starting points.
+    ``tol_grad_inf`` is positive and finite.
     ``max_iters`` and ``seed`` are Python or NumPy integers, not bools.
     The constructor, ``_replace`` and unpickling all check the fields.
     """
@@ -115,8 +116,9 @@ class ArcOptions(_ArcOptions):
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        if not self.tol_grad_inf > 0.0:
-            raise ValueError("tol_grad_inf must be positive")
+        if not 0.0 < self.tol_grad_inf < math.inf:
+            bound = "finite" if self.tol_grad_inf == math.inf else "positive"
+            raise ValueError(f"tol_grad_inf must be {bound}")
         for name in ("max_iters", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -162,23 +164,24 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
     Raises
     ------
     ValueError
-        A tolerance is not positive, or ``s0`` has the wrong length or a
-        NaN or infinite entry.
+        A tolerance is not positive and finite, or ``s0`` has the wrong
+        length or a NaN or infinite entry.
     ConvergenceError
         A local solve stalls above its target, or m at its point or at a
         move is NaN or below double range.
     BoundExceeded
         More escapes fired than the stationary-count bound allows.
     ToleranceFloor
-        Repeated threshold failures reached ``model.ESCAPE_EPS_FLOOR``.
+        No escape threshold held after six tenfold tightenings of
+        ``eps_grad``.
     """
     if eps_grad is None:
         eps_grad = m.default_tol_grad()
     eps_grad = float(eps_grad)
-    if not eps_grad > 0.0:
-        raise ValueError("eps_grad must be positive")
-    if eps_curv is not None and not float(eps_curv) > 0.0:
-        raise ValueError("eps_curv must be positive")
+    if not 0.0 < eps_grad < math.inf:
+        raise ValueError(f"eps_grad must be positive and finite, got {eps_grad!r}")
+    if eps_curv is not None and not 0.0 < float(eps_curv) < math.inf:
+        raise ValueError(f"eps_curv must be positive and finite, got {float(eps_curv)!r}")
 
     cap = None  # count_bound(m) + 2, taken at the first escape
     eps = eps_grad
@@ -202,7 +205,7 @@ def solve_via_escapes(m, s0, eps_grad=None, eps_curv=None):
                 m, point, escape_mod.ApproxTolerances(eps_grad=eps, eps_curv=ec)
             )
         except ThresholdNotMet:
-            if tightenings >= _MAX_TIGHTENINGS or eps / 10.0 < model_mod.ESCAPE_EPS_FLOOR:
+            if tightenings >= _MAX_TIGHTENINGS:
                 raise ToleranceFloor(
                     f"no escape threshold held down to eps_grad = {eps:.3e}"
                 )
@@ -322,9 +325,14 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         or a step is rejected where every model step is below half the
         float spacing of x, so that no later step could move it; ARC_PLUS
         also checks this when a subproblem solve fails, and otherwise
-        re-raises that solve's error.  An ``f(x0) = +inf``
+        re-raises that solve's error.  Also where the gradient's
+        sup-norm, at x0 or after an accepted step, or an entry of the
+        Hessian is not finite.  An ``f(x0) = +inf``
         is kept: rho is ``+inf`` at any finite trial value, so the first
         such step is accepted and the run goes on from a finite value.
+
+    The loop runs with NumPy's overflow and invalid warnings off, so
+    callbacks that leave double range warn nothing.
     """
     if variant not in (ARC, ARC_PLUS):
         raise ValueError(f"unknown variant {variant!r}")
@@ -337,8 +345,24 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         raise ValueError(f"x0 has length {x.shape[0]}, expected {f.n}")
     if np.count_nonzero(np.isfinite(x)) < f.n:
         raise ValueError("x0 entries must be finite")
-    rng = np.random.default_rng(opts.seed)
+    # Callbacks may leave double range: they warn nothing, and _outer_loop
+    # raises ConvergenceError where f(x0), the gradient or the Hessian does.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _outer_loop(f, x, variant, opts)
 
+
+def _grad_inf_norm(g):
+    # The gradient's sup-norm; ConvergenceError where it is not finite,
+    # since no model can be built on that gradient.
+    ginf = float(np.abs(g).max())
+    if not ginf < math.inf:
+        raise ConvergenceError(f"gradient sup-norm {ginf!r}: f's gradient leaves double range")
+    return ginf
+
+
+def _outer_loop(f, x, variant, opts):
+    # arc_plus_minimize from its checked start x.
+    rng = np.random.default_rng(opts.seed)
     sigma = _SIGMA0
     fx = f.f(x)
     if not fx > -math.inf:
@@ -349,7 +373,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
     iterations = 0
     converged = False
     g = f.grad(x)
-    ginf = float(np.abs(g).max())
+    ginf = _grad_inf_norm(g)
     hess_x = None  # the SymmetricMatrix of f.hess(x), built on first use
 
     while iterations < opts.max_iters:
@@ -359,7 +383,14 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
         iterations += 1
         sigma_history.append(sigma)
         if hess_x is None:
-            hess_x = SymmetricMatrix(f.hess(x))
+            h = f.hess(x)
+            try:
+                hess_x = SymmetricMatrix(h)
+            except ValueError:
+                # An asymmetric finite Hessian keeps its ValueError.
+                if np.count_nonzero(np.isfinite(h)) < h.size:
+                    raise ConvergenceError("f's Hessian leaves double range") from None
+                raise
         m = CubicModel(g, hess_x, sigma)
         eps_inner = m.arc_target()
         s_c = cauchy_step(m)
@@ -401,7 +432,7 @@ def arc_plus_minimize(f, x0, variant=ARC_PLUS, opts=None):
                 f_history.append(fx)
                 margins.append(margin)
                 g = f.grad(x)
-                ginf = float(np.abs(g).max())
+                ginf = _grad_inf_norm(g)
                 hess_x = None
                 if rho >= _ETA2:
                     sigma = max(sigma / 2.0, _SIGMA_MIN)

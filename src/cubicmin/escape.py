@@ -12,11 +12,13 @@ above ``eps_grad`` raises NotStationary, and a point that passes gets
 NONE_GLOBAL; one with ``||s_bar|| <= m.zero_step_tol()`` moves as from
 the origin (B_I).  ``escape_exact`` takes the model's two gates,
 without an ``ApproxTolerances`` record; ``escape_approx`` takes the
-caller's record, validated when it was built, whose tolerances also set
-each reflection's threshold, and also takes s_bar as a vector.  The
-case analysis reads s_bar, its multiplier and its gradient from the
-point's ``StationaryPoint`` record, the one evaluation of s_bar: the
-escape loop passes the local solve's.  One verdict, ``_outcome``, keeps a
+caller's record, validated when it was built, and also takes s_bar as a
+vector.  Each decision is one test: B_II is tried where its predicted
+change along d is negative, B_III where ``eps_curv > |grad's| /
+||s||^2``, and each B_III point z where ``z'(Q + lam I)z < -eps_curv
+z'z``.  The case analysis reads s_bar, its multiplier and its gradient
+from the point's ``StationaryPoint`` record, the one evaluation of
+s_bar: the escape loop passes the local solve's.  One verdict, ``_outcome``, keeps a
 move only where direct evaluation (``model._evaluate``, with its range
 test) verifies a positive decrease; where the gates of both reflections
 hold, the larger verified decrease is returned.  The direction d is a
@@ -59,8 +61,8 @@ class ApproxTolerances(_ApproxTolerances):
 
     ``eps_grad`` bounds the gradient residual at s_bar; ``eps_curv`` is
     the curvature margin required of the escape direction.  Both must be
-    ``>= 0`` (NaN is rejected); the constructor, ``_replace`` and
-    unpickling all check them.
+    ``>= 0`` and finite (NaN and inf are rejected); the constructor,
+    ``_replace`` and unpickling all check them.
     """
 
     __slots__ = ()
@@ -69,8 +71,9 @@ class ApproxTolerances(_ApproxTolerances):
         self = super().__new__(cls, *args, **kwargs)
         for name in ("eps_grad", "eps_curv"):
             value = getattr(self, name)
-            if not value >= 0.0:
-                raise ValueError(f"{name} must be nonnegative, got {value!r}")
+            if not 0.0 <= value < math.inf:
+                bound = "finite" if value == math.inf else "nonnegative"
+                raise ValueError(f"{name} must be {bound}, got {value!r}")
         return self
 
     @classmethod
@@ -174,8 +177,8 @@ def escape_approx(m, s_bar, tol):
     loop passes the local solve's ``LocalSolveReport.point``), or a
     vector, which ``StationaryPoint.from_vector`` evaluates once.  Its
     certificate at ``(tol.eps_grad, tol.eps_curv)`` decides NONE_GLOBAL.
-    Each reflection is gated by a threshold on ``tol.eps_curv`` so the
-    theoretical decrease survives the gradient residual.  Every move is
+    B_II is tried where its predicted change along d is negative, and
+    B_III where ``tol.eps_curv > |grad's| / ||s_bar||^2``.  Every move is
     verified by direct evaluation; B_II and B_III are both built when
     their gates hold, and the larger verified decrease is returned
     (B_II on a tie).
@@ -238,18 +241,14 @@ def _escape(m, point, eps_grad, eps_curv):
     q_dd = d_q_d + lam * d_d
     s_d = float(s.dot(d))
     grad_d = float(grad.dot(d))
-    if s_d != 0.0:
-        accepted = eps_curv >= abs(grad_d / s_d)
-        if not accepted:
-            # Strengthened acceptance: the reflection's predicted change
-            # along d is negative even though the plain threshold fails.
-            step = 2.0 * s_d / norm_d**2
-            accepted = 0.5 * step**2 * q_dd - step * grad_d < 0.0
-        if accepted:
-            s_hat = s - 2.0 * (s_d / norm_d**2) * d
-            out = _outcome(m, point, CASE_B_II, s_hat)
-            if out is not None:
-                moves.append(out)
+    # B_II where its predicted change along d is negative (never at s_d = 0).
+    # It holds wherever eps_curv >= |grad_d / s_d| does, up to rounding:
+    # the failed certificate makes q_dd / ||d||^2 < -eps_curv.
+    step = 2.0 * s_d / norm_d**2
+    if 0.5 * step**2 * q_dd - step * grad_d < 0.0:
+        out = _outcome(m, point, CASE_B_II, s - step * d)
+        if out is not None:
+            moves.append(out)
 
     # B_III needs only stationarity, not s_d = 0, since
     # z^T (Q + lam I) z = -c.s - 2 alpha c.d + alpha^2 d^T (Q + lam I) d.
@@ -271,8 +270,7 @@ def _escape(m, point, eps_grad, eps_curv):
             alpha *= 2.0
     if not moves:
         raise ThresholdNotMet(
-            "neither B_II nor B_III verified a decrease (gates: eps_curv >= "
-            "|grad^T d / s_bar^T d| or a negative strengthened test; "
-            "eps_curv > |grad^T s_bar| / ||s_bar||^2)"
+            "neither B_II nor B_III verified a decrease (gates: a negative "
+            "predicted change along d; eps_curv > |grad^T s_bar| / ||s_bar||^2)"
         )
     return max(moves, key=lambda out: out.decrease)

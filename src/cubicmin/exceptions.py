@@ -47,7 +47,7 @@ class BoundExceeded(CubicminError):
 
 
 class ToleranceFloor(CubicminError):
-    """Tolerance tightening reached the floating-point floor without resolution."""
+    """No escape threshold held after six tenfold tightenings of the loop's eps_grad."""
 
 
 class EmptyInput(CubicminError):

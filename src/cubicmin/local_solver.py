@@ -125,8 +125,8 @@ def local_minimize(m, s0, eps_grad=None):
     s0 : array_like, shape (n,)
         Finite entries; copied, so the caller's array is left as it is.
     eps_grad : float, optional
-        Positive gradient-residual target; defaults to the model's
-        gradient gate ``m.default_tol_grad()``.
+        Positive, finite gradient-residual target; defaults to the
+        model's gradient gate ``m.default_tol_grad()``.
 
     Returns
     -------
@@ -141,15 +141,15 @@ def local_minimize(m, s0, eps_grad=None):
     Raises
     ------
     ValueError
-        ``eps_grad`` is not positive, or ``s0`` has the wrong length or a
-        NaN or infinite entry.
+        ``eps_grad`` is not positive and finite, or ``s0`` has the wrong
+        length or a NaN or infinite entry.
 
     The solve runs with NumPy's overflow and invalid warnings off, which
     changes no value: a solve whose terms leave double range warns
     nothing and reports itself unconverged.
     """
-    if eps_grad is not None and not eps_grad > 0.0:
-        raise ValueError("eps_grad must be positive")
+    if eps_grad is not None and not 0.0 < eps_grad < math.inf:
+        raise ValueError(f"eps_grad must be positive and finite, got {eps_grad!r}")
     eps = eps_grad if eps_grad is not None else m.default_tol_grad()
     s = np.array(m._check_dim(s0), dtype=float)
     if np.count_nonzero(np.isfinite(s)) < m.n:

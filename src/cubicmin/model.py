@@ -44,7 +44,6 @@ _IN_RANGE = 2.0**1000
 #   escape curvature  min(10 eps / max(||s||, 1e-8), 1e-6)      escape_eps_curv
 SINGULAR_MODE_TOL = 1e-12  # singular mode, on |mu_i + lam|
 _POLE_MERGE = 1e-10  # pole merge, between a coupled pole and the one below
-ESCAPE_EPS_FLOOR = 1e-15  # escape floor, on the escape loop's eps_grad
 
 
 def boundary_slack(radius):
@@ -282,7 +281,8 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
     Parameters
     ----------
     tol_grad, tol_psd : float, optional
-        Positive tolerances; default to the model's gradient and psd gates.
+        Positive, finite tolerances (else ValueError); default to the
+        model's gradient and psd gates.
 
     Returns
     -------
@@ -305,8 +305,8 @@ def is_global(model, s, tol_grad=None, tol_psd=None):
         tol_grad = model.default_tol_grad()
     if tol_psd is None:
         tol_psd = model.default_tol_psd()
-    if not (tol_grad > 0.0 and tol_psd > 0.0):
-        raise ValueError("tolerances must be positive")
+    if not (0.0 < tol_grad < math.inf and 0.0 < tol_psd < math.inf):
+        raise ValueError("tolerances must be positive and finite")
     _, lam, _, gradient = _evaluate(model, np.ascontiguousarray(s, dtype=float), objective=False)
     return _judge(model, linalg.norm(gradient), lam, tol_grad, tol_psd)
 

@@ -40,12 +40,12 @@ class ObjectiveFunction:
         Value, gradient (shape (n,)) and dense symmetric Hessian
         (shape (n, n)) at a point of shape (n,).
     x0 : array_like, shape (n,)
-        Default starting point.
+        Default starting point, finite (else ValueError).
 
     The gradient is checked against a central finite difference of f at
-    the starting point (relative tolerance 1e-4); a mismatch raises
-    ValueError at construction, so registered problems are consistent
-    by the time any solver sees them.
+    the starting point (relative tolerance 1e-4); a mismatch, a NaN
+    relative error included, raises ValueError at construction, so
+    registered problems are consistent by the time any solver sees them.
     """
 
     def __init__(self, name, n, f, grad, hess, x0):
@@ -61,6 +61,8 @@ class ObjectiveFunction:
         x0 = np.array(x0, dtype=float).reshape(-1)
         if x0.shape[0] != self.n:
             raise ValueError(f"x0 has length {x0.shape[0]}, expected {self.n}")
+        if np.count_nonzero(np.isfinite(x0)) < self.n:
+            raise ValueError("x0 entries must be finite")
         x0.setflags(write=False)
         self.x0 = x0
         self._validate_gradient()
@@ -89,7 +91,7 @@ class ObjectiveFunction:
             fd[i] = (self.f(xp) - self.f(xm)) / (2.0 * h)
         scale = 1.0 + linalg.norm(g)
         err = linalg.norm(fd - g) / scale
-        if err > _FD_REL_TOL:
+        if not err <= _FD_REL_TOL:  # a NaN error is a mismatch too
             raise ValueError(
                 f"gradient of {self.name!r} disagrees with finite differences "
                 f"at the starting point (relative error {err:.2e})"
@@ -147,7 +149,8 @@ def _rosen_coupled6():
     mask = np.array([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
 
     def f(x):
-        return base.f(x) - 0.15 * float(mask @ x) ** 2
+        t = float(mask @ x)
+        return base.f(x) - 0.15 * (t * t)  # t ** 2 raises where t * t overflows to inf
 
     def grad(x):
         return base.grad(x) - 0.3 * float(mask @ x) * mask

@@ -372,9 +372,8 @@ def ref_escape(m, point, tol, direction=None):
             alpha *= 2.0
     if not moves:
         raise ThresholdNotMet(
-            "neither B_II nor B_III verified a decrease (gates: eps_curv >= "
-            "|grad^T d / s_bar^T d| or a negative strengthened test; "
-            "eps_curv > |grad^T s_bar| / ||s_bar||^2)"
+            "neither B_II nor B_III verified a decrease (gates: a negative "
+            "predicted change along d; eps_curv > |grad^T s_bar| / ||s_bar||^2)"
         )
     return max(moves, key=lambda out: out.decrease)
 
@@ -720,7 +719,6 @@ def ref_boundary_points(sp):
 # them bit for bit.
 REF_SINGULAR_MODE_TOL = 1e-12
 REF_POLE_MERGE = 1e-10
-REF_EPS_FLOOR = 1e-15
 
 
 def ref_default_tol_grad(m):

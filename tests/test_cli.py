@@ -334,6 +334,26 @@ class TestSolve:
         assert not out.stdout
 
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (("solve", "--method", "escapes", "--eps", "inf"),
+             "eps_grad must be positive and finite, got inf"),
+            (("solve", "--method", "escapes", "--eps2", "inf"),
+             "eps_curv must be positive and finite, got inf"),
+            (("escape", "--point", "1,0", "--eps", "inf"), "eps_grad must be finite, got inf"),
+            # An infinite --eps2 would certify the saddle (1, 0) as global.
+            (("escape", "--point", "1,0", "--eps", "1e-8", "--eps2", "inf"),
+             "eps_curv must be finite, got inf"),
+        ],
+        ids=["solve-eps", "solve-eps2", "escape-eps", "escape-eps2"],
+    )
+    def test_infinite_tolerance_exit_1(self, problem_dir, args, message):
+        out = run_cli(args[0], str(problem_dir / "worked.json"), *args[1:])
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr == f"cubicmin: error: {message}\n"
+
+
 class TestStationary:
     def test_worked_table(self, problem_dir):
         out = run_cli("stationary", str(problem_dir / "worked.json"))
@@ -626,6 +646,34 @@ class TestMinimize:
             "cubicmin: solver error: ConvergenceError: gradient norm 2.236e+300: the model's"
             " linear term overflows at the Cauchy point\n"
         )
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("sphere2", "--x0", "1e160,1e160", "--max-iters", "1"),
+            ("rosen_coupled6", "--x0", ",".join(["1e200"] * 6)),
+            ("rosenbrock2", "--x0", "1e160,1e160"),
+            # f and the gradient are finite here; the Hessian is not.
+            ("rosenbrock2", "--x0", "1.3e153,1.69e306"),
+        ],
+        ids=["sphere2", "rosen_coupled6", "rosenbrock2", "rosenbrock2_hessian"],
+    )
+    @pytest.mark.parametrize("warnings", [None, "error"])
+    def test_callbacks_past_range_exit_2(self, args, warnings):
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        if warnings:
+            env["PYTHONWARNINGS"] = warnings
+        out = run_cli("minimize", *args, env=env)
+        assert (out.returncode, out.stdout) == (2, "")
+        lines = out.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("cubicmin: solver error: ConvergenceError: ")
+
+    def test_infinite_tol_exit_1(self):
+        out = run_cli("minimize", "sphere2", "--tol", "inf")
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr == "cubicmin: error: tol_grad_inf must be finite\n"
 
     @pytest.mark.parametrize("value", [",-3,4", "-3,4,", "-3,,4"])
     def test_empty_coordinate_in_x0_exit_1(self, value):

@@ -27,7 +27,13 @@ from cubicmin.exceptions import (
     ToleranceFloor,
 )
 from cubicmin.model import eval_model, grad, is_global
-from cubicmin.problems import DEFAULT_SUITE, ObjectiveFunction, cubic_objective, get_problem
+from cubicmin.problems import (
+    DEFAULT_SUITE,
+    ObjectiveFunction,
+    available_problems,
+    cubic_objective,
+    get_problem,
+)
 from cubicmin.stationary import global_minimize
 
 from .helpers import class_model, exact_residual, random_model
@@ -82,6 +88,13 @@ class TestSolveViaEscapes:
             solve_via_escapes(WORKED, np.zeros(2), eps_grad=0.0)
         with pytest.raises(ValueError):
             solve_via_escapes(WORKED, np.zeros(2), eps_curv=-1.0)
+
+    @pytest.mark.parametrize("name", ["eps_grad", "eps_curv"])
+    def test_rejects_infinite_tolerances(self, name):
+        # With eps_curv = inf the saddle (1, 0), m = -7/6 against m* = -5,
+        # would pass as certified global.
+        with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got inf$"):
+            solve_via_escapes(WORKED, np.array([1.0, 0.0]), **{name: math.inf})
 
     def test_trace_objectives_strictly_decrease(self):
         rng = np.random.default_rng(101)
@@ -230,6 +243,21 @@ class TestSolveViaEscapesRecovery:
         with pytest.raises(ToleranceFloor):
             solve_via_escapes(WORKED, np.array([0.9, 0.02]))
         expected = [WORKED.default_tol_grad()]
+        for _ in range(6):
+            expected.append(expected[-1] / 10.0)
+        assert tols == expected
+
+    def test_floor_is_six_tightenings_of_any_eps_grad(self, monkeypatch):
+        # From an exact stationary point (residual 0) every local solve
+        # converges, however small eps_grad is, so only the tightening
+        # count stops the loop: six tightenings, down to 1e-18.
+        def respond(i, real, m, s_bar, tol):
+            raise ThresholdNotMet("forced")
+
+        tols = self._patch(monkeypatch, respond)
+        with pytest.raises(ToleranceFloor):
+            solve_via_escapes(WORKED, np.array([1.0, 0.0]), eps_grad=1e-12)
+        expected = [1e-12]
         for _ in range(6):
             expected.append(expected[-1] / 10.0)
         assert tols == expected
@@ -494,6 +522,33 @@ class TestGradientRange:
             warnings.simplefilter("error")
             with pytest.raises(ConvergenceError, match=message):
                 arc_plus_minimize(f, [-1e140, -1e140], variant, ArcOptions(max_iters=2000))
+
+
+class TestCallbacksPastRange:
+    """Outer runs whose callbacks leave double range end in ConvergenceError, silently."""
+
+    @pytest.mark.parametrize("variant", ["ARC", "ARC_PLUS"])
+    @pytest.mark.parametrize("name", available_problems())
+    def test_start_at_1e160(self, name, variant):
+        f = get_problem(name)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError):
+                arc_plus_minimize(f, np.full(f.n, 1e160), variant)
+
+    @pytest.mark.parametrize("variant", ["ARC", "ARC_PLUS"])
+    def test_hessian_past_range(self, variant):
+        # x2 = x1^2 makes f and the gradient finite, but 1200 x1^2 overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="^f's Hessian leaves double range$"):
+                arc_plus_minimize(get_problem("rosenbrock2"), [1.3e153, 1.69e306], variant)
+
+    def test_asymmetric_finite_hessian_keeps_value_error(self):
+        f = ObjectiveFunction("asym", 2, lambda x: float(x.dot(x)), lambda x: 2.0 * x,
+                              lambda x: np.array([[2.0, 1.0], [0.0, 2.0]]), [3.0, 4.0])
+        with pytest.raises(ValueError, match="beyond the symmetry tolerance$"):
+            arc_plus_minimize(f, None, "ARC")
 
 
 class TestNonFiniteStart:

@@ -209,9 +209,9 @@ class TestEscapeApprox:
         assert out.decrease == 0.0
 
     def test_threshold_not_met(self):
-        # Neither reflection gate holds: |grad.d / s.d| = 12 and
-        # |grad.s| / ||s||^2 = 1.15e-3 both exceed eps_curv, and the
-        # strengthened B_II test gives +0.002.
+        # Neither reflection gate holds: B_II's predicted change along d
+        # is +0.002 (and |grad.d / s.d| = 12 exceeds eps_curv), and
+        # |grad.s| / ||s||^2 = 1.15e-3 exceeds eps_curv.
         m = CubicModel([-2.0, -0.1], np.diag([1.0, -3.0]), 1.0)
         with pytest.raises(ThresholdNotMet):
             escape_approx(m, np.array([1.0, 0.01]), ApproxTolerances(1.0, 1e-3))

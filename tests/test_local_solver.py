@@ -43,6 +43,11 @@ class TestOptions:
         with pytest.raises(ValueError):
             local_minimize(WORKED, np.zeros(2), eps_grad=0.0)
 
+    def test_rejects_infinite_eps_grad(self):
+        # Every iterate, (5, 5) at residual 43 included, would pass as converged.
+        with pytest.raises(ValueError, match="^eps_grad must be positive and finite, got inf$"):
+            local_minimize(WORKED, [5.0, 5.0], eps_grad=math.inf)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_start(self, bad):
         with pytest.raises(ValueError, match="^s0 entries must be finite$"):

@@ -296,6 +296,12 @@ class TestIsGlobal:
         with pytest.raises(ValueError):
             is_global(WORKED, np.zeros(2), tol_grad=-1.0)
 
+    @pytest.mark.parametrize("name", ["tol_grad", "tol_psd"])
+    def test_rejects_infinite_tolerance(self, name):
+        # With tol_psd = inf the saddle (1, 0) (psd_margin -2) would pass.
+        with pytest.raises(ValueError, match="^tolerances must be positive and finite$"):
+            is_global(WORKED, np.array([1.0, 0.0]), **{name: math.inf})
+
 
 def _certificate_bits(run):
     """A certificate's fields with their types, floats as hex, or the exception's class and message."""
@@ -694,10 +700,13 @@ class TestOptionAndReportTypes:
             (ArcOptions, "seed", True, "seed must be an integer, got True"),
             (ArcOptions, "seed", -1, "seed must be non-negative"),
             (ArcOptions, "tol_grad_inf", 0, "tol_grad_inf must be positive"),
+            (ArcOptions, "tol_grad_inf", math.inf, "tol_grad_inf must be finite"),
             (ApproxTolerances, "eps_grad", -1, "eps_grad must be nonnegative, got -1"),
             (ApproxTolerances, "eps_grad", math.nan, "eps_grad must be nonnegative, got nan"),
             (ApproxTolerances, "eps_curv", -1, "eps_curv must be nonnegative, got -1"),
             (ApproxTolerances, "eps_curv", math.nan, "eps_curv must be nonnegative, got nan"),
+            (ApproxTolerances, "eps_grad", math.inf, "eps_grad must be finite, got inf"),
+            (ApproxTolerances, "eps_curv", math.inf, "eps_curv must be finite, got inf"),
         ],
     )
     @pytest.mark.parametrize("how", ["constructor", "replace"])

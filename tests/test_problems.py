@@ -1,6 +1,7 @@
 """Registered benchmark objectives and cubic-model wrappers."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -117,6 +118,21 @@ class TestObjectiveFunction:
             r"^gradient of 'sq' disagrees with finite differences at the starting point"
         )):
             self._square(lambda x: 3.0 * x, [1.0, 2.0])
+
+
+    def test_rejects_nan_gradient(self):
+        # Its relative error is NaN, which no tolerance passes.
+        with pytest.raises(ValueError, match=(
+            r"^gradient of 'sq' disagrees with finite differences at the starting point"
+        )):
+            self._square(lambda x: np.full(2, np.nan), [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_x0(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^x0 entries must be finite$"):
+                self._square(lambda x: 2.0 * x, [1.0, bad])
 
 
 class TestCubicObjective:

@@ -21,7 +21,6 @@ from cubicmin.model import StationaryPoint, is_global
 from cubicmin.stationary import enumerate_stationary, global_minimize
 
 from .helpers import (
-    REF_EPS_FLOOR,
     REF_POLE_MERGE,
     REF_SINGULAR_MODE_TOL,
     class_model,
@@ -69,7 +68,6 @@ def _assert_policy(m):
 def test_constants_match_reference():
     assert model.SINGULAR_MODE_TOL.hex() == REF_SINGULAR_MODE_TOL.hex()
     assert model._POLE_MERGE.hex() == REF_POLE_MERGE.hex()
-    assert model.ESCAPE_EPS_FLOOR.hex() == REF_EPS_FLOOR.hex()
     # stationary reads the table's constants under their old names.
     assert cubicmin.stationary.SINGULAR_MODE_TOL is model.SINGULAR_MODE_TOL
     assert cubicmin.stationary._POLE_MERGE is model._POLE_MERGE
