@@ -3,8 +3,9 @@
 Commands: solve, stationary, escape, minimize, bench, profile.  Exit
 codes: 0 success, 1 input or schema error, 2 solver error.  Output goes
 to stdout or to --out; --format selects human text or JSON for the
-report commands, and bench and profile always write CSV.  All output
-is plain (no ANSI color), so NO_COLOR is honored by construction.
+report commands, and bench and profile write CSV and take no --format.
+Each subcommand accepts only the flags it reads.  All output is plain
+(no ANSI color), so NO_COLOR is honored by construction.
 """
 
 import argparse
@@ -33,10 +34,9 @@ from .driver import (
     solve_via_escapes,
 )
 from .exceptions import CubicminError, EmptyInput, SchemaError
-from .model import CubicModel, StationaryPoint
 from .problem_io import load_problem
 from .problems import DEFAULT_SUITE, available_problems, cubic_objective, get_problem
-from .stationary import count_bound, enumerate_stationary, global_minimize
+from .stationary import _distinct, count_bound, enumerate_stationary, global_minimize
 
 __all__ = ["main"]
 
@@ -89,29 +89,27 @@ def _build_parser():
         "quadratic models, plus an adaptive outer optimizer.",
     )
     parser.add_argument("--version", action="version", version=f"cubicmin {__version__}")
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--seed",
-        type=_int_at_least(0, "non-negative"),
-        default=0,
-        help="non-negative seed for any randomness",
-    )
-    common.add_argument(
-        "--jobs",
-        type=_int_at_least(1, "positive"),
-        default=None,
-        help="worker processes, at most one per cell (default: every CPU)",
-    )
-    common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument(
+    # Parents of the flags each subcommand reads: --out on all six,
+    # --format on the four report commands, --seed on solve and minimize.
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to this path")
+    report = argparse.ArgumentParser(add_help=False, parents=[out])
+    report.add_argument(
         "--format",
         choices=("text", "structured"),
         default="text",
         help="human text or JSON output",
     )
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument(
+        "--seed",
+        type=_int_at_least(0, "non-negative"),
+        default=0,
+        help="non-negative seed for any randomness",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("solve", parents=[common], help="globally minimize one model")
+    p = sub.add_parser("solve", parents=[seed, report], help="globally minimize one model")
     p.add_argument("problem", help="problem file (JSON)")
     p.add_argument(
         "--method",
@@ -127,12 +125,12 @@ def _build_parser():
     )
 
     p = sub.add_parser(
-        "stationary", parents=[common], help="enumerate all stationary points"
+        "stationary", parents=[report], help="enumerate all stationary points"
     )
     p.add_argument("problem", help="problem file (JSON)")
 
     p = sub.add_parser(
-        "escape", parents=[common], help="one escape move from a stationary point"
+        "escape", parents=[report], help="one escape move from a stationary point"
     )
     p.add_argument("problem", help="problem file (JSON)")
     p.add_argument(
@@ -151,7 +149,7 @@ def _build_parser():
     )
 
     p = sub.add_parser(
-        "minimize", parents=[common], help="run the outer optimizer on an objective"
+        "minimize", parents=[seed, report], help="run the outer optimizer on an objective"
     )
     p.add_argument(
         "objective",
@@ -169,9 +167,9 @@ def _build_parser():
         help="seed subproblems from the Cauchy point instead of a random sphere point",
     )
 
-    p = sub.add_parser(
-        "bench", parents=[common], help="iteration benchmark over a problem suite"
-    )
+    # No abbreviations, so that --seed is not taken for --seeds.
+    p = sub.add_parser("bench", parents=[out], allow_abbrev=False,
+                       help="iteration benchmark over a problem suite")
     p.add_argument(
         "suite",
         nargs="?",
@@ -187,12 +185,17 @@ def _build_parser():
     p.add_argument(
         "--seeds",
         default="0,1,2,3,4",
-        help="comma-separated non-negative seed list, or a count meaning seeds 0..k-1",
+        help="comma-separated non-negative seed list, or a count k meaning seeds "
+        "0..k-1 (0 means the one seed 0)",
+    )
+    p.add_argument(
+        "--jobs",
+        type=_int_at_least(1, "positive"),
+        default=None,
+        help="worker processes, at most one per cell (default: every CPU)",
     )
 
-    p = sub.add_parser(
-        "profile", parents=[common], help="performance profile from a bench CSV"
-    )
+    p = sub.add_parser("profile", parents=[out], help="performance profile from a bench CSV")
     p.add_argument("csv_in", help="CSV produced by `cubicmin bench`")
 
     return parser
@@ -216,7 +219,7 @@ def _emit(args, record, render_text):
 
 
 def _emit_csv(args, rows):
-    # bench and profile write CSV whatever --format says.
+    # bench and profile write CSV; they take no --format.
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     _write_output(args, buf.getvalue())
@@ -310,11 +313,6 @@ def _cmd_stationary(args):
     m, name = load_problem(args.problem)
     points = enumerate_stationary(m)
     bound = count_bound(m)
-    # Tied multipliers count as one, as in the benchmark's check.
-    distinct = []
-    for p in points:
-        if not any(abs(p.lam - q) <= model_mod.multiplier_tie(q) for q in distinct):
-            distinct.append(p.lam)
     tol_grad, tol_psd = m.default_tol_grad(), m.default_tol_psd()
     rec = {
         "name": name,
@@ -329,7 +327,8 @@ def _cmd_stationary(args):
             }
             for p in points
         ],
-        "distinct_lambdas": len(distinct),
+        # The points ascend in lam; counted as count_bound counts.
+        "distinct_lambdas": len(_distinct([p.lam for p in points])),
         "bound": bound,
     }
 
@@ -358,7 +357,7 @@ def _cmd_escape(args):
     point = _parse_vector(args.point, m.n, "--point")
     t0 = time.perf_counter()
     if args.eps is None:
-        out = escape_mod.escape_exact(m, StationaryPoint.from_vector(m, point))
+        out = escape_mod.escape_exact(m, point)
         mode = "exact"
     else:
         eps2 = args.eps2 if args.eps2 is not None else m.default_tol_psd()

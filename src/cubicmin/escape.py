@@ -12,11 +12,11 @@ above ``eps_grad`` raises NotStationary, and a point that passes gets
 NONE_GLOBAL; one with ``||s_bar|| <= m.zero_step_tol()`` moves as from
 the origin (B_I).  ``escape_exact`` takes the model's two gates,
 without an ``ApproxTolerances`` record; ``escape_approx`` takes the
-caller's record, validated when it was built, and also takes s_bar as a
-vector.  Each decision is one test: B_II is tried where its predicted
-change along d is negative, B_III where ``eps_curv > |grad's| /
-||s||^2``, and each B_III point z where ``z'(Q + lam I)z < -eps_curv
-z'z``.  The case analysis reads s_bar, its multiplier and its gradient
+caller's record, validated when it was built.  Both take s_bar as a
+``StationaryPoint`` or as a vector.  Each decision is one test: B_II
+is tried where its predicted change along d is negative, B_III where
+``eps_curv > |grad's| / ||s||^2``, and each B_III point z where
+``z'(Q + lam I)z < -eps_curv z'z``.  The case analysis reads s_bar, its multiplier and its gradient
 from the point's ``StationaryPoint`` record, the one evaluation of
 s_bar: the escape loop passes the local solve's.  One verdict, ``_outcome``, keeps a
 move only where direct evaluation (``model._evaluate``, with its range
@@ -148,8 +148,9 @@ def escape_exact(m, s_bar):
 
     Parameters
     ----------
-    s_bar : StationaryPoint
-        Judged by its own residual at ``m.default_tol_grad()``.
+    s_bar : StationaryPoint or array_like
+        A record is judged by its own residual at ``m.default_tol_grad()``;
+        a vector is evaluated once by ``StationaryPoint.from_vector``.
 
     Returns
     -------
@@ -195,8 +196,6 @@ def escape_approx(m, s_bar, tol):
         Where m at a move is NaN or below double range, or m(s_bar) is,
         for a vector s_bar (a record is judged as it stands).
     """
-    if not isinstance(s_bar, model_mod.StationaryPoint):
-        s_bar = model_mod.StationaryPoint.from_vector(m, s_bar)
     return _escape(m, s_bar, tol.eps_grad, tol.eps_curv)
 
 
@@ -204,6 +203,8 @@ def _escape(m, point, eps_grad, eps_curv):
     # The case analysis of both escapes, from the evaluated point: s, lam
     # and the gradient are the point's, and each product below is taken
     # once.  Negating d is exact, so c'(-d) = -(c'd) and (-d)'Q(-d) = d'Qd.
+    if not isinstance(point, model_mod.StationaryPoint):
+        point = model_mod.StationaryPoint.from_vector(m, point)
     cert = model_mod._certificate(m, point, eps_grad, eps_curv, gate=True)
     s = point.s
     c_s = float(m.c.dot(s))

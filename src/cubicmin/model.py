@@ -40,7 +40,6 @@ _IN_RANGE = 2.0**1000
 #   zero step         1e-10 max(1, |mu_1|/sigma), on ||s||      CubicModel.zero_step_tol
 #   ARC target        max(min(0.01, 0.1 ||c||) ||c||, 1e-12)    CubicModel.arc_target
 #   boundary slack    1e-8 (1 + lam/sigma), on ||V a||          boundary_slack
-#   multiplier tie    1e-9 (1 + |lam|), between multipliers     multiplier_tie
 #   escape curvature  min(10 eps / max(||s||, 1e-8), 1e-6)      escape_eps_curv
 SINGULAR_MODE_TOL = 1e-12  # singular mode, on |mu_i + lam|
 _POLE_MERGE = 1e-10  # pole merge, between a coupled pole and the one below
@@ -48,10 +47,6 @@ _POLE_MERGE = 1e-10  # pole merge, between a coupled pole and the one below
 
 def boundary_slack(radius):
     return 1e-8 * (1.0 + radius)
-
-
-def multiplier_tie(lam):
-    return 1e-9 * (1.0 + abs(lam))
 
 
 def escape_eps_curv(eps_grad, s):

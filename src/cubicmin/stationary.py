@@ -192,15 +192,16 @@ class SecularProblem:
     def _boundary_points(self, m):
         """Both points of each feasible degenerate multiplier lam = -mu_i > 0.
 
-        One multiplier per distinct negative eigenvalue whose modes are all
-        uncoupled; one with ``||V a|| > lam/sigma`` has no point and is
-        skipped.  The continuum a pair stands for shares one objective value.
+        One multiplier per negative eigenvalue kept by ``_distinct`` whose
+        modes are all uncoupled; one with ``||V a|| > lam/sigma`` has no
+        point and is skipped.  The continuum a pair stands for shares one
+        objective value.
         """
         if self.all_coupled:
             return []
         vals = self.eig.values
         out = []
-        for mu in _distinct_negative(vals):
+        for mu in _distinct(vals[vals < 0.0].tolist()):
             lam = -mu
             if np.count_nonzero(self.coupled & (abs(vals + lam) <= SINGULAR_MODE_TOL)):
                 continue
@@ -515,22 +516,23 @@ def enumerate_stationary(m):
     return points
 
 
-def _distinct_negative(vals):
-    """The negative eigenvalues ascending, each more than SINGULAR_MODE_TOL above the last kept."""
+def _distinct(values):
+    """The ascending floats, each kept if more than SINGULAR_MODE_TOL above the last kept."""
     kept = []
-    for mu in vals[vals < 0.0].tolist():
-        if not kept or mu - kept[-1] > SINGULAR_MODE_TOL:
-            kept.append(mu)
+    for v in values:
+        if not kept or v - kept[-1] > SINGULAR_MODE_TOL:
+            kept.append(v)
     return kept
 
 
 def count_bound(m):
     """The bound 2(k+1) on distinct stationary multipliers; at most 2k+1 occur.
 
-    k counts the negative eigenvalues of Q kept by ``_distinct_negative``:
+    k counts the negative eigenvalues of Q kept by ``_distinct``:
     distinct to ``SINGULAR_MODE_TOL``, the walk of the record's
-    ``_boundary_points``.  Each positive pole's anchor and each boundary
-    multiplier lies in its own kept entry, so the bound holds for what
+    ``_boundary_points`` and of ``cubicmin stationary``'s multiplier
+    count.  Each positive pole's anchor and each boundary multiplier lies
+    in its own kept entry, so the bound holds for what
     ``enumerate_stationary`` returns.
 
     It is not sharp.  phi is concave on each subinterval, so a bounded
@@ -544,7 +546,8 @@ def count_bound(m):
     ``solve_via_escapes`` reads it, and changing that cap is its own
     change.
     """
-    return 2 * (len(_distinct_negative(m.eig.values)) + 1)
+    vals = m.eig.values
+    return 2 * (len(_distinct(vals[vals < 0.0].tolist())) + 1)
 
 
 def global_minimize(m):

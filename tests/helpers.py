@@ -56,7 +56,7 @@ from cubicmin.stationary import (
     _POLE_MERGE,
     LambdaRoot,
     _boundary_parts,
-    _distinct_negative,
+    _distinct,
     _newton_root,
     _rootless,
 )
@@ -702,7 +702,7 @@ def ref_boundary_points(sp):
     if not np.count_nonzero((vals < 0.0) & ~sp.coupled):
         return []
     out = []
-    for mu in _distinct_negative(vals):
+    for mu in _distinct(vals[vals < 0.0].tolist()):
         lam = -mu
         if np.count_nonzero(sp.coupled & (abs(vals + lam) <= SINGULAR_MODE_TOL)):
             continue
@@ -743,10 +743,6 @@ def ref_eps_inner(m):
 
 def ref_boundary_slack(radius):
     return 1e-8 * (1.0 + radius)
-
-
-def ref_multiplier_tie(q):
-    return 1e-9 * (1.0 + abs(q))
 
 
 def ref_adaptive_eps_curv(eps_grad, s_bar):

@@ -1,5 +1,6 @@
 """End-to-end command-line tests through subprocess."""
 
+import argparse
 import csv
 import json
 import math
@@ -385,8 +386,9 @@ class TestStationary:
         assert out.returncode == 0
         rec = strict_json(out.stdout)
         assert len(rec["points"]) == 5
-        # 1e-9 (1 + |lam|) merges the four multipliers near 1 into one.
-        assert rec["distinct_lambdas"] == 2
+        # Counted as count_bound counts, at SINGULAR_MODE_TOL: the four
+        # multipliers near 1 lie at least 1.6e-10 apart, so none merge.
+        assert rec["distinct_lambdas"] == 5
         assert rec["bound"] == 6
 
     def test_convex_zero_c(self, problem_dir):
@@ -919,6 +921,96 @@ class TestTopLevel:
             assert "\x1b" not in out.stderr
 
 
+class _ReadRecorder(argparse.Namespace):
+    """A namespace that records each attribute read from it."""
+
+    def __init__(self):
+        super().__init__()
+        self._reads = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+class TestFlagsRead:
+    """Each subcommand accepts only the flags it reads."""
+
+    # One in-process run per branch that reads a flag, on worked.json.
+    _RUNS = [
+        ("solve", "worked", "--method", "secular"),
+        ("solve", "worked", "--method", "escapes"),
+        ("stationary", "worked"),
+        ("escape", "worked", "--point", "1,0"),
+        ("minimize", "sphere2"),
+        ("bench", "sphere2", "--seeds", "1", "--jobs", "1", "--out", "BENCH"),
+        ("profile", "BENCH"),
+    ]
+
+    def test_every_accepted_flag_is_read(self, problem_dir, tmp_path, capsys):
+        from cubicmin import cli
+
+        bench = str(tmp_path / "bench.csv")
+        worked = str(problem_dir / "worked.json")
+        reads = {}
+        for run in self._RUNS:
+            argv = [{"worked": worked, "BENCH": bench}.get(a, a) for a in run]
+            args = cli._build_parser().parse_args(argv, namespace=_ReadRecorder())
+            args._reads.clear()  # parsing reads defaults; count the command's reads
+            assert cli._COMMANDS[args.command](args) == 0
+            reads.setdefault(args.command, set()).update(args._reads)
+        capsys.readouterr()
+        (sub,) = [a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        accepted = {
+            cmd: {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+            for cmd, parser in sub.choices.items()
+        }
+        assert set(reads) == set(accepted)
+        unread = {cmd: accepted[cmd] - reads[cmd] for cmd in accepted}
+        assert not any(unread.values()), unread
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("solve", "worked", "--jobs", "1"),
+            ("stationary", "worked", "--seed", "1"),
+            ("stationary", "worked", "--jobs", "1"),
+            ("escape", "worked", "--point", "1,0", "--seed", "1"),
+            ("escape", "worked", "--point", "1,0", "--jobs", "1"),
+            ("minimize", "sphere2", "--jobs", "1"),
+            ("bench", "sphere2", "--seeds", "1", "--jobs", "1", "--seed", "1"),
+            ("bench", "sphere2", "--seeds", "1", "--jobs", "1", "--format", "text"),
+            ("profile", "worked", "--seed", "1"),
+            ("profile", "worked", "--jobs", "1"),
+            ("profile", "worked", "--format", "text"),
+        ],
+        ids=lambda args: f"{args[0]}{args[-2]}",
+    )
+    def test_unread_flag_rejected(self, args, problem_dir, capsys):
+        from cubicmin import cli
+
+        argv = [str(problem_dir / "worked.json") if a == "worked" else a for a in args]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: cubicmin ")
+        assert err.endswith(f"cubicmin: error: unrecognized arguments: {' '.join(args[-2:])}\n")
+
+    def test_bench_seeds_zero_runs_seed_0(self, tmp_path):
+        from cubicmin import cli
+
+        # A count k means seeds 0..k-1, but a count of 0 means the one seed 0.
+        dest = tmp_path / "bench.csv"
+        assert cli.main(["bench", "sphere2", "--variants", "arc", "--seeds", "0",
+                         "--jobs", "1", "--out", str(dest)]) == 0
+        with open(dest, newline="") as f:
+            assert [r["seed"] for r in csv.DictReader(f)] == ["0"]
+
+
 def _without_wall_ms(text):
     return [line for line in text.splitlines() if "wall_ms" not in line]
 
@@ -1255,11 +1347,8 @@ class TestGoldenContract:
                               "converged False after 1 iterations\n")
         assert out.endswith("wall_ms   X\n")
 
-    @pytest.mark.parametrize("fmt", ["text", "structured"])
-    def test_bench_and_profile_shape(self, run, tmp_path, fmt):
-        # Both write CSV whatever --format says.
-        code, out, err = run("bench", "sphere2", "--seeds", "2", "--jobs", "1",
-                             "--format", fmt)
+    def test_bench_and_profile_shape(self, run, tmp_path):
+        code, out, err = run("bench", "sphere2", "--seeds", "2", "--jobs", "1")
         assert (code, err) == (0, "")
         lines = out.splitlines(keepends=True)
         assert lines[0] == BENCH_HEADER + "\n"
@@ -1275,7 +1364,7 @@ class TestGoldenContract:
             assert re.fullmatch(r"[0-9]+\.[0-9]{3}", fields[8])
         src = tmp_path / "bench.csv"
         src.write_text(out)
-        assert run("profile", str(src), "--format", fmt) == (0, "tau,ARC,ARC_PLUS\n1,1,1\n", "")
+        assert run("profile", str(src)) == (0, "tau,ARC,ARC_PLUS\n1,1,1\n", "")
 
 
 class TestStrictJson:

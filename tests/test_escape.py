@@ -143,6 +143,22 @@ class TestEscapeExactCases:
         V = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
         _assert_real_biii_escapes(CubicModel(V @ [1e-9, 1.0], V @ np.diag([-2.0, 1.0]) @ V.T, 3.0))
 
+    @pytest.mark.parametrize("m", [WORKED, CubicModel([-2.0, 0.1], np.diag([1.0, -3.0]), 1.0)])
+    def test_vector_escapes_as_its_record(self, m):
+        # escape_approx took a vector; escape_exact does too, and judges it
+        # as StationaryPoint.from_vector of it (NONE_GLOBAL, B_II, B_III).
+        for p in enumerate_stationary(m):
+            got = escape_exact(m, np.array(p.s))
+            want = escape_exact(m, StationaryPoint.from_vector(m, p.s))
+            for name in ("case_tag", "alpha_used", "decrease", "certificate"):
+                assert getattr(got, name) == getattr(want, name)
+            for name in ("s_hat", "z_used"):
+                assert np.asarray(getattr(got, name)).tobytes() == np.asarray(
+                    getattr(want, name)).tobytes()
+            for name in StationaryPoint._fields:
+                assert np.asarray(getattr(got.point, name)).tobytes() == np.asarray(
+                    getattr(want.point, name)).tobytes()
+
     def test_none_global_at_minimizer(self):
         sol = global_minimize(WORKED)
         p = StationaryPoint.from_vector(WORKED, sol.s_star)

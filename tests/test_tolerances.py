@@ -29,7 +29,6 @@ from .helpers import (
     ref_default_tol_grad,
     ref_default_tol_psd,
     ref_eps_inner,
-    ref_multiplier_tie,
     ref_pole_tol,
     ref_zero_tol,
 )
@@ -51,7 +50,6 @@ def _policy(m):
     ]
     for x in (lam, -m.eig.mu_1, m.norm_c, lam / m.sigma):
         rows.append(("boundary slack", model.boundary_slack(x), ref_boundary_slack(x)))
-        rows.append(("multiplier tie", model.multiplier_tie(x), ref_multiplier_tie(x)))
     v_1 = m.eig.vectors[:, 0]
     for s in (np.zeros(m.n), 1e-12 * v_1, v_1, 1e6 * v_1, m.c / (1.0 + m.norm_c)):
         for e in (eps, 1e-3 * eps, 10.0 * eps):
