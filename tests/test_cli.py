@@ -1347,7 +1347,13 @@ class TestGoldenContract:
                               "converged False after 1 iterations\n")
         assert out.endswith("wall_ms   X\n")
 
-    def test_bench_and_profile_shape(self, run, tmp_path):
+    @pytest.mark.parametrize("fmt", ["text", "structured"])
+    def test_bench_and_profile_shape(self, run, tmp_path, fmt):
+        # Both write CSV and take no --format, whatever its value.
+        code, out, err = run("bench", "sphere2", "--seeds", "2", "--jobs", "1",
+                             "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"cubicmin: error: unrecognized arguments: --format {fmt}\n")
         code, out, err = run("bench", "sphere2", "--seeds", "2", "--jobs", "1")
         assert (code, err) == (0, "")
         lines = out.splitlines(keepends=True)
@@ -1365,6 +1371,9 @@ class TestGoldenContract:
         src = tmp_path / "bench.csv"
         src.write_text(out)
         assert run("profile", str(src)) == (0, "tau,ARC,ARC_PLUS\n1,1,1\n", "")
+        code, out, err = run("profile", str(src), "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err.endswith(f"cubicmin: error: unrecognized arguments: --format {fmt}\n")
 
 
 class TestStrictJson:
